@@ -10,6 +10,36 @@
 //! Quorums have size `n − t`; with `t < n/2` any two quorums intersect, which
 //! is exactly the premise of Theorem 5.
 //!
+//! # Who talks to whom
+//!
+//! Phase 2 is *leader-centric*: every message of a ballot either leaves its
+//! owner or returns to it, so a ballot costs a linear number of messages.
+//!
+//! * The owner sends `Prepare` to everyone and each acceptor answers
+//!   `Promise` to the owner alone.
+//! * With a promise quorum the owner accepts its own value through the very
+//!   check every acceptor applies (`b ≥ promised`), counts that as its own
+//!   vote without any loopback message, and sends `Accept` to the *others*.
+//! * An acceptor that accepts `(b, v)` votes `Accepted` to `b.proposer`
+//!   only. Quorum intersection — all that safety rests on — needs a quorum
+//!   of acceptors to have accepted, not every learner to have heard it.
+//! * The owner that counts `n − t` votes decides and broadcasts the one
+//!   `Decide` of the ballot. A process that receives a `Decide` records it
+//!   and sends nothing, so everyone but the owner learns one hop after the
+//!   owner does.
+//!
+//! The learner therefore only counts votes for the ballot it currently runs
+//! in phase 2. A vote for any other ballot — someone else's, or an own one
+//! since abandoned — is misrouted, stale or hostile; it is dropped and
+//! counted ([`PaxosInstance::votes_dropped`]).
+//!
+//! Nothing here retransmits. A lost `Accept` or `Accepted` shows up at the
+//! owner as a ballot that stopped progressing
+//! ([`PaxosInstance::progress_counter`]), which the driving protocol restarts
+//! with a higher ballot; a lost `Decide` is recovered by the replicated
+//! log's catch-up (see the `repeated` module docs), or in the single-decree
+//! composition by the reliable links of the paper's model.
+//!
 //! The machinery is generic over the value domain `V` ([`LogValue`]): the
 //! Theorem 5 experiments decide bare 64-bit [`Value`]s, the replicated
 //! key-value service (`irs-svc`) decides [`Batch`](crate::Batch)es of byte
@@ -44,14 +74,17 @@ pub enum PaxosMsg<V = Value> {
         /// The value, chosen according to the phase-1 rule.
         v: V,
     },
-    /// Phase-2b: an acceptor announces it accepted `(b, v)`.
+    /// Phase-2b: an acceptor tells the ballot owner (`b.proposer`, and nobody
+    /// else) that it accepted `(b, v)`.
     Accepted {
         /// The ballot.
         b: Ballot,
         /// The accepted value.
         v: V,
     },
-    /// A decided value, re-broadcast once by each decider as a catch-up aid.
+    /// A decided value: broadcast once, by the ballot owner that counted the
+    /// vote quorum, and replayed point-to-point by the replicated log's
+    /// catch-up. Receivers record it and never echo it.
     Decide {
         /// The decided value.
         v: V,
@@ -99,12 +132,15 @@ pub struct PaxosInstance<V = Value> {
     promises: BTreeMap<ProcessId, Option<(Ballot, V)>>,
     phase2_started: bool,
     // --- learner state ---
-    accepted_votes: BTreeMap<Ballot, (V, BTreeSet<ProcessId>)>,
+    /// Acceptors that voted for `current` (cleared whenever `current`
+    /// moves): votes only ever reach the ballot's owner, so the current
+    /// ballot's is the only tally there is to keep.
+    votes: BTreeSet<ProcessId>,
     decided: Option<V>,
-    decide_rebroadcast: bool,
     // --- statistics ---
     ballots_started: u64,
     progress: u64,
+    votes_dropped: u64,
 }
 
 impl<V: LogValue> PaxosInstance<V> {
@@ -119,11 +155,11 @@ impl<V: LogValue> PaxosInstance<V> {
             current: Ballot::ZERO,
             promises: BTreeMap::new(),
             phase2_started: false,
-            accepted_votes: BTreeMap::new(),
+            votes: BTreeSet::new(),
             decided: None,
-            decide_rebroadcast: false,
             ballots_started: 0,
             progress: 0,
+            votes_dropped: 0,
         }
     }
 
@@ -171,8 +207,14 @@ impl<V: LogValue> PaxosInstance<V> {
         self.ballots_started
     }
 
+    /// `Accepted` votes the learner refused because they were not for the
+    /// ballot this process currently runs in phase 2 (see the module docs).
+    pub fn votes_dropped(&self) -> u64 {
+        self.votes_dropped
+    }
+
     /// A counter that increases whenever the instance makes observable
-    /// progress (a promise or an acceptance arrives, a decision is reached).
+    /// progress (a promise or a vote arrives, a decision is reached).
     /// The driving protocol uses it to avoid restarting ballots that are
     /// still advancing.
     pub fn progress_counter(&self) -> u64 {
@@ -196,6 +238,7 @@ impl<V: LogValue> PaxosInstance<V> {
         let base = self.promised.max(self.current);
         self.current = base.next_for(self.id);
         self.promises.clear();
+        self.votes.clear();
         self.phase2_started = false;
         self.ballots_started += 1;
         out.push((Destination::All, PaxosMsg::Prepare { b: self.current }));
@@ -227,7 +270,8 @@ impl<V: LogValue> PaxosInstance<V> {
     }
 
     /// Proposer-side half of the phase-1 skip: opens this slot directly in
-    /// phase 2 under an established reign ballot `b`, broadcasting `Accept`
+    /// phase 2 under an established reign ballot `b` — the proposer accepts
+    /// and votes for its own value, then sends `Accept` to the others —
     /// without a per-slot `Prepare`/`Promise` round trip.
     ///
     /// The caller (the replicated log) must hold a quorum of reign promises
@@ -247,12 +291,10 @@ impl<V: LogValue> PaxosInstance<V> {
         let Some(v) = self.proposal.clone() else {
             return;
         };
-        self.promised = b;
         self.current = b;
         self.promises.clear();
-        self.phase2_started = true;
         self.ballots_started += 1;
-        out.push((Destination::All, PaxosMsg::Accept { b, v }));
+        self.start_phase2(b, v, out);
     }
 
     /// Handles one incoming consensus message.
@@ -260,9 +302,13 @@ impl<V: LogValue> PaxosInstance<V> {
         match msg {
             PaxosMsg::Prepare { b } => self.on_prepare(from, b, out),
             PaxosMsg::Promise { b, accepted } => self.on_promise(from, b, accepted, out),
-            PaxosMsg::Accept { b, v } => self.on_accept(b, v, out),
+            PaxosMsg::Accept { b, v } => {
+                if self.accept(b, &v) {
+                    out.push((Destination::To(b.proposer), PaxosMsg::Accepted { b, v }));
+                }
+            }
             PaxosMsg::Accepted { b, v } => self.on_accepted(from, b, v, out),
-            PaxosMsg::Decide { v } => self.decide(v, out),
+            PaxosMsg::Decide { v } => self.learn(v),
         }
     }
 
@@ -305,49 +351,73 @@ impl<V: LogValue> PaxosInstance<V> {
         let value = inherited
             .or_else(|| self.proposal.clone())
             .expect("start_ballot requires a proposal");
-        self.phase2_started = true;
-        out.push((Destination::All, PaxosMsg::Accept { b, v: value }));
+        self.start_phase2(b, value, out);
     }
 
-    fn on_accept(&mut self, b: Ballot, v: V, out: &mut Vec<PaxosSend<V>>) {
-        if b >= self.promised {
-            self.promised = b;
-            self.accepted = Some((b, v.clone()));
-            out.push((Destination::All, PaxosMsg::Accepted { b, v }));
+    /// Phase 2a at the owner of `b`: accept `v` as an acceptor, through the
+    /// check every `Accept` passes, and count that acceptance as this
+    /// process's own vote — in this handler, with no loopback message — then
+    /// ask the others. (A host that persists acceptances before releasing
+    /// the handler's sends thereby persists the owner's before its `Accept`
+    /// leaves.) Should the own acceptor refuse (it promised a higher ballot
+    /// meanwhile) the `Accept` still goes out: the others may yet form the
+    /// quorum, exactly as when a looped-back `Accept` bounced.
+    fn start_phase2(&mut self, b: Ballot, v: V, out: &mut Vec<PaxosSend<V>>) {
+        self.phase2_started = true;
+        self.votes.clear();
+        let self_vote = self.accept(b, &v);
+        out.push((Destination::AllOthers, PaxosMsg::Accept { b, v: v.clone() }));
+        if self_vote {
+            self.count_vote(self.id, v, out);
         }
+    }
+
+    /// The acceptor's phase-2 rule; returns whether `(b, v)` was accepted.
+    fn accept(&mut self, b: Ballot, v: &V) -> bool {
+        if b < self.promised {
+            return false;
+        }
+        self.promised = b;
+        self.accepted = Some((b, v.clone()));
+        true
     }
 
     fn on_accepted(&mut self, from: ProcessId, b: Ballot, v: V, out: &mut Vec<PaxosSend<V>>) {
-        self.progress += 1;
-        let entry = self
-            .accepted_votes
-            .entry(b)
-            .or_insert_with(|| (v.clone(), BTreeSet::new()));
-        debug_assert_eq!(entry.0, v, "two values accepted under the same ballot");
-        entry.1.insert(from);
-        if entry.1.len() >= self.quorum() {
-            self.decide(v, out);
+        // `current` is only ever a ballot this process minted, so the one
+        // comparison refuses both a ballot it does not own and an own ballot
+        // it has since abandoned (or lost to a restart).
+        if b != self.current || !self.phase2_started {
+            self.votes_dropped += 1;
+            return;
         }
-        // Bound the learner bookkeeping: ballots below the highest with a
-        // quorum-in-progress can be dropped once we have many of them.
-        if self.accepted_votes.len() > 64 {
-            let keep_from = *self
-                .accepted_votes
-                .keys()
-                .nth(self.accepted_votes.len() - 32)
-                .expect("len > 32");
-            self.accepted_votes.retain(|k, _| *k >= keep_from);
+        if self.decided.is_some() {
+            return; // the quorum is in; the remaining acceptors' votes are late
+        }
+        self.progress += 1;
+        self.count_vote(from, v, out);
+    }
+
+    /// Tallies a vote for `current`; at `n − t` votes the owner decides and
+    /// makes the ballot's one announcement.
+    fn count_vote(&mut self, from: ProcessId, v: V, out: &mut Vec<PaxosSend<V>>) {
+        debug_assert!(
+            self.accepted
+                .as_ref()
+                .is_none_or(|(b, mine)| *b != self.current || *mine == v),
+            "two values accepted under the same ballot"
+        );
+        self.votes.insert(from);
+        if self.votes.len() >= self.quorum() {
+            self.learn(v.clone());
+            out.push((Destination::AllOthers, PaxosMsg::Decide { v }));
         }
     }
 
-    fn decide(&mut self, v: V, out: &mut Vec<PaxosSend<V>>) {
+    /// Records a decision (the owner's own, an announced or a replayed one).
+    fn learn(&mut self, v: V) {
         if self.decided.is_none() {
-            self.decided = Some(v.clone());
+            self.decided = Some(v);
             self.progress += 1;
-        }
-        if !self.decide_rebroadcast {
-            self.decide_rebroadcast = true;
-            out.push((Destination::AllOthers, PaxosMsg::Decide { v }));
         }
     }
 }
@@ -372,12 +442,14 @@ mod tests {
             .collect()
     }
 
-    /// Synchronously routes every outbound message until quiescence.
+    /// Synchronously routes every outbound message until quiescence;
+    /// returns each delivered message (one entry per receiver).
     fn route<V: LogValue>(
         instances: &mut [PaxosInstance<V>],
         mut pending: Vec<(ProcessId, PaxosSend<V>)>,
-    ) {
+    ) -> Vec<PaxosMsg<V>> {
         let n = instances.len();
+        let mut delivered = Vec::new();
         while let Some((from, (dest, msg))) = pending.pop() {
             let targets: Vec<usize> = match dest {
                 Destination::To(q) => vec![q.index()],
@@ -387,10 +459,12 @@ mod tests {
             for target in targets {
                 let mut out = Vec::new();
                 instances[target].handle(from, msg.clone(), &mut out);
+                delivered.push(msg.clone());
                 let sender = ProcessId::new(target as u32);
                 pending.extend(out.into_iter().map(|send| (sender, send)));
             }
         }
+        delivered
     }
 
     #[test]
@@ -515,29 +589,185 @@ mod tests {
         assert!(insts[0].progress_counter() > before);
     }
 
-    #[test]
-    fn quorum_of_accepted_is_required_to_decide() {
-        let sys = system();
-        let mut learner: PaxosInstance = PaxosInstance::new(ProcessId::new(0), sys);
-        let b = Ballot::new(1, ProcessId::new(1));
+    /// Opens `inst` (process 0) directly in phase 2 under a reign ballot,
+    /// returning the ballot and the handler's sends.
+    fn open_phase2(inst: &mut PaxosInstance) -> (Ballot, Vec<PaxosSend>) {
+        let b = Ballot::for_reign(1, ProcessId::new(0));
         let mut out = Vec::new();
-        learner.handle(
+        inst.start_ballot_skipped(b, &mut out);
+        (b, out)
+    }
+
+    #[test]
+    fn owner_counts_its_own_vote_and_needs_a_quorum_to_decide() {
+        let mut owner = instances().remove(0);
+        let (b, out) = open_phase2(&mut owner);
+        // The own acceptance happened in the opening handler itself.
+        assert_eq!(owner.accepted(), Some(&(b, Value(100))));
+        assert!(matches!(
+            out[..],
+            [(Destination::AllOthers, PaxosMsg::Accept { .. })]
+        ));
+        let vote = PaxosMsg::Accepted { b, v: Value(100) };
+        let mut out = Vec::new();
+        owner.handle(ProcessId::new(1), vote.clone(), &mut out);
+        assert_eq!(owner.decided(), None, "own vote + 1 is not n - t = 3");
+        assert!(out.is_empty());
+        // A repeated vote of the same acceptor does not count twice.
+        owner.handle(ProcessId::new(1), vote.clone(), &mut out);
+        assert_eq!(owner.decided(), None);
+        owner.handle(ProcessId::new(2), vote.clone(), &mut out);
+        assert_eq!(owner.decided(), Some(&Value(100)));
+        assert!(
+            matches!(
+                out[..],
+                [(Destination::AllOthers, PaxosMsg::Decide { v: Value(100) })]
+            ),
+            "the owner makes the one announcement: {out:?}"
+        );
+        // The remaining acceptors' votes arrive after the decision: no
+        // reply, no second announcement, and they are not "dropped" votes.
+        let mut out = Vec::new();
+        owner.handle(ProcessId::new(3), vote.clone(), &mut out);
+        owner.handle(ProcessId::new(4), vote, &mut out);
+        assert!(out.is_empty(), "a late vote draws no reply: {out:?}");
+        assert_eq!(owner.votes_dropped(), 0);
+    }
+
+    #[test]
+    fn learner_drops_votes_for_ballots_it_does_not_run() {
+        let mut inst = instances().remove(0);
+        // Someone else's ballot: after leader-centric routing such a frame
+        // is misrouted or hostile, however many of them arrive.
+        let foreign = Ballot::new(1, ProcessId::new(1));
+        let mut out = Vec::new();
+        for from in 1..5 {
+            inst.handle(
+                ProcessId::new(from),
+                PaxosMsg::Accepted {
+                    b: foreign,
+                    v: Value(9),
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(inst.decided(), None);
+        assert_eq!(inst.votes_dropped(), 4);
+        // An own ballot still in phase 1 has asked for no votes yet.
+        inst.start_ballot(&mut out);
+        let phase1 = inst.current;
+        inst.handle(
             ProcessId::new(1),
-            PaxosMsg::Accepted { b, v: Value(9) },
+            PaxosMsg::Accepted {
+                b: phase1,
+                v: Value(9),
+            },
             &mut out,
         );
-        learner.handle(
-            ProcessId::new(2),
-            PaxosMsg::Accepted { b, v: Value(9) },
+        assert_eq!(inst.votes_dropped(), 5);
+        // An own ballot older than the current one was abandoned.
+        let (current, _) = open_phase2(&mut inst);
+        assert!(current > phase1);
+        for from in 1..5 {
+            inst.handle(
+                ProcessId::new(from),
+                PaxosMsg::Accepted {
+                    b: phase1,
+                    v: Value(100),
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(inst.decided(), None, "stale votes must not add up");
+        assert_eq!(inst.votes_dropped(), 9);
+        assert!(inst.votes.len() == 1, "only the own vote for `current`");
+    }
+
+    #[test]
+    fn acceptor_votes_to_the_owner_and_a_decide_is_not_echoed() {
+        let mut follower = instances().remove(3);
+        let b = Ballot::for_reign(1, ProcessId::new(0));
+        let mut out = Vec::new();
+        follower.handle(
+            ProcessId::new(0),
+            PaxosMsg::Accept { b, v: Value(100) },
             &mut out,
         );
-        assert_eq!(learner.decided(), None);
-        learner.handle(
-            ProcessId::new(3),
-            PaxosMsg::Accepted { b, v: Value(9) },
+        assert!(
+            matches!(
+                out[..],
+                [(Destination::To(owner), PaxosMsg::Accepted { .. })] if owner == b.proposer
+            ),
+            "the vote goes to the ballot owner alone: {out:?}"
+        );
+        let mut out = Vec::new();
+        follower.handle(
+            ProcessId::new(0),
+            PaxosMsg::Decide { v: Value(100) },
             &mut out,
         );
-        assert_eq!(learner.decided(), Some(&Value(9)));
+        assert_eq!(follower.decided(), Some(&Value(100)));
+        assert!(out.is_empty(), "a learner records and stays silent");
+    }
+
+    /// The owner's acceptor may have promised a higher ballot by the time
+    /// its own phase 2 opens: it then casts no vote (the same check every
+    /// `Accept` passes), but the others can still carry the ballot.
+    #[test]
+    fn owner_that_promised_higher_meanwhile_does_not_self_vote() {
+        let mut owner = instances().remove(0);
+        let mut out = Vec::new();
+        owner.start_ballot(&mut out);
+        let b = owner.current;
+        let higher = Ballot::new(b.attempt + 1, ProcessId::new(4));
+        owner.handle(ProcessId::new(4), PaxosMsg::Prepare { b: higher }, &mut out);
+        let mut out = Vec::new();
+        for from in 1..4 {
+            owner.handle(
+                ProcessId::new(from),
+                PaxosMsg::Promise { b, accepted: None },
+                &mut out,
+            );
+        }
+        assert!(matches!(
+            out[..],
+            [(Destination::AllOthers, PaxosMsg::Accept { .. })]
+        ));
+        assert_eq!(owner.accepted(), None, "b < promised: not accepted");
+        assert!(owner.votes.is_empty());
+    }
+
+    /// Counts every message of one established-reign ballot, delivered to
+    /// all `n` processes: `n - 1` each of `Accept`, `Accepted`, `Decide`.
+    fn phase2_message_counts(n: usize, t: usize) -> [usize; 3] {
+        let sys = SystemConfig::new(n, t).unwrap();
+        let mut insts: Vec<PaxosInstance> = sys
+            .processes()
+            .map(|id| PaxosInstance::new(id, sys))
+            .collect();
+        insts[0].set_proposal(Value(7));
+        let (_, out) = open_phase2(&mut insts[0]);
+        let delivered = route(
+            &mut insts,
+            out.into_iter().map(|s| (ProcessId::new(0), s)).collect(),
+        );
+        let mut counts = [0usize; 3];
+        for msg in &delivered {
+            match msg {
+                PaxosMsg::Accept { .. } => counts[0] += 1,
+                PaxosMsg::Accepted { .. } => counts[1] += 1,
+                PaxosMsg::Decide { .. } => counts[2] += 1,
+                _ => panic!("phase 1 traffic on the skip path: {msg:?}"),
+            }
+        }
+        assert!(insts.iter().all(|i| i.decided() == Some(&Value(7))));
+        counts
+    }
+
+    #[test]
+    fn an_established_reign_ballot_costs_three_times_n_minus_one_messages() {
+        assert_eq!(phase2_message_counts(5, 2), [4, 4, 4]);
+        assert_eq!(phase2_message_counts(3, 1), [2, 2, 2]);
     }
 
     /// The phase-1 skip: with a reign-wide pre-promise in place of per-slot

@@ -9,6 +9,14 @@
 //! a single correct leader and that leader has a proposal, its ballots stop
 //! being interrupted and every correct process decides — Theorem 5:
 //! consensus is solvable with `t < n/2` and an intermittent rotating t-star.
+//!
+//! Votes return to the ballot owner only, and the owner that counts the
+//! quorum is the one process that announces the decision (see the
+//! [`PaxosInstance`] module docs); everyone else records the `Decide` and
+//! stays silent. Under the paper's reliable links that one announcement
+//! reaches every correct process. An owner that crashes before making it is
+//! replaced by Ω, and the next owner's phase 1 inherits the accepted value
+//! and announces it in its stead.
 
 use crate::{LogValue, PaxosInstance, PaxosMsg, Value};
 use irs_types::{

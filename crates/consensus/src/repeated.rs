@@ -33,6 +33,41 @@
 //! pending queue and re-proposed in a later slot, so nothing submitted is
 //! silently lost.
 //!
+//! # Message flow: who talks to whom
+//!
+//! Every slot message either leaves the slot's ballot owner or returns to
+//! it (the flow is [`PaxosInstance`]'s; its module docs give the per-ballot
+//! rules). On an established reign a slot costs `3(n − 1)` peer frames:
+//!
+//! 1. the leader accepts and votes for its own batch in the handler that
+//!    opens the slot, and sends `Accept` to the `n − 1` others;
+//! 2. each acceptor votes `Accepted` to the leader alone;
+//! 3. at `n − t` votes (its own included) the leader decides — a client ack
+//!    can leave from that handler, three replica hops after the request
+//!    arrived — and broadcasts the slot's one `Decide`.
+//!
+//! A follower therefore learns a decision one hop after the leader does,
+//! and so does whatever reads its state without asking the leader (a
+//! `ReadTier::Stale` read in `irs-svc`). A `Decide` is never echoed and
+//! never sent in reply to a vote: the `n − quorum` votes that trail every
+//! decision, and late `Promise`s, are answers to the leader's own ballot.
+//! Only the proposer-side messages `Prepare` and `Accept` arriving for a
+//! decided slot mark their sender as lagging and are answered with the
+//! decision (or, below the compaction floor, with a snapshot offer).
+//!
+//! Nothing is retransmitted on a timer; each lost frame is covered by a
+//! mechanism that notices its *effect*:
+//!
+//! | lost | noticed by | recovered by |
+//! |---|---|---|
+//! | `Accept` to a follower | nobody, if a quorum still forms — the follower takes the `Decide` | — |
+//! | enough `Accept`s or `Accepted`s that no quorum forms | the leader: the slot's progress counter stands still over a check period | stalled-ballot restart (a higher per-slot ballot, with its phase 1) |
+//! | the `Decide` to a follower that saw the `Accept` | the follower: traffic at or above a frontier that stands still for a check period | `Catchup` to the leader, then a rotating peer |
+//! | the `Decide` *and* the `Accept` (per-link loss, or one dark window over both) | the follower at the next slot's traffic (a gap beyond its window); when idle, the leader's frontier advertisement ([`LogMsg::SnapshotOffer`], once per still check period) | `Catchup` |
+//! | everything a replica that later leads missed | its `PrepareReign` names its frontier; or a follower that is ahead answers its advertisement with its own | `PromiseReign` replay of the decided history; `Catchup` |
+//! | the leader itself, after its quorum and before its `Decide` left | Ω | the next reign's `PrepareReign`: quorum intersection puts the accepted batch in a counted report (a restarted acceptor's from its WAL), and it is re-proposed |
+//! | our frames, silently, because a quorum promised a newer reign we never heard of | the leader: restarts keep stalling while nothing decides | the reign ends after [`REIGN_RETRIES`] such ticks and a fresh epoch is minted |
+//!
 //! # Phase-1 skip (the stable-reign fast path)
 //!
 //! The paper's Ω extracts a *long-lived* leader; with
@@ -43,9 +78,8 @@
 //! frontier upward. Each acceptor promises the whole range at once
 //! ([`LogMsg::PromiseReign`]), reporting its accepted state for those
 //! slots; once a quorum has promised, the reign is *established* and every
-//! new slot opens directly in phase 2 — a single `Accept` broadcast per
-//! slot instead of a `Prepare`/`Promise` round trip plus the `Accept`,
-//! halving the per-slot message cost.
+//! new slot opens directly in phase 2 — the three steps above, with no
+//! `Prepare`/`Promise` round trip before them.
 //!
 //! Safety is the per-slot argument lifted to the range: the reign promise
 //! quorum plays the role of each future slot's phase-1 quorum. Any value
@@ -55,23 +89,25 @@
 //! leader re-proposes it; an acceptor whose report would be incomplete
 //! (bounded by [`REIGN_REPORT_MAX`]/[`REIGN_REPORT_BYTES`]) refuses to
 //! promise, and the leader falls back to per-slot ballots. On any
-//! leadership change the reign is discarded; per-slot ballots (stalled
-//! ballot restarts in [`check`](ReplicatedLog::check)) remain the recovery
-//! path throughout. Like per-slot promises, reign promises are *not*
-//! persisted across a crash — only acceptances are; the durability model
-//! is unchanged.
+//! leadership change the reign is discarded, and so it is when its ballots
+//! keep stalling (last table row); per-slot ballots (stalled ballot
+//! restarts in [`check`](ReplicatedLog::check)) remain the recovery path
+//! throughout. Like per-slot promises, reign promises are *not* persisted
+//! across a crash — only acceptances are; the durability model is
+//! unchanged.
 //!
 //! # Catch-up
 //!
-//! Under a lossy link a replica can miss every `Decide` for a slot while its
-//! peers move on (each process re-broadcasts a decision only once). A
-//! replica that observes traffic for a slot *beyond the pipeline window* of
-//! its own frontier knows decisions exist that it lacks and broadcasts
-//! [`LogMsg::Catchup`] at the next check tick; traffic *inside* the window
-//! is the normal in-flight case and only triggers a catch-up once the
-//! frontier fails to move for a whole check period. Any peer answers with
-//! the decided batches it holds from the requested slot upward (bounded per
-//! request).
+//! A decision is announced once, by the ballot owner, so under a lossy link
+//! a replica can miss it while its peers move on. A replica that observes
+//! traffic for a slot *beyond the pipeline window* of its own frontier knows
+//! decisions exist that it lacks and sends [`LogMsg::Catchup`] at the next
+//! check tick; traffic *inside* the window is the normal in-flight case and
+//! only triggers a catch-up once the frontier fails to move for a whole
+//! check period. Requests go to one peer at a time — the presumed leader,
+//! then a rotating other — which answers with the decided batches it holds
+//! from the requested slot upward (bounded per request). A replica with no
+//! evidence at all is told by the idle leader's frontier advertisement.
 //!
 //! # Snapshot compaction
 //!
@@ -154,7 +190,7 @@ pub const REIGN_REPORT_BYTES: usize = 32 * 1024;
 
 /// Check ticks a reign prepare may stall (no promise quorum) before the
 /// leader re-broadcasts it, and how many re-broadcasts it attempts before
-/// falling back to per-slot ballots for the rest of its reign.
+/// falling back to per-slot ballots.
 const REIGN_RETRIES: u32 = 3;
 
 /// Message of the replicated log: either an oracle message or a consensus
@@ -186,12 +222,19 @@ pub enum LogMsg<M, V = Value> {
         /// The requester's lowest undecided slot.
         from: u64,
     },
-    /// A compacted replica's advertisement that per-slot replay below
-    /// `upto` is impossible but a snapshot covering those slots exists.
+    /// An advertisement that the sender holds every slot below `upto` —
+    /// as retained decisions, or behind its snapshot — and will serve them.
     /// A receiver whose frontier lies below `upto` answers with
-    /// [`LogMsg::Catchup`], which the advertiser then serves as an install.
+    /// [`LogMsg::Catchup`], which the advertiser serves as a `Decide` replay
+    /// or, from below its compaction floor, as an install; one whose frontier
+    /// lies *above* `upto` answers with its own offer. Sent to a
+    /// straggler whose ballot traffic addresses a compacted slot (per-slot
+    /// replay is impossible there), and by an idle leader to everyone, once
+    /// per check period — the only way a replica that lost both the
+    /// `Accept` and the `Decide` of the last slot ever hears of it.
     SnapshotOffer {
-        /// First slot *not* covered by the snapshot.
+        /// First slot the sender does *not* vouch for: its compaction
+        /// floor, or (from an idle leader) its frontier.
         upto: u64,
     },
     /// A state snapshot covering every slot below `upto`, sent to a replica
@@ -351,11 +394,18 @@ enum Reign<V> {
         stalls: u32,
     },
     /// A quorum promised: slots ≥ `from` open directly in phase 2.
-    Established { ballot: Ballot, from: u64 },
+    Established {
+        ballot: Ballot,
+        from: u64,
+        /// Consecutive check ticks that restarted a stalled ballot while
+        /// the frontier stood still; past [`REIGN_RETRIES`] the reign ends.
+        stalls: u32,
+    },
     /// Establishment failed (stalled past [`REIGN_RETRIES`], or acceptors
-    /// refused oversized reports): classic per-slot ballots until the next
-    /// leadership change mints a fresh reign.
-    Fallback,
+    /// refused oversized reports): classic per-slot ballots until they too
+    /// stall for that long (`stalls`, as above) or leadership changes,
+    /// either of which mints a fresh reign.
+    Fallback { stalls: u32 },
 }
 
 /// One replica of the totally ordered log. `O` is the embedded eventual
@@ -432,6 +482,9 @@ pub struct ReplicatedLog<O, V = Value> {
     chunk_rerequests: u64,
     phase1_skips: u64,
     reign_prepares: u64,
+    /// `Accepted` votes refused by a slot's learner (not for the ballot this
+    /// replica was running there): misrouted, stale or hostile frames.
+    votes_dropped: u64,
     /// Optional flight-recorder hook: ballot lifecycle, catch-ups and
     /// snapshot traffic become [`irs_obs::TraceEvent`]s when set. The log
     /// itself is sans-IO; the tracer stamps wall-clock time only when the
@@ -502,6 +555,7 @@ where
             chunk_rerequests: 0,
             phase1_skips: 0,
             reign_prepares: 0,
+            votes_dropped: 0,
             tracer: None,
         }
     }
@@ -613,6 +667,12 @@ where
     /// Reign-scoped prepares this replica has broadcast as a leader.
     pub fn reign_prepares(&self) -> u64 {
         self.reign_prepares
+    }
+
+    /// `Accepted` votes this replica's learners refused because they were
+    /// not for a ballot it was running (see [`PaxosInstance::votes_dropped`]).
+    pub fn votes_dropped(&self) -> u64 {
+        self.votes_dropped
     }
 
     /// Returns `true` while this replica leads under an established reign
@@ -761,6 +821,37 @@ where
             }
         }
         inst
+    }
+
+    /// The ballot of `slot`'s current acceptance, if any — read before a
+    /// handler runs so [`record_acceptance`](Self::record_acceptance) can
+    /// tell a fresh acceptance from a standing one.
+    fn accepted_ballot(&self, slot: u64) -> Option<Ballot> {
+        self.instances
+            .get(&slot)
+            .and_then(|i| i.accepted().map(|(b, _)| *b))
+    }
+
+    /// Records a durability event if `slot`'s acceptor accepted something
+    /// newer than `before` in the current handler. Every path on which an
+    /// instance can accept calls this before the handler returns — a peer's
+    /// `Accept`, and the proposer's own acceptance when it opens phase 2 —
+    /// so the host commits the acceptance before the handler's sends (the
+    /// vote, or the proposer's outbound `Accept`) leave.
+    fn record_acceptance(&mut self, slot: u64, before: Option<Ballot>) {
+        if !self.durable {
+            return;
+        }
+        let Some((b, v)) = self.instances.get(&slot).and_then(|i| i.accepted()) else {
+            return;
+        };
+        if before.is_none_or(|prev| *b > prev) {
+            self.wal_events.push(LogEvent::Accepted {
+                slot,
+                ballot: *b,
+                value: v.clone(),
+            });
+        }
     }
 
     /// Tracks the highest reign epoch seen in any ballot, and discards this
@@ -1260,6 +1351,7 @@ where
         self.reign = Some(Reign::Established {
             ballot,
             from: reign_from,
+            stalls: 0,
         });
         // Recover the quorum's reported slots: any value decidable below
         // the reign ballot is among them (quorum intersection), so each is
@@ -1269,6 +1361,7 @@ where
             if slot < self.frontier() || self.decisions.contains_key(&slot) {
                 continue;
             }
+            let accepted_before = self.accepted_ballot(slot);
             let inst = self.instance(slot);
             if inst.decided().is_some() {
                 continue;
@@ -1278,6 +1371,7 @@ where
             inst.start_ballot_skipped(ballot, &mut sends);
             let progress = inst.progress_counter();
             self.last_progress.insert(slot, progress);
+            self.record_acceptance(slot, accepted_before);
             if !sends.is_empty() {
                 self.slots_driven += 1;
                 self.phase1_skips += 1;
@@ -1320,8 +1414,8 @@ where
                     return;
                 }
                 Some(Reign::Preparing { .. }) => return,
-                Some(Reign::Established { ballot, from }) => Some((*ballot, *from)),
-                Some(Reign::Fallback) => None,
+                Some(Reign::Established { ballot, from, .. }) => Some((*ballot, *from)),
+                Some(Reign::Fallback { .. }) => None,
             }
         } else {
             None
@@ -1359,6 +1453,7 @@ where
             let batch = Batch::new(values);
             self.inflight.insert(slot, batch.clone());
             let mut sends = Vec::new();
+            let accepted_before = self.accepted_ballot(slot);
             let inst = self.instances.get_mut(&slot).expect("opened above");
             inst.set_proposal(batch);
             let mut skipped = false;
@@ -1376,6 +1471,9 @@ where
             let progress = inst.progress_counter();
             let attempt = inst.ballots_started();
             self.last_progress.insert(slot, progress);
+            // The skipped opening accepted our own batch just now: it must
+            // be durable before the `Accept` in `sends` leaves.
+            self.record_acceptance(slot, accepted_before);
             if !sends.is_empty() {
                 self.slots_driven += 1;
                 if skipped {
@@ -1402,8 +1500,8 @@ where
         let frontier = self.frontier();
         let window_end = frontier.saturating_add(self.depth());
         let gap_above = self.max_seen_slot.is_some_and(|m| m >= window_end);
-        let stalled_at_seen = self.max_seen_slot.is_some_and(|m| m >= frontier)
-            && frontier == self.last_check_frontier;
+        let stood_still = frontier == self.last_check_frontier;
+        let stalled_at_seen = self.max_seen_slot.is_some_and(|m| m >= frontier) && stood_still;
         if gap_above || stalled_at_seen {
             // One peer per request, not a broadcast: every answer carries up
             // to CATCHUP_BATCH Decides, so asking all n−1 peers would make
@@ -1428,6 +1526,16 @@ where
             }
             return;
         }
+        // Frontier advertisement. A decision is announced once, so a replica
+        // that lost both a slot's `Accept` and its `Decide` (per-link loss,
+        // or one dark window swallowing both) holds no evidence the slot
+        // exists, and in an idle system nothing further would tell it.
+        // Under load the next slot's `Accept` carries the news; a leader
+        // whose frontier stood still for a whole period says it outright.
+        // A replica below `upto` answers with a `Catchup`.
+        if stood_still && frontier > 0 {
+            out.broadcast_others(LogMsg::SnapshotOffer { upto: frontier });
+        }
         // Reign maintenance: a prepare that keeps stalling (lost frames, a
         // refusing quorum) is re-broadcast a bounded number of times, then
         // abandoned for per-slot ballots — liveness never waits on the fast
@@ -1445,12 +1553,12 @@ where
                     *stalls += 1;
                     let (ballot, from, stalls) = (*ballot, *from, *stalls);
                     if stalls > REIGN_RETRIES {
-                        self.reign = Some(Reign::Fallback);
+                        self.reign = Some(Reign::Fallback { stalls: 0 });
                     } else {
                         out.broadcast_all(LogMsg::PrepareReign { b: ballot, from });
                     }
                 }
-                Some(Reign::Established { .. }) | Some(Reign::Fallback) => {}
+                Some(Reign::Established { .. }) | Some(Reign::Fallback { .. }) => {}
             }
         }
         // Restart genuinely stalled ballots across the window — every
@@ -1466,6 +1574,7 @@ where
             .filter(|(_, inst)| inst.proposal().is_some())
             .map(|(s, _)| *s)
             .collect();
+        let mut restarted = false;
         for slot in stalled_slots {
             let (sends, progress, attempt) = {
                 let Some(inst) = self.instances.get_mut(&slot) else {
@@ -1484,10 +1593,29 @@ where
             };
             self.last_progress.insert(slot, progress);
             if !sends.is_empty() {
+                restarted = true;
                 self.slots_driven += 1;
                 self.trace(irs_obs::EventKind::BallotOpened, slot, attempt);
             }
             self.emit_slot(slot, sends, out);
+        }
+        // Acceptors drop an outbid ballot without a word. Ballots that keep
+        // stalling under our reign (or its fallback) while nothing decides
+        // may mean a quorum promised a newer reign whose every frame we
+        // missed — and restarts one attempt higher never climb an epoch.
+        // End the reign: the `drive` below mints a fresh epoch, which
+        // outbids whatever was promised.
+        if let Some(Reign::Established { stalls, .. } | Reign::Fallback { stalls }) =
+            &mut self.reign
+        {
+            *stalls = if restarted && stood_still {
+                *stalls + 1
+            } else {
+                0
+            };
+            if *stalls > REIGN_RETRIES {
+                self.reign = None;
+            }
         }
         // Then open new slots for whatever is still queued.
         self.drive(out);
@@ -1543,6 +1671,18 @@ where
                     );
                     self.catchups_sent += 1;
                     self.trace(irs_obs::EventKind::CatchupSent, self.frontier(), 0);
+                } else if *upto < self.frontier {
+                    // The advertiser is the one behind (an idle leader that
+                    // missed the tail of its predecessor's reign): say so,
+                    // and it will ask. Frontiers only grow and each reply
+                    // needs a strict gap, so the exchange ends in a
+                    // `Catchup` after at most three offers.
+                    out.send(
+                        from,
+                        LogMsg::SnapshotOffer {
+                            upto: self.frontier,
+                        },
+                    );
                 }
             }
             LogMsg::SnapshotInstall { upto, state } => {
@@ -1583,21 +1723,25 @@ where
                 self.on_promise_reign(from, *b, *first, accepted, out);
             }
             LogMsg::Slot { slot, msg } => {
-                let (slot, msg) = (*slot, msg.clone());
-                if let Some(b) = match &msg {
-                    PaxosMsg::Prepare { b }
-                    | PaxosMsg::Promise { b, .. }
-                    | PaxosMsg::Accept { b, .. }
-                    | PaxosMsg::Accepted { b, .. } => Some(*b),
-                    PaxosMsg::Decide { .. } => None,
-                } {
-                    self.note_epoch(b);
+                let slot = *slot;
+                if let PaxosMsg::Prepare { b }
+                | PaxosMsg::Promise { b, .. }
+                | PaxosMsg::Accept { b, .. }
+                | PaxosMsg::Accepted { b, .. } = msg
+                {
+                    self.note_epoch(*b);
                 }
+                // Only the proposer-side messages mark their sender as a
+                // straggler worth answering: a `Promise` or an `Accepted`
+                // answers *our* ballot (the n − quorum votes that trail every
+                // decision are the common case), and a `Decide` needs none.
+                let from_proposer =
+                    matches!(msg, PaxosMsg::Prepare { .. } | PaxosMsg::Accept { .. });
                 self.note_seen_slot(slot);
                 if slot < self.compact_floor {
                     // The decision is gone; point the straggler at the
                     // snapshot that replaced it.
-                    if !matches!(msg, PaxosMsg::Decide { .. }) {
+                    if from_proposer {
                         out.send(
                             from,
                             LogMsg::SnapshotOffer {
@@ -1607,41 +1751,30 @@ where
                     }
                     return;
                 }
-                if let Some(v) = self.decisions.get(&slot).cloned() {
-                    // Help a lagging peer: the slot is already decided here.
-                    if !matches!(msg, PaxosMsg::Decide { .. }) {
+                if let Some(v) = self.decisions.get(&slot) {
+                    // Help a lagging proposer: the slot is already decided
+                    // here.
+                    if from_proposer {
                         out.send(
                             from,
                             LogMsg::Slot {
                                 slot,
-                                msg: PaxosMsg::Decide { v },
+                                msg: PaxosMsg::Decide { v: v.clone() },
                             },
                         );
                     }
                     return;
                 }
                 let mut sends = Vec::new();
-                let accepted_before = self
-                    .instances
-                    .get(&slot)
-                    .and_then(|i| i.accepted().map(|(b, _)| *b));
-                self.instance(slot).handle(from, msg, &mut sends);
-                if self.durable {
-                    // A fresh acceptance must reach the WAL before the
-                    // Accepted vote (queued in `sends`) leaves this replica;
-                    // the host drains the event and fsyncs before sending.
-                    let inst = self.instances.get(&slot).expect("instance touched above");
-                    if let Some((b, v)) = inst.accepted() {
-                        if accepted_before.is_none_or(|prev| *b > prev) {
-                            self.wal_events.push(LogEvent::Accepted {
-                                slot,
-                                ballot: *b,
-                                value: v.clone(),
-                            });
-                        }
-                    }
-                }
-                let decided = self.instances.get(&slot).and_then(|i| i.decided().cloned());
+                let accepted_before = self.accepted_ballot(slot);
+                let inst = self.instance(slot);
+                let dropped_before = inst.votes_dropped();
+                inst.handle(from, msg.clone(), &mut sends);
+                let decided = inst.decided().cloned();
+                let dropped = inst.votes_dropped() - dropped_before;
+                self.votes_dropped += dropped;
+                // Before the vote queued in `sends` can leave.
+                self.record_acceptance(slot, accepted_before);
                 self.emit_slot(slot, sends, out);
                 if let Some(v) = decided {
                     self.note_decision(slot, v);
@@ -1691,6 +1824,7 @@ where
         snap.extra.push((names::PHASE1_SKIPS, self.phase1_skips));
         snap.extra
             .push((names::REIGN_PREPARES, self.reign_prepares));
+        snap.extra.push((names::VOTES_DROPPED, self.votes_dropped));
         snap
     }
 }
@@ -2546,6 +2680,67 @@ mod tests {
             ReplicatedLog::over_omega(ProcessId::new(2), system());
         plain.on_message(ProcessId::new(0), &accept, &mut Actions::new());
         assert!(plain.take_wal_events().is_empty());
+        // The proposer votes for its own value without a loopback frame, so
+        // its acceptance must be an event of the very handler that emits
+        // the `Accept` — the host commits events before releasing sends.
+        let (mut leader, reign, _) = established_leader(1);
+        leader.set_durable(true);
+        leader.submit(Value(7));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        assert_eq!(accept_slots(&out), vec![(0, Batch::one(Value(7)))]);
+        assert_eq!(
+            leader.take_wal_events(),
+            vec![LogEvent::Accepted {
+                slot: 0,
+                ballot: reign,
+                value: Batch::one(Value(7)),
+            }],
+            "the own acceptance precedes the outbound Accept"
+        );
+        // The same holds on the classic path, where phase 2 opens in the
+        // handler of the quorum-completing `Promise`.
+        let mut classic = with_batching(0, 1, 1);
+        classic.set_durable(true);
+        classic.submit(Value(8));
+        let mut out = Actions::new();
+        classic.drive(&mut out);
+        let b = out
+            .sends()
+            .iter()
+            .find_map(|s| match &s.msg {
+                LogMsg::Slot {
+                    msg: PaxosMsg::Prepare { b },
+                    ..
+                } => Some(*b),
+                _ => None,
+            })
+            .expect("a classic opening prepares");
+        assert!(
+            classic.take_wal_events().is_empty(),
+            "phase 1 accepts nothing"
+        );
+        let mut out = Actions::new();
+        for peer in [1, 2, 3] {
+            out = Actions::new();
+            classic.on_message(
+                ProcessId::new(peer),
+                &LogMsg::Slot {
+                    slot: 0,
+                    msg: PaxosMsg::Promise { b, accepted: None },
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(accept_slots(&out), vec![(0, Batch::one(Value(8)))]);
+        assert_eq!(
+            classic.take_wal_events(),
+            vec![LogEvent::Accepted {
+                slot: 0,
+                ballot: b,
+                value: Batch::one(Value(8)),
+            }]
+        );
     }
 
     /// The recovery constructor rebuilds exactly the state a never-crashed
@@ -2916,5 +3111,328 @@ mod tests {
             })
             .expect("a complete report fits, so the acceptor promises");
         assert_eq!(reported, REIGN_REPORT_MAX);
+    }
+
+    // ---- Leader-centric phase 2: who talks to whom ------------------------
+
+    /// `n` skip-enabled replicas (depth 1, batch 1) with replica 0's reign
+    /// established by routing its `PrepareReign` round through the real
+    /// handlers. Ω traffic is not routed: every fresh oracle already points
+    /// at replica 0.
+    fn reign_cluster(n: usize, t: usize) -> Vec<ReplicatedLog<irs_omega::OmegaProcess>> {
+        let sys = SystemConfig::new(n, t).unwrap();
+        let mut logs: Vec<_> = sys
+            .processes()
+            .map(|id| {
+                ReplicatedLog::new(
+                    id,
+                    ConsensusConfig::new(sys).with_phase1_skip(true),
+                    irs_omega::OmegaProcess::fig3(id, sys),
+                )
+            })
+            .collect();
+        let mut out = Actions::new();
+        logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
+        route(&mut logs, 0, out);
+        assert!(logs[0].reign_established());
+        logs
+    }
+
+    /// Delivers the log messages in `out` (sent by replica `from`) and
+    /// everything they trigger, in FIFO order, until quiescence. Returns
+    /// every delivered `(from, to, message)`.
+    fn route(
+        logs: &mut [ReplicatedLog<irs_omega::OmegaProcess>],
+        from: usize,
+        out: LogActions,
+    ) -> Vec<(usize, usize, LogMsg<irs_omega::OmegaMsg, Value>)> {
+        let n = logs.len();
+        let mut queue = VecDeque::new();
+        let enqueue = |queue: &mut VecDeque<_>, from: usize, out: LogActions| {
+            for send in out.into_parts().0 {
+                if matches!(send.msg, LogMsg::Omega(_)) {
+                    continue;
+                }
+                let targets: Vec<usize> = match send.dest {
+                    Destination::To(q) => vec![q.index()],
+                    Destination::AllOthers => (0..n).filter(|i| *i != from).collect(),
+                    Destination::All => (0..n).collect(),
+                };
+                for to in targets {
+                    queue.push_back((from, to, send.msg.clone()));
+                }
+            }
+        };
+        enqueue(&mut queue, from, out);
+        let mut delivered = Vec::new();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let mut out = Actions::new();
+            logs[to].on_message(ProcessId::new(from as u32), &msg, &mut out);
+            delivered.push((from, to, msg));
+            enqueue(&mut queue, to, out);
+        }
+        delivered
+    }
+
+    /// One put on an established reign: replica 0 submits, drives, and the
+    /// traffic is routed to quiescence. Returns how many `Accept`,
+    /// `Accepted`, `Decide` and other log frames were delivered.
+    fn frames_of_one_put(n: usize, t: usize) -> [usize; 4] {
+        let mut logs = reign_cluster(n, t);
+        logs[0].submit(Value(7));
+        let mut out = Actions::new();
+        logs[0].drive(&mut out);
+        let delivered = route(&mut logs, 0, out);
+        for log in &logs {
+            assert_eq!(log.log(), vec![Value(7)]);
+        }
+        let mut counts = [0usize; 4];
+        for (from, to, msg) in &delivered {
+            let kind = match msg {
+                LogMsg::Slot { msg, .. } => match msg {
+                    PaxosMsg::Accept { .. } => {
+                        assert_eq!(*from, 0);
+                        0
+                    }
+                    PaxosMsg::Accepted { .. } => {
+                        assert_eq!(*to, 0, "votes go to the ballot owner only");
+                        1
+                    }
+                    PaxosMsg::Decide { .. } => {
+                        assert_eq!(*from, 0, "only the owner announces");
+                        2
+                    }
+                    _ => 3,
+                },
+                _ => 3,
+            };
+            assert_ne!(from, to, "no loopback frames in phase 2");
+            counts[kind] += 1;
+        }
+        counts
+    }
+
+    /// The steady-state budget: 3(n − 1) peer frames per slot and not one
+    /// more — no loopback, no vote fan-out, no echoed or replied `Decide`.
+    #[test]
+    fn an_established_reign_slot_costs_exactly_three_times_n_minus_one_frames() {
+        assert_eq!(frames_of_one_put(5, 2), [4, 4, 4, 0]);
+        assert_eq!(frames_of_one_put(3, 1), [2, 2, 2, 0]);
+    }
+
+    /// The votes that trail every decision (n − quorum of them per slot),
+    /// and late promises, are answers to our own ballot: they draw no
+    /// `Decide`. A proposer-side message for the decided slot still does.
+    #[test]
+    fn votes_and_promises_for_a_decided_slot_draw_no_reply() {
+        let mut logs = reign_cluster(5, 2);
+        logs[0].submit(Value(7));
+        let mut out = Actions::new();
+        logs[0].drive(&mut out);
+        let (b, batch) = out
+            .sends()
+            .iter()
+            .find_map(|s| match &s.msg {
+                LogMsg::Slot {
+                    msg: PaxosMsg::Accept { b, v },
+                    ..
+                } => Some((*b, v.clone())),
+                _ => None,
+            })
+            .expect("the put opens with an Accept");
+        route(&mut logs, 0, out);
+        assert_eq!(logs[0].frontier_slot(), 1);
+        let slot_msg = |msg| LogMsg::Slot { slot: 0, msg };
+        for late in [
+            slot_msg(PaxosMsg::Accepted {
+                b,
+                v: batch.clone(),
+            }),
+            slot_msg(PaxosMsg::Promise { b, accepted: None }),
+            slot_msg(PaxosMsg::Decide { v: batch.clone() }),
+        ] {
+            let mut out = Actions::new();
+            logs[0].on_message(ProcessId::new(4), &late, &mut out);
+            assert!(out.sends().is_empty(), "{late:?} drew {:?}", out.sends());
+        }
+        assert_eq!(logs[0].votes_dropped(), 0, "late is not misrouted");
+        for lagging in [
+            slot_msg(PaxosMsg::Prepare { b }),
+            slot_msg(PaxosMsg::Accept {
+                b,
+                v: batch.clone(),
+            }),
+        ] {
+            let mut out = Actions::new();
+            logs[0].on_message(ProcessId::new(4), &lagging, &mut out);
+            assert!(matches!(
+                out.sends(),
+                [send] if matches!(&send.msg, LogMsg::Slot { slot: 0, msg: PaxosMsg::Decide { v } } if *v == batch)
+            ));
+        }
+        // Below the compaction floor the same rule picks who gets an offer.
+        logs[0].truncate_below(1, vec![0u8; 4]);
+        let mut out = Actions::new();
+        logs[0].on_message(
+            ProcessId::new(4),
+            &slot_msg(PaxosMsg::Accepted { b, v: batch }),
+            &mut out,
+        );
+        assert!(out.sends().is_empty(), "a late vote is no straggler");
+    }
+
+    /// A follower records the owner's `Decide` and sends nothing: no echo,
+    /// no vote, no catch-up.
+    #[test]
+    fn a_follower_that_receives_decide_sends_nothing() {
+        let mut follower: ReplicatedLog<_, Value> =
+            ReplicatedLog::over_omega(ProcessId::new(3), system());
+        let mut out = Actions::new();
+        follower.on_message(
+            ProcessId::new(0),
+            &LogMsg::Slot {
+                slot: 0,
+                msg: PaxosMsg::Decide {
+                    v: Batch::one(Value(5)),
+                },
+            },
+            &mut out,
+        );
+        assert_eq!(follower.log(), vec![Value(5)]);
+        assert!(out.sends().is_empty(), "sent {:?}", out.sends());
+    }
+
+    /// A vote for a ballot this replica does not run at that slot is
+    /// dropped by the learner and shows up in the replica's gauge.
+    #[test]
+    fn misrouted_votes_are_dropped_and_counted() {
+        let mut logs = reign_cluster(5, 2);
+        let foreign = crate::Ballot::for_reign(9, ProcessId::new(2));
+        for from in 1..5 {
+            let mut out = Actions::new();
+            logs[0].on_message(
+                ProcessId::new(from),
+                &LogMsg::Slot {
+                    slot: 0,
+                    msg: PaxosMsg::Accepted {
+                        b: foreign,
+                        v: Batch::one(Value(66)),
+                    },
+                },
+                &mut out,
+            );
+            assert!(out.sends().is_empty());
+        }
+        assert_eq!(logs[0].decision(0), None, "foreign votes decide nothing");
+        assert_eq!(logs[0].votes_dropped(), 4);
+        let snap = logs[0].snapshot();
+        assert!(snap.extra.contains(&(irs_obs::names::VOTES_DROPPED, 4)));
+    }
+
+    /// An idle leader advertises its frontier once per check period: the
+    /// only way a replica that lost both the `Accept` and the `Decide` of
+    /// the last slot hears of it. Whoever is behind asks — the receiver, or
+    /// (told so by a receiver that is ahead) the advertiser itself.
+    #[test]
+    fn an_idle_leader_advertises_its_frontier_and_whoever_is_behind_asks() {
+        let mut logs = reign_cluster(5, 2);
+        let offers = |out: &LogActions| -> Vec<u64> {
+            out.sends()
+                .iter()
+                .filter_map(|s| match s.msg {
+                    LogMsg::SnapshotOffer { upto } => Some(upto),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Nothing decided yet: nothing to advertise.
+        let mut out = Actions::new();
+        logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
+        assert!(offers(&out).is_empty());
+        // Decide slot 0 everywhere but at replica 4, which hears nothing of
+        // it: neither the `Accept` nor the `Decide`.
+        logs[0].submit(Value(7));
+        let mut out = Actions::new();
+        logs[0].drive(&mut out);
+        let mut ignorant = logs.pop().expect("five replicas");
+        route(&mut logs, 0, out);
+        assert_eq!(logs[0].frontier_slot(), 1);
+        let mut out = Actions::new();
+        ignorant.on_timer(TIMER_LOG_CHECK, &mut out);
+        ignorant.on_timer(TIMER_LOG_CHECK, &mut out);
+        assert!(out.sends().is_empty(), "it has no reason to ask");
+        // The tick that sees the frontier move stays quiet (the slot's own
+        // traffic was the news); the next one, a period later, advertises.
+        let mut out = Actions::new();
+        logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
+        assert!(offers(&out).is_empty());
+        let mut out = Actions::new();
+        logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
+        assert_eq!(offers(&out), vec![1]);
+        assert!(matches!(
+            out.sends().iter().find(|s| matches!(s.msg, LogMsg::SnapshotOffer { .. })),
+            Some(s) if s.dest == Destination::AllOthers
+        ));
+        // The replica that is behind asks, and the replay closes the gap.
+        let mut ask = Actions::new();
+        ignorant.on_message(
+            ProcessId::new(0),
+            &LogMsg::SnapshotOffer { upto: 1 },
+            &mut ask,
+        );
+        assert!(matches!(
+            ask.sends()[..],
+            [ref s] if matches!(s.msg, LogMsg::Catchup { from: 0 })
+        ));
+        let mut replay = Actions::new();
+        logs[0].on_message(ProcessId::new(4), &ask.sends()[0].msg, &mut replay);
+        for send in replay.sends() {
+            ignorant.on_message(ProcessId::new(0), &send.msg, &mut Actions::new());
+        }
+        assert_eq!(ignorant.log(), vec![Value(7)]);
+        // A replica that is level says nothing; one that is ahead of the
+        // advertiser tells it so.
+        let mut out = Actions::new();
+        logs[1].on_message(
+            ProcessId::new(0),
+            &LogMsg::SnapshotOffer { upto: 1 },
+            &mut out,
+        );
+        assert!(out.sends().is_empty());
+        let mut out = Actions::new();
+        logs[1].on_message(
+            ProcessId::new(0),
+            &LogMsg::SnapshotOffer { upto: 0 },
+            &mut out,
+        );
+        assert_eq!(offers(&out), vec![1]);
+    }
+
+    /// Acceptors drop outbid ballots silently, so a leader whose ballots
+    /// keep stalling while nothing decides ends its reign and mints a fresh
+    /// epoch instead of crawling up one attempt per period forever.
+    #[test]
+    fn persistently_stalled_ballots_end_the_reign() {
+        let (mut log, b, _) = established_leader(1);
+        log.submit(Value(7));
+        let mut out = Actions::new();
+        log.drive(&mut out);
+        assert_eq!(accept_slots(&out).len(), 1);
+        // Nobody answers. Each check restarts the stalled ballot one
+        // attempt higher, inside the old epoch…
+        for _ in 0..REIGN_RETRIES {
+            assert!(log.reign_established());
+            let mut out = Actions::new();
+            log.on_timer(TIMER_LOG_CHECK, &mut out);
+            assert_eq!(prepared_slots(&out), vec![0]);
+            assert_eq!(reign_prepare(&out), None);
+        }
+        // …until the reign is given up for a new, higher epoch.
+        let mut out = Actions::new();
+        log.on_timer(TIMER_LOG_CHECK, &mut out);
+        let (fresh, from) = reign_prepare(&out).expect("a fresh reign is minted");
+        assert!(fresh.reign_epoch() > b.reign_epoch());
+        assert_eq!(from, 0);
+        assert!(!log.reign_established());
     }
 }

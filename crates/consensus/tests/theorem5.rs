@@ -385,3 +385,429 @@ mod skip_equivalence {
         }
     }
 }
+
+// ---- Leader-centric phase 2: its two single points of failure -------------
+
+/// The owner's one `Decide` per slot, and the owner itself between quorum
+/// and announcement, are the two things the all-to-all phase 2 had `n`
+/// copies of. These runs take each away and require the log's standing
+/// recovery paths — `Catchup`, the frontier advertisement, reign state
+/// transfer, WAL-restored acceptances — to close the gap.
+///
+/// The harness is the simulator (Ω under a rotating star, virtual time)
+/// with every replica wrapped in a [`Faulty`] host that applies `irs-net`'s
+/// receive-side [`LinkModel`] to the *log* plane. Ω's own frames pass
+/// untouched: its tolerance of lossy links is `irs-runtime`'s `faulty_link`
+/// suite's subject, and an oracle that never settles would make the bounds
+/// below measure Ω instead of the log.
+mod leader_centric_faults {
+    use super::*;
+    use irs_consensus::{Batch, LogEvent, LogMsg, PaxosMsg};
+    use irs_net::{DutyCycle, LinkModel, ManualClock};
+    use irs_omega::{OmegaMsg, OmegaProcess};
+    use irs_types::{Actions, Destination, Introspect, LeaderOracle, Protocol, Snapshot, TimerId};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Log = ReplicatedLog<OmegaProcess>;
+    type Msg = LogMsg<OmegaMsg, Value>;
+    /// Written once, by the proposer that crashes: the slot and batch it had
+    /// decided when it did.
+    type Lost = Rc<RefCell<Option<(u64, Batch<Value>)>>>;
+
+    /// A `PromiseReign` a replica released: the covered range, the reported
+    /// `(slot, batch)` acceptances, and the slots it held decided then.
+    struct Report {
+        from: u64,
+        accepted: Vec<(u64, Batch<Value>)>,
+        frontier: u64,
+    }
+
+    /// One replica behind a faulty log plane, playing its own durable host.
+    struct Faulty {
+        log: Log,
+        cfg: ConsensusConfig,
+        link: LinkModel,
+        /// Drop the first `Decide` that arrives for each slot — the owner's
+        /// one announcement (a replay only comes once asked for).
+        lose_announcements: bool,
+        announced: BTreeSet<u64>,
+        /// Crash in the handler that would release this replica's k-th
+        /// announcement: quorum gathered, decision taken, nothing sent.
+        crash_at_announcement: Option<usize>,
+        announcements: usize,
+        dead: bool,
+        /// Lose everything but the WAL at the first event after the
+        /// proposer's crash (the oracle is kept: Ω is not under test).
+        restart: bool,
+        /// The WAL's length when this replica restarted from it.
+        restarted_at: Option<usize>,
+        /// Durability events, drained before each handler's sends leave.
+        wal: Vec<LogEvent<Value>>,
+        /// Reign promises released since the (re)start.
+        reports: Vec<Report>,
+        /// The slot and batch the crashed proposer had decided.
+        lost: Lost,
+    }
+
+    impl Faulty {
+        fn new(id: ProcessId, cfg: ConsensusConfig, link: LinkModel, lost: &Lost) -> Self {
+            let mut log = Log::new(id, cfg, OmegaProcess::fig3(id, cfg.system));
+            log.set_durable(true);
+            Faulty {
+                log,
+                cfg,
+                link,
+                lose_announcements: false,
+                announced: BTreeSet::new(),
+                crash_at_announcement: None,
+                announcements: 0,
+                dead: false,
+                restart: false,
+                restarted_at: None,
+                wal: Vec::new(),
+                reports: Vec::new(),
+                lost: Rc::clone(lost),
+            }
+        }
+
+        fn restart_from_wal(&mut self) {
+            let (mut decisions, mut accepted) = (Vec::new(), Vec::new());
+            for event in self.wal.iter().cloned() {
+                match event {
+                    LogEvent::Decided { slot, value } => decisions.push((slot, value)),
+                    LogEvent::Accepted {
+                        slot,
+                        ballot,
+                        value,
+                    } => accepted.push((slot, ballot, value)),
+                }
+            }
+            self.log = Log::recover(
+                self.log.id(),
+                self.cfg,
+                self.log.oracle().clone(),
+                None,
+                decisions,
+                accepted,
+            );
+            self.log.set_durable(true);
+            self.restarted_at = Some(self.wal.len());
+            self.reports.clear();
+        }
+
+        /// Whether the host delivers this event at all.
+        fn admits(&mut self, from: ProcessId, msg: &Msg) -> bool {
+            if self.dead {
+                return false;
+            }
+            if self.restart && self.restarted_at.is_none() && self.lost.borrow().is_some() {
+                self.restart_from_wal();
+            }
+            if matches!(msg, LogMsg::Omega(_)) {
+                return true;
+            }
+            if !self.link.admits(from, self.log.id()) {
+                return false;
+            }
+            match msg {
+                LogMsg::Slot {
+                    slot,
+                    msg: PaxosMsg::Decide { .. },
+                } if self.lose_announcements => !self.announced.insert(*slot),
+                _ => true,
+            }
+        }
+
+        /// Persist-before-send, then the crash point and the bookkeeping.
+        fn after(&mut self, out: &mut Actions<Msg>) {
+            self.wal.extend(self.log.take_wal_events());
+            let announcement = out.sends().iter().find_map(|s| match (&s.dest, &s.msg) {
+                (
+                    Destination::AllOthers,
+                    LogMsg::Slot {
+                        slot,
+                        msg: PaxosMsg::Decide { v },
+                    },
+                ) => Some((*slot, v.clone())),
+                _ => None,
+            });
+            if let Some(decided) = announcement {
+                if self.crash_at_announcement == Some(self.announcements) {
+                    self.dead = true;
+                    *self.lost.borrow_mut() = Some(decided);
+                    out.clear();
+                    return;
+                }
+                self.announcements += 1;
+            }
+            for send in out.sends() {
+                if let LogMsg::PromiseReign { from, accepted, .. } = &send.msg {
+                    self.reports.push(Report {
+                        from: *from,
+                        accepted: accepted.iter().map(|(s, _, v)| (*s, v.clone())).collect(),
+                        frontier: self.log.frontier_slot(),
+                    });
+                }
+            }
+        }
+    }
+
+    impl Protocol for Faulty {
+        type Msg = Msg;
+
+        fn id(&self) -> ProcessId {
+            self.log.id()
+        }
+
+        fn on_start(&mut self, out: &mut Actions<Msg>) {
+            self.log.on_start(out);
+        }
+
+        fn on_message(&mut self, from: ProcessId, msg: &Msg, out: &mut Actions<Msg>) {
+            if self.admits(from, msg) {
+                self.log.on_message(from, msg, out);
+                self.after(out);
+            }
+        }
+
+        fn on_timer(&mut self, timer: TimerId, out: &mut Actions<Msg>) {
+            if !self.dead {
+                self.log.on_timer(timer, out);
+                self.after(out);
+            }
+        }
+    }
+
+    impl LeaderOracle for Faulty {
+        fn leader(&self) -> ProcessId {
+            self.log.leader()
+        }
+    }
+
+    impl Introspect for Faulty {
+        fn snapshot(&self) -> Snapshot {
+            self.log.snapshot()
+        }
+    }
+
+    const CHECK_PERIOD: u64 = 80;
+
+    fn cluster(
+        seed: u64,
+        loss_pct: u64,
+        duty: Option<DutyCycle>,
+        clock: &ManualClock,
+    ) -> (Vec<Faulty>, Lost) {
+        let sys = system();
+        let cfg = ConsensusConfig::new(sys).with_phase1_skip(true);
+        assert_eq!(cfg.ballot_check_period.ticks(), CHECK_PERIOD);
+        let lost = Rc::new(RefCell::new(None));
+        let replicas = sys
+            .processes()
+            .map(|id| {
+                let mut link = LinkModel::new(seed)
+                    .with_drop_prob(loss_pct as f64 / 100.0)
+                    .with_manual_clock(clock.clone());
+                if let Some(duty) = duty {
+                    link = link.with_duty_cycle(duty);
+                }
+                Faulty::new(id, cfg, link, &lost)
+            })
+            .collect();
+        (replicas, lost)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The only `Decide` of every slot is lost at an arbitrary subset
+        /// of replicas, on top of per-link loss and one replica's B1931+24
+        /// style on/off schedule. Once the submitted values are all decided
+        /// somewhere the system is idle — the lost `Decide`s include the
+        /// one for the last slot — and every replica must still reach that
+        /// same frontier within a bounded number of check periods.
+        #[test]
+        fn prop_a_lost_decide_is_recovered_within_bounded_check_periods(
+            seed in 1u64..1_000_000,
+            centre_raw in 0u32..5,
+            deaf_mask in 0u32..32,
+            loss_pct in 0u64..16,
+            dark_raw in 0u32..5,
+            duty_period in 300u64..2_000,
+            duty_on_pct in 40u64..101,
+        ) {
+            let sys = system();
+            let clock = ManualClock::new();
+            let duty = DutyCycle {
+                node: dark_raw,
+                period: duty_period,
+                on: duty_period * duty_on_pct / 100,
+                phase: seed % duty_period,
+            };
+            let (mut replicas, _) = cluster(seed, loss_pct, Some(duty), &clock);
+            let mut expected = BTreeSet::new();
+            for (i, r) in replicas.iter_mut().enumerate() {
+                r.lose_announcements = deaf_mask & (1 << i) != 0;
+                for k in 0..2 {
+                    let v = Value(100 * (1 + i as u64) + k);
+                    r.log.submit(v);
+                    expected.insert(v);
+                }
+            }
+            let adversary = presets::intermittent_rotating_star(
+                sys,
+                ProcessId::new(centre_raw),
+                Duration::from_ticks(12),
+                4,
+                background(),
+                seed ^ 0xA5A5,
+            );
+            let mut sim = Simulation::new(
+                SimConfig::new(seed, Time::from_ticks(800_000)),
+                replicas,
+                adversary,
+                CrashPlan::new(),
+            );
+            sim.start();
+            // Phase 1: until some replica holds every submitted value.
+            let mut idle_since = None;
+            while sim.step() {
+                clock.set(sim.now().ticks());
+                let complete = sys.processes().any(|p| {
+                    let log = sim.process(p).log.log();
+                    expected.iter().all(|v| log.contains(v))
+                });
+                if complete {
+                    idle_since = Some(sim.now().ticks());
+                    break;
+                }
+            }
+            let idle_since = idle_since.expect("the values were never all decided");
+            let frontier = sys
+                .processes()
+                .map(|p| sim.process(p).log.frontier_slot())
+                .max()
+                .unwrap();
+            // Phase 2: nothing new is submitted. A replica learns of the
+            // gap within a period (its own stalled frontier, or the idle
+            // leader's advertisement), asks, and is answered 16 slots a
+            // request; loss stretches that, and so does the longest dark
+            // window (60% of 2 000 ticks = 15 periods). Over 8 000 cases the
+            // worst run took 17 periods.
+            let deadline = idle_since + 40 * CHECK_PERIOD;
+            let converged = |sim: &Simulation<Faulty, _>| {
+                sys.processes()
+                    .all(|p| sim.process(p).log.frontier_slot() == frontier)
+            };
+            while !converged(&sim) && sim.now().ticks() < deadline && sim.step() {
+                clock.set(sim.now().ticks());
+            }
+            let frontiers: Vec<u64> = sys
+                .processes()
+                .map(|p| sim.process(p).log.frontier_slot())
+                .collect();
+            prop_assert!(
+                converged(&sim),
+                "frontiers {frontiers:?} after {} check periods idle (target {frontier}); \
+                 seed {seed}, deaf {deaf_mask:#b}, loss {loss_pct}%, duty {duty:?}",
+                (sim.now().ticks() - idle_since) / CHECK_PERIOD
+            );
+            let logs: Vec<Vec<Value>> =
+                sys.processes().map(|p| sim.process(p).log.log()).collect();
+            assert_safe(&logs, "lost-Decide run");
+            prop_assert!(logs.iter().all(|l| l.len() == logs[0].len()));
+        }
+
+        /// The proposer gathers its quorum, decides (a client could be
+        /// acked from that handler) and crashes before any `Decide` leaves;
+        /// an arbitrary subset of the acceptors then restarts with nothing
+        /// but its WAL. The next reign must decide that same batch in that
+        /// slot, and a restarted acceptor that had voted for it must say so
+        /// in its `PromiseReign`.
+        #[test]
+        fn prop_a_proposer_crash_before_its_decide_leaves_loses_nothing(
+            seed in 1u64..1_000_000,
+            crash_at_announcement in 0usize..3,
+            restart_mask in 0u32..32,
+            loss_pct in 0u64..11,
+        ) {
+            let sys = system();
+            let clock = ManualClock::new();
+            let (mut replicas, lost) = cluster(seed, loss_pct, None, &clock);
+            // Every fresh oracle points at p0 and the star is centred there,
+            // so p0 is the first proposer and stays it until it crashes.
+            replicas[0].crash_at_announcement = Some(crash_at_announcement);
+            for (i, r) in replicas.iter_mut().enumerate() {
+                r.restart = i != 0 && restart_mask & (1 << i) != 0;
+                let own = if i == 0 { 4 } else { 1 };
+                for k in 0..own {
+                    r.log.submit(Value(100 * (1 + i as u64) + k));
+                }
+            }
+            // With its centre gone the star guarantees nothing, but every
+            // other link stays within `a_prime`'s 60-tick background bound,
+            // which Ω's growing timeouts outlast: it elects again.
+            let adversary =
+                StarAdversary::new(StarConfig::a_prime(sys, ProcessId::new(0)), seed ^ 0x5A5A);
+            let mut sim = Simulation::new(
+                SimConfig::new(seed, Time::from_ticks(400_000)),
+                replicas,
+                adversary,
+                CrashPlan::new(),
+            );
+            sim.start();
+            let survivors = || sys.processes().skip(1);
+            let redecided = |sim: &Simulation<Faulty, _>| {
+                lost.borrow().as_ref().is_some_and(|(slot, _)| {
+                    survivors().all(|p| sim.process(p).log.decision(*slot).is_some())
+                })
+            };
+            while !redecided(&sim) && sim.step() {
+                clock.set(sim.now().ticks());
+            }
+            let (slot, batch) = lost
+                .borrow()
+                .clone()
+                .expect("p0 never reached its crash point");
+            prop_assert!(sim.process(ProcessId::new(0)).dead);
+            for p in survivors() {
+                prop_assert_eq!(
+                    sim.process(p).log.decision(slot),
+                    Some(&batch),
+                    "replica {} at slot {} after the next reign",
+                    p,
+                    slot
+                );
+            }
+            let logs: Vec<Vec<Value>> =
+                survivors().map(|p| sim.process(p).log.log()).collect();
+            assert_safe(&logs, "proposer-crash run");
+            // Restarted voters: the WAL held the vote, so every reign
+            // promise covering the still-undecided slot reports it.
+            for p in survivors() {
+                let r = sim.process(p);
+                prop_assert_eq!(r.restarted_at.is_some(), r.restart, "replica {}", p);
+                let voted = r.wal[..r.restarted_at.unwrap_or(0)].iter().any(|e| {
+                    matches!(e, LogEvent::Accepted { slot: s, value, .. }
+                        if *s == slot && *value == batch)
+                });
+                if !voted {
+                    continue;
+                }
+                for report in &r.reports {
+                    if report.from <= slot && report.frontier <= slot {
+                        prop_assert!(
+                            report.accepted.iter().any(|(s, _)| *s == slot),
+                            "replica {} promised a reign from {} without reporting slot {}",
+                            p,
+                            report.from,
+                            slot
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -53,6 +53,8 @@ pub const SNAPSHOT_INSTALLS: &str = "snapshot_installs";
 pub const PHASE1_SKIPS: &str = "phase1_skips";
 /// Reign-scoped prepares broadcast as a leader.
 pub const REIGN_PREPARES: &str = "reign_prepares";
+/// `Accepted` votes dropped by a learner: not for a ballot it was running.
+pub const VOTES_DROPPED: &str = "votes_dropped";
 
 // ── Baselines (crates/baselines) snapshot gauges ────────────────────────
 /// Queries issued (query/response baseline).
@@ -224,6 +226,10 @@ pub const ALL: &[(&str, &str)] = &[
         "slots opened phase-2-direct under an established reign",
     ),
     (REIGN_PREPARES, "reign-scoped prepares broadcast as leader"),
+    (
+        VOTES_DROPPED,
+        "Accepted votes dropped: not for a ballot the learner runs",
+    ),
     (QUERIES_ISSUED, "queries issued (query/response baseline)"),
     (RESPONSES_SENT, "responses sent (query/response baseline)"),
     (

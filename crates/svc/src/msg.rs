@@ -42,7 +42,9 @@ const TAG_SVC_LEASE_ACK: u8 = 0x27;
 /// * [`ReadTier::Stale`] — sequentially consistent per replica: any
 ///   replica answers from its applied prefix immediately. Staleness is
 ///   bounded by the apply frontier — the answer reflects a decided prefix,
-///   never an unacked in-flight write.
+///   never an unacked in-flight write. A follower learns a decision from
+///   the leader's `Decide`, one hop after the leader could ack it, so a
+///   follower's answer may miss a write whose ack the client already holds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReadTier {
     /// Leader-local read under a live quorum lease.
