@@ -7,7 +7,7 @@
 //! send side (a kernel UDP stack) and matches how an observer experiences an
 //! intermittent source: the sender keeps emitting, the link is simply dark.
 //!
-//! Five fault families compose, all seeded and deterministic:
+//! Six fault families compose, all seeded and deterministic:
 //!
 //! * **per-link drop probability** — each arriving frame is kept or dropped
 //!   by a pure function of `(seed, from, to, per-link arrival index)`;
@@ -19,6 +19,10 @@
 //!   sender said long ago, out of context);
 //! * **partitions** — directed or symmetric cuts between two process groups
 //!   over a clock interval;
+//! * **link delay** — every admitted frame is held for a wall-clock delay in
+//!   `[min, max]`, drawn per arrival from the link's own stream (a slow or
+//!   jittery but lossless link; the only place the stack models propagation
+//!   delay — the host loops deliver a frame the moment the link releases it);
 //! * **duty-cycle intermittency** — per-process on/off windows
 //!   (`period`, `on`, `phase`): while a process is "off", frames from it
 //!   (and to it) are dropped. This is the B1931+24-style trace: the pulsar
@@ -34,7 +38,7 @@
 
 use crate::{Frame, NetError, Transport};
 use irs_types::ProcessId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -156,6 +160,7 @@ const REPLAY_RING: usize = 8;
 const SALT_DUP: u64 = 0xD0_D0_D0_D0_D0_D0_D0_D0;
 const SALT_REPLAY: u64 = 0x5E_5E_5E_5E_5E_5E_5E_5E;
 const SALT_PICK: u64 = 0xA7_A7_A7_A7_A7_A7_A7_A7;
+const SALT_DELAY: u64 = 0xDE_1A_DE_1A_DE_1A_DE_1A;
 
 /// The configuration and state of one endpoint's receive-side link model.
 #[derive(Clone, Debug)]
@@ -167,7 +172,8 @@ pub struct LinkModel {
     partitions: Vec<Partition>,
     duty: Vec<DutyCycle>,
     clock: FaultClock,
-    delay: Duration,
+    /// `[min, max]` hold time of an admitted frame; `max == 0` is no delay.
+    delay: (Duration, Duration),
     /// Arrival counter per `(from, to)` link, feeding the drop hash.
     arrivals: HashMap<(u32, u32), u64>,
     /// Per-link ring of recently admitted frames (stale-replay source).
@@ -192,7 +198,7 @@ impl LinkModel {
             partitions: Vec::new(),
             duty: Vec::new(),
             clock: FaultClock::wall(Duration::from_millis(1)),
-            delay: Duration::ZERO,
+            delay: (Duration::ZERO, Duration::ZERO),
             arrivals: HashMap::new(),
             ring: HashMap::new(),
             dropped: 0,
@@ -269,18 +275,36 @@ impl LinkModel {
         self
     }
 
-    /// Delays every admitted frame by a fixed wall-clock duration before
-    /// the receiver sees it — the transport-level analogue of the sharded
-    /// runtime's `LinkDelay::Fixed` (a slow but lossless link).
+    /// Holds every admitted frame for a wall-clock delay in `[min, max]`
+    /// before the receiver sees it (a slow but lossless link). Each
+    /// `(from, to)` link draws from its own stream — a pure function of
+    /// `(seed, from, to, per-link arrival index)` — so `min == max` is a
+    /// fixed delay and a range is per-link jitter. A range with
+    /// `max < min` degenerates to `min`.
     #[must_use]
-    pub fn with_fixed_delay(mut self, delay: Duration) -> Self {
-        self.delay = delay;
+    pub fn with_delay(mut self, min: Duration, max: Duration) -> Self {
+        self.delay = (min, max.max(min));
         self
     }
 
-    /// The fixed receive delay (zero when the link is not delaying).
-    pub fn delay(&self) -> Duration {
-        self.delay
+    /// The delay of the `index`-th arrival on the `(from, to)` link.
+    fn delay_of(&self, from: ProcessId, to: ProcessId, index: u64) -> Duration {
+        let (min, max) = self.delay;
+        let span = (max - min).as_nanos() as u64;
+        if span == 0 {
+            return min;
+        }
+        let draw = mix(self.seed ^ SALT_DELAY, from.as_u32(), to.as_u32(), index);
+        // `span + 1` cannot overflow: a u64 of nanoseconds is 584 years.
+        min + Duration::from_nanos(draw % (span + 1))
+    }
+
+    /// The per-link index of the arrival [`LinkModel::admits`] counted last
+    /// on the `(from, to)` link.
+    fn last_index(&self, from: ProcessId, to: ProcessId) -> u64 {
+        self.arrivals
+            .get(&(from.as_u32(), to.as_u32()))
+            .map_or(0, |k| k.saturating_sub(1))
     }
 
     /// Frames dropped by this model so far.
@@ -356,8 +380,7 @@ impl LinkModel {
             return Vec::new();
         }
         let (f, t) = (frame.from.as_u32(), frame.to.as_u32());
-        // `admits` has already counted this arrival; its index is count-1.
-        let index = self.arrivals.get(&(f, t)).map_or(0, |k| k - 1);
+        let index = self.last_index(frame.from, frame.to);
         let unit = |salt: u64| mix(self.seed ^ salt, f, t, index) as f64 / (u64::MAX as f64 + 1.0);
         let mut extra = Vec::new();
         if self.dup_prob > 0.0 && unit(SALT_DUP) < self.dup_prob {
@@ -401,7 +424,7 @@ fn mix(seed: u64, from: u32, to: u32, index: u64) -> u64 {
 /// frame. Sends pass through untouched — the faults are the *receiver's*
 /// experience of the link.
 ///
-/// With a fixed delay configured, admitted frames are pulled off the inner
+/// With a delay configured, admitted frames are pulled off the inner
 /// transport eagerly and *held* until their delivery time; the held count is
 /// visible through [`Transport::pending_held`], which is what lets a
 /// shutdown drain wait for frames still in flight behind the delay.
@@ -409,9 +432,11 @@ fn mix(seed: u64, from: u32, to: u32, index: u64) -> u64 {
 pub struct FaultyLink<T> {
     inner: T,
     model: LinkModel,
-    /// Admitted frames waiting out the fixed delay, in arrival (= due)
-    /// order.
-    held: std::collections::VecDeque<(Instant, Frame)>,
+    /// Admitted frames waiting out their delay, keyed by `(due, arrival
+    /// sequence)` — jitter reorders frames across arrivals, the sequence
+    /// keeps equal deadlines in arrival order.
+    held: BTreeMap<(Instant, u64), Frame>,
+    held_seq: u64,
     /// Duplicate / stale-replay copies queued behind the frame that
     /// triggered them (no-delay path).
     echoes: std::collections::VecDeque<Frame>,
@@ -426,7 +451,8 @@ impl<T: Transport> FaultyLink<T> {
         FaultyLink {
             inner,
             model,
-            held: std::collections::VecDeque::new(),
+            held: BTreeMap::new(),
+            held_seq: 0,
             echoes: std::collections::VecDeque::new(),
             inner_closed: false,
         }
@@ -446,6 +472,15 @@ impl<T: Transport> FaultyLink<T> {
     /// Unwraps the inner transport.
     pub fn into_inner(self) -> T {
         self.inner
+    }
+
+    /// Removes and returns the earliest held frame if its delay has passed.
+    fn pop_due(&mut self, now: Instant) -> Option<Frame> {
+        let (&(due, _), _) = self.held.first_key_value()?;
+        (due <= now)
+            .then(|| self.held.pop_first())
+            .flatten()
+            .map(|(_, frame)| frame)
     }
 }
 
@@ -467,7 +502,7 @@ impl<T: Transport> Transport for FaultyLink<T> {
         let deadline = Instant::now() + timeout;
         // Fast path: no delay configured and nothing held — the original
         // filter-as-you-receive loop, fed first from queued echoes.
-        if self.model.delay.is_zero() && self.held.is_empty() {
+        if self.model.delay.1.is_zero() && self.held.is_empty() {
             if let Some(frame) = self.echoes.pop_front() {
                 return Ok(Some(frame));
             }
@@ -486,24 +521,25 @@ impl<T: Transport> Transport for FaultyLink<T> {
                 }
             }
         }
-        // Delaying path: keep pulling arrivals into the held queue (their
-        // arrival stamps the delivery time), hand out the front once due.
+        // Delaying path: keep pulling arrivals into the held set (their
+        // arrival plus the link's delay stamps the delivery time), hand out
+        // the earliest once due.
         loop {
             let now = Instant::now();
-            if self.held.front().is_some_and(|(due, _)| *due <= now) {
-                return Ok(self.held.pop_front().map(|(_, frame)| frame));
+            if let Some(frame) = self.pop_due(now) {
+                return Ok(Some(frame));
             }
-            // Wake at the earliest of: caller's deadline, front frame due.
+            // Wake at the earliest of: caller's deadline, next frame due.
             let wake = self
                 .held
-                .front()
-                .map_or(deadline, |(due, _)| deadline.min(*due));
+                .first_key_value()
+                .map_or(deadline, |(&(due, _), _)| deadline.min(due));
             if self.inner_closed {
                 if self.held.is_empty() {
                     return Err(NetError::Closed);
                 }
                 if wake <= now {
-                    return Ok(None); // deadline hit before the front is due
+                    return Ok(None); // deadline hit before anything is due
                 }
                 std::thread::sleep(wake - now);
                 continue;
@@ -511,18 +547,20 @@ impl<T: Transport> Transport for FaultyLink<T> {
             match self.inner.recv(wake.saturating_duration_since(now)) {
                 Ok(Some(frame)) => {
                     if self.model.admits(frame.from, frame.to) {
-                        let due = Instant::now() + self.model.delay;
-                        let echoes = self.model.echoes(&frame);
-                        self.held.push_back((due, frame));
-                        for echo in echoes {
-                            self.held.push_back((due, echo));
+                        let index = self.model.last_index(frame.from, frame.to);
+                        let delay = self.model.delay_of(frame.from, frame.to, index);
+                        let due = Instant::now() + delay;
+                        for held in std::iter::once(frame.clone()).chain(self.model.echoes(&frame))
+                        {
+                            self.held.insert((due, self.held_seq), held);
+                            self.held_seq += 1;
                         }
                     }
                 }
                 Ok(None) => {
                     let now = Instant::now();
-                    if self.held.front().is_some_and(|(due, _)| *due <= now) {
-                        return Ok(self.held.pop_front().map(|(_, frame)| frame));
+                    if let Some(frame) = self.pop_due(now) {
+                        return Ok(Some(frame));
                     }
                     if now >= deadline {
                         return Ok(None);
@@ -696,7 +734,8 @@ mod tests {
             .map(|t| {
                 FaultyLink::new(
                     t,
-                    LinkModel::new(2).with_fixed_delay(Duration::from_millis(80)),
+                    LinkModel::new(2)
+                        .with_delay(Duration::from_millis(80), Duration::from_millis(80)),
                 )
             })
             .collect();
@@ -718,7 +757,8 @@ mod tests {
             .map(|t| {
                 FaultyLink::new(
                     t,
-                    LinkModel::new(2).with_fixed_delay(Duration::from_millis(50)),
+                    LinkModel::new(2)
+                        .with_delay(Duration::from_millis(50), Duration::from_millis(50)),
                 )
             })
             .collect();
@@ -790,6 +830,77 @@ mod tests {
         let mut again = build();
         send_burst(&mut again, 0, 1, 100);
         assert_eq!(drain(&mut again[1]), got, "replay is deterministic");
+    }
+
+    /// Ported from the sharded runtime's `LinkDelay` (which sampled in the
+    /// receiving shard's wheel): a range stays inside its bounds, a fixed
+    /// delay is exact, no delay is zero, a degenerate range is its minimum.
+    #[test]
+    fn link_delay_sampling_respects_bounds() {
+        let (from, to) = (ProcessId::new(1), ProcessId::new(2));
+        let us = Duration::from_micros;
+        let jitter = LinkModel::new(42).with_delay(us(10), us(30));
+        for index in 0..1000 {
+            let d = jitter.delay_of(from, to, index);
+            assert!(d >= us(10) && d <= us(30), "arrival {index}: {d:?}");
+        }
+        assert_eq!(LinkModel::new(42).delay_of(from, to, 0), Duration::ZERO);
+        let fixed =
+            LinkModel::new(42).with_delay(Duration::from_millis(1), Duration::from_millis(1));
+        assert_eq!(fixed.delay_of(from, to, 7), Duration::from_millis(1));
+        let degenerate = LinkModel::new(42).with_delay(us(10), us(5));
+        assert_eq!(degenerate.delay_of(from, to, 7), us(10));
+    }
+
+    /// The per-link delay streams are deterministic under the seed,
+    /// direction-sensitive, and uncorrelated across links.
+    #[test]
+    fn link_states_are_per_link_and_seed_deterministic() {
+        let p = ProcessId::new;
+        let model =
+            |seed| LinkModel::new(seed).with_delay(Duration::ZERO, Duration::from_micros(1000));
+        let stream = |m: &LinkModel, from, to| -> Vec<Duration> {
+            (0..64).map(|k| m.delay_of(from, to, k)).collect()
+        };
+        let a = stream(&model(7), p(1), p(2));
+        assert_eq!(a, stream(&model(7), p(1), p(2)));
+        assert_ne!(a, stream(&model(7), p(2), p(1)));
+        assert_ne!(a, stream(&model(7), p(1), p(3)));
+        assert_ne!(a, stream(&model(8), p(1), p(2)));
+        // The streams themselves diverge, not just their first values.
+        let b = stream(&model(7), p(0), p(2));
+        let same = stream(&model(7), p(0), p(1))
+            .iter()
+            .zip(&b)
+            .filter(|(x, y)| x == y)
+            .count();
+        assert!(same < 8, "link streams look correlated ({same}/64 equal)");
+    }
+
+    /// Jitter reorders across arrivals: the held set hands frames out by
+    /// due time, and every frame still arrives exactly once.
+    #[test]
+    fn jittered_delay_delivers_every_frame_once_in_due_order() {
+        let mut net: Vec<_> = MemNetwork::mesh(2)
+            .into_iter()
+            .map(|t| {
+                let model = LinkModel::new(9).with_delay(Duration::ZERO, Duration::from_millis(40));
+                FaultyLink::new(t, model)
+            })
+            .collect();
+        send_burst(&mut net, 0, 1, 50);
+        let mut got = Vec::new();
+        while let Some(f) = net[1].recv(Duration::from_millis(100)).unwrap() {
+            got.push(f.payload[0]);
+        }
+        assert_ne!(
+            got,
+            (0..50).collect::<Vec<u8>>(),
+            "50 jittered frames kept FIFO"
+        );
+        got.sort_unstable();
+        assert_eq!(got, (0..50).collect::<Vec<u8>>());
+        assert_eq!(net[1].pending_held(), 0);
     }
 
     #[test]

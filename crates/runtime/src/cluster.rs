@@ -1,55 +1,26 @@
-//! Sharded event-loop cluster runtime over a pluggable transport.
+//! The sharded cluster: `W` worker shards over grouped transport endpoints.
 //!
-//! The seed runtime spawned one OS thread per process plus a router thread —
-//! fine at `n = 4`, hopeless at `n = 256` (hundreds of threads contending on
-//! one router channel). This runtime instead spawns `W` *worker shards*
-//! (default: the machine's available parallelism), each owning `n / W`
-//! processes:
+//! One OS thread per process plus a router is fine at `n = 4` and hopeless
+//! at `n = 256`. A [`Cluster`] instead spawns `W` *worker shards* (default:
+//! the machine's available parallelism), each owning `n / W` processes and
+//! running the shared host loop (`host.rs`) over **one [`Transport`]
+//! endpoint per shard**: a broadcast wire-encodes its payload once and fans
+//! it out through [`Transport::send_many`] — the default in-memory backend
+//! ([`irs_net::MemTransport`]) shares one payload allocation across the
+//! whole fan-out and pushes once per destination shard — and
+//! [`Cluster::spawn_on`] accepts any other backend. A 256-process cluster
+//! therefore runs on `W ≤ cores` OS threads.
 //!
-//! * every shard runs a single event loop over a **timer wheel** (reusing
-//!   `irs-sim`'s [`EventQueue`], instantiated with `Arc` payload handles)
-//!   that holds both its processes' pending timers and their in-flight
-//!   message deliveries, keyed in ticks since cluster start;
-//! * shards exchange messages through one **[`Transport`] endpoint per
-//!   shard**: a broadcast wire-encodes its payload once and fans it out
-//!   through [`Transport::send_many`] — the default in-memory backend
-//!   ([`irs_net::MemTransport`], built by [`Cluster::spawn`]) shares one
-//!   payload allocation across the whole fan-out, and
-//!   [`Cluster::spawn_on`] accepts any other backend (e.g. a
-//!   [`irs_net::FaultyLink`]-wrapped mesh for fault-injection runs).
-//!   Pluggability costs the in-memory path its PR 2 shard-batching: a
-//!   broadcast is now one frame per receiver (`O(n)` channel pushes, like
-//!   a real network) instead of one batch per shard, with decoding
-//!   memoised per broadcast payload so each receiving shard still decodes
-//!   once. The wall-clock-paced cluster is nowhere near channel-bound
-//!   (the 256-process smoke elects in under a second), but a batched
-//!   multicast frame on `Transport` could win the `O(W)` behaviour back —
-//!   see the ROADMAP open item;
-//! * link delay is **receiver-driven**: the *receiving* shard samples the
-//!   link's jitter on arrival from a **per-link xorshift state** seeded from
-//!   `(cluster seed, sender, receiver)` and schedules the delivery into its
-//!   wheel. The `k`-th message of a link consumes the `k`-th value of the
-//!   link's stream either way, so moving the sampling to the receiver kept
-//!   the delay sequences identical while freeing the sender from knowing
-//!   anything about its peers' links — which is what lets the same shard
-//!   loop run over transports that *have* real propagation delay.
-//!
-//! A 256-process cluster therefore runs on `W ≤ cores` OS threads, and the
-//! public [`Cluster`] surface (spawn / snapshots / leaders / crash /
-//! shutdown) is unchanged from the thread-per-process runtime. On
-//! [`Cluster::shutdown`] every shard first *drains*: frames still queued in
-//! its transport and deliveries still held in its wheel are delivered (with
-//! the reactions they trigger discarded — the cluster is quiescing), so no
-//! in-flight message is dropped on stop.
+//! Link delay is the link's business, not the shard's: [`Cluster::spawn`]
+//! wraps each shard endpoint in an [`irs_net::FaultyLink`] whose per-link
+//! delay stream is seeded from [`RealtimeConfig::seed`], so the same shard
+//! loop runs unchanged over transports that *have* real propagation delay.
 
-use irs_net::{MemNetwork, Transport, Wire};
-use irs_sim::{Event, EventQueue};
-use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time, TimerId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration as StdDuration, Instant};
+use crate::host::{default_accept, resolve_workers, Deployment};
+use irs_net::{FaultyLink, LinkModel, MemNetwork, Transport, Wire};
+use irs_obs::names;
+use irs_types::{Introspect, ProcessId, Protocol};
+use std::time::Duration as StdDuration;
 
 /// How wall-clock time maps onto the protocols' logical ticks, and how the
 /// cluster is sharded.
@@ -57,7 +28,7 @@ use std::time::{Duration as StdDuration, Instant};
 pub struct RealtimeConfig {
     /// The wall-clock length of one logical tick. Protocol durations (send
     /// periods, timeout units) are multiplied by this to obtain real
-    /// deadlines; link delays are rounded up to whole ticks.
+    /// deadlines.
     pub tick: StdDuration,
     /// Cluster-level seed for the per-link jitter streams.
     pub seed: u64,
@@ -76,8 +47,8 @@ impl Default for RealtimeConfig {
     }
 }
 
-/// Artificial delay the runtime injects on every message, emulating a
-/// (well-behaved) network. Sampled by the *receiving* shard on arrival.
+/// Artificial delay injected on every message, emulating a (well-behaved)
+/// network: the bounds of the cluster's [`LinkModel::with_delay`].
 #[derive(Clone, Copy, Debug)]
 pub enum LinkDelay {
     /// Deliver immediately.
@@ -94,99 +65,11 @@ pub enum LinkDelay {
     },
 }
 
-impl LinkDelay {
-    fn sample(&self, state: &mut u64) -> StdDuration {
-        match *self {
-            LinkDelay::None => StdDuration::ZERO,
-            LinkDelay::Fixed(d) => d,
-            LinkDelay::Jitter { min, max } => {
-                if max <= min {
-                    return min;
-                }
-                // xorshift64*, plenty for jitter.
-                *state ^= *state << 13;
-                *state ^= *state >> 7;
-                *state ^= *state << 17;
-                let span = (max - min).as_nanos() as u64;
-                min + StdDuration::from_nanos(*state % (span + 1))
-            }
-        }
-    }
-}
-
-/// The initial xorshift state of the `(from, to)` link under `seed`:
-/// SplitMix64-style mixing keeps distinct links on uncorrelated streams while
-/// staying a pure function of the cluster seed.
-fn link_state(seed: u64, from: ProcessId, to: ProcessId) -> u64 {
-    let mut x = seed
-        ^ (u64::from(from.as_u32()) << 32 | u64::from(to.as_u32()))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    if x == 0 {
-        1
-    } else {
-        x
-    }
-}
-
-/// Control-plane input to a shard. The message plane is the transport.
+/// A running cluster of protocol instances on `W` worker shard threads named
+/// `irs-shard-<shard>`. Derefs to the shared [`Deployment`] handle for
+/// snapshots, leaders and crash injection.
 #[derive(Debug)]
-enum ShardControl {
-    /// Crash-stop one of this shard's processes.
-    Crash(ProcessId),
-    /// Drain in-flight messages, then stop the shard's event loop.
-    Shutdown,
-}
-
-/// One process hosted by a shard.
-struct LocalProc<P> {
-    global: usize,
-    proto: P,
-    crashed: bool,
-    /// Timer generations, densely indexed by the raw `TimerId`; stale
-    /// generations are ignored when a `TimerFire` pops, which implements the
-    /// "re-arming replaces the pending timer" semantics without deleting
-    /// wheel entries.
-    timer_gen: Vec<u64>,
-    /// Per-sender jitter stream of this process's *incoming* links.
-    inbound_links: Vec<u64>,
-    snapshot: Arc<Mutex<Snapshot>>,
-}
-
-impl<P> LocalProc<P> {
-    fn bump_timer_gen(&mut self, id: TimerId) -> u64 {
-        let i = id.raw() as usize;
-        if i >= self.timer_gen.len() {
-            self.timer_gen.resize(i + 1, 0);
-        }
-        self.timer_gen[i] += 1;
-        self.timer_gen[i]
-    }
-
-    fn timer_gen(&self, id: TimerId) -> u64 {
-        self.timer_gen.get(id.raw() as usize).copied().unwrap_or(0)
-    }
-}
-
-/// A running cluster of protocol instances on `W` worker shards.
-///
-/// Dropping the cluster without calling [`Cluster::shutdown`] leaves the
-/// shard threads running detached until the embedding process exits; call
-/// `shutdown` to stop them cleanly and recover the final protocol states.
-#[derive(Debug)]
-pub struct Cluster<P: Protocol> {
-    n: usize,
-    workers: usize,
-    control_txs: Vec<Sender<ShardControl>>,
-    /// `shard_of[i]` = the shard owning process `i`.
-    shard_of: Vec<usize>,
-    snapshots: Vec<Arc<Mutex<Snapshot>>>,
-    crashed: Vec<Arc<AtomicBool>>,
-    messages_routed: Arc<AtomicU64>,
-    handles: Vec<JoinHandle<Vec<(usize, P)>>>,
-}
+pub struct Cluster<P>(Deployment<P>);
 
 impl<P> Cluster<P>
 where
@@ -194,7 +77,7 @@ where
     P::Msg: Wire,
 {
     /// Spawns the cluster on `min(workers, n)` shard threads over the
-    /// default in-memory mesh backend.
+    /// in-memory mesh, every link delayed by `link`.
     ///
     /// `processes[i]` must be the instance whose `id()` is `ProcessId(i)`.
     ///
@@ -202,10 +85,18 @@ where
     ///
     /// Panics if the instances' ids are not `0..n` in order.
     pub fn spawn(processes: Vec<P>, config: RealtimeConfig, link: LinkDelay) -> Self {
-        let workers = Self::resolve_workers(&config, processes.len());
+        let workers = resolve_workers(config.workers, processes.len());
         let shard_of: Vec<usize> = (0..processes.len()).map(|i| i % workers).collect();
-        let transports = MemNetwork::grouped(&shard_of);
-        Self::spawn_on(processes, config, link, transports)
+        let (min, max) = match link {
+            LinkDelay::None => (StdDuration::ZERO, StdDuration::ZERO),
+            LinkDelay::Fixed(d) => (d, d),
+            LinkDelay::Jitter { min, max } => (min, max),
+        };
+        let transports = MemNetwork::grouped(&shard_of)
+            .into_iter()
+            .map(|t| FaultyLink::new(t, LinkModel::new(config.seed).with_delay(min, max)))
+            .collect();
+        Self::spawn_on(processes, config, transports)
     }
 
     /// Spawns the cluster over explicit per-shard transport endpoints:
@@ -220,530 +111,44 @@ where
     ///
     /// Panics if the instances' ids are not `0..n` in order, or if there
     /// are more endpoints than processes.
-    pub fn spawn_on<T>(
-        processes: Vec<P>,
-        config: RealtimeConfig,
-        link: LinkDelay,
-        transports: Vec<T>,
-    ) -> Self
+    pub fn spawn_on<T>(processes: Vec<P>, config: RealtimeConfig, transports: Vec<T>) -> Self
     where
         T: Transport + 'static,
     {
-        for (i, p) in processes.iter().enumerate() {
-            assert_eq!(
-                p.id(),
-                ProcessId::new(i as u32),
-                "process at index {i} reports id {}",
-                p.id()
-            );
-        }
-        let n = processes.len();
-        let workers = transports.len();
-        assert!(
-            workers >= 1 && workers <= n.max(1),
-            "need 1..=n shard endpoints, got {workers} for n = {n}"
-        );
-        let tick = config.tick.max(StdDuration::from_nanos(1));
-
-        let snapshots: Vec<Arc<Mutex<Snapshot>>> = processes
-            .iter()
-            .map(|p| Arc::new(Mutex::new(p.snapshot())))
-            .collect();
-        let crashed: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let messages_routed = Arc::new(AtomicU64::new(0));
-        let shard_of: Vec<usize> = (0..n).map(|i| i % workers).collect();
-
-        let mut control_txs = Vec::with_capacity(workers);
-        let mut control_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel::<ShardControl>();
-            control_txs.push(tx);
-            control_rxs.push(rx);
-        }
-
-        // Partition the processes into their shards (round-robin, so a
-        // small cluster still spreads over all shards).
-        let mut per_shard: Vec<Vec<LocalProc<P>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, proto) in processes.into_iter().enumerate() {
-            per_shard[shard_of[i]].push(LocalProc {
-                global: i,
-                proto,
-                crashed: false,
-                timer_gen: Vec::new(),
-                inbound_links: (0..n)
-                    .map(|from| {
-                        link_state(
-                            config.seed,
-                            ProcessId::new(from as u32),
-                            ProcessId::new(i as u32),
-                        )
-                    })
-                    .collect(),
-                snapshot: Arc::clone(&snapshots[i]),
-            });
-        }
-
-        let epoch = Instant::now();
-        let mut handles = Vec::with_capacity(workers);
-        for ((s, locals), transport) in per_shard.into_iter().enumerate().zip(transports) {
-            let rx = control_rxs.remove(0);
-            let shard = Shard {
-                locals,
-                wheel: EventQueue::new(),
-                transport,
-                workers,
-                n,
-                link,
-                tick,
-                epoch,
-                messages_routed: Arc::clone(&messages_routed),
-                dirty: Vec::new(),
-                targets_scratch: Vec::new(),
-                encode_scratch: Vec::new(),
-                decode_memo: None,
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("irs-shard-{s}"))
-                .spawn(move || shard.run(rx))
-                .expect("spawn shard thread");
-            handles.push(handle);
-        }
-
-        Cluster {
-            n,
-            workers,
-            control_txs,
-            shard_of,
-            snapshots,
-            crashed,
-            messages_routed,
-            handles,
-        }
+        let accept = default_accept(processes.len());
+        Cluster(Deployment::over_transports(
+            "irs-shard",
+            processes,
+            transports,
+            config.tick,
+            accept,
+            None,
+        ))
     }
 
-    fn resolve_workers(config: &RealtimeConfig, n: usize) -> usize {
-        if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        }
-        .clamp(1, n.max(1))
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of worker shards (and therefore OS threads) the cluster runs
-    /// on.
-    pub fn worker_threads(&self) -> usize {
-        self.workers
-    }
-
-    /// The latest published snapshot of a process.
-    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        self.snapshots[pid.index()]
-            .lock()
-            .expect("snapshot lock poisoned")
-            .clone()
-    }
-
-    /// The current `leader()` output of a process.
-    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
-    }
-
-    /// The current `leader()` output of every process, in id order.
-    pub fn leaders(&self) -> Vec<ProcessId> {
-        (0..self.n())
-            .map(|i| self.leader_of(ProcessId::new(i as u32)))
-            .collect()
-    }
-
-    /// Returns `Some(p)` when every non-crashed process currently outputs the
-    /// same leader `p` and `p` has not been crashed through
-    /// [`Cluster::crash`].
-    pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let mut agreed: Option<ProcessId> = None;
-        for i in 0..self.n() {
-            if self.crashed[i].load(Ordering::SeqCst) {
-                continue;
-            }
-            let leader = self.leader_of(ProcessId::new(i as u32));
-            match agreed {
-                None => agreed = Some(leader),
-                Some(l) if l == leader => {}
-                Some(_) => return None,
-            }
-        }
-        agreed.filter(|l| !self.crashed[l.index()].load(Ordering::SeqCst))
-    }
-
-    /// Crash-stops a process: it stops reacting to messages and timers.
-    pub fn crash(&self, pid: ProcessId) {
-        self.crashed[pid.index()].store(true, Ordering::SeqCst);
-        let _ = self.control_txs[self.shard_of[pid.index()]].send(ShardControl::Crash(pid));
-    }
-
-    /// Returns `true` if the process has been crashed through [`Cluster::crash`].
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid.index()].load(Ordering::SeqCst)
-    }
-
-    /// Total number of messages delivered (to live or crashed processes) so
-    /// far.
+    /// Total number of messages delivered to live processes so far, as of
+    /// their last published snapshots.
     pub fn messages_routed(&self) -> u64 {
-        self.messages_routed.load(Ordering::SeqCst)
+        (0..self.n() as u32)
+            .filter_map(|i| {
+                self.snapshot(ProcessId::new(i))
+                    .gauge(names::FRAMES_DELIVERED)
+            })
+            .sum()
     }
 
-    /// Stops every shard and returns the final protocol states (crashed
-    /// processes included), in id order.
-    ///
-    /// Shutdown is *draining*: every message already handed to the
-    /// transport when the stop was requested is still delivered to its
-    /// (non-crashed) receiver before the states are returned; only the
-    /// sends and timers those final deliveries would generate are
-    /// discarded. Without the drain, messages queued in a shard inbox
-    /// behind the stop request — routine under a slow or faulty link
-    /// backend — would silently vanish.
-    pub fn shutdown(mut self) -> Vec<P> {
-        for tx in &self.control_txs {
-            let _ = tx.send(ShardControl::Shutdown);
-        }
-        let mut slots: Vec<Option<P>> = (0..self.n).map(|_| None).collect();
-        for handle in self.handles.drain(..) {
-            for (global, proto) in handle.join().expect("shard thread panicked") {
-                slots[global] = Some(proto);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|p| p.expect("every process returned by its shard"))
-            .collect()
+    /// Stops every shard and returns the final protocol states in id order
+    /// (see [`Deployment::shutdown`]).
+    pub fn shutdown(self) -> Vec<P> {
+        self.0.shutdown()
     }
 }
 
-/// Longest a shard blocks in `recv` before re-checking its control channel.
-const POLL_BUDGET: StdDuration = StdDuration::from_millis(25);
-/// Quiet window that ends the shutdown drain: one full window with no frame
-/// arriving (longer than any other shard's `POLL_BUDGET`, so every peer has
-/// seen the stop request and gone quiet by the time the drain concludes).
-const DRAIN_QUIET: StdDuration = StdDuration::from_millis(50);
+impl<P> std::ops::Deref for Cluster<P> {
+    type Target = Deployment<P>;
 
-/// One memoised `(encoded payload, decoded message)` pair (see
-/// `Shard::decode_memo`).
-type DecodeMemo<M> = Option<(Arc<[u8]>, Arc<M>)>;
-
-/// The state of one worker shard's event loop.
-struct Shard<P: Protocol, T> {
-    locals: Vec<LocalProc<P>>,
-    /// Pending timers and deliveries of this shard's processes, keyed in
-    /// ticks since `epoch`. `irs-sim`'s hierarchical timing wheel, with
-    /// `Arc` payload handles.
-    wheel: EventQueue<Arc<P::Msg>>,
-    /// This shard's endpoint of the cluster's transport backend.
-    transport: T,
-    workers: usize,
-    n: usize,
-    link: LinkDelay,
-    tick: StdDuration,
-    epoch: Instant,
-    messages_routed: Arc<AtomicU64>,
-    /// Local indices whose snapshot changed in the current batch (publish
-    /// once per batch, not once per event — at large `n`, cloning a
-    /// snapshot per delivery would dwarf the protocol work).
-    dirty: Vec<bool>,
-    /// Reusable receiver list of [`Shard::apply`].
-    targets_scratch: Vec<ProcessId>,
-    /// Reusable wire-encoding buffer of [`Shard::apply`].
-    encode_scratch: Vec<u8>,
-    /// Last decoded payload of [`Shard::ingest`]: a broadcast hands every
-    /// receiver on this shard the same payload allocation, so its frames
-    /// arrive back to back and one memo entry recovers the old
-    /// decode-once-per-shard-batch cost.
-    decode_memo: DecodeMemo<P::Msg>,
-}
-
-impl<P, T> Shard<P, T>
-where
-    P: Protocol + Introspect + Send + 'static,
-    P::Msg: Wire,
-    T: Transport,
-{
-    fn now_tick(&self) -> u64 {
-        let nanos = self.epoch.elapsed().as_nanos();
-        (nanos / self.tick.as_nanos()) as u64
-    }
-
-    fn local_index(&self, pid: ProcessId) -> usize {
-        pid.index() / self.workers
-    }
-
-    fn run(mut self, rx: Receiver<ShardControl>) -> Vec<(usize, P)> {
-        self.dirty = vec![false; self.locals.len()];
-        // Start every local process.
-        let mut out = Actions::new();
-        for li in 0..self.locals.len() {
-            self.locals[li].proto.on_start(&mut out);
-            self.apply(li, &mut out);
-            self.dirty[li] = true;
-        }
-        self.publish_dirty();
-
-        loop {
-            // 1. Drain the control channel without blocking. A disconnect
-            //    means the `Cluster` handle was dropped without `shutdown`:
-            //    stop too, instead of spinning detached forever.
-            let mut shutdown = false;
-            loop {
-                match rx.try_recv() {
-                    Ok(input) => {
-                        if self.handle_control(input) {
-                            shutdown = true;
-                            break;
-                        }
-                    }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        shutdown = true;
-                        break;
-                    }
-                }
-            }
-            if shutdown {
-                break;
-            }
-            // 2. Fire everything that is due.
-            self.run_due();
-            self.publish_dirty();
-            // 3. Block on the transport until the next wheel deadline, the
-            //    next frame, or the control-poll budget — whichever first.
-            let timeout = match self.wheel.peek_time() {
-                Some(at) => {
-                    let target = self.tick.as_nanos().saturating_mul(u128::from(at.ticks()));
-                    let elapsed = self.epoch.elapsed().as_nanos();
-                    if target <= elapsed {
-                        StdDuration::ZERO
-                    } else {
-                        StdDuration::from_nanos((target - elapsed).min(u128::from(u64::MAX)) as u64)
-                            .min(POLL_BUDGET)
-                    }
-                }
-                None => POLL_BUDGET,
-            };
-            match self.transport.recv(timeout) {
-                Ok(Some(frame)) => {
-                    self.ingest(frame);
-                    // Opportunistically batch whatever else already arrived.
-                    while let Ok(Some(frame)) = self.transport.recv(StdDuration::ZERO) {
-                        self.ingest(frame);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break, // every peer endpoint is gone
-            }
-        }
-        self.drain_and_finish()
-    }
-
-    /// Returns `true` on shutdown.
-    fn handle_control(&mut self, input: ShardControl) -> bool {
-        match input {
-            ShardControl::Crash(pid) => {
-                let li = self.local_index(pid);
-                self.locals[li].crashed = true;
-                self.locals[li].timer_gen.iter_mut().for_each(|g| *g += 1);
-            }
-            ShardControl::Shutdown => return true,
-        }
-        false
-    }
-
-    /// Accepts one frame from the transport: validates its addressing,
-    /// decodes it (memoised per broadcast payload), samples the link's
-    /// receiver-side delay, and schedules the delivery into the wheel.
-    ///
-    /// Every rejection path is silent: a socket is an untrusted input, and
-    /// a stray datagram — out-of-range ids, a receiver this shard does not
-    /// host, a message sized for a different deployment — is link noise,
-    /// never a reason to panic a shard.
-    fn ingest(&mut self, frame: irs_net::Frame) {
-        if frame.from.index() >= self.n {
-            return;
-        }
-        let li = self.local_index(frame.to);
-        match self.locals.get(li) {
-            Some(local) if local.global == frame.to.index() => {}
-            _ => return, // not hosted by this shard
-        }
-        let msg = match &self.decode_memo {
-            Some((payload, msg)) if Arc::ptr_eq(payload, &frame.payload) => Arc::clone(msg),
-            _ => {
-                let Ok(msg) = irs_net::wire::decode_payload::<P::Msg>(&frame.payload) else {
-                    return;
-                };
-                if !msg.valid_for(self.n) {
-                    return;
-                }
-                let msg = Arc::new(msg);
-                self.decode_memo = Some((Arc::clone(&frame.payload), Arc::clone(&msg)));
-                msg
-            }
-        };
-        let delay = self
-            .link
-            .sample(&mut self.locals[li].inbound_links[frame.from.index()]);
-        let delay_ticks = if delay.is_zero() {
-            0
-        } else {
-            (delay.as_nanos().div_ceil(self.tick.as_nanos())) as u64
-        };
-        self.wheel.push(
-            Time::from_ticks(self.now_tick() + delay_ticks),
-            Event::Deliver {
-                from: frame.from,
-                to: frame.to,
-                msg,
-            },
-        );
-    }
-
-    /// Pops and executes every wheel event that is due at the current wall
-    /// tick.
-    fn run_due(&mut self) {
-        let mut out = Actions::new();
-        loop {
-            let now = self.now_tick();
-            let Some(at) = self.wheel.peek_time() else {
-                break;
-            };
-            if at.ticks() > now {
-                break;
-            }
-            let Some((_, event)) = self.wheel.pop() else {
-                break;
-            };
-            match event {
-                Event::Deliver { from, to, msg } => {
-                    self.messages_routed.fetch_add(1, Ordering::Relaxed);
-                    let li = self.local_index(to);
-                    if !self.locals[li].crashed {
-                        self.locals[li].proto.on_message(from, &msg, &mut out);
-                        self.apply(li, &mut out);
-                        self.dirty[li] = true;
-                    }
-                }
-                Event::TimerFire {
-                    pid,
-                    timer,
-                    generation,
-                } => {
-                    let li = self.local_index(pid);
-                    let stale = {
-                        let local = &self.locals[li];
-                        local.crashed || local.timer_gen(timer) != generation
-                    };
-                    if stale {
-                        continue;
-                    }
-                    self.locals[li].proto.on_timer(timer, &mut out);
-                    self.apply(li, &mut out);
-                    self.dirty[li] = true;
-                }
-                // The runtime schedules only deliveries and timers.
-                Event::Crash { .. } | Event::ReleaseHeld { .. } | Event::ReleaseGate { .. } => {}
-            }
-        }
-    }
-
-    /// Executes the actions a local process recorded: wire-encodes each
-    /// message once, fans it out through the transport, and arms timers in
-    /// the wheel.
-    fn apply(&mut self, li: usize, out: &mut Actions<P::Msg>) {
-        if out.is_empty() {
-            return;
-        }
-        let now = self.now_tick();
-        let from = self.locals[li].proto.id();
-        for outbound in out.drain_sends() {
-            self.encode_scratch.clear();
-            outbound.msg.encode(&mut self.encode_scratch);
-            self.targets_scratch.clear();
-            match outbound.dest {
-                Destination::To(q) => self.targets_scratch.push(q),
-                Destination::AllOthers => self.targets_scratch.extend(
-                    (0..self.n as u32)
-                        .map(ProcessId::new)
-                        .filter(|&q| q != from),
-                ),
-                Destination::All => self
-                    .targets_scratch
-                    .extend((0..self.n as u32).map(ProcessId::new)),
-            }
-            // A failed send is link loss (or teardown), which the protocols
-            // tolerate by assumption.
-            let _ = self
-                .transport
-                .send_many(from, &self.targets_scratch, &self.encode_scratch);
-        }
-        for req in out.drain_timers() {
-            let generation = self.locals[li].bump_timer_gen(req.id);
-            self.wheel.push(
-                Time::from_ticks(now + req.after.ticks()),
-                Event::TimerFire {
-                    pid: self.locals[li].proto.id(),
-                    timer: req.id,
-                    generation,
-                },
-            );
-        }
-        for id in out.drain_cancels() {
-            self.locals[li].bump_timer_gen(id);
-        }
-    }
-
-    /// The shutdown drain: pull every frame still queued in the transport
-    /// (until one full quiet window passes), then deliver every delivery
-    /// still held in the wheel — regardless of its delay deadline — with
-    /// the triggered reactions discarded. Timers are not fired: a timer is
-    /// local state, not an in-flight message.
-    fn drain_and_finish(mut self) -> Vec<(usize, P)> {
-        while let Ok(Some(frame)) = self.transport.recv(DRAIN_QUIET) {
-            self.ingest(frame);
-        }
-        let mut sink = Actions::new();
-        while let Some((_, event)) = self.wheel.pop() {
-            if let Event::Deliver { from, to, msg } = event {
-                self.messages_routed.fetch_add(1, Ordering::Relaxed);
-                let li = self.local_index(to);
-                if !self.locals[li].crashed {
-                    self.locals[li].proto.on_message(from, &msg, &mut sink);
-                    sink.clear();
-                    self.dirty[li] = true;
-                }
-            }
-        }
-        self.publish_dirty();
-        self.locals
-            .into_iter()
-            .map(|l| (l.global, l.proto))
-            .collect()
-    }
-
-    fn publish_dirty(&mut self) {
-        for li in 0..self.locals.len() {
-            if self.dirty[li] {
-                self.dirty[li] = false;
-                *self.locals[li]
-                    .snapshot
-                    .lock()
-                    .expect("snapshot lock poisoned") = self.locals[li].proto.snapshot();
-            }
-        }
+    fn deref(&self) -> &Deployment<P> {
+        &self.0
     }
 }
 
@@ -752,7 +157,7 @@ mod tests {
     use super::*;
     use irs_omega::OmegaProcess;
     use irs_types::{Duration, SystemConfig};
-    use std::time::Duration as StdDuration;
+    use std::time::{Duration as StdDuration, Instant};
 
     fn wait_for<F: Fn() -> bool>(limit: StdDuration, check: F) -> bool {
         let start = Instant::now();
@@ -827,30 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn link_delay_sampling_respects_bounds() {
-        let mut state = 42;
-        let jitter = LinkDelay::Jitter {
-            min: StdDuration::from_micros(10),
-            max: StdDuration::from_micros(30),
-        };
-        for _ in 0..1000 {
-            let d = jitter.sample(&mut state);
-            assert!(d >= StdDuration::from_micros(10) && d <= StdDuration::from_micros(30));
-        }
-        assert_eq!(LinkDelay::None.sample(&mut state), StdDuration::ZERO);
-        assert_eq!(
-            LinkDelay::Fixed(StdDuration::from_millis(1)).sample(&mut state),
-            StdDuration::from_millis(1)
-        );
-        // Degenerate jitter range falls back to the minimum.
-        let degenerate = LinkDelay::Jitter {
-            min: StdDuration::from_micros(10),
-            max: StdDuration::from_micros(5),
-        };
-        assert_eq!(degenerate.sample(&mut state), StdDuration::from_micros(10));
-    }
-
-    #[test]
     fn snapshots_are_published() {
         let cluster = omega_cluster(3, 1);
         assert!(wait_for(StdDuration::from_secs(5), || {
@@ -859,29 +240,6 @@ mod tests {
         let snap = cluster.snapshot(ProcessId::new(1));
         assert_eq!(snap.susp_levels.len(), 3);
         cluster.shutdown();
-    }
-
-    /// The per-link jitter streams are deterministic under the cluster seed,
-    /// uncorrelated across links, and direction-sensitive.
-    #[test]
-    fn link_states_are_per_link_and_seed_deterministic() {
-        let a = link_state(7, ProcessId::new(1), ProcessId::new(2));
-        let a_again = link_state(7, ProcessId::new(1), ProcessId::new(2));
-        assert_eq!(a, a_again);
-        assert_ne!(a, link_state(7, ProcessId::new(2), ProcessId::new(1)));
-        assert_ne!(a, link_state(7, ProcessId::new(1), ProcessId::new(3)));
-        assert_ne!(a, link_state(8, ProcessId::new(1), ProcessId::new(2)));
-        // The streams themselves diverge, not just the seeds.
-        let jitter = LinkDelay::Jitter {
-            min: StdDuration::ZERO,
-            max: StdDuration::from_micros(1000),
-        };
-        let mut s1 = link_state(7, ProcessId::new(0), ProcessId::new(1));
-        let mut s2 = link_state(7, ProcessId::new(0), ProcessId::new(2));
-        let same = (0..64)
-            .filter(|_| jitter.sample(&mut s1) == jitter.sample(&mut s2))
-            .count();
-        assert!(same < 8, "link streams look correlated ({same}/64 equal)");
     }
 
     /// The cluster runs on a bounded number of worker shards regardless of n.
@@ -913,73 +271,6 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Satellite fix: shutdown drains in-flight messages instead of
-    /// dropping them. With a 2 s fixed link delay and a shutdown after a
-    /// few hundred milliseconds, *every* delivery is still in flight when
-    /// the stop request lands — before the drain, `messages_routed` stayed
-    /// at 0 and all of them vanished.
-    #[test]
-    fn shutdown_drains_in_flight_messages() {
-        let system = SystemConfig::new(4, 1).unwrap();
-        let processes: Vec<_> = system
-            .processes()
-            .map(|id| OmegaProcess::fig3(id, system))
-            .collect();
-        let cluster = Cluster::spawn(
-            processes,
-            RealtimeConfig::default(),
-            LinkDelay::Fixed(StdDuration::from_secs(2)),
-        );
-        std::thread::sleep(StdDuration::from_millis(300));
-        assert_eq!(
-            cluster.messages_routed(),
-            0,
-            "nothing may arrive before the 2s link delay"
-        );
-        let routed = Arc::clone(&cluster.messages_routed);
-        let finals = cluster.shutdown();
-        assert_eq!(finals.len(), 4);
-        // At minimum the on-start ALIVE broadcast (n receivers each, the
-        // sender included) must have been delivered during the drain.
-        assert!(
-            routed.load(Ordering::SeqCst) >= 16,
-            "in-flight messages were dropped on shutdown: routed = {}",
-            routed.load(Ordering::SeqCst)
-        );
-    }
-
-    /// Dropping a `Cluster` without calling `shutdown` must still stop the
-    /// shard threads (via the control-channel disconnect), not leave them
-    /// polling detached forever.
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn dropping_cluster_stops_shard_threads() {
-        let shard_threads = || {
-            std::fs::read_dir("/proc/self/task")
-                .expect("proc task dir")
-                .filter(|t| {
-                    let comm = t
-                        .as_ref()
-                        .ok()
-                        .map(|t| t.path().join("comm"))
-                        .and_then(|p| std::fs::read_to_string(p).ok())
-                        .unwrap_or_default();
-                    comm.starts_with("irs-shard")
-                })
-                .count()
-        };
-        let before = shard_threads();
-        let cluster = omega_cluster(4, 1);
-        assert!(shard_threads() > before, "shards spawned");
-        drop(cluster);
-        let stopped = wait_for(StdDuration::from_secs(5), || shard_threads() == before);
-        assert!(
-            stopped,
-            "{} shard threads still alive after drop",
-            shard_threads() - before
-        );
-    }
-
     /// The sharded cluster runs unchanged over a fault-injecting backend:
     /// `FaultyLink`-wrapped shard endpoints with 15% receiver-side loss
     /// still elect a leader.
@@ -1000,12 +291,7 @@ mod tests {
                 FaultyLink::new(t, LinkModel::new(0xFA17 ^ s as u64).with_drop_prob(0.15))
             })
             .collect();
-        let cluster = Cluster::spawn_on(
-            processes,
-            RealtimeConfig::default(),
-            LinkDelay::None,
-            transports,
-        );
+        let cluster = Cluster::spawn_on(processes, RealtimeConfig::default(), transports);
         assert_eq!(cluster.worker_threads(), 2);
         // Gate on real round progress: agreement alone is trivially true of
         // the all-default initial state.

@@ -1,0 +1,937 @@
+//! The one host loop: a shard of `k ≥ 1` sans-IO protocol instances over an
+//! I/O source.
+//!
+//! The paper's Figure 3 is a state machine with two effects — "broadcast"
+//! and "set timer" — and [`Shard`] is the only code in the stack that turns
+//! those effects into wall-clock behaviour. Every deployment shape is a
+//! constructor over it: [`Cluster`](crate::Cluster) (`W` shards over grouped
+//! endpoints), [`NetCluster`](crate::NetCluster) (`n` shards of one),
+//! [`MuxCluster`](crate::MuxCluster) (`W` shards over reactors) and
+//! [`run_node`](crate::run_node) (one shard of one on the calling thread).
+//! What a shard owns, once:
+//!
+//! * the **timer wheel** — `irs-sim`'s hierarchical [`EventQueue`], keyed in
+//!   ticks since the shard started, with generation-stamped entries: arming
+//!   a timer bumps its generation and pushes a new entry, cancelling only
+//!   bumps, and a popped entry whose generation is stale is skipped. That is
+//!   the paper's "set timer to …" (re-arming replaces) without ever deleting
+//!   from the wheel;
+//! * the **`Actions` dispatch** — each outbound message is wire-encoded once
+//!   into a reused buffer and handed to the I/O source with its whole
+//!   receiver list, so a broadcast costs one encode however wide it is;
+//! * the **admit → stage → deliver path** — the I/O source hands each
+//!   arrived frame over as borrowed bytes; the admission policy decodes it
+//!   (or drops it as link noise) into a staging buffer, and the protocols
+//!   run only after the poll returns. No [`irs_net::Frame`] is assembled per
+//!   datagram on the reactor path, and the source is never re-entered from
+//!   inside its own receive callback;
+//! * the **per-node observation state** — leader-reign SLO tracker,
+//!   leader-change trace, Ω check-period calibration, and the scrape
+//!   [`Responder`] answering telemetry requests off the same staging path
+//!   (a scrape observes a node, it never reaches the protocol);
+//! * the **dirty-batched snapshot publish** — a node's [`Snapshot`] is
+//!   cloned into its shared cell once per batch of events, not once per
+//!   event: at large `n` a snapshot per delivery would dwarf the protocol
+//!   work;
+//! * the **shutdown drain** — on stop, frames already in flight (queued in
+//!   the source, held behind a link delay, or still on the wire) are
+//!   delivered with the reactions they trigger discarded, until one full
+//!   quiet window passes with nothing arriving and nothing held, under a
+//!   hard cap. Timers are not fired: a timer is local state, not an
+//!   in-flight message.
+//!
+//! The I/O source is the [`ShardIo`] trait, with exactly two
+//! implementations: every [`Transport`] (block in `recv`, then drain the
+//! burst with zero-timeout `recv`s) and the [`Reactor`] (one readiness wait
+//! over all the shard's sockets, batched borrowed-bytes drain, queued
+//! encode-once fan-out). Link delay is not the host's business: a frame is
+//! delivered the moment the source releases it, and a slow link is a
+//! [`irs_net::FaultyLink`] around the endpoint.
+//!
+//! A crashed process is halted on every plane: it fires no timer, receives
+//! no message and answers no scrape (post-mortem reads go through the
+//! in-process [`Obs`] handle), while the source keeps draining so its peers
+//! see silence rather than backpressure.
+
+use crate::muxcluster::MuxConfig;
+use irs_net::wire::decode_payload;
+use irs_net::wire_obs::{encode_scrape_reply, is_obs_payload, scrape_session_key};
+use irs_net::{Frame, NetError, ObsMsg, Reactor, Transport, Wire};
+use irs_obs::{names, EventKind, Obs, ReignTracker, Responder, ScrapeFormat};
+use irs_sim::{Event, EventQueue};
+use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time, TimerId};
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration as StdDuration, Instant};
+
+/// Longest a shard blocks in its I/O source before re-checking the stop
+/// flag.
+const POLL_BUDGET: StdDuration = StdDuration::from_millis(20);
+/// Poll timeout while sends are still queued behind socket backpressure:
+/// short, so the flush retry is not delayed by a full poll budget.
+const BACKPRESSURE_BUDGET: StdDuration = StdDuration::from_millis(1);
+/// Quiet window that ends the shutdown drain. Longer than [`POLL_BUDGET`],
+/// so every peer shard has observed the stop flag (and stopped sending)
+/// before a drain concludes.
+const DRAIN_QUIET: StdDuration = StdDuration::from_millis(50);
+/// Hard cap on the shutdown drain, so a source that holds frames behind a
+/// pathological delay cannot wedge shutdown forever.
+const DRAIN_CAP: StdDuration = StdDuration::from_secs(10);
+/// Most frames a [`Transport`] source hands over per poll, bounding how long
+/// timers wait behind a flooding peer (the reactor bounds its own bursts).
+const RECV_BURST: usize = 128;
+
+/// Check periods a reign must span to count as *stable* in the leader-reign
+/// SLO panel: the stable-reign threshold is `tick × STABLE_REIGN_TICKS`
+/// (clamped to ≥ 1 ms; ≈ 102 ms at the default 100 µs tick — far past the
+/// churn of an election, far under a healthy reign). This is the *prior*:
+/// once a node has measured enough real Ω check periods the bar re-derives
+/// itself from their p99 ([`ReignTracker::note_check_period_us`]) and this
+/// value only caps it.
+const STABLE_REIGN_TICKS: u32 = 1024;
+/// Timer slot of the Ω failure detector's round (check) timer — the cadence
+/// whose measured distribution calibrates the stable-reign bar. Every hosted
+/// protocol in this stack forwards the oracle's timers with their ids
+/// intact, so the slot is host-invariant.
+const CHECK_TIMER_SLOT: u16 = 1;
+
+/// A frame-admission policy: `(me, from, to, payload)` for a frame that
+/// arrived for process `me`, returning the decoded message or `None` to drop
+/// it as link noise. The payload is borrowed from the I/O source and valid
+/// only for the duration of the call.
+pub type MuxAccept<M> =
+    Arc<dyn Fn(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<M> + Send + Sync>;
+
+/// The default admission policy for an `n`-process deployment hosted at
+/// `me`. A socket is an untrusted input: a misrouted frame, an out-of-range
+/// sender, an undecodable payload, or a message sized for a different
+/// deployment is dropped as link noise — it must never take the node down.
+pub fn accept_frame_bytes<M: Wire>(
+    from: ProcessId,
+    to: ProcessId,
+    payload: &[u8],
+    me: ProcessId,
+    n: usize,
+) -> Option<M> {
+    if to != me || from.index() >= n {
+        return None;
+    }
+    let msg = decode_payload::<M>(payload).ok()?;
+    msg.valid_for(n).then_some(msg)
+}
+
+/// [`accept_frame_bytes`] as the shareable policy of an `n`-process deployment.
+pub(crate) fn default_accept<M: Wire>(n: usize) -> MuxAccept<M> {
+    Arc::new(move |me, from, to, payload| accept_frame_bytes(from, to, payload, me, n))
+}
+
+/// [`accept_frame_bytes`] over an assembled [`Frame`].
+pub fn accept_frame<M: Wire>(frame: &Frame, me: ProcessId, n: usize) -> Option<M> {
+    accept_frame_bytes(frame.from, frame.to, &frame.payload, me, n)
+}
+
+/// Where a shard's frames come from and go to. `slot` is the local index of
+/// a hosted process; a source with one socket per process (the reactor)
+/// uses it to pick the socket, a shared endpoint ignores it.
+pub(crate) trait ShardIo {
+    /// Waits up to `timeout` for inbound traffic, then hands every frame of
+    /// the burst that arrived to `on_frame(arrived_on, from, to, payload)` —
+    /// `arrived_on` is the slot whose socket received it, when the source
+    /// can tell. Returns the number of frames handed over.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the source can no longer receive at all.
+    fn poll(
+        &mut self,
+        timeout: StdDuration,
+        on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+    ) -> Result<usize, NetError>;
+
+    /// Sends one encoded message from the process in `slot` to every target.
+    /// A failed send is link loss, which the protocols tolerate by
+    /// assumption.
+    fn send(&mut self, slot: usize, from: ProcessId, targets: &[ProcessId], payload: &[u8]);
+
+    /// Sends accepted but not yet on the wire (socket backpressure).
+    fn unsent(&self) -> usize;
+
+    /// Arrivals the source itself holds for later delivery (a link delay).
+    fn held(&self) -> usize;
+
+    /// Appends the source's gauges for the process in `slot` — always
+    /// `malformed_dropped` and `sends_batched`, plus whatever else it counts.
+    fn gauges(&self, slot: usize, out: &mut Vec<(&'static str, u64)>);
+}
+
+impl<T: Transport> ShardIo for T {
+    fn poll(
+        &mut self,
+        timeout: StdDuration,
+        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+    ) -> Result<usize, NetError> {
+        let mut next = self.recv(timeout)?;
+        let mut handed = 0;
+        while let Some(frame) = next {
+            on_frame(None, frame.from, frame.to, &frame.payload);
+            handed += 1;
+            if handed == RECV_BURST {
+                break;
+            }
+            // Whatever else already arrived rides in the same batch; a
+            // receive error surfaces on the next blocking poll.
+            next = self.recv(StdDuration::ZERO).ok().flatten();
+        }
+        Ok(handed)
+    }
+
+    fn send(&mut self, _slot: usize, from: ProcessId, targets: &[ProcessId], payload: &[u8]) {
+        let _ = match targets {
+            [to] => Transport::send(self, from, *to, payload),
+            _ => self.send_many(from, targets, payload),
+        };
+    }
+
+    fn unsent(&self) -> usize {
+        0
+    }
+
+    fn held(&self) -> usize {
+        self.pending_held()
+    }
+
+    fn gauges(&self, _slot: usize, out: &mut Vec<(&'static str, u64)>) {
+        out.push((names::MALFORMED_DROPPED, self.malformed_dropped()));
+        out.push((names::SENDS_BATCHED, self.sends_batched()));
+    }
+}
+
+/// The reactor as an I/O source: slot `i` is the `i`-th registered socket.
+/// (A local wrapper, because a blanket impl over the foreign [`Transport`]
+/// trait cannot coexist with an impl for the foreign [`Reactor`] type.)
+struct Sockets(Reactor);
+
+impl ShardIo for Sockets {
+    fn poll(
+        &mut self,
+        timeout: StdDuration,
+        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+    ) -> Result<usize, NetError> {
+        let timeout = if self.0.pending_sends() > 0 {
+            timeout.min(BACKPRESSURE_BUDGET)
+        } else {
+            timeout
+        };
+        Ok(self.0.poll_once(timeout, |ep, from, to, payload| {
+            on_frame(Some(ep), from, to, payload)
+        })?)
+    }
+
+    fn send(&mut self, slot: usize, from: ProcessId, targets: &[ProcessId], payload: &[u8]) {
+        // Queue overflow sheds as link loss; a target outside the peer table
+        // has no route, which is loss too.
+        let _ = self.0.queue_fanout(slot, from, targets, payload);
+    }
+
+    fn unsent(&self) -> usize {
+        self.0.pending_sends()
+    }
+
+    fn held(&self) -> usize {
+        0
+    }
+
+    fn gauges(&self, slot: usize, out: &mut Vec<(&'static str, u64)>) {
+        out.push((names::MALFORMED_DROPPED, self.0.malformed(slot)));
+        out.push((names::SENDS_BATCHED, self.0.sends_batched()));
+        out.push((names::FRAMES_RX, self.0.frames_rx()));
+        out.push((names::FRAMES_TX, self.0.frames_tx()));
+        out.push((names::SEND_QUEUE_DEPTH, self.0.queue_depth(slot) as u64));
+        out.push((names::SENDS_SHED, self.0.shed(slot)));
+    }
+}
+
+/// The cells through which a hosted process is observed and crashed.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NodeCells {
+    pub(crate) snapshot: Arc<Mutex<Snapshot>>,
+    pub(crate) crashed: Arc<AtomicBool>,
+}
+
+/// A node's telemetry-plane state, present when observability is attached.
+struct NodePanel {
+    tracer: Option<irs_obs::Tracer>,
+    reign: ReignTracker,
+    /// Leader in the last published snapshot (leader-change diffing).
+    last_leader: ProcessId,
+    /// Instant of the last Ω check-timer fire: the gap between consecutive
+    /// fires is one measured check period for the self-calibrating bar.
+    last_check_fire: Option<Instant>,
+}
+
+/// One process hosted by a shard.
+pub(crate) struct Local<P> {
+    me: ProcessId,
+    proto: P,
+    cells: NodeCells,
+    /// Timer generations, densely indexed by the raw `TimerId` (see the
+    /// module docs).
+    timer_gen: Vec<u64>,
+    frames_delivered: u64,
+    /// Whether the snapshot changed since the last publish.
+    dirty: bool,
+    panel: Option<NodePanel>,
+}
+
+impl<P: Protocol + Introspect> Local<P> {
+    pub(crate) fn new(proto: P, cells: NodeCells, obs: Option<&Obs>, tick: StdDuration) -> Self {
+        let me = proto.id();
+        let panel = obs.map(|o| {
+            let threshold_ms = ((tick * STABLE_REIGN_TICKS).as_millis() as u64).max(1);
+            let mut reign = ReignTracker::new(o, me.index(), threshold_ms);
+            // The initial output is a reign too: a deployment whose first
+            // leader survives forever must read as maximally stable, not as
+            // having no reigns at all.
+            reign.on_leader_change(o.now_micros() / 1_000);
+            NodePanel {
+                tracer: o.tracer(me.index() as u32),
+                reign,
+                last_leader: proto.snapshot().leader,
+                last_check_fire: None,
+            }
+        });
+        Local {
+            me,
+            proto,
+            cells,
+            timer_gen: Vec::new(),
+            frames_delivered: 0,
+            dirty: true,
+            panel,
+        }
+    }
+
+    fn crashed(&self) -> bool {
+        self.cells.crashed.load(Ordering::SeqCst)
+    }
+
+    fn bump_timer_gen(&mut self, id: TimerId) -> u64 {
+        let i = id.raw() as usize;
+        if i >= self.timer_gen.len() {
+            self.timer_gen.resize(i + 1, 0);
+        }
+        self.timer_gen[i] += 1;
+        self.timer_gen[i]
+    }
+}
+
+/// A shard's registry handles and the scrape sessions of every node it hosts
+/// (session keys mix in the scraped node's id, so one responder serves all).
+struct ShardObs<'a> {
+    obs: &'a Obs,
+    polls: irs_obs::Counter,
+    timers_fired: irs_obs::Counter,
+    frames: irs_obs::Counter,
+    responder: Responder,
+    /// Registry shard the counters land on: the first hosted node's id.
+    cell: usize,
+    /// Whether the previous loop turn saw unsent frames (backpressure is
+    /// traced on the off→on transition, not every turn).
+    backpressured: bool,
+}
+
+/// One event loop over `locals` (see the module docs).
+pub(crate) struct Shard<'a, P: Protocol, Io, A> {
+    io: Io,
+    locals: Vec<Local<P>>,
+    /// Process `i` of the deployment lives at local index `i / stride` of
+    /// the shard that hosts it (round-robin over `stride` shards).
+    stride: usize,
+    /// Broadcast fan-out: the number of processes in the deployment.
+    n: usize,
+    tick: StdDuration,
+    epoch: Instant,
+    wheel: EventQueue<()>,
+    accept: A,
+    stop: Arc<AtomicBool>,
+    /// Messages admitted by the last poll, applied after it returns.
+    staged: Vec<(usize, ProcessId, P::Msg)>,
+    /// Scrape requests staged by the same poll: `(local, asker, format,
+    /// cursor)`.
+    scrapes: Vec<(usize, ProcessId, ScrapeFormat, u32)>,
+    targets: Vec<ProcessId>,
+    encoded: Vec<u8>,
+    obs: Option<ShardObs<'a>>,
+}
+
+impl<'a, P, Io, A> Shard<'a, P, Io, A>
+where
+    P: Protocol + Introspect,
+    P::Msg: Wire,
+    Io: ShardIo,
+    A: FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<P::Msg>,
+{
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        io: Io,
+        locals: Vec<Local<P>>,
+        stride: usize,
+        n: usize,
+        tick: StdDuration,
+        accept: A,
+        stop: Arc<AtomicBool>,
+        obs: Option<&'a Obs>,
+    ) -> Self {
+        let cell = locals.first().map_or(0, |l| l.me.index());
+        Shard {
+            io,
+            locals,
+            stride,
+            n,
+            tick: tick.max(StdDuration::from_nanos(1)),
+            epoch: Instant::now(),
+            wheel: EventQueue::new(),
+            accept,
+            stop,
+            staged: Vec::new(),
+            scrapes: Vec::new(),
+            targets: Vec::new(),
+            encoded: Vec::new(),
+            obs: obs.map(|obs| ShardObs {
+                obs,
+                polls: obs.registry().counter(names::RUNTIME_POLLS),
+                timers_fired: obs.registry().counter(names::RUNTIME_TIMERS_FIRED),
+                frames: obs.registry().counter(names::RUNTIME_FRAMES_DELIVERED),
+                responder: Responder::new(),
+                cell,
+                backpressured: false,
+            }),
+        }
+    }
+
+    /// Runs until the stop flag is set (or the source dies), drains, and
+    /// returns the final protocol states in local order.
+    pub(crate) fn run(mut self) -> Vec<P> {
+        let mut out = Actions::new();
+        for li in 0..self.locals.len() {
+            self.locals[li].proto.on_start(&mut out);
+            self.apply(li, &mut out);
+        }
+        self.publish_dirty();
+        while !self.stop.load(Ordering::SeqCst) {
+            self.run_due(&mut out);
+            self.publish_dirty();
+            self.note_turn();
+            // Block in the source until the next wheel deadline, the next
+            // frame, or the poll budget — whichever comes first.
+            let timeout = match self.wheel.peek_time() {
+                Some(at) => {
+                    let due = self.tick.as_nanos().saturating_mul(u128::from(at.ticks()));
+                    let wait = due.saturating_sub(self.epoch.elapsed().as_nanos());
+                    StdDuration::from_nanos(wait.min(u128::from(u64::MAX)) as u64).min(POLL_BUDGET)
+                }
+                None => POLL_BUDGET,
+            };
+            if self.poll_and_stage(timeout).is_err() {
+                break; // the source is gone; nothing left to serve
+            }
+            self.answer_scrapes();
+            self.deliver_staged(&mut out, false);
+        }
+        self.drain();
+        self.locals.into_iter().map(|l| l.proto).collect()
+    }
+
+    fn now_tick(&self) -> u64 {
+        (self.epoch.elapsed().as_nanos() / self.tick.as_nanos()) as u64
+    }
+
+    /// Per-turn telemetry: the poll counter, the time-derived SLO gauges
+    /// (in-progress reign age, uptime), and the onset of send backpressure —
+    /// traced against the first local node, once per episode.
+    fn note_turn(&mut self) {
+        let Some(o) = &mut self.obs else {
+            return;
+        };
+        o.polls.inc(o.cell);
+        let now_ms = o.obs.now_micros() / 1_000;
+        for panel in self.locals.iter().filter_map(|l| l.panel.as_ref()) {
+            panel.reign.tick(now_ms);
+        }
+        let unsent = self.io.unsent();
+        if unsent > 0 && !o.backpressured {
+            let tracer = self
+                .locals
+                .first()
+                .and_then(|l| l.panel.as_ref()?.tracer.as_ref());
+            if let Some(t) = tracer {
+                t.emit_now(EventKind::Backpressure, o.cell as u64, unsent as u64);
+            }
+        }
+        o.backpressured = unsent > 0;
+    }
+
+    /// One turn of the source. Frames are routed by addressee — a frame for
+    /// a process this shard does not host, or one that arrived on another
+    /// hosted node's socket, is link noise — and admitted by the policy into
+    /// `staged`. With observability attached, telemetry-plane payloads are
+    /// routed off by their leading tag before the policy sees them:
+    /// well-formed scrape requests stage into `scrapes`, anything else
+    /// obs-tagged is dropped.
+    fn poll_and_stage(&mut self, timeout: StdDuration) -> Result<usize, NetError> {
+        let Shard {
+            io,
+            locals,
+            stride,
+            accept,
+            staged,
+            scrapes,
+            obs,
+            ..
+        } = self;
+        let scraping = obs.is_some();
+        io.poll(timeout, |arrived_on, from, to, payload| {
+            let li = to.index() / *stride;
+            let hosted = locals.get(li).is_some_and(|l| l.me == to);
+            if !hosted || arrived_on.is_some_and(|slot| slot != li) {
+                return;
+            }
+            if scraping && is_obs_payload(payload) {
+                if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = decode_payload(payload) {
+                    scrapes.push((li, from, format, cursor));
+                }
+            } else if let Some(msg) = accept(to, from, to, payload) {
+                staged.push((li, from, msg));
+            }
+        })
+    }
+
+    /// Answers the scrape requests the last poll staged: renders/pages
+    /// through the shard's [`Responder`] and sends each chunk back to the
+    /// asker. A lost chunk is link loss — the scraper retries.
+    fn answer_scrapes(&mut self) {
+        let Some(o) = &self.obs else {
+            return;
+        };
+        for (li, from, format, cursor) in self.scrapes.drain(..) {
+            let local = &self.locals[li];
+            if local.crashed() {
+                continue;
+            }
+            let session = scrape_session_key(local.me, from);
+            self.encoded.clear();
+            encode_scrape_reply(
+                &o.responder,
+                o.obs,
+                session,
+                format,
+                cursor,
+                &mut self.encoded,
+            );
+            self.io.send(li, local.me, &[from], &self.encoded);
+        }
+    }
+
+    /// Hands the staged messages to their protocols. While `quiescing` (the
+    /// shutdown drain) the reactions are discarded instead of applied.
+    fn deliver_staged(&mut self, out: &mut Actions<P::Msg>, quiescing: bool) {
+        if self.staged.is_empty() {
+            return;
+        }
+        let mut staged = std::mem::take(&mut self.staged);
+        for (li, from, msg) in staged.drain(..) {
+            let local = &mut self.locals[li];
+            if local.crashed() {
+                continue;
+            }
+            local.frames_delivered += 1;
+            local.dirty = true;
+            local.proto.on_message(from, &msg, out);
+            if quiescing {
+                out.clear();
+            } else {
+                self.apply(li, out);
+            }
+            if let Some(o) = &self.obs {
+                o.frames.inc(o.cell);
+            }
+        }
+        self.staged = staged;
+        self.publish_dirty();
+    }
+
+    /// Pops and fires every timer due at the current wall tick. A fired
+    /// timer may re-arm itself for a deadline that is already due; the loop
+    /// runs until quiescent.
+    fn run_due(&mut self, out: &mut Actions<P::Msg>) {
+        while self
+            .wheel
+            .peek_time()
+            .is_some_and(|at| at.ticks() <= self.now_tick())
+        {
+            let Some((
+                _,
+                Event::TimerFire {
+                    pid,
+                    timer,
+                    generation,
+                },
+            )) = self.wheel.pop()
+            else {
+                continue; // the wheel holds only timers
+            };
+            let li = pid.index() / self.stride;
+            let local = &mut self.locals[li];
+            let current = local.timer_gen.get(timer.raw() as usize).copied();
+            if local.crashed() || current != Some(generation) {
+                continue;
+            }
+            local.dirty = true;
+            local.proto.on_timer(timer, out);
+            if let (CHECK_TIMER_SLOT, Some(panel)) = (timer.raw(), &mut local.panel) {
+                let at = Instant::now();
+                if let Some(prev) = panel.last_check_fire.replace(at) {
+                    let us = at.duration_since(prev).as_micros();
+                    panel
+                        .reign
+                        .note_check_period_us(us.min(u128::from(u64::MAX)) as u64);
+                }
+            }
+            self.apply(li, out);
+            if let Some(o) = &self.obs {
+                o.timers_fired.inc(o.cell);
+            }
+        }
+    }
+
+    /// Executes the actions a local process recorded: encodes each message
+    /// once and hands it to the source with its receiver list, arms timers
+    /// in the wheel, and invalidates cancelled ones.
+    fn apply(&mut self, li: usize, out: &mut Actions<P::Msg>) {
+        if out.is_empty() {
+            return;
+        }
+        let from = self.locals[li].me;
+        for outbound in out.drain_sends() {
+            self.encoded.clear();
+            outbound.msg.encode(&mut self.encoded);
+            self.targets.clear();
+            let everyone = (0..self.n as u32).map(ProcessId::new);
+            match outbound.dest {
+                Destination::To(q) => self.targets.push(q),
+                Destination::AllOthers => self.targets.extend(everyone.filter(|&q| q != from)),
+                Destination::All => self.targets.extend(everyone),
+            }
+            self.io.send(li, from, &self.targets, &self.encoded);
+        }
+        let now = self.now_tick();
+        for req in out.drain_timers() {
+            let generation = self.locals[li].bump_timer_gen(req.id);
+            self.wheel.push(
+                Time::from_ticks(now + req.after.ticks()),
+                Event::TimerFire {
+                    pid: from,
+                    timer: req.id,
+                    generation,
+                },
+            );
+        }
+        for id in out.drain_cancels() {
+            self.locals[li].bump_timer_gen(id);
+        }
+    }
+
+    /// The shutdown drain (see the module docs). A scraper racing the
+    /// shutdown still gets its chunk — flushing queued sends is exactly what
+    /// the drain is for.
+    fn drain(&mut self) {
+        let started = Instant::now();
+        let mut sink = Actions::new();
+        while let Ok(arrived) = self.poll_and_stage(DRAIN_QUIET) {
+            self.answer_scrapes();
+            self.deliver_staged(&mut sink, true);
+            let quiet = arrived == 0 && self.io.unsent() == 0 && self.io.held() == 0;
+            if quiet || started.elapsed() >= DRAIN_CAP {
+                break;
+            }
+        }
+    }
+
+    /// Publishes changed snapshots with the runtime gauges appended —
+    /// `frames_delivered` (frames admitted and handed to the protocol, the
+    /// drain included) and the source's own list — and diffs the leader for
+    /// the flight-recorder trace and the reign panel.
+    fn publish_dirty(&mut self) {
+        let now_ms = self.obs.as_ref().map(|o| o.obs.now_micros() / 1_000);
+        for (li, local) in self.locals.iter_mut().enumerate() {
+            if !std::mem::take(&mut local.dirty) {
+                continue;
+            }
+            let mut snap = local.proto.snapshot();
+            snap.extra
+                .push((names::FRAMES_DELIVERED, local.frames_delivered));
+            self.io.gauges(li, &mut snap.extra);
+            if let (Some(panel), Some(now_ms)) = (&mut local.panel, now_ms) {
+                if snap.leader != panel.last_leader {
+                    if let Some(t) = &panel.tracer {
+                        t.emit_now(
+                            EventKind::LeaderChange,
+                            panel.last_leader.index() as u64,
+                            snap.leader.index() as u64,
+                        );
+                    }
+                    panel.reign.on_leader_change(now_ms);
+                    panel.last_leader = snap.leader;
+                }
+            }
+            *local.cells.snapshot.lock().expect("snapshot lock poisoned") = snap;
+        }
+    }
+}
+
+/// Resolves a configured worker count: `0` means the machine's available
+/// parallelism; the result is clamped to `1..=n`.
+pub(crate) fn resolve_workers(workers: usize, n: usize) -> usize {
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        w => w,
+    };
+    workers.clamp(1, n.max(1))
+}
+
+/// A running in-process deployment: `n` protocol instances on `W` shard
+/// threads, observed through per-process snapshot cells and crash flags.
+///
+/// This is the one handle behind [`Cluster`](crate::Cluster),
+/// [`NetCluster`](crate::NetCluster) and [`MuxCluster`](crate::MuxCluster)
+/// (which deref to it) and the service's `SvcCluster`. Dropping it without
+/// [`Deployment::shutdown`] still stops the shard threads — the shared stop
+/// flag is set on drop and every shard observes it within one poll budget —
+/// but does not join them or recover the final states.
+#[derive(Debug)]
+pub struct Deployment<P> {
+    cells: Vec<NodeCells>,
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<Vec<P>>>,
+}
+
+impl<P> Deployment<P>
+where
+    P: Protocol + Introspect + Send + 'static,
+    P::Msg: Wire,
+{
+    /// Spawns `processes` on `W = transports.len()` shard threads named
+    /// `<thread_prefix>-<shard>`: shard `s` drives `transports[s]`, which
+    /// must host every process `i` with `i % W == s`. `W = n` is one node
+    /// thread per process over its own endpoint. `accept` admits inbound
+    /// frames; with `obs` attached every node joins the telemetry plane
+    /// (host-loop counters, leader-change trace, reign panel, live scrape).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instances' ids are not `0..n` in order, or if the
+    /// endpoint count is not in `1..=n`.
+    pub fn over_transports<T: Transport + 'static>(
+        thread_prefix: &str,
+        processes: Vec<P>,
+        transports: Vec<T>,
+        tick: StdDuration,
+        accept: MuxAccept<P::Msg>,
+        obs: Option<Arc<Obs>>,
+    ) -> Self {
+        Self::spawn(thread_prefix, processes, transports, tick, accept, obs)
+    }
+
+    /// Spawns `processes` over pre-bound UDP sockets on `config.workers`
+    /// reactor shard threads named `<thread_prefix>-<shard>`: `sockets[i]`
+    /// hosts process `i`, and `peer_addrs` is the full routing table
+    /// (`peer_addrs[p]` hosts `ProcessId(p)`), which may name endpoints
+    /// beyond the hosted processes — that is how a service replica group
+    /// routes replies to client endpoints it does not own.
+    ///
+    /// # Errors
+    ///
+    /// Returns any error from switching a socket to nonblocking mode or
+    /// registering it with the readiness backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instances' ids are not `0..n` in order, or if the
+    /// socket count differs from the process count.
+    pub fn over_sockets(
+        thread_prefix: &str,
+        processes: Vec<P>,
+        sockets: Vec<UdpSocket>,
+        peer_addrs: Vec<SocketAddr>,
+        config: MuxConfig,
+        accept: MuxAccept<P::Msg>,
+        obs: Option<Arc<Obs>>,
+    ) -> std::io::Result<Self> {
+        assert_eq!(sockets.len(), processes.len(), "one socket per process");
+        let workers = resolve_workers(config.workers, processes.len());
+        // Shard `s` registers the sockets of processes `s, s + W, …` in
+        // ascending order, so reactor endpoint index == local index.
+        let mut reactors: Vec<Reactor> = (0..workers).map(|_| Reactor::new()).collect();
+        for (i, socket) in sockets.into_iter().enumerate() {
+            reactors[i % workers].add_endpoint(socket, peer_addrs.clone())?;
+        }
+        for reactor in &mut reactors {
+            if let Some(o) = &obs {
+                reactor.attach_obs(o.registry());
+            }
+        }
+        let sources = reactors.into_iter().map(Sockets).collect();
+        Ok(Self::spawn(
+            thread_prefix,
+            processes,
+            sources,
+            config.tick,
+            accept,
+            obs,
+        ))
+    }
+
+    fn spawn<Io: ShardIo + Send + 'static>(
+        thread_prefix: &str,
+        processes: Vec<P>,
+        sources: Vec<Io>,
+        tick: StdDuration,
+        accept: MuxAccept<P::Msg>,
+        obs: Option<Arc<Obs>>,
+    ) -> Self {
+        let (n, workers) = (processes.len(), sources.len());
+        assert!(
+            (1..=n.max(1)).contains(&workers),
+            "need 1..=n shard endpoints, got {workers} for n = {n}"
+        );
+        let mut cells = Vec::with_capacity(n);
+        // Round-robin, so a small cluster still spreads over all shards.
+        let mut per_shard: Vec<Vec<Local<P>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, proto) in processes.into_iter().enumerate() {
+            assert_eq!(
+                proto.id(),
+                ProcessId::new(i as u32),
+                "process at index {i} reports id {}",
+                proto.id()
+            );
+            let node = NodeCells {
+                snapshot: Arc::new(Mutex::new(proto.snapshot())),
+                crashed: Arc::default(),
+            };
+            cells.push(node.clone());
+            per_shard[i % workers].push(Local::new(proto, node, obs.as_deref(), tick));
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = per_shard
+            .into_iter()
+            .zip(sources)
+            .enumerate()
+            .map(|(s, (locals, io))| {
+                let (accept, stop, obs) = (Arc::clone(&accept), Arc::clone(&stop), obs.clone());
+                std::thread::Builder::new()
+                    .name(format!("{thread_prefix}-{s}"))
+                    .spawn(move || {
+                        Shard::new(io, locals, workers, n, tick, &*accept, stop, obs.as_deref())
+                            .run()
+                    })
+                    .expect("spawn shard thread")
+            })
+            .collect();
+        Deployment {
+            cells,
+            stop,
+            threads,
+        }
+    }
+}
+
+impl<P> Deployment<P> {
+    /// Number of processes.
+    pub fn n(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Number of shard threads the deployment runs on.
+    pub fn worker_threads(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// The latest published snapshot of a process.
+    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
+        self.cells[pid.index()]
+            .snapshot
+            .lock()
+            .expect("snapshot lock poisoned")
+            .clone()
+    }
+
+    /// The current `leader()` output of a process.
+    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
+        self.snapshot(pid).leader
+    }
+
+    /// The current `leader()` output of every process, in id order.
+    pub fn leaders(&self) -> Vec<ProcessId> {
+        (0..self.n() as u32)
+            .map(|i| self.leader_of(ProcessId::new(i)))
+            .collect()
+    }
+
+    /// Returns `Some(p)` when every non-crashed process currently outputs
+    /// the same leader `p` and `p` has not been crashed through
+    /// [`Deployment::crash`].
+    pub fn agreed_leader(&self) -> Option<ProcessId> {
+        let mut live = (0..self.n() as u32)
+            .map(ProcessId::new)
+            .filter(|&p| !self.is_crashed(p))
+            .map(|p| self.leader_of(p));
+        let leader = live.next()?;
+        (live.all(|l| l == leader) && !self.is_crashed(leader)).then_some(leader)
+    }
+
+    /// Crash-stops a process: it stops reacting to messages, timers and
+    /// scrapes, while its endpoint keeps draining (arrivals are dropped).
+    pub fn crash(&self, pid: ProcessId) {
+        self.cells[pid.index()]
+            .crashed
+            .store(true, Ordering::SeqCst);
+    }
+
+    /// Returns `true` if the process has been crashed through
+    /// [`Deployment::crash`].
+    pub fn is_crashed(&self, pid: ProcessId) -> bool {
+        self.cells[pid.index()].crashed.load(Ordering::SeqCst)
+    }
+
+    /// Stops every shard and returns the final protocol states (crashed
+    /// processes included), in id order.
+    ///
+    /// Shutdown is *draining*: every frame already handed to the I/O source
+    /// when the stop was requested — queued behind backpressure, held behind
+    /// a link delay, or on the wire — is still delivered to its (non-crashed)
+    /// receiver before the states are returned; only the sends and timers
+    /// those final deliveries would generate are discarded.
+    pub fn shutdown(mut self) -> Vec<P> {
+        self.stop.store(true, Ordering::SeqCst);
+        let workers = self.threads.len();
+        let mut slots: Vec<Option<P>> = (0..self.n()).map(|_| None).collect();
+        for (s, handle) in self.threads.drain(..).enumerate() {
+            let finals = handle.join().expect("shard thread panicked");
+            for (li, proto) in finals.into_iter().enumerate() {
+                slots[li * workers + s] = Some(proto);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|p| p.expect("every process returned by its shard"))
+            .collect()
+    }
+}
+
+impl<P> Drop for Deployment<P> {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+    }
+}

@@ -1,31 +1,42 @@
-//! Real-time execution of the sans-IO protocols: sharded event loops,
-//! per-shard timer wheels, wall-clock timers — all over the pluggable
-//! [`irs_net::Transport`] subsystem.
+//! Real-time execution of the sans-IO protocols: one host loop, two I/O
+//! sources, four constructors.
 //!
 //! The discrete-event simulator (`irs-sim`) is where the assumptions of the
 //! paper are reproduced faithfully and deterministically; this crate answers
 //! the other question a user of the library has — *can I actually run this?*
-//! Three deployment shapes share the same state machines:
 //!
-//! * [`Cluster`] — the shared-memory scale runtime: `W` worker shards
+//! **One loop.** A protocol is a state machine with two effects, "broadcast"
+//! and "set timer". `host.rs` holds the only code that turns those into
+//! wall-clock behaviour: a shard of `k ≥ 1` processes with one timer wheel,
+//! one `Actions` dispatch, one admit → stage → deliver path, one set of
+//! per-node telemetry (reign panel, leader-change trace, live scrape), one
+//! batched snapshot publish and one draining shutdown. Its module docs carry
+//! the hot-path notes.
+//!
+//! **Two I/O sources.** A shard runs over any [`irs_net::Transport`]
+//! endpoint (blocking `recv`, then a zero-timeout drain of the burst) or
+//! over an [`irs_net::Reactor`] (one readiness wait across all the shard's
+//! nonblocking UDP sockets, batched borrowed-bytes drains, queued
+//! encode-once fan-out). Link delay and loss live in the link
+//! ([`irs_net::FaultyLink`]), never in the loop.
+//!
+//! **Four constructors.** The three in-process ones dereference to the same
+//! [`Deployment`] handle — snapshots, `leader()` outputs, crash injection,
+//! draining shutdown, stop-on-drop; the fourth hands the same cells to the
+//! embedder as a [`NodeHandle`]:
+//!
+//! * [`Cluster`] — the shared-memory scale shape: `W` worker shards
 //!   (default: the machine's available parallelism), each owning `n / W`
-//!   processes and running one event loop over a hierarchical timing wheel.
-//!   Shards exchange wire-encoded frames through one transport endpoint per
-//!   shard (the in-memory mesh by default; any backend via
-//!   [`Cluster::spawn_on`]), sample deterministic per-link jitter on the
-//!   *receive* side, drive timers off the wall clock, and expose each
-//!   process's [`irs_types::Snapshot`] (and therefore its `leader()`
-//!   output) to the embedding application. Clusters of 256+ processes run
-//!   on a handful of OS threads; see `cluster.rs` for the shard
-//!   architecture.
-//! * [`NetCluster`] — one node thread per process, each over its own
-//!   transport endpoint: in-memory, UDP-socket, or fault-injected links.
-//! * [`MuxCluster`] — one real UDP socket per process, `W` reactor shard
-//!   threads serving all of them through the nonblocking readiness runtime
-//!   ([`irs_net::Reactor`]): a 128-socket deployment on a handful of
-//!   threads, where [`NetCluster`] would park 128 threads in `recv`.
-//! * [`run_node`] — the single-node event loop itself, for deployments
-//!   where every process is its own OS process (see
+//!   processes behind one transport endpoint (the in-memory mesh with seeded
+//!   per-link delay by default; any backend via [`Cluster::spawn_on`]).
+//!   Clusters of 256+ processes run on a handful of OS threads.
+//! * [`NetCluster`] — `n` shards of one: one node thread per process, each
+//!   over its own endpoint — in-memory, UDP-socket, or fault-injected links.
+//! * [`MuxCluster`] — `W` shards over reactors: one real UDP socket per
+//!   process, a 128-socket deployment on a handful of threads where
+//!   [`NetCluster`] would park 128 threads in `recv`.
+//! * [`run_node`] / [`run_node_with`] — one shard of one on the calling
+//!   thread, for deployments where every process is its own OS process (see
 //!   `examples/socket_cluster.rs`).
 //!
 //! The protocols themselves are byte-for-byte the same state machines that
@@ -58,14 +69,13 @@
 #![warn(missing_debug_implementations)]
 
 mod cluster;
+mod host;
 mod muxcluster;
 mod netcluster;
 mod node;
 
 pub use cluster::{Cluster, LinkDelay, RealtimeConfig};
-pub use muxcluster::{MuxAccept, MuxCluster, MuxConfig};
+pub use host::{accept_frame, accept_frame_bytes, Deployment, MuxAccept};
+pub use muxcluster::{MuxCluster, MuxConfig};
 pub use netcluster::NetCluster;
-pub use node::{
-    accept_frame, accept_frame_bytes, run_node, run_node_with, run_node_with_obs, NodeConfig,
-    NodeHandle,
-};
+pub use node::{run_node, run_node_with, NodeConfig, NodeHandle};

@@ -1,36 +1,24 @@
-//! The multiplexed cluster runtime: many UDP endpoints per reactor shard.
+//! The multiplexed deployment: many UDP endpoints per reactor shard.
 //!
 //! [`Cluster`](crate::Cluster) multiplexes *processes* onto shard threads
-//! but still gives every shard exactly one transport endpoint;
-//! [`NetCluster`](crate::NetCluster) gives every process its own socket but
-//! spends one OS thread blocked in `recv` per socket. [`MuxCluster`] is the
-//! deployment shape the socket runtime was built for: every process keeps
-//! its own real UDP socket, and `W` shard threads each drive an
-//! [`irs_net::Reactor`] over their processes' sockets — nonblocking I/O,
-//! one readiness wait per shard per turn, batched drains into recycled
-//! buffers, and encode-once broadcast fan-out through the reactor's queued
-//! sends. A 128-socket election therefore runs on `W ≤ cores` threads
-//! instead of 128.
-//!
-//! Timers use the same [`irs_sim::EventQueue`] timing wheel as the sharded
-//! cluster, with the same generation-stamped re-arm semantics; inbound
-//! frames are admitted by a caller-suppliable policy (the analogue of
-//! [`crate::run_node_with`]'s `accept`), applied on the reactor's
-//! borrowed-bytes hot path without assembling a [`irs_net::Frame`] per
-//! datagram. The observation surface (snapshots, leaders, crash, draining
-//! shutdown) mirrors the other cluster runtimes.
+//! but gives every shard exactly one transport endpoint;
+//! [`NetCluster`](crate::NetCluster) gives every process its own endpoint
+//! but spends one OS thread blocked in `recv` per endpoint. [`MuxCluster`]
+//! is the deployment shape the socket runtime was built for: every process
+//! keeps its own real UDP socket, and `W` shard threads each drive an
+//! [`irs_net::Reactor`] over their processes' sockets — nonblocking I/O, one
+//! readiness wait per shard per turn, batched drains into recycled buffers,
+//! and encode-once broadcast fan-out through the reactor's queued sends. A
+//! 128-socket election therefore runs on `W ≤ cores` threads instead of 128.
+//! The loop itself is the shared one (see `host.rs`).
 
-use irs_net::wire::decode_payload;
-use irs_net::wire_obs::{encode_scrape_reply, is_obs_payload, scrape_session_key};
-use irs_net::{ObsMsg, Reactor, Wire};
-use irs_obs::{names, Obs, ReignTracker, Responder, ScrapeFormat};
-use irs_sim::{Event, EventQueue};
-use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time, TimerId};
+use crate::host::{default_accept, Deployment, MuxAccept};
+use irs_net::Wire;
+use irs_obs::Obs;
+use irs_types::{Introspect, Protocol};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration as StdDuration, Instant};
+use std::sync::Arc;
+use std::time::Duration as StdDuration;
 
 /// How the multiplexed cluster maps ticks to the wall clock and shards its
 /// sockets.
@@ -52,78 +40,14 @@ impl Default for MuxConfig {
     }
 }
 
-/// A frame-admission policy: `(me, from, to, payload)` for a datagram that
-/// arrived on the socket of process `me`, returning the decoded message or
-/// `None` to drop it as link noise. Applied on the reactor's borrowed-bytes
-/// path — the payload is valid only for the duration of the call.
-pub type MuxAccept<M> =
-    Arc<dyn Fn(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<M> + Send + Sync>;
-
-/// Longest a shard blocks in the poller before re-checking control flags.
-const POLL_BUDGET: StdDuration = StdDuration::from_millis(20);
-/// Poll timeout while sends are still queued behind socket backpressure:
-/// short, so the flush retry is not delayed by a full poll budget.
-const BACKPRESSURE_BUDGET: StdDuration = StdDuration::from_millis(1);
-/// Quiet window that ends the shutdown drain (one full window with nothing
-/// arriving and nothing queued to send).
-const DRAIN_QUIET: StdDuration = StdDuration::from_millis(50);
-/// Hard cap on the shutdown drain.
-const DRAIN_CAP: StdDuration = StdDuration::from_secs(10);
-
-/// One process hosted by a mux shard. Its reactor endpoint index equals its
-/// position in the shard's `locals` (sockets are registered in that order).
-struct MuxLocal<P> {
-    global: usize,
-    me: ProcessId,
-    proto: P,
-    crashed: Arc<AtomicBool>,
-    /// Timer generations, densely indexed by raw `TimerId`; stale
-    /// generations are skipped when a `TimerFire` pops (re-arming replaces).
-    timer_gen: Vec<u64>,
-    snapshot: Arc<Mutex<Snapshot>>,
-    frames_delivered: u64,
-    /// This node's flight-recorder handle, when observability is attached.
-    tracer: Option<irs_obs::Tracer>,
-    /// This node's leader-reign SLO tracker, when observability is
-    /// attached.
-    reign: Option<ReignTracker>,
-    /// Leader in the last published snapshot (leader-change trace diffing).
-    last_leader: ProcessId,
-    /// Instant of the last Ω check-timer fire, feeding the measured
-    /// check-period distribution (see `crate::node::CHECK_TIMER_SLOT`).
-    last_check_fire: Option<Instant>,
-}
-
-impl<P> MuxLocal<P> {
-    fn bump_timer_gen(&mut self, id: TimerId) -> u64 {
-        let i = id.raw() as usize;
-        if i >= self.timer_gen.len() {
-            self.timer_gen.resize(i + 1, 0);
-        }
-        self.timer_gen[i] += 1;
-        self.timer_gen[i]
-    }
-
-    fn timer_gen(&self, id: TimerId) -> u64 {
-        self.timer_gen.get(id.raw() as usize).copied().unwrap_or(0)
-    }
-}
-
 /// A cluster of protocol instances, each on its own UDP socket, served by
-/// `W` reactor shard threads (see module docs).
-///
-/// Dropping the cluster without [`MuxCluster::shutdown`] still stops the
-/// shard threads (the shared stop flag is set on drop), but does not join
-/// them or recover the final states.
+/// `W` reactor shard threads named `irs-mux-<shard>` (see module docs).
+/// Derefs to the shared [`Deployment`] handle for snapshots, leaders and
+/// crash injection.
 #[derive(Debug)]
-pub struct MuxCluster<P: Protocol> {
-    n: usize,
-    workers: usize,
-    stop: Arc<AtomicBool>,
-    snapshots: Vec<Arc<Mutex<Snapshot>>>,
-    crashed: Vec<Arc<AtomicBool>>,
+pub struct MuxCluster<P> {
+    deployment: Deployment<P>,
     addrs: Vec<SocketAddr>,
-    threads: Vec<JoinHandle<Vec<(usize, P)>>>,
 }
 
 impl<P> MuxCluster<P>
@@ -133,8 +57,8 @@ where
 {
     /// Binds one ephemeral localhost UDP socket per process and spawns the
     /// cluster over them with the default admission policy
-    /// ([`crate::accept_frame_bytes`]: addressed to the hosting process,
-    /// sender inside the deployment, payload decodable and sized for it).
+    /// ([`accept_frame_bytes`](crate::accept_frame_bytes): addressed to the hosting process, sender
+    /// inside the deployment, payload decodable and sized for it).
     ///
     /// # Errors
     ///
@@ -152,43 +76,14 @@ where
             .iter()
             .map(|s| s.local_addr())
             .collect::<std::io::Result<_>>()?;
-        let accept: MuxAccept<P::Msg> = Arc::new(move |me, from, to, payload| {
-            crate::node::accept_frame_bytes::<P::Msg>(from, to, payload, me, n)
-        });
-        Self::spawn_on_sockets(processes, sockets, peers, config, accept)
+        Self::spawn_on_sockets(processes, sockets, peers, config, default_accept(n), None)
     }
 
-    /// [`MuxCluster::spawn_udp`] with observability attached (see
-    /// [`MuxCluster::spawn_on_sockets_obs`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket-binding or readiness-registration error.
-    pub fn spawn_udp_obs(
-        processes: Vec<P>,
-        config: MuxConfig,
-        obs: Arc<Obs>,
-    ) -> std::io::Result<Self> {
-        let n = processes.len();
-        let sockets: Vec<UdpSocket> = (0..n)
-            .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
-            .collect::<std::io::Result<_>>()?;
-        let peers: Vec<SocketAddr> = sockets
-            .iter()
-            .map(|s| s.local_addr())
-            .collect::<std::io::Result<_>>()?;
-        let accept: MuxAccept<P::Msg> = Arc::new(move |me, from, to, payload| {
-            crate::node::accept_frame_bytes::<P::Msg>(from, to, payload, me, n)
-        });
-        Self::spawn_on_sockets_obs(processes, sockets, peers, config, accept, Some(obs))
-    }
-
-    /// Spawns the cluster over pre-bound sockets: `sockets[i]` hosts
-    /// process `i`, and `peer_addrs` is the full routing table (`peer_addrs
-    /// [p]` hosts `ProcessId(p)`), which may name endpoints beyond the
-    /// hosted processes — that is how a service replica group routes
-    /// replies to client endpoints it does not own. `accept` admits inbound
-    /// datagrams (see [`MuxAccept`]).
+    /// Spawns the cluster over pre-bound sockets (see
+    /// [`Deployment::over_sockets`] for the socket, routing-table and
+    /// admission contract). With `obs` attached each shard's reactor mirrors
+    /// its counters onto the registry and every hosted node joins the
+    /// telemetry plane.
     ///
     /// # Errors
     ///
@@ -205,161 +100,16 @@ where
         peer_addrs: Vec<SocketAddr>,
         config: MuxConfig,
         accept: MuxAccept<P::Msg>,
-    ) -> std::io::Result<Self> {
-        Self::spawn_on_sockets_obs(processes, sockets, peer_addrs, config, accept, None)
-    }
-
-    /// [`MuxCluster::spawn_on_sockets`] with an optional observability
-    /// handle: each shard's reactor mirrors its counters onto the
-    /// registry, shard loops count polls/timers/frames, and every hosted
-    /// node traces leader changes and reactor backpressure to the flight
-    /// recorder when `obs` carries one. [`MuxConfig`] stays `Copy`; the
-    /// handle rides alongside it.
-    ///
-    /// With `obs` attached every hosted node also joins the live telemetry
-    /// plane: inbound [`irs_net::ObsMsg::ScrapeRequest`] datagrams (leading
-    /// tag `0x30..`, see [`irs_net::is_obs_payload`]) are intercepted on
-    /// the reactor's borrowed-bytes path — they never reach the protocol's
-    /// admission policy — and answered through the shard's shared
-    /// [`Responder`] via the reactor's queued sends, and each node feeds
-    /// the leader-reign SLO panel (`omega_reign_ms` and friends) from the
-    /// same leader diff that drives the flight-recorder trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from switching a socket to nonblocking mode or
-    /// registering it with the readiness backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instances' ids are not `0..n` in order, or if the
-    /// socket count differs from the process count.
-    pub fn spawn_on_sockets_obs(
-        processes: Vec<P>,
-        sockets: Vec<UdpSocket>,
-        peer_addrs: Vec<SocketAddr>,
-        config: MuxConfig,
-        accept: MuxAccept<P::Msg>,
         obs: Option<Arc<Obs>>,
     ) -> std::io::Result<Self> {
-        for (i, p) in processes.iter().enumerate() {
-            assert_eq!(
-                p.id(),
-                ProcessId::new(i as u32),
-                "process at index {i} reports id {}",
-                p.id()
-            );
-        }
-        let n = processes.len();
-        assert_eq!(sockets.len(), n, "need one socket per process");
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        }
-        .clamp(1, n.max(1));
-        let tick = config.tick.max(StdDuration::from_nanos(1));
-
-        let snapshots: Vec<Arc<Mutex<Snapshot>>> = processes
-            .iter()
-            .map(|p| Arc::new(Mutex::new(p.snapshot())))
-            .collect();
-        let crashed: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let addrs: Vec<SocketAddr> = sockets
+        let addrs = sockets
             .iter()
             .map(|s| s.local_addr())
             .collect::<std::io::Result<_>>()?;
-
-        // Round-robin the processes (and their sockets) over the shards:
-        // shard `s` hosts every process `i` with `i % W == s`, registered
-        // with its reactor in ascending order so endpoint index == local
-        // index.
-        let mut per_shard: Vec<Vec<MuxLocal<P>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut per_shard_sockets: Vec<Vec<UdpSocket>> = (0..workers).map(|_| Vec::new()).collect();
-        let threshold_ms = crate::node::stable_reign_threshold_ms(tick);
-        for (i, (proto, socket)) in processes.into_iter().zip(sockets).enumerate() {
-            let last_leader = proto.leader();
-            per_shard[i % workers].push(MuxLocal {
-                global: i,
-                me: ProcessId::new(i as u32),
-                proto,
-                crashed: Arc::clone(&crashed[i]),
-                timer_gen: Vec::new(),
-                snapshot: Arc::clone(&snapshots[i]),
-                frames_delivered: 0,
-                tracer: obs.as_ref().and_then(|o| o.tracer(i as u32)),
-                reign: obs.as_ref().map(|o| {
-                    let mut reign = ReignTracker::new(o, i, threshold_ms);
-                    // The initial output counts as a reign (see
-                    // `run_node_with_obs`): a cluster whose first leader
-                    // survives forever must read as maximally stable.
-                    reign.on_leader_change(o.now_micros() / 1_000);
-                    reign
-                }),
-                last_leader,
-                last_check_fire: None,
-            });
-            per_shard_sockets[i % workers].push(socket);
-        }
-
-        let epoch = Instant::now();
-        let mut threads = Vec::with_capacity(workers);
-        for (s, (locals, shard_sockets)) in per_shard.into_iter().zip(per_shard_sockets).enumerate()
-        {
-            let mut reactor = Reactor::new();
-            for socket in shard_sockets {
-                reactor.add_endpoint(socket, peer_addrs.clone())?;
-            }
-            if let Some(o) = &obs {
-                reactor.attach_obs(o.registry());
-            }
-            let shard = MuxShard {
-                reactor,
-                locals,
-                wheel: EventQueue::new(),
-                rx_scratch: Vec::new(),
-                scrape_scratch: Vec::new(),
-                accept: Arc::clone(&accept),
-                stop: Arc::clone(&stop),
-                n,
-                workers,
-                tick,
-                epoch,
-                dirty: Vec::new(),
-                targets_scratch: Vec::new(),
-                encode_scratch: Vec::new(),
-                obs: obs.as_ref().map(|o| ShardObs::new(o, s)),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("irs-mux-{s}"))
-                .spawn(move || shard.run())
-                .expect("spawn mux shard thread");
-            threads.push(handle);
-        }
-
-        Ok(MuxCluster {
-            n,
-            workers,
-            stop,
-            snapshots,
-            crashed,
-            addrs,
-            threads,
-        })
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of reactor shard threads the cluster runs on.
-    pub fn worker_threads(&self) -> usize {
-        self.workers
+        let deployment = Deployment::over_sockets(
+            "irs-mux", processes, sockets, peer_addrs, config, accept, obs,
+        )?;
+        Ok(MuxCluster { deployment, addrs })
     }
 
     /// The local socket addresses, in process-id order.
@@ -367,494 +117,17 @@ where
         &self.addrs
     }
 
-    /// The latest published snapshot of a process.
-    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        self.snapshots[pid.index()]
-            .lock()
-            .expect("snapshot lock poisoned")
-            .clone()
-    }
-
-    /// The current `leader()` output of a process.
-    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
-    }
-
-    /// The current `leader()` output of every process, in id order.
-    pub fn leaders(&self) -> Vec<ProcessId> {
-        (0..self.n)
-            .map(|i| self.leader_of(ProcessId::new(i as u32)))
-            .collect()
-    }
-
-    /// Returns `Some(p)` when every non-crashed process currently outputs
-    /// the same leader `p` and `p` has not been crashed.
-    pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let mut agreed: Option<ProcessId> = None;
-        for i in 0..self.n {
-            if self.crashed[i].load(Ordering::SeqCst) {
-                continue;
-            }
-            let leader = self.leader_of(ProcessId::new(i as u32));
-            match agreed {
-                None => agreed = Some(leader),
-                Some(l) if l == leader => {}
-                Some(_) => return None,
-            }
-        }
-        agreed.filter(|l| !self.crashed[l.index()].load(Ordering::SeqCst))
-    }
-
-    /// Crash-stops a process: it stops reacting to messages and timers
-    /// while its socket keeps draining (arrivals are dropped).
-    pub fn crash(&self, pid: ProcessId) {
-        self.crashed[pid.index()].store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` if the process has been crashed through
-    /// [`MuxCluster::crash`].
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid.index()].load(Ordering::SeqCst)
-    }
-
-    /// Stops every shard and returns the final protocol states (crashed
-    /// processes included), in id order. Shutdown drains: frames already on
-    /// the wire (or queued behind backpressure) are still flushed and
-    /// delivered before the states are returned, with the reactions they
-    /// would trigger discarded.
-    pub fn shutdown(mut self) -> Vec<P> {
-        self.stop.store(true, Ordering::SeqCst);
-        let mut slots: Vec<Option<P>> = (0..self.n).map(|_| None).collect();
-        for handle in self.threads.drain(..) {
-            for (global, proto) in handle.join().expect("mux shard thread panicked") {
-                slots[global] = Some(proto);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|p| p.expect("every process returned by its shard"))
-            .collect()
+    /// Stops every shard and returns the final protocol states in id order
+    /// (see [`Deployment::shutdown`]).
+    pub fn shutdown(self) -> Vec<P> {
+        self.deployment.shutdown()
     }
 }
 
-impl<P: Protocol> Drop for MuxCluster<P> {
-    fn drop(&mut self) {
-        // A dropped cluster must not leave shard threads polling detached
-        // forever; they observe the flag within one poll budget and drain.
-        self.stop.store(true, Ordering::SeqCst);
-    }
-}
+impl<P> std::ops::Deref for MuxCluster<P> {
+    type Target = Deployment<P>;
 
-/// A mux shard's registry handles plus the monotone clock stamping its
-/// trace events.
-struct ShardObs {
-    /// The deployment's registry/recorder handle — rendered by the scrape
-    /// responder, read for the panel clock.
-    obs: Arc<Obs>,
-    polls: irs_obs::Counter,
-    timers_fired: irs_obs::Counter,
-    frames: irs_obs::Counter,
-    /// Scrape sessions for every node this shard hosts (session keys mix
-    /// in the scraped node's id, so one responder serves them all).
-    responder: Responder,
-    shard: usize,
-    /// Whether the previous loop turn saw queued sends (backpressure
-    /// events are traced on the off→on transition, not every turn).
-    backpressured: bool,
-}
-
-impl ShardObs {
-    fn new(obs: &Arc<Obs>, shard: usize) -> Self {
-        ShardObs {
-            obs: Arc::clone(obs),
-            polls: obs.registry().counter(names::RUNTIME_POLLS),
-            timers_fired: obs.registry().counter(names::RUNTIME_TIMERS_FIRED),
-            frames: obs.registry().counter(names::RUNTIME_FRAMES_DELIVERED),
-            responder: Responder::new(),
-            shard,
-            backpressured: false,
-        }
-    }
-}
-
-/// One reactor shard's event loop state.
-struct MuxShard<P: Protocol> {
-    reactor: Reactor,
-    locals: Vec<MuxLocal<P>>,
-    /// Pending timers of this shard's processes (deliveries go straight to
-    /// the protocol from the reactor drain; only timers live in the wheel).
-    wheel: EventQueue<()>,
-    /// Messages staged by the reactor's decode callback, applied after the
-    /// poll returns (the callback cannot touch the protocols: the reactor
-    /// is mutably borrowed for its duration).
-    rx_scratch: Vec<(usize, ProcessId, P::Msg)>,
-    /// Scrape requests staged by the same callback (`(local index, asker,
-    /// format, cursor)`), answered after the poll for the same reason —
-    /// replies go out through the reactor's queued sends.
-    scrape_scratch: Vec<(usize, ProcessId, ScrapeFormat, u32)>,
-    accept: MuxAccept<P::Msg>,
-    stop: Arc<AtomicBool>,
-    n: usize,
-    workers: usize,
-    tick: StdDuration,
-    epoch: Instant,
-    dirty: Vec<bool>,
-    targets_scratch: Vec<ProcessId>,
-    encode_scratch: Vec<u8>,
-    obs: Option<ShardObs>,
-}
-
-impl<P> MuxShard<P>
-where
-    P: Protocol + Introspect + Send + 'static,
-    P::Msg: Wire,
-{
-    fn now_tick(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() / self.tick.as_nanos()) as u64
-    }
-
-    fn run(mut self) -> Vec<(usize, P)> {
-        self.dirty = vec![false; self.locals.len()];
-        let mut out = Actions::new();
-        for li in 0..self.locals.len() {
-            self.locals[li].proto.on_start(&mut out);
-            self.apply(li, &mut out);
-            self.dirty[li] = true;
-        }
-        self.publish_dirty();
-
-        while !self.stop.load(Ordering::SeqCst) {
-            self.run_due(&mut out);
-            self.publish_dirty();
-            // Block in the poller until the next wheel deadline, the next
-            // readable socket, or the poll budget — whichever comes first.
-            // Queued sends behind a full socket buffer shorten the wait so
-            // the flush retry is prompt.
-            let pending = self.reactor.pending_sends();
-            if let Some(o) = &mut self.obs {
-                o.polls.inc(o.shard);
-                // Trace the onset of backpressure (with the queued count)
-                // against the first local node, once per episode.
-                if pending > 0 && !o.backpressured {
-                    if let Some(local) = self.locals.first() {
-                        if let Some(t) = &local.tracer {
-                            t.emit_now(
-                                irs_obs::EventKind::Backpressure,
-                                o.shard as u64,
-                                pending as u64,
-                            );
-                        }
-                    }
-                }
-                o.backpressured = pending > 0;
-            }
-            let budget = if pending > 0 {
-                BACKPRESSURE_BUDGET
-            } else {
-                POLL_BUDGET
-            };
-            let timeout = match self.wheel.peek_time() {
-                Some(at) => {
-                    let target = self.tick.as_nanos().saturating_mul(u128::from(at.ticks()));
-                    let elapsed = self.epoch.elapsed().as_nanos();
-                    if target <= elapsed {
-                        StdDuration::ZERO
-                    } else {
-                        StdDuration::from_nanos((target - elapsed).min(u128::from(u64::MAX)) as u64)
-                            .min(budget)
-                    }
-                }
-                None => budget,
-            };
-            if self.poll_and_stage(timeout).is_err() {
-                break; // readiness backend failed; nothing to serve
-            }
-            self.answer_scrapes();
-            self.tick_reigns();
-            self.deliver_staged(&mut out);
-        }
-        self.drain_and_finish()
-    }
-
-    /// One reactor turn: flush, wait, batch-drain. Valid frames admitted by
-    /// the policy are staged into `rx_scratch`; the protocols run after the
-    /// poll returns. With observability attached, telemetry-plane payloads
-    /// are routed off by their leading tag before the admission policy
-    /// sees them: well-formed scrape requests stage into `scrape_scratch`,
-    /// anything else obs-tagged is dropped as noise.
-    fn poll_and_stage(&mut self, timeout: StdDuration) -> std::io::Result<usize> {
-        let MuxShard {
-            reactor,
-            locals,
-            rx_scratch,
-            scrape_scratch,
-            accept,
-            obs,
-            ..
-        } = self;
-        let scraping = obs.is_some();
-        reactor.poll_once(timeout, |ep, from, to, payload| {
-            let Some(local) = locals.get(ep) else {
-                return;
-            };
-            if scraping && is_obs_payload(payload) {
-                if to == local.me {
-                    if let Ok(ObsMsg::ScrapeRequest { format, cursor }) =
-                        decode_payload::<ObsMsg>(payload)
-                    {
-                        scrape_scratch.push((ep, from, format, cursor));
-                    }
-                }
-                return;
-            }
-            if let Some(msg) = accept(local.me, from, to, payload) {
-                rx_scratch.push((ep, from, msg));
-            }
-        })
-    }
-
-    /// Answers the scrape requests the last poll staged: renders/pages
-    /// through the shard's [`Responder`] and queues each chunk on the
-    /// reactor addressed back to the asker. Queue overflow sheds as link
-    /// loss — the scraper retries, same as any lost datagram.
-    fn answer_scrapes(&mut self) {
-        if self.scrape_scratch.is_empty() {
-            return;
-        }
-        let mut staged = std::mem::take(&mut self.scrape_scratch);
-        if let Some(o) = &self.obs {
-            for &(li, from, format, cursor) in staged.iter() {
-                let me = self.locals[li].me;
-                self.encode_scratch.clear();
-                encode_scrape_reply(
-                    &o.responder,
-                    &o.obs,
-                    scrape_session_key(me, from),
-                    format,
-                    cursor,
-                    &mut self.encode_scratch,
-                );
-                let _ = self
-                    .reactor
-                    .queue_fanout(li, me, &[from], &self.encode_scratch);
-            }
-        }
-        staged.clear();
-        self.scrape_scratch = staged;
-    }
-
-    /// Refreshes every hosted node's time-derived SLO gauges (in-progress
-    /// reign age, uptime) — called once per loop turn.
-    fn tick_reigns(&mut self) {
-        let Some(o) = &self.obs else {
-            return;
-        };
-        let now_ms = o.obs.now_micros() / 1_000;
-        for local in &self.locals {
-            if let Some(reign) = &local.reign {
-                reign.tick(now_ms);
-            }
-        }
-    }
-
-    fn deliver_staged(&mut self, out: &mut Actions<P::Msg>) {
-        if self.rx_scratch.is_empty() {
-            return;
-        }
-        let mut staged = std::mem::take(&mut self.rx_scratch);
-        for (li, from, msg) in staged.drain(..) {
-            let local = &mut self.locals[li];
-            if local.crashed.load(Ordering::SeqCst) {
-                continue;
-            }
-            local.frames_delivered += 1;
-            local.proto.on_message(from, &msg, out);
-            self.apply(li, out);
-            self.dirty[li] = true;
-            if let Some(o) = &self.obs {
-                o.frames.inc(o.shard);
-            }
-        }
-        self.rx_scratch = staged;
-        self.publish_dirty();
-    }
-
-    /// Pops and executes every timer due at the current wall tick.
-    fn run_due(&mut self, out: &mut Actions<P::Msg>) {
-        loop {
-            let now = self.now_tick();
-            let Some(at) = self.wheel.peek_time() else {
-                break;
-            };
-            if at.ticks() > now {
-                break;
-            }
-            let Some((_, event)) = self.wheel.pop() else {
-                break;
-            };
-            let Event::TimerFire {
-                pid,
-                timer,
-                generation,
-            } = event
-            else {
-                continue; // the mux wheel holds only timers
-            };
-            let li = pid.index() / self.workers;
-            let stale = {
-                let local = &self.locals[li];
-                local.crashed.load(Ordering::SeqCst) || local.timer_gen(timer) != generation
-            };
-            if stale {
-                continue;
-            }
-            self.locals[li].proto.on_timer(timer, out);
-            self.apply(li, out);
-            self.dirty[li] = true;
-            if let Some(o) = &self.obs {
-                o.timers_fired.inc(o.shard);
-            }
-            // One measured Ω check period per consecutive pair of
-            // check-timer fires, feeding the self-calibrating bar.
-            if timer.raw() as usize == crate::node::CHECK_TIMER_SLOT {
-                let local = &mut self.locals[li];
-                let at = Instant::now();
-                if let (Some(reign), Some(prev)) =
-                    (&mut local.reign, local.last_check_fire.replace(at))
-                {
-                    let us = at.duration_since(prev).as_micros();
-                    reign.note_check_period_us(us.min(u128::from(u64::MAX)) as u64);
-                }
-            }
-        }
-    }
-
-    /// Executes the actions a local process recorded: encodes each message
-    /// once and queues it on the reactor (the flush loop patches the `to`
-    /// header per receiver), and arms timers in the wheel.
-    fn apply(&mut self, li: usize, out: &mut Actions<P::Msg>) {
-        if out.is_empty() {
-            return;
-        }
-        let now = self.now_tick();
-        let from = self.locals[li].me;
-        for outbound in out.drain_sends() {
-            self.encode_scratch.clear();
-            outbound.msg.encode(&mut self.encode_scratch);
-            self.targets_scratch.clear();
-            match outbound.dest {
-                Destination::To(q) => self.targets_scratch.push(q),
-                Destination::AllOthers => self.targets_scratch.extend(
-                    (0..self.n as u32)
-                        .map(ProcessId::new)
-                        .filter(|&q| q != from),
-                ),
-                Destination::All => self
-                    .targets_scratch
-                    .extend((0..self.n as u32).map(ProcessId::new)),
-            }
-            // Queue overflow sheds as link loss; an unroutable peer cannot
-            // happen for in-deployment targets (the table covers 0..n).
-            let _ =
-                self.reactor
-                    .queue_fanout(li, from, &self.targets_scratch, &self.encode_scratch);
-        }
-        for req in out.drain_timers() {
-            let generation = self.locals[li].bump_timer_gen(req.id);
-            self.wheel.push(
-                Time::from_ticks(now + req.after.ticks()),
-                Event::TimerFire {
-                    pid: from,
-                    timer: req.id,
-                    generation,
-                },
-            );
-        }
-        for id in out.drain_cancels() {
-            self.locals[li].bump_timer_gen(id);
-        }
-    }
-
-    /// The shutdown drain: flush queued sends and deliver what is already
-    /// on the wire (reactions discarded) until a full quiet window passes
-    /// with nothing arriving and nothing left to flush.
-    fn drain_and_finish(mut self) -> Vec<(usize, P)> {
-        let drain_started = Instant::now();
-        let mut sink = Actions::new();
-        while let Ok(delivered) = self.poll_and_stage(DRAIN_QUIET) {
-            // A scraper racing the shutdown still gets its chunk — the
-            // drain exists to flush exactly this kind of queued send.
-            self.answer_scrapes();
-            let mut staged = std::mem::take(&mut self.rx_scratch);
-            for (li, from, msg) in staged.drain(..) {
-                let local = &mut self.locals[li];
-                if local.crashed.load(Ordering::SeqCst) {
-                    continue;
-                }
-                local.frames_delivered += 1;
-                local.proto.on_message(from, &msg, &mut sink);
-                sink.clear();
-                self.dirty[li] = true;
-            }
-            self.rx_scratch = staged;
-            if delivered == 0 && self.reactor.pending_sends() == 0 {
-                break;
-            }
-            if drain_started.elapsed() >= DRAIN_CAP {
-                break;
-            }
-        }
-        self.publish_dirty();
-        self.locals
-            .into_iter()
-            .map(|l| (l.global, l.proto))
-            .collect()
-    }
-
-    /// Publishes changed snapshots, with the runtime gauges the node loop
-    /// also publishes — `malformed_dropped` (this endpoint's counter),
-    /// `frames_delivered` (admitted frames), `sends_batched` (the shard
-    /// reactor's encode-once fan-outs, shared across its endpoints) — plus
-    /// the reactor surface that used to be invisible behind the mux
-    /// thread: `frames_rx`/`frames_tx` (shard socket totals) and this
-    /// endpoint's `send_queue_depth` and `sends_shed`. Leader changes are
-    /// traced to the flight recorder as part of the same diff.
-    fn publish_dirty(&mut self) {
-        for li in 0..self.locals.len() {
-            if !self.dirty[li] {
-                continue;
-            }
-            self.dirty[li] = false;
-            let mut snap = self.locals[li].proto.snapshot();
-            snap.extra
-                .push((names::MALFORMED_DROPPED, self.reactor.malformed(li)));
-            snap.extra
-                .push((names::FRAMES_DELIVERED, self.locals[li].frames_delivered));
-            snap.extra
-                .push((names::SENDS_BATCHED, self.reactor.sends_batched()));
-            snap.extra
-                .push((names::FRAMES_RX, self.reactor.frames_rx()));
-            snap.extra
-                .push((names::FRAMES_TX, self.reactor.frames_tx()));
-            snap.extra
-                .push((names::SEND_QUEUE_DEPTH, self.reactor.queue_depth(li) as u64));
-            snap.extra.push((names::SENDS_SHED, self.reactor.shed(li)));
-            let now_ms = self.obs.as_ref().map(|o| o.obs.now_micros() / 1_000);
-            let local = &mut self.locals[li];
-            if snap.leader != local.last_leader {
-                if let Some(t) = &local.tracer {
-                    t.emit_now(
-                        irs_obs::EventKind::LeaderChange,
-                        u64::from(local.last_leader.index() as u32),
-                        u64::from(snap.leader.index() as u32),
-                    );
-                }
-                if let (Some(reign), Some(now_ms)) = (&mut local.reign, now_ms) {
-                    reign.on_leader_change(now_ms);
-                }
-                local.last_leader = snap.leader;
-            }
-            *local.snapshot.lock().expect("snapshot lock poisoned") = snap;
-        }
+    fn deref(&self) -> &Deployment<P> {
+        &self.deployment
     }
 }

@@ -2,31 +2,24 @@
 //!
 //! Where [`Cluster`](crate::Cluster) multiplexes many processes per worker
 //! shard for shared-memory scale, a [`NetCluster`] runs *one node thread per
-//! process over its own transport endpoint* — the same event loop a
-//! separate-OS-process deployment runs ([`run_node`]), just hosted in one
-//! address space. That makes it the harness for exercising transports:
-//! hand it [`MemTransport`](irs_net::MemTransport) endpoints for the
-//! in-memory backend, [`UdpTransport`](irs_net::UdpTransport) endpoints for
-//! real localhost sockets, or [`FaultyLink`](irs_net::FaultyLink)-wrapped
+//! process over its own transport endpoint* — the same loop a
+//! separate-OS-process deployment runs ([`run_node`](crate::run_node)), just
+//! hosted in one address space. That makes it the harness for exercising
+//! transports: hand it [`MemTransport`](irs_net::MemTransport) endpoints for
+//! the in-memory backend, [`UdpTransport`](irs_net::UdpTransport) endpoints
+//! for real localhost sockets, or [`FaultyLink`](irs_net::FaultyLink)-wrapped
 //! endpoints for fault-injection experiments (experiment family E11).
 
-use crate::node::{run_node, NodeConfig, NodeHandle};
-use irs_net::{FaultyLink, LinkModel, MemNetwork, MemTransport, Transport, Wire};
-use irs_types::{Introspect, ProcessId, Protocol, Snapshot};
-use std::sync::atomic::Ordering;
-use std::thread::JoinHandle;
+use crate::host::{default_accept, Deployment};
+use crate::node::NodeConfig;
+use irs_net::{FaultyLink, LinkModel, MemNetwork, Transport, Wire};
+use irs_types::{Introspect, ProcessId, Protocol};
 
-/// A running deployment: one node thread per process, each on its own
-/// transport endpoint.
-///
-/// The observation surface mirrors [`Cluster`](crate::Cluster): snapshots,
-/// leader outputs, crash injection, and a state-returning shutdown.
+/// A running deployment: one node thread (`irs-node-<i>`) per process, each
+/// on its own transport endpoint. Derefs to the shared [`Deployment`] handle
+/// for snapshots, leaders and crash injection.
 #[derive(Debug)]
-pub struct NetCluster<P: Protocol> {
-    n: usize,
-    handles: Vec<NodeHandle>,
-    threads: Vec<JoinHandle<P>>,
-}
+pub struct NetCluster<P>(Deployment<P>);
 
 impl<P> NetCluster<P>
 where
@@ -44,44 +37,20 @@ where
     where
         T: Transport + 'static,
     {
+        let n = processes.len();
+        assert_eq!(n, transports.len(), "one transport endpoint per process");
         assert_eq!(
-            processes.len(),
-            transports.len(),
-            "one transport endpoint per process"
-        );
-        assert_eq!(
-            processes.len(),
-            config.n,
+            n, config.n,
             "NodeConfig::n must equal the number of processes (broadcast fan-out)"
         );
-        for (i, p) in processes.iter().enumerate() {
-            assert_eq!(
-                p.id(),
-                ProcessId::new(i as u32),
-                "process at index {i} reports id {}",
-                p.id()
-            );
-        }
-        let n = processes.len();
-        let handles: Vec<NodeHandle> = (0..n).map(|_| NodeHandle::new()).collect();
-        let threads = processes
-            .into_iter()
-            .zip(transports)
-            .zip(&handles)
-            .map(|((proto, transport), handle)| {
-                let handle = handle.clone();
-                let id = proto.id();
-                std::thread::Builder::new()
-                    .name(format!("irs-node-{id}"))
-                    .spawn(move || run_node(proto, transport, config, handle))
-                    .expect("spawn node thread")
-            })
-            .collect();
-        NetCluster {
-            n,
-            handles,
-            threads,
-        }
+        NetCluster(Deployment::over_transports(
+            "irs-node",
+            processes,
+            transports,
+            config.tick,
+            default_accept(n),
+            None,
+        ))
     }
 
     /// Spawns the deployment over the in-memory mesh backend.
@@ -98,7 +67,7 @@ where
         config: NodeConfig,
         mut model: impl FnMut(ProcessId) -> LinkModel,
     ) -> NetCluster<P> {
-        let faulty: Vec<FaultyLink<MemTransport>> = MemNetwork::mesh(processes.len())
+        let faulty = MemNetwork::mesh(processes.len())
             .into_iter()
             .enumerate()
             .map(|(i, t)| FaultyLink::new(t, model(ProcessId::new(i as u32))))
@@ -106,72 +75,18 @@ where
         Self::spawn(processes, faulty, config)
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
+    /// Stops every node and returns the final protocol states in id order
+    /// (see [`Deployment::shutdown`]).
+    pub fn shutdown(self) -> Vec<P> {
+        self.0.shutdown()
     }
+}
 
-    /// The latest published snapshot of a process.
-    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        self.handles[pid.index()]
-            .snapshot
-            .lock()
-            .expect("snapshot lock poisoned")
-            .clone()
-    }
+impl<P> std::ops::Deref for NetCluster<P> {
+    type Target = Deployment<P>;
 
-    /// The current `leader()` output of a process.
-    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
-    }
-
-    /// The current `leader()` output of every process, in id order.
-    pub fn leaders(&self) -> Vec<ProcessId> {
-        (0..self.n as u32)
-            .map(|i| self.leader_of(ProcessId::new(i)))
-            .collect()
-    }
-
-    /// Returns `Some(p)` when every non-crashed process currently outputs
-    /// the same non-crashed leader `p`.
-    pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let mut agreed: Option<ProcessId> = None;
-        for i in 0..self.n {
-            if self.handles[i].crashed.load(Ordering::SeqCst) {
-                continue;
-            }
-            let leader = self.leader_of(ProcessId::new(i as u32));
-            match agreed {
-                None => agreed = Some(leader),
-                Some(l) if l == leader => {}
-                Some(_) => return None,
-            }
-        }
-        agreed.filter(|l| !self.handles[l.index()].crashed.load(Ordering::SeqCst))
-    }
-
-    /// Crash-stops a process: it stops reacting to messages and timers.
-    pub fn crash(&self, pid: ProcessId) {
-        self.handles[pid.index()]
-            .crashed
-            .store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` if the process has been crashed through
-    /// [`NetCluster::crash`].
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.handles[pid.index()].crashed.load(Ordering::SeqCst)
-    }
-
-    /// Stops every node and returns the final protocol states in id order.
-    pub fn shutdown(mut self) -> Vec<P> {
-        for handle in &self.handles {
-            handle.stop.store(true, Ordering::SeqCst);
-        }
-        self.threads
-            .drain(..)
-            .map(|t| t.join().expect("node thread panicked"))
-            .collect()
+    fn deref(&self) -> &Deployment<P> {
+        &self.0
     }
 }
 
@@ -302,52 +217,6 @@ mod tests {
         );
         let finals = cluster.shutdown();
         assert_eq!(finals.len(), 4, "a node thread died on stray input");
-    }
-
-    /// The NetCluster analogue of the sharded cluster's
-    /// `shutdown_drains_in_flight_messages`: behind a 2 s fixed link delay
-    /// nothing is delivered while the cluster runs for 300 ms, so every
-    /// frame sent is still in flight at shutdown — the drain must deliver
-    /// them (visible through the `frames_delivered` runtime gauge) instead
-    /// of dropping them at join.
-    #[test]
-    fn shutdown_drains_in_flight_frames_behind_a_fixed_delay() {
-        let cluster =
-            NetCluster::with_link_models(omega_processes(4, 1), NodeConfig::new(4), |_| {
-                LinkModel::new(11).with_fixed_delay(StdDuration::from_secs(2))
-            });
-        std::thread::sleep(StdDuration::from_millis(300));
-        let delivered_now: u64 = (0..4)
-            .map(|i| {
-                cluster
-                    .snapshot(ProcessId::new(i))
-                    .gauge("frames_delivered")
-                    .unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(
-            delivered_now, 0,
-            "nothing may be delivered before the 2s link delay"
-        );
-        let handles: Vec<_> = cluster.handles.clone();
-        let finals = cluster.shutdown();
-        assert_eq!(finals.len(), 4);
-        let delivered_after: u64 = handles
-            .iter()
-            .map(|h| {
-                h.snapshot
-                    .lock()
-                    .unwrap()
-                    .gauge("frames_delivered")
-                    .unwrap_or(0)
-            })
-            .sum();
-        // At minimum the on-start ALIVE broadcast (4 receivers each, the
-        // sender included) must have been delivered during the drain.
-        assert!(
-            delivered_after >= 16,
-            "in-flight frames were dropped on shutdown: delivered = {delivered_after}"
-        );
     }
 
     #[test]

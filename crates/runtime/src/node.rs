@@ -1,135 +1,28 @@
 //! One protocol instance driven over one [`Transport`] endpoint.
 //!
-//! This is the deployment unit of a distributed run: the event loop that a
-//! real node — its own OS process, its own socket — executes. Messages are
-//! delivered the moment the transport hands them over (on a real link the
-//! arrival time *is* the delivery time; shaping belongs to the link model,
-//! not the node), timers are driven off the wall clock, and outbound
-//! messages are wire-encoded once per broadcast and fanned out through the
-//! transport.
+//! This is the deployment unit of a distributed run: the loop that a real
+//! node — its own OS process, its own socket — executes, blocking the
+//! calling thread. It is the shared host loop (`host.rs`) as one shard of
+//! one process: messages are delivered the moment the transport hands them
+//! over (on a real link the arrival time *is* the delivery time; shaping
+//! belongs to the link model, not the node), timers are driven off the wall
+//! clock, and outbound messages are wire-encoded once per broadcast.
 //!
-//! [`run_node`] blocks the calling thread; [`NetCluster`](crate::NetCluster)
-//! spawns one thread per node for in-process deployments, and
-//! `examples/socket_cluster.rs` calls it directly from `main` in each
-//! spawned OS process. [`run_node_with`] exposes the same loop with a
-//! caller-supplied frame-acceptance policy — the replicated KV service
+//! [`NetCluster`](crate::NetCluster) spawns one such thread per node for
+//! in-process deployments, and `examples/socket_cluster.rs` calls
+//! [`run_node`] directly from `main` in each spawned OS process.
+//! [`run_node_with`] exposes the same loop with a caller-supplied admission
+//! policy and an optional observability handle — the replicated KV service
 //! (`irs-svc`) uses it to admit client frames from endpoints outside the
 //! replica group, which the default policy treats as link noise.
-//!
-//! The loop appends three runtime gauges to every published snapshot:
-//! `malformed_dropped` (the transport's malformed-input counter — nonzero
-//! on a UDP endpoint receiving stray traffic), `frames_delivered` (frames
-//! accepted and handed to the protocol, the shutdown drain included), and
-//! `sends_batched` (frames sent through the transport's encode-once
-//! fan-out path, so a deployment can see whether broadcasts take the
-//! amortised path).
 
-use irs_net::wire_obs::answer_scrape;
-use irs_net::{Frame, Transport, Wire};
-use irs_obs::{names, EventKind, Obs, ReignTracker, Responder};
-use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::host::{default_accept, Local, NodeCells, Shard};
+use irs_net::{Transport, Wire};
+use irs_obs::Obs;
+use irs_types::{Introspect, ProcessId, Protocol, Snapshot};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration as StdDuration, Instant};
-
-/// Check periods a reign must span to count as *stable* in the
-/// leader-reign SLO panel: the stable-reign threshold is
-/// `tick × STABLE_REIGN_TICKS` milliseconds (clamped to ≥ 1 ms). With the
-/// default 100 µs tick that is ≈ 102 ms — far past the churn of an
-/// election, far under a healthy reign.
-pub const STABLE_REIGN_TICKS: u32 = 1024;
-
-/// The stable-reign threshold in milliseconds for a host running at
-/// `tick`. This is the *prior*: once a node has measured enough real Ω
-/// check periods, the bar re-derives itself from their p99 (see
-/// [`irs_obs::ReignTracker::note_check_period_us`]) and this value only
-/// caps it.
-pub fn stable_reign_threshold_ms(tick: StdDuration) -> u64 {
-    ((tick * STABLE_REIGN_TICKS).as_millis() as u64).max(1)
-}
-
-/// Timer slot of the Ω failure detector's round (check) timer — the
-/// cadence whose measured distribution calibrates the stable-reign bar.
-/// Every hosted protocol in this stack forwards the oracle's timers with
-/// their ids intact, so the slot is host-invariant.
-pub(crate) const CHECK_TIMER_SLOT: usize = 1;
-
-/// Per-node observability state for the host loop: registry counters
-/// (sharded by node id), the node's flight-recorder tracer, the
-/// leader-reign SLO tracker, and the scrape responder that answers
-/// telemetry requests in-handler.
-struct NodeObs<'a> {
-    obs: &'a Obs,
-    polls: irs_obs::Counter,
-    timers_fired: irs_obs::Counter,
-    frames: irs_obs::Counter,
-    tracer: Option<irs_obs::Tracer>,
-    reign: ReignTracker,
-    responder: Responder,
-    shard: usize,
-    last_leader: ProcessId,
-    /// Wall-clock instant of the last Ω check-timer fire, feeding the
-    /// measured check-period distribution the stable-reign threshold
-    /// self-calibrates from.
-    last_check_fire: Option<Instant>,
-}
-
-impl<'a> NodeObs<'a> {
-    fn new(obs: &'a Obs, me: ProcessId, initial_leader: ProcessId, threshold_ms: u64) -> Self {
-        let mut reign = ReignTracker::new(obs, me.index(), threshold_ms);
-        // The initial output is a reign too: a deployment whose first
-        // leader survives forever should read as maximally stable, not as
-        // having no reigns at all.
-        reign.on_leader_change(obs.now_micros() / 1_000);
-        NodeObs {
-            obs,
-            polls: obs.registry().counter(names::RUNTIME_POLLS),
-            timers_fired: obs.registry().counter(names::RUNTIME_TIMERS_FIRED),
-            frames: obs.registry().counter(names::RUNTIME_FRAMES_DELIVERED),
-            tracer: obs.tracer(me.index() as u32),
-            reign,
-            responder: Responder::new(),
-            shard: me.index(),
-            last_leader: initial_leader,
-            last_check_fire: None,
-        }
-    }
-
-    /// Called on every protocol timer fire: the gap between consecutive
-    /// Ω *check*-timer fires (the failure detector's round timer) is one
-    /// measured check period for the self-calibrating reign panel.
-    fn note_timer_fire(&mut self, slot: usize, at: Instant) {
-        if slot != CHECK_TIMER_SLOT {
-            return;
-        }
-        if let Some(prev) = self.last_check_fire.replace(at) {
-            let us = at.duration_since(prev).as_micros();
-            self.reign
-                .note_check_period_us(us.min(u128::from(u64::MAX)) as u64);
-        }
-    }
-
-    /// Emits a `LeaderChange` trace event when the published snapshot
-    /// disagrees with the last one, and closes the reign on the SLO panel.
-    fn note_leader(&mut self, leader: ProcessId) {
-        if leader != self.last_leader {
-            if let Some(t) = &self.tracer {
-                t.emit_now(
-                    EventKind::LeaderChange,
-                    u64::from(self.last_leader.index() as u32),
-                    u64::from(leader.index() as u32),
-                );
-            }
-            self.reign.on_leader_change(self.obs.now_micros() / 1_000);
-            self.last_leader = leader;
-        }
-    }
-
-    /// Refreshes the time-derived gauges (in-progress reign age, uptime).
-    fn tick_panel(&self) {
-        self.reign.tick(self.obs.now_micros() / 1_000);
-    }
-}
+use std::time::Duration as StdDuration;
 
 /// How a node maps protocol ticks onto the wall clock.
 #[derive(Clone, Copy, Debug)]
@@ -163,8 +56,8 @@ impl NodeConfig {
 pub struct NodeHandle {
     /// The node's latest published [`Snapshot`].
     pub snapshot: Arc<Mutex<Snapshot>>,
-    /// Set to crash-stop the process: it stops reacting to messages and
-    /// timers but keeps draining its transport until stopped.
+    /// Set to crash-stop the process: it stops reacting to messages, timers
+    /// and scrapes but keeps draining its transport until stopped.
     pub crashed: Arc<AtomicBool>,
     /// Set to stop the event loop and return the protocol state.
     pub stop: Arc<AtomicBool>,
@@ -177,51 +70,10 @@ impl NodeHandle {
     }
 }
 
-/// Longest the loop sleeps before re-checking the control flags.
-const POLL_BUDGET: StdDuration = StdDuration::from_millis(20);
-/// Quiet window that ends the shutdown drain: one full window with no frame
-/// arriving and nothing held by the transport. Longer than [`POLL_BUDGET`],
-/// so every peer node has observed its own stop flag (and stopped sending)
-/// before a drain concludes — mirroring the sharded
-/// [`Cluster`](crate::Cluster) drain.
-const DRAIN_QUIET: StdDuration = StdDuration::from_millis(50);
-/// Hard cap on the shutdown drain, so a transport that holds frames behind
-/// a pathological delay cannot wedge shutdown forever.
-const DRAIN_CAP: StdDuration = StdDuration::from_secs(10);
-
-/// Validates and decodes one received frame for an `n`-process deployment
-/// hosted at `me`. A socket is an untrusted input: a misrouted frame, an
-/// out-of-range sender, an undecodable payload, or a message sized for a
-/// different deployment is dropped as link noise — it must never take the
-/// node down. Used by both the live loop and the shutdown drain so the two
-/// can never diverge on what counts as stray.
-pub fn accept_frame<M: Wire>(frame: &Frame, me: ProcessId, n: usize) -> Option<M> {
-    accept_frame_bytes(frame.from, frame.to, &frame.payload, me, n)
-}
-
-/// [`accept_frame`] over borrowed parts instead of an assembled [`Frame`].
-///
-/// The mux reactor hands its decode callback `(from, to, &[u8])` without
-/// allocating a frame per datagram; this lets the multiplexed cluster apply
-/// the exact same admission policy on that borrowed hot path.
-pub fn accept_frame_bytes<M: Wire>(
-    from: ProcessId,
-    to: ProcessId,
-    payload: &[u8],
-    me: ProcessId,
-    n: usize,
-) -> Option<M> {
-    if to != me || from.index() >= n {
-        return None;
-    }
-    let msg = irs_net::wire::decode_payload::<M>(payload).ok()?;
-    msg.valid_for(n).then_some(msg)
-}
-
 /// Drives `proto` over `transport` until [`NodeHandle::stop`] is set, then
 /// returns the final protocol state. Frames are admitted by the default
-/// policy ([`accept_frame`]): addressed to this node, sender inside the
-/// deployment, payload decodable and sized for it.
+/// policy ([`accept_frame_bytes`](crate::accept_frame_bytes)): addressed to this node, sender inside
+/// the deployment, payload decodable and sized for it.
 ///
 /// On stop, frames already queued (or held) in the transport are drained
 /// and delivered until a full quiet window passes (so no in-flight message
@@ -233,252 +85,50 @@ where
     P::Msg: Wire,
     T: Transport,
 {
-    let me = proto.id();
-    let n = config.n;
-    run_node_with(proto, transport, config, handle, move |frame| {
-        accept_frame::<P::Msg>(frame, me, n)
-    })
+    let accept = default_accept(config.n);
+    run_node_with(proto, transport, config, handle, &*accept, None)
 }
 
-/// [`run_node_with`] plus observability: host-loop counters land on
-/// `obs`'s registry (`runtime_polls`, `runtime_timers_fired`,
-/// `runtime_frames_delivered`, sharded by node id) and Ω leader changes
-/// are traced to `obs`'s flight recorder when it carries one. The
-/// [`NodeConfig`] stays `Copy`; the observability handle rides alongside
-/// it instead of inside it.
-pub fn run_node_with_obs<P, T, F>(
+/// [`run_node`] with a caller-supplied admission policy — `accept(me, from,
+/// to, payload)` turns a received frame into a protocol message, or `None`
+/// to drop it as link noise, applied identically in the live loop and the
+/// shutdown drain — and an optional observability handle: with `obs`, the
+/// host-loop counters land on its registry (`runtime_polls`,
+/// `runtime_timers_fired`, `runtime_frames_delivered`), Ω leader changes are
+/// traced to its flight recorder, the node feeds the leader-reign SLO panel
+/// and answers live scrape requests. [`NodeConfig`] stays `Copy`; the handle
+/// rides alongside it instead of inside it.
+pub fn run_node_with<P, T>(
     proto: P,
     transport: T,
     config: NodeConfig,
     handle: NodeHandle,
-    accept: F,
-    obs: &Obs,
+    accept: impl FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<P::Msg>,
+    obs: Option<&Obs>,
 ) -> P
 where
     P: Protocol + Introspect,
     P::Msg: Wire,
     T: Transport,
-    F: FnMut(&Frame) -> Option<P::Msg>,
 {
-    let node_obs = NodeObs::new(
+    let cells = NodeCells {
+        snapshot: handle.snapshot,
+        crashed: handle.crashed,
+    };
+    let local = Local::new(proto, cells, obs, config.tick);
+    // One shard of one: with a stride of `n` every id maps to local index 0.
+    let stride = config.n.max(1);
+    Shard::new(
+        transport,
+        vec![local],
+        stride,
+        config.n,
+        config.tick,
+        accept,
+        handle.stop,
         obs,
-        proto.id(),
-        proto.snapshot().leader,
-        stable_reign_threshold_ms(config.tick),
-    );
-    run_node_inner(proto, transport, config, handle, accept, Some(node_obs))
-}
-
-/// [`run_node`] with a caller-supplied acceptance policy: `accept` turns a
-/// received [`Frame`] into a protocol message, or `None` to drop it as link
-/// noise. The policy is applied identically in the live loop and the
-/// shutdown drain.
-pub fn run_node_with<P, T, F>(
-    proto: P,
-    transport: T,
-    config: NodeConfig,
-    handle: NodeHandle,
-    accept: F,
-) -> P
-where
-    P: Protocol + Introspect,
-    P::Msg: Wire,
-    T: Transport,
-    F: FnMut(&Frame) -> Option<P::Msg>,
-{
-    run_node_inner(proto, transport, config, handle, accept, None)
-}
-
-fn run_node_inner<P, T, F>(
-    mut proto: P,
-    mut transport: T,
-    config: NodeConfig,
-    handle: NodeHandle,
-    mut accept: F,
-    mut obs: Option<NodeObs<'_>>,
-) -> P
-where
-    P: Protocol + Introspect,
-    P::Msg: Wire,
-    T: Transport,
-    F: FnMut(&Frame) -> Option<P::Msg>,
-{
-    let me = proto.id();
-    let n = config.n;
-    let all: Vec<ProcessId> = (0..n as u32).map(ProcessId::new).collect();
-    let others: Vec<ProcessId> = all.iter().copied().filter(|&q| q != me).collect();
-    let epoch = Instant::now();
-    let now_tick =
-        |at: Instant| (at.duration_since(epoch).as_nanos() / config.tick.as_nanos()) as u64;
-
-    // Deadlines (in ticks) per timer id; arming replaces, which is the
-    // paper's "set timer to …" semantics. Protocols own a handful of timers,
-    // so a dense slot vector beats a queue here.
-    let mut timers: Vec<Option<u64>> = Vec::new();
-    let mut scratch = Vec::new();
-    let mut out = Actions::new();
-    let mut frames_delivered: u64 = 0;
-
-    let apply = |proto_id: ProcessId,
-                 out: &mut Actions<P::Msg>,
-                 timers: &mut Vec<Option<u64>>,
-                 transport: &mut T,
-                 scratch: &mut Vec<u8>,
-                 now: u64| {
-        for outbound in out.drain_sends() {
-            scratch.clear();
-            outbound.msg.encode(scratch);
-            // Transport errors on the way down are link loss, which the
-            // protocols tolerate; a closed transport is caught by recv.
-            let _ = match outbound.dest {
-                Destination::To(q) => transport.send(proto_id, q, scratch),
-                Destination::AllOthers => transport.send_many(proto_id, &others, scratch),
-                Destination::All => transport.send_many(proto_id, &all, scratch),
-            };
-        }
-        for req in out.drain_timers() {
-            let slot = req.id.raw() as usize;
-            if slot >= timers.len() {
-                timers.resize(slot + 1, None);
-            }
-            timers[slot] = Some(now + req.after.ticks());
-        }
-        for id in out.drain_cancels() {
-            if let Some(slot) = timers.get_mut(id.raw() as usize) {
-                *slot = None;
-            }
-        }
-    };
-
-    let publish = |proto: &P,
-                   transport: &T,
-                   delivered: u64,
-                   handle: &NodeHandle,
-                   obs: &mut Option<NodeObs<'_>>| {
-        let mut snap = proto.snapshot();
-        snap.extra
-            .push((names::MALFORMED_DROPPED, transport.malformed_dropped()));
-        snap.extra.push((names::FRAMES_DELIVERED, delivered));
-        snap.extra
-            .push((names::SENDS_BATCHED, transport.sends_batched()));
-        if let Some(o) = obs {
-            o.note_leader(snap.leader);
-            o.tick_panel();
-        }
-        *handle.snapshot.lock().expect("snapshot lock poisoned") = snap;
-    };
-
-    proto.on_start(&mut out);
-    apply(me, &mut out, &mut timers, &mut transport, &mut scratch, 0);
-    publish(&proto, &transport, frames_delivered, &handle, &mut obs);
-
-    while !handle.stop.load(Ordering::SeqCst) {
-        let crashed = handle.crashed.load(Ordering::SeqCst);
-        let now = now_tick(Instant::now());
-        let mut dirty = false;
-        if let Some(o) = &obs {
-            o.polls.inc(o.shard);
-        }
-
-        // Fire everything due. A fired timer may re-arm itself for a
-        // deadline that is already due; loop until quiescent.
-        loop {
-            let due = timers
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| slot.map(|at| (i, at)))
-                .filter(|&(_, at)| at <= now)
-                .min_by_key(|&(_, at)| at);
-            let Some((slot, _)) = due else { break };
-            timers[slot] = None;
-            if !crashed {
-                proto.on_timer(irs_types::TimerId::new(slot as u16), &mut out);
-                apply(me, &mut out, &mut timers, &mut transport, &mut scratch, now);
-                dirty = true;
-                if let Some(o) = &mut obs {
-                    o.timers_fired.inc(o.shard);
-                    o.note_timer_fire(slot, Instant::now());
-                }
-            }
-        }
-
-        // Sleep until the next deadline or the next frame.
-        let next = timers.iter().flatten().copied().min();
-        let timeout = match next {
-            Some(at) if at <= now => StdDuration::ZERO,
-            Some(at) => {
-                let nanos = config.tick.as_nanos().saturating_mul(u128::from(at - now));
-                StdDuration::from_nanos(nanos.min(u128::from(u64::MAX)) as u64).min(POLL_BUDGET)
-            }
-            None => POLL_BUDGET,
-        };
-        match transport.recv(timeout) {
-            Ok(Some(frame)) => {
-                if !crashed {
-                    // Telemetry-plane traffic is answered in-handler and
-                    // never reaches the protocol: a scrape must observe a
-                    // node, not perturb it.
-                    if let Some(o) = &obs {
-                        if frame.to == me
-                            && answer_scrape(
-                                &o.responder,
-                                o.obs,
-                                &mut transport,
-                                me,
-                                frame.from,
-                                &frame.payload,
-                            )
-                        {
-                            continue;
-                        }
-                    }
-                    if let Some(msg) = accept(&frame) {
-                        frames_delivered += 1;
-                        let now = now_tick(Instant::now());
-                        proto.on_message(frame.from, &msg, &mut out);
-                        apply(me, &mut out, &mut timers, &mut transport, &mut scratch, now);
-                        dirty = true;
-                        if let Some(o) = &obs {
-                            o.frames.inc(o.shard);
-                        }
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(_) => break, // every peer endpoint is gone
-        }
-        if dirty {
-            publish(&proto, &transport, frames_delivered, &handle, &mut obs);
-        }
-    }
-
-    // Final drain: deliver what the transport already holds, discarding the
-    // reactions — the deployment is quiescing, not running. The drain ends
-    // only after a full quiet window with nothing arriving *and* nothing
-    // held inside the transport (a delaying link keeps frames in flight
-    // past the stop flag), so peers that saw their stop flag later — or
-    // links that deliver late — do not lose in-flight messages.
-    let drain_started = Instant::now();
-    let mut sink = Actions::new();
-    loop {
-        match transport.recv(DRAIN_QUIET) {
-            Ok(Some(frame)) => {
-                if !handle.crashed.load(Ordering::SeqCst) {
-                    if let Some(msg) = accept(&frame) {
-                        frames_delivered += 1;
-                        proto.on_message(frame.from, &msg, &mut sink);
-                        sink.clear();
-                    }
-                }
-            }
-            Ok(None) if transport.pending_held() > 0 => {} // still in flight
-            Ok(None) => break,
-            Err(_) => break,
-        }
-        if drain_started.elapsed() >= DRAIN_CAP {
-            break;
-        }
-    }
-    publish(&proto, &transport, frames_delivered, &handle, &mut obs);
-    proto
+    )
+    .run()
+    .pop()
+    .expect("a shard returns every process it hosts")
 }

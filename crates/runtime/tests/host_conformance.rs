@@ -1,0 +1,469 @@
+//! Host conformance: one scripted protocol, every host shape, one contract.
+//!
+//! The runtime has a single host loop behind four constructors and two I/O
+//! sources. This suite runs the same tiny [`Probe`] protocol through each
+//! `constructor × I/O source` combination — one node per [`Transport`]
+//! endpoint, several nodes per shared endpoint, and several nodes per
+//! [`irs_net::Reactor`] — and asserts the same observable contract
+//! everywhere: re-arming a timer replaces it, cancelling cancels, a crashed
+//! node is silent on every plane while a live one answers scrapes, frames in
+//! flight at shutdown are delivered with their reactions discarded, the
+//! published snapshot carries one runtime-gauge list, and dropping a
+//! deployment stops its threads.
+
+use irs_net::wire::{put_u32, WireReader};
+use irs_net::{FaultyLink, LinkModel, MemNetwork, MuxNetwork, TransportScraper, Wire, WireError};
+use irs_obs::collector::ScrapeSource;
+use irs_obs::{Obs, ScrapeFormat};
+use irs_runtime::{
+    accept_frame_bytes, Cluster, Deployment, LinkDelay, MuxAccept, MuxCluster, MuxConfig,
+    NetCluster, NodeConfig, RealtimeConfig,
+};
+use irs_types::{
+    Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
+};
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::Arc;
+use std::time::{Duration as StdDuration, Instant};
+
+const N: usize = 4;
+const TICK: StdDuration = StdDuration::from_micros(200);
+
+/// Fires every `PERIOD` ticks forever; each fire pings the next process.
+const T_PERIODIC: TimerId = TimerId::new(0);
+/// Armed at start for tick 50, re-armed by the first periodic fire (tick
+/// 10) for 300 ticks later: it must fire exactly once, and only after
+/// [`T_MARK`] — the wheel pops in deadline order however late the loop runs,
+/// so the order is load-independent.
+const T_REARMED: TimerId = TimerId::new(2);
+/// Armed by the first periodic fire for 150 ticks later: after
+/// [`T_REARMED`]'s old deadline, before its new one.
+const T_MARK: TimerId = TimerId::new(4);
+/// Armed at start for tick 50, cancelled by the first periodic fire: it
+/// must never fire.
+const T_CANCELLED: TimerId = TimerId::new(3);
+const PERIOD: u64 = 10;
+
+#[derive(Clone, Debug, PartialEq)]
+enum ProbeMsg {
+    Ping(u32),
+    Ack(u32),
+}
+
+impl Wire for ProbeMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let (tag, seq) = match *self {
+            ProbeMsg::Ping(seq) => (1, seq),
+            ProbeMsg::Ack(seq) => (2, seq),
+        };
+        buf.push(tag);
+        put_u32(buf, seq);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match (r.u8()?, r.u32()?) {
+            (1, seq) => Ok(ProbeMsg::Ping(seq)),
+            (2, seq) => Ok(ProbeMsg::Ack(seq)),
+            (tag, _) => Err(WireError::BadTag(tag)),
+        }
+    }
+}
+
+/// The scripted protocol (see the timer constants). Every ping is answered
+/// with an ack, so "reactions discarded" is observable: a ping delivered
+/// during the shutdown drain produces no ack anywhere.
+#[derive(Debug)]
+struct Probe {
+    id: ProcessId,
+    periodic_fires: u64,
+    rearmed_fires: u64,
+    marked: bool,
+    /// Whether [`T_MARK`] had fired when the re-armed timer did.
+    rearmed_after_mark: bool,
+    cancelled_fires: u64,
+    pings: u64,
+    acks: u64,
+}
+
+impl Probe {
+    fn new(id: u32) -> Self {
+        Probe {
+            id: ProcessId::new(id),
+            periodic_fires: 0,
+            rearmed_fires: 0,
+            marked: false,
+            rearmed_after_mark: false,
+            cancelled_fires: 0,
+            pings: 0,
+            acks: 0,
+        }
+    }
+}
+
+impl Protocol for Probe {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, out: &mut Actions<ProbeMsg>) {
+        out.set_timer(T_PERIODIC, Duration::from_ticks(PERIOD));
+        out.set_timer(T_REARMED, Duration::from_ticks(50));
+        out.set_timer(T_CANCELLED, Duration::from_ticks(50));
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: &ProbeMsg, out: &mut Actions<ProbeMsg>) {
+        match *msg {
+            ProbeMsg::Ping(seq) => {
+                self.pings += 1;
+                out.send(from, ProbeMsg::Ack(seq));
+            }
+            ProbeMsg::Ack(_) => self.acks += 1,
+        }
+    }
+
+    fn on_timer(&mut self, timer: TimerId, out: &mut Actions<ProbeMsg>) {
+        if timer == T_PERIODIC {
+            self.periodic_fires += 1;
+            if self.periodic_fires == 1 {
+                out.set_timer(T_REARMED, Duration::from_ticks(300));
+                out.set_timer(T_MARK, Duration::from_ticks(150));
+                out.cancel_timer(T_CANCELLED);
+            }
+            let next = ProcessId::new((self.id.as_u32() + 1) % N as u32);
+            out.send(next, ProbeMsg::Ping(self.periodic_fires as u32));
+            out.set_timer(T_PERIODIC, Duration::from_ticks(PERIOD));
+        } else if timer == T_REARMED {
+            self.rearmed_fires += 1;
+            self.rearmed_after_mark = self.marked;
+        } else if timer == T_MARK {
+            self.marked = true;
+        } else if timer == T_CANCELLED {
+            self.cancelled_fires += 1;
+        }
+    }
+}
+
+impl LeaderOracle for Probe {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Probe {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            leader: self.leader(),
+            extra: vec![
+                ("probe_periodic_fires", self.periodic_fires),
+                ("probe_delivered", self.pings + self.acks),
+            ],
+            ..Snapshot::default()
+        }
+    }
+}
+
+fn wait_for(limit: StdDuration, check: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    while start.elapsed() < limit {
+        if check() {
+            return true;
+        }
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+    check()
+}
+
+/// The host shapes under test: I/O source × processes per shard.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    /// `Transport` source, one process per endpoint (`NetCluster`, `run_node`).
+    TransportOne,
+    /// `Transport` source, `N / 2` processes per shared endpoint (`Cluster`).
+    TransportMany,
+    /// `Reactor` source, `N / 2` sockets per shard (`MuxCluster`).
+    Reactor,
+}
+
+const KINDS: [Kind; 3] = [Kind::TransportOne, Kind::TransportMany, Kind::Reactor];
+
+/// A running deployment of `N` probes with observability attached, plus a
+/// scraper on endpoint `N` of the same network.
+struct Rig {
+    deployment: Deployment<Probe>,
+    scraper: Box<dyn ScrapeSource>,
+}
+
+fn scraper_over<T: irs_net::Transport + 'static>(endpoint: T) -> Box<dyn ScrapeSource> {
+    Box::new(
+        TransportScraper::new(endpoint, ProcessId::new(N as u32))
+            .with_timeout(StdDuration::from_millis(200))
+            .with_retries(5),
+    )
+}
+
+/// Spawns a rig. `delay` holds every frame on the `Transport` kinds'
+/// links for that long (the reactor's links are real sockets).
+fn rig(kind: Kind, delay: StdDuration) -> Rig {
+    let probes: Vec<Probe> = (0..N as u32).map(Probe::new).collect();
+    let accept: MuxAccept<ProbeMsg> =
+        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N + 1));
+    let obs = Some(Arc::new(Obs::new(N)));
+    if kind == Kind::Reactor {
+        let mut sockets: Vec<UdpSocket> = (0..=N)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind"))
+            .collect();
+        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let scraper_socket = sockets.split_off(N);
+        let config = MuxConfig {
+            tick: TICK,
+            workers: 2,
+        };
+        let deployment =
+            Deployment::over_sockets("hc-rx", probes, sockets, peers.clone(), config, accept, obs)
+                .expect("spawn over sockets");
+        let endpoint = MuxNetwork::over_sockets(scraper_socket, peers)
+            .expect("scraper endpoint")
+            .remove(0);
+        return Rig {
+            deployment,
+            scraper: scraper_over(endpoint),
+        };
+    }
+    // Endpoint `s` hosts the processes `i` with `i % W == s`; the scraper
+    // (process id `N`) sits alone on the last endpoint.
+    let workers = if kind == Kind::TransportOne { N } else { 2 };
+    let owner_of: Vec<usize> = (0..N).map(|i| i % workers).chain([workers]).collect();
+    let mut endpoints = MemNetwork::grouped(&owner_of);
+    let scraper = endpoints.pop().expect("scraper endpoint");
+    let transports = endpoints
+        .into_iter()
+        .map(|t| FaultyLink::new(t, LinkModel::new(1).with_delay(delay, delay)))
+        .collect();
+    Rig {
+        deployment: Deployment::over_transports("hc-tx", probes, transports, TICK, accept, obs),
+        scraper: scraper_over(scraper),
+    }
+}
+
+fn gauge(rig: &Rig, node: u32, name: &str) -> u64 {
+    rig.deployment
+        .snapshot(ProcessId::new(node))
+        .gauge(name)
+        .unwrap_or(0)
+}
+
+fn all_progressed(rig: &Rig, fires: u64) -> bool {
+    (0..N as u32).all(|i| gauge(rig, i, "probe_periodic_fires") >= fires)
+}
+
+#[test]
+fn rearm_replaces_and_cancel_cancels() {
+    for kind in KINDS {
+        let rig = rig(kind, StdDuration::ZERO);
+        // 60 periodic fires = at least 600 ticks: past the re-armed
+        // deadline (tick 310) and the cancelled one (tick 50).
+        assert!(
+            wait_for(StdDuration::from_secs(20), || all_progressed(&rig, 60)),
+            "{kind:?}: timers never progressed"
+        );
+        let finals = rig.deployment.shutdown();
+        assert_eq!(finals.len(), N);
+        for (i, p) in finals.iter().enumerate() {
+            assert_eq!(
+                p.id,
+                ProcessId::new(i as u32),
+                "{kind:?}: finals in id order"
+            );
+            assert_eq!(p.rearmed_fires, 1, "{kind:?}: re-arming must replace");
+            assert!(
+                p.rearmed_after_mark,
+                "{kind:?}: re-armed timer fired at its old deadline"
+            );
+            assert_eq!(p.cancelled_fires, 0, "{kind:?}: cancelled timer fired");
+            assert!(p.pings > 0 && p.acks > 0, "{kind:?}: no traffic at {p:?}");
+        }
+    }
+}
+
+#[test]
+fn a_crashed_node_is_silent_on_every_plane_and_a_live_one_answers() {
+    for kind in KINDS {
+        let mut rig = rig(kind, StdDuration::ZERO);
+        assert!(wait_for(StdDuration::from_secs(20), || all_progressed(
+            &rig, 5
+        )));
+        let scrape =
+            |rig: &mut Rig, node| rig.scraper.fetch_chunk(node, ScrapeFormat::Prometheus, 0);
+        let (body, _) = scrape(&mut rig, 0).unwrap_or_else(|e| panic!("{kind:?}: live p0: {e}"));
+        assert!(!body.is_empty(), "{kind:?}: empty scrape body");
+
+        let victim = ProcessId::new(0);
+        rig.deployment.crash(victim);
+        assert!(rig.deployment.is_crashed(victim));
+        // The turn in progress at the crash may still publish once; after
+        // that the snapshot must stop moving (a live probe's moves every
+        // period).
+        let settled = wait_for(StdDuration::from_secs(5), || {
+            let before = rig.deployment.snapshot(victim);
+            std::thread::sleep(StdDuration::from_millis(100));
+            rig.deployment.snapshot(victim) == before
+        });
+        assert!(settled, "{kind:?}: a crashed node kept reacting");
+        let frozen = rig.deployment.snapshot(victim);
+        assert!(
+            scrape(&mut rig, 0).is_err(),
+            "{kind:?}: a crashed node answered a scrape"
+        );
+        scrape(&mut rig, 1).unwrap_or_else(|e| panic!("{kind:?}: live p1 after crash: {e}"));
+
+        // The drain does not deliver to a crashed node either.
+        let delivered = frozen.gauge("probe_delivered").unwrap();
+        let finals = rig.deployment.shutdown();
+        assert_eq!(finals[0].pings + finals[0].acks, delivered, "{kind:?}");
+    }
+}
+
+#[test]
+fn shutdown_delivers_frames_in_flight_and_discards_reactions() {
+    // Without a link delay: nothing admitted before the stop is lost.
+    for kind in KINDS {
+        let rig = rig(kind, StdDuration::ZERO);
+        assert!(wait_for(StdDuration::from_secs(20), || all_progressed(
+            &rig, 5
+        )));
+        let seen: Vec<u64> = (0..N as u32)
+            .map(|i| gauge(&rig, i, "probe_delivered"))
+            .collect();
+        let finals = rig.deployment.shutdown();
+        for (p, seen) in finals.iter().zip(seen) {
+            assert!(
+                p.pings + p.acks >= seen,
+                "{kind:?}: deliveries went backwards"
+            );
+        }
+    }
+    // Behind a 2 s link delay and a stop after 150 ms, *every* ping is
+    // still in flight at the stop: the drain must deliver them, and the acks
+    // they would trigger must never be sent.
+    for kind in [Kind::TransportOne, Kind::TransportMany] {
+        let rig = rig(kind, StdDuration::from_secs(2));
+        std::thread::sleep(StdDuration::from_millis(150));
+        for i in 0..N as u32 {
+            assert_eq!(
+                gauge(&rig, i, "probe_delivered"),
+                0,
+                "{kind:?}: delay ignored"
+            );
+        }
+        let started = Instant::now();
+        let finals = rig.deployment.shutdown();
+        assert!(
+            started.elapsed() < StdDuration::from_secs(8),
+            "{kind:?}: drain overran"
+        );
+        for p in &finals {
+            assert!(p.pings > 0, "{kind:?}: in-flight pings dropped at {p:?}");
+            assert_eq!(p.acks, 0, "{kind:?}: a drain reaction was sent");
+        }
+    }
+}
+
+/// A link that holds frames longer than the drain cap cannot wedge
+/// shutdown: the drain gives up at the cap and the frames are lost.
+#[test]
+fn the_drain_is_bounded_by_its_cap() {
+    let rig = rig(Kind::TransportOne, StdDuration::from_secs(60));
+    std::thread::sleep(StdDuration::from_millis(50));
+    let started = Instant::now();
+    let finals = rig.deployment.shutdown();
+    let took = started.elapsed();
+    assert!(
+        (StdDuration::from_secs(9)..StdDuration::from_secs(20)).contains(&took),
+        "drain took {took:?}, cap is 10 s"
+    );
+    assert!(finals.iter().all(|p| p.pings == 0));
+}
+
+#[test]
+fn every_host_publishes_the_same_runtime_gauges() {
+    for kind in KINDS {
+        let rig = rig(kind, StdDuration::ZERO);
+        assert!(wait_for(StdDuration::from_secs(20), || all_progressed(
+            &rig, 5
+        )));
+        for i in 0..N as u32 {
+            let snap = rig.deployment.snapshot(ProcessId::new(i));
+            let runtime: Vec<&str> = snap
+                .extra
+                .iter()
+                .map(|&(name, _)| name)
+                .filter(|name| !name.starts_with("probe_"))
+                .collect();
+            let shared = ["frames_delivered", "malformed_dropped", "sends_batched"];
+            assert_eq!(runtime[..3], shared, "{kind:?}");
+            let source_specific: &[&str] = match kind {
+                Kind::Reactor => &["frames_rx", "frames_tx", "send_queue_depth", "sends_shed"],
+                _ => &[],
+            };
+            assert_eq!(&runtime[3..], source_specific, "{kind:?}");
+            // Published in the same batch, so exactly equal.
+            assert_eq!(
+                snap.gauge("frames_delivered"),
+                snap.gauge("probe_delivered")
+            );
+        }
+        rig.deployment.shutdown();
+    }
+}
+
+/// Threads of this process whose name starts with `prefix`.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("proc task dir")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
+}
+
+/// Dropping a deployment without `shutdown` must stop its threads, whichever
+/// constructor built it. (Only this test of the binary uses the constructors'
+/// own thread names, so sibling tests cannot perturb the counts.)
+#[test]
+#[cfg(target_os = "linux")]
+fn dropping_any_constructor_stops_its_threads() {
+    fn check<C>(prefix: &str, cluster: C) {
+        assert!(
+            wait_for(StdDuration::from_secs(5), || threads_named(prefix) > 0),
+            "{prefix}: threads never appeared"
+        );
+        drop(cluster);
+        assert!(
+            wait_for(StdDuration::from_secs(5), || threads_named(prefix) == 0),
+            "{prefix}: {} threads still alive after drop",
+            threads_named(prefix)
+        );
+    }
+    let probes = || (0..N as u32).map(Probe::new).collect::<Vec<_>>();
+    let realtime = RealtimeConfig {
+        tick: TICK,
+        workers: 2,
+        ..RealtimeConfig::default()
+    };
+    check(
+        "irs-shard-",
+        Cluster::spawn(probes(), realtime, LinkDelay::None),
+    );
+    let node = NodeConfig::new(N).with_tick(TICK);
+    check("irs-node-", NetCluster::in_memory(probes(), node));
+    let mux = MuxConfig {
+        tick: TICK,
+        workers: 2,
+    };
+    check(
+        "irs-mux-",
+        MuxCluster::spawn_udp(probes(), mux).expect("spawn mux"),
+    );
+}

@@ -1,47 +1,32 @@
-//! In-process service deployments: `n` replica node threads over any
-//! transport backend, plus connected clients.
+//! In-process service deployments: `n` replicas on the shared host loop,
+//! plus connected clients.
 //!
-//! Mirrors [`irs_runtime::NetCluster`] (thread-per-node, one endpoint per
-//! node, snapshots / crash injection / state-returning shutdown), extended
-//! with the client plane: the transport mesh is built with `n + c`
-//! endpoints, the first `n` host replicas and the rest become
-//! [`SvcClient`]s. For the process-per-node deployment over UDP see
-//! `examples/kv_cluster.rs`.
+//! A [`SvcCluster`] is an [`irs_runtime::Deployment`] of [`SvcReplica`]s —
+//! one node thread per replica over any transport backend, or the
+//! multiplexed socket runtime — under the service's admission policy,
+//! extended with the client plane: the mesh is built with `n + c` endpoints,
+//! the first `n` host replicas and the rest become [`SvcClient`]s. For the
+//! process-per-node deployment over UDP see `examples/kv_cluster.rs`.
 
 use crate::client::SvcClient;
-use crate::node::{accept_svc_frame_bytes, run_svc_node, SvcConfig};
+use crate::node::SvcConfig;
 use crate::replica::SvcReplica;
 use irs_net::{
     FaultyLink, LinkModel, MemNetwork, MemTransport, MuxEndpoint, MuxNetwork, Transport,
     UdpTransport,
 };
-use irs_runtime::{MuxAccept, MuxCluster, MuxConfig, NodeHandle};
-use irs_types::{ProcessId, Snapshot};
-use std::sync::atomic::Ordering;
+use irs_runtime::{Deployment, MuxConfig};
+use irs_types::ProcessId;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Seed base for the deterministic per-client retry jitter.
 const CLIENT_SEED: u64 = 0x5EED_C11E;
 
-/// How the replicas are being driven: one node thread per replica (the
-/// historical shape), or the multiplexed socket runtime (one socket per
-/// replica, `W` reactor shard threads for all of them). The observation
-/// surface is identical either way.
-#[derive(Debug)]
-enum Backing {
-    Threads {
-        handles: Vec<NodeHandle>,
-        threads: Vec<JoinHandle<SvcReplica>>,
-    },
-    Mux(MuxCluster<SvcReplica>),
-}
-
-/// A running KV-service deployment.
+/// A running KV-service deployment. Derefs to the shared [`Deployment`]
+/// handle for snapshots, leaders and crash injection.
 #[derive(Debug)]
 pub struct SvcCluster {
-    n: usize,
-    backing: Backing,
+    deployment: Deployment<SvcReplica>,
     /// The shared observability handle, when the config carried one —
     /// callers scrape metrics or dump the flight recorder through it
     /// while the cluster runs (and after shutdown).
@@ -61,29 +46,18 @@ impl SvcCluster {
     where
         T: Transport + 'static,
     {
-        let n = config.n;
-        let obs = config.obs.clone();
-        assert!(n >= 3, "a replicated service needs n >= 3");
-        assert_eq!(transports.len(), n, "one endpoint per replica");
-        let handles: Vec<NodeHandle> = (0..n).map(|_| NodeHandle::new()).collect();
-        let threads = transports
-            .into_iter()
-            .enumerate()
-            .zip(&handles)
-            .map(|((i, transport), handle)| {
-                let replica = config.replica(ProcessId::new(i as u32));
-                let handle = handle.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("irs-svc-{i}"))
-                    .spawn(move || run_svc_node(replica, transport, config, handle))
-                    .expect("spawn replica thread")
-            })
-            .collect();
+        assert_eq!(transports.len(), config.n, "one endpoint per replica");
+        let deployment = Deployment::over_transports(
+            "irs-svc",
+            config.replicas(),
+            transports,
+            config.tick,
+            config.accept(),
+            config.obs.clone(),
+        );
         SvcCluster {
-            n,
-            backing: Backing::Threads { handles, threads },
-            obs,
+            deployment,
+            obs: config.obs,
         }
     }
 
@@ -169,7 +143,6 @@ impl SvcCluster {
         workers: usize,
         config: SvcConfig,
     ) -> std::io::Result<(Self, Vec<SvcClient<MuxEndpoint>>)> {
-        assert!(n >= 3, "a replicated service needs n >= 3");
         let mut sockets: Vec<std::net::UdpSocket> = (0..n + clients)
             .map(|_| std::net::UdpSocket::bind(("127.0.0.1", 0)))
             .collect::<std::io::Result<_>>()?;
@@ -178,30 +151,22 @@ impl SvcCluster {
             .map(|s| s.local_addr())
             .collect::<std::io::Result<_>>()?;
         let client_sockets = sockets.split_off(n);
-
-        let replicas: Vec<SvcReplica> = (0..n)
-            .map(|i| config.replica(ProcessId::new(i as u32)))
-            .collect();
-        let peers = config.peers;
-        let accept: MuxAccept<crate::msg::SvcMsg> = Arc::new(move |me, from, to, payload| {
-            accept_svc_frame_bytes(from, to, payload, me, n, peers)
-        });
-        let mux = MuxCluster::spawn_on_sockets_obs(
-            replicas,
+        let deployment = Deployment::over_sockets(
+            "irs-mux",
+            config.replicas(),
             sockets,
             peer_addrs.clone(),
             MuxConfig {
                 tick: config.tick,
                 workers,
             },
-            accept,
+            config.accept(),
             config.obs.clone(),
         )?;
         let client_eps = MuxNetwork::over_sockets(client_sockets, peer_addrs)?;
         let cluster = SvcCluster {
-            n,
-            backing: Backing::Mux(mux),
-            obs: config.obs.clone(),
+            deployment,
+            obs: config.obs,
         };
         Ok((cluster, Self::wrap_clients(n, client_eps)))
     }
@@ -217,88 +182,23 @@ impl SvcCluster {
             .collect()
     }
 
-    /// Number of replicas.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The shared observability handle, when the config carried one.
     pub fn obs(&self) -> Option<&Arc<irs_obs::Obs>> {
         self.obs.as_ref()
     }
 
-    /// The latest published snapshot of a replica.
-    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        match &self.backing {
-            Backing::Threads { handles, .. } => handles[pid.index()]
-                .snapshot
-                .lock()
-                .expect("snapshot lock poisoned")
-                .clone(),
-            Backing::Mux(mux) => mux.snapshot(pid),
-        }
-    }
-
-    /// The current leader output of a replica.
-    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
-    }
-
-    /// Returns `Some(p)` when every non-crashed replica currently outputs
-    /// the same non-crashed leader `p`.
-    pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let mut agreed: Option<ProcessId> = None;
-        for i in 0..self.n {
-            let pid = ProcessId::new(i as u32);
-            if self.is_crashed(pid) {
-                continue;
-            }
-            let leader = self.leader_of(pid);
-            match agreed {
-                None => agreed = Some(leader),
-                Some(l) if l == leader => {}
-                Some(_) => return None,
-            }
-        }
-        agreed.filter(|&l| !self.is_crashed(l))
-    }
-
-    /// Crash-stops a replica: it stops reacting to messages and timers.
-    pub fn crash(&self, pid: ProcessId) {
-        match &self.backing {
-            Backing::Threads { handles, .. } => {
-                handles[pid.index()].crashed.store(true, Ordering::SeqCst)
-            }
-            Backing::Mux(mux) => mux.crash(pid),
-        }
-    }
-
-    /// Returns `true` if the replica was crashed via [`SvcCluster::crash`].
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        match &self.backing {
-            Backing::Threads { handles, .. } => handles[pid.index()].crashed.load(Ordering::SeqCst),
-            Backing::Mux(mux) => mux.is_crashed(pid),
-        }
-    }
-
     /// Stops every replica and returns the final states (stores included)
-    /// in id order.
+    /// in id order (see [`Deployment::shutdown`]).
     pub fn shutdown(self) -> Vec<SvcReplica> {
-        match self.backing {
-            Backing::Threads {
-                handles,
-                mut threads,
-            } => {
-                for handle in &handles {
-                    handle.stop.store(true, Ordering::SeqCst);
-                }
-                threads
-                    .drain(..)
-                    .map(|t| t.join().expect("replica thread panicked"))
-                    .collect()
-            }
-            Backing::Mux(mux) => mux.shutdown(),
-        }
+        self.deployment.shutdown()
+    }
+}
+
+impl std::ops::Deref for SvcCluster {
+    type Target = Deployment<SvcReplica>;
+
+    fn deref(&self) -> &Deployment<SvcReplica> {
+        &self.deployment
     }
 }
 
@@ -357,6 +257,32 @@ mod tests {
             .iter()
             .any(|r| r.store().get(b"k") == Some(b"v".as_slice())));
         assert!(finals[0].log().decision(slot).is_some());
+    }
+
+    /// Dropping a thread-backed cluster without `shutdown` must stop its
+    /// replica threads. The probe watches `irs-svc-6`, which only this
+    /// test's 7-replica cluster creates (the sibling tests run 3 replicas),
+    /// so parallel test execution cannot perturb it.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn dropping_a_thread_backed_cluster_stops_its_replica_threads() {
+        let seventh_replica_alive = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("proc task dir")
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .any(|comm| comm.trim_end() == "irs-svc-6")
+        };
+        let wait_for = |want: bool| {
+            let start = std::time::Instant::now();
+            while seventh_replica_alive() != want && start.elapsed() < StdDuration::from_secs(5) {
+                std::thread::sleep(StdDuration::from_millis(10));
+            }
+            seventh_replica_alive() == want
+        };
+        let (cluster, _clients) = SvcCluster::in_memory(7, 0, SvcConfig::new(7, 0));
+        assert!(wait_for(true), "replica thread irs-svc-6 never appeared");
+        drop(cluster);
+        assert!(wait_for(false), "replica thread still alive after drop");
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Driving one [`SvcReplica`] over a [`Transport`] endpoint.
 //!
 //! [`run_svc_node`] is [`irs_runtime::run_node`] with a different
-//! frame-acceptance policy: the default policy drops frames from senders
+//! frame-admission policy: the default policy drops frames from senders
 //! outside the replica group as link noise, but a service must accept
 //! *client* frames from endpoints beyond `n`. The policy here admits
 //! log traffic from replicas only, requests from any known endpoint, and
 //! drops replies (a reply arriving at a replica is stray traffic) — applied
-//! identically in the live loop and the shutdown drain.
+//! identically in the live loop and the shutdown drain, and identically by
+//! every deployment shape ([`SvcConfig::accept`]).
 
 use crate::msg::SvcMsg;
 use crate::replica::SvcReplica;
 use irs_net::{wire::decode_payload, Frame, Transport, Wire};
 use irs_obs::Obs;
-use irs_runtime::{run_node_with, run_node_with_obs, NodeConfig, NodeHandle};
-use irs_types::{ProcessId, Protocol, SystemConfig};
+use irs_runtime::{run_node_with, MuxAccept, NodeConfig, NodeHandle};
+use irs_types::{ProcessId, SystemConfig};
 use irs_wal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -173,20 +174,40 @@ impl SvcConfig {
         }
         replica
     }
+
+    /// Every replica of the group, in id order (see [`SvcConfig::replica`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 3`.
+    pub(crate) fn replicas(&self) -> Vec<SvcReplica> {
+        assert!(self.n >= 3, "a replicated service needs n >= 3");
+        (0..self.n as u32)
+            .map(|i| self.replica(ProcessId::new(i)))
+            .collect()
+    }
+
+    /// The admission policy of a replica under this config, in the host
+    /// loop's borrowed form (see [`accept_svc_frame`]).
+    pub(crate) fn accept(&self) -> MuxAccept<SvcMsg> {
+        let (n, peers) = (self.n, self.peers);
+        Arc::new(move |me, from, to, payload| {
+            accept_svc_frame_bytes(from, to, payload, me, n, peers)
+        })
+    }
 }
 
-/// The service's frame-acceptance policy (see module docs). Public so the
-/// process-per-node deployments (`examples/kv_cluster.rs`) share the exact
+/// The service's frame-admission policy (see module docs) over an assembled
+/// [`Frame`]. Public so callers outside the host loop share the exact
 /// policy with [`run_svc_node`].
 pub fn accept_svc_frame(frame: &Frame, me: ProcessId, n: usize, peers: usize) -> Option<SvcMsg> {
     accept_svc_frame_bytes(frame.from, frame.to, &frame.payload, me, n, peers)
 }
 
-/// [`accept_svc_frame`] over borrowed parts instead of an assembled
-/// [`Frame`] — the policy the multiplexed deployment applies on the
-/// reactor's borrowed-bytes decode path (the service analogue of
+/// The policy over borrowed parts — what the host loop applies without
+/// assembling a [`Frame`] per datagram (the service analogue of
 /// [`irs_runtime::accept_frame_bytes`]).
-pub fn accept_svc_frame_bytes(
+fn accept_svc_frame_bytes(
     from: ProcessId,
     to: ProcessId,
     payload: &[u8],
@@ -224,14 +245,16 @@ pub fn run_svc_node<T: Transport>(
     config: SvcConfig,
     handle: NodeHandle,
 ) -> SvcReplica {
-    let me = replica.id();
-    let (n, peers) = (config.n, config.peers);
-    let node_config = NodeConfig::new(n).with_tick(config.tick);
-    let accept = move |frame: &Frame| accept_svc_frame(frame, me, n, peers);
-    match &config.obs {
-        Some(obs) => run_node_with_obs(replica, transport, node_config, handle, accept, obs),
-        None => run_node_with(replica, transport, node_config, handle, accept),
-    }
+    let node_config = NodeConfig::new(config.n).with_tick(config.tick);
+    let accept = config.accept();
+    run_node_with(
+        replica,
+        transport,
+        node_config,
+        handle,
+        &*accept,
+        config.obs.as_deref(),
+    )
 }
 
 #[cfg(test)]

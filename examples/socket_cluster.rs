@@ -14,7 +14,7 @@
 //! Pass `--metrics` to instrument every node: each child process then
 //! rewrites `<tmp>/irs-socket-cluster-node-<id>.prom` with its Prometheus
 //! metrics twice a second while it runs. Because the instrumented path
-//! runs `run_node_with_obs`, every such node also answers live
+//! runs `run_node_with` with an `Obs` handle, every such node also answers live
 //! `ObsMsg::ScrapeRequest` datagrams on its mesh socket — point the
 //! cluster collector (see `examples/kv_cluster.rs --scrape`) at the
 //! printed ports to pull the registries over the wire instead of tailing
@@ -24,7 +24,7 @@ use intermittent_rotating_star::net::reexec;
 use intermittent_rotating_star::obs::Obs;
 use intermittent_rotating_star::omega::OmegaProcess;
 use intermittent_rotating_star::runtime::{
-    accept_frame, run_node, run_node_with_obs, NodeConfig, NodeHandle,
+    accept_frame_bytes, run_node_with, NodeConfig, NodeHandle,
 };
 use intermittent_rotating_star::types::{ProcessId, SystemConfig};
 use std::io::BufRead;
@@ -59,18 +59,9 @@ fn child(id: u32, n: usize, metrics: bool) {
     });
     let node = std::thread::spawn(move || {
         let config = NodeConfig::new(n).with_tick(TICK);
-        let me = ProcessId::new(id);
-        match obs {
-            Some(obs) => run_node_with_obs(
-                proto,
-                transport,
-                config,
-                handle,
-                move |frame| accept_frame(frame, me, n),
-                &obs,
-            ),
-            None => run_node(proto, transport, config, handle),
-        }
+        let accept =
+            move |me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, n);
+        run_node_with(proto, transport, config, handle, accept, obs.as_deref())
     });
 
     // Report once our leader output has been stable for 2 s (cap 40 s).
