@@ -58,9 +58,10 @@ pub fn check_all_pairs_delivery<T: Transport>(endpoints: &mut [T], timeout: Dura
 /// numbered sequence to every other endpoint, and every receiver observes
 /// its sequence strictly in order.
 ///
-/// Only backends that promise per-link ordering (the in-memory mesh, and
-/// decorators over it) should be run through this check; UDP does not
-/// promise it even on loopback.
+/// Only backends that promise per-link ordering should be run through this
+/// check: the in-memory mesh and decorators over it, and UDP on loopback
+/// only (one sender thread's datagrams are queued at the receiver in
+/// `send_to` order; a routed network promises nothing).
 ///
 /// # Panics
 ///
@@ -94,29 +95,15 @@ pub fn check_per_link_fifo<T: Transport>(endpoints: &mut [T], per_link: u8, time
 /// Round `r` of the script: `advance(r)` is called (the hook advances a
 /// [`ManualClock`](crate::ManualClock) for fault models), then every
 /// endpoint sends the byte `r` to every other endpoint, then every endpoint
-/// drains its inbox. Two backends (or two runs of one seeded backend) that
-/// claim determinism must produce identical traces.
+/// drains its inbox until a 5 ms window passes with nothing delivered. Two
+/// backends (or two runs of one seeded backend) that claim determinism must
+/// produce identical traces.
 pub fn scripted_trace<T: Transport>(
     endpoints: &mut [T],
     rounds: u8,
     advance: impl Fn(u8),
 ) -> Vec<(u32, u32, u8)> {
-    scripted_trace_with(endpoints, rounds, Duration::from_millis(5), advance)
-}
-
-/// [`scripted_trace`] with a configurable per-endpoint drain window.
-///
-/// Each drain keeps receiving until one `quiet` window passes with nothing
-/// delivered. The default window suits in-process channel backends; a
-/// backend whose delivery crosses a real socket and a reactor thread (the
-/// mux backend) needs a wider window so a frame in flight on loopback does
-/// not slip into the next round and perturb the trace.
-pub fn scripted_trace_with<T: Transport>(
-    endpoints: &mut [T],
-    rounds: u8,
-    quiet: Duration,
-    advance: impl Fn(u8),
-) -> Vec<(u32, u32, u8)> {
+    const QUIET: Duration = Duration::from_millis(5);
     let n = endpoints.len();
     let mut trace = Vec::new();
     for round in 0..rounds {
@@ -131,7 +118,7 @@ pub fn scripted_trace_with<T: Transport>(
             }
         }
         for (j, endpoint) in endpoints.iter_mut().enumerate() {
-            while let Some(frame) = endpoint.recv(quiet).expect("recv") {
+            while let Some(frame) = endpoint.recv(QUIET).expect("recv") {
                 trace.push((j as u32, frame.from.as_u32(), frame.payload[0]));
             }
         }

@@ -11,6 +11,12 @@
 //! the truth, with the park interval growing while the sweeps come back
 //! empty so an idle endpoint set does not busy-spin.
 //!
+//! The same shim carries the one-socket wait [`crate::UdpTransport`] times
+//! its `recv` with: `wait_readable` is one `ppoll` with a nanosecond
+//! `timespec` on Linux (`SO_RCVTIMEO` is rounded up to scheduler ticks —
+//! measured on a 250 Hz kernel, a 300 µs wait sleeps 8 ms), and a blocking
+//! `SO_RCVTIMEO` peek everywhere else.
+//!
 //! # Contract
 //!
 //! `wait` fills `ready` with tokens of sockets that **may** be readable: it
@@ -24,15 +30,16 @@ use std::io;
 use std::net::UdpSocket;
 use std::time::Duration;
 
-/// Linux `epoll` via a hand-rolled FFI shim. This is the only unsafe code
-/// in the crate: four libc calls (`epoll_create1`, `epoll_ctl`,
-/// `epoll_wait`, `close`) on file descriptors the safe wrapper owns.
+/// Linux `epoll` and `ppoll` via a hand-rolled FFI shim. This is the only
+/// unsafe code in the crate: five libc calls (`epoll_create1`, `epoll_ctl`,
+/// `epoll_wait`, `close`, `ppoll`) on file descriptors the safe wrappers
+/// own or borrow.
 #[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
     use std::os::fd::RawFd;
-    use std::os::raw::c_int;
+    use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
     use std::time::Duration;
 
     // The kernel ABI packs `epoll_event` on x86 (glibc's `__EPOLL_PACKED`);
@@ -59,6 +66,61 @@ mod sys {
             timeout_ms: c_int,
         ) -> c_int;
         fn close(fd: c_int) -> c_int;
+        // `tmo` is `const` in C; glibc copies it, the raw syscall writes the
+        // time left back. Declared `*mut` so either behaviour is sound.
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            tmo: *mut Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    /// `struct timespec` where `time_t` is `long` (every 64-bit Linux ABI
+    /// and 32-bit glibc).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    const POLLIN: c_short = 0x001;
+
+    /// Waits up to `timeout` (nanosecond resolution; seconds clamped to what
+    /// a 32-bit `time_t` holds) for `fd` to become readable or report an
+    /// error. `Ok(false)` on a timeout **or a signal**: the caller owns the
+    /// deadline and re-waits for what is left of it.
+    pub fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+        let mut pfd = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let mut tmo = Timespec {
+            tv_sec: timeout.as_secs().min(i32::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `pfd` and `tmo` are live, exclusively borrowed locals for
+        // the duration of the call and `nfds` = 1 matches the one `PollFd`;
+        // a null `sigmask` leaves the signal mask alone (plain `poll`
+        // semantics). `fd` is only watched, never read or closed, so a stale
+        // descriptor can at worst report `POLLNVAL`.
+        let rc = unsafe { ppoll(&mut pfd, 1, &mut tmo, std::ptr::null()) };
+        if rc >= 0 {
+            return Ok(rc > 0);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() == io::ErrorKind::Interrupted {
+            return Ok(false);
+        }
+        Err(err)
     }
 
     /// An owned `epoll` instance.
@@ -125,6 +187,40 @@ mod sys {
                 close(self.epfd);
             }
         }
+    }
+}
+
+/// Waits up to `timeout` (non-zero) for a nonblocking `socket` to have a
+/// datagram queued. `Ok(true)` means *try a receive now*; `Ok(false)` means
+/// the wait ended early or timed out with nothing seen — the caller owns the
+/// deadline and calls again with what is left of it.
+#[cfg(target_os = "linux")]
+pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+    use std::os::fd::AsRawFd;
+    sys::wait_readable(socket.as_raw_fd(), timeout)
+}
+
+/// The portable wait: a blocking one-byte peek under `SO_RCVTIMEO` (tick
+/// precision at best), the socket back in nonblocking mode on return.
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+    socket.set_nonblocking(false)?;
+    socket.set_read_timeout(Some(timeout))?;
+    let peeked = socket.peek_from(&mut [0u8; 1]);
+    socket.set_nonblocking(true)?;
+    match peeked {
+        Ok(_) => Ok(true),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(false)
+        }
+        // Anything else (Windows reports a datagram longer than the peek
+        // buffer as an error) is for the real receive to classify.
+        Err(_) => Ok(true),
     }
 }
 

@@ -7,7 +7,22 @@
 //! bytes reject stray traffic on the port. Malformed datagrams are counted
 //! and dropped — a socket is an untrusted input, and the protocols tolerate
 //! loss by design.
+//!
+//! # Who waits, with what clock
+//!
+//! The endpoint is caller-driven: no thread stands between the caller and
+//! the socket. The socket is nonblocking from construction on. `send` and
+//! `send_many` are inline `send_to`s on the caller's thread; `recv(timeout)`
+//! is one `recv_from`, and only when that finds nothing does the *caller's*
+//! thread sleep — in [`crate::poll`]'s one-socket wait (`ppoll` on Linux,
+//! nanosecond `timespec`) for what is left of the timeout on the monotonic
+//! clock, then `recv_from` again. A zero timeout is the single `recv_from`.
+//! A signal or a malformed datagram re-waits against the same deadline, so
+//! neither extends it. `SO_RCVTIMEO` is not used: the kernel rounds it up to
+//! scheduler ticks (4–8 ms on a 250 Hz build), which would quantise every
+//! protocol timer a host sleeps towards and stretch a client's retry.
 
+use crate::poll::wait_readable;
 use crate::wire::{self, FRAME_HEADER_LEN, MAX_PAYLOAD};
 use crate::{Frame, NetError, Transport};
 use irs_types::ProcessId;
@@ -29,14 +44,6 @@ pub struct UdpTransport {
     malformed: u64,
     /// Frames sent through the encode-once `send_many` fan-out.
     batched: u64,
-    /// Mirror of the socket's last-set `SO_RCVTIMEO`, so a `recv` with the
-    /// same timeout as the previous one (the steady state of every node
-    /// loop) skips the `setsockopt` syscall entirely.
-    read_timeout: Option<Duration>,
-    /// Mirror of the socket's nonblocking flag. Left set between zero-
-    /// timeout polls (the batching pattern) and restored lazily when a
-    /// blocking receive needs it.
-    nonblocking: bool,
     /// Registry mirrors of `malformed` / `batched` (see
     /// [`UdpTransport::attach_obs`]).
     obs: Option<(irs_obs::Counter, irs_obs::Counter)>,
@@ -52,16 +59,26 @@ impl UdpTransport {
     ///
     /// Returns any socket-binding error.
     pub fn bind<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
+        Self::from_socket(UdpSocket::bind(addr)?, Vec::new())
+    }
+
+    /// Wraps an already-bound socket. `peers` is the full routing table
+    /// (`peers[p]` hosts `ProcessId(p)`) and may name addresses this process
+    /// does not own — this is how a client fleet routes to replica sockets
+    /// served elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// Returns the socket error if nonblocking mode cannot be set.
+    pub fn from_socket(socket: UdpSocket, peers: Vec<SocketAddr>) -> std::io::Result<Self> {
+        socket.set_nonblocking(true)?;
         Ok(UdpTransport {
             socket,
-            peers: Vec::new(),
+            peers,
             buf: vec![0; FRAME_HEADER_LEN + MAX_PAYLOAD],
             out: Vec::with_capacity(1500),
             malformed: 0,
             batched: 0,
-            read_timeout: None,
-            nonblocking: false,
             obs: None,
         })
     }
@@ -74,20 +91,6 @@ impl UdpTransport {
             registry.counter(irs_obs::names::UDP_MALFORMED_DROPPED),
             registry.counter(irs_obs::names::UDP_SENDS_BATCHED),
         ));
-    }
-
-    /// Puts the socket in blocking mode with `SO_RCVTIMEO = timeout`,
-    /// issuing only the syscalls whose cached mirror disagrees.
-    fn set_read_timeout_cached(&mut self, timeout: Duration) -> std::io::Result<()> {
-        if self.nonblocking {
-            self.socket.set_nonblocking(false)?;
-            self.nonblocking = false;
-        }
-        if self.read_timeout != Some(timeout) {
-            self.socket.set_read_timeout(Some(timeout))?;
-            self.read_timeout = Some(timeout);
-        }
-        Ok(())
     }
 
     /// The local socket address (to advertise to peers).
@@ -104,21 +107,31 @@ impl UdpTransport {
         self.peers = peers;
     }
 
-    /// Decodes one received datagram, counting (and swallowing) malformed
-    /// ones.
-    fn parse_datagram(&mut self, len: usize) -> Option<Frame> {
+    /// One nonblocking `recv_from`: the next queued datagram's frame, or
+    /// `None` when nothing is queued — or when what was queued is malformed,
+    /// which is counted and swallowed.
+    fn try_recv(&mut self) -> Result<Option<Frame>, NetError> {
+        let len = match self.socket.recv_from(&mut self.buf) {
+            Ok((len, _)) => len,
+            // A signal (profiler, debugger, SIGCHLD in the embedder)
+            // interrupting the read is not a dead link.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(NetError::Io(e)),
+        };
         match wire::decode_frame(&self.buf[..len]) {
-            Ok((from, to, payload)) => Some(Frame {
+            Ok((from, to, payload)) => Ok(Some(Frame {
                 from,
                 to,
                 payload: payload.into(),
-            }),
+            })),
             Err(_) => {
                 self.malformed += 1;
                 if let Some((malformed, _)) = &self.obs {
                     malformed.inc(0);
                 }
-                None
+                Ok(None)
             }
         }
     }
@@ -236,57 +249,27 @@ impl Transport for UdpTransport {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
-        // A zero timeout is a non-blocking poll (the shard loop uses it to
-        // batch already-arrived datagrams), not a guaranteed miss. The
-        // nonblocking flag is left set between polls: consecutive
-        // zero-timeout calls — the batching pattern — cost no setsockopt
-        // at all, and the next blocking call restores it lazily.
-        if timeout.is_zero() {
-            if !self.nonblocking {
-                self.socket.set_nonblocking(true)?;
-                self.nonblocking = true;
-            }
-            return match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _)) => Ok(self.parse_datagram(len)),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    Ok(None)
-                }
-                Err(e) => Err(NetError::Io(e)),
-            };
+        // The receive comes first: a reply that is already queued — the
+        // closed-loop steady state, and every zero-timeout drain of a shard
+        // loop's burst — costs one syscall and no clock read.
+        if let Some(frame) = self.try_recv()? {
+            return Ok(Some(frame));
         }
-        let deadline = Instant::now() + timeout;
-        // First wait uses the caller's timeout verbatim: node loops call
-        // recv with the same budget every iteration, so the cached mirror
-        // makes the steady state zero-setsockopt. Only the rare re-waits
-        // below (malformed frame, signal) recompute a remainder.
-        // set_read_timeout(Some(ZERO)) is rejected by the std API; the
-        // zero case was handled by the early return above, and re-waits
-        // return before setting a zero remainder.
-        let mut wait = timeout;
+        if timeout.is_zero() {
+            return Ok(None);
+        }
+        // Elapsed-since-start rather than an `Instant` deadline, so an
+        // effectively unbounded `timeout` cannot overflow the clock.
+        let started = Instant::now();
         loop {
-            self.set_read_timeout_cached(wait)?;
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _)) => {
-                    if let Some(frame) = self.parse_datagram(len) {
-                        return Ok(Some(frame));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(None)
-                }
-                // A signal (profiler, debugger, SIGCHLD in the embedder)
-                // interrupting the blocking read is not a dead link.
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(NetError::Io(e)),
-            }
-            wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
+            let left = timeout.saturating_sub(started.elapsed());
+            if left.is_zero() {
                 return Ok(None);
+            }
+            if wait_readable(&self.socket, left)? {
+                if let Some(frame) = self.try_recv()? {
+                    return Ok(Some(frame));
+                }
             }
         }
     }
@@ -380,45 +363,132 @@ mod tests {
         assert_eq!(&frame.payload[..], b"ok");
     }
 
-    /// Satellite: the cached `SO_RCVTIMEO` mirror keeps repeated recv
-    /// calls correct — same-timeout calls still block and time out, a
-    /// changed timeout takes effect, and zero-timeout polls interleave
-    /// cleanly with blocking ones (the nonblocking flag is restored
-    /// lazily).
+    /// Zero-timeout polls and timed waits interleave on the one nonblocking
+    /// socket: every frame is seen exactly once, in order, whichever kind of
+    /// call meets it.
     #[test]
     fn timeout_caching_preserves_recv_semantics() {
         let mut mesh = UdpTransport::localhost_mesh(2).unwrap();
         let mut b = mesh.pop().unwrap();
-        let a = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
 
-        // Two same-timeout waits (second one skips the setsockopt).
-        for _ in 0..2 {
+        // Idle: both kinds of call miss, and a changed timeout takes effect.
+        assert!(b.recv(Duration::ZERO).unwrap().is_none());
+        for wait_ms in [50, 50, 120] {
             let started = Instant::now();
-            assert!(b.recv(Duration::from_millis(50)).unwrap().is_none());
-            assert!(started.elapsed() >= Duration::from_millis(40));
+            let wait = Duration::from_millis(wait_ms);
+            assert!(b.recv(wait).unwrap().is_none());
+            assert!(started.elapsed() >= wait);
         }
-        // A different timeout takes effect.
-        let started = Instant::now();
-        assert!(b.recv(Duration::from_millis(120)).unwrap().is_none());
-        assert!(started.elapsed() >= Duration::from_millis(100));
-        // Zero-timeout polls leave the socket nonblocking...
-        assert!(b.recv(Duration::ZERO).unwrap().is_none());
-        assert!(b.recv(Duration::ZERO).unwrap().is_none());
-        // ...and a blocking recv afterwards still blocks and delivers.
-        let addr = b.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let mut a = a;
-            a.send(ProcessId::new(0), ProcessId::new(1), b"late")
+        // Eight queued frames, drained by alternating zero / non-zero calls.
+        for seq in 0..8u8 {
+            a.send(ProcessId::new(0), ProcessId::new(1), &[seq])
                 .unwrap();
-            let _ = addr;
+        }
+        for seq in 0..8u8 {
+            let timeout = if seq % 2 == 0 {
+                Duration::ZERO
+            } else {
+                Duration::from_secs(2)
+            };
+            let frame = b.recv(timeout).unwrap().expect("queued frame");
+            assert_eq!(frame.payload[0], seq);
+        }
+        assert!(b.recv(Duration::ZERO).unwrap().is_none());
+        assert!(b.recv(Duration::from_millis(1)).unwrap().is_none());
+    }
+
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort();
+        samples[samples.len() / 2]
+    }
+
+    fn idle_waits(endpoint: &mut UdpTransport, wait: Duration, count: usize) -> Vec<Duration> {
+        (0..count)
+            .map(|_| {
+                let started = Instant::now();
+                assert!(endpoint.recv(wait).unwrap().is_none());
+                started.elapsed()
+            })
+            .collect()
+    }
+
+    /// The wait is timed at timer precision, not in scheduler ticks: under
+    /// `SO_RCVTIMEO` on a 250 Hz kernel the two medians read 8 ms and 36 ms.
+    /// Medians, so a preempted sample or two under test load cannot fail it.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn idle_waits_end_at_their_deadline_not_at_the_next_tick() {
+        let mut mesh = UdpTransport::localhost_mesh(1).unwrap();
+        let short = median(idle_waits(&mut mesh[0], Duration::from_micros(300), 21));
+        assert!(
+            (Duration::from_micros(300)..Duration::from_millis(2)).contains(&short),
+            "median of 21 300 µs waits: {short:?}"
+        );
+        let long = median(idle_waits(&mut mesh[0], Duration::from_millis(30), 11));
+        assert!(
+            (Duration::from_millis(30)..Duration::from_millis(32)).contains(&long),
+            "median of 11 30 ms waits: {long:?}"
+        );
+    }
+
+    /// A frame that arrives while the caller sleeps ends the wait. The
+    /// sender is released by the receiver just before it starts waiting, so
+    /// the frame lands during (or just before) the wait with no sleep to
+    /// tune. The second round waits "forever": `Duration::MAX` must overflow
+    /// neither the `timespec` nor the clock arithmetic.
+    #[test]
+    fn a_frame_arriving_mid_wait_is_returned_before_the_deadline() {
+        let mut mesh = UdpTransport::localhost_mesh(2).unwrap();
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let (go, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                while released.recv().is_ok() {
+                    a.send(ProcessId::new(0), ProcessId::new(1), b"late")
+                        .unwrap();
+                }
+            });
+            for wait in [Duration::from_secs(10), Duration::MAX] {
+                assert!(b.recv(Duration::ZERO).unwrap().is_none(), "nothing yet");
+                let started = Instant::now();
+                go.send(()).unwrap();
+                let frame = b.recv(wait).unwrap().expect("woken by the frame");
+                assert_eq!(&frame.payload[..], b"late");
+                assert!(started.elapsed() < wait / 2, "slept through the frame");
+            }
+            drop(go);
         });
-        let frame = b
-            .recv(Duration::from_secs(2))
-            .unwrap()
-            .expect("blocking recv after zero-polls still delivers");
-        assert_eq!(&frame.payload[..], b"late");
-        handle.join().unwrap();
+    }
+
+    /// A stray datagram mid-wait is counted and swallowed, and the wait
+    /// resumes against the *same* deadline: it neither returns early nor
+    /// starts a fresh timeout.
+    #[test]
+    fn a_malformed_datagram_mid_wait_does_not_extend_the_deadline() {
+        let mut mesh = UdpTransport::localhost_mesh(1).unwrap();
+        let mut b = mesh.pop().unwrap();
+        let target = b.local_addr().unwrap();
+        let (go, released) = std::sync::mpsc::channel::<()>();
+        let wait = Duration::from_millis(200);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let stray = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+                released.recv().expect("receiver is about to wait");
+                // Half-way in: were the wait restarted here, the call
+                // would take 1.5 × `wait`.
+                std::thread::sleep(wait / 2);
+                stray.send_to(b"not a frame", target).unwrap();
+            });
+            let started = Instant::now();
+            go.send(()).unwrap();
+            assert!(b.recv(wait).unwrap().is_none());
+            let took = started.elapsed();
+            assert!(took >= wait, "returned early: {took:?}");
+            assert!(took < wait + wait / 4, "deadline extended: {took:?}");
+        });
+        assert_eq!(b.malformed_dropped(), 1);
     }
 
     #[test]

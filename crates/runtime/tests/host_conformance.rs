@@ -12,7 +12,7 @@
 //! deployment stops its threads.
 
 use irs_net::wire::{put_u32, WireReader};
-use irs_net::{FaultyLink, LinkModel, MemNetwork, MuxNetwork, TransportScraper, Wire, WireError};
+use irs_net::{FaultyLink, LinkModel, MemNetwork, TransportScraper, UdpTransport, Wire, WireError};
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
@@ -215,7 +215,7 @@ fn rig(kind: Kind, delay: StdDuration) -> Rig {
             .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind"))
             .collect();
         let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-        let scraper_socket = sockets.split_off(N);
+        let scraper_socket = sockets.pop().expect("scraper socket");
         let config = MuxConfig {
             tick: TICK,
             workers: 2,
@@ -223,9 +223,7 @@ fn rig(kind: Kind, delay: StdDuration) -> Rig {
         let deployment =
             Deployment::over_sockets("hc-rx", probes, sockets, peers.clone(), config, accept, obs)
                 .expect("spawn over sockets");
-        let endpoint = MuxNetwork::over_sockets(scraper_socket, peers)
-            .expect("scraper endpoint")
-            .remove(0);
+        let endpoint = UdpTransport::from_socket(scraper_socket, peers).expect("scraper endpoint");
         return Rig {
             deployment,
             scraper: scraper_over(endpoint),

@@ -199,57 +199,39 @@ impl<T: Transport> SvcClient<T> {
             key: key.to_vec(),
             tier,
         };
-        let overall = Instant::now() + deadline;
-        let mut attempt_wait = BASE_RETRY;
-        let mut redirect_streak = 0u32;
-        loop {
-            if Instant::now() >= overall {
-                self.stats.failures += 1;
-                return Err(ClientError::TimedOut);
-            }
-            self.send_msg(&msg)?;
-            let attempt_deadline = (Instant::now() + attempt_wait).min(overall);
-            match self.await_reply(rid, attempt_deadline)? {
-                Some(ReplyOutcome::Value { value, frontier }) => {
-                    self.stats.acked += 1;
-                    return Ok((value, frontier));
-                }
-                Some(ReplyOutcome::Applied { .. }) => {} // foreign; keep going
-                Some(ReplyOutcome::Redirected) if redirect_streak < MAX_REDIRECT_STREAK => {
-                    redirect_streak += 1;
-                    continue;
-                }
-                Some(ReplyOutcome::Redirected) | None => {}
-            }
-            redirect_streak = 0;
-            if Instant::now() >= overall {
-                self.stats.failures += 1;
-                return Err(ClientError::TimedOut);
-            }
-            self.stats.retries += 1;
-            self.rotate_hint();
-            let jitter_unit = self.rng.range_u64(0..1000);
-            let jitter = attempt_wait.mul_f64(0.5 * jitter_unit as f64 / 1000.0);
-            let sleep = (attempt_wait / 2 + jitter).min(
-                overall
-                    .saturating_duration_since(Instant::now())
-                    .max(StdDuration::from_millis(1)),
-            );
-            std::thread::sleep(sleep);
-            attempt_wait = (attempt_wait * 2).min(MAX_RETRY);
+        match self.call(&msg, rid, deadline)? {
+            ReplyOutcome::Value { value, frontier } => Ok((value, frontier)),
+            _ => unreachable!("a read's call ends on a value"),
         }
     }
 
-    /// Runs one operation through the redirect/retry protocol.
+    /// Runs one write through the redirect/retry protocol.
     fn execute(&mut self, op: KvOp, deadline: StdDuration) -> Result<u64, ClientError> {
-        self.seq += 1;
         let write = KvWrite {
             client: self.client_id(),
-            seq: self.seq,
+            seq: self.alloc_seq(),
             op,
         };
+        let msg = SvcMsg::Request {
+            cmd: write.encode(),
+        };
+        match self.call(&msg, write.seq, deadline)? {
+            ReplyOutcome::Applied { slot } => Ok(slot),
+            _ => unreachable!("a write's call ends on an ack"),
+        }
+    }
+
+    /// Sends `msg` — built once, resent as is — until the reply that
+    /// answers it (a value for a read, an ack for anything else) arrives
+    /// under `seq`, or `deadline` elapses.
+    fn call(
+        &mut self,
+        msg: &SvcMsg,
+        seq: u64,
+        deadline: StdDuration,
+    ) -> Result<ReplyOutcome, ClientError> {
+        let wants_value = matches!(msg, SvcMsg::Read { .. });
         let overall = Instant::now() + deadline;
-        let cmd = write.encode();
         let mut attempt_wait = BASE_RETRY;
         let mut redirect_streak = 0u32;
         loop {
@@ -257,16 +239,9 @@ impl<T: Transport> SvcClient<T> {
                 self.stats.failures += 1;
                 return Err(ClientError::TimedOut);
             }
-            self.send_request(&cmd)?;
+            self.send_msg(msg)?;
             let attempt_deadline = (Instant::now() + attempt_wait).min(overall);
-            match self.await_reply(write.seq, attempt_deadline)? {
-                Some(ReplyOutcome::Applied { slot }) => {
-                    self.stats.acked += 1;
-                    return Ok(slot);
-                }
-                // A Value for a write's seq cannot happen (writes and reads
-                // draw from one seq space); treat it as silence.
-                Some(ReplyOutcome::Value { .. }) => {}
+            match self.await_reply(seq, attempt_deadline)? {
                 Some(ReplyOutcome::Redirected) if redirect_streak < MAX_REDIRECT_STREAK => {
                     // Follow the redirect immediately; a fresh hint is not a
                     // retry. A long streak of redirects, though, means the
@@ -276,6 +251,15 @@ impl<T: Transport> SvcClient<T> {
                     continue;
                 }
                 Some(ReplyOutcome::Redirected) | None => {}
+                Some(outcome) => {
+                    if matches!(outcome, ReplyOutcome::Value { .. }) == wants_value {
+                        self.stats.acked += 1;
+                        return Ok(outcome);
+                    }
+                    // A reply of the other kind under this seq cannot happen
+                    // (writes and reads draw from one seq space); treat it
+                    // as silence.
+                }
             }
             redirect_streak = 0;
             if Instant::now() >= overall {
@@ -298,13 +282,8 @@ impl<T: Transport> SvcClient<T> {
         }
     }
 
-    /// Sends one request frame to the current hint.
-    pub(crate) fn send_request(&mut self, cmd: &irs_consensus::Command) -> Result<(), ClientError> {
-        self.send_msg(&SvcMsg::Request { cmd: cmd.clone() })
-    }
-
     /// Sends one already-built service message to the current hint.
-    pub(crate) fn send_msg(&mut self, msg: &SvcMsg) -> Result<(), ClientError> {
+    fn send_msg(&mut self, msg: &SvcMsg) -> Result<(), ClientError> {
         self.scratch.clear();
         let mut scratch = std::mem::take(&mut self.scratch);
         msg.encode(&mut scratch);
@@ -351,7 +330,7 @@ impl<T: Transport> SvcClient<T> {
 
     /// Sends one write without waiting for the reply (the open-loop path).
     pub(crate) fn send_write(&mut self, w: &KvWrite) -> Result<(), ClientError> {
-        self.send_request(&w.encode())
+        self.send_msg(&SvcMsg::Request { cmd: w.encode() })
     }
 
     /// Receives at most one reply event within `timeout` (the open-loop
@@ -441,23 +420,24 @@ pub(crate) enum ReplyOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs_net::MemNetwork;
+    use irs_net::{MemNetwork, MemTransport};
     use std::time::Instant;
 
     /// The per-operation deadline is a hard total budget: against a cluster
     /// that never answers (here: three replica endpoints nobody serves —
-    /// the fully-partitioned limit), `put` returns `TimedOut` shortly after
+    /// the fully-partitioned limit), a call returns `TimedOut` shortly after
     /// the budget instead of hanging a loadgen thread forever, and every
     /// retry/rotation stays inside it.
-    #[test]
-    fn ops_time_out_against_an_unresponsive_cluster() {
+    fn times_out_against_an_unresponsive_cluster(
+        op: impl FnOnce(&mut SvcClient<MemTransport>, StdDuration) -> Result<(), ClientError>,
+    ) {
         let n = 3;
         let mut mesh = MemNetwork::mesh(n + 1);
         let ep = mesh.remove(n); // replica endpoints in `mesh` are never read
         let mut client = SvcClient::new(ProcessId::new(n as u32), n, ep, 0xDEAD);
         let budget = StdDuration::from_millis(250);
         let started = Instant::now();
-        let result = client.put(b"k", b"v", budget);
+        let result = op(&mut client, budget);
         let elapsed = started.elapsed();
         assert_eq!(result, Err(ClientError::TimedOut));
         assert!(elapsed >= budget, "must not give up early: {elapsed:?}");
@@ -471,7 +451,21 @@ mod tests {
             "silence was retried within budget"
         );
         // The sequence number stays consumed, so a later retry of the same
-        // logical write would be a fresh seq (exactly-once is per seq).
+        // logical call would be a fresh seq (exactly-once is per seq).
         assert_eq!(client.next_seq(), 2);
+    }
+
+    #[test]
+    fn ops_time_out_against_an_unresponsive_cluster() {
+        times_out_against_an_unresponsive_cluster(|client, budget| {
+            client.put(b"k", b"v", budget).map(drop)
+        });
+    }
+
+    #[test]
+    fn lease_reads_time_out_against_an_unresponsive_cluster() {
+        times_out_against_an_unresponsive_cluster(|client, budget| {
+            client.get(b"k", ReadTier::Lease, budget).map(drop)
+        });
     }
 }

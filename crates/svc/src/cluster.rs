@@ -11,10 +11,7 @@
 use crate::client::SvcClient;
 use crate::node::SvcConfig;
 use crate::replica::SvcReplica;
-use irs_net::{
-    FaultyLink, LinkModel, MemNetwork, MemTransport, MuxEndpoint, MuxNetwork, Transport,
-    UdpTransport,
-};
+use irs_net::{FaultyLink, LinkModel, MemNetwork, MemTransport, Transport, UdpTransport};
 use irs_runtime::{Deployment, MuxConfig};
 use irs_types::ProcessId;
 use std::sync::Arc;
@@ -123,12 +120,12 @@ impl SvcCluster {
     }
 
     /// An `n`-replica deployment on the multiplexed socket runtime: every
-    /// replica and every client keeps its own real UDP socket, but the
-    /// replicas are served by `workers` reactor shard threads (`0` = the
-    /// machine's parallelism) and the whole client fleet by one more —
-    /// where [`SvcCluster::udp`] spends one blocking thread per endpoint.
-    /// This is the deployment shape that scales the service to large
-    /// client fleets in one process.
+    /// replica and every client keeps its own real UDP socket; the replicas
+    /// are served by `workers` reactor shard threads (`0` = the machine's
+    /// parallelism) — where [`SvcCluster::udp`] spends one thread per
+    /// replica — and each client's socket by whichever thread calls that
+    /// client, with no thread of its own: a call is the caller's `send_to`,
+    /// a shard's turn, and the caller's `recv_from`.
     ///
     /// # Errors
     ///
@@ -142,7 +139,7 @@ impl SvcCluster {
         clients: usize,
         workers: usize,
         config: SvcConfig,
-    ) -> std::io::Result<(Self, Vec<SvcClient<MuxEndpoint>>)> {
+    ) -> std::io::Result<(Self, Vec<SvcClient<UdpTransport>>)> {
         let mut sockets: Vec<std::net::UdpSocket> = (0..n + clients)
             .map(|_| std::net::UdpSocket::bind(("127.0.0.1", 0)))
             .collect::<std::io::Result<_>>()?;
@@ -163,7 +160,10 @@ impl SvcCluster {
             config.accept(),
             config.obs.clone(),
         )?;
-        let client_eps = MuxNetwork::over_sockets(client_sockets, peer_addrs)?;
+        let client_eps = client_sockets
+            .into_iter()
+            .map(|socket| UdpTransport::from_socket(socket, peer_addrs.clone()))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let cluster = SvcCluster {
             deployment,
             obs: config.obs,
