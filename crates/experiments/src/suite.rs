@@ -958,14 +958,18 @@ pub fn e12_kv_service(quick: bool) -> Table {
     };
 
     // One closed-loop run to completion, generic over the backend's
-    // transport type: drive the load, freeze the cluster, verify the
-    // consistency contract against everything the clients were acked.
+    // transport type: drive the load, let a replica that lags behind a
+    // lossy link catch up, freeze the cluster, verify the consistency
+    // contract against everything the clients were acked.
     fn closed_run<T: irs_net::Transport>(
         cluster: SvcCluster,
         cl: &mut [irs_svc::SvcClient<T>],
         opts: ClosedLoopOptions,
     ) -> (irs_svc::loadgen::LoadReport, String) {
         let (report, acked) = closed_loop(cl, opts);
+        // An id beyond the group excludes nobody from the comparison.
+        let nobody = irs_types::ProcessId::new(cluster.n() as u32);
+        irs_svc::loadgen::await_survivor_convergence(&cluster, nobody, StdDuration::from_secs(10));
         let finals = cluster.shutdown();
         let refs: Vec<&SvcReplica> = finals.iter().collect();
         let outcome = match check_consistency(&refs, &acked) {
@@ -1111,8 +1115,12 @@ pub fn e12_kv_service(quick: bool) -> Table {
             .collect();
         let outcome = match check_consistency(&survivors, &acked) {
             Ok(()) => format!(
-                "leader {crashed} crashed; {} survivors identical, no acked op lost/reordered",
-                survivors.len()
+                "leader {crashed} crashed; {} survivors identical, no acked op lost/reordered; \
+                 client wait {} us (srtt {} us), {} retries",
+                survivors.len(),
+                report.rto_us,
+                report.srtt_us,
+                report.retries
             ),
             Err(e) => {
                 // A failed verdict is exactly what the flight recorder is

@@ -14,7 +14,7 @@
 //! (log2 buckets, so p50/p99 reads are factor-of-two accurate at O(1)
 //! memory per client).
 
-use crate::client::{ClientError, ReplyOutcome, SvcClient};
+use crate::client::{ClientError, ReplyOutcome, SvcClient, MAX_REDIRECT_STREAK, WRITE_CLASS};
 use crate::command::{KvOp, KvWrite};
 use crate::msg::ReadTier;
 use crate::replica::SvcReplica;
@@ -36,6 +36,12 @@ pub struct LoadReport {
     pub redirects: u64,
     /// Timed-out attempts that were retried.
     pub retries: u64,
+    /// Largest smoothed round trip any client's retransmission clock held
+    /// at the end of the run, µs (0 = never sampled).
+    pub srtt_us: u64,
+    /// Largest first per-attempt wait any client's clock yielded at the end
+    /// of the run, µs (0 = never sampled).
+    pub rto_us: u64,
     /// Wall-clock span of the run.
     pub elapsed: StdDuration,
     /// Ack latencies in microseconds.
@@ -162,6 +168,7 @@ pub fn closed_loop<T: Transport>(
                                 redirects: stats.redirects - stats_before.redirects,
                                 retries: stats.retries - stats_before.retries,
                                 failures: stats.failures - stats_before.failures,
+                                ..stats
                             },
                         )
                     })
@@ -182,6 +189,8 @@ pub fn closed_loop<T: Transport>(
         report.failures += failures;
         report.redirects += stats.redirects;
         report.retries += stats.retries;
+        report.srtt_us = report.srtt_us.max(stats.srtt_us);
+        report.rto_us = report.rto_us.max(stats.rto_us);
         report.latency.merge(&hist);
         acked.push(acks);
     }
@@ -215,27 +224,70 @@ impl Default for OpenLoopOptions {
     }
 }
 
+/// One fired, not yet acked open-loop write.
+struct InFlight {
+    write: KvWrite,
+    fired_at: Instant,
+    /// Sent once and never redirected, so its ack times the cluster.
+    first_transmission: bool,
+}
+
+/// Resends every unacked write, oldest first, to the client's current hint.
+/// All of them, because the replicas apply one client's writes in sequence
+/// order: moving only some would let a newer write overtake an older one
+/// and strand it.
+fn resend_all<T: Transport>(
+    client: &mut SvcClient<T>,
+    pending: &mut BTreeMap<u64, InFlight>,
+) -> Result<(), ClientError> {
+    for w in pending.values_mut() {
+        w.first_transmission = false;
+        client.send_write(&w.write)?;
+    }
+    Ok(())
+}
+
 /// Runs one client open-loop: writes are fired on a fixed interval whether
-/// or not earlier ones were acked; redirects resend in place. Anything
-/// still unacked after the drain window counts as a failure.
+/// or not earlier ones were acked. A redirect moves the hint and the
+/// unacked writes with it. When writes are outstanding and nothing at all
+/// has come back for a full wait of the client's retransmission clock, the
+/// hinted replica is dark: the hint rotates and every unacked write is
+/// resent. After the sending phase, stragglers are collected for the drain
+/// window; anything still unacked then counts as a failure.
 pub fn open_loop<T: Transport>(client: &mut SvcClient<T>, opts: OpenLoopOptions) -> LoadReport {
     let started = Instant::now();
     let stats_before = client.stats;
     let send_deadline = started + opts.duration;
+    let drain_deadline = send_deadline + opts.drain;
     let mut next_fire = started;
-    let mut pending: BTreeMap<u64, (Instant, KvWrite)> = BTreeMap::new();
+    let mut pending: BTreeMap<u64, InFlight> = BTreeMap::new();
+    // Since when writes have been outstanding with nothing heard.
+    let mut quiet_since: Option<Instant> = None;
+    // Hint changes followed in a row with no ack in between.
+    let mut redirect_streak = 0u32;
+    // The replica every unacked write was last sent to.
+    let mut sent_to = client.leader_hint();
     let mut report = LoadReport::default();
     let mut k = 0u64;
     let client_id = client.client_id();
 
     loop {
         let now = Instant::now();
-        if now >= send_deadline {
+        let sending = now < send_deadline;
+        if !sending && (pending.is_empty() || now >= drain_deadline) {
             break;
         }
-        if now >= next_fire {
+        if sending && now >= next_fire {
+            // A write never overtakes an older one: whatever moved the hint
+            // since those went out, they go first.
+            if sent_to != client.leader_hint() {
+                sent_to = client.leader_hint();
+                if resend_all(client, &mut pending).is_err() {
+                    break;
+                }
+            }
             let seq = client.alloc_seq();
-            let w = KvWrite {
+            let write = KvWrite {
                 client: client_id,
                 seq,
                 op: KvOp::Put {
@@ -244,54 +296,80 @@ pub fn open_loop<T: Transport>(client: &mut SvcClient<T>, opts: OpenLoopOptions)
                 },
             };
             k += 1;
-            if client.send_write(&w).is_err() {
+            if client.send_write(&write).is_err() {
                 break;
             }
-            pending.insert(seq, (Instant::now(), w));
+            let fired_at = Instant::now();
+            quiet_since.get_or_insert(fired_at);
+            pending.insert(
+                seq,
+                InFlight {
+                    write,
+                    fired_at,
+                    first_transmission: true,
+                },
+            );
             next_fire += opts.interval;
             continue;
         }
-        let wait = next_fire.min(send_deadline).saturating_duration_since(now);
-        match client.poll_event(wait) {
+        let mut wake = if sending {
+            next_fire.min(send_deadline)
+        } else {
+            drain_deadline
+        };
+        if let Some(since) = quiet_since {
+            let wait = client.rto(WRITE_CLASS);
+            if now >= since + wait {
+                client.on_silence(WRITE_CLASS);
+                sent_to = client.leader_hint();
+                if resend_all(client, &mut pending).is_err() {
+                    break;
+                }
+                redirect_streak = 0;
+                quiet_since = Some(Instant::now());
+                continue;
+            }
+            wake = wake.min(since + wait);
+        }
+        match client.poll_event(wake.saturating_duration_since(now)) {
             Ok(Some((seq, ReplyOutcome::Applied { .. }))) => {
-                if let Some((fired_at, _)) = pending.remove(&seq) {
+                redirect_streak = 0;
+                if let Some(w) = pending.remove(&seq) {
+                    if w.first_transmission {
+                        client.sample_rtt(WRITE_CLASS, w.fired_at.elapsed());
+                    }
                     report.ops += 1;
-                    report.latency.record(fired_at.elapsed().as_micros() as u64);
+                    report
+                        .latency
+                        .record(w.fired_at.elapsed().as_micros() as u64);
                 }
             }
-            Ok(Some((seq, ReplyOutcome::Redirected))) => {
-                if let Some((_, w)) = pending.get(&seq).cloned() {
-                    let _ = client.send_write(&w);
+            // Like a blocking call, follow only so many hint changes in a
+            // row: replicas that point at each other mid-election would be
+            // chased at link speed. Past the cap the writes stay where they
+            // are and the silence clock keeps running.
+            Ok(Some((_, ReplyOutcome::Redirected))) if redirect_streak >= MAX_REDIRECT_STREAK => {
+                continue;
+            }
+            Ok(Some((_, ReplyOutcome::Redirected))) => {
+                if sent_to != client.leader_hint() {
+                    sent_to = client.leader_hint();
+                    redirect_streak += 1;
+                    if resend_all(client, &mut pending).is_err() {
+                        break;
+                    }
                 }
             }
-            Ok(Some((_, ReplyOutcome::Value { .. }))) | Ok(None) => {}
+            Ok(Some((_, ReplyOutcome::Value { .. }))) | Ok(None) => continue,
             Err(_) => break,
         }
-    }
-
-    // Straggler window: collect what is still in flight.
-    let drain_deadline = Instant::now() + opts.drain;
-    while !pending.is_empty() && Instant::now() < drain_deadline {
-        let wait = drain_deadline.saturating_duration_since(Instant::now());
-        match client.poll_event(wait.min(StdDuration::from_millis(50))) {
-            Ok(Some((seq, ReplyOutcome::Applied { .. }))) => {
-                if let Some((fired_at, _)) = pending.remove(&seq) {
-                    report.ops += 1;
-                    report.latency.record(fired_at.elapsed().as_micros() as u64);
-                }
-            }
-            Ok(Some((seq, ReplyOutcome::Redirected))) => {
-                if let Some((_, w)) = pending.get(&seq).cloned() {
-                    let _ = client.send_write(&w);
-                }
-            }
-            Ok(Some((_, ReplyOutcome::Value { .. }))) | Ok(None) => {}
-            Err(_) => break,
-        }
+        quiet_since = (!pending.is_empty()).then(Instant::now);
     }
     report.failures = pending.len() as u64;
     report.redirects = client.stats.redirects - stats_before.redirects;
     report.retries = client.stats.retries - stats_before.retries;
+    report.srtt_us = client.stats.srtt_us;
+    report.rto_us = client.stats.rto_us;
     report.elapsed = started.elapsed();
     report
 }
@@ -741,4 +819,47 @@ pub fn check_read_linearizability(reads: &[ClientReads]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::tests::{applied, serve_replica};
+    use irs_net::MemNetwork;
+    use irs_types::ProcessId;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// The open loop resends on silence like the blocking client does: with
+    /// the initial hint's endpoint never served, nothing comes back for a
+    /// full wait, the hint rotates to replica 1, and every write fired —
+    /// those stranded at replica 0 included — is acked through it.
+    #[test]
+    fn open_loop_rides_out_a_dark_hint() {
+        let n = 2;
+        let mut mesh = MemNetwork::mesh(n + 1);
+        let ep = mesh.remove(n);
+        let p1 = mesh.remove(1); // replica 0's endpoint is never read
+        let mut client = SvcClient::new(ProcessId::new(n as u32), n, ep, 11);
+        let stop = AtomicBool::new(false);
+        let report = std::thread::scope(|scope| {
+            scope.spawn(|| serve_replica(p1, ProcessId::new(1), &stop, applied));
+            let report = open_loop(
+                &mut client,
+                OpenLoopOptions {
+                    duration: StdDuration::from_millis(200),
+                    interval: StdDuration::from_millis(2),
+                    drain: StdDuration::from_secs(2),
+                    ..OpenLoopOptions::default()
+                },
+            );
+            stop.store(true, Ordering::SeqCst);
+            report
+        });
+        assert_eq!(report.failures, 0, "{report:?}");
+        assert_eq!(report.ops, client.next_seq() - 1, "every write fired");
+        assert!(report.ops >= 50, "{report:?}");
+        assert_eq!(report.retries, 1, "one silence moved the hint for good");
+        assert_eq!(client.leader_hint(), ProcessId::new(1));
+        assert!(report.rto_us > 0, "acks through replica 1 fed the clock");
+    }
 }

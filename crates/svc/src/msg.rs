@@ -56,7 +56,7 @@ pub enum ReadTier {
 }
 
 impl ReadTier {
-    const fn tag(self) -> u8 {
+    pub(crate) const fn tag(self) -> u8 {
         match self {
             ReadTier::Lease => 0,
             ReadTier::ReadIndex => 1,
