@@ -1392,9 +1392,12 @@ where
     /// (it restarts stalled ballots); this method only ever opens a slot's
     /// *first* ballot, so calling it after every event is cheap and cannot
     /// thrash — a slot whose ballot is in flight is skipped until it
-    /// decides and the window slides. The service layer calls it on request
-    /// arrival and after each applied decision, which makes ack latency
-    /// round-trip-bound instead of check-period-bound.
+    /// decides and the window slides. The log calls it itself when a
+    /// decision or a forwarded value arrives; the service layer calls it once
+    /// at the end of every turn (a message, or a whole arrival burst) that
+    /// sequenced a request or applied a decision — so requests that arrive
+    /// together share a slot — which makes ack latency round-trip-bound
+    /// instead of check-period-bound.
     pub fn drive(&mut self, out: &mut Actions<LogMsg<O::Msg, V>>) {
         if self.oracle.leader() != self.id {
             // Any leadership change ends the reign: the fast path is only

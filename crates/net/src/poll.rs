@@ -158,6 +158,11 @@ mod sys {
         pub fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> io::Result<usize> {
             // epoll takes whole milliseconds; round up so a sub-ms timeout
             // still sleeps instead of spinning (0 means "poll and return").
+            // The reactor source's timers therefore resolve to 1 ms, where
+            // `wait_readable` (the `UdpTransport` endpoint) waits with a
+            // nanosecond `ppoll`. `epoll_pwait2` would close the gap at the
+            // price of more idle wake-ups: an open question in ROADMAP.md,
+            // to be settled against `runtime.idle_cpu_share_n5`.
             let ms = timeout
                 .as_millis()
                 .max(u128::from(!timeout.is_zero()))

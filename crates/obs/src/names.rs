@@ -113,6 +113,11 @@ pub const READS_STALE: &str = "reads_stale";
 pub const LEASE_REFRESHES: &str = "lease_refreshes";
 /// Leader lease expiries (validity window ran out unrefreshed).
 pub const LEASE_EXPIRIES: &str = "lease_expiries";
+/// Protocol turns taken on inbound traffic: one per `on_burst`, however
+/// many frames it carried (`on_message` is a burst of one).
+pub const BURSTS: &str = "bursts";
+/// WAL group commits: turns that had durability events to persist.
+pub const WAL_COMMITS: &str = "wal_commits";
 
 // ── Runtime host (crates/runtime) snapshot gauges ───────────────────────
 /// Undecodable or off-policy frames dropped by the host loop.
@@ -165,6 +170,9 @@ pub const RUNTIME_POLLS: &str = "runtime_polls";
 pub const RUNTIME_TIMERS_FIRED: &str = "runtime_timers_fired";
 /// Frames the runtime delivered into protocols.
 pub const RUNTIME_FRAMES_DELIVERED: &str = "runtime_frames_delivered";
+/// Frames per `on_burst` call — how much of a poll reaches one protocol
+/// turn (histogram).
+pub const RUNTIME_BURST_FRAMES: &str = "runtime_burst_frames";
 
 // ── Registry metrics: service plane (irs-svc) ───────────────────────────
 /// Apply-path latency per decided batch, µs (histogram).
@@ -277,6 +285,11 @@ pub const ALL: &[(&str, &str)] = &[
         LEASE_EXPIRIES,
         "leader lease expiries (unrefreshed windows)",
     ),
+    (BURSTS, "protocol turns taken on inbound traffic"),
+    (
+        WAL_COMMITS,
+        "WAL group commits (turns with events to persist)",
+    ),
     (MALFORMED_DROPPED, "off-policy frames dropped by the host"),
     (FRAMES_DELIVERED, "frames delivered to the protocol"),
     (SENDS_BATCHED, "sends coalesced by encode-once fan-out"),
@@ -311,6 +324,7 @@ pub const ALL: &[(&str, &str)] = &[
         RUNTIME_FRAMES_DELIVERED,
         "frames the runtime delivered into protocols",
     ),
+    (RUNTIME_BURST_FRAMES, "frames per on_burst protocol turn"),
     (SVC_APPLY_MICROS, "apply-path latency per decided batch, us"),
     (SVC_BATCH_COMMANDS, "commands per decided batch"),
     (WAL_COMMIT_MICROS, "WAL commit latency, us"),

@@ -21,10 +21,19 @@
 //!   receiver list, so a broadcast costs one encode however wide it is;
 //! * the **admit → stage → deliver path** — the I/O source hands each
 //!   arrived frame over as borrowed bytes; the admission policy decodes it
-//!   (or drops it as link noise) into a staging buffer, and the protocols
-//!   run only after the poll returns. No [`irs_net::Frame`] is assembled per
-//!   datagram on the reactor path, and the source is never re-entered from
-//!   inside its own receive callback;
+//!   (or drops it as link noise) into the addressee's staging buffer, and
+//!   the protocols run only after the poll returns: each hosted process
+//!   with arrivals gets them in **one** [`Protocol::on_burst`] call — in
+//!   arrival order, so every link stays FIFO — followed by one `Actions`
+//!   dispatch. A protocol that can coalesce per-event work (the service
+//!   replica opens one slot and commits one WAL group for the whole burst)
+//!   does so without a delay timer or a knob: the batch is whatever the
+//!   poll found, at most [`RECV_BURST`] frames per poll on a [`Transport`]
+//!   source and the reactor's `RECV_BATCH` (also 128) per socket. Staging
+//!   per process reuses each buffer's capacity, so a turn allocates
+//!   nothing. No [`irs_net::Frame`] is assembled per datagram on the
+//!   reactor path, and the source is never re-entered from inside its own
+//!   receive callback;
 //! * the **per-node observation state** — leader-reign SLO tracker,
 //!   leader-change trace, Ω check-period calibration, and the scrape
 //!   [`Responder`] answering telemetry requests off the same staging path
@@ -47,6 +56,14 @@
 //! encode-once fan-out). Link delay is not the host's business: a frame is
 //! delivered the moment the source releases it, and a slow link is a
 //! [`irs_net::FaultyLink`] around the endpoint.
+//!
+//! The two sources do not resolve a timer deadline alike: a [`Transport`]
+//! over a socket waits with a nanosecond `ppoll`, while the reactor's
+//! `Epoll::wait` takes whole milliseconds and rounds a sub-millisecond
+//! timeout *up*, so on the reactor source a timer due in 100 µs fires up to
+//! 1 ms late (and an idle shard wakes once per millisecond at most). Whether
+//! that is the right trade is an open question in ROADMAP.md, to be settled
+//! against the ledger's `runtime.idle_cpu_share_n5`.
 //!
 //! A crashed process is halted on every plane: it fires no timer, receives
 //! no message and answers no scrape (post-mortem reads go through the
@@ -272,10 +289,13 @@ struct NodePanel {
 }
 
 /// One process hosted by a shard.
-pub(crate) struct Local<P> {
+pub(crate) struct Local<P: Protocol> {
     me: ProcessId,
     proto: P,
     cells: NodeCells,
+    /// Messages the last poll admitted for this process, in arrival order:
+    /// its next burst.
+    staged: Vec<(ProcessId, P::Msg)>,
     /// Timer generations, densely indexed by the raw `TimerId` (see the
     /// module docs).
     timer_gen: Vec<u64>,
@@ -306,6 +326,7 @@ impl<P: Protocol + Introspect> Local<P> {
             me,
             proto,
             cells,
+            staged: Vec::new(),
             timer_gen: Vec::new(),
             frames_delivered: 0,
             dirty: true,
@@ -334,6 +355,7 @@ struct ShardObs<'a> {
     polls: irs_obs::Counter,
     timers_fired: irs_obs::Counter,
     frames: irs_obs::Counter,
+    burst_frames: irs_obs::HistHandle,
     responder: Responder,
     /// Registry shard the counters land on: the first hosted node's id.
     cell: usize,
@@ -356,8 +378,6 @@ pub(crate) struct Shard<'a, P: Protocol, Io, A> {
     wheel: EventQueue<()>,
     accept: A,
     stop: Arc<AtomicBool>,
-    /// Messages admitted by the last poll, applied after it returns.
-    staged: Vec<(usize, ProcessId, P::Msg)>,
     /// Scrape requests staged by the same poll: `(local, asker, format,
     /// cursor)`.
     scrapes: Vec<(usize, ProcessId, ScrapeFormat, u32)>,
@@ -395,7 +415,6 @@ where
             wheel: EventQueue::new(),
             accept,
             stop,
-            staged: Vec::new(),
             scrapes: Vec::new(),
             targets: Vec::new(),
             encoded: Vec::new(),
@@ -404,6 +423,7 @@ where
                 polls: obs.registry().counter(names::RUNTIME_POLLS),
                 timers_fired: obs.registry().counter(names::RUNTIME_TIMERS_FIRED),
                 frames: obs.registry().counter(names::RUNTIME_FRAMES_DELIVERED),
+                burst_frames: obs.registry().histogram(names::RUNTIME_BURST_FRAMES),
                 responder: Responder::new(),
                 cell,
                 backpressured: false,
@@ -476,17 +496,16 @@ where
     /// One turn of the source. Frames are routed by addressee — a frame for
     /// a process this shard does not host, or one that arrived on another
     /// hosted node's socket, is link noise — and admitted by the policy into
-    /// `staged`. With observability attached, telemetry-plane payloads are
-    /// routed off by their leading tag before the policy sees them:
-    /// well-formed scrape requests stage into `scrapes`, anything else
-    /// obs-tagged is dropped.
+    /// the addressee's `staged` burst. With observability attached,
+    /// telemetry-plane payloads are routed off by their leading tag before
+    /// the policy sees them: well-formed scrape requests stage into
+    /// `scrapes`, anything else obs-tagged is dropped.
     fn poll_and_stage(&mut self, timeout: StdDuration) -> Result<usize, NetError> {
         let Shard {
             io,
             locals,
             stride,
             accept,
-            staged,
             scrapes,
             obs,
             ..
@@ -503,7 +522,7 @@ where
                     scrapes.push((li, from, format, cursor));
                 }
             } else if let Some(msg) = accept(to, from, to, payload) {
-                staged.push((li, from, msg));
+                locals[li].staged.push((from, msg));
             }
         })
     }
@@ -534,32 +553,40 @@ where
         }
     }
 
-    /// Hands the staged messages to their protocols. While `quiescing` (the
-    /// shutdown drain) the reactions are discarded instead of applied.
+    /// Hands every hosted process the burst the last poll staged for it:
+    /// one `on_burst`, then one `apply`. A crashed process drops its burst;
+    /// while `quiescing` (the shutdown drain) a burst's reactions are
+    /// discarded instead of applied.
     fn deliver_staged(&mut self, out: &mut Actions<P::Msg>, quiescing: bool) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let mut staged = std::mem::take(&mut self.staged);
-        for (li, from, msg) in staged.drain(..) {
+        let mut delivered = false;
+        for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
-            if local.crashed() {
+            if local.staged.is_empty() {
                 continue;
             }
-            local.frames_delivered += 1;
-            local.dirty = true;
-            local.proto.on_message(from, &msg, out);
-            if quiescing {
-                out.clear();
-            } else {
-                self.apply(li, out);
+            let mut burst = std::mem::take(&mut local.staged);
+            if !local.crashed() {
+                let frames = burst.len() as u64;
+                local.frames_delivered += frames;
+                local.dirty = true;
+                local.proto.on_burst(&burst, out);
+                if quiescing {
+                    out.clear();
+                } else {
+                    self.apply(li, out);
+                }
+                if let Some(o) = &self.obs {
+                    o.frames.add(o.cell, frames);
+                    o.burst_frames.record(o.cell, frames);
+                }
+                delivered = true;
             }
-            if let Some(o) = &self.obs {
-                o.frames.inc(o.cell);
-            }
+            burst.clear();
+            self.locals[li].staged = burst;
         }
-        self.staged = staged;
-        self.publish_dirty();
+        if delivered {
+            self.publish_dirty();
+        }
     }
 
     /// Pops and fires every timer due at the current wall tick. A fired

@@ -8,8 +8,9 @@
 //! everywhere: re-arming a timer replaces it, cancelling cancels, a crashed
 //! node is silent on every plane while a live one answers scrapes, frames in
 //! flight at shutdown are delivered with their reactions discarded, the
-//! published snapshot carries one runtime-gauge list, and dropping a
-//! deployment stops its threads.
+//! published snapshot carries one runtime-gauge list, dropping a
+//! deployment stops its threads, and frames that arrive together reach each
+//! hosted process as one `on_burst`, in per-link order.
 
 use irs_net::wire::{put_u32, WireReader};
 use irs_net::{FaultyLink, LinkModel, MemNetwork, TransportScraper, UdpTransport, Wire, WireError};
@@ -23,7 +24,7 @@ use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
 };
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration as StdDuration, Instant};
 
 const N: usize = 4;
@@ -195,6 +196,27 @@ struct Rig {
     scraper: Box<dyn ScrapeSource>,
 }
 
+/// The endpoint outside the deployment: it hosts process ids `N` (the
+/// scraper's) and `N + 1`, so a test can drive two links into one node.
+enum Outside {
+    Mem(irs_net::MemTransport),
+    Udp(UdpTransport),
+}
+
+impl Outside {
+    fn send(&mut self, from: u32, to: u32, msg: &ProbeMsg) {
+        use irs_net::Transport;
+        let (from, to) = (ProcessId::new(from), ProcessId::new(to));
+        let mut payload = Vec::new();
+        msg.encode(&mut payload);
+        match self {
+            Outside::Mem(t) => t.send(from, to, &payload),
+            Outside::Udp(t) => t.send(from, to, &payload),
+        }
+        .expect("outside send");
+    }
+}
+
 fn scraper_over<T: irs_net::Transport + 'static>(endpoint: T) -> Box<dyn ScrapeSource> {
     Box::new(
         TransportScraper::new(endpoint, ProcessId::new(N as u32))
@@ -206,9 +228,25 @@ fn scraper_over<T: irs_net::Transport + 'static>(endpoint: T) -> Box<dyn ScrapeS
 /// Spawns a rig. `delay` holds every frame on the `Transport` kinds'
 /// links for that long (the reactor's links are real sockets).
 fn rig(kind: Kind, delay: StdDuration) -> Rig {
-    let probes: Vec<Probe> = (0..N as u32).map(Probe::new).collect();
+    let probes = (0..N as u32).map(Probe::new).collect();
+    let (deployment, outside) = deploy(kind, delay, probes);
+    let scraper = match outside {
+        Outside::Mem(endpoint) => scraper_over(endpoint),
+        Outside::Udp(endpoint) => scraper_over(endpoint),
+    };
+    Rig {
+        deployment,
+        scraper,
+    }
+}
+
+/// Spawns `processes` (ids `0..N`) on `kind`'s host shape.
+fn deploy<P>(kind: Kind, delay: StdDuration, processes: Vec<P>) -> (Deployment<P>, Outside)
+where
+    P: Protocol<Msg = ProbeMsg> + Introspect + Send + 'static,
+{
     let accept: MuxAccept<ProbeMsg> =
-        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N + 1));
+        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N + 2));
     let obs = Some(Arc::new(Obs::new(N)));
     if kind == Kind::Reactor {
         let mut sockets: Vec<UdpSocket> = (0..=N)
@@ -220,29 +258,30 @@ fn rig(kind: Kind, delay: StdDuration) -> Rig {
             tick: TICK,
             workers: 2,
         };
+        let routes = peers.clone();
         let deployment =
-            Deployment::over_sockets("hc-rx", probes, sockets, peers.clone(), config, accept, obs)
+            Deployment::over_sockets("hc-rx", processes, sockets, routes, config, accept, obs)
                 .expect("spawn over sockets");
         let endpoint = UdpTransport::from_socket(scraper_socket, peers).expect("scraper endpoint");
-        return Rig {
-            deployment,
-            scraper: scraper_over(endpoint),
-        };
+        return (deployment, Outside::Udp(endpoint));
     }
-    // Endpoint `s` hosts the processes `i` with `i % W == s`; the scraper
-    // (process id `N`) sits alone on the last endpoint.
+    // Endpoint `s` hosts the processes `i` with `i % W == s`; the outside
+    // ids sit alone on the last endpoint.
     let workers = if kind == Kind::TransportOne { N } else { 2 };
-    let owner_of: Vec<usize> = (0..N).map(|i| i % workers).chain([workers]).collect();
+    let owner_of: Vec<usize> = (0..N)
+        .map(|i| i % workers)
+        .chain([workers, workers])
+        .collect();
     let mut endpoints = MemNetwork::grouped(&owner_of);
-    let scraper = endpoints.pop().expect("scraper endpoint");
+    let outside = endpoints.pop().expect("outside endpoint");
     let transports = endpoints
         .into_iter()
         .map(|t| FaultyLink::new(t, LinkModel::new(1).with_delay(delay, delay)))
         .collect();
-    Rig {
-        deployment: Deployment::over_transports("hc-tx", probes, transports, TICK, accept, obs),
-        scraper: scraper_over(scraper),
-    }
+    (
+        Deployment::over_transports("hc-tx", processes, transports, TICK, accept, obs),
+        Outside::Mem(outside),
+    )
 }
 
 fn gauge(rig: &Rig, node: u32, name: &str) -> u64 {
@@ -414,6 +453,130 @@ fn every_host_publishes_the_same_runtime_gauges() {
         }
         rig.deployment.shutdown();
     }
+}
+
+/// Records how its inbound traffic was handed over. `gate` (set on one
+/// process of a shard) parks the shard thread in `on_start` until the test
+/// has queued its frames, so the first poll finds all of them.
+#[derive(Debug)]
+struct Recorder {
+    id: ProcessId,
+    gate: Option<Arc<Barrier>>,
+    /// One entry per `on_burst`: the `(sender, seq)` of each frame, in order.
+    bursts: Vec<Vec<(u32, u32)>>,
+    /// Direct `on_message` calls — the host must make none.
+    singles: u64,
+}
+
+impl Protocol for Recorder {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {
+        if let Some(gate) = &self.gate {
+            gate.wait();
+        }
+    }
+
+    fn on_message(&mut self, _from: ProcessId, _msg: &ProbeMsg, _out: &mut Actions<ProbeMsg>) {
+        self.singles += 1;
+    }
+
+    fn on_burst(&mut self, burst: &[(ProcessId, ProbeMsg)], _out: &mut Actions<ProbeMsg>) {
+        let frames = burst.iter().map(|(from, msg)| match *msg {
+            ProbeMsg::Ping(seq) | ProbeMsg::Ack(seq) => (from.as_u32(), seq),
+        });
+        self.bursts.push(frames.collect());
+    }
+
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<ProbeMsg>) {}
+}
+
+impl LeaderOracle for Recorder {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Recorder {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            extra: vec![("rec_bursts", self.bursts.len() as u64)],
+            ..Snapshot::default()
+        }
+    }
+}
+
+/// Frames that arrive together reach `on_burst` together: with the shard
+/// parked, two outside links interleave `PER_LINK` frames each into p0 and
+/// p2 (both on shard 0); the first poll must hand each process its frames
+/// in one call, every link in send order — and never through `on_message`.
+fn frames_that_arrive_together_are_one_burst_per_process(kind: Kind) {
+    const PER_LINK: u32 = 20; // 4 × 20 frames: under the 128-frame poll bound
+    let gate = Arc::new(Barrier::new(2));
+    let recorders = (0..N as u32)
+        .map(|i| Recorder {
+            id: ProcessId::new(i),
+            gate: (i == 0).then(|| Arc::clone(&gate)),
+            bursts: Vec::new(),
+            singles: 0,
+        })
+        .collect();
+    let (deployment, mut outside) = deploy(kind, StdDuration::ZERO, recorders);
+    let links = [N as u32, N as u32 + 1];
+    for seq in 0..PER_LINK {
+        for to in [0, 2] {
+            for from in links {
+                outside.send(from, to, &ProbeMsg::Ping(seq));
+            }
+        }
+    }
+    gate.wait();
+    let delivered = |node| {
+        deployment
+            .snapshot(ProcessId::new(node))
+            .gauge("rec_bursts")
+            > Some(0)
+    };
+    assert!(
+        wait_for(StdDuration::from_secs(20), || delivered(0) && delivered(2)),
+        "{kind:?}: the burst never arrived"
+    );
+    let finals = deployment.shutdown();
+    for node in [0, 2] {
+        let rec = &finals[node];
+        assert_eq!(rec.singles, 0, "{kind:?}: p{node} was handed a lone frame");
+        assert_eq!(
+            rec.bursts.len(),
+            1,
+            "{kind:?}: p{node} took more than one turn"
+        );
+        let burst = &rec.bursts[0];
+        assert_eq!(burst.len(), 2 * PER_LINK as usize, "{kind:?}: p{node}");
+        for link in links {
+            let seqs: Vec<u32> = burst
+                .iter()
+                .filter(|&&(from, _)| from == link)
+                .map(|&(_, seq)| seq)
+                .collect();
+            let sent: Vec<u32> = (0..PER_LINK).collect();
+            assert_eq!(seqs, sent, "{kind:?}: link {link} -> p{node} reordered");
+        }
+    }
+    assert!(finals[1].bursts.is_empty() && finals[3].bursts.is_empty());
+}
+
+#[test]
+fn transport_frames_that_arrive_together_are_one_burst_per_process() {
+    frames_that_arrive_together_are_one_burst_per_process(Kind::TransportMany);
+}
+
+#[test]
+fn reactor_frames_that_arrive_together_are_one_burst_per_process() {
+    frames_that_arrive_together_are_one_burst_per_process(Kind::Reactor);
 }
 
 /// Threads of this process whose name starts with `prefix`.

@@ -5,9 +5,9 @@
 //! file — and translates between the log's typed
 //! [`LogEvent`]s and the WAL's byte-level records. The contract with
 //! [`crate::SvcReplica`] is *persist-before-send*: the replica drains the
-//! log's durability events and commits them here at the end of every
-//! message/timer handler, before the runtime releases the handler's
-//! outbound frames. A crash at any point then loses at most messages that
+//! log's durability events and commits them here at the end of every turn
+//! — a timer, a message, or a whole arrival burst (`Protocol::on_burst`) —
+//! before the runtime releases the turn's outbound frames. A crash at any point then loses at most messages that
 //! were never sent, so a restarted acceptor still honours every promise a
 //! peer may have observed.
 //!

@@ -84,6 +84,10 @@ pub struct SvcReplica {
     awaiting: BTreeMap<(u64, u64), ProcessId>,
     requests: u64,
     redirects: u64,
+    /// Protocol turns taken on inbound traffic (one per `on_burst`).
+    bursts: u64,
+    /// Turns that had durability events to commit.
+    wal_commits: u64,
     snapshots_taken: u64,
     /// Interval snapshots whose export outgrew the single-frame install
     /// cap (they compact all the same and are served via the chunk plane).
@@ -217,6 +221,8 @@ impl SvcReplica {
             awaiting: BTreeMap::new(),
             requests: 0,
             redirects: 0,
+            bursts: 0,
+            wal_commits: 0,
             snapshots_taken: 0,
             oversized_snapshot_skips: 0,
             durability: None,
@@ -350,12 +356,14 @@ impl SvcReplica {
         }
     }
 
-    fn on_request(&mut self, from: ProcessId, cmd: &Command, out: &mut Actions<SvcMsg>) {
+    /// Handles one client write. Returns whether it reached the sequencing
+    /// path — the turn must then [`drive`](ReplicatedLog::drive) the log.
+    fn on_request(&mut self, from: ProcessId, cmd: &Command, out: &mut Actions<SvcMsg>) -> bool {
         self.requests += 1;
         // A command that does not parse as a KvWrite can never be applied;
         // drop it at the door (the codec's equivalent of link noise).
         let Some(w) = KvWrite::decode(cmd) else {
-            return;
+            return false;
         };
         // `Applied` must mean "this write's effect is in the store". The
         // session filter applies per-client seqs in increasing order, so
@@ -373,10 +381,10 @@ impl SvcReplica {
                         slot,
                     }),
                 );
-                return;
+                return false;
             }
             if w.seq < seq {
-                return;
+                return false;
             }
         }
         let me = self.log.id();
@@ -391,18 +399,17 @@ impl SvcReplica {
                     leader,
                 }),
             );
-            return;
+            return false;
         }
-        // We lead: remember who to ack, sequence the command (once), and
-        // drive the frontier slot immediately — ack latency should be
-        // bounded by round trips, not by the periodic log check.
+        // We lead: remember who to ack and sequence the command (once). The
+        // turn drives the window before it ends — ack latency is bounded by
+        // round trips, not by the periodic log check — and every request
+        // that arrived with this one rides the same slot.
         self.awaiting.insert((w.client, w.seq), from);
         if !self.log.is_decided_value(cmd) && !self.log.contains_pending(cmd) {
             self.log.submit(cmd.clone());
         }
-        let mut inner = Actions::new();
-        self.log.drive(&mut inner);
-        self.lift(inner, out);
+        true
     }
 
     /// Answers one read under its tier's guarantee (or queues it on the
@@ -595,9 +602,10 @@ impl SvcReplica {
     }
 
     /// Applies every newly decided contiguous slot — each slot is a batch,
-    /// applied atomically in order, and may ack many clients — and drives
-    /// the window forward. Snapshots are taken on the interval boundary.
-    fn apply_ready(&mut self, out: &mut Actions<SvcMsg>) {
+    /// applied atomically in order, and may ack many clients. Snapshots are
+    /// taken on the interval boundary. Returns whether the cursor moved (the
+    /// turn then drives the window forward).
+    fn apply_ready(&mut self, out: &mut Actions<SvcMsg>) -> bool {
         let cursor_before = self.cursor;
         while let Some(batch) = self.log.decision(self.cursor).cloned() {
             let slot = self.cursor;
@@ -635,12 +643,11 @@ impl SvcReplica {
                 o.batch_commands.record(o.shard, batch.len() as u64);
             }
         }
-        if self.cursor > cursor_before {
+        let advanced = self.cursor > cursor_before;
+        if advanced {
             self.maybe_snapshot();
-            let mut inner = Actions::new();
-            self.log.drive(&mut inner);
-            self.lift(inner, out);
         }
+        advanced
     }
 
     /// Exports the store and truncates the log once enough slots have been
@@ -686,9 +693,9 @@ impl SvcReplica {
             .expect("persist snapshot + rotate WAL");
     }
 
-    /// Commits this handler round's durability events. Runs at the end of
-    /// every handler, before the runtime releases the round's outbound
-    /// frames — persist-before-send.
+    /// Commits this turn's durability events as one WAL group. Runs at the
+    /// end of every turn — a timer, a message, or a whole burst — before
+    /// the runtime releases the turn's outbound frames: persist-before-send.
     fn persist(&mut self) {
         if self.durability.is_none() {
             return;
@@ -698,12 +705,54 @@ impl SvcReplica {
             let syncs_before = d.syncs();
             d.append_events(&events).expect("append to WAL");
             if !events.is_empty() {
+                self.wal_commits += 1;
                 if let Some(t) = self.obs.as_ref().and_then(|o| o.tracer.as_ref()) {
                     let fsynced = u64::from(d.syncs() > syncs_before);
                     t.emit_now(irs_obs::EventKind::WalCommit, events.len() as u64, fsynced);
                 }
             }
         }
+    }
+
+    /// Routes one inbound message to its handler. Returns whether it put a
+    /// request on the sequencing path (see [`Self::on_request`]).
+    fn dispatch(&mut self, from: ProcessId, msg: &SvcMsg, out: &mut Actions<SvcMsg>) -> bool {
+        match msg {
+            SvcMsg::Log(m) => {
+                let mut inner = Actions::new();
+                self.log.on_message(from, m, &mut inner);
+                self.lift(inner, out);
+            }
+            SvcMsg::Request { cmd } => return self.on_request(from, cmd, out),
+            SvcMsg::Read {
+                client,
+                rid,
+                key,
+                tier,
+            } => self.on_read(from, *client, *rid, key, *tier, out),
+            SvcMsg::LeaseProbe { rid } => self.on_lease_probe(from, *rid, out),
+            SvcMsg::LeaseAck { rid, granted } => self.on_lease_ack(from, *rid, *granted, out),
+            // Replies are client-plane messages; at a replica they are
+            // stray traffic.
+            SvcMsg::Reply(_) => {}
+        }
+        false
+    }
+
+    /// Ends a turn: adopt a parked snapshot, apply what was decided, drive
+    /// the window once — only when a request was sequenced or the cursor
+    /// moved, so an idle follower's turn never touches the log's reign —
+    /// answer the reads that became ready, and commit the WAL.
+    fn settle(&mut self, sequenced: bool, out: &mut Actions<SvcMsg>) {
+        self.maybe_install();
+        let advanced = self.apply_ready(out);
+        if sequenced || advanced {
+            let mut inner = Actions::new();
+            self.log.drive(&mut inner);
+            self.lift(inner, out);
+        }
+        self.service_pending_reads(out);
+        self.persist();
     }
 
     /// Adopts a snapshot a peer sent us (we lag past its truncation point):
@@ -748,29 +797,24 @@ impl Protocol for SvcReplica {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, out: &mut Actions<Self::Msg>) {
-        match msg {
-            SvcMsg::Log(m) => {
-                let mut inner = Actions::new();
-                self.log.on_message(from, m, &mut inner);
-                self.lift(inner, out);
-            }
-            SvcMsg::Request { cmd } => self.on_request(from, cmd, out),
-            SvcMsg::Read {
-                client,
-                rid,
-                key,
-                tier,
-            } => self.on_read(from, *client, *rid, key, *tier, out),
-            SvcMsg::LeaseProbe { rid } => self.on_lease_probe(from, *rid, out),
-            SvcMsg::LeaseAck { rid, granted } => self.on_lease_ack(from, *rid, *granted, out),
-            // Replies are client-plane messages; at a replica they are
-            // stray traffic.
-            SvcMsg::Reply(_) => {}
+        self.bursts += 1;
+        let sequenced = self.dispatch(from, msg, out);
+        self.settle(sequenced, out);
+    }
+
+    /// One turn for everything the poll handed over: every message is
+    /// dispatched in order, then the window is driven, decisions are applied
+    /// and the WAL is committed **once** for the burst — so the requests of
+    /// one arrival burst share a slot instead of opening one each, and the
+    /// acceptances of one burst share a commit. Persist-before-send holds by
+    /// construction: the burst's frames leave only after this returns.
+    fn on_burst(&mut self, burst: &[(ProcessId, Self::Msg)], out: &mut Actions<Self::Msg>) {
+        self.bursts += 1;
+        let mut sequenced = false;
+        for (from, msg) in burst {
+            sequenced |= self.dispatch(*from, msg, out);
         }
-        self.maybe_install();
-        self.apply_ready(out);
-        self.service_pending_reads(out);
-        self.persist();
+        self.settle(sequenced, out);
     }
 
     fn on_timer(&mut self, timer: TimerId, out: &mut Actions<Self::Msg>) {
@@ -781,10 +825,7 @@ impl Protocol for SvcReplica {
             self.log.on_timer(timer, &mut inner);
             self.lift(inner, out);
         }
-        self.maybe_install();
-        self.apply_ready(out);
-        self.service_pending_reads(out);
-        self.persist();
+        self.settle(false, out);
     }
 }
 
@@ -807,6 +848,8 @@ impl Introspect for SvcReplica {
             .push((names::AWAITING, self.awaiting.len() as u64));
         snap.extra.push((names::REQUESTS, self.requests));
         snap.extra.push((names::REDIRECTS, self.redirects));
+        snap.extra.push((names::BURSTS, self.bursts));
+        snap.extra.push((names::WAL_COMMITS, self.wal_commits));
         snap.extra
             .push((names::SNAPSHOTS_TAKEN, self.snapshots_taken));
         snap.extra.push((
@@ -928,6 +971,118 @@ mod tests {
             })
             .collect();
         assert_eq!(applied_acks.len(), 1, "exactly one ack: {acks:?}");
+    }
+
+    /// A five-replica group (batch 8 × depth 4) whose p0 reigns with an empty
+    /// window: one routed write established the reign and decided slot 0.
+    fn reigning_group() -> Vec<SvcReplica> {
+        let mut replicas: Vec<SvcReplica> = (0..5)
+            .map(|i| SvcReplica::with_tuning(ProcessId::new(i), system(), 8, 4, 0))
+            .collect();
+        let mut out = Actions::new();
+        let cmd = write(99, 1).encode();
+        replicas[0].on_message(ProcessId::new(99), &SvcMsg::Request { cmd }, &mut out);
+        route(&mut replicas, vec![(ProcessId::new(0), out)]);
+        assert!(replicas[0].log.reign_established());
+        assert_eq!(replicas[0].store().applied(), 1);
+        replicas
+    }
+
+    /// The `(slot, batch length)` of every `Accept` broadcast in `out`.
+    fn accept_broadcasts(out: &Actions<SvcMsg>) -> Vec<(u64, usize)> {
+        out.sends()
+            .iter()
+            .filter_map(|s| match (&s.dest, &s.msg) {
+                (
+                    Destination::AllOthers,
+                    SvcMsg::Log(LogMsg::Slot {
+                        slot,
+                        msg: irs_consensus::PaxosMsg::Accept { v, .. },
+                    }),
+                ) => Some((*slot, v.len())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The tentpole: eight requests that arrive together fill one slot. Frame
+    /// at a time, the first four each open a slot of one (the window is four
+    /// deep) and the rest wait for a decision.
+    #[test]
+    fn a_burst_of_requests_opens_one_slot_for_all_of_them() {
+        let burst: Vec<(ProcessId, SvcMsg)> = (10..18)
+            .map(|c| {
+                let cmd = write(c, 1).encode();
+                (ProcessId::new(c as u32), SvcMsg::Request { cmd })
+            })
+            .collect();
+
+        let leader = &mut reigning_group()[0];
+        let mut out = Actions::new();
+        leader.on_burst(&burst, &mut out);
+        assert_eq!(accept_broadcasts(&out), vec![(1, 8)], "one Accept of 8");
+        assert_eq!(out.sends().len(), 1, "and nothing else");
+        assert_eq!(leader.awaiting.len(), 8);
+
+        let leader = &mut reigning_group()[0];
+        let mut out = Actions::new();
+        for (from, msg) in &burst {
+            leader.on_message(*from, msg, &mut out);
+        }
+        assert_eq!(
+            accept_broadcasts(&out),
+            vec![(1, 1), (2, 1), (3, 1), (4, 1)],
+            "frame at a time: four slots of one, four requests left waiting"
+        );
+        assert_eq!(leader.awaiting.len(), 8);
+    }
+
+    /// The burst law at the replica: a burst of one records exactly what
+    /// `on_message` records, for every message kind, at leader and follower.
+    #[test]
+    fn a_burst_of_one_is_on_message() {
+        use crate::msg::ReadTier;
+        let request = |c: u64| SvcMsg::Request {
+            cmd: write(c, 1).encode(),
+        };
+        let cases: Vec<(usize, u32, SvcMsg)> = vec![
+            (0, 10, request(10)),
+            (3, 10, request(10)),
+            (0, 99, request(99)), // a retry of the applied write: re-acked
+            (0, 11, read_msg(11, 1, b"k99", ReadTier::Stale)),
+            (0, 11, read_msg(11, 2, b"k99", ReadTier::ReadIndex)),
+            (2, 0, SvcMsg::LeaseProbe { rid: 1 }),
+            (
+                0,
+                1,
+                SvcMsg::LeaseAck {
+                    rid: 0,
+                    granted: true,
+                },
+            ),
+            (
+                1,
+                0,
+                SvcMsg::Log(LogMsg::Slot {
+                    slot: 1,
+                    msg: irs_consensus::PaxosMsg::Decide {
+                        v: irs_consensus::Batch::one(write(12, 1).encode()),
+                    },
+                }),
+            ),
+            (1, 0, SvcMsg::Log(LogMsg::Catchup { from: 0 })),
+        ];
+        for (at, from, msg) in cases {
+            let from = ProcessId::new(from);
+            let (mut single, mut burst) = (Actions::new(), Actions::new());
+            reigning_group()[at].on_message(from, &msg, &mut single);
+            reigning_group()[at].on_burst(&[(from, msg.clone())], &mut burst);
+            assert_eq!(
+                format!("{single:?}"),
+                format!("{burst:?}"),
+                "on_burst([m]) != on_message(m) at p{at} for {msg:?}"
+            );
+        }
     }
 
     #[test]
@@ -1059,6 +1214,9 @@ mod tests {
             "awaiting",
             "requests",
             "redirects",
+            "bursts",
+            "wal_commits",
+            "slots_driven",
             "snapshots_taken",
             "oversized_snapshot_skips",
             "reads_lease",

@@ -14,10 +14,15 @@
 //! * no acked write is lost (`applied ≥ acked`), and
 //! * replay is deterministic: recovering the victim's directory twice
 //!   offline yields byte-identical state both times.
+//!
+//! A second, in-process test pins the contract underneath: a replica that
+//! dies between `on_burst` returning and its frames leaving recovers every
+//! acceptance and decision those frames vouch for.
 
+use irs_consensus::{Ballot, Batch, LogMsg, PaxosMsg};
 use irs_net::{reexec, UdpTransport};
-use irs_svc::{run_svc_node, SvcClient, SvcConfig};
-use irs_types::ProcessId;
+use irs_svc::{run_svc_node, KvOp, KvWrite, SvcClient, SvcConfig, SvcMsg, SvcReplica};
+use irs_types::{Actions, Introspect, ProcessId, Protocol};
 use std::io::BufRead;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -183,6 +188,142 @@ fn killed_replica_recovers_with_identical_state_and_no_acked_loss() {
         digests[victim].0,
         "offline recovery disagrees with the restarted replica"
     );
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+type Accepted = (u64, Ballot, Batch<irs_svc::Command>);
+type Decided = (u64, Batch<irs_svc::Command>);
+
+/// Every acceptance and decision the frames in `out` vouch for: an `Accept`
+/// broadcast vouches for its owner's own acceptance, an `Accepted` vote for
+/// the voter's, a `Decide` for the decision.
+fn vouched_for(out: &Actions<SvcMsg>) -> (Vec<Accepted>, Vec<Decided>) {
+    let (mut accepted, mut decided) = (Vec::new(), Vec::new());
+    for send in out.sends() {
+        match &send.msg {
+            SvcMsg::Log(LogMsg::Slot {
+                slot,
+                msg: PaxosMsg::Accept { b, v } | PaxosMsg::Accepted { b, v },
+            }) => accepted.push((*slot, *b, v.clone())),
+            SvcMsg::Log(LogMsg::Slot {
+                slot,
+                msg: PaxosMsg::Decide { v },
+            }) => decided.push((*slot, v.clone())),
+            _ => {}
+        }
+    }
+    (accepted, decided)
+}
+
+/// Drops `replica` with `unsent` never handed to a transport, recovers its
+/// directory, and checks that everything the unsent frames vouch for
+/// survived: persist-before-send, per burst.
+fn crash_before_send_and_recover(
+    config: &SvcConfig,
+    replica: SvcReplica,
+    unsent: Actions<SvcMsg>,
+) -> SvcReplica {
+    let id = replica.id();
+    drop(replica);
+    let recovered = config.replica(id);
+    let (accepted, decided) = vouched_for(&unsent);
+    assert!(
+        !accepted.is_empty(),
+        "the burst must have vouched for something"
+    );
+    for (slot, v) in decided {
+        assert_eq!(recovered.log().decision(slot), Some(&v), "slot {slot}");
+    }
+    for (slot, b, v) in accepted {
+        let survived = recovered.log().decision(slot) == Some(&v)
+            || recovered
+                .log()
+                .accepted_states()
+                .any(|(s, sb, sv)| s == slot && sb >= b && *sv == v);
+        assert!(survived, "acceptance of slot {slot} at {b:?} was lost");
+    }
+    recovered
+}
+
+fn command(client: u64, seq: u64) -> irs_svc::Command {
+    let op = KvOp::Put {
+        key: format!("k{client}").into_bytes(),
+        value: seq.to_le_bytes().to_vec(),
+    };
+    KvWrite { client, seq, op }.encode()
+}
+
+fn request(client: u64, seq: u64) -> SvcMsg {
+    let cmd = command(client, seq);
+    SvcMsg::Request { cmd }
+}
+
+/// Persist-before-send holds per burst: a replica that dies after
+/// `on_burst` returned but before one of the burst's frames left recovers
+/// every acceptance (and decision) those frames vouch for — and the burst
+/// cost one WAL commit, not one per frame.
+#[test]
+fn a_replica_dropped_between_on_burst_and_send_recovers_what_its_frames_vouch_for() {
+    let base = std::env::temp_dir().join(format!("irs-rd-burst-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let config = config(&base).with_batching(8, 4);
+    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+    let commits = |r: &SvcReplica| r.snapshot().gauge("wal_commits").expect("gauge");
+
+    // A follower takes three `Accept`s in one burst; its three votes die
+    // with it.
+    let b = Ballot::for_reign(1, p0);
+    let accepts: Vec<(ProcessId, SvcMsg)> = (0..3u64)
+        .map(|slot| {
+            let v = Batch::one(command(7, slot + 1));
+            let msg = PaxosMsg::Accept { b, v };
+            (p0, SvcMsg::Log(LogMsg::Slot { slot, msg }))
+        })
+        .collect();
+    let mut follower = config.replica(p1);
+    let mut votes = Actions::new();
+    follower.on_burst(&accepts, &mut votes);
+    assert_eq!(vouched_for(&votes).0.len(), 3, "three votes recorded");
+    assert_eq!(commits(&follower), 1, "one WAL commit for the burst");
+    crash_before_send_and_recover(&config, follower, votes);
+
+    // A leader establishes its reign (its own promise plus p1's), then a
+    // burst of four requests opens one slot of four: the `Accept` dies
+    // unsent, the leader's own acceptance must not.
+    let mut leader = config.replica(p0);
+    let mut out = Actions::new();
+    leader.on_burst(&[(ProcessId::new(3), request(3, 1))], &mut out);
+    let (b, first) = out
+        .sends()
+        .iter()
+        .find_map(|s| match &s.msg {
+            SvcMsg::Log(LogMsg::PrepareReign { b, from }) => Some((*b, *from)),
+            _ => None,
+        })
+        .expect("the first request opens the reign");
+    let promise = SvcMsg::Log(LogMsg::PromiseReign {
+        b,
+        from: first,
+        accepted: Vec::new(),
+    });
+    let mut out = Actions::new();
+    leader.on_burst(&[(p0, promise.clone()), (p1, promise)], &mut out);
+    assert_eq!(
+        vouched_for(&out).0.len(),
+        1,
+        "the queued request opens slot 0"
+    );
+    let burst: Vec<(ProcessId, SvcMsg)> =
+        (4..8).map(|c| (ProcessId::new(3), request(c, 1))).collect();
+    let before = commits(&leader);
+    let mut out = Actions::new();
+    leader.on_burst(&burst, &mut out);
+    let (accepted, _) = vouched_for(&out);
+    assert_eq!(accepted.len(), 1, "one Accept for the burst");
+    assert_eq!(accepted[0].2.len(), 4, "carrying all four requests");
+    assert_eq!(commits(&leader), before + 1, "one WAL commit for the burst");
+    crash_before_send_and_recover(&config, leader, out);
 
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -247,6 +247,30 @@ impl<M> Actions<M> {
 /// suspicion counting of lines 13–18 are pure reads), so this makes the
 /// simulator's per-receiver fan-out allocation-free. A protocol that needs an
 /// owned copy of (part of) a message clones exactly what it keeps.
+///
+/// # The burst law
+///
+/// A driver that holds several arrivals for one instance at once (a poll
+/// that drained a socket) may hand them over in one
+/// [`on_burst`](Protocol::on_burst) call instead of one `on_message` call
+/// each. The law every implementation keeps:
+///
+/// * `on_burst(&[(from, m)], out)` records exactly the [`Actions`] that
+///   `on_message(from, &m, out)` records;
+/// * a burst is delivered in order, so frames of one link stay FIFO, and its
+///   end state is one the same frames could have produced one `on_message`
+///   at a time — an override may *coalesce* work that is idempotent per
+///   event (open one slot for eight requests, commit one WAL group), never
+///   reorder or drop a message;
+/// * the recorded actions leave only after `on_burst` returns, so whatever an
+///   implementation persists before returning is persisted before any send
+///   of the burst.
+///
+/// A burst is bounded by the driver (the runtime hands over at most 128
+/// frames per poll); a protocol must not assume a bound of its own. Drivers
+/// that deliver one frame at a time — the simulator, replay harnesses —
+/// call only `on_message`, so a protocol may never *depend* on bursts for
+/// progress.
 pub trait Protocol {
     /// The message type exchanged by instances of this protocol.
     type Msg: Clone + fmt::Debug + Send + Sync + 'static;
@@ -262,6 +286,15 @@ pub trait Protocol {
     /// The payload is borrowed from the driver's (shared) delivery buffer;
     /// clone what must be retained.
     fn on_message(&mut self, from: ProcessId, msg: &Self::Msg, out: &mut Actions<Self::Msg>);
+
+    /// Invoked with every message a driver's poll handed over for this
+    /// process, in arrival order (see *The burst law* above). The default
+    /// delivers them one `on_message` at a time.
+    fn on_burst(&mut self, burst: &[(ProcessId, Self::Msg)], out: &mut Actions<Self::Msg>) {
+        for (from, msg) in burst {
+            self.on_message(*from, msg, out);
+        }
+    }
 
     /// Invoked when timer `timer` expires (and was not superseded or
     /// cancelled in the meantime).
@@ -350,6 +383,40 @@ mod tests {
         assert_eq!(TimerId::new(2).offset(100), TimerId::new(102));
         assert_eq!(TimerId::new(7).raw(), 7);
         assert_eq!(TimerId::new(7).to_string(), "timer#7");
+    }
+
+    /// Echoes every message back to its sender.
+    struct Echo;
+
+    impl Protocol for Echo {
+        type Msg = u32;
+
+        fn id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+
+        fn on_start(&mut self, _out: &mut Actions<u32>) {}
+
+        fn on_message(&mut self, from: ProcessId, msg: &u32, out: &mut Actions<u32>) {
+            out.send(from, *msg);
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<u32>) {}
+    }
+
+    #[test]
+    fn default_on_burst_is_on_message_in_order() {
+        let burst = [(ProcessId::new(1), 7), (ProcessId::new(2), 8)];
+        let (mut one_call, mut per_frame) = (Actions::new(), Actions::new());
+        Echo.on_burst(&burst, &mut one_call);
+        for (from, msg) in &burst {
+            Echo.on_message(*from, msg, &mut per_frame);
+        }
+        let flat = |a: &Actions<u32>| -> Vec<(Destination, u32)> {
+            a.sends().iter().map(|s| (s.dest, s.msg)).collect()
+        };
+        assert_eq!(flat(&one_call), flat(&per_frame));
+        assert_eq!(flat(&one_call)[1], (Destination::To(ProcessId::new(2)), 8));
     }
 
     #[test]
