@@ -23,10 +23,15 @@
 //! * An acceptor that accepts `(b, v)` votes `Accepted` to `b.proposer`
 //!   only. Quorum intersection — all that safety rests on — needs a quorum
 //!   of acceptors to have accepted, not every learner to have heard it.
-//! * The owner that counts `n − t` votes decides and broadcasts the one
-//!   `Decide` of the ballot. A process that receives a `Decide` records it
-//!   and sends nothing, so everyone but the owner learns one hop after the
-//!   owner does.
+//! * The owner that counts `n − t` votes decides and records the one
+//!   `Decide` of the ballot, addressed to all others. A process that
+//!   receives a `Decide` records it and sends nothing, so everyone but the
+//!   owner learns after the owner does: one hop later when the `Decide` is
+//!   sent as recorded (this instance's single-decree composition, and every
+//!   per-slot ballot of the replicated log), with the owner's next `Accept`
+//!   when the replicated log holds a stable reign's announcement back to
+//!   ride on it (see the `repeated` module docs — the instance neither knows
+//!   nor cares which).
 //!
 //! The learner therefore only counts votes for the ballot it currently runs
 //! in phase 2. A vote for any other ballot — someone else's, or an own one

@@ -42,6 +42,6 @@ pub use instance::{PaxosInstance, PaxosMsg, PaxosSend};
 pub use process::{ConsensusConfig, ConsensusMsg, ConsensusProcess, TIMER_BALLOT_CHECK};
 pub use repeated::{
     snapshot_chunk_count, LogEvent, LogMsg, ReplicatedLog, CATCHUP_BATCH, CATCHUP_BYTES,
-    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, REIGN_REPORT_BYTES, REIGN_REPORT_MAX,
+    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, NOTED_MAX, REIGN_REPORT_BYTES, REIGN_REPORT_MAX,
     SNAPSHOT_CHUNK_LEN, SNAPSHOT_CHUNK_WINDOW, TIMER_LOG_CHECK,
 };

@@ -37,19 +37,45 @@
 //!
 //! Every slot message either leaves the slot's ballot owner or returns to
 //! it (the flow is [`PaxosInstance`]'s; its module docs give the per-ballot
-//! rules). On an established reign a slot costs `3(n − 1)` peer frames:
+//! rules). On an established reign a slot costs `2(n − 1)` peer frames:
 //!
 //! 1. the leader accepts and votes for its own batch in the handler that
 //!    opens the slot, and sends `Accept` to the `n − 1` others;
 //! 2. each acceptor votes `Accepted` to the leader alone;
 //! 3. at `n − t` votes (its own included) the leader decides — a client ack
 //!    can leave from that handler, three replica hops after the request
-//!    arrived — and broadcasts the slot's one `Decide`.
+//!    arrived, as the turn's first send — and *holds* the announcement: a
+//!    follower that accepted `(b, v)` learns nothing from a `Decide` except
+//!    "ballot `b` made its quorum", which the reign's next `Accept` can say
+//!    in twelve bytes;
+//! 4. the next `Accept` the leader emits at the reign ballot leaves as a
+//!    [`LogMsg::AcceptNoting`]: the new slot's `Accept` plus the contiguous
+//!    run of slots decided at that ballot since the last one (*the note*).
+//!    A follower learns, for each noted slot, the batch it accepted at
+//!    exactly `b` — "chosen at `b`" plus "one proposal per slot per ballot"
+//!    is the whole safety argument, and only `b.proposer` is believed — in
+//!    the handler that accepts the new slot, so the `Decided` record and the
+//!    `Accepted` record share one WAL commit. A follower holding no such
+//!    acceptance learns nothing and asks the leader to replay
+//!    ([`LogMsg::Catchup`]) at once — the first time in a check period;
+//!    further gaps in the same period wait for the period's own request.
 //!
-//! A follower therefore learns a decision one hop after the leader does,
-//! and so does whatever reads its state without asking the leader (a
-//! `ReadTier::Stale` read in `irs-svc`). A `Decide` is never echoed and
-//! never sent in reply to a vote: the `n − quorum` votes that trail every
+//! Whatever is still held when the log's next timer fires — any timer: the
+//! oracle's send period is the shortest, well inside a follower's check
+//! period — is announced by plain `Decide`, and so is everything held when
+//! the host stops ([`Protocol::on_quiesce`]). Held decisions that are not one
+//! run at the `Accept`'s ballot (out-of-order decisions in a deep window, a
+//! reign that ended) get their own `Decide` too, so each decision is
+//! announced exactly once. Only decisions the leader's *own quorum* made at
+//! its *established reign ballot* are held; a decision at a per-slot ballot
+//! (a stalled ballot's restart, the reign's fallback, `phase1_skip` off) or
+//! one learned from somebody else is announced, or not, exactly as before.
+//!
+//! A follower therefore learns a decision with the reign's next `Accept`,
+//! else within one oracle timer period, and so does whatever reads its state
+//! without asking the leader (a `ReadTier::Stale` read in `irs-svc`, which
+//! promises a committed state, not the latest). A `Decide` is never echoed
+//! and never sent in reply to a vote: the `n − quorum` votes that trail every
 //! decision, and late `Promise`s, are answers to the leader's own ballot.
 //! Only the proposer-side messages `Prepare` and `Accept` arriving for a
 //! decided slot mark their sender as lagging and are answered with the
@@ -60,12 +86,13 @@
 //!
 //! | lost | noticed by | recovered by |
 //! |---|---|---|
-//! | `Accept` to a follower | nobody, if a quorum still forms — the follower takes the `Decide` | — |
+//! | `Accept` to a follower | nobody, if a quorum still forms — until the note for that slot arrives and matches no acceptance | `Catchup` to the leader, from the note's handler |
 //! | enough `Accept`s or `Accepted`s that no quorum forms | the leader: the slot's progress counter stands still over a check period | stalled-ballot restart (a higher per-slot ballot, with its phase 1) |
-//! | the `Decide` to a follower that saw the `Accept` | the follower: traffic at or above a frontier that stands still for a check period | `Catchup` to the leader, then a rotating peer |
-//! | the `Decide` *and* the `Accept` (per-link loss, or one dark window over both) | the follower at the next slot's traffic (a gap beyond its window); when idle, the leader's frontier advertisement ([`LogMsg::SnapshotOffer`], once per still check period) | `Catchup` |
+//! | the note (or the flushed `Decide`) to a follower that saw the slot's `Accept` | the follower: traffic at or above a frontier that stands still for a check period | `Catchup` to the leader, then a rotating peer |
+//! | the note *and* the `Accept` (one frame carries both the note for slot `s` and the `Accept` of the next slot; or per-link loss over two frames) | the follower at the next noting `Accept` (no acceptance for the noted slot) or the next slot's traffic (a gap beyond its window); when idle, the leader's frontier advertisement ([`LogMsg::SnapshotOffer`], once per still check period) | `Catchup` |
 //! | everything a replica that later leads missed | its `PrepareReign` names its frontier; or a follower that is ahead answers its advertisement with its own | `PromiseReign` replay of the decided history; `Catchup` |
-//! | the leader itself, after its quorum and before its `Decide` left | Ω | the next reign's `PrepareReign`: quorum intersection puts the accepted batch in a counted report (a restarted acceptor's from its WAL), and it is re-proposed |
+//! | the leader itself, after its quorum and before any announcement left | Ω | the next reign's `PrepareReign`: quorum intersection puts the accepted batch in a counted report (a restarted acceptor's from its WAL), and it is re-proposed |
+//! | the same, and no successor: Ω names nobody alive, or nobody who gets a reign through | a follower holding the slot's acceptance: its frontier stands still under seen traffic for more than [`REIGN_RETRIES`] check periods, catch-ups unanswered | it finishes the slot itself with a per-slot ballot re-proposing the accepted batch (any process may run a ballot; the phase-1 value rule keeps it safe), the stalled replicas taking turns by period |
 //! | our frames, silently, because a quorum promised a newer reign we never heard of | the leader: restarts keep stalling while nothing decides | the reign ends after [`REIGN_RETRIES`] such ticks and a fresh epoch is minted |
 //!
 //! # Phase-1 skip (the stable-reign fast path)
@@ -78,7 +105,7 @@
 //! frontier upward. Each acceptor promises the whole range at once
 //! ([`LogMsg::PromiseReign`]), reporting its accepted state for those
 //! slots; once a quorum has promised, the reign is *established* and every
-//! new slot opens directly in phase 2 — the three steps above, with no
+//! new slot opens directly in phase 2 — the steps above, with no
 //! `Prepare`/`Promise` round trip before them.
 //!
 //! Safety is the per-slot argument lifted to the range: the reign promise
@@ -98,8 +125,9 @@
 //!
 //! # Catch-up
 //!
-//! A decision is announced once, by the ballot owner, so under a lossy link
-//! a replica can miss it while its peers move on. A replica that observes
+//! A decision is announced once, by the ballot owner (as a note or as a
+//! `Decide`), so under a lossy link a replica can miss it while its peers
+//! move on. A replica that observes
 //! traffic for a slot *beyond the pipeline window* of its own frontier knows
 //! decisions exist that it lacks and sends [`LogMsg::Catchup`] at the next
 //! check tick; traffic *inside* the window is the normal in-flight case and
@@ -127,7 +155,8 @@
 //! O(snapshot interval + pipeline window) under sustained load.
 
 use crate::{
-    Ballot, Batch, ConsensusConfig, LogValue, PaxosInstance, PaxosMsg, Value, MAX_BATCH_LEN,
+    Ballot, Batch, ConsensusConfig, LogValue, PaxosInstance, PaxosMsg, PaxosSend, Value,
+    MAX_BATCH_LEN,
 };
 use irs_types::{
     Actions, Destination, Fnv64, Introspect, LeaderOracle, ProcessId, Protocol, RoundNum,
@@ -187,6 +216,12 @@ pub const REIGN_REPORT_MAX: usize = 64;
 /// Byte budget of a [`LogMsg::PromiseReign`]'s reported batches, measured
 /// by [`LogValue::estimated_size`] — keeps the reply inside one wire frame.
 pub const REIGN_REPORT_BYTES: usize = 32 * 1024;
+
+/// Most slots one [`LogMsg::AcceptNoting`] notes. The leader holds at most
+/// `pipeline_depth` unannounced decisions, so this only binds a window
+/// deeper than it (the excess is announced by plain `Decide`); on the wire
+/// it bounds the range a receiver walks.
+pub const NOTED_MAX: u64 = 64;
 
 /// Check ticks a reign prepare may stall (no promise quorum) before the
 /// leader re-broadcasts it, and how many re-broadcasts it attempts before
@@ -294,6 +329,25 @@ pub enum LogMsg<M, V = Value> {
         /// The acceptor's accepted `(slot, ballot, batch)` state ≥ `from`.
         accepted: Vec<(u64, Ballot, Batch<V>)>,
     },
+    /// A reign `Accept` that also announces decisions: `Slot { slot, Accept
+    /// { b, v } }` plus *the note* — the owner of `b` counted a vote quorum
+    /// at `b` for every slot in `noted_from .. noted_from + noted_len` (one
+    /// contiguous run, at most [`NOTED_MAX`]). A receiver that accepted one
+    /// of those slots at exactly `b` thereby knows its batch was chosen; one
+    /// that did not learns nothing from the note and asks the sender to
+    /// replay. The note is believed only when `b.proposer` sent it.
+    AcceptNoting {
+        /// The slot the `Accept` opens.
+        slot: u64,
+        /// The reign ballot: of the `Accept`, and of every noted decision.
+        b: Ballot,
+        /// The batch proposed for `slot`.
+        v: Batch<V>,
+        /// First noted slot.
+        noted_from: u64,
+        /// Number of noted slots (≥ 1 as sent).
+        noted_len: u64,
+    },
 }
 
 impl<M: RoundTagged, V: LogValue> RoundTagged for LogMsg<M, V> {
@@ -308,7 +362,8 @@ impl<M: RoundTagged, V: LogValue> RoundTagged for LogMsg<M, V> {
             | LogMsg::SnapshotChunkRequest { .. }
             | LogMsg::SnapshotChunk { .. }
             | LogMsg::PrepareReign { .. }
-            | LogMsg::PromiseReign { .. } => None,
+            | LogMsg::PromiseReign { .. }
+            | LogMsg::AcceptNoting { .. } => None,
         }
     }
 
@@ -332,6 +387,7 @@ impl<M: RoundTagged, V: LogValue> RoundTagged for LogMsg<M, V> {
                         .map(|(_, _, v)| 8 + BALLOT + v.estimated_size())
                         .sum::<usize>()
             }
+            LogMsg::AcceptNoting { v, .. } => 1 + 8 + BALLOT + v.estimated_size() + 8 + 8,
         }
     }
 }
@@ -397,8 +453,8 @@ enum Reign<V> {
     Established {
         ballot: Ballot,
         from: u64,
-        /// Consecutive check ticks that restarted a stalled ballot while
-        /// the frontier stood still; past [`REIGN_RETRIES`] the reign ends.
+        /// Consecutive check ticks on which the frontier stood still under
+        /// an open proposal of ours; past [`REIGN_RETRIES`] the reign ends.
         stalls: u32,
     },
     /// Establishment failed (stalled past [`REIGN_RETRIES`], or acceptors
@@ -446,6 +502,11 @@ pub struct ReplicatedLog<O, V = Value> {
     /// move across a whole check period is the stall signal that arms the
     /// ambiguous (in-window traffic) catch-up case.
     last_check_frontier: u64,
+    /// Consecutive check ticks on which the frontier stood still at or below
+    /// traffic this replica has seen — how long the catch-up requests have
+    /// gone unanswered. Past [`REIGN_RETRIES`] a non-leader stops waiting
+    /// for a leader to finish the slot (see `finish_frontier_slot`).
+    still_checks: u32,
     /// Per-slot progress counters as of the previous check / open, used to
     /// restart only genuinely stalled ballots across the window.
     last_progress: BTreeMap<u64, u64>,
@@ -475,6 +536,26 @@ pub struct ReplicatedLog<O, V = Value> {
     /// Highest [`Ballot::reign_epoch`] observed in any ballot, so a fresh
     /// reign always outbids every earlier reign and its fallback ballots.
     max_epoch_seen: u64,
+    /// Leader side: decisions this replica's own quorum made at its
+    /// established reign ballot and has not announced yet, by slot — the
+    /// ballot they were chosen at and the batch (owned: the decision itself
+    /// may be compacted away before the announcement leaves). At most
+    /// `pipeline_depth` entries; emptied by the next `Accept` at that ballot
+    /// or the next timer, whichever comes first (see the module docs).
+    unannounced: BTreeMap<u64, (Ballot, Batch<V>)>,
+    /// Held decisions announced as the note of an `Accept`.
+    decides_noted: u64,
+    /// Held decisions announced by a `Decide` of their own after all.
+    decides_flushed: u64,
+    /// Notes received that named a slot this replica held no matching
+    /// acceptance for.
+    notes_unmatched: u64,
+    /// Whether an unmatched note already asked for a replay since the last
+    /// check tick. The first one asks at once; under loss at a high slot
+    /// rate the rest would each draw a full catch-up answer (a snapshot,
+    /// from below the leader's floor) at exactly the replica that is
+    /// struggling, so they leave it to the check period's own request.
+    asked_on_a_note: bool,
     slots_driven: u64,
     catchups_sent: u64,
     snapshot_installs: u64,
@@ -538,6 +619,7 @@ where
             max_seen_slot: None,
             frontier: 0,
             last_check_frontier: u64::MAX,
+            still_checks: 0,
             last_progress: BTreeMap::new(),
             compact_floor: 0,
             snapshot: None,
@@ -548,6 +630,11 @@ where
             reign: None,
             reign_promise: None,
             max_epoch_seen: 0,
+            unannounced: BTreeMap::new(),
+            decides_noted: 0,
+            decides_flushed: 0,
+            notes_unmatched: 0,
+            asked_on_a_note: false,
             slots_driven: 0,
             catchups_sent: 0,
             snapshot_installs: 0,
@@ -789,19 +876,85 @@ where
         }
     }
 
+    /// Records `slot`'s outbound consensus messages. An `Accept` leaves
+    /// with the held decisions of its ballot noted on it, if there are any
+    /// (see [`take_unannounced`](Self::take_unannounced)).
     fn emit_slot(
-        &self,
+        &mut self,
         slot: u64,
-        sends: Vec<(Destination, PaxosMsg<Batch<V>>)>,
+        sends: Vec<PaxosSend<Batch<V>>>,
         out: &mut Actions<LogMsg<O::Msg, V>>,
     ) {
         for (dest, msg) in sends {
+            let msg = match msg {
+                PaxosMsg::Accept { b, v } if !self.unannounced.is_empty() => {
+                    match self.take_unannounced(b, out) {
+                        (_, 0) => LogMsg::Slot {
+                            slot,
+                            msg: PaxosMsg::Accept { b, v },
+                        },
+                        (noted_from, noted_len) => LogMsg::AcceptNoting {
+                            slot,
+                            b,
+                            v,
+                            noted_from,
+                            noted_len,
+                        },
+                    }
+                }
+                msg => LogMsg::Slot { slot, msg },
+            };
             match dest {
-                Destination::To(q) => out.send(q, LogMsg::Slot { slot, msg }),
-                Destination::AllOthers => out.broadcast_others(LogMsg::Slot { slot, msg }),
-                Destination::All => out.broadcast_all(LogMsg::Slot { slot, msg }),
+                Destination::To(q) => out.send(q, msg),
+                Destination::AllOthers => out.broadcast_others(msg),
+                Destination::All => out.broadcast_all(msg),
             }
         }
+    }
+
+    /// Empties the held announcements for an `Accept` at ballot `b` that is
+    /// about to leave: returns the `(first slot, length)` of the lowest
+    /// contiguous run decided at `b` — the note that `Accept` carries, of
+    /// length 0 when nothing matches — and announces whatever is not part
+    /// of it by plain `Decide`, so every held decision is announced once.
+    fn take_unannounced(&mut self, b: Ballot, out: &mut Actions<LogMsg<O::Msg, V>>) -> (u64, u64) {
+        let (mut from, mut len) = (0, 0);
+        for (slot, (chosen_at, v)) in std::mem::take(&mut self.unannounced) {
+            if chosen_at == b && len < NOTED_MAX && (len == 0 || slot == from + len) {
+                if len == 0 {
+                    from = slot;
+                }
+                len += 1;
+            } else {
+                self.announce(slot, v, out);
+            }
+        }
+        self.decides_noted += len;
+        (from, len)
+    }
+
+    /// Announces every held decision by plain `Decide`: at the log's next
+    /// timer after the decision, and when the host stops.
+    fn flush_unannounced(&mut self, out: &mut Actions<LogMsg<O::Msg, V>>) {
+        for (slot, (_, v)) in std::mem::take(&mut self.unannounced) {
+            self.announce(slot, v, out);
+        }
+    }
+
+    fn announce(&mut self, slot: u64, v: Batch<V>, out: &mut Actions<LogMsg<O::Msg, V>>) {
+        self.decides_flushed += 1;
+        out.broadcast_others(LogMsg::Slot {
+            slot,
+            msg: PaxosMsg::Decide { v },
+        });
+    }
+
+    /// Asks `target` to replay the decided slots from our frontier upward.
+    fn ask_catchup(&mut self, target: ProcessId, out: &mut Actions<LogMsg<O::Msg, V>>) {
+        let from = self.frontier();
+        out.send(target, LogMsg::Catchup { from });
+        self.catchups_sent += 1;
+        self.trace(irs_obs::EventKind::CatchupSent, from, 0);
     }
 
     fn instance(&mut self, slot: u64) -> &mut PaxosInstance<Batch<V>> {
@@ -1260,6 +1413,16 @@ where
     /// those slots. Refuses (stays silent) when the report would exceed its
     /// bounds — an incomplete report could hide a decidable value from the
     /// leader's phase-1 value rule, so partial promises are never made.
+    ///
+    /// A replica that *knows a decision* at or above `first` refuses too: a
+    /// decided slot keeps no acceptor state to report, and a promise that
+    /// says nothing about it would let the leader count this replica into a
+    /// quorum that calls the slot free. It answers with the replay of what it
+    /// holds instead — exactly what a per-slot `Prepare` for a decided slot
+    /// gets — and the leader prepares again once it has caught up. (What the
+    /// leader itself has learned since it sent the prepare is hidden from
+    /// nobody, so its own promise is exempt: its acceptor must stand behind
+    /// the ballot its fallback ballots are derived from.)
     fn on_prepare_reign(
         &mut self,
         from: ProcessId,
@@ -1271,12 +1434,14 @@ where
         if self.reign_promise.is_some_and(|(prev, _)| prev > b) {
             return; // already promised a newer reign
         }
+        let knows_more = first < self.frontier() || self.decisions.range(first..).next().is_some();
+        if knows_more && from != self.id {
+            self.answer_catchup(from, first, out);
+            return;
+        }
         let mut reports = Vec::new();
         let mut bytes = 0usize;
         for (&slot, inst) in self.instances.range(first..) {
-            if self.decisions.contains_key(&slot) {
-                continue; // the leader learns decided slots via the replay below
-            }
             if let Some((ab, av)) = inst.accepted() {
                 bytes += 8 + 12 + av.estimated_size();
                 reports.push((slot, *ab, av.clone()));
@@ -1297,12 +1462,6 @@ where
                 accepted: reports,
             },
         );
-        // A leader preparing from below our frontier is also lagging;
-        // replay the decided history it is missing (bounded, same path as
-        // an explicit catch-up request).
-        if first < self.frontier() {
-            self.answer_catchup(from, first, out);
-        }
     }
 
     /// Leader side of the reign promise: collect the quorum, then establish
@@ -1489,8 +1648,166 @@ where
         }
     }
 
+    /// Handles one consensus message for `slot`.
+    fn on_slot(
+        &mut self,
+        from: ProcessId,
+        slot: u64,
+        msg: PaxosMsg<Batch<V>>,
+        out: &mut Actions<LogMsg<O::Msg, V>>,
+    ) {
+        if let PaxosMsg::Prepare { b }
+        | PaxosMsg::Promise { b, .. }
+        | PaxosMsg::Accept { b, .. }
+        | PaxosMsg::Accepted { b, .. } = &msg
+        {
+            self.note_epoch(*b);
+        }
+        // Only the proposer-side messages mark their sender as a
+        // straggler worth answering: a `Promise` or an `Accepted`
+        // answers *our* ballot (the n − quorum votes that trail every
+        // decision are the common case), and a `Decide` needs none.
+        let from_proposer = matches!(msg, PaxosMsg::Prepare { .. } | PaxosMsg::Accept { .. });
+        self.note_seen_slot(slot);
+        if slot < self.compact_floor {
+            // The decision is gone; point the straggler at the
+            // snapshot that replaced it.
+            if from_proposer {
+                out.send(
+                    from,
+                    LogMsg::SnapshotOffer {
+                        upto: self.compact_floor,
+                    },
+                );
+            }
+            return;
+        }
+        if let Some(v) = self.decisions.get(&slot) {
+            // Help a lagging proposer: the slot is already decided
+            // here.
+            if from_proposer {
+                out.send(
+                    from,
+                    LogMsg::Slot {
+                        slot,
+                        msg: PaxosMsg::Decide { v: v.clone() },
+                    },
+                );
+            }
+            return;
+        }
+        // A vote at our established reign ballot: should it complete the
+        // quorum, the announcement is held for the next `Accept` to carry.
+        let reign_vote = match (&msg, &self.reign) {
+            (PaxosMsg::Accepted { b, .. }, Some(Reign::Established { ballot, .. }))
+                if b == ballot =>
+            {
+                Some(*b)
+            }
+            _ => None,
+        };
+        let mut sends = Vec::new();
+        let accepted_before = self.accepted_ballot(slot);
+        let inst = self.instance(slot);
+        let dropped_before = inst.votes_dropped();
+        inst.handle(from, msg, &mut sends);
+        let decided = inst.decided().cloned();
+        let dropped = inst.votes_dropped() - dropped_before;
+        self.votes_dropped += dropped;
+        // Before the vote queued in `sends` can leave.
+        self.record_acceptance(slot, accepted_before);
+        if let Some(b) = reign_vote {
+            let announcement = sends.pop_if(|(_, m)| matches!(m, PaxosMsg::Decide { .. }));
+            if let Some((_, PaxosMsg::Decide { v })) = announcement {
+                self.unannounced.insert(slot, (b, v));
+            }
+        }
+        self.emit_slot(slot, sends, out);
+        if let Some(v) = decided {
+            self.note_decision(slot, v);
+            // A decision slides the window: open the next slot(s)
+            // immediately if more values are queued.
+            self.drive(out);
+        }
+    }
+
+    /// The note of an [`LogMsg::AcceptNoting`] from the owner of `b`: every
+    /// slot in the run was chosen at `b`. For each one at or above the
+    /// compaction floor and not yet decided here, the batch this replica
+    /// accepted at exactly `b` is the chosen one (a ballot proposes one batch
+    /// per slot) and is learned like a `Decide` carrying it. A slot without
+    /// such an acceptance — never accepted, or accepted at another ballot —
+    /// teaches nothing; the owner is asked to replay instead (at once, but
+    /// at most once per check period).
+    fn learn_noted(
+        &mut self,
+        from: ProcessId,
+        b: Ballot,
+        noted_from: u64,
+        noted_len: u64,
+        out: &mut Actions<LogMsg<O::Msg, V>>,
+    ) {
+        let end = noted_from.saturating_add(noted_len.min(NOTED_MAX));
+        let mut unmatched = false;
+        for slot in noted_from.max(self.compact_floor)..end {
+            if self.decisions.contains_key(&slot) {
+                continue;
+            }
+            let accepted = self.instances.get(&slot).and_then(|i| i.accepted());
+            match accepted {
+                Some((at, v)) if *at == b => {
+                    let decide = PaxosMsg::Decide { v: v.clone() };
+                    self.on_slot(from, slot, decide, out);
+                }
+                _ => unmatched = true,
+            }
+        }
+        if unmatched {
+            self.notes_unmatched += 1;
+            if !std::mem::replace(&mut self.asked_on_a_note, true) {
+                self.ask_catchup(from, out);
+            }
+        }
+    }
+
+    /// Leaderless recovery of the frontier slot. A leader acks from the
+    /// handler that counts its quorum and announces later; if it dies in
+    /// between, the batch is chosen and nobody alive knows. The next reign's
+    /// prepare finds it — when there is a next reign. When the oracle names
+    /// no live successor (or none gets a reign through) for more than
+    /// [`REIGN_RETRIES`] check periods while this replica sits on an
+    /// acceptance for its frontier slot, it finishes the slot itself: a
+    /// per-slot ballot re-proposing the batch it accepted. Any process may
+    /// run a ballot — the phase-1 value rule, not the oracle, is what keeps it
+    /// safe — and the stalled replicas take turns by period, so they do not
+    /// duel. Decided at a per-slot ballot, the slot is announced by an
+    /// immediate `Decide` to everyone, replicas that never saw its `Accept`
+    /// included.
+    fn finish_frontier_slot(&mut self, frontier: u64, out: &mut Actions<LogMsg<O::Msg, V>>) {
+        let n = self.cfg.system.n() as u32;
+        if self.still_checks <= REIGN_RETRIES || self.still_checks % n != self.id.as_u32() {
+            return;
+        }
+        let Some(inst) = self.instances.get_mut(&frontier) else {
+            return;
+        };
+        let Some((_, v)) = inst.accepted().cloned() else {
+            return;
+        };
+        inst.adopt_proposal(v);
+        let mut sends = Vec::new();
+        inst.start_ballot(&mut sends);
+        let attempt = inst.ballots_started();
+        if !sends.is_empty() {
+            self.slots_driven += 1;
+            self.trace(irs_obs::EventKind::BallotOpened, frontier, attempt);
+        }
+        self.emit_slot(frontier, sends, out);
+    }
+
     fn check(&mut self, out: &mut Actions<LogMsg<O::Msg, V>>) {
         out.set_timer(TIMER_LOG_CHECK, self.cfg.ballot_check_period);
+        self.asked_on_a_note = false;
         self.resume_chunk_transfer(out);
         // Catch-up. Traffic for a slot *beyond the pipeline window* of our
         // frontier proves decisions exist that we lack (leaders only open
@@ -1511,11 +1828,14 @@ where
             // the recovery path (n−1)-fold redundant exactly when the
             // cluster is already stressed.
             let target = self.catchup_target();
-            out.send(target, LogMsg::Catchup { from: frontier });
-            self.catchups_sent += 1;
-            self.trace(irs_obs::EventKind::CatchupSent, frontier, 0);
+            self.ask_catchup(target, out);
         }
         self.last_check_frontier = frontier;
+        self.still_checks = if stalled_at_seen {
+            self.still_checks + 1
+        } else {
+            0
+        };
         let leader = self.oracle.leader();
         if leader != self.id {
             // Not the leader: discard any reign, reclaim any slot
@@ -1523,6 +1843,7 @@ where
             // pending submissions to the process we currently believe leads.
             self.reign = None;
             self.reclaim_inflight();
+            self.finish_frontier_slot(frontier, out);
             let forward = self.cfg.batch_max.clamp(1, MAX_BATCH_LEN);
             for v in self.pending.iter().take(forward) {
                 out.send(leader, LogMsg::Forward { v: v.clone() });
@@ -1547,6 +1868,9 @@ where
         if self.cfg.phase1_skip {
             match &mut self.reign {
                 None => self.begin_reign(out),
+                // We caught up while preparing: every acceptor that told
+                // us so refused the promise, so prepare again from here.
+                Some(Reign::Preparing { from, .. }) if *from < frontier => self.begin_reign(out),
                 Some(Reign::Preparing {
                     ballot,
                     from,
@@ -1577,7 +1901,7 @@ where
             .filter(|(_, inst)| inst.proposal().is_some())
             .map(|(s, _)| *s)
             .collect();
-        let mut restarted = false;
+        let mut proposing = false;
         for slot in stalled_slots {
             let (sends, progress, attempt) = {
                 let Some(inst) = self.instances.get_mut(&slot) else {
@@ -1586,6 +1910,7 @@ where
                 if inst.decided().is_some() {
                     continue;
                 }
+                proposing = true;
                 let progress = inst.progress_counter();
                 let stalled = self.last_progress.get(&slot).copied() == Some(progress);
                 let mut sends = Vec::new();
@@ -1596,22 +1921,23 @@ where
             };
             self.last_progress.insert(slot, progress);
             if !sends.is_empty() {
-                restarted = true;
                 self.slots_driven += 1;
                 self.trace(irs_obs::EventKind::BallotOpened, slot, attempt);
             }
             self.emit_slot(slot, sends, out);
         }
-        // Acceptors drop an outbid ballot without a word. Ballots that keep
-        // stalling under our reign (or its fallback) while nothing decides
+        // Acceptors drop an outbid ballot without a word. Proposals that
+        // stay open under our reign (or its fallback) while nothing decides
         // may mean a quorum promised a newer reign whose every frame we
         // missed — and restarts one attempt higher never climb an epoch.
-        // End the reign: the `drive` below mints a fresh epoch, which
-        // outbids whatever was promised.
+        // (Whether a ballot was restarted on this very tick is no measure:
+        // a minority that still answers moves the progress counter every
+        // other period, for ever.) End the reign: the `drive` below mints a
+        // fresh epoch, which outbids whatever was promised.
         if let Some(Reign::Established { stalls, .. } | Reign::Fallback { stalls }) =
             &mut self.reign
         {
-            *stalls = if restarted && stood_still {
+            *stalls = if proposing && stood_still {
                 *stalls + 1
             } else {
                 0
@@ -1666,14 +1992,7 @@ where
             LogMsg::SnapshotOffer { upto } => {
                 if *upto > self.frontier {
                     self.note_seen_slot(upto - 1);
-                    out.send(
-                        from,
-                        LogMsg::Catchup {
-                            from: self.frontier(),
-                        },
-                    );
-                    self.catchups_sent += 1;
-                    self.trace(irs_obs::EventKind::CatchupSent, self.frontier(), 0);
+                    self.ask_catchup(from, out);
                 } else if *upto < self.frontier {
                     // The advertiser is the one behind (an idle leader that
                     // missed the tail of its predecessor's reign): say so,
@@ -1725,71 +2044,31 @@ where
             } => {
                 self.on_promise_reign(from, *b, *first, accepted, out);
             }
-            LogMsg::Slot { slot, msg } => {
-                let slot = *slot;
-                if let PaxosMsg::Prepare { b }
-                | PaxosMsg::Promise { b, .. }
-                | PaxosMsg::Accept { b, .. }
-                | PaxosMsg::Accepted { b, .. } = msg
-                {
-                    self.note_epoch(*b);
+            LogMsg::Slot { slot, msg } => self.on_slot(from, *slot, msg.clone(), out),
+            LogMsg::AcceptNoting {
+                slot,
+                b,
+                v,
+                noted_from,
+                noted_len,
+            } => {
+                // Only the ballot's owner counted its votes.
+                if from == b.proposer {
+                    self.learn_noted(from, *b, *noted_from, *noted_len, out);
                 }
-                // Only the proposer-side messages mark their sender as a
-                // straggler worth answering: a `Promise` or an `Accepted`
-                // answers *our* ballot (the n − quorum votes that trail every
-                // decision are the common case), and a `Decide` needs none.
-                let from_proposer =
-                    matches!(msg, PaxosMsg::Prepare { .. } | PaxosMsg::Accept { .. });
-                self.note_seen_slot(slot);
-                if slot < self.compact_floor {
-                    // The decision is gone; point the straggler at the
-                    // snapshot that replaced it.
-                    if from_proposer {
-                        out.send(
-                            from,
-                            LogMsg::SnapshotOffer {
-                                upto: self.compact_floor,
-                            },
-                        );
-                    }
-                    return;
-                }
-                if let Some(v) = self.decisions.get(&slot) {
-                    // Help a lagging proposer: the slot is already decided
-                    // here.
-                    if from_proposer {
-                        out.send(
-                            from,
-                            LogMsg::Slot {
-                                slot,
-                                msg: PaxosMsg::Decide { v: v.clone() },
-                            },
-                        );
-                    }
-                    return;
-                }
-                let mut sends = Vec::new();
-                let accepted_before = self.accepted_ballot(slot);
-                let inst = self.instance(slot);
-                let dropped_before = inst.votes_dropped();
-                inst.handle(from, msg.clone(), &mut sends);
-                let decided = inst.decided().cloned();
-                let dropped = inst.votes_dropped() - dropped_before;
-                self.votes_dropped += dropped;
-                // Before the vote queued in `sends` can leave.
-                self.record_acceptance(slot, accepted_before);
-                self.emit_slot(slot, sends, out);
-                if let Some(v) = decided {
-                    self.note_decision(slot, v);
-                    // A decision slides the window: open the next slot(s)
-                    // immediately if more values are queued.
-                    self.drive(out);
-                }
+                let accept = PaxosMsg::Accept {
+                    b: *b,
+                    v: v.clone(),
+                };
+                self.on_slot(from, *slot, accept, out);
             }
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, out: &mut Actions<Self::Msg>) {
+        // A decision no `Accept` has carried off by now gets its own frame:
+        // the oracle's send period bounds how long a follower waits.
+        self.flush_unannounced(out);
         if timer == TIMER_LOG_CHECK {
             self.check(out);
         } else {
@@ -1797,6 +2076,10 @@ where
             self.oracle.on_timer(timer, &mut inner);
             self.lift_oracle(inner, out);
         }
+    }
+
+    fn on_quiesce(&mut self, out: &mut Actions<Self::Msg>) {
+        self.flush_unannounced(out);
     }
 }
 
@@ -1828,6 +2111,11 @@ where
         snap.extra
             .push((names::REIGN_PREPARES, self.reign_prepares));
         snap.extra.push((names::VOTES_DROPPED, self.votes_dropped));
+        snap.extra.push((names::DECIDES_NOTED, self.decides_noted));
+        snap.extra
+            .push((names::DECIDES_FLUSHED, self.decides_flushed));
+        snap.extra
+            .push((names::NOTES_UNMATCHED, self.notes_unmatched));
         snap
     }
 }
@@ -3149,6 +3437,16 @@ mod tests {
         from: usize,
         out: LogActions,
     ) -> Vec<(usize, usize, LogMsg<irs_omega::OmegaMsg, Value>)> {
+        route_around(logs, from, out, None)
+    }
+
+    /// [`route`] with replica `dead` crashed: nothing is delivered to it.
+    fn route_around(
+        logs: &mut [ReplicatedLog<irs_omega::OmegaProcess>],
+        from: usize,
+        out: LogActions,
+        dead: Option<usize>,
+    ) -> Vec<(usize, usize, LogMsg<irs_omega::OmegaMsg, Value>)> {
         let n = logs.len();
         let mut queue = VecDeque::new();
         let enqueue = |queue: &mut VecDeque<_>, from: usize, out: LogActions| {
@@ -3161,7 +3459,7 @@ mod tests {
                     Destination::AllOthers => (0..n).filter(|i| *i != from).collect(),
                     Destination::All => (0..n).collect(),
                 };
-                for to in targets {
+                for to in targets.into_iter().filter(|to| Some(*to) != dead) {
                     queue.push_back((from, to, send.msg.clone()));
                 }
             }
@@ -3177,36 +3475,36 @@ mod tests {
         delivered
     }
 
-    /// One put on an established reign: replica 0 submits, drives, and the
-    /// traffic is routed to quiescence. Returns how many `Accept`,
-    /// `Accepted`, `Decide` and other log frames were delivered.
-    fn frames_of_one_put(n: usize, t: usize) -> [usize; 4] {
-        let mut logs = reign_cluster(n, t);
-        logs[0].submit(Value(7));
-        let mut out = Actions::new();
-        logs[0].drive(&mut out);
-        let delivered = route(&mut logs, 0, out);
-        for log in &logs {
-            assert_eq!(log.log(), vec![Value(7)]);
-        }
+    /// Classifies delivered log frames as `[Accept (plain or noting),
+    /// Accepted, Decide, other]` counts, checking who may send what.
+    fn frame_counts(
+        delivered: &[(usize, usize, LogMsg<irs_omega::OmegaMsg, Value>)],
+    ) -> [usize; 4] {
         let mut counts = [0usize; 4];
-        for (from, to, msg) in &delivered {
+        for (from, to, msg) in delivered {
             let kind = match msg {
-                LogMsg::Slot { msg, .. } => match msg {
-                    PaxosMsg::Accept { .. } => {
-                        assert_eq!(*from, 0);
-                        0
-                    }
-                    PaxosMsg::Accepted { .. } => {
-                        assert_eq!(*to, 0, "votes go to the ballot owner only");
-                        1
-                    }
-                    PaxosMsg::Decide { .. } => {
-                        assert_eq!(*from, 0, "only the owner announces");
-                        2
-                    }
-                    _ => 3,
-                },
+                LogMsg::AcceptNoting { .. }
+                | LogMsg::Slot {
+                    msg: PaxosMsg::Accept { .. },
+                    ..
+                } => {
+                    assert_eq!(*from, 0);
+                    0
+                }
+                LogMsg::Slot {
+                    msg: PaxosMsg::Accepted { .. },
+                    ..
+                } => {
+                    assert_eq!(*to, 0, "votes go to the ballot owner only");
+                    1
+                }
+                LogMsg::Slot {
+                    msg: PaxosMsg::Decide { .. },
+                    ..
+                } => {
+                    assert_eq!(*from, 0, "only the owner announces");
+                    2
+                }
                 _ => 3,
             };
             assert_ne!(from, to, "no loopback frames in phase 2");
@@ -3215,12 +3513,483 @@ mod tests {
         counts
     }
 
-    /// The steady-state budget: 3(n − 1) peer frames per slot and not one
-    /// more — no loopback, no vote fan-out, no echoed or replied `Decide`.
+    /// Replica 0 submits `v`, drives, and the traffic is routed to
+    /// quiescence (no timer fires). Returns the delivered frames.
+    fn put(
+        logs: &mut [ReplicatedLog<irs_omega::OmegaProcess>],
+        v: u64,
+    ) -> Vec<(usize, usize, LogMsg<irs_omega::OmegaMsg, Value>)> {
+        logs[0].submit(Value(v));
+        let mut out = Actions::new();
+        logs[0].drive(&mut out);
+        route(logs, 0, out)
+    }
+
+    /// The steady-state budget: `k` consecutive slots on an established
+    /// reign cost 2(n − 1)·k peer frames — every decision but the last rides
+    /// the next slot's `Accept` — plus one (n − 1)-frame `Decide` flush for
+    /// the last slot at the leader's next timer turn (any timer), and nothing
+    /// after it: no loopback, no vote fan-out, no echoed or replied `Decide`.
     #[test]
-    fn an_established_reign_slot_costs_exactly_three_times_n_minus_one_frames() {
-        assert_eq!(frames_of_one_put(5, 2), [4, 4, 4, 0]);
-        assert_eq!(frames_of_one_put(3, 1), [2, 2, 2, 0]);
+    fn an_established_reign_slot_costs_exactly_two_times_n_minus_one_frames() {
+        const K: u64 = 6;
+        for (n, t) in [(5, 2), (3, 1)] {
+            let mut logs = reign_cluster(n, t);
+            let mut counts = [0usize; 4];
+            for v in 0..K {
+                for (total, more) in counts.iter_mut().zip(frame_counts(&put(&mut logs, v))) {
+                    *total += more;
+                }
+            }
+            let per_kind = (n - 1) * K as usize;
+            assert_eq!(counts, [per_kind, per_kind, 0, 0], "n = {n}");
+            let all: Vec<Value> = (0..K).map(Value).collect();
+            assert_eq!(logs[0].log(), all);
+            for follower in &logs[1..] {
+                assert_eq!(
+                    follower.log(),
+                    all[..all.len() - 1],
+                    "n = {n}: one slot behind"
+                );
+            }
+            // The oracle's send timer is a timer of the log: the held
+            // decision leaves as one `Decide` broadcast.
+            let mut out = Actions::new();
+            logs[0].on_timer(irs_omega::TIMER_BROADCAST, &mut out);
+            let flush = frame_counts(&route(&mut logs, 0, out));
+            assert_eq!(flush, [0, 0, n - 1, 0], "n = {n}");
+            for log in &logs {
+                assert_eq!(log.log(), all, "n = {n}");
+            }
+            let mut out = Actions::new();
+            logs[0].on_timer(irs_omega::TIMER_BROADCAST, &mut out);
+            assert_eq!(frame_counts(&route(&mut logs, 0, out)), [0; 4], "n = {n}");
+            let gauge = |name| logs[0].snapshot().gauge(name);
+            assert_eq!(gauge(irs_obs::names::DECIDES_NOTED), Some(K - 1));
+            assert_eq!(gauge(irs_obs::names::DECIDES_FLUSHED), Some(1));
+            assert!(logs[1..]
+                .iter()
+                .all(|l| l.snapshot().gauge(irs_obs::names::NOTES_UNMATCHED) == Some(0)));
+        }
+    }
+
+    // ---- Held announcements: the note on the reign's next `Accept` --------
+
+    fn reign_ballot() -> crate::Ballot {
+        crate::Ballot::for_reign(1, ProcessId::new(0))
+    }
+
+    fn plain_accept(slot: u64, b: crate::Ballot, v: u64) -> LogMsg<irs_omega::OmegaMsg, Value> {
+        LogMsg::Slot {
+            slot,
+            msg: PaxosMsg::Accept {
+                b,
+                v: Batch::one(Value(v)),
+            },
+        }
+    }
+
+    /// `Accept(slot, b, v)` noting `noted_len` slots from `noted_from`.
+    fn noting(
+        slot: u64,
+        b: crate::Ballot,
+        v: u64,
+        noted_from: u64,
+        noted_len: u64,
+    ) -> LogMsg<irs_omega::OmegaMsg, Value> {
+        LogMsg::AcceptNoting {
+            slot,
+            b,
+            v: Batch::one(Value(v)),
+            noted_from,
+            noted_len,
+        }
+    }
+
+    fn follower() -> ReplicatedLog<irs_omega::OmegaProcess> {
+        ReplicatedLog::over_omega(ProcessId::new(3), system())
+    }
+
+    /// The slots of the `Accepted` votes and the `from`s of the `Catchup`s
+    /// in `out`, and nothing else may be in it.
+    fn votes_and_asks(out: &LogActions) -> (Vec<u64>, Vec<u64>) {
+        let (mut votes, mut asks) = (Vec::new(), Vec::new());
+        for send in out.sends() {
+            assert_eq!(send.dest, Destination::To(ProcessId::new(0)), "{send:?}");
+            match &send.msg {
+                LogMsg::Slot {
+                    slot,
+                    msg: PaxosMsg::Accepted { .. },
+                } => votes.push(*slot),
+                LogMsg::Catchup { from } => asks.push(*from),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (votes, asks)
+    }
+
+    /// The happy path at a follower: the note turns the acceptance it holds
+    /// at that ballot into the decision, in the handler that accepts the next
+    /// slot — `Decided(s)` and `Accepted(s + 1)` are one batch of durability
+    /// events — and the only frame it sends is the new slot's vote.
+    #[test]
+    fn a_note_decides_the_batch_accepted_at_its_ballot_in_the_accepts_own_turn() {
+        let (b, p0) = (reign_ballot(), ProcessId::new(0));
+        let mut log = follower();
+        log.set_durable(true);
+        log.on_message(p0, &plain_accept(0, b, 7), &mut Actions::new());
+        log.take_wal_events();
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(1, b, 8, 0, 1), &mut out);
+        assert_eq!(log.log(), vec![Value(7)]);
+        assert_eq!(votes_and_asks(&out), (vec![1], vec![]));
+        assert_eq!(
+            log.take_wal_events(),
+            vec![
+                LogEvent::Decided {
+                    slot: 0,
+                    value: Batch::one(Value(7)),
+                },
+                LogEvent::Accepted {
+                    slot: 1,
+                    ballot: b,
+                    value: Batch::one(Value(8)),
+                },
+            ]
+        );
+        // A duplicate of the frame changes nothing and asks nothing.
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(1, b, 8, 0, 1), &mut out);
+        assert_eq!(votes_and_asks(&out), (vec![1], vec![]));
+        assert!(log.take_wal_events().is_empty());
+        assert_eq!(
+            log.snapshot().gauge(irs_obs::names::NOTES_UNMATCHED),
+            Some(0)
+        );
+    }
+
+    /// A note claims only "chosen at `b`". A follower that holds no
+    /// acceptance at exactly `b` for a noted slot — it never saw the
+    /// `Accept`, or accepted the slot at some other ballot — must learn
+    /// nothing from it, and asks the leader to replay at once.
+    #[test]
+    fn a_note_without_a_matching_acceptance_teaches_nothing_and_asks() {
+        let (b, p0) = (reign_ballot(), ProcessId::new(0));
+        // Never accepted.
+        let mut log = follower();
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(1, b, 8, 0, 1), &mut out);
+        assert_eq!(log.decision(0), None);
+        assert_eq!(votes_and_asks(&out), (vec![1], vec![0]));
+        // It asks at once, but once per check period: the answer to the
+        // first question is on its way, and a lossy link at a high slot rate
+        // must not turn every lost `Accept` into a full replay.
+        log.on_message(p0, &plain_accept(3, b, 10), &mut Actions::new());
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(4, b, 11, 2, 2), &mut out);
+        assert_eq!(votes_and_asks(&out), (vec![4], vec![]));
+        assert_eq!(log.decision(3), Some(&Batch::one(Value(10))));
+        log.on_timer(TIMER_LOG_CHECK, &mut Actions::new());
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(6, b, 13, 5, 1), &mut out);
+        assert_eq!(votes_and_asks(&out), (vec![6], vec![0]));
+        assert_eq!(
+            log.snapshot().gauge(irs_obs::names::NOTES_UNMATCHED),
+            Some(3)
+        );
+        // Accepted under a rival's higher ballot, and under a lower one of
+        // the same owner: neither is the proposal ballot `b` chose.
+        let rival = crate::Ballot::for_reign(2, ProcessId::new(4));
+        let earlier = crate::Ballot::new(1, p0);
+        for other in [rival, earlier] {
+            let mut log = follower();
+            log.on_message(
+                other.proposer,
+                &plain_accept(0, other, 66),
+                &mut Actions::new(),
+            );
+            let mut out = Actions::new();
+            log.on_message(p0, &noting(1, b, 8, 0, 1), &mut out);
+            assert_eq!(log.decision(0), None, "accepted at {other:?}");
+            assert!(log.log().is_empty());
+            assert_eq!(
+                votes_and_asks(&out),
+                (vec![1], vec![0]),
+                "accepted at {other:?}"
+            );
+            assert_eq!(
+                log.snapshot().gauge(irs_obs::names::NOTES_UNMATCHED),
+                Some(1)
+            );
+        }
+        // One unmatched slot in a longer run: the matched ones are learned,
+        // and the replay is asked from the gap.
+        let mut log = follower();
+        log.on_message(p0, &plain_accept(0, b, 7), &mut Actions::new());
+        log.on_message(p0, &plain_accept(2, b, 9), &mut Actions::new());
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(3, b, 10, 0, 3), &mut out);
+        assert_eq!(log.decision(0), Some(&Batch::one(Value(7))));
+        assert_eq!(log.decision(1), None);
+        assert_eq!(log.decision(2), Some(&Batch::one(Value(9))));
+        assert_eq!(votes_and_asks(&out), (vec![3], vec![1]));
+        // The leader's answer is the ordinary replay.
+        let mut leader = follower();
+        for (slot, v) in [(0, 7), (1, 8), (2, 9)] {
+            leader.note_decision(slot, Batch::one(Value(v)));
+        }
+        let mut replay = Actions::new();
+        leader.on_message(ProcessId::new(3), &LogMsg::Catchup { from: 1 }, &mut replay);
+        for send in replay.sends() {
+            log.on_message(p0, &send.msg, &mut Actions::new());
+        }
+        assert_eq!(log.log(), vec![Value(7), Value(8), Value(9)]);
+    }
+
+    /// Notes that have nothing left to teach — the slot is decided here
+    /// already, or lies below the compaction floor — change nothing and ask
+    /// nothing; a note is believed only from the ballot's owner; and a
+    /// hostile length is walked no further than [`NOTED_MAX`].
+    #[test]
+    fn a_note_for_a_settled_slot_or_from_a_stranger_is_inert() {
+        let (b, p0) = (reign_ballot(), ProcessId::new(0));
+        // Already decided (here: something the note's ballot did not choose
+        // — whatever it was, the decision stands).
+        let mut log = follower();
+        log.on_message(p0, &plain_accept(0, b, 7), &mut Actions::new());
+        log.note_decision(0, Batch::one(Value(5)));
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(1, b, 8, 0, 1), &mut out);
+        assert_eq!(log.log(), vec![Value(5)]);
+        assert_eq!(votes_and_asks(&out), (vec![1], vec![]));
+        // Below the floor.
+        let mut log: ReplicatedLog<_, Value> = ReplicatedLog::recover(
+            ProcessId::new(3),
+            ConsensusConfig::new(system()),
+            irs_omega::OmegaProcess::fig3(ProcessId::new(3), system()),
+            Some((2, vec![0xEE; 4].into())),
+            Vec::new(),
+            Vec::new(),
+        );
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(2, b, 9, 0, 2), &mut out);
+        assert_eq!((log.compact_floor(), log.frontier_slot()), (2, 2));
+        assert_eq!(votes_and_asks(&out), (vec![2], vec![]));
+        // From a process that does not own the ballot: the `Accept` is an
+        // `Accept` (its vote goes to the owner), the note is noise.
+        let mut log = follower();
+        log.on_message(p0, &plain_accept(0, b, 7), &mut Actions::new());
+        let mut out = Actions::new();
+        log.on_message(ProcessId::new(2), &noting(1, b, 8, 0, 1), &mut out);
+        assert_eq!(log.decision(0), None);
+        assert_eq!(votes_and_asks(&out), (vec![1], vec![]));
+        // A length no codec would admit still terminates, as one question.
+        let mut out = Actions::new();
+        log.on_message(p0, &noting(2, b, 9, 1, u64::MAX), &mut out);
+        assert_eq!(votes_and_asks(&out), (vec![2], vec![0]));
+        assert_eq!(log.decision(1), Some(&Batch::one(Value(8))));
+    }
+
+    /// Completes `slot`'s quorum at the leader with votes from p1 and p2.
+    fn vote_quorum(
+        leader: &mut ReplicatedLog<irs_omega::OmegaProcess>,
+        slot: u64,
+        b: crate::Ballot,
+        v: &Batch<Value>,
+    ) -> LogActions {
+        let mut out = Actions::new();
+        for peer in [1, 2] {
+            let vote = LogMsg::Slot {
+                slot,
+                msg: PaxosMsg::Accepted { b, v: v.clone() },
+            };
+            leader.on_message(ProcessId::new(peer), &vote, &mut out);
+        }
+        out
+    }
+
+    /// Every slot some send in `outs` announces: `(noted, by own Decide)`.
+    fn announced(outs: &[&LogActions]) -> (Vec<u64>, Vec<u64>) {
+        let (mut noted, mut decides) = (Vec::new(), Vec::new());
+        for send in outs.iter().flat_map(|out| out.sends()) {
+            match &send.msg {
+                LogMsg::AcceptNoting {
+                    noted_from,
+                    noted_len,
+                    ..
+                } => noted.extend(*noted_from..noted_from + noted_len),
+                LogMsg::Slot {
+                    slot,
+                    msg: PaxosMsg::Decide { .. },
+                } => {
+                    assert_eq!(send.dest, Destination::AllOthers);
+                    decides.push(*slot);
+                }
+                _ => {}
+            }
+        }
+        (noted, decides)
+    }
+
+    /// Depth 4, decisions out of slot order: the `Accept` that the sliding
+    /// window opens notes the one contiguous run and the straggler gets a
+    /// plain `Decide` beside it; what no `Accept` carries off leaves at the
+    /// next timer. Every decision is announced exactly once.
+    #[test]
+    fn out_of_order_decisions_in_a_deep_window_are_announced_once_each() {
+        let (mut leader, b, _) = established_leader(4);
+        for v in 0..5 {
+            leader.submit(Value(v));
+        }
+        let mut opened = Actions::new();
+        leader.drive(&mut opened);
+        let batches: Vec<Batch<Value>> =
+            accept_slots(&opened).into_iter().map(|(_, v)| v).collect();
+        assert_eq!(batches.len(), 4, "the window is full, one value waits");
+        // Slot 2 first: decided, held, and the window cannot slide.
+        let first = vote_quorum(&mut leader, 2, b, &batches[2]);
+        assert!(first.sends().is_empty(), "{:?}", first.sends());
+        // Slot 0: the frontier moves, slot 4 opens and carries slot 0; slot 2
+        // is not part of that run.
+        let second = vote_quorum(&mut leader, 0, b, &batches[0]);
+        assert_eq!(announced(&[&second]), (vec![0], vec![2]));
+        assert!(matches!(
+            second.sends().last().map(|s| &s.msg),
+            Some(LogMsg::AcceptNoting { slot: 4, .. })
+        ));
+        // Slots 1 and 3: nothing is queued, so no `Accept` comes for them.
+        let third = vote_quorum(&mut leader, 1, b, &batches[1]);
+        let fourth = vote_quorum(&mut leader, 3, b, &batches[3]);
+        assert!(third.sends().is_empty() && fourth.sends().is_empty());
+        let mut tick = Actions::new();
+        leader.on_timer(irs_omega::TIMER_BROADCAST, &mut tick);
+        let mut again = Actions::new();
+        leader.on_timer(irs_omega::TIMER_BROADCAST, &mut again);
+        let (noted, mut decides) = announced(&[&first, &second, &third, &fourth, &tick, &again]);
+        decides.sort_unstable();
+        assert_eq!((noted, decides), (vec![0], vec![1, 2, 3]));
+        assert_eq!(announced(&[&tick]).1, vec![1, 3], "flushed in slot order");
+        let gauge = |name| leader.snapshot().gauge(name);
+        assert_eq!(gauge(irs_obs::names::DECIDES_NOTED), Some(1));
+        assert_eq!(gauge(irs_obs::names::DECIDES_FLUSHED), Some(3));
+    }
+
+    /// A window deeper than `NOTED_MAX` can hold more decisions than one
+    /// note may name: the run is capped and the rest leave as `Decide`s.
+    #[test]
+    fn a_note_never_names_more_than_noted_max_slots() {
+        let held = NOTED_MAX + 6;
+        let (mut leader, b, _) = established_leader(held + 1);
+        for v in 0..held {
+            leader.submit(Value(v));
+        }
+        let mut opened = Actions::new();
+        leader.drive(&mut opened);
+        for (slot, batch) in accept_slots(&opened) {
+            assert!(vote_quorum(&mut leader, slot, b, &batch).sends().is_empty());
+        }
+        leader.submit(Value(held));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let (noted, decides) = announced(&[&out]);
+        assert_eq!(noted, (0..NOTED_MAX).collect::<Vec<_>>());
+        assert_eq!(decides, (NOTED_MAX..held).collect::<Vec<_>>());
+    }
+
+    /// A held decision never rides an `Accept` of another ballot: when the
+    /// reign ends, or leadership is lost, it leaves as a plain `Decide` — at
+    /// the next timer, or beside the first `Accept` of the next reign — and
+    /// a quorum that completes after the reign is gone announces at once.
+    #[test]
+    fn leadership_loss_and_reign_end_flush_by_decide() {
+        // Reign end, then a new reign before any timer fires.
+        let (mut leader, b, _) = established_leader(1);
+        leader.submit(Value(7));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let v = accept_slots(&out).remove(0).1;
+        assert!(vote_quorum(&mut leader, 0, b, &v).sends().is_empty());
+        let usurper = crate::Ballot::for_reign(b.reign_epoch() + 1, ProcessId::new(4));
+        let prepare = LogMsg::Slot {
+            slot: 1,
+            msg: PaxosMsg::Prepare { b: usurper },
+        };
+        leader.on_message(ProcessId::new(4), &prepare, &mut Actions::new());
+        assert!(!leader.reign_established());
+        leader.submit(Value(8));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let (b2, from) = reign_prepare(&out).expect("a fresh reign");
+        assert_eq!(
+            announced(&[&out]),
+            (vec![], vec![]),
+            "nothing to carry it yet"
+        );
+        let mut out = Actions::new();
+        for peer in [1, 2, 3] {
+            let promise = LogMsg::PromiseReign {
+                b: b2,
+                from,
+                accepted: Vec::new(),
+            };
+            leader.on_message(ProcessId::new(peer), &promise, &mut out);
+        }
+        assert_eq!(accept_slots(&out), vec![(1, Batch::one(Value(8)))]);
+        assert_eq!(announced(&[&out]), (vec![], vec![0]));
+        // Leadership loss (what `drive` and `check` do when Ω points
+        // elsewhere), then the next timer.
+        let (mut leader, b, _) = established_leader(2);
+        leader.submit(Value(7));
+        leader.submit(Value(8));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let batches = accept_slots(&out);
+        assert!(vote_quorum(&mut leader, 0, b, &batches[0].1)
+            .sends()
+            .is_empty());
+        leader.reign = None;
+        // The second slot's quorum arrives late: not a reign decision any
+        // more, so its one `Decide` leaves from the handler.
+        let late = vote_quorum(&mut leader, 1, b, &batches[1].1);
+        assert_eq!(announced(&[&late]), (vec![], vec![1]));
+        let mut tick = Actions::new();
+        leader.on_timer(irs_omega::TIMER_ROUND, &mut tick);
+        assert_eq!(announced(&[&tick]), (vec![], vec![0]));
+        // And the host's stop is a flush too.
+        let (mut leader, b, _) = established_leader(1);
+        leader.submit(Value(7));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let v = accept_slots(&out).remove(0).1;
+        vote_quorum(&mut leader, 0, b, &v);
+        let mut stop = Actions::new();
+        leader.on_quiesce(&mut stop);
+        assert_eq!(announced(&[&stop]), (vec![], vec![0]));
+        assert!(stop.timers().is_empty());
+        let mut again = Actions::new();
+        leader.on_quiesce(&mut again);
+        assert!(again.is_empty());
+    }
+
+    /// The held entry owns its batch: a host that compacts the decision away
+    /// before the announcement leaves (snapshot interval shorter than the
+    /// flush) still announces it, batch and all.
+    #[test]
+    fn an_announcement_survives_the_truncation_of_its_decision() {
+        let (mut leader, b, _) = established_leader(1);
+        leader.submit(Value(7));
+        let mut out = Actions::new();
+        leader.drive(&mut out);
+        let v = accept_slots(&out).remove(0).1;
+        vote_quorum(&mut leader, 0, b, &v);
+        leader.truncate_below(1, vec![0u8; 4]);
+        assert_eq!(leader.decision(0), None);
+        let mut tick = Actions::new();
+        leader.on_timer(irs_omega::TIMER_BROADCAST, &mut tick);
+        assert!(tick.sends().iter().any(|s| matches!(
+            &s.msg,
+            LogMsg::Slot { slot: 0, msg: PaxosMsg::Decide { v: sent } } if *sent == v
+        )));
     }
 
     /// The votes that trail every decision (n − quorum of them per slot),
@@ -3364,11 +4133,14 @@ mod tests {
         ignorant.on_timer(TIMER_LOG_CHECK, &mut out);
         ignorant.on_timer(TIMER_LOG_CHECK, &mut out);
         assert!(out.sends().is_empty(), "it has no reason to ask");
-        // The tick that sees the frontier move stays quiet (the slot's own
-        // traffic was the news); the next one, a period later, advertises.
+        // The tick that sees the frontier move advertises nothing: it
+        // announces the decision no later `Accept` carried off. Only the
+        // next one, a period later, advertises.
         let mut out = Actions::new();
         logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
         assert!(offers(&out).is_empty());
+        assert_eq!(frame_counts(&route(&mut logs, 0, out)), [0, 0, 3, 0]);
+        assert_eq!(logs[1].frontier_slot(), 1);
         let mut out = Actions::new();
         logs[0].on_timer(TIMER_LOG_CHECK, &mut out);
         assert_eq!(offers(&out), vec![1]);
@@ -3437,5 +4209,158 @@ mod tests {
         assert!(fresh.reign_epoch() > b.reign_epoch());
         assert_eq!(from, 0);
         assert!(!log.reign_established());
+    }
+
+    /// A minority that still answers — the rest promised a newer reign this
+    /// leader never heard of — moves the stalled slot's progress counter, so
+    /// only every other check restarts its ballot. The frontier standing
+    /// still under an open proposal is what counts: the reign still ends.
+    #[test]
+    fn a_minority_that_still_answers_does_not_keep_a_stalled_reign_alive() {
+        let (mut log, b, _) = established_leader(1);
+        log.submit(Value(7));
+        log.drive(&mut Actions::new());
+        let mut fresh = None;
+        for _ in 0..=REIGN_RETRIES {
+            assert!(log.reign_established());
+            let mut out = Actions::new();
+            log.on_timer(TIMER_LOG_CHECK, &mut out);
+            fresh = reign_prepare(&out);
+            // p1 alone answers whatever was restarted.
+            for send in out.sends() {
+                if let LogMsg::Slot {
+                    slot,
+                    msg: PaxosMsg::Prepare { b },
+                } = &send.msg
+                {
+                    let promise = LogMsg::Slot {
+                        slot: *slot,
+                        msg: PaxosMsg::Promise {
+                            b: *b,
+                            accepted: None,
+                        },
+                    };
+                    log.on_message(ProcessId::new(1), &promise, &mut Actions::new());
+                }
+            }
+        }
+        let (fresh, _) = fresh.expect("the reign ended within REIGN_RETRIES + 1 still periods");
+        assert!(fresh.reign_epoch() > b.reign_epoch());
+    }
+
+    /// The leader died between its quorum and any announcement, and the
+    /// oracle keeps naming it: nobody will ever prepare a reign. A follower
+    /// that holds the slot's acceptance waits out `REIGN_RETRIES` still
+    /// periods of unanswered catch-ups, then — on its turn — runs the slot's
+    /// ballot itself, re-proposing what it accepted, and the slot decides
+    /// everywhere, at the replica that never saw the `Accept` too.
+    #[test]
+    fn a_stalled_frontier_slot_is_finished_without_a_leader() {
+        let mut logs = reign_cluster(5, 2);
+        logs[0].submit(Value(7));
+        let mut out = Actions::new();
+        logs[0].drive(&mut out);
+        // The `Accept` reaches p1..p3; p4 hears nothing. p0 decides (it could
+        // ack) and is never heard from again.
+        let accept = out.sends()[0].msg.clone();
+        for follower in &mut logs[1..4] {
+            follower.on_message(ProcessId::new(0), &accept, &mut Actions::new());
+        }
+        let mut finisher = None;
+        for period in 1..=(REIGN_RETRIES + 5) {
+            for i in 1..5 {
+                let mut out = Actions::new();
+                logs[i].on_timer(TIMER_LOG_CHECK, &mut out);
+                let prepares = prepared_slots(&out);
+                assert!(
+                    prepares.is_empty() || period > REIGN_RETRIES,
+                    "period {period}: too early to give up on a leader"
+                );
+                if !prepares.is_empty() {
+                    assert_eq!(prepares, vec![0]);
+                    finisher.get_or_insert(i);
+                }
+                route_around(&mut logs, i, out, Some(0));
+            }
+        }
+        let finisher = finisher.expect("some survivor took its turn");
+        assert!(finisher < 4, "only a replica holding the acceptance can");
+        for log in &logs[1..] {
+            assert_eq!(log.log(), vec![Value(7)], "replica {}", log.id());
+        }
+    }
+
+    /// A replica that knows a decision at or above the prepared range must
+    /// not promise it: a decided slot keeps no acceptance to report, so the
+    /// promise would vouch for "nothing chosen here" — and a new leader whose
+    /// quorum is made of such promises would propose afresh in a decided
+    /// slot. It answers with the replay alone; the leader's own promise is
+    /// exempt, and once the leader has caught up it prepares again.
+    #[test]
+    fn a_replica_that_knows_a_decision_in_the_range_replays_instead_of_promising() {
+        let promised = |out: &LogActions| {
+            out.sends()
+                .iter()
+                .any(|s| matches!(s.msg, LogMsg::PromiseReign { .. }))
+        };
+        let replayed = |out: &LogActions| announced(&[out]).1;
+        let reign = crate::Ballot::for_reign(1, ProcessId::new(4));
+        let mut ahead = follower();
+        ahead.note_decision(0, Batch::one(Value(7)));
+        let mut out = Actions::new();
+        ahead.on_message(
+            reign.proposer,
+            &LogMsg::PrepareReign { b: reign, from: 0 },
+            &mut out,
+        );
+        assert!(!promised(&out), "{:?}", out.sends());
+        assert_eq!(out.sends().len(), 1);
+        assert!(matches!(
+            &out.sends()[0],
+            irs_types::Outbound { dest: Destination::To(to), msg: LogMsg::Slot { slot: 0, msg: PaxosMsg::Decide { .. } } }
+                if *to == reign.proposer
+        ));
+        // Decided out of order above its frontier: the same.
+        let mut gapped = follower();
+        gapped.note_decision(1, Batch::one(Value(8)));
+        let mut out = Actions::new();
+        gapped.on_message(
+            reign.proposer,
+            &LogMsg::PrepareReign { b: reign, from: 0 },
+            &mut out,
+        );
+        assert!(!promised(&out));
+        // Level with the leader: the promise goes out, with no replay.
+        let mut out = Actions::new();
+        ahead.on_message(
+            reign.proposer,
+            &LogMsg::PrepareReign { b: reign, from: 1 },
+            &mut out,
+        );
+        assert!(promised(&out));
+        assert!(replayed(&out).is_empty());
+        // The leader learns a decision after it sent its prepare: it still
+        // stands behind its own ballot…
+        let mut leader = skip_leader(0, 1);
+        leader.on_start(&mut Actions::new());
+        let mut out = Actions::new();
+        leader.on_timer(TIMER_LOG_CHECK, &mut out);
+        let (b, from) = reign_prepare(&out).expect("the leader prepares");
+        leader.note_decision(0, Batch::one(Value(7)));
+        let mut out = Actions::new();
+        leader.on_message(
+            ProcessId::new(0),
+            &LogMsg::PrepareReign { b, from },
+            &mut out,
+        );
+        assert!(promised(&out));
+        // …and, having caught up past what it prepared from, the next check
+        // prepares again from its new frontier instead of re-sending a range
+        // every replica that is level with it now has to refuse.
+        let mut out = Actions::new();
+        leader.on_timer(TIMER_LOG_CHECK, &mut out);
+        let (b2, from2) = reign_prepare(&out).expect("a fresh prepare");
+        assert!(b2 > b);
+        assert_eq!(from2, 1);
     }
 }

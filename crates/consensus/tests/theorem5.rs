@@ -388,11 +388,13 @@ mod skip_equivalence {
 
 // ---- Leader-centric phase 2: its two single points of failure -------------
 
-/// The owner's one `Decide` per slot, and the owner itself between quorum
-/// and announcement, are the two things the all-to-all phase 2 had `n`
-/// copies of. These runs take each away and require the log's standing
-/// recovery paths — `Catchup`, the frontier advertisement, reign state
-/// transfer, WAL-restored acceptances — to close the gap.
+/// The owner's one announcement per slot — the note on its next `Accept`,
+/// or a `Decide` — and the owner itself between quorum and announcement,
+/// are the two things the all-to-all phase 2 had `n` copies of. These runs
+/// take each away and require the log's standing recovery paths —
+/// `Catchup`, the frontier advertisement, reign state transfer, WAL-restored
+/// acceptances — to close the gap; the last one throws every fault at the
+/// held announcements at once.
 ///
 /// The harness is the simulator (Ω under a rotating star, virtual time)
 /// with every replica wrapped in a [`Faulty`] host that applies `irs-net`'s
@@ -403,10 +405,12 @@ mod skip_equivalence {
 mod leader_centric_faults {
     use super::*;
     use irs_consensus::{Batch, LogEvent, LogMsg, PaxosMsg};
-    use irs_net::{DutyCycle, LinkModel, ManualClock};
+    use irs_net::wire::decode_payload;
+    use irs_net::{DutyCycle, Frame, LinkModel, ManualClock, Wire};
     use irs_omega::{OmegaMsg, OmegaProcess};
-    use irs_types::{Actions, Destination, Introspect, LeaderOracle, Protocol, Snapshot, TimerId};
+    use irs_types::{Actions, Introspect, LeaderOracle, Protocol, Snapshot, TimerId};
     use proptest::prelude::*;
+    use std::borrow::Cow;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -429,15 +433,29 @@ mod leader_centric_faults {
         log: Log,
         cfg: ConsensusConfig,
         link: LinkModel,
-        /// Drop the first `Decide` that arrives for each slot — the owner's
-        /// one announcement (a replay only comes once asked for).
+        /// Lose the first announcement that arrives for each slot — the
+        /// owner's one `Decide`, or the note that stands in for it (the
+        /// `Accept` under the note still arrives; a replay only comes once
+        /// asked for).
         lose_announcements: bool,
         announced: BTreeSet<u64>,
-        /// Crash in the handler that would release this replica's k-th
-        /// announcement: quorum gathered, decision taken, nothing sent.
-        crash_at_announcement: Option<usize>,
-        announcements: usize,
+        /// Crash in the handler in which this replica's own quorum decides
+        /// for the k-th time: decision taken (a client could be acked from
+        /// it), nothing sent, nothing announced.
+        crash_at_decision: Option<usize>,
+        own_decisions: usize,
         dead: bool,
+        /// Also deliver what the link model echoes after an admitted frame:
+        /// a duplicate, or a stale frame of the same link out of context.
+        echo: bool,
+        /// The host's state machine: the decided values applied in slot
+        /// order, `cursor` slots of them.
+        applied: Vec<Value>,
+        cursor: u64,
+        /// Compact the log behind the apply cursor whenever it is this many
+        /// slots past the floor — in the very handler that decided them, so
+        /// a held announcement's decision is gone before it is flushed.
+        truncate_every: Option<u64>,
         /// Lose everything but the WAL at the first event after the
         /// proposer's crash (the oracle is kept: Ω is not under test).
         restart: bool,
@@ -461,9 +479,13 @@ mod leader_centric_faults {
                 link,
                 lose_announcements: false,
                 announced: BTreeSet::new(),
-                crash_at_announcement: None,
-                announcements: 0,
+                crash_at_decision: None,
+                own_decisions: 0,
                 dead: false,
+                echo: false,
+                applied: Vec::new(),
+                cursor: 0,
+                truncate_every: None,
                 restart: false,
                 restarted_at: None,
                 wal: Vec::new(),
@@ -497,50 +519,113 @@ mod leader_centric_faults {
             self.reports.clear();
         }
 
-        /// Whether the host delivers this event at all.
-        fn admits(&mut self, from: ProcessId, msg: &Msg) -> bool {
+        /// What the host delivers of this event, if anything.
+        fn admits<'m>(&mut self, from: ProcessId, msg: &'m Msg) -> Option<Cow<'m, Msg>> {
             if self.dead {
-                return false;
+                return None;
             }
             if self.restart && self.restarted_at.is_none() && self.lost.borrow().is_some() {
                 self.restart_from_wal();
             }
             if matches!(msg, LogMsg::Omega(_)) {
-                return true;
+                return Some(Cow::Borrowed(msg));
             }
             if !self.link.admits(from, self.log.id()) {
-                return false;
+                return None;
             }
             match msg {
                 LogMsg::Slot {
                     slot,
                     msg: PaxosMsg::Decide { .. },
-                } if self.lose_announcements => !self.announced.insert(*slot),
-                _ => true,
+                } if self.lose_announcements && self.announced.insert(*slot) => None,
+                LogMsg::AcceptNoting {
+                    slot,
+                    b,
+                    v,
+                    noted_from,
+                    noted_len,
+                } if self.lose_announcements => {
+                    let noted = *noted_from..noted_from + noted_len;
+                    let first = noted.filter(|s| self.announced.insert(*s)).count() > 0;
+                    Some(if first {
+                        let (b, v) = (*b, v.clone());
+                        Cow::Owned(LogMsg::Slot {
+                            slot: *slot,
+                            msg: PaxosMsg::Accept { b, v },
+                        })
+                    } else {
+                        Cow::Borrowed(msg)
+                    })
+                }
+                _ => Some(Cow::Borrowed(msg)),
             }
         }
 
-        /// Persist-before-send, then the crash point and the bookkeeping.
-        fn after(&mut self, out: &mut Actions<Msg>) {
-            self.wal.extend(self.log.take_wal_events());
-            let announcement = out.sends().iter().find_map(|s| match (&s.dest, &s.msg) {
-                (
-                    Destination::AllOthers,
-                    LogMsg::Slot {
-                        slot,
-                        msg: PaxosMsg::Decide { v },
-                    },
-                ) => Some((*slot, v.clone())),
+        /// The frames the link delivers on top of an admitted `msg`. A
+        /// `Forward` is left out: replaying one for a value whose slot was
+        /// compacted away is a legitimate re-submission (deduplicating those
+        /// is the host's session filter's job), and the run would never idle.
+        fn echoes(&mut self, from: ProcessId, msg: &Msg) -> Vec<Msg> {
+            if !self.echo || matches!(msg, LogMsg::Omega(_) | LogMsg::Forward { .. }) {
+                return Vec::new();
+            }
+            let mut payload = Vec::new();
+            msg.encode(&mut payload);
+            let frame = Frame {
+                from,
+                to: self.log.id(),
+                payload: payload.into(),
+            };
+            let echoed = self.link.echoes(&frame);
+            echoed
+                .iter()
+                .map(|f| decode_payload(&f.payload).expect("the link echoes what it was given"))
+                .collect()
+        }
+
+        /// Persist-before-send, then the crash point, the state machine and
+        /// the bookkeeping. `vote` says the handler ran on an `Accepted`: a
+        /// decision recorded in it is this replica's own quorum's.
+        fn after(&mut self, vote: bool, out: &mut Actions<Msg>) {
+            let events = self.log.take_wal_events();
+            let decided_here = events.iter().find_map(|e| match e {
+                LogEvent::Decided { slot, value } if vote => Some((*slot, value.clone())),
                 _ => None,
             });
-            if let Some(decided) = announcement {
-                if self.crash_at_announcement == Some(self.announcements) {
+            self.wal.extend(events);
+            if let Some(decided) = decided_here {
+                if self.crash_at_decision == Some(self.own_decisions) {
                     self.dead = true;
                     *self.lost.borrow_mut() = Some(decided);
                     out.clear();
                     return;
                 }
-                self.announcements += 1;
+                self.own_decisions += 1;
+            }
+            if let Some((upto, blob)) = self.log.take_pending_install() {
+                if upto > self.cursor {
+                    self.applied = blob
+                        .chunks_exact(8)
+                        .map(|v| Value(u64::from_le_bytes(v.try_into().expect("8 bytes"))))
+                        .collect();
+                    self.cursor = upto;
+                    self.log.complete_install(upto, blob);
+                }
+            }
+            while let Some(batch) = self.log.decision(self.cursor) {
+                self.applied.extend(batch.iter().copied());
+                self.cursor += 1;
+            }
+            if self
+                .truncate_every
+                .is_some_and(|k| self.cursor >= self.log.compact_floor() + k)
+            {
+                let blob: Vec<u8> = self
+                    .applied
+                    .iter()
+                    .flat_map(|v| v.0.to_le_bytes())
+                    .collect();
+                self.log.truncate_below(self.cursor, blob);
             }
             for send in out.sends() {
                 if let LogMsg::PromiseReign { from, accepted, .. } = &send.msg {
@@ -566,16 +651,30 @@ mod leader_centric_faults {
         }
 
         fn on_message(&mut self, from: ProcessId, msg: &Msg, out: &mut Actions<Msg>) {
-            if self.admits(from, msg) {
+            let Some(msg) = self.admits(from, msg) else {
+                return;
+            };
+            let echoes = self.echoes(from, &msg);
+            for msg in std::iter::once(&*msg).chain(&echoes) {
+                if self.dead {
+                    return;
+                }
+                let vote = matches!(
+                    msg,
+                    LogMsg::Slot {
+                        msg: PaxosMsg::Accepted { .. },
+                        ..
+                    }
+                );
                 self.log.on_message(from, msg, out);
-                self.after(out);
+                self.after(vote, out);
             }
         }
 
         fn on_timer(&mut self, timer: TimerId, out: &mut Actions<Msg>) {
             if !self.dead {
                 self.log.on_timer(timer, out);
-                self.after(out);
+                self.after(false, out);
             }
         }
     }
@@ -600,16 +699,24 @@ mod leader_centric_faults {
         duty: Option<DutyCycle>,
         clock: &ManualClock,
     ) -> (Vec<Faulty>, Lost) {
+        let cfg = ConsensusConfig::new(system()).with_phase1_skip(true);
+        let link = LinkModel::new(seed).with_drop_prob(loss_pct as f64 / 100.0);
+        cluster_with(cfg, link, duty, clock)
+    }
+
+    fn cluster_with(
+        cfg: ConsensusConfig,
+        link: LinkModel,
+        duty: Option<DutyCycle>,
+        clock: &ManualClock,
+    ) -> (Vec<Faulty>, Lost) {
         let sys = system();
-        let cfg = ConsensusConfig::new(sys).with_phase1_skip(true);
         assert_eq!(cfg.ballot_check_period.ticks(), CHECK_PERIOD);
         let lost = Rc::new(RefCell::new(None));
         let replicas = sys
             .processes()
             .map(|id| {
-                let mut link = LinkModel::new(seed)
-                    .with_drop_prob(loss_pct as f64 / 100.0)
-                    .with_manual_clock(clock.clone());
+                let mut link = link.clone().with_manual_clock(clock.clone());
                 if let Some(duty) = duty {
                     link = link.with_duty_cycle(duty);
                 }
@@ -622,9 +729,9 @@ mod leader_centric_faults {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The only `Decide` of every slot is lost at an arbitrary subset
-        /// of replicas, on top of per-link loss and one replica's B1931+24
-        /// style on/off schedule. Once the submitted values are all decided
+        /// The only announcement of every slot — its note, else its
+        /// `Decide` — is lost at an arbitrary subset of replicas, on top of
+        /// per-link loss and one replica's B1931+24 style on/off schedule. Once the submitted values are all decided
         /// somewhere the system is idle — the lost `Decide`s include the
         /// one for the last slot — and every replica must still reach that
         /// same frontier within a bounded number of check periods.
@@ -721,7 +828,8 @@ mod leader_centric_faults {
         }
 
         /// The proposer gathers its quorum, decides (a client could be
-        /// acked from that handler) and crashes before any `Decide` leaves;
+        /// acked from that handler) and crashes before any announcement —
+        /// note or `Decide` — leaves;
         /// an arbitrary subset of the acceptors then restarts with nothing
         /// but its WAL. The next reign must decide that same batch in that
         /// slot, and a restarted acceptor that had voted for it must say so
@@ -729,7 +837,7 @@ mod leader_centric_faults {
         #[test]
         fn prop_a_proposer_crash_before_its_decide_leaves_loses_nothing(
             seed in 1u64..1_000_000,
-            crash_at_announcement in 0usize..3,
+            crash_at_decision in 0usize..3,
             restart_mask in 0u32..32,
             loss_pct in 0u64..11,
         ) {
@@ -738,7 +846,7 @@ mod leader_centric_faults {
             let (mut replicas, lost) = cluster(seed, loss_pct, None, &clock);
             // Every fresh oracle points at p0 and the star is centred there,
             // so p0 is the first proposer and stays it until it crashes.
-            replicas[0].crash_at_announcement = Some(crash_at_announcement);
+            replicas[0].crash_at_decision = Some(crash_at_decision);
             for (i, r) in replicas.iter_mut().enumerate() {
                 r.restart = i != 0 && restart_mask & (1 << i) != 0;
                 let own = if i == 0 { 4 } else { 1 };
@@ -808,6 +916,130 @@ mod leader_centric_faults {
                     }
                 }
             }
+        }
+
+        /// Held announcements under everything at once. Ω flickers under
+        /// the intermittent rotating star and one replica may crash — the
+        /// leader among them, between a quorum and its announcement — while
+        /// the log plane loses, duplicates and replays stale frames (the
+        /// star's delays reorder the rest), at window depth 1 or 4, and each
+        /// host compacts its log in the very handler that decides, so a held
+        /// announcement's decision is gone before its flush. Whatever carries
+        /// a decision — a note, a flushed `Decide`, a replay, a snapshot —
+        /// the live replicas' applied sequences never disagree, every slot
+        /// decided anywhere ends up decided everywhere, and what the
+        /// survivors submitted is in it. (A replica that installs a snapshot
+        /// cannot tell which of its own queued submissions the snapshot
+        /// covered and keeps forwarding the oldest; re-submitting past that is
+        /// its client's business, so only replicas that never installed are
+        /// held to "everything I submitted was decided".)
+        #[test]
+        fn prop_every_decision_reaches_every_live_replica_whatever_carries_it(
+            seed in 1u64..1_000_000,
+            centre_raw in 0u32..5,
+            burst in 4u64..24,
+            crash_raw in 0u32..10,
+            crash_at in 500u64..20_000,
+            loss_pct in 0u64..11,
+            dup_pct in 0u64..31,
+            replay_pct in 0u64..21,
+            deep in 0u8..2,
+            truncate_every in 1u64..9,
+        ) {
+            const OWN: u64 = 6;
+            let sys = system();
+            let clock = ManualClock::new();
+            let (batch_max, depth) = if deep == 1 { (2, 4) } else { (1, 1) };
+            let cfg = ConsensusConfig::new(sys)
+                .with_batching(batch_max, depth)
+                .with_phase1_skip(true);
+            let link = LinkModel::new(seed)
+                .with_drop_prob(loss_pct as f64 / 100.0)
+                .with_duplication(dup_pct as f64 / 100.0)
+                .with_stale_replay(replay_pct as f64 / 100.0);
+            let (mut replicas, _) = cluster_with(cfg, link, None, &clock);
+            for (i, r) in replicas.iter_mut().enumerate() {
+                r.echo = true;
+                r.truncate_every = Some(truncate_every);
+                for k in 0..OWN {
+                    r.log.submit(Value(100 * (1 + i as u64) + k));
+                }
+            }
+            // At most one crash (t = 2), never the star centre (see
+            // `skip_equivalence`).
+            let mut crashes = CrashPlan::new();
+            if crash_raw < 5 && crash_raw != centre_raw {
+                crashes = crashes.crash(ProcessId::new(crash_raw), Time::from_ticks(crash_at));
+            }
+            let adversary = presets::intermittent_rotating_star(
+                sys,
+                ProcessId::new(centre_raw),
+                Duration::from_ticks(burst),
+                4,
+                background(),
+                seed ^ 0xA5A5,
+            );
+            let mut sim = Simulation::new(
+                SimConfig::new(seed, Time::from_ticks(800_000)),
+                replicas,
+                adversary,
+                crashes,
+            );
+            sim.start();
+            let live = |sim: &Simulation<Faulty, _>| -> Vec<ProcessId> {
+                sys.processes().filter(|p| !sim.is_crashed(*p)).collect()
+            };
+            // What is still owed: the submissions of live replicas that
+            // never installed a snapshot, minus what `applied` holds.
+            let owed = |sim: &Simulation<Faulty, _>, applied: &[Value]| -> Vec<Value> {
+                live(sim)
+                    .into_iter()
+                    .filter(|p| sim.process(*p).log.snapshot().gauge("snapshot_installs") == Some(0))
+                    .flat_map(|p| (0..OWN).map(move |k| Value(100 * (1 + p.index() as u64) + k)))
+                    .filter(|v| !applied.contains(v))
+                    .collect()
+            };
+            let settled = |sim: &Simulation<Faulty, _>| {
+                let live = live(sim);
+                let first = sim.process(live[0]);
+                owed(sim, &first.applied).is_empty()
+                    && live.iter().all(|p| {
+                        let r = sim.process(*p);
+                        r.applied == first.applied
+                            && r.log.frontier_slot() == first.log.frontier_slot()
+                    })
+            };
+            let mut steps = 0u64;
+            let mut done = false;
+            while !done && sim.step() {
+                clock.set(sim.now().ticks());
+                steps += 1;
+                done = steps.is_multiple_of(64) && settled(&sim);
+            }
+            // Agreement holds at every moment, so also at the horizon.
+            let live = live(&sim);
+            let longest = live
+                .iter()
+                .map(|p| &sim.process(*p).applied)
+                .max_by_key(|a| a.len())
+                .expect("a live replica");
+            for p in &live {
+                let applied = &sim.process(*p).applied;
+                prop_assert_eq!(
+                    &applied[..],
+                    &longest[..applied.len()],
+                    "replica {} applied a different sequence",
+                    p
+                );
+            }
+            prop_assert!(
+                done || settled(&sim),
+                "never settled: frontiers {:?}, still owed {:?}; seed {seed}, centre {centre_raw}, \
+                 burst {burst}, crash {crash_raw}@{crash_at}, loss {loss_pct}%, dup {dup_pct}%, \
+                 replay {replay_pct}%, depth {depth}, truncate every {truncate_every}",
+                live.iter().map(|p| sim.process(*p).log.frontier_slot()).collect::<Vec<_>>(),
+                owed(&sim, longest)
+            );
         }
     }
 }

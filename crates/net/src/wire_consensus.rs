@@ -21,8 +21,9 @@
 //!                             | SnapshotChunkRequest | SnapshotChunk
 //! (irs-svc)     0x20..=0x27   Log | Request | Reply(Applied) | Reply(Redirect)
 //!                             | Read | Reply(Value) | LeaseProbe | LeaseAck
-//! LogMsg (ext)  0x28..=0x29   PrepareReign | PromiseReign (the 0x18 range
-//!                             was full when the reign fast path landed)
+//! LogMsg (ext)  0x28..=0x2A   PrepareReign | PromiseReign | AcceptNoting
+//!                             (the 0x18 range was full when the reign fast
+//!                             path landed)
 //! ObsMsg        0x30..=0x31   ScrapeRequest | ScrapeChunk (crate::wire_obs)
 //! PaxosMsg      0x00..=0x04   (always nested behind one of the above)
 //! ```
@@ -41,7 +42,7 @@
 use crate::wire::{put_u32, put_u64, Wire, WireError, WireReader};
 use irs_consensus::{
     Ballot, Batch, Command, ConsensusMsg, LogMsg, PaxosMsg, Value, MAX_BATCH_LEN, MAX_COMMAND_LEN,
-    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
+    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, NOTED_MAX, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
 };
 use irs_types::ProcessId;
 use std::sync::Arc;
@@ -70,6 +71,7 @@ pub const TAG_LOG_EXT_BASE: u8 = 0x28;
 
 const TAG_LOG_PREPARE_REIGN: u8 = TAG_LOG_EXT_BASE;
 const TAG_LOG_PROMISE_REIGN: u8 = TAG_LOG_EXT_BASE + 1;
+const TAG_LOG_ACCEPT_NOTING: u8 = TAG_LOG_EXT_BASE + 2;
 
 const TAG_PAXOS_PREPARE: u8 = 0;
 const TAG_PAXOS_PROMISE: u8 = 1;
@@ -322,6 +324,20 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
                     av.encode(buf);
                 }
             }
+            LogMsg::AcceptNoting {
+                slot,
+                b,
+                v,
+                noted_from,
+                noted_len,
+            } => {
+                buf.push(TAG_LOG_ACCEPT_NOTING);
+                put_u64(buf, *slot);
+                b.encode(buf);
+                v.encode(buf);
+                put_u64(buf, *noted_from);
+                put_u64(buf, *noted_len);
+            }
         }
     }
 
@@ -383,6 +399,24 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
                 }
                 Ok(LogMsg::PromiseReign { b, from, accepted })
             }
+            TAG_LOG_ACCEPT_NOTING => {
+                let slot = r.u64()?;
+                let b = Ballot::decode(r)?;
+                let v = Batch::decode(r)?;
+                let noted_from = r.u64()?;
+                let noted_len = r.u64()?;
+                if noted_len > NOTED_MAX {
+                    let len = usize::try_from(noted_len).unwrap_or(usize::MAX);
+                    return Err(WireError::BadLength(len));
+                }
+                Ok(LogMsg::AcceptNoting {
+                    slot,
+                    b,
+                    v,
+                    noted_from,
+                    noted_len,
+                })
+            }
             other => Err(WireError::BadTag(other)),
         }
     }
@@ -409,6 +443,9 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
                         .iter()
                         .all(|(_, ab, av)| ab.valid_for(n) && av.valid_for(n))
             }
+            LogMsg::AcceptNoting {
+                b, v, noted_len, ..
+            } => b.valid_for(n) && v.valid_for(n) && *noted_len <= NOTED_MAX,
         }
     }
 }
@@ -464,7 +501,14 @@ mod tests {
     }
 
     fn log_from(seed: u8, slot: u64, bytes: &[u8]) -> LMsg {
-        match seed % 10 {
+        match seed % 11 {
+            10 => LogMsg::AcceptNoting {
+                slot: slot + 1,
+                b: Ballot::for_reign(slot + 1, ProcessId::new(seed as u32 % 4)),
+                v: Batch::one(Command::new(bytes.to_vec())),
+                noted_from: slot.saturating_sub(seed as u64 % 3),
+                noted_len: 1 + seed as u64 % 3,
+            },
             8 => LogMsg::PrepareReign {
                 b: Ballot::for_reign(slot + 1, ProcessId::new(seed as u32 % 4)),
                 from: slot,
@@ -556,7 +600,7 @@ mod tests {
         assert_eq!(roundtrip(&omega), omega);
         let paxos: CMsg = ConsensusMsg::Paxos(paxos_from(2, 4, 1, 9));
         assert_eq!(roundtrip(&paxos), paxos);
-        for seed in 0..10u8 {
+        for seed in 0..11u8 {
             let msg = log_from(seed, 11, &[1, 2, 3]);
             assert_eq!(roundtrip(&msg), msg, "log variant {seed}");
         }
@@ -593,6 +637,124 @@ mod tests {
         };
         assert!(stray.valid_for(16));
         assert!(!stray.valid_for(4));
+    }
+
+    /// A note's length is read off the wire into a loop bound: the decoder
+    /// and `valid_for` both refuse a run longer than `NOTED_MAX`, and
+    /// `valid_for` checks the ballot's owner like any `Accept`'s.
+    #[test]
+    fn accept_noting_bounds_its_note_and_checks_its_ballot() {
+        let noting = |proposer: u32, noted_len: u64| -> LMsg {
+            LogMsg::AcceptNoting {
+                slot: 9,
+                b: Ballot::for_reign(2, ProcessId::new(proposer)),
+                v: Batch::new(vec![Command::new(vec![5; 7]), Command::default()]),
+                noted_from: 5,
+                noted_len,
+            }
+        };
+        let widest = noting(3, NOTED_MAX);
+        assert_eq!(roundtrip(&widest), widest);
+        assert!(widest.valid_for(4));
+        assert!(!widest.valid_for(3), "ballot owner outside n");
+        assert!(!noting(1, NOTED_MAX + 1).valid_for(4));
+        let mut buf = Vec::new();
+        noting(1, u64::MAX).encode(&mut buf);
+        assert!(matches!(
+            decode_payload::<LMsg>(&buf),
+            Err(WireError::BadLength(_))
+        ));
+        // The embedded batch keeps its own bounds.
+        let mut buf = vec![TAG_LOG_ACCEPT_NOTING];
+        put_u64(&mut buf, 9);
+        Ballot::for_reign(2, ProcessId::new(1)).encode(&mut buf);
+        put_u32(&mut buf, 0); // an empty batch is not a batch
+        assert_eq!(decode_payload::<LMsg>(&buf), Err(WireError::BadLength(0)));
+    }
+
+    /// One frozen encoding per `LogMsg` tag: the wire format of every tag
+    /// that predates `AcceptNoting` is byte-for-byte what it was, and the new
+    /// tag's layout is `slot, b, v, noted_from, noted_len`.
+    #[test]
+    fn golden_vectors_pin_every_log_tag() {
+        fn hex(msg: &LMsg) -> String {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            buf.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let b = Ballot::new(0x0102, ProcessId::new(3));
+        let cmd = Command::new(vec![0xAA, 0xBB]);
+        let golden: [(LMsg, &str); 11] = [
+            (
+                LogMsg::Omega(OmegaMsg::Alive {
+                    rn: RoundNum::new(7),
+                    susp: SuspVector::from_levels(vec![1, 2]),
+                }),
+                "180007000000000000000200000001000000000000000200000000000000",
+            ),
+            (
+                LogMsg::Slot {
+                    slot: 5,
+                    msg: PaxosMsg::Accept {
+                        b,
+                        v: Batch::one(cmd.clone()),
+                    },
+                },
+                "190500000000000000020201000000000000030000000100000002000000aabb",
+            ),
+            (LogMsg::Forward { v: cmd.clone() }, "1a02000000aabb"),
+            (LogMsg::Catchup { from: 6 }, "1b0600000000000000"),
+            (LogMsg::SnapshotOffer { upto: 7 }, "1c0700000000000000"),
+            (
+                LogMsg::SnapshotInstall {
+                    upto: 8,
+                    state: vec![1u8, 2, 3].into(),
+                },
+                "1d080000000000000003000000010203",
+            ),
+            (
+                LogMsg::SnapshotChunkRequest { upto: 9, chunk: 2 },
+                "1e090000000000000002000000",
+            ),
+            (
+                LogMsg::SnapshotChunk {
+                    upto: 9,
+                    chunk: 1,
+                    total: 4,
+                    digest: 0x1122_3344_5566_7788,
+                    data: vec![9u8].into(),
+                },
+                "1f0900000000000000010000000400000088776655443322110100000009",
+            ),
+            (
+                LogMsg::PrepareReign { b, from: 4 },
+                "280201000000000000030000000400000000000000",
+            ),
+            (
+                LogMsg::PromiseReign {
+                    b,
+                    from: 4,
+                    accepted: vec![(4, b, Batch::one(cmd.clone()))],
+                },
+                "29020100000000000003000000040000000000000001000000\
+                 04000000000000000201000000000000030000000100000002000000aabb",
+            ),
+            (
+                LogMsg::AcceptNoting {
+                    slot: 5,
+                    b,
+                    v: Batch::one(cmd),
+                    noted_from: 3,
+                    noted_len: 2,
+                },
+                "2a0500000000000000020100000000000003000000\
+                 0100000002000000aabb03000000000000000200000000000000",
+            ),
+        ];
+        for (msg, want) in &golden {
+            assert_eq!(hex(msg), *want, "{msg:?}");
+            assert_eq!(&roundtrip(msg), msg);
+        }
     }
 
     /// The largest reign promise an acceptor can legally produce (the
@@ -800,7 +962,7 @@ mod tests {
         /// (mirroring the OmegaMsg wire proptest).
         #[test]
         fn random_messages_roundtrip(
-            seed in 0u8..20,
+            seed in 0u8..22,
             attempt in 0u64..1_000_000,
             proposer in 0u32..64,
             payload in 0u64..u64::MAX,

@@ -55,6 +55,12 @@ pub const PHASE1_SKIPS: &str = "phase1_skips";
 pub const REIGN_PREPARES: &str = "reign_prepares";
 /// `Accepted` votes dropped by a learner: not for a ballot it was running.
 pub const VOTES_DROPPED: &str = "votes_dropped";
+/// Decisions a reigning leader announced as the note of its next `Accept`.
+pub const DECIDES_NOTED: &str = "decides_noted";
+/// Held decisions announced by a `Decide` of their own (timer, stop, no run).
+pub const DECIDES_FLUSHED: &str = "decides_flushed";
+/// Notes received naming a slot with no matching acceptance (nothing learned).
+pub const NOTES_UNMATCHED: &str = "notes_unmatched";
 
 // ── Baselines (crates/baselines) snapshot gauges ────────────────────────
 /// Queries issued (query/response baseline).
@@ -237,6 +243,18 @@ pub const ALL: &[(&str, &str)] = &[
     (
         VOTES_DROPPED,
         "Accepted votes dropped: not for a ballot the learner runs",
+    ),
+    (
+        DECIDES_NOTED,
+        "decisions announced as the note of the reign's next Accept",
+    ),
+    (
+        DECIDES_FLUSHED,
+        "held decisions announced by a Decide of their own",
+    ),
+    (
+        NOTES_UNMATCHED,
+        "notes naming a slot with no matching acceptance (nothing learned)",
     ),
     (QUERIES_ISSUED, "queries issued (query/response baseline)"),
     (RESPONSES_SENT, "responses sent (query/response baseline)"),

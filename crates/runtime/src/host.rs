@@ -38,16 +38,20 @@
 //!   leader-change trace, Ω check-period calibration, and the scrape
 //!   [`Responder`] answering telemetry requests off the same staging path
 //!   (a scrape observes a node, it never reaches the protocol);
-//! * the **dirty-batched snapshot publish** — a node's [`Snapshot`] is
-//!   cloned into its shared cell once per batch of events, not once per
-//!   event: at large `n` a snapshot per delivery would dwarf the protocol
-//!   work;
-//! * the **shutdown drain** — on stop, frames already in flight (queued in
-//!   the source, held behind a link delay, or still on the wire) are
-//!   delivered with the reactions they trigger discarded, until one full
-//!   quiet window passes with nothing arriving and nothing held, under a
-//!   hard cap. Timers are not fired: a timer is local state, not an
-//!   in-flight message.
+//! * the **per-turn snapshot publish** — a node's [`Snapshot`] is cloned
+//!   into its shared cell once per turn (a burst, a timer), not once per
+//!   frame: at large `n` a snapshot per delivery would dwarf the protocol
+//!   work. The publish comes *before* the turn's actions are applied, so
+//!   whoever holds a frame of turn `k` — a client with its ack — never
+//!   reads a snapshot older than turn `k`;
+//! * the **shutdown drain** — on stop, every live process is first asked
+//!   for the output it was holding back ([`Protocol::on_quiesce`]: once,
+//!   its sends applied, its timers ignored); then frames already in flight
+//!   (those, and whatever was queued in the source, held behind a link
+//!   delay, or still on the wire) are delivered with the reactions they
+//!   trigger discarded, until one full quiet window passes with nothing
+//!   arriving and nothing held, under a hard cap. Timers are not fired: a
+//!   timer is local state, not an in-flight message.
 //!
 //! The I/O source is the [`ShardIo`] trait, with exactly two
 //! implementations: every [`Transport`] (block in `recv`, then drain the
@@ -300,8 +304,6 @@ pub(crate) struct Local<P: Protocol> {
     /// module docs).
     timer_gen: Vec<u64>,
     frames_delivered: u64,
-    /// Whether the snapshot changed since the last publish.
-    dirty: bool,
     panel: Option<NodePanel>,
 }
 
@@ -329,7 +331,6 @@ impl<P: Protocol + Introspect> Local<P> {
             staged: Vec::new(),
             timer_gen: Vec::new(),
             frames_delivered: 0,
-            dirty: true,
             panel,
         }
     }
@@ -437,12 +438,11 @@ where
         let mut out = Actions::new();
         for li in 0..self.locals.len() {
             self.locals[li].proto.on_start(&mut out);
+            self.publish(li);
             self.apply(li, &mut out);
         }
-        self.publish_dirty();
         while !self.stop.load(Ordering::SeqCst) {
             self.run_due(&mut out);
-            self.publish_dirty();
             self.note_turn();
             // Block in the source until the next wheel deadline, the next
             // frame, or the poll budget — whichever comes first.
@@ -554,11 +554,10 @@ where
     }
 
     /// Hands every hosted process the burst the last poll staged for it:
-    /// one `on_burst`, then one `apply`. A crashed process drops its burst;
-    /// while `quiescing` (the shutdown drain) a burst's reactions are
-    /// discarded instead of applied.
+    /// one `on_burst`, one snapshot publish, then one `apply`. A crashed
+    /// process drops its burst; while `quiescing` (the shutdown drain) a
+    /// burst's reactions are discarded instead of applied.
     fn deliver_staged(&mut self, out: &mut Actions<P::Msg>, quiescing: bool) {
-        let mut delivered = false;
         for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
             if local.staged.is_empty() {
@@ -568,8 +567,8 @@ where
             if !local.crashed() {
                 let frames = burst.len() as u64;
                 local.frames_delivered += frames;
-                local.dirty = true;
                 local.proto.on_burst(&burst, out);
+                self.publish(li);
                 if quiescing {
                     out.clear();
                 } else {
@@ -579,13 +578,9 @@ where
                     o.frames.add(o.cell, frames);
                     o.burst_frames.record(o.cell, frames);
                 }
-                delivered = true;
             }
             burst.clear();
             self.locals[li].staged = burst;
-        }
-        if delivered {
-            self.publish_dirty();
         }
     }
 
@@ -615,7 +610,6 @@ where
             if local.crashed() || current != Some(generation) {
                 continue;
             }
-            local.dirty = true;
             local.proto.on_timer(timer, out);
             if let (CHECK_TIMER_SLOT, Some(panel)) = (timer.raw(), &mut local.panel) {
                 let at = Instant::now();
@@ -626,6 +620,7 @@ where
                         .note_check_period_us(us.min(u128::from(u64::MAX)) as u64);
                 }
             }
+            self.publish(li);
             self.apply(li, out);
             if let Some(o) = &self.obs {
                 o.timers_fired.inc(o.cell);
@@ -633,26 +628,14 @@ where
         }
     }
 
-    /// Executes the actions a local process recorded: encodes each message
-    /// once and hands it to the source with its receiver list, arms timers
-    /// in the wheel, and invalidates cancelled ones.
+    /// Executes the actions a local process recorded: sends its messages,
+    /// arms timers in the wheel, and invalidates cancelled ones.
     fn apply(&mut self, li: usize, out: &mut Actions<P::Msg>) {
         if out.is_empty() {
             return;
         }
+        self.send_all(li, out);
         let from = self.locals[li].me;
-        for outbound in out.drain_sends() {
-            self.encoded.clear();
-            outbound.msg.encode(&mut self.encoded);
-            self.targets.clear();
-            let everyone = (0..self.n as u32).map(ProcessId::new);
-            match outbound.dest {
-                Destination::To(q) => self.targets.push(q),
-                Destination::AllOthers => self.targets.extend(everyone.filter(|&q| q != from)),
-                Destination::All => self.targets.extend(everyone),
-            }
-            self.io.send(li, from, &self.targets, &self.encoded);
-        }
         let now = self.now_tick();
         for req in out.drain_timers() {
             let generation = self.locals[li].bump_timer_gen(req.id);
@@ -670,12 +653,40 @@ where
         }
     }
 
+    /// Encodes each recorded message once and hands it to the source with
+    /// its whole receiver list.
+    fn send_all(&mut self, li: usize, out: &mut Actions<P::Msg>) {
+        let from = self.locals[li].me;
+        for outbound in out.drain_sends() {
+            self.encoded.clear();
+            outbound.msg.encode(&mut self.encoded);
+            self.targets.clear();
+            let everyone = (0..self.n as u32).map(ProcessId::new);
+            match outbound.dest {
+                Destination::To(q) => self.targets.push(q),
+                Destination::AllOthers => self.targets.extend(everyone.filter(|&q| q != from)),
+                Destination::All => self.targets.extend(everyone),
+            }
+            self.io.send(li, from, &self.targets, &self.encoded);
+        }
+    }
+
     /// The shutdown drain (see the module docs). A scraper racing the
     /// shutdown still gets its chunk — flushing queued sends is exactly what
     /// the drain is for.
     fn drain(&mut self) {
         let started = Instant::now();
         let mut sink = Actions::new();
+        // Before the first drain poll, so a peer's quiet window cannot close
+        // on frames a protocol had yet to hand over.
+        for li in 0..self.locals.len() {
+            if !self.locals[li].crashed() {
+                self.locals[li].proto.on_quiesce(&mut sink);
+                self.publish(li);
+                self.send_all(li, &mut sink);
+                sink.clear();
+            }
+        }
         while let Ok(arrived) = self.poll_and_stage(DRAIN_QUIET) {
             self.answer_scrapes();
             self.deliver_staged(&mut sink, true);
@@ -686,35 +697,31 @@ where
         }
     }
 
-    /// Publishes changed snapshots with the runtime gauges appended —
+    /// Publishes a process's snapshot with the runtime gauges appended —
     /// `frames_delivered` (frames admitted and handed to the protocol, the
     /// drain included) and the source's own list — and diffs the leader for
-    /// the flight-recorder trace and the reign panel.
-    fn publish_dirty(&mut self) {
-        let now_ms = self.obs.as_ref().map(|o| o.obs.now_micros() / 1_000);
-        for (li, local) in self.locals.iter_mut().enumerate() {
-            if !std::mem::take(&mut local.dirty) {
-                continue;
-            }
-            let mut snap = local.proto.snapshot();
-            snap.extra
-                .push((names::FRAMES_DELIVERED, local.frames_delivered));
-            self.io.gauges(li, &mut snap.extra);
-            if let (Some(panel), Some(now_ms)) = (&mut local.panel, now_ms) {
-                if snap.leader != panel.last_leader {
-                    if let Some(t) = &panel.tracer {
-                        t.emit_now(
-                            EventKind::LeaderChange,
-                            panel.last_leader.index() as u64,
-                            snap.leader.index() as u64,
-                        );
-                    }
-                    panel.reign.on_leader_change(now_ms);
-                    panel.last_leader = snap.leader;
+    /// the flight-recorder trace and the reign panel. Called once per turn,
+    /// before the turn's actions are applied (see the module docs).
+    fn publish(&mut self, li: usize) {
+        let local = &mut self.locals[li];
+        let mut snap = local.proto.snapshot();
+        snap.extra
+            .push((names::FRAMES_DELIVERED, local.frames_delivered));
+        self.io.gauges(li, &mut snap.extra);
+        if let (Some(panel), Some(o)) = (&mut local.panel, &self.obs) {
+            if snap.leader != panel.last_leader {
+                if let Some(t) = &panel.tracer {
+                    t.emit_now(
+                        EventKind::LeaderChange,
+                        panel.last_leader.index() as u64,
+                        snap.leader.index() as u64,
+                    );
                 }
+                panel.reign.on_leader_change(o.obs.now_micros() / 1_000);
+                panel.last_leader = snap.leader;
             }
-            *local.cells.snapshot.lock().expect("snapshot lock poisoned") = snap;
         }
+        *local.cells.snapshot.lock().expect("snapshot lock poisoned") = snap;
     }
 }
 
@@ -935,11 +942,13 @@ impl<P> Deployment<P> {
     /// Stops every shard and returns the final protocol states (crashed
     /// processes included), in id order.
     ///
-    /// Shutdown is *draining*: every frame already handed to the I/O source
-    /// when the stop was requested — queued behind backpressure, held behind
-    /// a link delay, or on the wire — is still delivered to its (non-crashed)
-    /// receiver before the states are returned; only the sends and timers
-    /// those final deliveries would generate are discarded.
+    /// Shutdown is *draining*: every live process is asked once for the
+    /// output it was still holding back ([`Protocol::on_quiesce`]), and that,
+    /// like every frame already handed to the I/O source when the stop was
+    /// requested — queued behind backpressure, held behind a link delay, or
+    /// on the wire — is still delivered to its (non-crashed) receiver before
+    /// the states are returned; only the sends and timers those final
+    /// deliveries would generate are discarded.
     pub fn shutdown(mut self) -> Vec<P> {
         self.stop.store(true, Ordering::SeqCst);
         let workers = self.threads.len();

@@ -9,8 +9,10 @@
 //! node is silent on every plane while a live one answers scrapes, frames in
 //! flight at shutdown are delivered with their reactions discarded, the
 //! published snapshot carries one runtime-gauge list, dropping a
-//! deployment stops its threads, and frames that arrive together reach each
-//! hosted process as one `on_burst`, in per-link order.
+//! deployment stops its threads, frames that arrive together reach each
+//! hosted process as one `on_burst`, in per-link order, whoever holds a frame
+//! of a turn never reads a snapshot older than that turn, and a stop asks
+//! every live process once for the output it was holding back.
 
 use irs_net::wire::{put_u32, WireReader};
 use irs_net::{FaultyLink, LinkModel, MemNetwork, TransportScraper, UdpTransport, Wire, WireError};
@@ -204,6 +206,17 @@ enum Outside {
 }
 
 impl Outside {
+    /// The next probe message that arrives within `timeout`.
+    fn recv(&mut self, timeout: StdDuration) -> Option<ProbeMsg> {
+        use irs_net::Transport;
+        let frame = match self {
+            Outside::Mem(t) => t.recv(timeout),
+            Outside::Udp(t) => t.recv(timeout),
+        };
+        let frame = frame.expect("outside recv")?;
+        irs_net::wire::decode_payload(&frame.payload).ok()
+    }
+
     fn send(&mut self, from: u32, to: u32, msg: &ProbeMsg) {
         use irs_net::Transport;
         let (from, to) = (ProcessId::new(from), ProcessId::new(to));
@@ -577,6 +590,183 @@ fn transport_frames_that_arrive_together_are_one_burst_per_process() {
 #[test]
 fn reactor_frames_that_arrive_together_are_one_burst_per_process() {
     frames_that_arrive_together_are_one_burst_per_process(Kind::Reactor);
+}
+
+/// Counts its turns and answers every ping with the count. Its `snapshot`
+/// is slow on purpose: a host that sent a turn's frames before publishing
+/// the turn would leave the asker holding an ack for two whole milliseconds
+/// while the cell still showed the turn before.
+#[derive(Debug)]
+struct Turns {
+    id: ProcessId,
+    turns: u32,
+}
+
+impl Protocol for Turns {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {}
+
+    fn on_message(&mut self, from: ProcessId, _msg: &ProbeMsg, out: &mut Actions<ProbeMsg>) {
+        self.turns += 1;
+        out.send(from, ProbeMsg::Ack(self.turns));
+    }
+
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<ProbeMsg>) {}
+}
+
+impl LeaderOracle for Turns {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Turns {
+    fn snapshot(&self) -> Snapshot {
+        std::thread::sleep(StdDuration::from_millis(2));
+        Snapshot {
+            extra: vec![("turns", u64::from(self.turns))],
+            ..Snapshot::default()
+        }
+    }
+}
+
+/// Observation order: a peer that has received a frame of turn `k` never
+/// reads a snapshot older than turn `k` — the cell is published before the
+/// turn's actions are applied, whichever way the source sends.
+fn a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(kind: Kind) {
+    let processes = (0..N as u32)
+        .map(|i| Turns {
+            id: ProcessId::new(i),
+            turns: 0,
+        })
+        .collect();
+    let (deployment, mut outside) = deploy(kind, StdDuration::ZERO, processes);
+    for _ in 0..20 {
+        outside.send(N as u32, 0, &ProbeMsg::Ping(0));
+        let Some(ProbeMsg::Ack(turn)) = outside.recv(StdDuration::from_secs(20)) else {
+            panic!("{kind:?}: the ping was never answered");
+        };
+        let seen = deployment.snapshot(ProcessId::new(0)).gauge("turns");
+        assert!(
+            seen >= Some(u64::from(turn)),
+            "{kind:?}: holding the ack of turn {turn}, the snapshot still reads {seen:?}"
+        );
+    }
+    deployment.shutdown();
+}
+
+#[test]
+fn transport_frames_never_outrun_the_snapshot_of_their_turn() {
+    a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(Kind::TransportOne);
+    a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(Kind::TransportMany);
+}
+
+#[test]
+fn reactor_frames_never_outrun_the_snapshot_of_their_turn() {
+    a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(Kind::Reactor);
+}
+
+/// Arms a timer from `on_quiesce`; it must never fire.
+const T_FAREWELL: TimerId = TimerId::new(5);
+const FAREWELL: u32 = 999;
+
+/// Holds one message back until the host stops.
+#[derive(Debug)]
+struct Farewell {
+    id: ProcessId,
+    quiesced: u64,
+    /// Senders of the farewells that arrived, in arrival order.
+    heard: Vec<u32>,
+    farewell_timer_fires: u64,
+}
+
+impl Protocol for Farewell {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {}
+
+    fn on_message(&mut self, from: ProcessId, msg: &ProbeMsg, _out: &mut Actions<ProbeMsg>) {
+        if *msg == ProbeMsg::Ping(FAREWELL) {
+            self.heard.push(from.as_u32());
+        }
+    }
+
+    fn on_timer(&mut self, timer: TimerId, _out: &mut Actions<ProbeMsg>) {
+        if timer == T_FAREWELL {
+            self.farewell_timer_fires += 1;
+        }
+    }
+
+    fn on_quiesce(&mut self, out: &mut Actions<ProbeMsg>) {
+        self.quiesced += 1;
+        out.broadcast_others(ProbeMsg::Ping(FAREWELL));
+        out.set_timer(T_FAREWELL, Duration::from_ticks(1));
+    }
+}
+
+impl LeaderOracle for Farewell {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Farewell {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
+    }
+}
+
+/// The quiesce law at the host: `on_quiesce` runs exactly once on every live
+/// process and never on a crashed one; what it sends reaches every live peer
+/// — on the same shard or another, whichever stopped first — before that
+/// peer's drain concludes; the timer it arms is ignored.
+fn a_stop_asks_every_live_process_once_for_what_it_held_back(kind: Kind) {
+    let processes = (0..N as u32)
+        .map(|i| Farewell {
+            id: ProcessId::new(i),
+            quiesced: 0,
+            heard: Vec::new(),
+            farewell_timer_fires: 0,
+        })
+        .collect();
+    let (deployment, _outside) = deploy(kind, StdDuration::ZERO, processes);
+    let crashed = N as u32 - 1;
+    deployment.crash(ProcessId::new(crashed));
+    let finals = deployment.shutdown();
+    for p in &finals {
+        let me = p.id.as_u32();
+        assert_eq!(p.farewell_timer_fires, 0, "{kind:?}: p{me}'s timer fired");
+        if me == crashed {
+            assert_eq!(p.quiesced, 0, "{kind:?}: a crashed process was asked");
+            assert!(p.heard.is_empty(), "{kind:?}: a crashed process was told");
+            continue;
+        }
+        assert_eq!(p.quiesced, 1, "{kind:?}: p{me}");
+        let mut heard = p.heard.clone();
+        heard.sort_unstable();
+        let live_peers: Vec<u32> = (0..crashed).filter(|&q| q != me).collect();
+        assert_eq!(heard, live_peers, "{kind:?}: p{me} missed a farewell");
+    }
+}
+
+#[test]
+fn a_transport_stop_asks_every_live_process_once_for_what_it_held_back() {
+    a_stop_asks_every_live_process_once_for_what_it_held_back(Kind::TransportOne);
+    a_stop_asks_every_live_process_once_for_what_it_held_back(Kind::TransportMany);
+}
+
+#[test]
+fn a_reactor_stop_asks_every_live_process_once_for_what_it_held_back() {
+    a_stop_asks_every_live_process_once_for_what_it_held_back(Kind::Reactor);
 }
 
 /// Threads of this process whose name starts with `prefix`.

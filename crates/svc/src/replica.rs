@@ -99,6 +99,10 @@ pub struct SvcReplica {
     obs: Option<ReplicaObs>,
     /// The lease/read-index plane (see the module docs).
     lease: LeaseState,
+    /// What the log recorded so far this turn. Lifted into the turn's
+    /// actions only when it ends, behind every client reply: an ack never
+    /// queues behind the fan-out of the next slot's `Accept`.
+    log_out: Actions<ReplicaLogMsg>,
 }
 
 /// One read awaiting its read-index conditions at the leader.
@@ -228,6 +232,7 @@ impl SvcReplica {
             durability: None,
             obs: None,
             lease,
+            log_out: Actions::new(),
         }
     }
 
@@ -338,20 +343,20 @@ impl SvcReplica {
         self.redirects
     }
 
-    /// Lifts the inner log's actions into the service message plane.
-    fn lift(&self, inner: Actions<ReplicaLogMsg>, out: &mut Actions<SvcMsg>) {
-        let (sends, timers, cancels) = inner.into_parts();
-        for send in sends {
+    /// Lifts what the log recorded this turn into the service message
+    /// plane.
+    fn lift_log(&mut self, out: &mut Actions<SvcMsg>) {
+        for send in self.log_out.drain_sends() {
             match send.dest {
                 Destination::To(q) => out.send(q, SvcMsg::Log(send.msg)),
                 Destination::AllOthers => out.broadcast_others(SvcMsg::Log(send.msg)),
                 Destination::All => out.broadcast_all(SvcMsg::Log(send.msg)),
             }
         }
-        for t in timers {
+        for t in self.log_out.drain_timers() {
             out.set_timer(t.id, t.after);
         }
-        for c in cancels {
+        for c in self.log_out.drain_cancels() {
             out.cancel_timer(c);
         }
     }
@@ -718,11 +723,7 @@ impl SvcReplica {
     /// request on the sequencing path (see [`Self::on_request`]).
     fn dispatch(&mut self, from: ProcessId, msg: &SvcMsg, out: &mut Actions<SvcMsg>) -> bool {
         match msg {
-            SvcMsg::Log(m) => {
-                let mut inner = Actions::new();
-                self.log.on_message(from, m, &mut inner);
-                self.lift(inner, out);
-            }
+            SvcMsg::Log(m) => self.log.on_message(from, m, &mut self.log_out),
             SvcMsg::Request { cmd } => return self.on_request(from, cmd, out),
             SvcMsg::Read {
                 client,
@@ -739,19 +740,19 @@ impl SvcReplica {
         false
     }
 
-    /// Ends a turn: adopt a parked snapshot, apply what was decided, drive
-    /// the window once — only when a request was sequenced or the cursor
-    /// moved, so an idle follower's turn never touches the log's reign —
-    /// answer the reads that became ready, and commit the WAL.
+    /// Ends a turn: adopt a parked snapshot, apply what was decided (the
+    /// acks), drive the window once — only when a request was sequenced or
+    /// the cursor moved, so an idle follower's turn never touches the log's
+    /// reign — answer the reads that became ready, hand over the log's
+    /// frames behind all of those replies, and commit the WAL.
     fn settle(&mut self, sequenced: bool, out: &mut Actions<SvcMsg>) {
         self.maybe_install();
         let advanced = self.apply_ready(out);
         if sequenced || advanced {
-            let mut inner = Actions::new();
-            self.log.drive(&mut inner);
-            self.lift(inner, out);
+            self.log.drive(&mut self.log_out);
         }
         self.service_pending_reads(out);
+        self.lift_log(out);
         self.persist();
     }
 
@@ -790,9 +791,8 @@ impl Protocol for SvcReplica {
     }
 
     fn on_start(&mut self, out: &mut Actions<Self::Msg>) {
-        let mut inner = Actions::new();
-        self.log.on_start(&mut inner);
-        self.lift(inner, out);
+        self.log.on_start(&mut self.log_out);
+        self.lift_log(out);
         out.set_timer(TIMER_LEASE, self.lease.period);
     }
 
@@ -821,11 +821,16 @@ impl Protocol for SvcReplica {
         if timer == TIMER_LEASE {
             self.on_lease_tick(out);
         } else {
-            let mut inner = Actions::new();
-            self.log.on_timer(timer, &mut inner);
-            self.lift(inner, out);
+            self.log.on_timer(timer, &mut self.log_out);
         }
         self.settle(false, out);
+    }
+
+    /// The log's held announcements, lifted: after a stop every replica the
+    /// frames reach holds what this one acked.
+    fn on_quiesce(&mut self, out: &mut Actions<Self::Msg>) {
+        self.log.on_quiesce(&mut self.log_out);
+        self.lift_log(out);
     }
 }
 
@@ -949,9 +954,19 @@ mod tests {
             out.sends().len()
         );
         assert_eq!(replicas[0].log.pending_len(), 1);
-        // Message routing then decides and applies everywhere and acks the
-        // client.
+        // Message routing then decides, applies at the leader and acks the
+        // client. No timer fires while routing, so the followers hold the
+        // batch accepted and wait for the announcement…
         let acks = route(&mut replicas, vec![(ProcessId::new(0), out)]);
+        assert_eq!(replicas[0].store().applied(), 1);
+        for r in &replicas[1..] {
+            assert_eq!(r.store().applied(), 0, "replica {} ran ahead", r.id());
+        }
+        // …which the leader's next timer turn or the host's stop hands over.
+        let mut out = Actions::new();
+        replicas[0].on_quiesce(&mut out);
+        let late = route(&mut replicas, vec![(ProcessId::new(0), out)]);
+        assert!(late.is_empty(), "an announcement acks nobody: {late:?}");
         for r in &replicas {
             assert_eq!(r.store().applied(), 1, "replica {} lags", r.id());
             assert_eq!(r.store().get(b"k7"), Some(1u64.to_le_bytes().as_slice()));
@@ -974,7 +989,8 @@ mod tests {
     }
 
     /// A five-replica group (batch 8 × depth 4) whose p0 reigns with an empty
-    /// window: one routed write established the reign and decided slot 0.
+    /// window: one routed write established the reign and decided slot 0,
+    /// which p0 has applied and not announced yet.
     fn reigning_group() -> Vec<SvcReplica> {
         let mut replicas: Vec<SvcReplica> = (0..5)
             .map(|i| SvcReplica::with_tuning(ProcessId::new(i), system(), 8, 4, 0))
@@ -988,8 +1004,9 @@ mod tests {
         replicas
     }
 
-    /// The `(slot, batch length)` of every `Accept` broadcast in `out`.
-    fn accept_broadcasts(out: &Actions<SvcMsg>) -> Vec<(u64, usize)> {
+    /// The `(slot, batch length, noted slots)` of every `Accept` broadcast
+    /// in `out`, plain or noting.
+    fn accept_broadcasts(out: &Actions<SvcMsg>) -> Vec<(u64, usize, Vec<u64>)> {
         out.sends()
             .iter()
             .filter_map(|s| match (&s.dest, &s.msg) {
@@ -999,7 +1016,21 @@ mod tests {
                         slot,
                         msg: irs_consensus::PaxosMsg::Accept { v, .. },
                     }),
-                ) => Some((*slot, v.len())),
+                ) => Some((*slot, v.len(), vec![])),
+                (
+                    Destination::AllOthers,
+                    SvcMsg::Log(LogMsg::AcceptNoting {
+                        slot,
+                        v,
+                        noted_from,
+                        noted_len,
+                        ..
+                    }),
+                ) => Some((
+                    *slot,
+                    v.len(),
+                    (*noted_from..noted_from + noted_len).collect(),
+                )),
                 _ => None,
             })
             .collect()
@@ -1020,7 +1051,11 @@ mod tests {
         let leader = &mut reigning_group()[0];
         let mut out = Actions::new();
         leader.on_burst(&burst, &mut out);
-        assert_eq!(accept_broadcasts(&out), vec![(1, 8)], "one Accept of 8");
+        assert_eq!(
+            accept_broadcasts(&out),
+            vec![(1, 8, vec![0])],
+            "one Accept of 8, carrying slot 0's decision"
+        );
         assert_eq!(out.sends().len(), 1, "and nothing else");
         assert_eq!(leader.awaiting.len(), 8);
 
@@ -1031,10 +1066,67 @@ mod tests {
         }
         assert_eq!(
             accept_broadcasts(&out),
-            vec![(1, 1), (2, 1), (3, 1), (4, 1)],
+            vec![
+                (1, 1, vec![0]),
+                (2, 1, vec![]),
+                (3, 1, vec![]),
+                (4, 1, vec![])
+            ],
             "frame at a time: four slots of one, four requests left waiting"
         );
         assert_eq!(leader.awaiting.len(), 8);
+    }
+
+    /// The decision turn: the vote that completes the quorum is answered
+    /// with the client's ack first — no `Decide` fan-out in front of it, and
+    /// the next slot's `Accept` (which carries the announcement) behind it.
+    #[test]
+    fn the_decision_turn_sends_the_ack_before_any_peer_frame() {
+        let mut replicas = reigning_group();
+        let leader = &mut replicas[0];
+        let requests: Vec<(ProcessId, SvcMsg)> = (10..50)
+            .map(|c| {
+                let cmd = write(c, 1).encode();
+                (ProcessId::new(c as u32), SvcMsg::Request { cmd })
+            })
+            .collect();
+        // Forty requests: four slots of eight fill the window, eight wait.
+        let mut opened = Actions::new();
+        leader.on_burst(&requests, &mut opened);
+        let (b, v) = opened
+            .sends()
+            .iter()
+            .find_map(|s| match &s.msg {
+                SvcMsg::Log(LogMsg::AcceptNoting { slot: 1, b, v, .. }) => Some((*b, v.clone())),
+                _ => None,
+            })
+            .expect("slot 1 opens, noting slot 0");
+        assert_eq!(accept_broadcasts(&opened).len(), 4);
+        let vote = SvcMsg::Log(LogMsg::Slot {
+            slot: 1,
+            msg: irs_consensus::PaxosMsg::Accepted { b, v },
+        });
+        let mut first_vote = Actions::new();
+        leader.on_message(ProcessId::new(1), &vote, &mut first_vote);
+        assert!(first_vote.sends().is_empty(), "no quorum yet");
+        let mut decision = Actions::new();
+        leader.on_message(ProcessId::new(2), &vote, &mut decision);
+        let (acks, peer): (Vec<_>, Vec<_>) = decision
+            .sends()
+            .iter()
+            .partition(|s| matches!(s.msg, SvcMsg::Reply(SvcReply::Applied { slot: 1, .. })));
+        assert_eq!(acks.len(), 8, "every client of the slot is acked");
+        assert!(
+            decision.sends()[..8]
+                .iter()
+                .all(|s| matches!(s.msg, SvcMsg::Reply(_))),
+            "the acks lead the turn: {:?}",
+            decision.sends()
+        );
+        // The window slid: the waiting eight open slot 5, which announces
+        // slot 1 — the decision's only peer frame, and not a `Decide`.
+        assert_eq!(peer.len(), 1);
+        assert_eq!(accept_broadcasts(&decision), vec![(5, 8, vec![1])]);
     }
 
     /// The burst law at the replica: a burst of one records exactly what
@@ -1229,6 +1321,9 @@ mod tests {
             "retained_decisions",
             "compact_floor",
             "snapshot_installs",
+            "decides_noted",
+            "decides_flushed",
+            "notes_unmatched",
         ] {
             assert!(snap.gauge(gauge).is_some(), "missing gauge {gauge}");
         }

@@ -5,7 +5,8 @@
 //! window drive, one apply pass, one WAL commit for everything a poll
 //! handed over. This suite routes a five-replica group and a dozen
 //! closed-loop clients over one FIFO of in-flight frames (no threads, no
-//! clocks: the lease timer fires on script) and delivers that FIFO twice:
+//! clocks: the lease timer fires on script, the run ends with the host's
+//! quiesce turn) and delivers that FIFO twice:
 //! once a frame at a time through `on_message`, once cut into arbitrary
 //! bursts through `on_burst`, each burst grouped per destination in arrival
 //! order exactly as the host loop groups a poll. Both runs must apply every
@@ -285,6 +286,18 @@ impl Group {
                 let next = cut.next().expect("cuts is non-empty");
                 self.deliver(next, frame_at_a_time);
             }
+        }
+        // The host's stop. The script fires no oracle timer, so the last
+        // slot's decision is still waiting for an `Accept` to ride on: every
+        // replica hands over what it holds back, as `Shard::drain` asks.
+        for r in 0..N {
+            let mut out = Actions::new();
+            self.replicas[r].on_quiesce(&mut out);
+            self.route(pid(r as u64), out);
+        }
+        while !self.in_flight.is_empty() {
+            let next = cut.next().expect("cuts is non-empty");
+            self.deliver(next, frame_at_a_time);
         }
     }
 

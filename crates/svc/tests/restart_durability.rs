@@ -15,9 +15,11 @@
 //! * replay is deterministic: recovering the victim's directory twice
 //!   offline yields byte-identical state both times.
 //!
-//! A second, in-process test pins the contract underneath: a replica that
-//! dies between `on_burst` returning and its frames leaving recovers every
-//! acceptance and decision those frames vouch for.
+//! Two in-process tests pin the contract underneath: a replica that dies
+//! between `on_burst` returning and its frames leaving recovers every
+//! acceptance and decision those frames vouch for, and a follower that dies
+//! after a noting `Accept` recovers the decision the note taught it and the
+//! acceptance the `Accept` asked for — from the turn's one WAL commit.
 
 use irs_consensus::{Ballot, Batch, LogMsg, PaxosMsg};
 use irs_net::{reexec, UdpTransport};
@@ -202,10 +204,13 @@ fn vouched_for(out: &Actions<SvcMsg>) -> (Vec<Accepted>, Vec<Decided>) {
     let (mut accepted, mut decided) = (Vec::new(), Vec::new());
     for send in out.sends() {
         match &send.msg {
-            SvcMsg::Log(LogMsg::Slot {
-                slot,
-                msg: PaxosMsg::Accept { b, v } | PaxosMsg::Accepted { b, v },
-            }) => accepted.push((*slot, *b, v.clone())),
+            SvcMsg::Log(
+                LogMsg::Slot {
+                    slot,
+                    msg: PaxosMsg::Accept { b, v } | PaxosMsg::Accepted { b, v },
+                }
+                | LogMsg::AcceptNoting { slot, b, v, .. },
+            ) => accepted.push((*slot, *b, v.clone())),
             SvcMsg::Log(LogMsg::Slot {
                 slot,
                 msg: PaxosMsg::Decide { v },
@@ -324,6 +329,58 @@ fn a_replica_dropped_between_on_burst_and_send_recovers_what_its_frames_vouch_fo
     assert_eq!(accepted[0].2.len(), 4, "carrying all four requests");
     assert_eq!(commits(&leader), before + 1, "one WAL commit for the burst");
     crash_before_send_and_recover(&config, leader, out);
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A follower learns slot `s` from the note on slot `s + 1`'s `Accept`, in
+/// the turn that accepts `s + 1`: `Decided(s)` and `Accepted(s + 1)` are one
+/// WAL commit (the `Decide` of old cost a commit of its own), and a follower
+/// dropped with its vote unsent recovers both.
+#[test]
+fn a_follower_dropped_after_a_noting_accept_recovers_the_decision_and_the_acceptance() {
+    let base = std::env::temp_dir().join(format!("irs-rd-note-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let config = config(&base);
+    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+    let commits = |r: &SvcReplica| r.snapshot().gauge("wal_commits").expect("gauge");
+    let b = Ballot::for_reign(1, p0);
+    let (first, second) = (Batch::one(command(7, 1)), Batch::one(command(7, 2)));
+
+    let mut follower = config.replica(p1);
+    let accept = PaxosMsg::Accept {
+        b,
+        v: first.clone(),
+    };
+    let accept = SvcMsg::Log(LogMsg::Slot {
+        slot: 0,
+        msg: accept,
+    });
+    follower.on_message(p0, &accept, &mut Actions::new());
+    assert_eq!(commits(&follower), 1);
+    let noting = SvcMsg::Log(LogMsg::AcceptNoting {
+        slot: 1,
+        b,
+        v: second.clone(),
+        noted_from: 0,
+        noted_len: 1,
+    });
+    let mut vote = Actions::new();
+    follower.on_message(p0, &noting, &mut vote);
+    assert_eq!(
+        commits(&follower),
+        2,
+        "the decision and the acceptance share a commit"
+    );
+    assert_eq!(follower.store().applied(), 1, "learned and applied");
+    assert_eq!(vouched_for(&vote).0, vec![(1, b, second.clone())]);
+
+    drop(follower);
+    let recovered = config.replica(p1);
+    assert_eq!(recovered.log().decision(0), Some(&first));
+    assert_eq!(recovered.store().applied(), 1);
+    let accepted: Vec<_> = recovered.log().accepted_states().collect();
+    assert_eq!(accepted, vec![(1, b, &second)]);
 
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -271,6 +271,23 @@ impl<M> Actions<M> {
 /// that deliver one frame at a time — the simulator, replay harnesses —
 /// call only `on_message`, so a protocol may never *depend* on bursts for
 /// progress.
+///
+/// # The quiesce law
+///
+/// A protocol may hold output back for a later turn to carry (the
+/// replicated log announces a decision on its next `Accept`). A driver that
+/// *stops* an instance calls [`on_quiesce`](Protocol::on_quiesce) so that
+/// nothing stays held:
+///
+/// * at most once per instance, after its last `on_burst`/`on_message`/
+///   `on_timer` turn, and never on a crashed one;
+/// * the sends it records are delivered like any turn's, before the driver
+///   concludes that nothing is in flight; timers it arms are ignored (no
+///   turn follows to fire them);
+/// * a driver that never stops — the simulator at its horizon, a replay
+///   pump — need not call it, so an implementation must also release what
+///   it holds on a timer of its own: `on_quiesce` bounds the wait at a stop,
+///   it is never the only way out.
 pub trait Protocol {
     /// The message type exchanged by instances of this protocol.
     type Msg: Clone + fmt::Debug + Send + Sync + 'static;
@@ -299,6 +316,11 @@ pub trait Protocol {
     /// Invoked when timer `timer` expires (and was not superseded or
     /// cancelled in the meantime).
     fn on_timer(&mut self, timer: TimerId, out: &mut Actions<Self::Msg>);
+
+    /// Invoked once when the driver stops this instance, after its last turn
+    /// (see *The quiesce law* above): record whatever output was being held
+    /// back. The default holds nothing.
+    fn on_quiesce(&mut self, _out: &mut Actions<Self::Msg>) {}
 }
 
 /// Metadata the adversary models need about a message in flight.
@@ -417,6 +439,13 @@ mod tests {
         };
         assert_eq!(flat(&one_call), flat(&per_frame));
         assert_eq!(flat(&one_call)[1], (Destination::To(ProcessId::new(2)), 8));
+    }
+
+    #[test]
+    fn default_on_quiesce_holds_nothing_back() {
+        let mut out = Actions::new();
+        Echo.on_quiesce(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
