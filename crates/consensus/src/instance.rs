@@ -30,8 +30,8 @@
 //!   sent as recorded (this instance's single-decree composition, and every
 //!   per-slot ballot of the replicated log), with the owner's next `Accept`
 //!   when the replicated log holds a stable reign's announcement back to
-//!   ride on it (see the `repeated` module docs — the instance neither knows
-//!   nor cares which).
+//!   ride on it (rules L11 and L13 of the `log` module docs — the instance
+//!   neither knows nor cares which).
 //!
 //! The learner therefore only counts votes for the ballot it currently runs
 //! in phase 2. A vote for any other ballot — someone else's, or an own one
@@ -42,7 +42,7 @@
 //! owner as a ballot that stopped progressing
 //! ([`PaxosInstance::progress_counter`]), which the driving protocol restarts
 //! with a higher ballot; a lost `Decide` is recovered by the replicated
-//! log's catch-up (see the `repeated` module docs), or in the single-decree
+//! log's catch-up (rules L18 and L19 there), or in the single-decree
 //! composition by the reliable links of the paper's model.
 //!
 //! The machinery is generic over the value domain `V` ([`LogValue`]): the

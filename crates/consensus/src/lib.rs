@@ -31,17 +31,17 @@
 
 mod ballot;
 mod instance;
+mod log;
 mod process;
-mod repeated;
 
 pub use ballot::{
     Ballot, Batch, Command, CommandBatch, LogValue, Value, MAX_BATCH_BYTES, MAX_BATCH_LEN,
     MAX_COMMAND_LEN, REIGN_EPOCH_SHIFT,
 };
 pub use instance::{PaxosInstance, PaxosMsg, PaxosSend};
-pub use process::{ConsensusConfig, ConsensusMsg, ConsensusProcess, TIMER_BALLOT_CHECK};
-pub use repeated::{
+pub use log::{
     snapshot_chunk_count, LogEvent, LogMsg, ReplicatedLog, CATCHUP_BATCH, CATCHUP_BYTES,
-    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, NOTED_MAX, REIGN_REPORT_BYTES, REIGN_REPORT_MAX,
-    SNAPSHOT_CHUNK_LEN, SNAPSHOT_CHUNK_WINDOW, TIMER_LOG_CHECK,
+    MAX_SNAPSHOT_CHUNKS, NOTED_MAX, REIGN_REPORT_BYTES, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
+    SNAPSHOT_CHUNK_WINDOW, TIMER_LOG_CHECK,
 };
+pub use process::{ConsensusConfig, ConsensusMsg, ConsensusProcess, TIMER_BALLOT_CHECK};

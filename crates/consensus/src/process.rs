@@ -18,10 +18,10 @@
 //! replaced by Ω, and the next owner's phase 1 inherits the accepted value
 //! and announces it in its stead.
 
-use crate::{LogValue, PaxosInstance, PaxosMsg, Value};
+use crate::{LogValue, PaxosInstance, PaxosMsg, PaxosSend, Value};
 use irs_types::{
-    Actions, Destination, Duration, Introspect, LeaderOracle, ProcessId, Protocol, RoundNum,
-    RoundTagged, Snapshot, SystemConfig, TimerId,
+    Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, RoundNum, RoundTagged,
+    Snapshot, SystemConfig, TimerId,
 };
 
 /// Timer used to periodically re-evaluate leadership and (re)start ballots.
@@ -213,34 +213,9 @@ where
         self.instance.ballots_started()
     }
 
-    fn lift_oracle(&self, inner: Actions<O::Msg>, out: &mut Actions<ConsensusMsg<O::Msg, V>>) {
-        let (sends, timers, cancels) = inner.into_parts();
-        for send in sends {
-            match send.dest {
-                Destination::To(q) => out.send(q, ConsensusMsg::Omega(send.msg)),
-                Destination::AllOthers => out.broadcast_others(ConsensusMsg::Omega(send.msg)),
-                Destination::All => out.broadcast_all(ConsensusMsg::Omega(send.msg)),
-            }
-        }
-        for t in timers {
-            out.set_timer(t.id, t.after);
-        }
-        for c in cancels {
-            out.cancel_timer(c);
-        }
-    }
-
-    fn emit_paxos(
-        &self,
-        sends: Vec<(Destination, PaxosMsg<V>)>,
-        out: &mut Actions<ConsensusMsg<O::Msg, V>>,
-    ) {
+    fn emit_paxos(sends: Vec<PaxosSend<V>>, out: &mut Actions<ConsensusMsg<O::Msg, V>>) {
         for (dest, msg) in sends {
-            match dest {
-                Destination::To(q) => out.send(q, ConsensusMsg::Paxos(msg)),
-                Destination::AllOthers => out.broadcast_others(ConsensusMsg::Paxos(msg)),
-                Destination::All => out.broadcast_all(ConsensusMsg::Paxos(msg)),
-            }
+            out.push(dest, ConsensusMsg::Paxos(msg));
         }
     }
 
@@ -261,7 +236,7 @@ where
         if stalled {
             let mut sends = Vec::new();
             self.instance.start_ballot(&mut sends);
-            self.emit_paxos(sends, out);
+            Self::emit_paxos(sends, out);
         }
     }
 }
@@ -281,7 +256,7 @@ where
     fn on_start(&mut self, out: &mut Actions<Self::Msg>) {
         let mut inner = Actions::new();
         self.oracle.on_start(&mut inner);
-        self.lift_oracle(inner, out);
+        inner.drain_into(out, ConsensusMsg::Omega);
         out.set_timer(TIMER_BALLOT_CHECK, self.cfg.ballot_check_period);
     }
 
@@ -290,12 +265,12 @@ where
             ConsensusMsg::Omega(m) => {
                 let mut inner = Actions::new();
                 self.oracle.on_message(from, m, &mut inner);
-                self.lift_oracle(inner, out);
+                inner.drain_into(out, ConsensusMsg::Omega);
             }
             ConsensusMsg::Paxos(m) => {
                 let mut sends = Vec::new();
                 self.instance.handle(from, m.clone(), &mut sends);
-                self.emit_paxos(sends, out);
+                Self::emit_paxos(sends, out);
             }
         }
     }
@@ -306,7 +281,7 @@ where
         } else {
             let mut inner = Actions::new();
             self.oracle.on_timer(timer, &mut inner);
-            self.lift_oracle(inner, out);
+            inner.drain_into(out, ConsensusMsg::Omega);
         }
     }
 }

@@ -930,9 +930,8 @@ mod leader_centric_faults {
         /// decided anywhere ends up decided everywhere, and what the
         /// survivors submitted is in it. (A replica that installs a snapshot
         /// cannot tell which of its own queued submissions the snapshot
-        /// covered and keeps forwarding the oldest; re-submitting past that is
-        /// its client's business, so only replicas that never installed are
-        /// held to "everything I submitted was decided".)
+        /// covered; its forward window rotates past them, so it too is held
+        /// to "everything I submitted was decided".)
         #[test]
         fn prop_every_decision_reaches_every_live_replica_whatever_carries_it(
             seed in 1u64..1_000_000,
@@ -989,12 +988,11 @@ mod leader_centric_faults {
             let live = |sim: &Simulation<Faulty, _>| -> Vec<ProcessId> {
                 sys.processes().filter(|p| !sim.is_crashed(*p)).collect()
             };
-            // What is still owed: the submissions of live replicas that
-            // never installed a snapshot, minus what `applied` holds.
+            // What is still owed: the submissions of the live replicas,
+            // minus what `applied` holds.
             let owed = |sim: &Simulation<Faulty, _>, applied: &[Value]| -> Vec<Value> {
                 live(sim)
                     .into_iter()
-                    .filter(|p| sim.process(*p).log.snapshot().gauge("snapshot_installs") == Some(0))
                     .flat_map(|p| (0..OWN).map(move |k| Value(100 * (1 + p.index() as u64) + k)))
                     .filter(|v| !applied.contains(v))
                     .collect()

@@ -17,7 +17,7 @@
 //! OmegaMsg      0x00..=0x02   (crate::wire)
 //! ConsensusMsg  0x10..=0x11   Omega | Paxos
 //! LogMsg        0x18..=0x1F   Omega | Slot | Forward | Catchup
-//!                             | SnapshotOffer | SnapshotInstall
+//!                             | SnapshotOffer | (0x1D retired)
 //!                             | SnapshotChunkRequest | SnapshotChunk
 //! (irs-svc)     0x20..=0x27   Log | Request | Reply(Applied) | Reply(Redirect)
 //!                             | Read | Reply(Value) | LeaseProbe | LeaseAck
@@ -29,10 +29,12 @@
 //! ```
 //!
 //! A `LogMsg::Slot` payload carries a [`PaxosMsg`] over [`Batch`] values
-//! (`u32` count + elements, bounded by [`MAX_BATCH_LEN`]); a snapshot
-//! install carries an opaque host blob bounded by [`MAX_SNAPSHOT_LEN`],
-//! and larger snapshots ride the chunk plane in
-//! [`SNAPSHOT_CHUNK_LEN`]-bounded pieces.
+//! (`u32` count + elements, bounded by [`MAX_BATCH_LEN`]); a snapshot — an
+//! opaque host blob — rides the chunk plane in [`SNAPSHOT_CHUNK_LEN`]-bounded
+//! pieces, one frame when it fits one. Tag `0x1D` carried a whole-blob
+//! install until every snapshot took the chunk plane; it is *retired*, not
+//! free: it decodes to `BadTag`, and a new message must not reuse it while
+//! frames of that shape may still sit in a WAL-less peer's socket buffer.
 //!
 //! Decoders are total (arbitrary bytes decode or fail, never panic) and
 //! `valid_for(n)` checks every embedded process id and the embedded Ω
@@ -42,7 +44,7 @@
 use crate::wire::{put_u32, put_u64, Wire, WireError, WireReader};
 use irs_consensus::{
     Ballot, Batch, Command, ConsensusMsg, LogMsg, PaxosMsg, Value, MAX_BATCH_LEN, MAX_COMMAND_LEN,
-    MAX_SNAPSHOT_CHUNKS, MAX_SNAPSHOT_LEN, NOTED_MAX, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
+    MAX_SNAPSHOT_CHUNKS, NOTED_MAX, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
 };
 use irs_types::ProcessId;
 use std::sync::Arc;
@@ -60,7 +62,7 @@ const TAG_LOG_SLOT: u8 = TAG_LOG_BASE + 1;
 const TAG_LOG_FORWARD: u8 = TAG_LOG_BASE + 2;
 const TAG_LOG_CATCHUP: u8 = TAG_LOG_BASE + 3;
 const TAG_LOG_SNAPSHOT_OFFER: u8 = TAG_LOG_BASE + 4;
-const TAG_LOG_SNAPSHOT_INSTALL: u8 = TAG_LOG_BASE + 5;
+// TAG_LOG_BASE + 5 (0x1D) is retired: see the tag registry above.
 const TAG_LOG_SNAPSHOT_CHUNK_REQUEST: u8 = TAG_LOG_BASE + 6;
 const TAG_LOG_SNAPSHOT_CHUNK: u8 = TAG_LOG_BASE + 7;
 
@@ -282,12 +284,6 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
                 buf.push(TAG_LOG_SNAPSHOT_OFFER);
                 put_u64(buf, *upto);
             }
-            LogMsg::SnapshotInstall { upto, state } => {
-                buf.push(TAG_LOG_SNAPSHOT_INSTALL);
-                put_u64(buf, *upto);
-                put_u32(buf, state.len() as u32);
-                buf.extend_from_slice(state);
-            }
             LogMsg::SnapshotChunkRequest { upto, chunk } => {
                 buf.push(TAG_LOG_SNAPSHOT_CHUNK_REQUEST);
                 put_u64(buf, *upto);
@@ -351,15 +347,6 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
             TAG_LOG_FORWARD => Ok(LogMsg::Forward { v: V::decode(r)? }),
             TAG_LOG_CATCHUP => Ok(LogMsg::Catchup { from: r.u64()? }),
             TAG_LOG_SNAPSHOT_OFFER => Ok(LogMsg::SnapshotOffer { upto: r.u64()? }),
-            TAG_LOG_SNAPSHOT_INSTALL => {
-                let upto = r.u64()?;
-                let len = r.u32()? as usize;
-                if len > MAX_SNAPSHOT_LEN {
-                    return Err(WireError::BadLength(len));
-                }
-                let state: Arc<[u8]> = r.take(len)?.into();
-                Ok(LogMsg::SnapshotInstall { upto, state })
-            }
             TAG_LOG_SNAPSHOT_CHUNK_REQUEST => Ok(LogMsg::SnapshotChunkRequest {
                 upto: r.u64()?,
                 chunk: r.u32()?,
@@ -429,7 +416,6 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
             LogMsg::Catchup { .. }
             | LogMsg::SnapshotOffer { .. }
             | LogMsg::SnapshotChunkRequest { .. } => true,
-            LogMsg::SnapshotInstall { state, .. } => state.len() <= MAX_SNAPSHOT_LEN,
             LogMsg::SnapshotChunk {
                 chunk, total, data, ..
             } => {
@@ -501,8 +487,8 @@ mod tests {
     }
 
     fn log_from(seed: u8, slot: u64, bytes: &[u8]) -> LMsg {
-        match seed % 11 {
-            10 => LogMsg::AcceptNoting {
+        match seed % 10 {
+            5 => LogMsg::AcceptNoting {
                 slot: slot + 1,
                 b: Ballot::for_reign(slot + 1, ProcessId::new(seed as u32 % 4)),
                 v: Batch::one(Command::new(bytes.to_vec())),
@@ -542,10 +528,6 @@ mod tests {
             },
             3 => LogMsg::Catchup { from: slot },
             4 => LogMsg::SnapshotOffer { upto: slot },
-            5 => LogMsg::SnapshotInstall {
-                upto: slot,
-                state: bytes.to_vec().into(),
-            },
             6 => LogMsg::SnapshotChunkRequest {
                 upto: slot,
                 chunk: seed as u32,
@@ -600,7 +582,7 @@ mod tests {
         assert_eq!(roundtrip(&omega), omega);
         let paxos: CMsg = ConsensusMsg::Paxos(paxos_from(2, 4, 1, 9));
         assert_eq!(roundtrip(&paxos), paxos);
-        for seed in 0..11u8 {
+        for seed in 0..10u8 {
             let msg = log_from(seed, 11, &[1, 2, 3]);
             assert_eq!(roundtrip(&msg), msg, "log variant {seed}");
         }
@@ -684,7 +666,7 @@ mod tests {
         }
         let b = Ballot::new(0x0102, ProcessId::new(3));
         let cmd = Command::new(vec![0xAA, 0xBB]);
-        let golden: [(LMsg, &str); 11] = [
+        let golden: [(LMsg, &str); 10] = [
             (
                 LogMsg::Omega(OmegaMsg::Alive {
                     rn: RoundNum::new(7),
@@ -705,13 +687,6 @@ mod tests {
             (LogMsg::Forward { v: cmd.clone() }, "1a02000000aabb"),
             (LogMsg::Catchup { from: 6 }, "1b0600000000000000"),
             (LogMsg::SnapshotOffer { upto: 7 }, "1c0700000000000000"),
-            (
-                LogMsg::SnapshotInstall {
-                    upto: 8,
-                    state: vec![1u8, 2, 3].into(),
-                },
-                "1d080000000000000003000000010203",
-            ),
             (
                 LogMsg::SnapshotChunkRequest { upto: 9, chunk: 2 },
                 "1e090000000000000002000000",
@@ -845,22 +820,20 @@ mod tests {
         assert_eq!(roundtrip(&promise), promise);
     }
 
+    /// Tag `0x1D` carried the whole-blob install until every snapshot took
+    /// the chunk plane. It stays reserved: what was a valid frame of it is
+    /// link noise now, whatever follows the tag.
     #[test]
-    fn oversized_snapshot_installs_are_rejected_not_allocated() {
-        let mut buf = vec![TAG_LOG_SNAPSHOT_INSTALL];
-        put_u64(&mut buf, 10);
-        put_u32(&mut buf, (MAX_SNAPSHOT_LEN + 1) as u32);
-        assert_eq!(
-            decode_payload::<LMsg>(&buf),
-            Err(WireError::BadLength(MAX_SNAPSHOT_LEN + 1))
-        );
-        // A bound-respecting install is semantically valid for any n.
-        let install: LMsg = LogMsg::SnapshotInstall {
-            upto: 10,
-            state: vec![1u8; 32].into(),
-        };
-        assert!(install.valid_for(4));
-        assert_eq!(roundtrip(&install), install);
+    fn the_retired_install_tag_decodes_to_bad_tag() {
+        let golden_install = [
+            0x1d, 8, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, // upto 8, len 3, blob
+        ];
+        for payload in [&golden_install[..], &golden_install[..1]] {
+            assert_eq!(
+                decode_payload::<LMsg>(payload),
+                Err(WireError::BadTag(0x1D))
+            );
+        }
     }
 
     #[test]

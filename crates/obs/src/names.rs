@@ -103,8 +103,6 @@ pub const REQUESTS: &str = "requests";
 pub const REDIRECTS: &str = "redirects";
 /// Compaction snapshots exported.
 pub const SNAPSHOTS_TAKEN: &str = "snapshots_taken";
-/// Snapshots skipped because the export exceeded the wire budget.
-pub const OVERSIZED_SNAPSHOT_SKIPS: &str = "oversized_snapshot_skips";
 /// WAL records appended by this replica.
 pub const WAL_APPENDED: &str = "wal_appended";
 /// WAL fsync batches issued by this replica.
@@ -289,10 +287,6 @@ pub const ALL: &[(&str, &str)] = &[
     (REQUESTS, "client requests accepted"),
     (REDIRECTS, "client requests redirected to the leader"),
     (SNAPSHOTS_TAKEN, "compaction snapshots exported"),
-    (
-        OVERSIZED_SNAPSHOT_SKIPS,
-        "snapshots skipped over the wire budget",
-    ),
     (WAL_APPENDED, "WAL records appended by this replica"),
     (WAL_SYNCS, "WAL fsync batches issued by this replica"),
     (READS_LEASE, "reads served from the leader lease"),

@@ -342,9 +342,12 @@ mod tests {
                 },
             }),
             SvcMsg::Log(LogMsg::SnapshotOffer { upto: 9 }),
-            SvcMsg::Log(LogMsg::SnapshotInstall {
+            SvcMsg::Log(LogMsg::SnapshotChunk {
                 upto: 9,
-                state: vec![1u8, 2, 3].into(),
+                chunk: 0,
+                total: 1,
+                digest: irs_types::Fnv64::digest_of(&[1, 2, 3]),
+                data: vec![1u8, 2, 3].into(),
             }),
             SvcMsg::Request { cmd },
             SvcMsg::Reply(SvcReply::Applied {

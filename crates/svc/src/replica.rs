@@ -35,11 +35,11 @@ use crate::command::KvWrite;
 use crate::durability::Durability;
 use crate::msg::{ReadTier, ReplicaLogMsg, SvcMsg, SvcReply};
 use crate::store::KvStore;
-use irs_consensus::{Command, ConsensusConfig, ReplicatedLog, MAX_SNAPSHOT_LEN};
+use irs_consensus::{Command, ConsensusConfig, ReplicatedLog};
 use irs_omega::OmegaProcess;
 use irs_types::{
-    Actions, Destination, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot,
-    SystemConfig, TimerId,
+    Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, SystemConfig,
+    TimerId,
 };
 use irs_wal::FsyncPolicy;
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,9 +89,6 @@ pub struct SvcReplica {
     /// Turns that had durability events to commit.
     wal_commits: u64,
     snapshots_taken: u64,
-    /// Interval snapshots whose export outgrew the single-frame install
-    /// cap (they compact all the same and are served via the chunk plane).
-    oversized_snapshot_skips: u64,
     /// On-disk WAL + snapshot state; `None` runs the replica in-memory.
     durability: Option<Durability>,
     /// Optional observability hooks (metrics handles + flight-recorder
@@ -228,7 +225,6 @@ impl SvcReplica {
             bursts: 0,
             wal_commits: 0,
             snapshots_taken: 0,
-            oversized_snapshot_skips: 0,
             durability: None,
             obs: None,
             lease,
@@ -341,24 +337,6 @@ impl SvcReplica {
     /// Requests answered with a redirect.
     pub fn redirects(&self) -> u64 {
         self.redirects
-    }
-
-    /// Lifts what the log recorded this turn into the service message
-    /// plane.
-    fn lift_log(&mut self, out: &mut Actions<SvcMsg>) {
-        for send in self.log_out.drain_sends() {
-            match send.dest {
-                Destination::To(q) => out.send(q, SvcMsg::Log(send.msg)),
-                Destination::AllOthers => out.broadcast_others(SvcMsg::Log(send.msg)),
-                Destination::All => out.broadcast_all(SvcMsg::Log(send.msg)),
-            }
-        }
-        for t in self.log_out.drain_timers() {
-            out.set_timer(t.id, t.after);
-        }
-        for c in self.log_out.drain_cancels() {
-            out.cancel_timer(c);
-        }
     }
 
     /// Handles one client write. Returns whether it reached the sequencing
@@ -656,12 +634,8 @@ impl SvcReplica {
     }
 
     /// Exports the store and truncates the log once enough slots have been
-    /// applied since the last snapshot. Compaction *always* proceeds — an
-    /// export too large for one `SnapshotInstall` frame is served to
-    /// laggards via the chunk plane instead, and is counted (plus logged,
-    /// at most once per interval since that is how often this runs) so the
-    /// regime is observable rather than a silent stall that used to retain
-    /// the whole decided log.
+    /// applied since the last snapshot. Compaction *always* proceeds: the log
+    /// serves an export of any size to laggards over its chunk plane.
     fn maybe_snapshot(&mut self) {
         if self.snapshot_interval == 0 || self.cursor < self.last_snapshot + self.snapshot_interval
         {
@@ -669,16 +643,6 @@ impl SvcReplica {
         }
         self.last_snapshot = self.cursor;
         let blob = self.store.export();
-        if blob.len() > MAX_SNAPSHOT_LEN {
-            self.oversized_snapshot_skips += 1;
-            eprintln!(
-                "[irs-svc] replica {}: snapshot at slot {} is {} bytes > {} single-frame cap; serving it chunked",
-                self.log.id(),
-                self.cursor,
-                blob.len(),
-                MAX_SNAPSHOT_LEN,
-            );
-        }
         self.log.truncate_below(self.cursor, blob.as_slice());
         self.snapshots_taken += 1;
         self.persist_snapshot(self.cursor, &blob);
@@ -752,7 +716,7 @@ impl SvcReplica {
             self.log.drive(&mut self.log_out);
         }
         self.service_pending_reads(out);
-        self.lift_log(out);
+        self.log_out.drain_into(out, SvcMsg::Log);
         self.persist();
     }
 
@@ -792,7 +756,7 @@ impl Protocol for SvcReplica {
 
     fn on_start(&mut self, out: &mut Actions<Self::Msg>) {
         self.log.on_start(&mut self.log_out);
-        self.lift_log(out);
+        self.log_out.drain_into(out, SvcMsg::Log);
         out.set_timer(TIMER_LEASE, self.lease.period);
     }
 
@@ -830,7 +794,7 @@ impl Protocol for SvcReplica {
     /// frames reach holds what this one acked.
     fn on_quiesce(&mut self, out: &mut Actions<Self::Msg>) {
         self.log.on_quiesce(&mut self.log_out);
-        self.lift_log(out);
+        self.log_out.drain_into(out, SvcMsg::Log);
     }
 }
 
@@ -857,10 +821,6 @@ impl Introspect for SvcReplica {
         snap.extra.push((names::WAL_COMMITS, self.wal_commits));
         snap.extra
             .push((names::SNAPSHOTS_TAKEN, self.snapshots_taken));
-        snap.extra.push((
-            names::OVERSIZED_SNAPSHOT_SKIPS,
-            self.oversized_snapshot_skips,
-        ));
         snap.extra
             .push((names::READS_LEASE, self.lease.reads_lease));
         snap.extra
@@ -885,6 +845,7 @@ mod tests {
     use super::*;
     use crate::command::KvOp;
     use irs_consensus::LogMsg;
+    use irs_types::Destination;
 
     fn system() -> SystemConfig {
         SystemConfig::new(5, 2).unwrap()
@@ -1310,7 +1271,6 @@ mod tests {
             "wal_commits",
             "slots_driven",
             "snapshots_taken",
-            "oversized_snapshot_skips",
             "reads_lease",
             "reads_read_index",
             "reads_stale",
@@ -1365,15 +1325,14 @@ mod tests {
         assert!(replica.awaiting.is_empty());
     }
 
-    /// The compaction-stall regression: an export too large for one
-    /// install frame used to be silently dropped, leaving the whole
-    /// decided log retained. It must now compact anyway, count the
-    /// oversized export, and keep the blob servable (chunked).
+    /// The compaction-stall regression: an export too large for one frame
+    /// used to be silently dropped, leaving the whole decided log retained.
+    /// It must compact anyway and keep the blob servable, two chunks of it.
     #[test]
-    fn oversized_exports_still_compact_and_are_counted() {
+    fn oversized_exports_still_compact_and_are_served_in_chunks() {
         let mut replica = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, 8);
         // ~56 KiB of state: 72 keys × 800-byte values (commands stay under
-        // the command/value caps; the export outgrows MAX_SNAPSHOT_LEN).
+        // the command/value caps; the export outgrows one snapshot chunk).
         for slot in 0..72u64 {
             let w = KvWrite {
                 client: 7,
@@ -1396,12 +1355,8 @@ mod tests {
             replica.apply_ready(&mut Actions::new());
         }
         assert!(
-            replica.store.export().len() > MAX_SNAPSHOT_LEN,
-            "test state must outgrow the single-frame cap"
-        );
-        assert!(
-            replica.oversized_snapshot_skips >= 1,
-            "oversized exports are counted"
+            replica.store.export().len() > irs_consensus::SNAPSHOT_CHUNK_LEN,
+            "test state must outgrow one chunk"
         );
         assert!(
             replica.log.retained_decisions() <= 8,
@@ -1409,13 +1364,16 @@ mod tests {
             replica.log.retained_decisions()
         );
         assert_eq!(replica.cursor, 72);
-        // The oversized blob is the log's servable snapshot (chunk plane).
-        let snap = replica.snapshot();
-        assert_eq!(
-            snap.gauge("oversized_snapshot_skips"),
-            Some(replica.oversized_snapshot_skips)
-        );
-        assert!(snap.gauge("compact_floor").unwrap() >= 64);
+        assert!(replica.snapshot().gauge("compact_floor").unwrap() >= 64);
+        // The oversized blob is the log's servable snapshot.
+        let mut answer = Actions::new();
+        let ask = SvcMsg::Log(LogMsg::Catchup { from: 0 });
+        replica.on_message(ProcessId::new(3), &ask, &mut answer);
+        let chunks = answer
+            .sends()
+            .iter()
+            .filter(|s| matches!(s.msg, SvcMsg::Log(LogMsg::SnapshotChunk { total: 2, .. })));
+        assert_eq!(chunks.count(), 2);
     }
 
     // ---- The lease/read plane ----
@@ -1740,11 +1698,15 @@ mod tests {
             &mut answer,
         );
         assert!(
-            answer.sends().iter().any(|s| matches!(
-                s.msg,
-                SvcMsg::Log(irs_consensus::LogMsg::SnapshotInstall { .. })
-            )),
-            "sub-floor catch-up is served as an install"
+            matches!(
+                answer.sends()[0].msg,
+                SvcMsg::Log(LogMsg::SnapshotChunk {
+                    chunk: 0,
+                    total: 1,
+                    ..
+                })
+            ),
+            "sub-floor catch-up is served as a one-frame install"
         );
         for send in answer.sends() {
             wiped.on_message(ProcessId::new(0), &send.msg, &mut Actions::new());

@@ -99,6 +99,18 @@ pub struct TimerRequest {
 /// out.set_timer(TimerId::new(0), Duration::from_ticks(10));
 /// assert_eq!(out.sends().len(), 2);
 /// assert!(matches!(out.sends()[1].dest, Destination::All));
+///
+/// // A composite protocol re-addresses what an embedded one recorded:
+/// // sends keep their destinations, timers and cancels pass through, and
+/// // the inner buffer is left empty, capacity kept, for the next turn.
+/// let mut outer: Actions<String> = Actions::new();
+/// out.drain_into(&mut outer, |m| format!("inner:{m}"));
+/// assert!(out.is_empty());
+/// assert_eq!(outer.sends()[0].msg, "inner:hello");
+/// assert!(matches!(outer.sends()[0].dest, Destination::To(p) if p == ProcessId::new(2)));
+/// assert_eq!(outer.timers().len(), 1);
+/// outer.push(Destination::AllOthers, "own".to_string());
+/// assert!(matches!(outer.sends()[2].dest, Destination::AllOthers));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Actions<M> {
@@ -123,28 +135,24 @@ impl<M> Actions<M> {
         }
     }
 
+    /// Records a send to an already-chosen destination.
+    pub fn push(&mut self, dest: Destination, msg: M) {
+        self.sends.push(Outbound { dest, msg });
+    }
+
     /// Records a point-to-point send.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.sends.push(Outbound {
-            dest: Destination::To(to),
-            msg,
-        });
+        self.push(Destination::To(to), msg);
     }
 
     /// Records a broadcast to every *other* process.
     pub fn broadcast_others(&mut self, msg: M) {
-        self.sends.push(Outbound {
-            dest: Destination::AllOthers,
-            msg,
-        });
+        self.push(Destination::AllOthers, msg);
     }
 
     /// Records a broadcast to every process, the sender included.
     pub fn broadcast_all(&mut self, msg: M) {
-        self.sends.push(Outbound {
-            dest: Destination::All,
-            msg,
-        });
+        self.push(Destination::All, msg);
     }
 
     /// Arms (or re-arms, replacing any pending instance) the given timer.
@@ -201,30 +209,24 @@ impl<M> Actions<M> {
         self.cancels.drain(..)
     }
 
+    /// Moves everything recorded here into `out`, each message re-addressed
+    /// through `f` — how a composite protocol lifts an embedded protocol's
+    /// turn into its own message enum. Sends keep their destinations and
+    /// order; this buffer is left empty with its capacity in place.
+    pub fn drain_into<N>(&mut self, out: &mut Actions<N>, mut f: impl FnMut(M) -> N) {
+        out.sends.extend(self.sends.drain(..).map(|o| Outbound {
+            dest: o.dest,
+            msg: f(o.msg),
+        }));
+        out.timers.append(&mut self.timers);
+        out.cancels.append(&mut self.cancels);
+    }
+
     /// Clears the buffer for reuse.
     pub fn clear(&mut self) {
         self.sends.clear();
         self.timers.clear();
         self.cancels.clear();
-    }
-
-    /// Maps the message type, preserving destinations and timers.
-    ///
-    /// Used by composite protocols to lift an embedded protocol's actions into
-    /// the composite's message enum.
-    pub fn map_msg<N>(self, f: impl Fn(M) -> N) -> Actions<N> {
-        Actions {
-            sends: self
-                .sends
-                .into_iter()
-                .map(|o| Outbound {
-                    dest: o.dest,
-                    msg: f(o.msg),
-                })
-                .collect(),
-            timers: self.timers,
-            cancels: self.cancels,
-        }
     }
 }
 
@@ -390,14 +392,22 @@ mod tests {
     }
 
     #[test]
-    fn map_msg_preserves_everything_else() {
+    fn drain_into_preserves_everything_else_and_keeps_what_out_held() {
         let mut a: Actions<u8> = Actions::new();
         a.send(ProcessId::new(2), 5);
+        a.broadcast_others(6);
         a.set_timer(TimerId::new(1), Duration::from_ticks(3));
-        let b: Actions<String> = a.map_msg(|m| format!("v{m}"));
-        assert_eq!(b.sends()[0].msg, "v5");
-        assert!(matches!(b.sends()[0].dest, Destination::To(p) if p == ProcessId::new(2)));
+        a.cancel_timer(TimerId::new(9));
+        let mut b: Actions<String> = Actions::new();
+        b.broadcast_all("first".to_string());
+        a.drain_into(&mut b, |m| format!("v{m}"));
+        assert!(a.is_empty());
+        let msgs: Vec<&str> = b.sends().iter().map(|s| s.msg.as_str()).collect();
+        assert_eq!(msgs, ["first", "v5", "v6"]);
+        assert!(matches!(b.sends()[1].dest, Destination::To(p) if p == ProcessId::new(2)));
+        assert!(matches!(b.sends()[2].dest, Destination::AllOthers));
         assert_eq!(b.timers().len(), 1);
+        assert_eq!(b.cancels(), &[TimerId::new(9)]);
     }
 
     #[test]

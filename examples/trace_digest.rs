@@ -1,6 +1,12 @@
 //! Prints the full `TraceCounters` and leader history for a few fixed
 //! `(seed, config)` runs. Used to verify that engine refactors preserve
 //! behaviour byte-for-byte: run before and after, diff the output.
+//!
+//! The last four lines are the replicated log's behaviour pin — the same
+//! runs and digests `crates/consensus/tests/log_trace_digest.rs` asserts.
+
+#[path = "../crates/consensus/tests/digest/mod.rs"]
+mod digest;
 
 use intermittent_rotating_star::experiments::{Algorithm, Assumption, Background, Scenario};
 use intermittent_rotating_star::omega::OmegaProcess;
@@ -67,4 +73,19 @@ fn main() {
             );
         }
     }
+
+    // The replicated log (see `digest/mod.rs` for the four scenarios).
+    let over = irs_consensus::SNAPSHOT_CHUNK_LEN + 8 * 1024;
+    println!("log A: {:#018x}", digest::stable_reign());
+    println!(
+        "log B: skip {:#018x} per-slot {:#018x}",
+        digest::flicker(true),
+        digest::flicker(false)
+    );
+    println!("log C: {:#018x}", digest::lossy_crash());
+    println!(
+        "log D: under {:#018x} over {:#018x}",
+        digest::lossy_crash_with_install(0),
+        digest::lossy_crash_with_install(over)
+    );
 }
