@@ -611,8 +611,7 @@ fn await_agreement(
 ) -> Option<std::time::Duration> {
     let start = std::time::Instant::now();
     loop {
-        let progressed = (0..cluster.n() as u32)
-            .all(|i| cluster.snapshot(irs_types::ProcessId::new(i)).sending_round >= 5);
+        let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 5);
         if progressed && cluster.agreed_leader().is_some() {
             return Some(start.elapsed());
         }
@@ -752,8 +751,7 @@ pub fn e11_deployment(quick: bool) -> Table {
         let settle = |exclude: Option<irs_types::ProcessId>| {
             let deadline = std::time::Instant::now() + limit;
             loop {
-                let progressed = (0..cluster.n() as u32)
-                    .all(|i| cluster.snapshot(irs_types::ProcessId::new(i)).sending_round > 5);
+                let progressed = cluster.snapshots().iter().all(|s| s.sending_round > 5);
                 if progressed {
                     if let Some(l) = cluster.agreed_leader() {
                         if Some(l) != exclude {
@@ -829,8 +827,7 @@ pub fn e11_deployment(quick: bool) -> Table {
             let size_limit = StdDuration::from_secs(if size >= 64 { 120 } else { 60 });
             let start = std::time::Instant::now();
             let elected = loop {
-                let progressed = (0..size as u32)
-                    .all(|i| cluster.snapshot(ProcessId::new(i)).sending_round >= 3);
+                let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 3);
                 if progressed && cluster.agreed_leader().is_some() {
                     break Some(start.elapsed());
                 }
@@ -1792,10 +1789,7 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
         // consistency input.
         let deadline = std::time::Instant::now() + settle;
         loop {
-            let snaps: Vec<_> = handles
-                .iter()
-                .map(|h| h.snapshot.lock().expect("snapshot lock").clone())
-                .collect();
+            let snaps: Vec<_> = handles.iter().map(|h| h.snapshot.read()).collect();
             let converged = snaps.windows(2).all(|w| {
                 w[0].gauge("kv_digest") == w[1].gauge("kv_digest")
                     && w[0].gauge("applied") == w[1].gauge("applied")

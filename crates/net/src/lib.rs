@@ -82,4 +82,4 @@ pub use reactor::Reactor;
 pub use transport::{Frame, NetError, Transport};
 pub use udp::UdpTransport;
 pub use wire::{Wire, WireError};
-pub use wire_obs::{answer_scrape, is_obs_payload, ObsMsg, TransportScraper};
+pub use wire_obs::{is_obs_payload, ObsMsg, TransportScraper};

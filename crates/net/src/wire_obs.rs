@@ -116,40 +116,8 @@ pub fn scrape_session_key(me: ProcessId, from: ProcessId) -> u64 {
     (u64::from(me.as_u32()) << 32) | u64::from(from.as_u32())
 }
 
-/// Answers one scrape payload addressed to `me` in-handler: decodes the
-/// request, renders/pages via `responder`, and sends the chunk back to
-/// `from` over `transport`. Returns `true` when the payload was consumed
-/// as scrape traffic (well-formed or not — a malformed obs-tagged payload
-/// is dropped, never forwarded to the protocol). Send failures are
-/// ignored: scraping is best-effort by design and the scraper retries.
-pub fn answer_scrape<T: Transport + ?Sized>(
-    responder: &Responder,
-    obs: &Obs,
-    transport: &mut T,
-    me: ProcessId,
-    from: ProcessId,
-    payload: &[u8],
-) -> bool {
-    if !is_obs_payload(payload) {
-        return false;
-    }
-    if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = decode_payload::<ObsMsg>(payload) {
-        let (bytes, last) = responder.chunk(obs, scrape_session_key(me, from), format, cursor);
-        let mut buf = Vec::with_capacity(bytes.len() + 16);
-        ObsMsg::ScrapeChunk {
-            seq: cursor,
-            last,
-            bytes,
-        }
-        .encode(&mut buf);
-        let _ = transport.send(me, from, &buf);
-    }
-    true
-}
-
-/// Encodes the reply to one already-decoded scrape request into `buf` —
-/// the allocation-free variant for hosts that own their own send path
-/// (the mux reactor queues the fan-out itself).
+/// Encodes the reply to one already-decoded scrape request into `buf`, for
+/// the host to send back to the scraper over its own send path.
 pub fn encode_scrape_reply(
     responder: &Responder,
     obs: &Obs,
@@ -539,8 +507,25 @@ mod tests {
         assert!(!is_obs_payload(&[0x32]));
     }
 
+    /// A node's side of the plane, the way the runtime host answers: decode
+    /// the request, [`encode_scrape_reply`], send the chunk back.
+    fn serve_scrape<T: Transport>(
+        responder: &Responder,
+        obs: &Obs,
+        transport: &mut T,
+        me: ProcessId,
+        frame: &crate::Frame,
+    ) {
+        if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = decode_payload(&frame.payload) {
+            let session = scrape_session_key(me, frame.from);
+            let mut buf = Vec::new();
+            encode_scrape_reply(responder, obs, session, format, cursor, &mut buf);
+            let _ = transport.send(me, frame.from, &buf);
+        }
+    }
+
     /// End-to-end over the in-memory mesh: a "node" thread answers with
-    /// [`answer_scrape`], the collector pulls through a
+    /// [`serve_scrape`], the collector pulls through a
     /// [`TransportScraper`], and the merged artifact carries the node's
     /// metrics.
     #[test]
@@ -560,14 +545,7 @@ mod tests {
             let responder = Responder::new();
             while !node_stop.load(std::sync::atomic::Ordering::Acquire) {
                 if let Ok(Some(frame)) = node_t.recv(Duration::from_millis(10)) {
-                    answer_scrape(
-                        &responder,
-                        &node_obs,
-                        &mut node_t,
-                        node_id,
-                        frame.from,
-                        &frame.payload,
-                    );
+                    serve_scrape(&responder, &node_obs, &mut node_t, node_id, &frame);
                 }
             }
         });
@@ -608,14 +586,7 @@ mod tests {
                     while !node_stop.load(std::sync::atomic::Ordering::Acquire) {
                         if let Ok(Some(frame)) = node_t.recv(Duration::from_millis(10)) {
                             std::thread::sleep(DELAY); // every node is a straggler
-                            answer_scrape(
-                                &responder,
-                                &obs,
-                                &mut node_t,
-                                node_id,
-                                frame.from,
-                                &frame.payload,
-                            );
+                            serve_scrape(&responder, &obs, &mut node_t, node_id, &frame);
                         }
                     }
                 })

@@ -19,7 +19,7 @@
 use crate::host::{default_accept, resolve_workers, Deployment};
 use irs_net::{FaultyLink, LinkModel, MemNetwork, Transport, Wire};
 use irs_obs::names;
-use irs_types::{Introspect, ProcessId, Protocol};
+use irs_types::{Introspect, Protocol};
 use std::time::Duration as StdDuration;
 
 /// How wall-clock time maps onto the protocols' logical ticks, and how the
@@ -126,14 +126,11 @@ where
         ))
     }
 
-    /// Total number of messages delivered to live processes so far, as of
-    /// their last published snapshots.
+    /// Total number of messages delivered to live processes so far.
     pub fn messages_routed(&self) -> u64 {
-        (0..self.n() as u32)
-            .filter_map(|i| {
-                self.snapshot(ProcessId::new(i))
-                    .gauge(names::FRAMES_DELIVERED)
-            })
+        self.snapshots()
+            .iter()
+            .filter_map(|s| s.gauge(names::FRAMES_DELIVERED))
             .sum()
     }
 
@@ -156,7 +153,7 @@ impl<P> std::ops::Deref for Cluster<P> {
 mod tests {
     use super::*;
     use irs_omega::OmegaProcess;
-    use irs_types::{Duration, SystemConfig};
+    use irs_types::{Duration, ProcessId, SystemConfig};
     use std::time::{Duration as StdDuration, Instant};
 
     fn wait_for<F: Fn() -> bool>(limit: StdDuration, check: F) -> bool {
@@ -202,7 +199,7 @@ mod tests {
         // Wait until the protocol has actually run for a while (several ALIVE
         // rounds everywhere) and the live processes agree on a leader.
         let stable = wait_for(StdDuration::from_secs(20), || {
-            let progressed = (0..4).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round > 10);
+            let progressed = cluster.snapshots().iter().all(|s| s.sending_round > 10);
             progressed && cluster.agreed_leader().is_some()
         });
         assert!(
@@ -296,7 +293,7 @@ mod tests {
         // Gate on real round progress: agreement alone is trivially true of
         // the all-default initial state.
         let stable = wait_for(StdDuration::from_secs(30), || {
-            let progressed = (0..4).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round > 10);
+            let progressed = cluster.snapshots().iter().all(|s| s.sending_round > 10);
             progressed && cluster.agreed_leader().is_some()
         });
         assert!(
@@ -348,8 +345,7 @@ mod tests {
         // Every process progresses through rounds, and the live cluster
         // agrees on a (live) leader.
         let stable = wait_for(StdDuration::from_secs(120), || {
-            let progressed =
-                (0..n as u32).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round >= 3);
+            let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 3);
             progressed && cluster.agreed_leader().is_some()
         });
         assert!(

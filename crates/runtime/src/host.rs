@@ -38,12 +38,20 @@
 //!   leader-change trace, Ω check-period calibration, and the scrape
 //!   [`Responder`] answering telemetry requests off the same staging path
 //!   (a scrape observes a node, it never reaches the protocol);
-//! * the **per-turn snapshot publish** — a node's [`Snapshot`] is cloned
-//!   into its shared cell once per turn (a burst, a timer), not once per
-//!   frame: at large `n` a snapshot per delivery would dwarf the protocol
-//!   work. The publish comes *before* the turn's actions are applied, so
-//!   whoever holds a frame of turn `k` — a client with its ack — never
-//!   reads a snapshot older than turn `k`;
+//! * the **snapshot on request** — a node's [`Snapshot`] is built only when
+//!   someone reads it, never per turn. A reader bumps its [`SnapshotCell`]'s
+//!   ask counter and waits; once per loop iteration (live loop and shutdown
+//!   drain alike) the shard builds `snapshot()` plus the runtime gauges for
+//!   each process whose counter moved and serves it, so a read waits at
+//!   most one iteration — the next frame, the next timer, or the poll
+//!   budget — and an unread process costs nothing. A read returns a
+//!   snapshot built after the read began: whoever holds a frame of turn `k`
+//!   — a client with its ack — reads turn `k` or later. A crashed process
+//!   gets one last build after its crash and is served that frozen
+//!   snapshot from then on (the source's shard-wide gauges keep moving).
+//!   The shard closes its cells on every exit path — stop, source failure,
+//!   a panicking protocol — after which a read returns the last snapshot
+//!   served, so no reader ever waits on a shard that is gone;
 //! * the **shutdown drain** — on stop, every live process is first asked
 //!   for the output it was holding back ([`Protocol::on_quiesce`]: once,
 //!   its sends applied, its timers ignored); then frames already in flight
@@ -82,8 +90,8 @@ use irs_obs::{names, EventKind, Obs, ReignTracker, Responder, ScrapeFormat};
 use irs_sim::{Event, EventQueue};
 use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time, TimerId};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
@@ -274,10 +282,93 @@ impl ShardIo for Sockets {
     }
 }
 
+/// Where a hosted process's [`Snapshot`] is served to its readers (see the
+/// module docs): a reader asks, the hosting shard builds and serves at its
+/// next loop iteration.
+#[derive(Debug, Default)]
+pub struct SnapshotCell {
+    /// Reads begun so far; a reader's ticket is the count including its own.
+    asked: AtomicU64,
+    served: Mutex<Served>,
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Served {
+    snapshot: Snapshot,
+    /// The `asked` count the shard had seen when it built `snapshot`.
+    generation: u64,
+    /// Set once the shard has exited: nothing will be served again.
+    closed: bool,
+}
+
+impl SnapshotCell {
+    /// A snapshot of the process built after this call began, with the
+    /// runtime gauges appended. Waits at most one loop iteration of the
+    /// hosting shard; once the shard has exited it returns the last
+    /// snapshot served (a default one if there was none).
+    pub fn read(&self) -> Snapshot {
+        let ticket = self.ask();
+        self.wait(ticket)
+    }
+
+    /// Registers a read and returns its ticket.
+    fn ask(&self) -> u64 {
+        self.asked.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Waits until the shard has served `ticket` (or closed the cell).
+    fn wait(&self, ticket: u64) -> Snapshot {
+        let mut served = self.lock();
+        while served.generation < ticket && !served.closed {
+            served = self
+                .ready
+                .wait(served)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        served.snapshot.clone()
+    }
+
+    /// Serves `generation`, replacing the snapshot when one was built.
+    fn serve(&self, generation: u64, built: Option<Snapshot>) {
+        let mut served = self.lock();
+        if let Some(snapshot) = built {
+            served.snapshot = snapshot;
+        }
+        served.generation = generation;
+        drop(served);
+        self.ready.notify_all();
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Every update leaves `Served` whole, so a lock poisoned by a reader
+    /// that panicked mid-clone is safe to keep using — and `close` runs in
+    /// a drop guard, which must not panic.
+    fn lock(&self) -> MutexGuard<'_, Served> {
+        self.served.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Closes a shard's cells however its thread leaves [`Shard::run`] —
+/// returning, or unwinding out of a panicking protocol.
+struct CloseOnExit(Vec<Arc<SnapshotCell>>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        for cell in &self.0 {
+            cell.close();
+        }
+    }
+}
+
 /// The cells through which a hosted process is observed and crashed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeCells {
-    pub(crate) snapshot: Arc<Mutex<Snapshot>>,
+    pub(crate) snapshot: Arc<SnapshotCell>,
     pub(crate) crashed: Arc<AtomicBool>,
 }
 
@@ -285,7 +376,7 @@ pub(crate) struct NodeCells {
 struct NodePanel {
     tracer: Option<irs_obs::Tracer>,
     reign: ReignTracker,
-    /// Leader in the last published snapshot (leader-change diffing).
+    /// `leader()` after the last turn (leader-change diffing).
     last_leader: ProcessId,
     /// Instant of the last Ω check-timer fire: the gap between consecutive
     /// fires is one measured check period for the self-calibrating bar.
@@ -304,6 +395,10 @@ pub(crate) struct Local<P: Protocol> {
     /// module docs).
     timer_gen: Vec<u64>,
     frames_delivered: u64,
+    /// The last generation served into `cells.snapshot`.
+    served: u64,
+    /// Whether the served snapshot is the one built after the crash.
+    frozen: bool,
     panel: Option<NodePanel>,
 }
 
@@ -320,7 +415,7 @@ impl<P: Protocol + Introspect> Local<P> {
             NodePanel {
                 tracer: o.tracer(me.index() as u32),
                 reign,
-                last_leader: proto.snapshot().leader,
+                last_leader: proto.leader(),
                 last_check_fire: None,
             }
         });
@@ -331,6 +426,8 @@ impl<P: Protocol + Introspect> Local<P> {
             staged: Vec::new(),
             timer_gen: Vec::new(),
             frames_delivered: 0,
+            served: 0,
+            frozen: false,
             panel,
         }
     }
@@ -435,15 +532,18 @@ where
     /// Runs until the stop flag is set (or the source dies), drains, and
     /// returns the final protocol states in local order.
     pub(crate) fn run(mut self) -> Vec<P> {
+        let cells = self.locals.iter().map(|l| Arc::clone(&l.cells.snapshot));
+        let _close = CloseOnExit(cells.collect());
         let mut out = Actions::new();
         for li in 0..self.locals.len() {
             self.locals[li].proto.on_start(&mut out);
-            self.publish(li);
+            self.note_leader(li);
             self.apply(li, &mut out);
         }
         while !self.stop.load(Ordering::SeqCst) {
             self.run_due(&mut out);
             self.note_turn();
+            self.serve_reads();
             // Block in the source until the next wheel deadline, the next
             // frame, or the poll budget — whichever comes first.
             let timeout = match self.wheel.peek_time() {
@@ -461,6 +561,7 @@ where
             self.deliver_staged(&mut out, false);
         }
         self.drain();
+        self.serve_reads();
         self.locals.into_iter().map(|l| l.proto).collect()
     }
 
@@ -554,9 +655,9 @@ where
     }
 
     /// Hands every hosted process the burst the last poll staged for it:
-    /// one `on_burst`, one snapshot publish, then one `apply`. A crashed
-    /// process drops its burst; while `quiescing` (the shutdown drain) a
-    /// burst's reactions are discarded instead of applied.
+    /// one `on_burst`, then one `apply`. A crashed process drops its burst;
+    /// while `quiescing` (the shutdown drain) a burst's reactions are
+    /// discarded instead of applied.
     fn deliver_staged(&mut self, out: &mut Actions<P::Msg>, quiescing: bool) {
         for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
@@ -568,7 +669,7 @@ where
                 let frames = burst.len() as u64;
                 local.frames_delivered += frames;
                 local.proto.on_burst(&burst, out);
-                self.publish(li);
+                self.note_leader(li);
                 if quiescing {
                     out.clear();
                 } else {
@@ -620,7 +721,7 @@ where
                         .note_check_period_us(us.min(u128::from(u64::MAX)) as u64);
                 }
             }
-            self.publish(li);
+            self.note_leader(li);
             self.apply(li, out);
             if let Some(o) = &self.obs {
                 o.timers_fired.inc(o.cell);
@@ -682,7 +783,7 @@ where
         for li in 0..self.locals.len() {
             if !self.locals[li].crashed() {
                 self.locals[li].proto.on_quiesce(&mut sink);
-                self.publish(li);
+                self.note_leader(li);
                 self.send_all(li, &mut sink);
                 sink.clear();
             }
@@ -690,6 +791,7 @@ where
         while let Ok(arrived) = self.poll_and_stage(DRAIN_QUIET) {
             self.answer_scrapes();
             self.deliver_staged(&mut sink, true);
+            self.serve_reads();
             let quiet = arrived == 0 && self.io.unsent() == 0 && self.io.held() == 0;
             if quiet || started.elapsed() >= DRAIN_CAP {
                 break;
@@ -697,31 +799,57 @@ where
         }
     }
 
-    /// Publishes a process's snapshot with the runtime gauges appended —
-    /// `frames_delivered` (frames admitted and handed to the protocol, the
-    /// drain included) and the source's own list — and diffs the leader for
-    /// the flight-recorder trace and the reign panel. Called once per turn,
-    /// before the turn's actions are applied (see the module docs).
-    fn publish(&mut self, li: usize) {
-        let local = &mut self.locals[li];
-        let mut snap = local.proto.snapshot();
-        snap.extra
-            .push((names::FRAMES_DELIVERED, local.frames_delivered));
-        self.io.gauges(li, &mut snap.extra);
-        if let (Some(panel), Some(o)) = (&mut local.panel, &self.obs) {
-            if snap.leader != panel.last_leader {
-                if let Some(t) = &panel.tracer {
-                    t.emit_now(
-                        EventKind::LeaderChange,
-                        panel.last_leader.index() as u64,
-                        snap.leader.index() as u64,
-                    );
-                }
-                panel.reign.on_leader_change(o.obs.now_micros() / 1_000);
-                panel.last_leader = snap.leader;
+    /// Serves every read begun since the last serve (see the module docs):
+    /// a process whose cell was asked gets its snapshot built, with the
+    /// runtime gauges appended — `frames_delivered` (frames admitted and
+    /// handed to the protocol, the drain included) and the source's own
+    /// list — unless its post-crash snapshot is already frozen.
+    fn serve_reads(&mut self) {
+        for li in 0..self.locals.len() {
+            let local = &mut self.locals[li];
+            let cell = &local.cells.snapshot;
+            // Loaded before the build: every ticket up to `asked` belongs to
+            // a read that began before it.
+            let asked = cell.asked.load(Ordering::SeqCst);
+            if asked == local.served {
+                continue;
             }
+            local.served = asked;
+            let built = if local.frozen {
+                None
+            } else {
+                // Crashed before this build means nothing changes after it.
+                local.frozen = local.crashed();
+                let mut snap = local.proto.snapshot();
+                snap.extra
+                    .push((names::FRAMES_DELIVERED, local.frames_delivered));
+                self.io.gauges(li, &mut snap.extra);
+                Some(snap)
+            };
+            cell.serve(asked, built);
         }
-        *local.cells.snapshot.lock().expect("snapshot lock poisoned") = snap;
+    }
+
+    /// Diffs a process's `leader()` after a turn for the flight-recorder
+    /// trace and the reign panel, when a panel is attached.
+    fn note_leader(&mut self, li: usize) {
+        let local = &mut self.locals[li];
+        let (Some(panel), Some(o)) = (&mut local.panel, &self.obs) else {
+            return;
+        };
+        let leader = local.proto.leader();
+        if leader == panel.last_leader {
+            return;
+        }
+        if let Some(t) = &panel.tracer {
+            t.emit_now(
+                EventKind::LeaderChange,
+                panel.last_leader.index() as u64,
+                leader.index() as u64,
+            );
+        }
+        panel.reign.on_leader_change(o.obs.now_micros() / 1_000);
+        panel.last_leader = leader;
     }
 }
 
@@ -850,10 +978,7 @@ where
                 "process at index {i} reports id {}",
                 proto.id()
             );
-            let node = NodeCells {
-                snapshot: Arc::new(Mutex::new(proto.snapshot())),
-                crashed: Arc::default(),
-            };
+            let node = NodeCells::default();
             cells.push(node.clone());
             per_shard[i % workers].push(Local::new(proto, node, obs.as_deref(), tick));
         }
@@ -892,13 +1017,23 @@ impl<P> Deployment<P> {
         self.threads.len()
     }
 
-    /// The latest published snapshot of a process.
+    /// A snapshot of a process built after this call began, with the
+    /// runtime gauges appended ([`SnapshotCell::read`]): it waits at most
+    /// one loop iteration of the process's shard.
     pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        self.cells[pid.index()]
-            .snapshot
-            .lock()
-            .expect("snapshot lock poisoned")
-            .clone()
+        self.cells[pid.index()].snapshot.read()
+    }
+
+    /// [`Deployment::snapshot`] of every process, in id order. Every cell is
+    /// asked before any is waited on, so the whole read costs one loop
+    /// iteration of the slowest shard, not one per process.
+    pub fn snapshots(&self) -> Vec<Snapshot> {
+        let tickets: Vec<u64> = self.cells.iter().map(|c| c.snapshot.ask()).collect();
+        self.cells
+            .iter()
+            .zip(tickets)
+            .map(|(c, ticket)| c.snapshot.wait(ticket))
+            .collect()
     }
 
     /// The current `leader()` output of a process.
@@ -908,19 +1043,18 @@ impl<P> Deployment<P> {
 
     /// The current `leader()` output of every process, in id order.
     pub fn leaders(&self) -> Vec<ProcessId> {
-        (0..self.n() as u32)
-            .map(|i| self.leader_of(ProcessId::new(i)))
-            .collect()
+        self.snapshots().into_iter().map(|s| s.leader).collect()
     }
 
     /// Returns `Some(p)` when every non-crashed process currently outputs
     /// the same leader `p` and `p` has not been crashed through
     /// [`Deployment::crash`].
     pub fn agreed_leader(&self) -> Option<ProcessId> {
+        let leaders = self.leaders();
         let mut live = (0..self.n() as u32)
             .map(ProcessId::new)
             .filter(|&p| !self.is_crashed(p))
-            .map(|p| self.leader_of(p));
+            .map(|p| leaders[p.index()]);
         let leader = live.next()?;
         (live.all(|l| l == leader) && !self.is_crashed(leader)).then_some(leader)
     }

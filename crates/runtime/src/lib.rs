@@ -9,9 +9,9 @@
 //! and "set timer". `host.rs` holds the only code that turns those into
 //! wall-clock behaviour: a shard of `k ≥ 1` processes with one timer wheel,
 //! one `Actions` dispatch, one admit → stage → deliver path, one set of
-//! per-node telemetry (reign panel, leader-change trace, live scrape), one
-//! batched snapshot publish and one draining shutdown. Its module docs carry
-//! the hot-path notes.
+//! per-node telemetry (reign panel, leader-change trace, live scrape),
+//! snapshots built only when someone reads them, and one draining shutdown.
+//! Its module docs carry the hot-path notes.
 //!
 //! **Two I/O sources.** A shard runs over any [`irs_net::Transport`]
 //! endpoint (blocking `recv`, then a zero-timeout drain of the burst) or
@@ -75,7 +75,7 @@ mod netcluster;
 mod node;
 
 pub use cluster::{Cluster, LinkDelay, RealtimeConfig};
-pub use host::{accept_frame, accept_frame_bytes, Deployment, MuxAccept};
+pub use host::{accept_frame, accept_frame_bytes, Deployment, MuxAccept, SnapshotCell};
 pub use muxcluster::{MuxCluster, MuxConfig};
 pub use netcluster::NetCluster;
 pub use node::{run_node, run_node_with, NodeConfig, NodeHandle};

@@ -117,11 +117,11 @@ mod tests {
     }
 
     /// Agreement alone is trivially true of the all-default initial state
-    /// (every fresh Figure 3 process outputs `p1`, and snapshots publish
-    /// right after `on_start`), so deployment tests additionally require
+    /// (every fresh Figure 3 process outputs `p1`, so a read right after
+    /// `on_start` already agrees), so deployment tests additionally require
     /// every node to have progressed through real ALIVE rounds.
     fn agreed_after_progress(cluster: &NetCluster<OmegaProcess>, rounds: u64) -> bool {
-        (0..cluster.n() as u32).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round > rounds)
+        cluster.snapshots().iter().all(|s| s.sending_round > rounds)
             && cluster.agreed_leader().is_some()
     }
 

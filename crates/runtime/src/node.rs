@@ -16,12 +16,12 @@
 //! (`irs-svc`) uses it to admit client frames from endpoints outside the
 //! replica group, which the default policy treats as link noise.
 
-use crate::host::{default_accept, Local, NodeCells, Shard};
+use crate::host::{default_accept, Local, NodeCells, Shard, SnapshotCell};
 use irs_net::{Transport, Wire};
 use irs_obs::Obs;
-use irs_types::{Introspect, ProcessId, Protocol, Snapshot};
+use irs_types::{Introspect, ProcessId, Protocol};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// How a node maps protocol ticks onto the wall clock.
@@ -54,8 +54,10 @@ impl NodeConfig {
 /// The shared handles through which an embedder observes and stops a node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeHandle {
-    /// The node's latest published [`Snapshot`].
-    pub snapshot: Arc<Mutex<Snapshot>>,
+    /// The node's snapshot, built on request: [`SnapshotCell::read`]
+    /// returns one built after the call began, within one loop iteration
+    /// (or the last one served, once the loop has returned).
+    pub snapshot: Arc<SnapshotCell>,
     /// Set to crash-stop the process: it stops reacting to messages, timers
     /// and scrapes but keeps draining its transport until stopped.
     pub crashed: Arc<AtomicBool>,

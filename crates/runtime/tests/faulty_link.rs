@@ -36,8 +36,7 @@ where
 {
     let mut current: Option<(ProcessId, Instant)> = None;
     while Instant::now() < deadline {
-        let progressed =
-            (0..cluster.n() as u32).all(|i| cluster.snapshot(ProcessId::new(i)).sending_round > 10);
+        let progressed = cluster.snapshots().iter().all(|s| s.sending_round > 10);
         let agreed = if progressed {
             cluster.agreed_leader()
         } else {

@@ -12,20 +12,26 @@
 //! deployment stops its threads, frames that arrive together reach each
 //! hosted process as one `on_burst`, in per-link order, whoever holds a frame
 //! of a turn never reads a snapshot older than that turn, and a stop asks
-//! every live process once for the output it was holding back.
+//! every live process once for the output it was holding back. Snapshots are
+//! built on request: an unread process is never snapshotted, reading every
+//! process costs one loop turn, and a read returns once the shard is gone.
 
 use irs_net::wire::{put_u32, WireReader};
-use irs_net::{FaultyLink, LinkModel, MemNetwork, TransportScraper, UdpTransport, Wire, WireError};
+use irs_net::{
+    FaultyLink, Frame, LinkModel, MemNetwork, MemTransport, NetError, Transport, TransportScraper,
+    UdpTransport, Wire, WireError,
+};
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
-    accept_frame_bytes, Cluster, Deployment, LinkDelay, MuxAccept, MuxCluster, MuxConfig,
-    NetCluster, NodeConfig, RealtimeConfig,
+    accept_frame_bytes, run_node, Cluster, Deployment, LinkDelay, MuxAccept, MuxCluster, MuxConfig,
+    NetCluster, NodeConfig, NodeHandle, RealtimeConfig,
 };
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
 };
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -208,7 +214,6 @@ enum Outside {
 impl Outside {
     /// The next probe message that arrives within `timeout`.
     fn recv(&mut self, timeout: StdDuration) -> Option<ProbeMsg> {
-        use irs_net::Transport;
         let frame = match self {
             Outside::Mem(t) => t.recv(timeout),
             Outside::Udp(t) => t.recv(timeout),
@@ -218,7 +223,6 @@ impl Outside {
     }
 
     fn send(&mut self, from: u32, to: u32, msg: &ProbeMsg) {
-        use irs_net::Transport;
         let (from, to) = (ProcessId::new(from), ProcessId::new(to));
         let mut payload = Vec::new();
         msg.encode(&mut payload);
@@ -278,15 +282,7 @@ where
         let endpoint = UdpTransport::from_socket(scraper_socket, peers).expect("scraper endpoint");
         return (deployment, Outside::Udp(endpoint));
     }
-    // Endpoint `s` hosts the processes `i` with `i % W == s`; the outside
-    // ids sit alone on the last endpoint.
-    let workers = if kind == Kind::TransportOne { N } else { 2 };
-    let owner_of: Vec<usize> = (0..N)
-        .map(|i| i % workers)
-        .chain([workers, workers])
-        .collect();
-    let mut endpoints = MemNetwork::grouped(&owner_of);
-    let outside = endpoints.pop().expect("outside endpoint");
+    let (endpoints, outside) = mem_endpoints(kind);
     let transports = endpoints
         .into_iter()
         .map(|t| FaultyLink::new(t, LinkModel::new(1).with_delay(delay, delay)))
@@ -295,6 +291,20 @@ where
         Deployment::over_transports("hc-tx", processes, transports, TICK, accept, obs),
         Outside::Mem(outside),
     )
+}
+
+/// The in-memory shard endpoints of a `Transport` kind — endpoint `s` hosts
+/// the processes `i` with `i % W == s` — and the outside endpoint, where
+/// the outside ids sit alone.
+fn mem_endpoints(kind: Kind) -> (Vec<MemTransport>, MemTransport) {
+    let workers = if kind == Kind::TransportOne { N } else { 2 };
+    let owner_of: Vec<usize> = (0..N)
+        .map(|i| i % workers)
+        .chain([workers, workers])
+        .collect();
+    let mut endpoints = MemNetwork::grouped(&owner_of);
+    let outside = endpoints.pop().expect("outside endpoint");
+    (endpoints, outside)
 }
 
 fn gauge(rig: &Rig, node: u32, name: &str) -> u64 {
@@ -636,8 +646,8 @@ impl Introspect for Turns {
 }
 
 /// Observation order: a peer that has received a frame of turn `k` never
-/// reads a snapshot older than turn `k` — the cell is published before the
-/// turn's actions are applied, whichever way the source sends.
+/// reads a snapshot older than turn `k` — a read is served a snapshot built
+/// after it began, whichever way the source sends.
 fn a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(kind: Kind) {
     let processes = (0..N as u32)
         .map(|i| Turns {
@@ -669,6 +679,325 @@ fn transport_frames_never_outrun_the_snapshot_of_their_turn() {
 #[test]
 fn reactor_frames_never_outrun_the_snapshot_of_their_turn() {
     a_frame_of_turn_k_never_outruns_the_snapshot_of_turn_k(Kind::Reactor);
+}
+
+/// Counts its periodic timer turns and its snapshot builds where the test
+/// can see both without reading a snapshot.
+#[derive(Debug)]
+struct Counted {
+    id: ProcessId,
+    turns: Arc<AtomicU64>,
+    builds: Arc<AtomicU64>,
+}
+
+impl Protocol for Counted {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, out: &mut Actions<ProbeMsg>) {
+        out.set_timer(T_PERIODIC, Duration::from_ticks(PERIOD));
+    }
+
+    fn on_message(&mut self, _from: ProcessId, _msg: &ProbeMsg, _out: &mut Actions<ProbeMsg>) {}
+
+    fn on_timer(&mut self, _timer: TimerId, out: &mut Actions<ProbeMsg>) {
+        self.turns.fetch_add(1, Ordering::SeqCst);
+        out.set_timer(T_PERIODIC, Duration::from_ticks(PERIOD));
+    }
+}
+
+impl LeaderOracle for Counted {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Counted {
+    fn snapshot(&self) -> Snapshot {
+        self.builds.fetch_add(1, Ordering::SeqCst);
+        Snapshot {
+            extra: vec![("turns", self.turns.load(Ordering::SeqCst))],
+            ..Snapshot::default()
+        }
+    }
+}
+
+/// Snapshots on request: no build across 100 turns nobody read, then
+/// exactly one build per read — of the process read, none of the others —
+/// each served after the read began, and a shutdown builds nothing nobody
+/// asked for.
+#[test]
+fn an_unread_process_is_never_snapshotted() {
+    for kind in KINDS {
+        let counters: Vec<(Arc<AtomicU64>, Arc<AtomicU64>)> =
+            (0..N).map(|_| Default::default()).collect();
+        let processes = counters
+            .iter()
+            .enumerate()
+            .map(|(i, (turns, builds))| Counted {
+                id: ProcessId::new(i as u32),
+                turns: Arc::clone(turns),
+                builds: Arc::clone(builds),
+            })
+            .collect();
+        let (deployment, _outside) = deploy(kind, StdDuration::ZERO, processes);
+        let builds = || -> Vec<u64> {
+            counters
+                .iter()
+                .map(|(_, b)| b.load(Ordering::SeqCst))
+                .collect()
+        };
+        let (turns, _) = &counters[0];
+        assert!(
+            wait_for(StdDuration::from_secs(20), || turns.load(Ordering::SeqCst)
+                >= 100),
+            "{kind:?}: timers never progressed"
+        );
+        assert_eq!(builds(), [0; N], "{kind:?}: built without a reader");
+        for read in 1..=5 {
+            let before = turns.load(Ordering::SeqCst);
+            let snap = deployment.snapshot(ProcessId::new(0));
+            assert_eq!(builds(), [read, 0, 0, 0], "{kind:?}: read {read}");
+            assert!(
+                snap.gauge("turns") >= Some(before),
+                "{kind:?}: served a snapshot older than the read"
+            );
+        }
+        deployment.shutdown();
+        assert_eq!(builds(), [5, 0, 0, 0], "{kind:?}: shutdown built");
+    }
+}
+
+/// Reading `M` processes on one timer-less shard: the shard wakes only at
+/// its poll budget, so one wait per process would take up to `M` budgets.
+#[test]
+fn reading_every_process_costs_one_turn() {
+    const M: usize = 8;
+    /// The host's longest block in its I/O source.
+    const POLL_BUDGET: StdDuration = StdDuration::from_millis(20);
+    for kind in [Kind::TransportMany, Kind::Reactor] {
+        let recorders = timerless(M);
+        let accept: MuxAccept<ProbeMsg> =
+            Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, M));
+        let deployment = if kind == Kind::Reactor {
+            let sockets: Vec<UdpSocket> = (0..M)
+                .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind"))
+                .collect();
+            let peers = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+            let config = MuxConfig {
+                tick: TICK,
+                workers: 1,
+            };
+            Deployment::over_sockets("hc-one", recorders, sockets, peers, config, accept, None)
+                .expect("spawn over sockets")
+        } else {
+            let endpoints = MemNetwork::grouped(&[0; M]);
+            Deployment::over_transports("hc-one", recorders, endpoints, TICK, accept, None)
+        };
+        assert_eq!(deployment.worker_threads(), 1);
+        let fastest = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                assert_eq!(deployment.leaders().len(), M);
+                started.elapsed()
+            })
+            .min()
+            .expect("three reads");
+        assert!(
+            fastest < 2 * POLL_BUDGET,
+            "{kind:?}: reading {M} processes took {fastest:?}"
+        );
+        deployment.shutdown();
+    }
+}
+
+/// A `Transport` whose receive fails once `fail` is set.
+struct Failing<T> {
+    inner: T,
+    fail: Arc<AtomicBool>,
+}
+
+impl<T: Transport> Transport for Failing<T> {
+    fn send(&mut self, from: ProcessId, to: ProcessId, payload: &[u8]) -> Result<(), NetError> {
+        self.inner.send(from, to, payload)
+    }
+
+    fn recv(&mut self, timeout: StdDuration) -> Result<Option<Frame>, NetError> {
+        if self.fail.load(Ordering::SeqCst) {
+            return Err(NetError::Closed);
+        }
+        self.inner.recv(timeout)
+    }
+}
+
+const BOMB: u32 = 666;
+
+/// Panics on a `Ping(BOMB)`, after meeting the test at `gate` twice so the
+/// test can start a reader while the shard is stuck inside the turn.
+#[derive(Debug)]
+struct Bomb {
+    id: ProcessId,
+    gate: Arc<Barrier>,
+}
+
+impl Protocol for Bomb {
+    type Msg = ProbeMsg;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {}
+
+    fn on_message(&mut self, _from: ProcessId, msg: &ProbeMsg, _out: &mut Actions<ProbeMsg>) {
+        if *msg == ProbeMsg::Ping(BOMB) {
+            self.gate.wait();
+            self.gate.wait();
+            panic!("{} was told to panic", self.id);
+        }
+    }
+
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<ProbeMsg>) {}
+}
+
+impl LeaderOracle for Bomb {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Bomb {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
+    }
+}
+
+/// A call running on a thread of its own.
+struct Call<T> {
+    result: std::sync::mpsc::Receiver<T>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+fn call<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Call<T> {
+    let (tx, result) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    Call { result, thread }
+}
+
+impl<T> Call<T> {
+    /// Whether the call returned within `limit`; its thread is joined if so
+    /// (and left behind, blocked, if not).
+    fn returned_within(self, limit: StdDuration) -> bool {
+        let returned = self.result.recv_timeout(limit).is_ok();
+        if returned {
+            self.thread.join().expect("caller thread");
+        }
+        returned
+    }
+}
+
+fn timerless(n: usize) -> Vec<Recorder> {
+    (0..n as u32)
+        .map(|i| Recorder {
+            id: ProcessId::new(i),
+            gate: None,
+            bursts: Vec::new(),
+            singles: 0,
+        })
+        .collect()
+}
+
+/// No reader waits on a shard that is gone: the shard closes its cells
+/// whether it stops, loses its source, or unwinds out of a panicking
+/// protocol, and a read — begun before or after — returns.
+#[test]
+fn a_read_returns_once_the_shard_is_gone() {
+    const LIMIT: StdDuration = StdDuration::from_secs(5);
+
+    // Stopped: one shard of one on its own thread, read as the stop lands
+    // and after the thread has returned.
+    let endpoint = MemNetwork::mesh(1).pop().expect("endpoint");
+    let handle = NodeHandle::new();
+    let node = {
+        let handle = handle.clone();
+        let recorder = timerless(1).pop().expect("recorder");
+        std::thread::spawn(move || run_node(recorder, endpoint, NodeConfig::new(1), handle))
+    };
+    let racing = Arc::clone(&handle.snapshot);
+    handle.stop.store(true, Ordering::SeqCst);
+    let racing = call(move || racing.read());
+    node.join().expect("node thread");
+    assert!(racing.returned_within(LIMIT), "racing the stop");
+    let after = Arc::clone(&handle.snapshot);
+    assert!(
+        call(move || after.read()).returned_within(LIMIT),
+        "after the stop"
+    );
+
+    // The source fails: a read racing the failure returns, and the shards
+    // still hand their processes back.
+    for kind in [Kind::TransportOne, Kind::TransportMany] {
+        let fail = Arc::new(AtomicBool::new(false));
+        let (endpoints, _outside) = mem_endpoints(kind);
+        let transports = endpoints
+            .into_iter()
+            .map(|inner| Failing {
+                inner,
+                fail: Arc::clone(&fail),
+            })
+            .collect();
+        let accept: MuxAccept<ProbeMsg> =
+            Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N));
+        let deployment = Arc::new(Deployment::over_transports(
+            "hc-fail",
+            timerless(N),
+            transports,
+            TICK,
+            accept,
+            None,
+        ));
+        assert_eq!(deployment.snapshots().len(), N);
+        fail.store(true, Ordering::SeqCst);
+        let racing = Arc::clone(&deployment);
+        assert!(
+            call(move || racing.snapshots()).returned_within(LIMIT),
+            "{kind:?}: racing the failure"
+        );
+        let deployment = Arc::into_inner(deployment).expect("the only handle");
+        assert_eq!(deployment.shutdown().len(), N, "{kind:?}");
+    }
+
+    // The protocol panics mid-turn. Whichever lands first, the read or the
+    // panic, the read returns; the pause makes "already waiting" the usual
+    // order.
+    for kind in KINDS {
+        let gate = Arc::new(Barrier::new(2));
+        let bombs = (0..N as u32)
+            .map(|i| Bomb {
+                id: ProcessId::new(i),
+                gate: Arc::clone(&gate),
+            })
+            .collect();
+        let (deployment, mut outside) = deploy(kind, StdDuration::ZERO, bombs);
+        let deployment = Arc::new(deployment);
+        outside.send(N as u32, 0, &ProbeMsg::Ping(BOMB));
+        gate.wait(); // p0's shard is inside the turn
+        let waiting = Arc::clone(&deployment);
+        let waiting = call(move || waiting.snapshot(ProcessId::new(0)));
+        std::thread::sleep(StdDuration::from_millis(50));
+        gate.wait(); // ... and now unwinds out of it
+        assert!(waiting.returned_within(LIMIT), "{kind:?}: waiting reader");
+        let after = Arc::clone(&deployment);
+        assert!(
+            call(move || after.snapshots()).returned_within(LIMIT),
+            "{kind:?}: after the panic"
+        );
+    }
 }
 
 /// Arms a timer from `on_quiesce`; it must never fire.

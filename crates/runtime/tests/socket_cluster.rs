@@ -42,7 +42,7 @@ fn child_main(id: u32) {
     let mut stable_since = Instant::now();
     let leader = loop {
         std::thread::sleep(Duration::from_millis(50));
-        let snap = observer.snapshot.lock().expect("snapshot").clone();
+        let snap = observer.snapshot.read();
         let leader = snap.leader;
         if Some(leader) != last_leader {
             last_leader = Some(leader);

@@ -410,10 +410,12 @@ pub fn await_survivor_convergence(
 ) -> bool {
     let deadline = Instant::now() + limit;
     loop {
-        let snaps: Vec<_> = (0..cluster.n() as u32)
-            .map(irs_types::ProcessId::new)
-            .filter(|&p| p != crashed)
-            .map(|p| cluster.snapshot(p))
+        let snaps: Vec<_> = cluster
+            .snapshots()
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| i != crashed.index())
+            .map(|(_, snap)| snap)
             .collect();
         let converged = snaps.windows(2).all(|w| {
             w[0].gauge("kv_digest") == w[1].gauge("kv_digest")

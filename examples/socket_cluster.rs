@@ -69,7 +69,7 @@ fn child(id: u32, n: usize, metrics: bool) {
     let (mut last, mut since) = (None, Instant::now());
     let leader = loop {
         std::thread::sleep(Duration::from_millis(50));
-        let snap = observer.snapshot.lock().expect("snapshot").clone();
+        let snap = observer.snapshot.read();
         if Some(snap.leader) != last {
             last = Some(snap.leader);
             since = Instant::now();
