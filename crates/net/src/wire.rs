@@ -550,6 +550,41 @@ mod tests {
         }
     }
 
+    /// One frozen encoding per `OmegaMsg` tag.
+    #[test]
+    fn golden_vectors_pin_every_omega_tag() {
+        let golden: [(OmegaMsg, &str); 3] = [
+            (
+                OmegaMsg::Alive {
+                    rn: RoundNum::new(7),
+                    susp: SuspVector::from_levels(vec![1, 2]),
+                },
+                "0007000000000000000200000001000000000000000200000000000000",
+            ),
+            (
+                OmegaMsg::AliveDelta {
+                    rn: RoundNum::new(8),
+                    entries: vec![(3, 9)],
+                },
+                "01080000000000000001000000030000000900000000000000",
+            ),
+            (
+                OmegaMsg::Suspicion {
+                    rn: RoundNum::new(9),
+                    suspects: ProcessSet::from_ids(70, [1, 65].map(ProcessId::new)),
+                },
+                "0209000000000000004600000002000000000000000200000000000000",
+            ),
+        ];
+        for (msg, want) in &golden {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, *want, "{msg:?}");
+            assert_eq!(&roundtrip(msg), msg);
+        }
+    }
+
     proptest! {
         #[test]
         fn random_messages_roundtrip(

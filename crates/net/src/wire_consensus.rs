@@ -732,6 +732,67 @@ mod tests {
         }
     }
 
+    /// One frozen encoding per `ConsensusMsg` and `PaxosMsg` tag, plus a
+    /// `Promise` that reports an accepted batch of commands.
+    #[test]
+    fn golden_vectors_pin_every_consensus_and_paxos_tag() {
+        fn hex<M: Wire>(msg: &M) -> String {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            buf.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let b = Ballot::new(0x0102, ProcessId::new(3));
+        let paxos: [(PaxosMsg<Value>, &str); 5] = [
+            (PaxosMsg::Prepare { b }, "00020100000000000003000000"),
+            (
+                PaxosMsg::Promise { b, accepted: None },
+                "0102010000000000000300000000",
+            ),
+            (
+                PaxosMsg::Accept { b, v: Value(5) },
+                "020201000000000000030000000500000000000000",
+            ),
+            (
+                PaxosMsg::Accepted { b, v: Value(6) },
+                "030201000000000000030000000600000000000000",
+            ),
+            (PaxosMsg::Decide { v: Value(7) }, "040700000000000000"),
+        ];
+        for (msg, want) in &paxos {
+            assert_eq!(hex(msg), *want, "{msg:?}");
+            assert_eq!(&roundtrip(msg), msg);
+        }
+        let promise: PaxosMsg<Batch<Command>> = PaxosMsg::Promise {
+            b,
+            accepted: Some((
+                Ballot::new(1, ProcessId::new(2)),
+                Batch::new(vec![Command::new(vec![0xAA]), Command::default()]),
+            )),
+        };
+        assert_eq!(
+            hex(&promise),
+            "01020100000000000003000000010100000000000000020000000200000001000000aa00000000"
+        );
+        assert_eq!(roundtrip(&promise), promise);
+        let consensus: [(CMsg, &str); 2] = [
+            (
+                ConsensusMsg::Omega(OmegaMsg::AliveDelta {
+                    rn: RoundNum::new(4),
+                    entries: vec![(1, 2)],
+                }),
+                "1001040000000000000001000000010000000200000000000000",
+            ),
+            (
+                ConsensusMsg::Paxos(PaxosMsg::Decide { v: Value(9) }),
+                "11040900000000000000",
+            ),
+        ];
+        for (msg, want) in &consensus {
+            assert_eq!(hex(msg), *want, "{msg:?}");
+            assert_eq!(&roundtrip(msg), msg);
+        }
+    }
+
     /// The largest reign promise an acceptor can legally produce (the
     /// acceptor refuses to report past `REIGN_REPORT_BYTES`, estimated at
     /// ≈ 20 bytes of per-entry overhead plus the batch) must encode within

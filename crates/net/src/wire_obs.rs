@@ -434,6 +434,35 @@ mod tests {
         }
     }
 
+    /// One frozen encoding per `ObsMsg` tag.
+    #[test]
+    fn golden_vectors_pin_every_obs_tag() {
+        let golden = [
+            (
+                ObsMsg::ScrapeRequest {
+                    format: ScrapeFormat::Json,
+                    cursor: 3,
+                },
+                "300103000000",
+            ),
+            (
+                ObsMsg::ScrapeChunk {
+                    seq: 2,
+                    last: true,
+                    bytes: vec![0xAB, 0xCD],
+                },
+                "31020000000102000000abcd",
+            ),
+        ];
+        for (msg, want) in golden {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{msg:?}");
+            assert_eq!(decode_payload::<ObsMsg>(&buf), Ok(msg));
+        }
+    }
+
     #[test]
     fn decoder_is_total_over_noise() {
         let mut rng = 0x0B5_u64;

@@ -156,6 +156,40 @@ mod tests {
         assert_eq!(put.op.key(), b"k1");
     }
 
+    /// One frozen encoding per op tag.
+    #[test]
+    fn golden_vectors_pin_put_and_del() {
+        let golden = [
+            (
+                KvWrite {
+                    client: 9,
+                    seq: 4,
+                    op: KvOp::Put {
+                        key: b"k".to_vec(),
+                        value: vec![0xAB, 0xCD],
+                    },
+                },
+                "0900000000000000040000000000000000010000006b02000000abcd",
+            ),
+            (
+                KvWrite {
+                    client: 1,
+                    seq: 2,
+                    op: KvOp::Del {
+                        key: b"kk".to_vec(),
+                    },
+                },
+                "0100000000000000020000000000000001020000006b6b",
+            ),
+        ];
+        for (w, want) in golden {
+            let cmd = w.encode();
+            let hex: String = cmd.bytes().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{w:?}");
+            assert_eq!(KvWrite::decode(&cmd), Some(w));
+        }
+    }
+
     #[test]
     fn garbage_commands_decode_to_none() {
         assert_eq!(KvWrite::decode(&Command::default()), None);

@@ -404,6 +404,78 @@ mod tests {
         }
     }
 
+    /// One frozen encoding per `SvcMsg` tag, the value reply both bound and
+    /// unbound.
+    #[test]
+    fn golden_vectors_pin_every_svc_tag() {
+        let cmd = Command::new(vec![0xAA, 0xBB]);
+        let golden: [(SvcMsg, &str); 9] = [
+            (
+                SvcMsg::Log(LogMsg::Catchup { from: 6 }),
+                "201b0600000000000000",
+            ),
+            (SvcMsg::Request { cmd }, "2102000000aabb"),
+            (
+                SvcMsg::Reply(SvcReply::Applied {
+                    client: 1,
+                    seq: 2,
+                    slot: 3,
+                }),
+                "22010000000000000002000000000000000300000000000000",
+            ),
+            (
+                SvcMsg::Reply(SvcReply::Redirect {
+                    client: 1,
+                    seq: 2,
+                    leader: ProcessId::new(4),
+                }),
+                "230100000000000000020000000000000004000000",
+            ),
+            (
+                SvcMsg::Read {
+                    client: 1,
+                    rid: 5,
+                    key: b"k".to_vec(),
+                    tier: ReadTier::ReadIndex,
+                },
+                "240100000000000000050000000000000001010000006b",
+            ),
+            (
+                SvcMsg::Reply(SvcReply::Value {
+                    client: 1,
+                    rid: 5,
+                    value: None,
+                    frontier: 7,
+                }),
+                "2501000000000000000500000000000000070000000000000000",
+            ),
+            (
+                SvcMsg::Reply(SvcReply::Value {
+                    client: 1,
+                    rid: 5,
+                    value: Some(b"v".to_vec()),
+                    frontier: 7,
+                }),
+                "25010000000000000005000000000000000700000000000000010100000076",
+            ),
+            (SvcMsg::LeaseProbe { rid: 8 }, "260800000000000000"),
+            (
+                SvcMsg::LeaseAck {
+                    rid: 8,
+                    granted: true,
+                },
+                "27080000000000000001",
+            ),
+        ];
+        for (msg, want) in &golden {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, *want, "{msg:?}");
+            assert_eq!(&roundtrip(msg), msg);
+        }
+    }
+
     /// The read-plane decoders bound untrusted lengths and reject
     /// out-of-range tier/flag bytes instead of guessing.
     #[test]

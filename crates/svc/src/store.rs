@@ -321,6 +321,20 @@ mod tests {
         assert!(KvStore::install(&[]).is_none());
     }
 
+    /// A frozen export: applied count, the bindings in key order, the
+    /// client cursors in client order.
+    #[test]
+    fn golden_export_blob() {
+        let mut s = KvStore::new();
+        s.apply(3, &put(2, 1, b"b", b"y"));
+        s.apply(4, &put(1, 5, b"a", b"xz"));
+        let blob = s.export();
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "020000000000000002000000010000006102000000787a0100000062010000007902000000010000000000000005000000000000000400000000000000020000000000000001000000000000000300000000000000");
+        let restored = KvStore::install(&blob).expect("own export");
+        assert_eq!(restored.digest(), s.digest());
+    }
+
     #[test]
     fn digest_separates_states_and_matches_equal_ones() {
         let (mut a, mut b) = (KvStore::new(), KvStore::new());

@@ -509,6 +509,38 @@ mod tests {
         assert_eq!(valid, bytes.len());
     }
 
+    /// One frozen on-disk frame per record tag.
+    #[test]
+    fn golden_vectors_pin_every_record_tag() {
+        let golden = [
+            (
+                WalRecord::Accept {
+                    slot: 3,
+                    ballot: Ballot::new(0x0102, ProcessId::new(1)),
+                    batch: vec![0xAA, 0xBB],
+                },
+                "1b0000004ee8f57807491ad501030000000000000002010000000000000100000002000000aabb",
+            ),
+            (
+                WalRecord::Decide {
+                    slot: 4,
+                    batch: vec![0xCC],
+                },
+                "0e000000440d5efc6053624402040000000000000001000000cc",
+            ),
+            (
+                WalRecord::SnapshotMark { upto: 5 },
+                "090000007792d7efc4ba5414030500000000000000",
+            ),
+        ];
+        for (rec, want) in golden {
+            let frame = encode_frame(&rec);
+            let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{rec:?}");
+            assert_eq!(read_records_bytes(&frame), (vec![rec], frame.len()));
+        }
+    }
+
     #[test]
     fn append_commit_reopen_replays_everything() {
         let dir = tmpdir("replay");
