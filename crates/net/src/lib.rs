@@ -35,10 +35,12 @@
 //! magic "IR" (2) | version (1) | from u32 | to u32 | len u32 | payload
 //! ```
 //!
-//! and the payload is a [`Wire`]-encoded protocol message. [`wire`] ships
-//! the [`irs_omega::OmegaMsg`] codec; [`wire_consensus`] extends the same
-//! format to the consensus layer (`PaxosMsg`, `ConsensusMsg`, `LogMsg`,
-//! ballots, values and byte commands) under disjoint message-kind tags, so
+//! and the payload is a [`Wire`]-encoded protocol message. [`wire`] holds
+//! the field vocabulary and the [`wire_table!`] form every message kind
+//! states its layout in, once — the [`irs_omega::OmegaMsg`] table among
+//! them; [`wire_consensus`] extends the same format to the consensus layer
+//! (`PaxosMsg`, `ConsensusMsg`, `LogMsg`, ballots, values and byte
+//! commands) under disjoint message-kind tags, so
 //! [`irs_consensus::ReplicatedLog`] deploys over sockets too. Decoders are
 //! total: arbitrary bytes decode or fail with a [`WireError`], never panic.
 //!

@@ -1,9 +1,10 @@
-//! The hand-rolled wire format.
+//! The hand-rolled wire format, and the one vocabulary every byte format of
+//! the stack is stated in.
 //!
 //! Nothing in the container this workspace builds in provides `serde` or
 //! `bincode`, so framing is done by hand, bincode-style: fixed-width
 //! little-endian integers, `u32`-length-prefixed sequences, a one-byte tag
-//! per enum variant, no padding, no self-description. The format is:
+//! per enum variant, no padding, no self-description. A frame is:
 //!
 //! ```text
 //! frame    := magic(2) version(1) from(4) to(4) len(4) payload(len)
@@ -13,22 +14,39 @@
 //! len      := u32 LE, length of payload in bytes
 //! ```
 //!
-//! The payload is an encoded protocol message ([`Wire`]). For [`OmegaMsg`]:
+//! The payload is an encoded protocol message ([`Wire`]). Each message kind
+//! states its layout once, as a [`wire_table!`](crate::wire_table) table —
+//! `TAG = byte => Variant { field, … }`, fields in wire order, a bound next
+//! to each field that has one — and the table generates the tag constants,
+//! `encode`, `decode` and the kind's [`Tagged`] list. The tables are:
 //!
-//! ```text
-//! omega     := 0x00 rn(8) n(4) level(8)*n           # ALIVE(rn, susp)
-//!            | 0x01 rn(8) k(4) (idx(4) level(8))*k  # ALIVE delta entries
-//!            | 0x02 rn(8) n(4) word(8)*ceil(n/64)   # SUSPICION(rn, set)
-//! ```
+//! * `OmegaMsg` (the paper's `ALIVE` and `SUSPICION`) — below;
+//! * `PaxosMsg`, `ConsensusMsg`, `LogMsg`, and the registry of every kind's
+//!   leading tags — [`crate::wire_consensus`];
+//! * `ObsMsg` — [`crate::wire_obs`];
+//! * `SvcMsg`, `ReadTier` and `KvOp` in `irs-svc`, `WalRecord` in `irs-wal`.
+//!
+//! # Vocabulary
+//!
+//! * `u32`, `u64`, `ProcessId`, `RoundNum` — fixed-width little-endian;
+//! * `bool` — one byte, strictly `0` or `1` (anything else is `BadTag`);
+//! * `Option<T>` — a strict `bool`, then `T` when it is set;
+//! * tuples — their parts in order;
+//! * [`Bytes<CAP>`] — `u32` length, checked against `CAP` before any byte
+//!   is taken, then the bytes;
+//! * [`Seq<CAP>`] — `u32` count, checked against `CAP`, then the items; the
+//!   preallocation is clamped by the bytes actually present;
+//! * [`AtMost<MAX>`] — a `u64` no greater than `MAX`.
 //!
 //! Every decoder is total: arbitrary bytes either decode or return a
 //! [`WireError`], never panic — a UDP socket is an untrusted input. The
-//! proptest in this module round-trips random messages and feeds random
-//! bytes to the decoders.
+//! proptests of each table's module round-trip random messages and feed
+//! random bytes to its decoders.
 
 use irs_omega::{OmegaMsg, SuspVector};
 use irs_types::{ProcessId, ProcessSet, RoundNum};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Magic bytes opening every frame ("IR").
 pub const FRAME_MAGIC: [u8; 2] = [0x49, 0x52];
@@ -82,6 +100,20 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a `u32` length and the bytes: what [`WireReader::bytes`] reads.
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
+/// Appends a `u32` count and every item: what [`WireReader::seq`] reads.
+pub fn put_seq<'a, T: Wire + 'a>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
 /// A cursor over received bytes with total, panic-free accessors.
 #[derive(Debug)]
 pub struct WireReader<'a> {
@@ -129,6 +161,35 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
+    /// Reads a `u32` length or count and rejects one over `cap` with
+    /// `BadLength` — before anything is taken or allocated for it.
+    pub fn len_at_most(&mut self, cap: usize) -> Result<usize, WireError> {
+        let len = self.u32()? as usize;
+        if len > cap {
+            return Err(WireError::BadLength(len));
+        }
+        Ok(len)
+    }
+
+    /// Reads a `u32`-length-prefixed byte string of at most `cap` bytes.
+    pub fn bytes(&mut self, cap: usize) -> Result<&'a [u8], WireError> {
+        let len = self.len_at_most(cap)?;
+        self.take(len)
+    }
+
+    /// Reads a `u32`-count-prefixed sequence of at most `cap` items. The
+    /// preallocation is clamped by the bytes present ([`Wire::MIN_LEN`]),
+    /// so a short datagram claiming a huge count fails with `Truncated`
+    /// without a count-sized allocation first.
+    pub fn seq<T: Wire>(&mut self, cap: usize) -> Result<Vec<T>, WireError> {
+        let count = self.len_at_most(cap)?;
+        let mut items = Vec::with_capacity(count.min(self.remaining() / T::MIN_LEN.max(1)));
+        for _ in 0..count {
+            items.push(T::decode(self)?);
+        }
+        Ok(items)
+    }
+
     /// Fails if any input is left unconsumed.
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
@@ -146,6 +207,10 @@ impl<'a> WireReader<'a> {
 /// once), and the decoder is total over arbitrary byte strings. `decode`
 /// must consume the reader exactly; [`decode_payload`] checks that.
 pub trait Wire: Sized {
+    /// A lower bound (at least 1) on the encoded length in bytes, by which
+    /// [`WireReader::seq`] clamps a preallocation.
+    const MIN_LEN: usize = 1;
+
     /// Appends this message's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
@@ -169,6 +234,319 @@ pub trait Wire: Sized {
         let _ = n;
         true
     }
+}
+
+/// A message kind whose encoding leads with a one-byte tag, and the tags it
+/// leads with — generated by [`wire_table!`](crate::wire_table), so the
+/// registry of leading tags is a checked fact, not only a comment.
+pub trait Tagged {
+    /// Every leading tag of the kind, in table order.
+    const TAGS: &'static [u8];
+}
+
+impl Wire for u32 {
+    const MIN_LEN: usize = 4;
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, *self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.u32()
+    }
+}
+
+impl Wire for u64 {
+    const MIN_LEN: usize = 8;
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, *self);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.u64()
+    }
+}
+
+impl Wire for ProcessId {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.as_u32());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(ProcessId::new(r.u32()?))
+    }
+}
+
+impl Wire for RoundNum {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.value());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(RoundNum::new(r.u64()?))
+    }
+}
+
+/// One byte, strictly `0` or `1`.
+impl Wire for bool {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::BadTag(other)),
+        }
+    }
+}
+
+/// A strict `bool` flag, then the value when it is set.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        Opt::<Plain>::put(self, buf);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Opt::<Plain>::get(r)
+    }
+    fn valid_for(&self, n: usize) -> bool {
+        self.as_ref().is_none_or(|v| v.valid_for(n))
+    }
+}
+
+/// Tuples: their parts in order.
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(self.$i.encode(buf);)+
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok(($($t::decode(r)?,)+))
+            }
+            fn valid_for(&self, n: usize) -> bool {
+                true $(&& self.$i.valid_for(n))+
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+/// How a table field is laid out when its type's own [`Wire`] form is not
+/// the whole story: a bounded codec checks its bound before it takes or
+/// allocates anything. A [`wire_table!`](crate::wire_table) field names its
+/// codec after a colon (`key: Bytes<MAX_KEY_LEN>`).
+pub trait Codec<T> {
+    /// Appends `v`.
+    fn put(v: &T, buf: &mut Vec<u8>);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on malformed, truncated or out-of-bound
+    /// input.
+    fn get(r: &mut WireReader<'_>) -> Result<T, WireError>;
+}
+
+/// The field type's own [`Wire`] form: what an unannotated field uses.
+#[derive(Debug)]
+pub struct Plain;
+
+impl<T: Wire> Codec<T> for Plain {
+    fn put(v: &T, buf: &mut Vec<u8>) {
+        v.encode(buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<T, WireError> {
+        T::decode(r)
+    }
+}
+
+/// `u32` length, then the bytes; a length over `CAP` is `BadLength` before
+/// any byte is taken.
+#[derive(Debug)]
+pub struct Bytes<const CAP: usize>;
+
+impl<const CAP: usize, T: AsRef<[u8]> + for<'b> From<&'b [u8]>> Codec<T> for Bytes<CAP> {
+    fn put(v: &T, buf: &mut Vec<u8>) {
+        put_bytes(buf, v.as_ref());
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<T, WireError> {
+        Ok(T::from(r.bytes(CAP)?))
+    }
+}
+
+/// `u32` count, then the items; a count over `CAP` is `BadLength` before
+/// anything is allocated (see [`WireReader::seq`]).
+#[derive(Debug)]
+pub struct Seq<const CAP: usize>;
+
+impl<const CAP: usize, T: Wire> Codec<Vec<T>> for Seq<CAP> {
+    fn put(v: &Vec<T>, buf: &mut Vec<u8>) {
+        put_seq(buf, v.iter());
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Vec<T>, WireError> {
+        r.seq(CAP)
+    }
+}
+
+/// A strict `bool` flag, then the value in codec `C` when it is set.
+#[derive(Debug)]
+pub struct Opt<C>(PhantomData<C>);
+
+impl<T, C: Codec<T>> Codec<Option<T>> for Opt<C> {
+    fn put(v: &Option<T>, buf: &mut Vec<u8>) {
+        v.is_some().encode(buf);
+        if let Some(v) = v {
+            C::put(v, buf);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Option<T>, WireError> {
+        Ok(if bool::decode(r)? {
+            Some(C::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A `u64` no greater than `MAX` (`BadLength` otherwise): a value the
+/// receiver turns into a loop bound.
+#[derive(Debug)]
+pub struct AtMost<const MAX: u64>;
+
+impl<const MAX: u64> Codec<u64> for AtMost<MAX> {
+    fn put(v: &u64, buf: &mut Vec<u8>) {
+        put_u64(buf, *v);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<u64, WireError> {
+        let v = r.u64()?;
+        if v > MAX {
+            return Err(WireError::BadLength(
+                usize::try_from(v).unwrap_or(usize::MAX),
+            ));
+        }
+        Ok(v)
+    }
+}
+
+/// States a tagged enum's byte layout once, and generates from it the tag
+/// constants, the kind's [`Tagged`] list and its [`Wire`] `encode` and
+/// `decode`.
+///
+/// The table lists every variant once, as `TAG_NAME = byte => …`, with the
+/// fields in wire order:
+///
+/// * `Variant { a, b: Bytes<CAP> }` — a struct variant. An unannotated field
+///   is in its type's own [`Wire`] form; an annotated one in the named
+///   [`Codec`], which is where a field's bound is stated;
+/// * `Variant(inner)` — a newtype variant;
+/// * `Variant(Nested::Inner { a, b })` — one variant of a nested enum behind
+///   its own tag of the outer kind;
+/// * `Variant` — no fields.
+///
+/// The table reads like the impl it generates, so `Wire` must be in scope
+/// where it is written. Fields named in brackets after the type (`impl Wire for OmegaMsg [rn]`)
+/// belong to every struct variant and sit between the tag and the
+/// variant's own fields; the decoder reads them before it looks at the tag,
+/// so a short input is `Truncated` whatever its tag. Items after the table
+/// — `valid_for`, the semantic check against the deployment size — go into
+/// the generated impl as written.
+///
+/// ```
+/// use irs_net::wire::{decode_payload, Bytes, Tagged, Wire, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping { seq: u64 },
+///     Blob { seq: u64, data: Vec<u8> },
+/// }
+///
+/// irs_net::wire_table! {
+///     impl Wire for Msg {
+///         TAG_PING = 0x40 => Ping { seq },
+///         TAG_BLOB = 0x41 => Blob { seq, data: Bytes<4> },
+///     }
+/// }
+///
+/// let mut buf = Vec::new();
+/// Msg::Blob { seq: 1, data: vec![7] }.encode(&mut buf);
+/// assert_eq!(buf, [0x41, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 7]);
+/// assert_eq!(decode_payload(&buf), Ok(Msg::Blob { seq: 1, data: vec![7] }));
+/// buf[9] = 5; // a length over the cap fails before any byte is taken
+/// assert_eq!(decode_payload::<Msg>(&buf), Err(WireError::BadLength(5)));
+/// assert_eq!(<Msg as Tagged>::TAGS, &[TAG_PING, TAG_BLOB]);
+/// ```
+#[macro_export]
+macro_rules! wire_table {
+    (
+        impl $(<$($g:ident: $b:path),*>)? $wire:ident for $ty:ty $([$($pf:ident),*])?
+        { $($rows:tt)* }
+        $($extra:tt)*
+    ) => {
+        $crate::wire_table!(@rows { [$($($g: $b),*)?] $wire $ty; $($extra)* } [$($($pf),*)?] [] $($rows)*);
+    };
+    // One row at a time, into `[TAG byte (pattern) (fields written) (fields read)]`.
+    (@rows $h:tt [$($pf:ident),*] [$($done:tt)*]
+        $tc:ident = $tag:literal => $v:ident { $($f:ident $(: $c:ty)?),* $(,)? } $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_table!(@rows $h [$($pf),*] [$($done)*
+            [$tc $tag (Self::$v { $($pf,)* $($f),* }) ($($pf,)* $($f $(: $c)?),*) ($($f $(: $c)?),*)]
+        ] $($($rest)*)?);
+    };
+    (@rows $h:tt $p:tt [$($done:tt)*]
+        $tc:ident = $tag:literal => $v:ident ($($n:ident)::+ { $($f:ident $(: $c:ty)?),* $(,)? })
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_table!(@rows $h $p [$($done)*
+            [$tc $tag (Self::$v($($n)::+ { $($f),* })) ($($f $(: $c)?),*) ($($f $(: $c)?),*)]
+        ] $($($rest)*)?);
+    };
+    (@rows $h:tt $p:tt [$($done:tt)*]
+        $tc:ident = $tag:literal => $v:ident ($f:ident $(: $c:ty)?) $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_table!(@rows $h $p [$($done)*
+            [$tc $tag (Self::$v($f)) ($f $(: $c)?) ($f $(: $c)?)]
+        ] $($($rest)*)?);
+    };
+    (@rows $h:tt $p:tt [$($done:tt)*] $tc:ident = $tag:literal => $v:ident $(, $($rest:tt)*)?) => {
+        $crate::wire_table!(@rows $h $p [$($done)* [$tc $tag (Self::$v) () ()]] $($($rest)*)?);
+    };
+    (@rows { [$($g:ident: $b:path),*] $wire:ident $ty:ty; $($extra:tt)* } [$($pf:ident),*] [$(
+        [$tc:ident $tag:literal ($($pat:tt)*) ($($ef:ident $(: $ec:ty)?),* $(,)?) ($($f:ident $(: $c:ty)?),*)]
+    )*]) => {
+        $(const $tc: u8 = $tag;)*
+
+        impl<$($g: $b),*> $crate::wire::Tagged for $ty {
+            const TAGS: &'static [u8] = &[$($tc),*];
+        }
+
+        impl<$($g: $b),*> $wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($($pat)* => {
+                        buf.push($tc);
+                        $(<$crate::wire_table!(@codec $($ec)?) as $crate::wire::Codec<_>>::put($ef, buf);)*
+                    })*
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                let tag = r.u8()?;
+                $(let $pf = $crate::wire::Wire::decode(r)?;)*
+                match tag {
+                    $($tc => {
+                        $(let $f = <$crate::wire_table!(@codec $($c)?) as $crate::wire::Codec<_>>::get(r)?;)*
+                        Ok($($pat)*)
+                    })*
+                    other => Err($crate::wire::WireError::BadTag(other)),
+                }
+            }
+
+            $($extra)*
+        }
+    };
+    (@codec) => { $crate::wire::Plain };
+    (@codec $c:ty) => { $c };
 }
 
 /// Decodes a whole payload as one message, rejecting trailing bytes.
@@ -198,10 +576,9 @@ pub fn encode_frame(buf: &mut Vec<u8>, from: ProcessId, to: ProcessId, payload: 
     );
     buf.extend_from_slice(&FRAME_MAGIC);
     buf.push(FRAME_VERSION);
-    put_u32(buf, from.as_u32());
-    put_u32(buf, to.as_u32());
-    put_u32(buf, payload.len() as u32);
-    buf.extend_from_slice(payload);
+    from.encode(buf);
+    to.encode(buf);
+    put_bytes(buf, payload);
 }
 
 /// Byte offset of the `to` field inside an encoded frame (after magic and
@@ -240,114 +617,22 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(ProcessId, ProcessId, &[u8]), WireE
     if version != FRAME_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let from = ProcessId::new(r.u32()?);
-    let to = ProcessId::new(r.u32()?);
-    let len = r.u32()? as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::BadLength(len));
-    }
-    let payload = r.take(len)?;
+    let from = ProcessId::decode(&mut r)?;
+    let to = ProcessId::decode(&mut r)?;
+    let payload = r.bytes(MAX_PAYLOAD)?;
     r.finish()?;
     Ok((from, to, payload))
 }
-
-const TAG_ALIVE: u8 = 0;
-const TAG_ALIVE_DELTA: u8 = 1;
-const TAG_SUSPICION: u8 = 2;
 
 /// Largest system size the codec accepts when decoding (`n` drives
 /// allocation; an attacker-supplied `n` must not).
 const MAX_WIRE_N: u32 = 1 << 16;
 
-impl Wire for OmegaMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OmegaMsg::Alive { rn, susp } => {
-                buf.push(TAG_ALIVE);
-                put_u64(buf, rn.value());
-                put_u32(buf, susp.len() as u32);
-                for &level in susp.as_slice() {
-                    put_u64(buf, level);
-                }
-            }
-            OmegaMsg::AliveDelta { rn, entries } => {
-                buf.push(TAG_ALIVE_DELTA);
-                put_u64(buf, rn.value());
-                put_u32(buf, entries.len() as u32);
-                for &(idx, level) in entries {
-                    put_u32(buf, idx);
-                    put_u64(buf, level);
-                }
-            }
-            OmegaMsg::Suspicion { rn, suspects } => {
-                buf.push(TAG_SUSPICION);
-                put_u64(buf, rn.value());
-                put_u32(buf, suspects.capacity() as u32);
-                for &word in suspects.as_words() {
-                    put_u64(buf, word);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let tag = r.u8()?;
-        let rn = RoundNum::new(r.u64()?);
-        match tag {
-            TAG_ALIVE => {
-                let n = r.u32()?;
-                if n > MAX_WIRE_N {
-                    return Err(WireError::BadLength(n as usize));
-                }
-                // Clamp the preallocation by the bytes actually present: a
-                // short datagram claiming a huge count must fail with
-                // `Truncated` without a count-sized allocation first.
-                let mut levels = Vec::with_capacity((n as usize).min(r.remaining() / 8));
-                for _ in 0..n {
-                    levels.push(r.u64()?);
-                }
-                Ok(OmegaMsg::Alive {
-                    rn,
-                    susp: SuspVector::from_levels(levels),
-                })
-            }
-            TAG_ALIVE_DELTA => {
-                let k = r.u32()?;
-                if k > MAX_WIRE_N {
-                    return Err(WireError::BadLength(k as usize));
-                }
-                let mut entries = Vec::with_capacity((k as usize).min(r.remaining() / 12));
-                for _ in 0..k {
-                    let idx = r.u32()?;
-                    let level = r.u64()?;
-                    entries.push((idx, level));
-                }
-                Ok(OmegaMsg::AliveDelta { rn, entries })
-            }
-            TAG_SUSPICION => {
-                let n = r.u32()?;
-                if n > MAX_WIRE_N {
-                    return Err(WireError::BadLength(n as usize));
-                }
-                let n = n as usize;
-                let mut suspects = ProcessSet::empty(n);
-                for w in 0..n.div_ceil(64) {
-                    let mut word = r.u64()?;
-                    if w == n / 64 && !n.is_multiple_of(64) && word >> (n % 64) != 0 {
-                        // Bits beyond the capacity would corrupt the set's
-                        // invariants; a well-formed encoder never sets them.
-                        return Err(WireError::BadLength(n));
-                    }
-                    while word != 0 {
-                        let bit = word.trailing_zeros() as usize;
-                        suspects.insert(ProcessId::new((w * 64 + bit) as u32));
-                        word &= word - 1;
-                    }
-                }
-                Ok(OmegaMsg::Suspicion { rn, suspects })
-            }
-            other => Err(WireError::BadTag(other)),
-        }
+wire_table! {
+    impl Wire for OmegaMsg [rn] {
+        TAG_ALIVE = 0x00 => Alive { susp },
+        TAG_ALIVE_DELTA = 0x01 => AliveDelta { entries: Seq<{ MAX_WIRE_N as usize }> },
+        TAG_SUSPICION = 0x02 => Suspicion { suspects },
     }
 
     fn valid_for(&self, n: usize) -> bool {
@@ -358,6 +643,46 @@ impl Wire for OmegaMsg {
             }
             OmegaMsg::Suspicion { suspects, .. } => suspects.capacity() == n,
         }
+    }
+}
+
+/// `ALIVE`'s suspicion levels: a sequence of at most `MAX_WIRE_N` `u64`s.
+impl Wire for SuspVector {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.as_slice().iter());
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(SuspVector::from_levels(r.seq(MAX_WIRE_N as usize)?))
+    }
+}
+
+/// `SUSPICION`'s set: its capacity `n`, then `ceil(n / 64)` words. The one
+/// hand-written field codec, because of its capacity check.
+impl Wire for ProcessSet {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.capacity() as u32);
+        for &word in self.as_words() {
+            put_u64(buf, word);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.len_at_most(MAX_WIRE_N as usize)?;
+        let mut set = ProcessSet::empty(n);
+        for w in 0..n.div_ceil(64) {
+            let mut word = r.u64()?;
+            if w == n / 64 && !n.is_multiple_of(64) && word >> (n % 64) != 0 {
+                // Bits beyond the capacity would corrupt the set's
+                // invariants; a well-formed encoder never sets them.
+                return Err(WireError::BadLength(n));
+            }
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                set.insert(ProcessId::new((w * 64 + bit) as u32));
+                word &= word - 1;
+            }
+        }
+        Ok(set)
     }
 }
 

@@ -1,10 +1,11 @@
 //! Wire codecs for the consensus layer: ballots, values, commands, and the
-//! [`PaxosMsg`] / [`ConsensusMsg`] / [`LogMsg`] enums.
+//! [`PaxosMsg`] / [`ConsensusMsg`] / [`LogMsg`] tables.
 //!
 //! This is what lets [`irs_consensus::ConsensusProcess`] and
 //! [`irs_consensus::ReplicatedLog`] deploy over sockets: every message the
 //! replicated log exchanges becomes a payload in the same
-//! `IR|ver|from|to|len` frame format the Ω codec uses (see [`crate::wire`]).
+//! `IR|ver|from|to|len` frame format the Ω codec uses, stated in the same
+//! vocabulary (see [`crate::wire`]).
 //!
 //! # Tag ranges
 //!
@@ -28,6 +29,13 @@
 //! PaxosMsg      0x00..=0x04   (always nested behind one of the above)
 //! ```
 //!
+//! Each table's [`Tagged`](crate::wire::Tagged) list is generated from the
+//! table itself, and `irs-svc`'s
+//! `msg::tests::the_tag_registry_is_disjoint_and_0x1d_stays_retired` checks
+//! that the five top-level kinds' lists are pairwise disjoint and that
+//! `0x1D` is `BadTag` under every one of them — the registry above is a
+//! summary of a tested fact.
+//!
 //! A `LogMsg::Slot` payload carries a [`PaxosMsg`] over [`Batch`] values
 //! (`u32` count + elements, bounded by [`MAX_BATCH_LEN`]); a snapshot — an
 //! opaque host blob — rides the chunk plane in [`SNAPSHOT_CHUNK_LEN`]-bounded
@@ -41,87 +49,45 @@
 //! message against the deployment size, matching the Omega codec's
 //! semantics.
 
-use crate::wire::{put_u32, put_u64, Wire, WireError, WireReader};
+use crate::wire::{
+    put_bytes, put_seq, put_u32, put_u64, AtMost, Bytes, Seq, Wire, WireError, WireReader,
+};
 use irs_consensus::{
     Ballot, Batch, Command, ConsensusMsg, LogMsg, PaxosMsg, Value, MAX_BATCH_LEN, MAX_COMMAND_LEN,
     MAX_SNAPSHOT_CHUNKS, NOTED_MAX, REIGN_REPORT_MAX, SNAPSHOT_CHUNK_LEN,
 };
 use irs_types::ProcessId;
-use std::sync::Arc;
-
-/// First tag of the [`ConsensusMsg`] range.
-pub const TAG_CONSENSUS_BASE: u8 = 0x10;
-/// First tag of the [`LogMsg`] range.
-pub const TAG_LOG_BASE: u8 = 0x18;
-
-const TAG_CONSENSUS_OMEGA: u8 = TAG_CONSENSUS_BASE;
-const TAG_CONSENSUS_PAXOS: u8 = TAG_CONSENSUS_BASE + 1;
-
-const TAG_LOG_OMEGA: u8 = TAG_LOG_BASE;
-const TAG_LOG_SLOT: u8 = TAG_LOG_BASE + 1;
-const TAG_LOG_FORWARD: u8 = TAG_LOG_BASE + 2;
-const TAG_LOG_CATCHUP: u8 = TAG_LOG_BASE + 3;
-const TAG_LOG_SNAPSHOT_OFFER: u8 = TAG_LOG_BASE + 4;
-// TAG_LOG_BASE + 5 (0x1D) is retired: see the tag registry above.
-const TAG_LOG_SNAPSHOT_CHUNK_REQUEST: u8 = TAG_LOG_BASE + 6;
-const TAG_LOG_SNAPSHOT_CHUNK: u8 = TAG_LOG_BASE + 7;
-
-/// First tag of the [`LogMsg`] extension range (the base range's eight tags
-/// were all taken when the reign fast path landed; the svc range sits in
-/// between).
-pub const TAG_LOG_EXT_BASE: u8 = 0x28;
-
-const TAG_LOG_PREPARE_REIGN: u8 = TAG_LOG_EXT_BASE;
-const TAG_LOG_PROMISE_REIGN: u8 = TAG_LOG_EXT_BASE + 1;
-const TAG_LOG_ACCEPT_NOTING: u8 = TAG_LOG_EXT_BASE + 2;
-
-const TAG_PAXOS_PREPARE: u8 = 0;
-const TAG_PAXOS_PROMISE: u8 = 1;
-const TAG_PAXOS_ACCEPT: u8 = 2;
-const TAG_PAXOS_ACCEPTED: u8 = 3;
-const TAG_PAXOS_DECIDE: u8 = 4;
 
 impl Wire for Value {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.0);
     }
-
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Value(r.u64()?))
     }
 }
 
+/// A byte command: at most [`MAX_COMMAND_LEN`] bytes.
 impl Wire for Command {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.len() as u32);
-        buf.extend_from_slice(self.bytes());
+        put_bytes(buf, self.bytes());
     }
-
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.u32()? as usize;
-        if len > MAX_COMMAND_LEN {
-            return Err(WireError::BadLength(len));
-        }
-        Ok(Command::new(r.take(len)?))
+        Ok(Command::new(r.bytes(MAX_COMMAND_LEN)?))
     }
 }
 
+/// A slot's batch: one to [`MAX_BATCH_LEN`] values.
 impl<V: Wire> Wire for Batch<V> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.len() as u32);
-        for v in self.iter() {
-            v.encode(buf);
-        }
+        put_seq(buf, self.iter());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.u32()? as usize;
-        if count == 0 || count > MAX_BATCH_LEN {
-            return Err(WireError::BadLength(count));
-        }
-        let mut values = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
-            values.push(V::decode(r)?);
+        let values = r.seq(MAX_BATCH_LEN)?;
+        if values.is_empty() {
+            // A slot always decides at least one value.
+            return Err(WireError::BadLength(0));
         }
         Ok(Batch::new(values))
     }
@@ -138,9 +104,7 @@ impl Wire for Ballot {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let attempt = r.u64()?;
-        let proposer = ProcessId::new(r.u32()?);
-        Ok(Ballot { attempt, proposer })
+        Ok(Ballot::new(r.u64()?, ProcessId::decode(r)?))
     }
 
     fn valid_for(&self, n: usize) -> bool {
@@ -150,78 +114,19 @@ impl Wire for Ballot {
     }
 }
 
-impl<V: Wire> Wire for PaxosMsg<V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PaxosMsg::Prepare { b } => {
-                buf.push(TAG_PAXOS_PREPARE);
-                b.encode(buf);
-            }
-            PaxosMsg::Promise { b, accepted } => {
-                buf.push(TAG_PAXOS_PROMISE);
-                b.encode(buf);
-                match accepted {
-                    None => buf.push(0),
-                    Some((ab, av)) => {
-                        buf.push(1);
-                        ab.encode(buf);
-                        av.encode(buf);
-                    }
-                }
-            }
-            PaxosMsg::Accept { b, v } => {
-                buf.push(TAG_PAXOS_ACCEPT);
-                b.encode(buf);
-                v.encode(buf);
-            }
-            PaxosMsg::Accepted { b, v } => {
-                buf.push(TAG_PAXOS_ACCEPTED);
-                b.encode(buf);
-                v.encode(buf);
-            }
-            PaxosMsg::Decide { v } => {
-                buf.push(TAG_PAXOS_DECIDE);
-                v.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_PAXOS_PREPARE => Ok(PaxosMsg::Prepare {
-                b: Ballot::decode(r)?,
-            }),
-            TAG_PAXOS_PROMISE => {
-                let b = Ballot::decode(r)?;
-                let accepted = match r.u8()? {
-                    0 => None,
-                    1 => Some((Ballot::decode(r)?, V::decode(r)?)),
-                    other => return Err(WireError::BadTag(other)),
-                };
-                Ok(PaxosMsg::Promise { b, accepted })
-            }
-            TAG_PAXOS_ACCEPT => Ok(PaxosMsg::Accept {
-                b: Ballot::decode(r)?,
-                v: V::decode(r)?,
-            }),
-            TAG_PAXOS_ACCEPTED => Ok(PaxosMsg::Accepted {
-                b: Ballot::decode(r)?,
-                v: V::decode(r)?,
-            }),
-            TAG_PAXOS_DECIDE => Ok(PaxosMsg::Decide { v: V::decode(r)? }),
-            other => Err(WireError::BadTag(other)),
-        }
+crate::wire_table! {
+    impl<V: Wire> Wire for PaxosMsg<V> {
+        TAG_PAXOS_PREPARE = 0x00 => Prepare { b },
+        TAG_PAXOS_PROMISE = 0x01 => Promise { b, accepted },
+        TAG_PAXOS_ACCEPT = 0x02 => Accept { b, v },
+        TAG_PAXOS_ACCEPTED = 0x03 => Accepted { b, v },
+        TAG_PAXOS_DECIDE = 0x04 => Decide { v },
     }
 
     fn valid_for(&self, n: usize) -> bool {
         match self {
             PaxosMsg::Prepare { b } => b.valid_for(n),
-            PaxosMsg::Promise { b, accepted } => {
-                b.valid_for(n)
-                    && accepted
-                        .as_ref()
-                        .is_none_or(|(ab, av)| ab.valid_for(n) && av.valid_for(n))
-            }
+            PaxosMsg::Promise { b, accepted } => b.valid_for(n) && accepted.valid_for(n),
             PaxosMsg::Accept { b, v } | PaxosMsg::Accepted { b, v } => {
                 b.valid_for(n) && v.valid_for(n)
             }
@@ -230,26 +135,10 @@ impl<V: Wire> Wire for PaxosMsg<V> {
     }
 }
 
-impl<M: Wire, V: Wire> Wire for ConsensusMsg<M, V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ConsensusMsg::Omega(m) => {
-                buf.push(TAG_CONSENSUS_OMEGA);
-                m.encode(buf);
-            }
-            ConsensusMsg::Paxos(m) => {
-                buf.push(TAG_CONSENSUS_PAXOS);
-                m.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_CONSENSUS_OMEGA => Ok(ConsensusMsg::Omega(M::decode(r)?)),
-            TAG_CONSENSUS_PAXOS => Ok(ConsensusMsg::Paxos(PaxosMsg::decode(r)?)),
-            other => Err(WireError::BadTag(other)),
-        }
+crate::wire_table! {
+    impl<M: Wire, V: Wire> Wire for ConsensusMsg<M, V> {
+        TAG_CONSENSUS_OMEGA = 0x10 => Omega(m),
+        TAG_CONSENSUS_PAXOS = 0x11 => Paxos(m),
     }
 
     fn valid_for(&self, n: usize) -> bool {
@@ -260,152 +149,35 @@ impl<M: Wire, V: Wire> Wire for ConsensusMsg<M, V> {
     }
 }
 
-impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LogMsg::Omega(m) => {
-                buf.push(TAG_LOG_OMEGA);
-                m.encode(buf);
-            }
-            LogMsg::Slot { slot, msg } => {
-                buf.push(TAG_LOG_SLOT);
-                put_u64(buf, *slot);
-                msg.encode(buf);
-            }
-            LogMsg::Forward { v } => {
-                buf.push(TAG_LOG_FORWARD);
-                v.encode(buf);
-            }
-            LogMsg::Catchup { from } => {
-                buf.push(TAG_LOG_CATCHUP);
-                put_u64(buf, *from);
-            }
-            LogMsg::SnapshotOffer { upto } => {
-                buf.push(TAG_LOG_SNAPSHOT_OFFER);
-                put_u64(buf, *upto);
-            }
-            LogMsg::SnapshotChunkRequest { upto, chunk } => {
-                buf.push(TAG_LOG_SNAPSHOT_CHUNK_REQUEST);
-                put_u64(buf, *upto);
-                put_u32(buf, *chunk);
-            }
-            LogMsg::SnapshotChunk {
-                upto,
-                chunk,
-                total,
-                digest,
-                data,
-            } => {
-                buf.push(TAG_LOG_SNAPSHOT_CHUNK);
-                put_u64(buf, *upto);
-                put_u32(buf, *chunk);
-                put_u32(buf, *total);
-                put_u64(buf, *digest);
-                put_u32(buf, data.len() as u32);
-                buf.extend_from_slice(data);
-            }
-            LogMsg::PrepareReign { b, from } => {
-                buf.push(TAG_LOG_PREPARE_REIGN);
-                b.encode(buf);
-                put_u64(buf, *from);
-            }
-            LogMsg::PromiseReign { b, from, accepted } => {
-                buf.push(TAG_LOG_PROMISE_REIGN);
-                b.encode(buf);
-                put_u64(buf, *from);
-                put_u32(buf, accepted.len() as u32);
-                for (slot, ab, av) in accepted {
-                    put_u64(buf, *slot);
-                    ab.encode(buf);
-                    av.encode(buf);
-                }
-            }
-            LogMsg::AcceptNoting {
-                slot,
-                b,
-                v,
-                noted_from,
-                noted_len,
-            } => {
-                buf.push(TAG_LOG_ACCEPT_NOTING);
-                put_u64(buf, *slot);
-                b.encode(buf);
-                v.encode(buf);
-                put_u64(buf, *noted_from);
-                put_u64(buf, *noted_len);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_LOG_OMEGA => Ok(LogMsg::Omega(M::decode(r)?)),
-            TAG_LOG_SLOT => Ok(LogMsg::Slot {
-                slot: r.u64()?,
-                msg: PaxosMsg::decode(r)?,
-            }),
-            TAG_LOG_FORWARD => Ok(LogMsg::Forward { v: V::decode(r)? }),
-            TAG_LOG_CATCHUP => Ok(LogMsg::Catchup { from: r.u64()? }),
-            TAG_LOG_SNAPSHOT_OFFER => Ok(LogMsg::SnapshotOffer { upto: r.u64()? }),
-            TAG_LOG_SNAPSHOT_CHUNK_REQUEST => Ok(LogMsg::SnapshotChunkRequest {
-                upto: r.u64()?,
-                chunk: r.u32()?,
-            }),
-            TAG_LOG_SNAPSHOT_CHUNK => {
-                let upto = r.u64()?;
-                let chunk = r.u32()?;
-                let total = r.u32()?;
-                let digest = r.u64()?;
-                let len = r.u32()? as usize;
-                if len > SNAPSHOT_CHUNK_LEN {
-                    return Err(WireError::BadLength(len));
-                }
-                let data: Arc<[u8]> = r.take(len)?.into();
-                Ok(LogMsg::SnapshotChunk {
-                    upto,
-                    chunk,
-                    total,
-                    digest,
-                    data,
-                })
-            }
-            TAG_LOG_PREPARE_REIGN => Ok(LogMsg::PrepareReign {
-                b: Ballot::decode(r)?,
-                from: r.u64()?,
-            }),
-            TAG_LOG_PROMISE_REIGN => {
-                let b = Ballot::decode(r)?;
-                let from = r.u64()?;
-                let count = r.u32()? as usize;
-                if count > REIGN_REPORT_MAX {
-                    return Err(WireError::BadLength(count));
-                }
-                let mut accepted = Vec::with_capacity(count.min(r.remaining()));
-                for _ in 0..count {
-                    accepted.push((r.u64()?, Ballot::decode(r)?, Batch::decode(r)?));
-                }
-                Ok(LogMsg::PromiseReign { b, from, accepted })
-            }
-            TAG_LOG_ACCEPT_NOTING => {
-                let slot = r.u64()?;
-                let b = Ballot::decode(r)?;
-                let v = Batch::decode(r)?;
-                let noted_from = r.u64()?;
-                let noted_len = r.u64()?;
-                if noted_len > NOTED_MAX {
-                    let len = usize::try_from(noted_len).unwrap_or(usize::MAX);
-                    return Err(WireError::BadLength(len));
-                }
-                Ok(LogMsg::AcceptNoting {
-                    slot,
-                    b,
-                    v,
-                    noted_from,
-                    noted_len,
-                })
-            }
-            other => Err(WireError::BadTag(other)),
-        }
+crate::wire_table! {
+    impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
+        TAG_LOG_OMEGA = 0x18 => Omega(m),
+        TAG_LOG_SLOT = 0x19 => Slot { slot, msg },
+        TAG_LOG_FORWARD = 0x1A => Forward { v },
+        TAG_LOG_CATCHUP = 0x1B => Catchup { from },
+        TAG_LOG_SNAPSHOT_OFFER = 0x1C => SnapshotOffer { upto },
+        // 0x1D is retired: see the tag registry above.
+        TAG_LOG_SNAPSHOT_CHUNK_REQUEST = 0x1E => SnapshotChunkRequest { upto, chunk },
+        TAG_LOG_SNAPSHOT_CHUNK = 0x1F => SnapshotChunk {
+            upto,
+            chunk,
+            total,
+            digest,
+            data: Bytes<SNAPSHOT_CHUNK_LEN>,
+        },
+        TAG_LOG_PREPARE_REIGN = 0x28 => PrepareReign { b, from },
+        TAG_LOG_PROMISE_REIGN = 0x29 => PromiseReign {
+            b,
+            from,
+            accepted: Seq<REIGN_REPORT_MAX>,
+        },
+        TAG_LOG_ACCEPT_NOTING = 0x2A => AcceptNoting {
+            slot,
+            b,
+            v,
+            noted_from,
+            noted_len: AtMost<NOTED_MAX>,
+        },
     }
 
     fn valid_for(&self, n: usize) -> bool {
@@ -425,9 +197,7 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
             LogMsg::PromiseReign { b, accepted, .. } => {
                 b.valid_for(n)
                     && accepted.len() <= REIGN_REPORT_MAX
-                    && accepted
-                        .iter()
-                        .all(|(_, ab, av)| ab.valid_for(n) && av.valid_for(n))
+                    && accepted.iter().all(|report| report.valid_for(n))
             }
             LogMsg::AcceptNoting {
                 b, v, noted_len, ..
@@ -435,6 +205,10 @@ impl<M: Wire, V: Wire> Wire for LogMsg<M, V> {
         }
     }
 }
+
+// A name the tests below use from this module's scope.
+#[cfg(test)]
+use std::sync::Arc;
 
 #[cfg(test)]
 mod tests {

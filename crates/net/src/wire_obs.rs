@@ -4,12 +4,11 @@
 //!
 //! # Tag range
 //!
-//! `ObsMsg` owns the disjoint leading-tag range `0x30..=0x31`
-//! ([`TAG_OBS_BASE`]; see the registry in [`crate::wire_consensus`]), so a
-//! scrape datagram fed to a protocol decoder fails with `BadTag` — and a
-//! protocol datagram fed to this decoder does too. Hosts peek at the
-//! first payload byte with [`is_obs_payload`] to route scrape traffic
-//! before protocol decoding.
+//! `ObsMsg` owns the disjoint leading-tag range `0x30..=0x31` (see the
+//! registry in [`crate::wire_consensus`]), so a scrape datagram fed to a
+//! protocol decoder fails with `BadTag` — and a protocol datagram fed to
+//! this decoder does too. Hosts peek at the first payload byte with
+//! [`is_obs_payload`] to route scrape traffic before protocol decoding.
 //!
 //! # Protocol
 //!
@@ -23,17 +22,11 @@
 //! duplication, reordering) cost a retry, never a torn body.
 
 use crate::transport::{NetError, Transport};
-use crate::wire::{decode_payload, put_u32, Wire, WireError, WireReader};
+use crate::wire::{decode_payload, Bytes, Tagged, Wire, WireError, WireReader};
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, Responder, ScrapeFormat, SCRAPE_CHUNK_LEN};
 use irs_types::ProcessId;
 use std::time::{Duration, Instant};
-
-/// First tag of the observability range (`0x30..=0x31`).
-pub const TAG_OBS_BASE: u8 = 0x30;
-
-const TAG_OBS_SCRAPE_REQUEST: u8 = TAG_OBS_BASE;
-const TAG_OBS_SCRAPE_CHUNK: u8 = TAG_OBS_BASE + 1;
 
 /// A telemetry-plane message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,48 +49,21 @@ pub enum ObsMsg {
     },
 }
 
-impl Wire for ObsMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ObsMsg::ScrapeRequest { format, cursor } => {
-                buf.push(TAG_OBS_SCRAPE_REQUEST);
-                buf.push(format.as_u8());
-                put_u32(buf, *cursor);
-            }
-            ObsMsg::ScrapeChunk { seq, last, bytes } => {
-                buf.push(TAG_OBS_SCRAPE_CHUNK);
-                put_u32(buf, *seq);
-                buf.push(u8::from(*last));
-                put_u32(buf, bytes.len() as u32);
-                buf.extend_from_slice(bytes);
-            }
-        }
+crate::wire_table! {
+    impl Wire for ObsMsg {
+        TAG_OBS_SCRAPE_REQUEST = 0x30 => ScrapeRequest { format, cursor },
+        TAG_OBS_SCRAPE_CHUNK = 0x31 => ScrapeChunk { seq, last, bytes: Bytes<SCRAPE_CHUNK_LEN> },
     }
+}
 
+/// One byte; an unknown format is `BadTag`.
+impl Wire for ScrapeFormat {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.as_u8());
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_OBS_SCRAPE_REQUEST => {
-                let fmt_byte = r.u8()?;
-                let format = ScrapeFormat::from_u8(fmt_byte).ok_or(WireError::BadTag(fmt_byte))?;
-                let cursor = r.u32()?;
-                Ok(ObsMsg::ScrapeRequest { format, cursor })
-            }
-            TAG_OBS_SCRAPE_CHUNK => {
-                let seq = r.u32()?;
-                let last = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(WireError::BadTag(other)),
-                };
-                let len = r.u32()? as usize;
-                if len > SCRAPE_CHUNK_LEN {
-                    return Err(WireError::BadLength(len));
-                }
-                let bytes = r.take(len)?.to_vec();
-                Ok(ObsMsg::ScrapeChunk { seq, last, bytes })
-            }
-            t => Err(WireError::BadTag(t)),
-        }
+        let byte = r.u8()?;
+        ScrapeFormat::from_u8(byte).ok_or(WireError::BadTag(byte))
     }
 }
 
@@ -106,7 +72,7 @@ impl Wire for ObsMsg {
 /// not promise a well-formed message, only that the payload belongs to
 /// this plane (and would be noise to every protocol decoder).
 pub fn is_obs_payload(payload: &[u8]) -> bool {
-    matches!(payload.first(), Some(&t) if (TAG_OBS_BASE..=TAG_OBS_SCRAPE_CHUNK).contains(&t))
+    matches!(payload.first(), Some(t) if ObsMsg::TAGS.contains(t))
 }
 
 /// Session key for [`Responder`] caching: the scraped node and the
@@ -392,6 +358,10 @@ impl<T: Transport> ScrapeSource for TransportScraper<T> {
     }
 }
 
+// A name the tests below use from this module's scope.
+#[cfg(test)]
+use crate::wire::put_u32;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +446,17 @@ mod tests {
                 })
                 .collect();
             let _ = decode_payload::<ObsMsg>(&bytes); // must not panic
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes never panic the scrape decoder: every host that
+        /// answers scrapes decodes it.
+        #[test]
+        fn random_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..255, 0..96),
+        ) {
+            let _ = decode_payload::<ObsMsg>(&bytes);
         }
     }
 

@@ -130,7 +130,7 @@ const CLASSES: usize = 4;
 
 /// The clock class of a read at `tier`.
 fn read_class(tier: ReadTier) -> usize {
-    1 + usize::from(tier.tag())
+    1 + tier as usize
 }
 
 /// One retransmission clock: RFC 6298's estimator with a variance floor

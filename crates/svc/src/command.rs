@@ -5,14 +5,13 @@
 //! the exactly-once handle: replicas apply entries in log order and skip an
 //! entry whose `seq` is not greater than the client's last applied one, so
 //! a client retry that lands in the log twice mutates the store once. The
-//! encoding is the same hand-rolled style as the wire layer (LE ints,
-//! length-prefixed bytes) and the decoder is total — a command is untrusted
-//! input the moment it crosses a socket.
+//! encoding is stated in the wire layer's vocabulary (`irs_net::wire`:
+//! LE ints, length-prefixed bytes, a [`KvOp`] table) and the decoder is
+//! total — a command is untrusted input the moment it crosses a socket.
 
 use irs_consensus::{Command, MAX_COMMAND_LEN};
+use irs_net::wire::{decode_payload, Bytes, Wire};
 
-const TAG_PUT: u8 = 0;
-const TAG_DEL: u8 = 1;
 /// Header (client u64 + seq u64) plus op tag.
 const HEADER_LEN: usize = 8 + 8 + 1;
 
@@ -37,6 +36,13 @@ pub enum KvOp {
         /// The key.
         key: Vec<u8>,
     },
+}
+
+irs_net::wire_table! {
+    impl Wire for KvOp {
+        TAG_PUT = 0 => Put { key: Bytes<MAX_KEY_LEN>, value: Bytes<MAX_VALUE_LEN> },
+        TAG_DEL = 1 => Del { key: Bytes<MAX_KEY_LEN> },
+    }
 }
 
 impl KvOp {
@@ -67,66 +73,21 @@ impl KvWrite {
     /// Panics if the key or value exceeds [`MAX_KEY_LEN`] /
     /// [`MAX_VALUE_LEN`] — the client library checks at the API boundary.
     pub fn encode(&self) -> Command {
-        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + self.op.key().len());
-        buf.extend_from_slice(&self.client.to_le_bytes());
-        buf.extend_from_slice(&self.seq.to_le_bytes());
-        let put_bytes = |buf: &mut Vec<u8>, bytes: &[u8]| {
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(bytes);
-        };
-        match &self.op {
-            KvOp::Put { key, value } => {
-                assert!(key.len() <= MAX_KEY_LEN, "key too long");
-                assert!(value.len() <= MAX_VALUE_LEN, "value too long");
-                buf.push(TAG_PUT);
-                put_bytes(&mut buf, key);
-                put_bytes(&mut buf, value);
-            }
-            KvOp::Del { key } => {
-                assert!(key.len() <= MAX_KEY_LEN, "key too long");
-                buf.push(TAG_DEL);
-                put_bytes(&mut buf, key);
-            }
+        assert!(self.op.key().len() <= MAX_KEY_LEN, "key too long");
+        if let KvOp::Put { value, .. } = &self.op {
+            assert!(value.len() <= MAX_VALUE_LEN, "value too long");
         }
+        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + self.op.key().len());
+        self.client.encode(&mut buf);
+        self.seq.encode(&mut buf);
+        self.op.encode(&mut buf);
         Command::new(buf)
     }
 
     /// Decodes a log command back into a write. Returns `None` on any
     /// malformed input (never panics).
     pub fn decode(cmd: &Command) -> Option<KvWrite> {
-        let bytes = cmd.bytes();
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let slice = bytes.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(slice)
-        };
-        let u64_at = |pos: &mut usize| -> Option<u64> {
-            Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-        };
-        let len_bytes = |pos: &mut usize, cap: usize| -> Option<Vec<u8>> {
-            let len = u32::from_le_bytes(take(pos, 4)?.try_into().ok()?) as usize;
-            if len > cap {
-                return None;
-            }
-            Some(take(pos, len)?.to_vec())
-        };
-        let client = u64_at(&mut pos)?;
-        let seq = u64_at(&mut pos)?;
-        let tag = *take(&mut pos, 1)?.first()?;
-        let op = match tag {
-            TAG_PUT => KvOp::Put {
-                key: len_bytes(&mut pos, MAX_KEY_LEN)?,
-                value: len_bytes(&mut pos, MAX_VALUE_LEN)?,
-            },
-            TAG_DEL => KvOp::Del {
-                key: len_bytes(&mut pos, MAX_KEY_LEN)?,
-            },
-            _ => return None,
-        };
-        if pos != bytes.len() {
-            return None; // trailing bytes: not one of ours
-        }
+        let (client, seq, op) = decode_payload(cmd.bytes()).ok()?;
         Some(KvWrite { client, seq, op })
     }
 }

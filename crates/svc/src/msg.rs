@@ -4,28 +4,18 @@
 //!
 //! Tags live in the `0x20..=0x27` range — disjoint from the Ω (`0x00..`)
 //! and consensus (`0x10..`/`0x18..`/`0x28..`) ranges, so cross-kind frames
-//! die in the decoder as link noise (see `irs_net::wire_consensus`):
-//! `0x20` log, `0x21` request, `0x22` applied, `0x23` redirect, `0x24`
-//! read, `0x25` value, `0x26` lease probe, `0x27` lease ack.
+//! die in the decoder as link noise (see the registry in
+//! `irs_net::wire_consensus`, checked by this module's tests).
 
 use crate::command::{MAX_KEY_LEN, MAX_VALUE_LEN};
 use irs_consensus::{Command, LogMsg};
-use irs_net::wire::{put_u32, put_u64, Wire, WireError, WireReader};
+use irs_net::wire::{Bytes, Opt, Wire};
 use irs_omega::OmegaMsg;
 use irs_types::ProcessId;
 
 /// The log-message type replicas exchange: `Command`-valued slots over the
 /// Figure 3 oracle.
 pub type ReplicaLogMsg = LogMsg<OmegaMsg, Command>;
-
-const TAG_SVC_LOG: u8 = 0x20;
-const TAG_SVC_REQUEST: u8 = 0x21;
-const TAG_SVC_REPLY_APPLIED: u8 = 0x22;
-const TAG_SVC_REPLY_REDIRECT: u8 = 0x23;
-const TAG_SVC_READ: u8 = 0x24;
-const TAG_SVC_REPLY_VALUE: u8 = 0x25;
-const TAG_SVC_LEASE_PROBE: u8 = 0x26;
-const TAG_SVC_LEASE_ACK: u8 = 0x27;
 
 /// The consistency level a client selects per read.
 ///
@@ -55,22 +45,11 @@ pub enum ReadTier {
     Stale,
 }
 
-impl ReadTier {
-    pub(crate) const fn tag(self) -> u8 {
-        match self {
-            ReadTier::Lease => 0,
-            ReadTier::ReadIndex => 1,
-            ReadTier::Stale => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
-        match tag {
-            0 => Ok(ReadTier::Lease),
-            1 => Ok(ReadTier::ReadIndex),
-            2 => Ok(ReadTier::Stale),
-            other => Err(WireError::BadTag(other)),
-        }
+irs_net::wire_table! {
+    impl Wire for ReadTier {
+        TAG_TIER_LEASE = 0 => Lease,
+        TAG_TIER_READ_INDEX = 1 => ReadIndex,
+        TAG_TIER_STALE = 2 => Stale,
     }
 }
 
@@ -154,142 +133,21 @@ pub enum SvcMsg {
     },
 }
 
-impl Wire for SvcMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SvcMsg::Log(m) => {
-                buf.push(TAG_SVC_LOG);
-                m.encode(buf);
-            }
-            SvcMsg::Request { cmd } => {
-                buf.push(TAG_SVC_REQUEST);
-                cmd.encode(buf);
-            }
-            SvcMsg::Reply(SvcReply::Applied { client, seq, slot }) => {
-                buf.push(TAG_SVC_REPLY_APPLIED);
-                put_u64(buf, *client);
-                put_u64(buf, *seq);
-                put_u64(buf, *slot);
-            }
-            SvcMsg::Reply(SvcReply::Redirect {
-                client,
-                seq,
-                leader,
-            }) => {
-                buf.push(TAG_SVC_REPLY_REDIRECT);
-                put_u64(buf, *client);
-                put_u64(buf, *seq);
-                put_u32(buf, leader.as_u32());
-            }
-            SvcMsg::Reply(SvcReply::Value {
-                client,
-                rid,
-                value,
-                frontier,
-            }) => {
-                buf.push(TAG_SVC_REPLY_VALUE);
-                put_u64(buf, *client);
-                put_u64(buf, *rid);
-                put_u64(buf, *frontier);
-                match value {
-                    Some(v) => {
-                        buf.push(1);
-                        put_u32(buf, v.len() as u32);
-                        buf.extend_from_slice(v);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            SvcMsg::Read {
-                client,
-                rid,
-                key,
-                tier,
-            } => {
-                buf.push(TAG_SVC_READ);
-                put_u64(buf, *client);
-                put_u64(buf, *rid);
-                buf.push(tier.tag());
-                put_u32(buf, key.len() as u32);
-                buf.extend_from_slice(key);
-            }
-            SvcMsg::LeaseProbe { rid } => {
-                buf.push(TAG_SVC_LEASE_PROBE);
-                put_u64(buf, *rid);
-            }
-            SvcMsg::LeaseAck { rid, granted } => {
-                buf.push(TAG_SVC_LEASE_ACK);
-                put_u64(buf, *rid);
-                buf.push(u8::from(*granted));
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_SVC_LOG => Ok(SvcMsg::Log(ReplicaLogMsg::decode(r)?)),
-            TAG_SVC_REQUEST => Ok(SvcMsg::Request {
-                cmd: Command::decode(r)?,
-            }),
-            TAG_SVC_REPLY_APPLIED => Ok(SvcMsg::Reply(SvcReply::Applied {
-                client: r.u64()?,
-                seq: r.u64()?,
-                slot: r.u64()?,
-            })),
-            TAG_SVC_REPLY_REDIRECT => Ok(SvcMsg::Reply(SvcReply::Redirect {
-                client: r.u64()?,
-                seq: r.u64()?,
-                leader: ProcessId::new(r.u32()?),
-            })),
-            TAG_SVC_REPLY_VALUE => {
-                let client = r.u64()?;
-                let rid = r.u64()?;
-                let frontier = r.u64()?;
-                let value = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let len = r.u32()? as usize;
-                        if len > MAX_VALUE_LEN {
-                            return Err(WireError::BadLength(len));
-                        }
-                        Some(r.take(len)?.to_vec())
-                    }
-                    other => return Err(WireError::BadTag(other)),
-                };
-                Ok(SvcMsg::Reply(SvcReply::Value {
-                    client,
-                    rid,
-                    value,
-                    frontier,
-                }))
-            }
-            TAG_SVC_READ => {
-                let client = r.u64()?;
-                let rid = r.u64()?;
-                let tier = ReadTier::from_tag(r.u8()?)?;
-                let len = r.u32()? as usize;
-                if len > MAX_KEY_LEN {
-                    return Err(WireError::BadLength(len));
-                }
-                Ok(SvcMsg::Read {
-                    client,
-                    rid,
-                    key: r.take(len)?.to_vec(),
-                    tier,
-                })
-            }
-            TAG_SVC_LEASE_PROBE => Ok(SvcMsg::LeaseProbe { rid: r.u64()? }),
-            TAG_SVC_LEASE_ACK => {
-                let rid = r.u64()?;
-                let granted = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(WireError::BadTag(other)),
-                };
-                Ok(SvcMsg::LeaseAck { rid, granted })
-            }
-            other => Err(WireError::BadTag(other)),
-        }
+irs_net::wire_table! {
+    impl Wire for SvcMsg {
+        TAG_SVC_LOG = 0x20 => Log(m),
+        TAG_SVC_REQUEST = 0x21 => Request { cmd },
+        TAG_SVC_REPLY_APPLIED = 0x22 => Reply(SvcReply::Applied { client, seq, slot }),
+        TAG_SVC_REPLY_REDIRECT = 0x23 => Reply(SvcReply::Redirect { client, seq, leader }),
+        TAG_SVC_READ = 0x24 => Read { client, rid, tier, key: Bytes<MAX_KEY_LEN> },
+        TAG_SVC_REPLY_VALUE = 0x25 => Reply(SvcReply::Value {
+            client,
+            rid,
+            frontier,
+            value: Opt<Bytes<MAX_VALUE_LEN>>,
+        }),
+        TAG_SVC_LEASE_PROBE = 0x26 => LeaseProbe { rid },
+        TAG_SVC_LEASE_ACK = 0x27 => LeaseAck { rid, granted },
     }
 
     fn valid_for(&self, n: usize) -> bool {
@@ -573,5 +431,138 @@ mod tests {
         });
         assert!(redirect.valid_for(8));
         assert!(!redirect.valid_for(4));
+    }
+
+    /// The registry in `irs_net::wire_consensus`, as a checked fact: the
+    /// five top-level kinds' leading tags, each list generated from its
+    /// table, are pairwise disjoint, and the retired `0x1D` is `BadTag`
+    /// under every one of them.
+    #[test]
+    fn the_tag_registry_is_disjoint_and_0x1d_stays_retired() {
+        use irs_net::wire::{Tagged, WireError};
+        use irs_net::ObsMsg;
+        type Consensus = irs_consensus::ConsensusMsg<OmegaMsg, Command>;
+        let kinds: [(&str, &[u8]); 5] = [
+            ("OmegaMsg", OmegaMsg::TAGS),
+            ("ConsensusMsg", Consensus::TAGS),
+            ("LogMsg", ReplicaLogMsg::TAGS),
+            ("SvcMsg", SvcMsg::TAGS),
+            ("ObsMsg", ObsMsg::TAGS),
+        ];
+        for (i, (a, tags)) in kinds.iter().enumerate() {
+            assert!(!tags.contains(&0x1D), "{a} reuses the retired 0x1D");
+            for (b, others) in &kinds[i + 1..] {
+                let shared: Vec<_> = tags.iter().filter(|t| others.contains(t)).collect();
+                assert!(shared.is_empty(), "{a} and {b} share {shared:x?}");
+            }
+        }
+        // A whole-blob install as it was framed (upto 8, len 3, blob): long
+        // enough that Ω's decoder reads its round number and reaches the tag.
+        let install = [0x1D, 8, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3];
+        let retired = Err(WireError::BadTag(0x1D));
+        assert_eq!(decode_payload::<OmegaMsg>(&install).map(drop), retired);
+        assert_eq!(decode_payload::<Consensus>(&install).map(drop), retired);
+        assert_eq!(decode_payload::<ReplicaLogMsg>(&install).map(drop), retired);
+        assert_eq!(decode_payload::<SvcMsg>(&install).map(drop), retired);
+        assert_eq!(decode_payload::<ObsMsg>(&install).map(drop), retired);
+    }
+
+    /// Well-formed messages the datagram proptest mutates, so its inputs
+    /// reach past the tag into every field codec.
+    fn samples(n: usize) -> Vec<SvcMsg> {
+        let cmd = KvWrite {
+            client: 9,
+            seq: 2,
+            op: KvOp::Put {
+                key: b"key".to_vec(),
+                value: b"value".to_vec(),
+            },
+        }
+        .encode();
+        vec![
+            SvcMsg::Log(LogMsg::Omega(OmegaMsg::Alive {
+                rn: irs_types::RoundNum::new(3),
+                susp: irs_omega::SuspVector::new(n),
+            })),
+            SvcMsg::Log(LogMsg::Slot {
+                slot: 4,
+                msg: irs_consensus::PaxosMsg::Promise {
+                    b: irs_consensus::Ballot::new(2, ProcessId::new(1)),
+                    accepted: Some((
+                        irs_consensus::Ballot::new(1, ProcessId::new(2)),
+                        irs_consensus::Batch::new(vec![cmd.clone(), cmd.clone()]),
+                    )),
+                },
+            }),
+            SvcMsg::Request { cmd },
+            SvcMsg::Read {
+                client: 7,
+                rid: 1,
+                key: b"key".to_vec(),
+                tier: ReadTier::Stale,
+            },
+            SvcMsg::Reply(SvcReply::Value {
+                client: 7,
+                rid: 1,
+                value: Some(b"value".to_vec()),
+                frontier: 3,
+            }),
+            SvcMsg::LeaseAck {
+                rid: 5,
+                granted: false,
+            },
+        ]
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes never panic the service decoder: it is what
+        /// every replica and client port decodes.
+        #[test]
+        fn random_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..255, 0..96),
+        ) {
+            let _ = decode_payload::<SvcMsg>(&bytes);
+        }
+
+        /// Whole datagrams through the admission policy at n = 3 and n = 5:
+        /// random bytes, and random, mutated or truncated payloads behind a
+        /// valid header, go through `decode_frame` → `accept_svc_frame`
+        /// without a panic, and whatever is admitted is valid for `n`.
+        #[test]
+        fn random_datagrams_never_panic_admission(
+            raw in proptest::collection::vec(0u8..255, 0..96),
+            body in proptest::collection::vec(0u8..255, 0..64),
+            tag in 0x20u8..0x28,
+            from in 0u32..8,
+            to in 0u32..6,
+            pick in 0usize..6,
+            at in 0usize..256,
+            byte in 0u8..255,
+            keep in 0usize..256,
+        ) {
+            use irs_net::wire::{decode_frame, encode_frame};
+            for n in [3, 5] {
+                let mut mutated = Vec::new();
+                samples(n)[pick].encode(&mut mutated);
+                let at = at % mutated.len();
+                mutated[at] = byte;
+                mutated.truncate(keep.max(at + 1));
+                let mut datagrams = vec![raw.clone()];
+                for payload in [[&[tag][..], &body].concat(), mutated] {
+                    let mut frame = Vec::new();
+                    encode_frame(&mut frame, ProcessId::new(from), ProcessId::new(to), &payload);
+                    datagrams.push(frame);
+                }
+                for datagram in &datagrams {
+                    let Ok((from, to, payload)) = decode_frame(datagram) else {
+                        continue;
+                    };
+                    let frame = irs_net::Frame { from, to, payload: payload.into() };
+                    if let Some(msg) = crate::node::accept_svc_frame(&frame, to, n, n + 3) {
+                        proptest::prop_assert!(msg.valid_for(n), "admitted {msg:?} at n = {n}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! consistency experiments compare.
 
 use crate::command::{KvOp, KvWrite};
+use irs_net::wire::{put_bytes, put_u32, Wire, WireReader};
 use std::collections::BTreeMap;
 
 /// The applied key-value state of one replica.
@@ -162,21 +163,16 @@ impl KvStore {
     /// (`BTreeMap` order), so two replicas with equal state export equal
     /// blobs.
     pub fn export(&self) -> Vec<u8> {
-        use irs_net::wire::{put_u32, put_u64};
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.applied);
+        self.applied.encode(&mut buf);
         put_u32(&mut buf, self.map.len() as u32);
         for (key, value) in &self.map {
-            put_u32(&mut buf, key.len() as u32);
-            buf.extend_from_slice(key);
-            put_u32(&mut buf, value.len() as u32);
-            buf.extend_from_slice(value);
+            put_bytes(&mut buf, key);
+            put_bytes(&mut buf, value);
         }
         put_u32(&mut buf, self.last.len() as u32);
         for (&client, &(seq, slot)) in &self.last {
-            put_u64(&mut buf, client);
-            put_u64(&mut buf, seq);
-            put_u64(&mut buf, slot);
+            (client, seq, slot).encode(&mut buf);
         }
         buf
     }
@@ -187,25 +183,20 @@ impl KvStore {
     /// Returns `None` on any malformed input — a snapshot crosses the wire,
     /// so it is untrusted.
     pub fn install(blob: &[u8]) -> Option<KvStore> {
-        let mut r = irs_net::wire::WireReader::new(blob);
+        let mut r = WireReader::new(blob);
         let mut store = KvStore::new();
         store.applied = r.u64().ok()?;
-        let bindings = r.u32().ok()?;
-        for _ in 0..bindings {
-            let key_len = r.u32().ok()? as usize;
-            let key = r.take(key_len).ok()?.to_vec();
-            let value_len = r.u32().ok()? as usize;
-            let value = r.take(value_len).ok()?.to_vec();
+        for _ in 0..r.u32().ok()? {
+            // Keys and values are as long as `apply` let them be.
+            let key = r.bytes(usize::MAX).ok()?.to_vec();
+            let value = r.bytes(usize::MAX).ok()?.to_vec();
             store.digest_acc = store.digest_acc.wrapping_add(binding_hash(&key, &value));
             if store.map.insert(key, value).is_some() {
                 return None; // duplicate keys: not one of our exports
             }
         }
-        let cursors = r.u32().ok()?;
-        for _ in 0..cursors {
-            let client = r.u64().ok()?;
-            let seq = r.u64().ok()?;
-            let slot = r.u64().ok()?;
+        for _ in 0..r.u32().ok()? {
+            let (client, seq, slot) = Wire::decode(&mut r).ok()?;
             store.digest_acc = store
                 .digest_acc
                 .wrapping_add(cursor_hash(client, seq, slot));

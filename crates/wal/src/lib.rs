@@ -57,8 +57,8 @@
 #![warn(missing_debug_implementations)]
 
 use irs_consensus::Ballot;
-use irs_net::wire::{put_u32, put_u64, WireError, WireReader};
-use irs_types::{Fnv64, ProcessId};
+use irs_net::wire::{decode_payload, put_bytes, put_u32, put_u64, Bytes, Wire, WireReader};
+use irs_types::Fnv64;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -76,10 +76,6 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 const FRAME_HEADER: usize = 4 + 8;
 const SNAPSHOT_MAGIC: &[u8; 4] = b"IRSN";
-
-const TAG_ACCEPT: u8 = 1;
-const TAG_DECIDE: u8 = 2;
-const TAG_SNAPSHOT_MARK: u8 = 3;
 
 /// One durable event of the replicated log.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -135,59 +131,12 @@ impl FsyncPolicy {
     }
 }
 
-fn encode_payload(rec: &WalRecord, buf: &mut Vec<u8>) {
-    match rec {
-        WalRecord::Accept {
-            slot,
-            ballot,
-            batch,
-        } => {
-            buf.push(TAG_ACCEPT);
-            put_u64(buf, *slot);
-            put_u64(buf, ballot.attempt);
-            put_u32(buf, ballot.proposer.as_u32());
-            put_u32(buf, batch.len() as u32);
-            buf.extend_from_slice(batch);
-        }
-        WalRecord::Decide { slot, batch } => {
-            buf.push(TAG_DECIDE);
-            put_u64(buf, *slot);
-            put_u32(buf, batch.len() as u32);
-            buf.extend_from_slice(batch);
-        }
-        WalRecord::SnapshotMark { upto } => {
-            buf.push(TAG_SNAPSHOT_MARK);
-            put_u64(buf, *upto);
-        }
+irs_net::wire_table! {
+    impl Wire for WalRecord {
+        TAG_ACCEPT = 1 => Accept { slot, ballot, batch: Bytes<MAX_RECORD_LEN> },
+        TAG_DECIDE = 2 => Decide { slot, batch: Bytes<MAX_RECORD_LEN> },
+        TAG_SNAPSHOT_MARK = 3 => SnapshotMark { upto },
     }
-}
-
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, WireError> {
-    let mut r = WireReader::new(payload);
-    let rec = match r.u8()? {
-        TAG_ACCEPT => {
-            let slot = r.u64()?;
-            let ballot = Ballot::new(r.u64()?, ProcessId::new(r.u32()?));
-            let len = r.u32()? as usize;
-            WalRecord::Accept {
-                slot,
-                ballot,
-                batch: r.take(len)?.to_vec(),
-            }
-        }
-        TAG_DECIDE => {
-            let slot = r.u64()?;
-            let len = r.u32()? as usize;
-            WalRecord::Decide {
-                slot,
-                batch: r.take(len)?.to_vec(),
-            }
-        }
-        TAG_SNAPSHOT_MARK => WalRecord::SnapshotMark { upto: r.u64()? },
-        other => return Err(WireError::BadTag(other)),
-    };
-    r.finish()?;
-    Ok(rec)
 }
 
 /// Encodes one record as a full on-disk frame (`len | checksum | payload`).
@@ -196,7 +145,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, WireError> {
 /// torn-tail truncation.
 pub fn encode_frame(rec: &WalRecord) -> Vec<u8> {
     let mut payload = Vec::new();
-    encode_payload(rec, &mut payload);
+    rec.encode(&mut payload);
     assert!(
         payload.len() <= MAX_RECORD_LEN,
         "WAL record of {} bytes exceeds MAX_RECORD_LEN",
@@ -219,25 +168,26 @@ pub fn encode_frame(rec: &WalRecord) -> Vec<u8> {
 /// This function is the deterministic core of recovery: same bytes in,
 /// same records (and hence same rebuilt state digest) out.
 pub fn read_records_bytes(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    let mut r = WireReader::new(bytes);
     let mut records = Vec::new();
-    let mut off = 0usize;
-    while bytes.len() - off >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        if len > MAX_RECORD_LEN || off + FRAME_HEADER + len > bytes.len() {
-            break;
-        }
-        let sum = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap());
-        let payload = &bytes[off + FRAME_HEADER..off + FRAME_HEADER + len];
-        if Fnv64::digest_of(payload) != sum {
-            break;
-        }
-        match decode_payload(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => break,
-        }
-        off += FRAME_HEADER + len;
+    let mut valid = 0;
+    while let Some(rec) = next_record(&mut r) {
+        records.push(rec);
+        valid = bytes.len() - r.remaining();
     }
-    (records, off)
+    (records, valid)
+}
+
+/// Reads one frame: `None` when it is short, oversized, checksum-mismatched
+/// or undecodable.
+fn next_record(r: &mut WireReader<'_>) -> Option<WalRecord> {
+    let len = r.len_at_most(MAX_RECORD_LEN).ok()?;
+    let sum = r.u64().ok()?;
+    let payload = r.take(len).ok()?;
+    if Fnv64::digest_of(payload) != sum {
+        return None;
+    }
+    decode_payload(payload).ok()
 }
 
 /// A fsync-batched write-ahead log backed by one append-only file.
@@ -432,8 +382,7 @@ pub fn write_snapshot(dir: &Path, upto: u64, blob: &[u8]) -> std::io::Result<()>
     let mut bytes = Vec::with_capacity(4 + 8 + 4 + blob.len() + 8);
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(&mut bytes, upto);
-    put_u32(&mut bytes, blob.len() as u32);
-    bytes.extend_from_slice(blob);
+    put_bytes(&mut bytes, blob);
     put_u64(&mut bytes, Fnv64::digest_of(blob));
     let mut f = File::create(&tmp)?;
     f.write_all(&bytes)?;
@@ -451,21 +400,20 @@ pub fn write_snapshot(dir: &Path, upto: u64, blob: &[u8]) -> std::io::Result<()>
 /// it as absent is safe: the WAL still holds the state.
 pub fn read_snapshot(dir: &Path) -> Option<(u64, Vec<u8>)> {
     let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).ok()?;
-    if bytes.len() < 4 + 8 + 4 + 8 || &bytes[..4] != SNAPSHOT_MAGIC {
+    let mut r = WireReader::new(&bytes);
+    if r.take(4).ok()? != SNAPSHOT_MAGIC {
         return None;
     }
-    let upto = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    if bytes.len() != 16 + len + 8 {
-        return None;
-    }
-    let blob = &bytes[16..16 + len];
-    let sum = u64::from_le_bytes(bytes[16 + len..].try_into().unwrap());
-    if Fnv64::digest_of(blob) != sum {
-        return None;
-    }
-    Some((upto, blob.to_vec()))
+    let upto = r.u64().ok()?;
+    let blob = r.bytes(usize::MAX).ok()?;
+    let sum = r.u64().ok()?;
+    r.finish().ok()?;
+    (Fnv64::digest_of(blob) == sum).then(|| (upto, blob.to_vec()))
 }
+
+// A name the tests below use from this module's scope.
+#[cfg(test)]
+use irs_types::ProcessId;
 
 #[cfg(test)]
 mod tests {
