@@ -45,6 +45,7 @@
 
 use irs_omega::{OmegaMsg, SuspVector};
 use irs_types::{ProcessId, ProcessSet, RoundNum};
+use std::convert::identity;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -101,12 +102,14 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends a `u32` length and the bytes: what [`WireReader::bytes`] reads.
+#[inline]
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(buf, bytes.len() as u32);
     buf.extend_from_slice(bytes);
 }
 
 /// Appends a `u32` count and every item: what [`WireReader::seq`] reads.
+#[inline]
 pub fn put_seq<'a, T: Wire + 'a>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
     put_u32(buf, items.len() as u32);
     for item in items {
@@ -163,6 +166,7 @@ impl<'a> WireReader<'a> {
 
     /// Reads a `u32` length or count and rejects one over `cap` with
     /// `BadLength` — before anything is taken or allocated for it.
+    #[inline]
     pub fn len_at_most(&mut self, cap: usize) -> Result<usize, WireError> {
         let len = self.u32()? as usize;
         if len > cap {
@@ -172,6 +176,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a `u32`-length-prefixed byte string of at most `cap` bytes.
+    #[inline]
     pub fn bytes(&mut self, cap: usize) -> Result<&'a [u8], WireError> {
         let len = self.len_at_most(cap)?;
         self.take(len)
@@ -181,6 +186,7 @@ impl<'a> WireReader<'a> {
     /// preallocation is clamped by the bytes present ([`Wire::MIN_LEN`]),
     /// so a short datagram claiming a huge count fails with `Truncated`
     /// without a count-sized allocation first.
+    #[inline]
     pub fn seq<T: Wire>(&mut self, cap: usize) -> Result<Vec<T>, WireError> {
         let count = self.len_at_most(cap)?;
         let mut items = Vec::with_capacity(count.min(self.remaining() / T::MIN_LEN.max(1)));
@@ -244,49 +250,42 @@ pub trait Tagged {
     const TAGS: &'static [u8];
 }
 
-impl Wire for u32 {
-    const MIN_LEN: usize = 4;
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, *self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u32()
-    }
-}
+// The `#[inline]`s on the vocabulary are load-bearing: tables are
+// instantiated in the crates that use them (`irs-svc`, `irs-wal`), and a
+// field read that stays a cross-crate call cost 20–25 ns per log frame
+// (accept path, `ledger --trace 1`), where the hand-written decoders
+// inlined everything.
 
-impl Wire for u64 {
-    const MIN_LEN: usize = 8;
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, *self);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u64()
-    }
+/// Fixed-width little-endian fields: an integer, or an id that is one.
+macro_rules! wire_fixed {
+    ($($t:ty: $int:ident, $to:path, $from:path;)*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$int>();
+            #[inline]
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&$to(*self).to_le_bytes());
+            }
+            #[inline]
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok($from(r.$int()?))
+            }
+        }
+    )*};
 }
-
-impl Wire for ProcessId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.as_u32());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ProcessId::new(r.u32()?))
-    }
-}
-
-impl Wire for RoundNum {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.value());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RoundNum::new(r.u64()?))
-    }
+wire_fixed! {
+    u32: u32, identity, identity;
+    u64: u64, identity, identity;
+    ProcessId: u32, ProcessId::as_u32, ProcessId::new;
+    RoundNum: u64, RoundNum::value, RoundNum::new;
 }
 
 /// One byte, strictly `0` or `1`.
 impl Wire for bool {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(u8::from(*self));
     }
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(false),
@@ -528,6 +527,7 @@ macro_rules! wire_table {
                 }
             }
 
+            #[inline]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {

@@ -187,7 +187,7 @@ impl KvStore {
         let mut store = KvStore::new();
         store.applied = r.u64().ok()?;
         for _ in 0..r.u32().ok()? {
-            // Keys and values are as long as `apply` let them be.
+            // `apply` bounds neither keys nor values, so neither does the blob.
             let key = r.bytes(usize::MAX).ok()?.to_vec();
             let value = r.bytes(usize::MAX).ok()?.to_vec();
             store.digest_acc = store.digest_acc.wrapping_add(binding_hash(&key, &value));
