@@ -92,11 +92,13 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Appends a `u32` in little-endian order.
+#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u64` in little-endian order.
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -136,6 +138,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
@@ -143,18 +146,21 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         let raw = self.take(4)?;
         Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         let raw = self.take(8)?;
         Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
     /// Reads `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -197,6 +203,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Fails if any input is left unconsumed.
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
@@ -554,6 +561,7 @@ macro_rules! wire_table {
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed, truncated or oversized input.
+#[inline]
 pub fn decode_payload<M: Wire>(payload: &[u8]) -> Result<M, WireError> {
     let mut r = WireReader::new(payload);
     let msg = M::decode(&mut r)?;

@@ -103,6 +103,7 @@ impl Wire for Ballot {
         put_u32(buf, self.proposer.as_u32());
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Ballot::new(r.u64()?, ProcessId::decode(r)?))
     }
