@@ -357,12 +357,15 @@ impl Reactor {
         Ok(delivered)
     }
 
-    /// Total valid frames delivered to callbacks.
+    /// Total valid frames delivered to callbacks. Only frames that crossed
+    /// the kernel: a host shard hands a frame between two processes it
+    /// hosts over itself, and such a frame never reaches the reactor.
     pub fn frames_rx(&self) -> u64 {
         self.frames_rx
     }
 
-    /// Total datagrams successfully written to sockets.
+    /// Total datagrams successfully written to sockets — like
+    /// [`Reactor::frames_rx`], only frames that crossed the kernel.
     pub fn frames_tx(&self) -> u64 {
         self.frames_tx
     }

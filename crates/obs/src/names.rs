@@ -134,6 +134,9 @@ pub const SENDS_BATCHED: &str = "sends_batched";
 pub const FRAMES_RX: &str = "frames_rx";
 /// Datagrams written to this node's socket (reactor deployments).
 pub const FRAMES_TX: &str = "frames_tx";
+/// Frames a co-hosted process handed this node inside its shard, never
+/// touching a socket (reactor deployments).
+pub const FRAMES_IN_SHARD: &str = "frames_in_shard";
 /// High-water send-queue depth on this node's endpoint.
 pub const SEND_QUEUE_DEPTH: &str = "send_queue_depth";
 /// Frames shed because the send queue was full.
@@ -174,6 +177,9 @@ pub const RUNTIME_POLLS: &str = "runtime_polls";
 pub const RUNTIME_TIMERS_FIRED: &str = "runtime_timers_fired";
 /// Frames the runtime delivered into protocols.
 pub const RUNTIME_FRAMES_DELIVERED: &str = "runtime_frames_delivered";
+/// Frames between two processes of one shard that the runtime handed over
+/// inside the shard instead of through its I/O source.
+pub const RUNTIME_FRAMES_IN_SHARD: &str = "runtime_frames_in_shard";
 /// Frames per `on_burst` call — how much of a poll reaches one protocol
 /// turn (histogram).
 pub const RUNTIME_BURST_FRAMES: &str = "runtime_burst_frames";
@@ -307,6 +313,10 @@ pub const ALL: &[(&str, &str)] = &[
     (SENDS_BATCHED, "sends coalesced by encode-once fan-out"),
     (FRAMES_RX, "datagrams read off this node's socket"),
     (FRAMES_TX, "datagrams written to this node's socket"),
+    (
+        FRAMES_IN_SHARD,
+        "frames handed to this node inside its shard",
+    ),
     (SEND_QUEUE_DEPTH, "high-water send-queue depth on this node"),
     (SENDS_SHED, "frames shed at a full send queue"),
     (NET_FRAMES_RX, "datagrams received across reactor endpoints"),
@@ -335,6 +345,10 @@ pub const ALL: &[(&str, &str)] = &[
     (
         RUNTIME_FRAMES_DELIVERED,
         "frames the runtime delivered into protocols",
+    ),
+    (
+        RUNTIME_FRAMES_IN_SHARD,
+        "frames handed over inside a shard, not through its source",
     ),
     (RUNTIME_BURST_FRAMES, "frames per on_burst protocol turn"),
     (SVC_APPLY_MICROS, "apply-path latency per decided batch, us"),

@@ -34,6 +34,17 @@
 //!   nothing. No [`irs_net::Frame`] is assembled per datagram on the
 //!   reactor path, and the source is never re-entered from inside its own
 //!   receive callback;
+//! * the **co-hosted route** — on a source whose [`ShardIo::IN_SHARD`] is
+//!   set (the reactor), a frame from one hosted process to another (itself
+//!   included: Fig. 3's `SUSPICION` goes to every process) never reaches the
+//!   source. The shard admits the encoded bytes through the same policy
+//!   (`accept(q, from, q, bytes)`: same decode, same `valid_for`) into the
+//!   addressee's inbox, and the next poll opens each burst with its inbox —
+//!   without waiting, once the reactor has flushed — so a co-hosted link
+//!   stays FIFO and the shutdown drain counts inboxed frames as in flight.
+//!   A [`Transport`] source opts out: there a co-hosted link may be an
+//!   [`irs_net::FaultyLink`] that drops, delays or partitions it, so those
+//!   frames still travel through the source;
 //! * the **per-node observation state** — leader-reign SLO tracker,
 //!   leader-change trace, Ω check-period calibration, and the scrape
 //!   [`Responder`] answering telemetry requests off the same staging path
@@ -193,6 +204,12 @@ pub(crate) trait ShardIo {
     /// Appends the source's gauges for the process in `slot` — always
     /// `malformed_dropped` and `sends_batched`, plus whatever else it counts.
     fn gauges(&self, slot: usize, out: &mut Vec<(&'static str, u64)>);
+
+    /// Whether a frame between two processes this source hosts may skip it:
+    /// the shard then admits it itself and stages it for the next poll (see
+    /// the module docs). A source that models its links must carry those
+    /// frames too, so the default is `false`.
+    const IN_SHARD: bool = false;
 }
 
 impl<T: Transport> ShardIo for T {
@@ -243,6 +260,9 @@ impl<T: Transport> ShardIo for T {
 struct Sockets(Reactor);
 
 impl ShardIo for Sockets {
+    /// The reactor's links are bare kernel loopback with nothing injected.
+    const IN_SHARD: bool = true;
+
     fn poll(
         &mut self,
         timeout: StdDuration,
@@ -391,6 +411,11 @@ pub(crate) struct Local<P: Protocol> {
     /// Messages the last poll admitted for this process, in arrival order:
     /// its next burst.
     staged: Vec<(ProcessId, P::Msg)>,
+    /// Messages co-hosted processes sent it since the last poll, admitted
+    /// and in send order: the head of its next burst.
+    inbox: Vec<(ProcessId, P::Msg)>,
+    /// Frames handed to it by co-hosted processes without the source.
+    frames_in_shard: u64,
     /// Timer generations, densely indexed by the raw `TimerId` (see the
     /// module docs).
     timer_gen: Vec<u64>,
@@ -424,6 +449,8 @@ impl<P: Protocol + Introspect> Local<P> {
             proto,
             cells,
             staged: Vec::new(),
+            inbox: Vec::new(),
+            frames_in_shard: 0,
             timer_gen: Vec::new(),
             frames_delivered: 0,
             served: 0,
@@ -453,6 +480,7 @@ struct ShardObs<'a> {
     polls: irs_obs::Counter,
     timers_fired: irs_obs::Counter,
     frames: irs_obs::Counter,
+    frames_in_shard: irs_obs::Counter,
     burst_frames: irs_obs::HistHandle,
     responder: Responder,
     /// Registry shard the counters land on: the first hosted node's id.
@@ -521,6 +549,7 @@ where
                 polls: obs.registry().counter(names::RUNTIME_POLLS),
                 timers_fired: obs.registry().counter(names::RUNTIME_TIMERS_FIRED),
                 frames: obs.registry().counter(names::RUNTIME_FRAMES_DELIVERED),
+                frames_in_shard: obs.registry().counter(names::RUNTIME_FRAMES_IN_SHARD),
                 burst_frames: obs.registry().histogram(names::RUNTIME_BURST_FRAMES),
                 responder: Responder::new(),
                 cell,
@@ -594,13 +623,16 @@ where
         o.backpressured = unsent > 0;
     }
 
-    /// One turn of the source. Frames are routed by addressee — a frame for
-    /// a process this shard does not host, or one that arrived on another
-    /// hosted node's socket, is link noise — and admitted by the policy into
-    /// the addressee's `staged` burst. With observability attached,
-    /// telemetry-plane payloads are routed off by their leading tag before
-    /// the policy sees them: well-formed scrape requests stage into
-    /// `scrapes`, anything else obs-tagged is dropped.
+    /// One turn of the source. Each process's inbox of co-hosted frames
+    /// opens its `staged` burst, and then the source is polled — without
+    /// waiting when an inbox was non-empty. Frames are routed by addressee —
+    /// a frame for a process this shard does not host, or one that arrived
+    /// on another hosted node's socket, is link noise — and admitted by the
+    /// policy into the addressee's `staged` burst. With observability
+    /// attached, telemetry-plane payloads are routed off by their leading
+    /// tag before the policy sees them: well-formed scrape requests stage
+    /// into `scrapes`, anything else obs-tagged is dropped. Returns the
+    /// frames staged, inboxed ones included.
     fn poll_and_stage(&mut self, timeout: StdDuration) -> Result<usize, NetError> {
         let Shard {
             io,
@@ -611,8 +643,20 @@ where
             obs,
             ..
         } = self;
+        let mut inboxed = 0;
+        if Io::IN_SHARD {
+            for local in locals.iter_mut() {
+                inboxed += local.inbox.len();
+                local.staged.append(&mut local.inbox);
+            }
+        }
+        let timeout = if inboxed > 0 {
+            StdDuration::ZERO
+        } else {
+            timeout
+        };
         let scraping = obs.is_some();
-        io.poll(timeout, |arrived_on, from, to, payload| {
+        let polled = io.poll(timeout, |arrived_on, from, to, payload| {
             let li = to.index() / *stride;
             let hosted = locals.get(li).is_some_and(|l| l.me == to);
             if !hosted || arrived_on.is_some_and(|slot| slot != li) {
@@ -625,7 +669,8 @@ where
             } else if let Some(msg) = accept(to, from, to, payload) {
                 locals[li].staged.push((from, msg));
             }
-        })
+        })?;
+        Ok(polled + inboxed)
     }
 
     /// Answers the scrape requests the last poll staged: renders/pages
@@ -755,7 +800,9 @@ where
     }
 
     /// Encodes each recorded message once and hands it to the source with
-    /// its whole receiver list.
+    /// its whole receiver list — less, on an [`ShardIo::IN_SHARD`] source,
+    /// the receivers this shard hosts: the policy admits the same bytes for
+    /// each of those into its inbox.
     fn send_all(&mut self, li: usize, out: &mut Actions<P::Msg>) {
         let from = self.locals[li].me;
         for outbound in out.drain_sends() {
@@ -768,7 +815,38 @@ where
                 Destination::AllOthers => self.targets.extend(everyone.filter(|&q| q != from)),
                 Destination::All => self.targets.extend(everyone),
             }
+            if Io::IN_SHARD {
+                self.hand_over(from);
+            }
             self.io.send(li, from, &self.targets, &self.encoded);
+        }
+    }
+
+    /// Takes the receivers this shard hosts out of `targets` and admits
+    /// `encoded` for each of them into its inbox.
+    fn hand_over(&mut self, from: ProcessId) {
+        let Shard {
+            locals,
+            stride,
+            accept,
+            targets,
+            encoded,
+            obs,
+            ..
+        } = self;
+        let sent = targets.len();
+        targets.retain(|&q| {
+            let Some(local) = locals.get_mut(q.index() / *stride).filter(|l| l.me == q) else {
+                return true;
+            };
+            local.frames_in_shard += 1;
+            if let Some(msg) = accept(q, from, q, encoded) {
+                local.inbox.push((from, msg));
+            }
+            false
+        });
+        if let Some(o) = obs {
+            o.frames_in_shard.add(o.cell, (sent - targets.len()) as u64);
         }
     }
 
@@ -802,8 +880,9 @@ where
     /// Serves every read begun since the last serve (see the module docs):
     /// a process whose cell was asked gets its snapshot built, with the
     /// runtime gauges appended — `frames_delivered` (frames admitted and
-    /// handed to the protocol, the drain included) and the source's own
-    /// list — unless its post-crash snapshot is already frozen.
+    /// handed to the protocol, the drain included), the source's own list
+    /// and, on an [`ShardIo::IN_SHARD`] source, `frames_in_shard` — unless
+    /// its post-crash snapshot is already frozen.
     fn serve_reads(&mut self) {
         for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
@@ -824,6 +903,10 @@ where
                 snap.extra
                     .push((names::FRAMES_DELIVERED, local.frames_delivered));
                 self.io.gauges(li, &mut snap.extra);
+                if Io::IN_SHARD {
+                    snap.extra
+                        .push((names::FRAMES_IN_SHARD, local.frames_in_shard));
+                }
                 Some(snap)
             };
             cell.serve(asked, built);

@@ -15,11 +15,18 @@
 //! every live process once for the output it was holding back. Snapshots are
 //! built on request: an unread process is never snapshotted, reading every
 //! process costs one loop turn, and a read returns once the shard is gone.
+//!
+//! On the reactor a frame between two processes of one shard skips the
+//! kernel (the co-hosted route), and the same contract holds for it: per-link
+//! FIFO with one `on_burst` per poll, the admission policy on every frame,
+//! nothing for a crashed addressee, delivery in the shutdown drain with the
+//! reactions discarded. On a `Transport` source such a frame still goes
+//! through the source, so a `FaultyLink` keeps its say over it.
 
 use irs_net::wire::{put_u32, WireReader};
 use irs_net::{
-    FaultyLink, Frame, LinkModel, MemNetwork, MemTransport, NetError, Transport, TransportScraper,
-    UdpTransport, Wire, WireError,
+    FaultyLink, Frame, LinkModel, MemNetwork, MemTransport, NetError, Partition, Transport,
+    TransportScraper, UdpTransport, Wire, WireError,
 };
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
@@ -38,7 +45,9 @@ use std::time::{Duration as StdDuration, Instant};
 const N: usize = 4;
 const TICK: StdDuration = StdDuration::from_micros(200);
 
-/// Fires every `PERIOD` ticks forever; each fire pings the next process.
+/// Fires every `PERIOD` ticks forever; each fire pings the next process and
+/// the one after it — on two shards, one peer on the other shard and one on
+/// its own.
 const T_PERIODIC: TimerId = TimerId::new(0);
 /// Armed at start for tick 50, re-armed by the first periodic fire (tick
 /// 10) for 300 ticks later: it must fire exactly once, and only after
@@ -140,8 +149,10 @@ impl Protocol for Probe {
                 out.set_timer(T_MARK, Duration::from_ticks(150));
                 out.cancel_timer(T_CANCELLED);
             }
-            let next = ProcessId::new((self.id.as_u32() + 1) % N as u32);
-            out.send(next, ProbeMsg::Ping(self.periodic_fires as u32));
+            for ahead in [1, 2] {
+                let to = ProcessId::new((self.id.as_u32() + ahead) % N as u32);
+                out.send(to, ProbeMsg::Ping(self.periodic_fires as u32));
+            }
             out.set_timer(T_PERIODIC, Duration::from_ticks(PERIOD));
         } else if timer == T_REARMED {
             self.rearmed_fires += 1;
@@ -264,6 +275,19 @@ where
 {
     let accept: MuxAccept<ProbeMsg> =
         Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N + 2));
+    deploy_with(kind, delay, processes, accept)
+}
+
+/// [`deploy`] with the admission policy `accept`.
+fn deploy_with<P>(
+    kind: Kind,
+    delay: StdDuration,
+    processes: Vec<P>,
+    accept: MuxAccept<ProbeMsg>,
+) -> (Deployment<P>, Outside)
+where
+    P: Protocol<Msg = ProbeMsg> + Introspect + Send + 'static,
+{
     let obs = Some(Arc::new(Obs::new(N)));
     if kind == Kind::Reactor {
         let mut sockets: Vec<UdpSocket> = (0..=N)
@@ -273,7 +297,7 @@ where
         let scraper_socket = sockets.pop().expect("scraper socket");
         let config = MuxConfig {
             tick: TICK,
-            workers: 2,
+            workers: workers(kind),
         };
         let routes = peers.clone();
         let deployment =
@@ -293,11 +317,28 @@ where
     )
 }
 
+/// The number of shards `kind` spreads the `N` processes over.
+fn workers(kind: Kind) -> usize {
+    if kind == Kind::TransportOne {
+        N
+    } else {
+        2
+    }
+}
+
+/// The processes `kind` hosts on the shard of process `p`, `p` included.
+fn cohosted(kind: Kind, p: u32) -> Vec<u32> {
+    let workers = workers(kind) as u32;
+    (0..N as u32)
+        .filter(|q| q % workers == p % workers)
+        .collect()
+}
+
 /// The in-memory shard endpoints of a `Transport` kind — endpoint `s` hosts
 /// the processes `i` with `i % W == s` — and the outside endpoint, where
 /// the outside ids sit alone.
 fn mem_endpoints(kind: Kind) -> (Vec<MemTransport>, MemTransport) {
-    let workers = if kind == Kind::TransportOne { N } else { 2 };
+    let workers = workers(kind);
     let owner_of: Vec<usize> = (0..N)
         .map(|i| i % workers)
         .chain([workers, workers])
@@ -428,6 +469,32 @@ fn shutdown_delivers_frames_in_flight_and_discards_reactions() {
             assert_eq!(p.acks, 0, "{kind:?}: a drain reaction was sent");
         }
     }
+    // The reactor's sockets hold nothing back, but its shard does: a frame
+    // for a co-hosted process waits in that process's inbox until the next
+    // poll. What `on_quiesce` hands a co-hosted peer is in flight there at
+    // the stop; the drain must deliver it and discard the answer.
+    let processes = (0..N as u32).map(Farewell::new).collect();
+    let (deployment, _outside) = deploy(Kind::Reactor, StdDuration::ZERO, processes);
+    for p in deployment.shutdown() {
+        let me = p.id.as_u32();
+        for peer in cohosted(Kind::Reactor, me).into_iter().filter(|&q| q != me) {
+            assert!(p.heard.contains(&peer), "p{me} missed p{peer}'s farewell");
+        }
+        assert_no_cohosted_answer(Kind::Reactor, &p);
+    }
+}
+
+/// A peer on `p`'s shard drains when `p` does, so it never answers `p`'s
+/// farewell. (A peer on another shard may still be live when the farewell
+/// lands, and then it answers.)
+fn assert_no_cohosted_answer(kind: Kind, p: &Farewell) {
+    let me = p.id.as_u32();
+    for peer in cohosted(kind, me) {
+        assert!(
+            !p.answered_by.contains(&peer),
+            "{kind:?}: p{me} heard p{peer}'s drain reaction"
+        );
+    }
 }
 
 /// A link that holds frames longer than the drain cap cannot wedge
@@ -464,7 +531,13 @@ fn every_host_publishes_the_same_runtime_gauges() {
             let shared = ["frames_delivered", "malformed_dropped", "sends_batched"];
             assert_eq!(runtime[..3], shared, "{kind:?}");
             let source_specific: &[&str] = match kind {
-                Kind::Reactor => &["frames_rx", "frames_tx", "send_queue_depth", "sends_shed"],
+                Kind::Reactor => &[
+                    "frames_rx",
+                    "frames_tx",
+                    "send_queue_depth",
+                    "sends_shed",
+                    "frames_in_shard",
+                ],
                 _ => &[],
             };
             assert_eq!(&runtime[3..], source_specific, "{kind:?}");
@@ -480,11 +553,13 @@ fn every_host_publishes_the_same_runtime_gauges() {
 
 /// Records how its inbound traffic was handed over. `gate` (set on one
 /// process of a shard) parks the shard thread in `on_start` until the test
-/// has queued its frames, so the first poll finds all of them.
+/// has queued its frames, so the first poll finds all of them; `opening` is
+/// sent from `on_start`, in order.
 #[derive(Debug)]
 struct Recorder {
     id: ProcessId,
     gate: Option<Arc<Barrier>>,
+    opening: Vec<(u32, ProbeMsg)>,
     /// One entry per `on_burst`: the `(sender, seq)` of each frame, in order.
     bursts: Vec<Vec<(u32, u32)>>,
     /// Direct `on_message` calls — the host must make none.
@@ -498,9 +573,12 @@ impl Protocol for Recorder {
         self.id
     }
 
-    fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {
+    fn on_start(&mut self, out: &mut Actions<ProbeMsg>) {
         if let Some(gate) = &self.gate {
             gate.wait();
+        }
+        for (to, msg) in self.opening.drain(..) {
+            out.send(ProcessId::new(to), msg);
         }
     }
 
@@ -526,10 +604,33 @@ impl LeaderOracle for Recorder {
 
 impl Introspect for Recorder {
     fn snapshot(&self) -> Snapshot {
+        let frames = self.bursts.iter().map(Vec::len).sum::<usize>();
         Snapshot {
-            extra: vec![("rec_bursts", self.bursts.len() as u64)],
+            extra: vec![
+                ("rec_bursts", self.bursts.len() as u64),
+                ("rec_frames", frames as u64),
+            ],
             ..Snapshot::default()
         }
+    }
+}
+
+impl Recorder {
+    fn new(id: u32, opening: Vec<(u32, ProbeMsg)>) -> Self {
+        Recorder {
+            id: ProcessId::new(id),
+            gate: None,
+            opening,
+            bursts: Vec::new(),
+            singles: 0,
+        }
+    }
+
+    /// The seqs that arrived from `from`, in arrival order.
+    fn heard_from(&self, from: u32) -> Vec<u32> {
+        let frames = self.bursts.iter().flatten();
+        let from_link = frames.filter(|&&(sender, _)| sender == from);
+        from_link.map(|&(_, seq)| seq).collect()
     }
 }
 
@@ -542,10 +643,8 @@ fn frames_that_arrive_together_are_one_burst_per_process(kind: Kind) {
     let gate = Arc::new(Barrier::new(2));
     let recorders = (0..N as u32)
         .map(|i| Recorder {
-            id: ProcessId::new(i),
             gate: (i == 0).then(|| Arc::clone(&gate)),
-            bursts: Vec::new(),
-            singles: 0,
+            ..Recorder::new(i, Vec::new())
         })
         .collect();
     let (deployment, mut outside) = deploy(kind, StdDuration::ZERO, recorders);
@@ -580,13 +679,12 @@ fn frames_that_arrive_together_are_one_burst_per_process(kind: Kind) {
         let burst = &rec.bursts[0];
         assert_eq!(burst.len(), 2 * PER_LINK as usize, "{kind:?}: p{node}");
         for link in links {
-            let seqs: Vec<u32> = burst
-                .iter()
-                .filter(|&&(from, _)| from == link)
-                .map(|&(_, seq)| seq)
-                .collect();
             let sent: Vec<u32> = (0..PER_LINK).collect();
-            assert_eq!(seqs, sent, "{kind:?}: link {link} -> p{node} reordered");
+            assert_eq!(
+                rec.heard_from(link),
+                sent,
+                "{kind:?}: link {link} -> p{node} reordered"
+            );
         }
     }
     assert!(finals[1].bursts.is_empty() && finals[3].bursts.is_empty());
@@ -903,12 +1001,7 @@ impl<T> Call<T> {
 
 fn timerless(n: usize) -> Vec<Recorder> {
     (0..n as u32)
-        .map(|i| Recorder {
-            id: ProcessId::new(i),
-            gate: None,
-            bursts: Vec::new(),
-            singles: 0,
-        })
+        .map(|i| Recorder::new(i, Vec::new()))
         .collect()
 }
 
@@ -1004,14 +1097,29 @@ fn a_read_returns_once_the_shard_is_gone() {
 const T_FAREWELL: TimerId = TimerId::new(5);
 const FAREWELL: u32 = 999;
 
-/// Holds one message back until the host stops.
+/// Holds one message back until the host stops, and answers each farewell
+/// it hears — a reaction a peer that is already draining must discard.
 #[derive(Debug)]
 struct Farewell {
     id: ProcessId,
     quiesced: u64,
     /// Senders of the farewells that arrived, in arrival order.
     heard: Vec<u32>,
+    /// Senders of the answers to its own farewell that arrived.
+    answered_by: Vec<u32>,
     farewell_timer_fires: u64,
+}
+
+impl Farewell {
+    fn new(id: u32) -> Self {
+        Farewell {
+            id: ProcessId::new(id),
+            quiesced: 0,
+            heard: Vec::new(),
+            answered_by: Vec::new(),
+            farewell_timer_fires: 0,
+        }
+    }
 }
 
 impl Protocol for Farewell {
@@ -1023,9 +1131,14 @@ impl Protocol for Farewell {
 
     fn on_start(&mut self, _out: &mut Actions<ProbeMsg>) {}
 
-    fn on_message(&mut self, from: ProcessId, msg: &ProbeMsg, _out: &mut Actions<ProbeMsg>) {
-        if *msg == ProbeMsg::Ping(FAREWELL) {
-            self.heard.push(from.as_u32());
+    fn on_message(&mut self, from: ProcessId, msg: &ProbeMsg, out: &mut Actions<ProbeMsg>) {
+        match *msg {
+            ProbeMsg::Ping(FAREWELL) => {
+                self.heard.push(from.as_u32());
+                out.send(from, ProbeMsg::Ack(FAREWELL));
+            }
+            ProbeMsg::Ack(FAREWELL) => self.answered_by.push(from.as_u32()),
+            _ => {}
         }
     }
 
@@ -1057,16 +1170,10 @@ impl Introspect for Farewell {
 /// The quiesce law at the host: `on_quiesce` runs exactly once on every live
 /// process and never on a crashed one; what it sends reaches every live peer
 /// — on the same shard or another, whichever stopped first — before that
-/// peer's drain concludes; the timer it arms is ignored.
+/// peer's drain concludes; a peer on the same shard is draining too, so its
+/// answer is discarded; the timer it arms is ignored.
 fn a_stop_asks_every_live_process_once_for_what_it_held_back(kind: Kind) {
-    let processes = (0..N as u32)
-        .map(|i| Farewell {
-            id: ProcessId::new(i),
-            quiesced: 0,
-            heard: Vec::new(),
-            farewell_timer_fires: 0,
-        })
-        .collect();
+    let processes = (0..N as u32).map(Farewell::new).collect();
     let (deployment, _outside) = deploy(kind, StdDuration::ZERO, processes);
     let crashed = N as u32 - 1;
     deployment.crash(ProcessId::new(crashed));
@@ -1074,6 +1181,7 @@ fn a_stop_asks_every_live_process_once_for_what_it_held_back(kind: Kind) {
     for p in &finals {
         let me = p.id.as_u32();
         assert_eq!(p.farewell_timer_fires, 0, "{kind:?}: p{me}'s timer fired");
+        assert_no_cohosted_answer(kind, p);
         if me == crashed {
             assert_eq!(p.quiesced, 0, "{kind:?}: a crashed process was asked");
             assert!(p.heard.is_empty(), "{kind:?}: a crashed process was told");
@@ -1096,6 +1204,177 @@ fn a_transport_stop_asks_every_live_process_once_for_what_it_held_back() {
 #[test]
 fn a_reactor_stop_asks_every_live_process_once_for_what_it_held_back() {
     a_stop_asks_every_live_process_once_for_what_it_held_back(Kind::Reactor);
+}
+
+/// `Ping(0..per_link)` to each of `peers`, interleaved across the links.
+fn pings(peers: &[u32], per_link: u32) -> Vec<(u32, ProbeMsg)> {
+    (0..per_link)
+        .flat_map(|seq| peers.iter().map(move |&q| (q, ProbeMsg::Ping(seq))))
+        .collect()
+}
+
+/// The co-hosted route keeps the burst law: what a shard's processes send
+/// each other in one turn (here `on_start`) reaches each addressee in one
+/// `on_burst` at the next poll, every link — self-links included — in send
+/// order, and on the reactor without a datagram.
+fn cohosted_frames_keep_link_order_in_one_burst(kind: Kind) {
+    const PER_LINK: u32 = 20;
+    let recorders = (0..N as u32)
+        .map(|i| Recorder::new(i, pings(&cohosted(kind, i), PER_LINK)))
+        .collect();
+    let (deployment, _outside) = deploy(kind, StdDuration::ZERO, recorders);
+    let links = 2 * u64::from(PER_LINK);
+    let frames = |node: u32| {
+        deployment
+            .snapshot(ProcessId::new(node))
+            .gauge("rec_frames")
+            .unwrap_or(0)
+    };
+    assert!(
+        wait_for(StdDuration::from_secs(20), || (0..N as u32)
+            .all(|i| frames(i) == links)),
+        "{kind:?}: the co-hosted frames never arrived"
+    );
+    if kind == Kind::Reactor {
+        for snap in deployment.snapshots() {
+            assert_eq!(snap.gauge("frames_in_shard"), Some(links));
+            assert_eq!(
+                snap.gauge("frames_rx"),
+                Some(0),
+                "a frame crossed the kernel"
+            );
+            assert_eq!(
+                snap.gauge("frames_tx"),
+                Some(0),
+                "a frame crossed the kernel"
+            );
+        }
+    }
+    for rec in deployment.shutdown() {
+        let me = rec.id.as_u32();
+        assert_eq!(rec.singles, 0, "{kind:?}: p{me} was handed a lone frame");
+        assert_eq!(
+            rec.bursts.len(),
+            1,
+            "{kind:?}: p{me} took more than one turn"
+        );
+        for link in cohosted(kind, me) {
+            let sent: Vec<u32> = (0..PER_LINK).collect();
+            assert_eq!(
+                rec.heard_from(link),
+                sent,
+                "{kind:?}: link {link} -> p{me} reordered"
+            );
+        }
+    }
+}
+
+#[test]
+fn reactor_cohosted_frames_keep_link_order_in_one_burst() {
+    cohosted_frames_keep_link_order_in_one_burst(Kind::Reactor);
+}
+
+#[test]
+fn transport_cohosted_frames_keep_link_order_in_one_burst() {
+    cohosted_frames_keep_link_order_in_one_burst(Kind::TransportMany);
+}
+
+const REJECTED: u32 = 13;
+
+/// Every frame meets the admission policy, whichever route it takes: a
+/// payload the policy rejects is dropped on a co-hosted link and on a
+/// self-link, and the frames around it still arrive in order.
+#[test]
+fn the_policy_rejects_cohosted_frames_too() {
+    for kind in [Kind::TransportMany, Kind::Reactor] {
+        let accept: MuxAccept<ProbeMsg> = Arc::new(|me, from, to, payload: &[u8]| {
+            accept_frame_bytes(from, to, payload, me, N)
+                .filter(|msg| *msg != ProbeMsg::Ping(REJECTED))
+        });
+        let opening = [1, REJECTED, 2]
+            .into_iter()
+            .flat_map(|seq| [(2, ProbeMsg::Ping(seq)), (0, ProbeMsg::Ping(seq))])
+            .collect();
+        let mut recorders = timerless(N);
+        recorders[0].opening = opening;
+        let (deployment, _outside) = deploy_with(kind, StdDuration::ZERO, recorders, accept);
+        let frames = |node: u32| {
+            deployment
+                .snapshot(ProcessId::new(node))
+                .gauge("rec_frames")
+        };
+        assert!(
+            wait_for(StdDuration::from_secs(20), || frames(0) >= Some(2)
+                && frames(2) >= Some(2)),
+            "{kind:?}: the admitted frames never arrived"
+        );
+        let finals = deployment.shutdown();
+        for node in [0, 2] {
+            assert_eq!(finals[node].heard_from(0), [1, 2], "{kind:?}: p{node}");
+        }
+    }
+}
+
+/// The `Transport` source's opt-out: a co-hosted link and a self-link still
+/// belong to the source, so a `FaultyLink` that cuts them cuts them — here
+/// p0 ↔ p2 (one shard) and p1 → p1 — while every other link delivers.
+#[test]
+fn a_faulty_link_still_cuts_cohosted_links() {
+    const PER_LINK: u32 = 5;
+    let cut = |a: u32, b: u32| Partition {
+        a: vec![a],
+        b: vec![b],
+        from_tick: 0,
+        until_tick: u64::MAX,
+        symmetric: true,
+    };
+    let (endpoints, _outside) = mem_endpoints(Kind::TransportMany);
+    let transports = endpoints
+        .into_iter()
+        .map(|t| {
+            let model = LinkModel::new(1)
+                .with_partition(cut(0, 2))
+                .with_partition(cut(1, 1));
+            FaultyLink::new(t, model)
+        })
+        .collect();
+    let everyone: Vec<u32> = (0..N as u32).collect();
+    let recorders = (0..N as u32)
+        .map(|i| Recorder::new(i, pings(&everyone, PER_LINK)))
+        .collect();
+    let accept: MuxAccept<ProbeMsg> =
+        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N));
+    let deployment =
+        Deployment::over_transports("hc-cut", recorders, transports, TICK, accept, None);
+    let is_cut = |from: u32, to: u32| matches!((from, to), (0, 2) | (2, 0) | (1, 1));
+    let expected = |to: u32| {
+        let open = everyone.iter().filter(|&&from| !is_cut(from, to)).count();
+        Some(open as u64 * u64::from(PER_LINK))
+    };
+    let frames = |node: u32| {
+        deployment
+            .snapshot(ProcessId::new(node))
+            .gauge("rec_frames")
+    };
+    assert!(
+        wait_for(StdDuration::from_secs(20), || everyone
+            .iter()
+            .all(|&i| frames(i) == expected(i))),
+        "the open links never delivered"
+    );
+    // The drain delivers whatever is still in flight, so the finals are the
+    // whole story.
+    for rec in deployment.shutdown() {
+        let to = rec.id.as_u32();
+        for &from in &everyone {
+            let sent: Vec<u32> = if is_cut(from, to) {
+                Vec::new()
+            } else {
+                (0..PER_LINK).collect()
+            };
+            assert_eq!(rec.heard_from(from), sent, "link {from} -> p{to}");
+        }
+    }
 }
 
 /// Threads of this process whose name starts with `prefix`.

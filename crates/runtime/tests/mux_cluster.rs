@@ -88,6 +88,46 @@ fn mux_cluster_publishes_batched_send_gauge() {
     cluster.shutdown();
 }
 
+/// Co-hosted frames skip the kernel: on one shard an n = 4 election runs
+/// without a single datagram, every Ω frame handed over inside the shard;
+/// on two shards it takes both routes.
+#[test]
+fn cohosted_frames_skip_the_kernel() {
+    let gauge = |s: &irs_types::Snapshot, name| s.gauge(name).unwrap_or(0);
+    let one = omega_mux(4, 1, StdDuration::from_micros(100));
+    let elected = wait_for(StdDuration::from_secs(10), || {
+        let progressed = one.snapshots().iter().all(|s| s.sending_round > 10);
+        progressed && one.agreed_leader().is_some()
+    });
+    assert!(elected, "no agreement on one shard: {:?}", one.leaders());
+    for s in one.snapshots() {
+        assert_eq!(
+            gauge(&s, "frames_tx"),
+            0,
+            "a datagram left a one-shard cluster"
+        );
+        assert_eq!(
+            gauge(&s, "frames_rx"),
+            0,
+            "a datagram reached a one-shard cluster"
+        );
+        assert!(
+            gauge(&s, "frames_in_shard") > 0,
+            "no frame handed over in-shard"
+        );
+    }
+    one.shutdown();
+
+    let two = omega_mux(4, 2, StdDuration::from_micros(100));
+    let both_routes = wait_for(StdDuration::from_secs(10), || {
+        two.snapshots()
+            .iter()
+            .all(|s| gauge(s, "frames_in_shard") > 0 && gauge(s, "frames_tx") > 0)
+    });
+    assert!(both_routes, "two shards did not use both routes");
+    two.shutdown();
+}
+
 /// Shard threads are named and bounded: `W` reactor threads serve all the
 /// sockets, and dropping the cluster without `shutdown` still stops them.
 /// The probe counts the thread named `irs-mux-2`, which only this test's
