@@ -11,16 +11,6 @@ use irs_experiments::suite;
 use std::io::Write;
 
 fn main() {
-    // E13 kill -9 row: re-exec'd copies of this binary run as durable
-    // replica children, selected by environment before any arg parsing.
-    if let Ok(id) = std::env::var("IRS_E13_CHILD") {
-        let base = std::env::var("IRS_E13_DIR").expect("IRS_E13_DIR set alongside IRS_E13_CHILD");
-        suite::e13_child_main(
-            id.parse().expect("IRS_E13_CHILD is a replica id"),
-            std::path::Path::new(&base),
-        );
-        return;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");

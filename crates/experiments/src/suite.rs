@@ -12,6 +12,7 @@ use irs_consensus::{ConsensusProcess, Value};
 use irs_omega::OmegaProcess;
 use irs_sim::adversary::presets;
 use irs_sim::{CrashPlan, SimConfig, Simulation};
+use irs_svc::loadgen::{ClientAcks, ClientReads, ClosedLoopOptions, LoadReport, MixedLoopOptions};
 use irs_types::{Duration, GrowthFn, ProcessId, SystemConfig, Time};
 
 fn seeds(quick: bool) -> Vec<u64> {
@@ -600,20 +601,17 @@ fn deployment_omega(n: usize) -> Vec<irs_omega::OmegaProcess> {
         .collect()
 }
 
-/// Polls a deployment until every node has made real protocol progress
-/// (several ALIVE rounds) *and* all live nodes agree on a live leader;
-/// returns the wall-clock latency, or `None` on timeout. Without the
-/// progress gate the all-zero initial state counts as a trivial agreement
-/// at t = 0.
-fn await_agreement(
-    cluster: &irs_runtime::NetCluster<OmegaProcess>,
+/// Calls `probe` every 10 ms until it yields a value or `limit` has
+/// passed; returns the value with the wall-clock time it took, or `None`
+/// on timeout.
+fn poll_until<T>(
     limit: std::time::Duration,
-) -> Option<std::time::Duration> {
+    mut probe: impl FnMut() -> Option<T>,
+) -> Option<(T, std::time::Duration)> {
     let start = std::time::Instant::now();
     loop {
-        let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 5);
-        if progressed && cluster.agreed_leader().is_some() {
-            return Some(start.elapsed());
+        if let Some(value) = probe() {
+            return Some((value, start.elapsed()));
         }
         if start.elapsed() >= limit {
             return None;
@@ -622,9 +620,24 @@ fn await_agreement(
     }
 }
 
-fn ms_cell(d: Option<std::time::Duration>) -> String {
-    match d {
-        Some(d) => format!("{}", d.as_millis()),
+/// Polls a deployment until every node has made real protocol progress
+/// (several ALIVE rounds) *and* all live nodes agree on a live leader;
+/// returns that leader and the wall-clock latency, or `None` on timeout.
+/// Without the progress gate the all-zero initial state counts as a
+/// trivial agreement at t = 0.
+fn await_agreement(
+    cluster: &irs_runtime::NetCluster<OmegaProcess>,
+    limit: std::time::Duration,
+) -> Option<(ProcessId, std::time::Duration)> {
+    poll_until(limit, || {
+        let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 5);
+        progressed.then(|| cluster.agreed_leader()).flatten()
+    })
+}
+
+fn ms_cell<T>(polled: Option<(T, std::time::Duration)>) -> String {
+    match polled {
+        Some((_, d)) => format!("{}", d.as_millis()),
         None => "timeout".to_string(),
     }
 }
@@ -672,19 +685,9 @@ pub fn e11_deployment(quick: bool) -> Table {
             }
         };
         let elected = await_agreement(&cluster, limit);
-        let reelect = elected.and_then(|_| {
-            let first = cluster.agreed_leader().expect("agreed");
+        let reelect = elected.and_then(|(first, _)| {
             cluster.crash(first);
-            let start = std::time::Instant::now();
-            loop {
-                if cluster.agreed_leader().is_some_and(|l| l != first) {
-                    return Some(start.elapsed());
-                }
-                if start.elapsed() >= limit {
-                    return None;
-                }
-                std::thread::sleep(StdDuration::from_millis(10));
-            }
+            poll_until(limit, || cluster.agreed_leader().filter(|&l| l != first))
         });
         table.push_row(vec![
             backend.to_string(),
@@ -742,28 +745,19 @@ pub fn e11_deployment(quick: bool) -> Table {
             }
             model
         });
-        let mut history: Vec<irs_types::ProcessId> = Vec::new();
+        let mut history: Vec<ProcessId> = Vec::new();
         let mut reelections = 0usize;
         // Like `await_agreement`, gate on real round progress: the
         // all-default initial state trivially agrees at t = 0, and an
         // off-window parked before any actual election would measure
         // nothing.
-        let settle = |exclude: Option<irs_types::ProcessId>| {
-            let deadline = std::time::Instant::now() + limit;
-            loop {
+        let settle = |exclude: Option<ProcessId>| {
+            let polled = poll_until(limit, || {
                 let progressed = cluster.snapshots().iter().all(|s| s.sending_round > 5);
-                if progressed {
-                    if let Some(l) = cluster.agreed_leader() {
-                        if Some(l) != exclude {
-                            return Some(l);
-                        }
-                    }
-                }
-                if std::time::Instant::now() >= deadline {
-                    return None;
-                }
-                std::thread::sleep(StdDuration::from_millis(10));
-            }
+                let leader = progressed.then(|| cluster.agreed_leader()).flatten();
+                leader.filter(|&l| Some(l) != exclude)
+            });
+            polled.map(|(leader, _)| leader)
         };
         if let Some(mut leader) = settle(None) {
             history.push(leader);
@@ -825,37 +819,18 @@ pub fn e11_deployment(quick: bool) -> Table {
             let cluster = MuxCluster::spawn_udp(processes, MuxConfig { tick, workers: 0 })
                 .expect("spawn mux cluster");
             let size_limit = StdDuration::from_secs(if size >= 64 { 120 } else { 60 });
-            let start = std::time::Instant::now();
-            let elected = loop {
+            let elected = poll_until(size_limit, || {
                 let progressed = cluster.snapshots().iter().all(|s| s.sending_round >= 3);
-                if progressed && cluster.agreed_leader().is_some() {
-                    break Some(start.elapsed());
-                }
-                if start.elapsed() >= size_limit {
-                    break None;
-                }
-                std::thread::sleep(StdDuration::from_millis(10));
-            };
+                progressed.then(|| cluster.agreed_leader()).flatten()
+            });
             // Crash failover on the small point; at n = 128 the election
             // alone is the acceptance criterion.
-            let reelect = (size < 64)
-                .then(|| {
-                    elected.and_then(|_| {
-                        let first = cluster.agreed_leader().expect("agreed");
-                        cluster.crash(first);
-                        let start = std::time::Instant::now();
-                        loop {
-                            if cluster.agreed_leader().is_some_and(|l| l != first) {
-                                break Some(start.elapsed());
-                            }
-                            if start.elapsed() >= size_limit {
-                                break None;
-                            }
-                            std::thread::sleep(StdDuration::from_millis(10));
-                        }
-                    })
+            let reelect = elected.filter(|_| size < 64).and_then(|(first, _)| {
+                cluster.crash(first);
+                poll_until(size_limit, || {
+                    cluster.agreed_leader().filter(|&l| l != first)
                 })
-                .flatten();
+            });
             table.push_row(vec![
                 "mux-udp".to_string(),
                 format!("none ({} shard threads)", cluster.worker_threads()),
@@ -903,6 +878,165 @@ pub fn e11_deployment(quick: bool) -> Table {
     table
 }
 
+/// How a service run links its replicas.
+enum Links {
+    /// The in-memory mesh.
+    Mem,
+    /// The in-memory mesh with a seeded receiver-side drop on every replica
+    /// link (clients see clean links; consensus rides the loss).
+    Lossy { seed: u64, drop: f64 },
+    /// Real UDP sockets, one blocking thread per endpoint.
+    Udp,
+    /// The same sockets on the multiplexed reactor runtime.
+    MuxUdp,
+}
+
+/// The load a service run drives: closed-loop writes or a read/write mix.
+trait Load {
+    type Report;
+    fn drive<T: irs_net::Transport>(
+        self,
+        clients: &mut [irs_svc::SvcClient<T>],
+    ) -> (Self::Report, Vec<ClientAcks>, Vec<ClientReads>);
+}
+
+impl Load for ClosedLoopOptions {
+    type Report = LoadReport;
+    fn drive<T: irs_net::Transport>(
+        self,
+        clients: &mut [irs_svc::SvcClient<T>],
+    ) -> (LoadReport, Vec<ClientAcks>, Vec<ClientReads>) {
+        let (report, acked) = irs_svc::loadgen::closed_loop(clients, self);
+        (report, acked, Vec::new())
+    }
+}
+
+impl Load for MixedLoopOptions {
+    type Report = irs_svc::loadgen::MixedReport;
+    fn drive<T: irs_net::Transport>(
+        self,
+        clients: &mut [irs_svc::SvcClient<T>],
+    ) -> (Self::Report, Vec<ClientAcks>, Vec<ClientReads>) {
+        irs_svc::loadgen::mixed_loop(clients, self)
+    }
+}
+
+/// What one service run left behind (see [`service_run`]).
+struct ServiceRun<R> {
+    report: R,
+    acked: Vec<ClientAcks>,
+    reads: Vec<ClientReads>,
+    crashed: Option<ProcessId>,
+    /// Whether the survivors' digests agreed before the cluster froze.
+    converged: bool,
+    /// The frozen replicas, crashed one excluded, in id order.
+    survivors: Vec<irs_svc::SvcReplica>,
+}
+
+impl<R> ServiceRun<R> {
+    fn verdict(&self) -> Result<(), String> {
+        service_verdict(&self.survivors, &self.acked, &self.reads)
+    }
+}
+
+/// The service contract over frozen replicas: identical state holding every
+/// acked write (`check_consistency`), and every read within its tier's
+/// promise (`check_read_linearizability`).
+fn service_verdict(
+    replicas: &[irs_svc::SvcReplica],
+    acked: &[ClientAcks],
+    reads: &[ClientReads],
+) -> Result<(), String> {
+    let refs: Vec<&irs_svc::SvcReplica> = replicas.iter().collect();
+    irs_svc::loadgen::check_consistency(&refs, acked).map_err(|e| format!("INCONSISTENT: {e}"))?;
+    irs_svc::loadgen::check_read_linearizability(reads)
+        .map_err(|e| format!("read contract violated: {e}"))
+}
+
+/// The E12–E16 service fixture: spawns `config`'s cluster over `links`,
+/// drives `load` (crash-stopping the agreed leader `crash_after` into it,
+/// if set), waits up to 30 s for the survivors' digests to agree — a
+/// replica behind a lossy link catches up here — and freezes the cluster.
+fn service_run<L: Load>(
+    config: irs_svc::SvcConfig,
+    links: Links,
+    load: L,
+    crash_after: Option<std::time::Duration>,
+) -> ServiceRun<L::Report> {
+    use irs_svc::SvcCluster;
+    let (n, clients) = (config.n, config.peers - config.n);
+    match links {
+        Links::Mem => {
+            let (cluster, cl) = SvcCluster::in_memory(n, clients, config);
+            drive(cluster, cl, load, crash_after)
+        }
+        Links::Lossy { seed, drop } => {
+            let (cluster, cl) = SvcCluster::with_link_models(n, clients, config, |p| {
+                irs_net::LinkModel::new(seed ^ u64::from(p.as_u32())).with_drop_prob(drop)
+            });
+            drive(cluster, cl, load, crash_after)
+        }
+        Links::Udp => {
+            let (cluster, cl) = SvcCluster::udp(n, clients, config).expect("bind sockets");
+            drive(cluster, cl, load, crash_after)
+        }
+        Links::MuxUdp => {
+            let (cluster, cl) = SvcCluster::mux_udp(n, clients, 0, config).expect("bind sockets");
+            drive(cluster, cl, load, crash_after)
+        }
+    }
+}
+
+/// [`service_run`] past the spawn, generic over the clients' transport.
+fn drive<T: irs_net::Transport, L: Load>(
+    cluster: irs_svc::SvcCluster,
+    mut clients: Vec<irs_svc::SvcClient<T>>,
+    load: L,
+    crash_after: Option<std::time::Duration>,
+) -> ServiceRun<L::Report> {
+    let ((report, acked, reads), crashed) = match crash_after {
+        Some(after) => {
+            let (out, victim) =
+                irs_svc::loadgen::with_leader_crash(&cluster, after, || load.drive(&mut clients));
+            (out, Some(victim))
+        }
+        None => (load.drive(&mut clients), None),
+    };
+    let survives = |i: usize| crashed.map(ProcessId::index) != Some(i);
+    let converged = poll_until(std::time::Duration::from_secs(30), || {
+        let snaps = cluster.snapshots().into_iter().enumerate();
+        same_store(snaps.filter(|&(i, _)| survives(i)).map(|(_, s)| s)).then_some(())
+    })
+    .is_some();
+    let survivors = cluster.shutdown().into_iter().enumerate();
+    let survivors = survivors.filter(|&(i, _)| survives(i)).map(|(_, r)| r);
+    ServiceRun {
+        report,
+        acked,
+        reads,
+        crashed,
+        converged,
+        survivors: survivors.collect(),
+    }
+}
+
+/// Whether every snapshot reports the same store digest and applied count.
+fn same_store(snaps: impl IntoIterator<Item = irs_types::Snapshot>) -> bool {
+    let mut states = snaps
+        .into_iter()
+        .map(|s| (s.gauge("kv_digest"), s.gauge("applied")));
+    let first = states.next();
+    states.all(|s| Some(s) == first)
+}
+
+/// The verdict cell of a crash-free closed-loop run.
+fn acked_cell(run: &ServiceRun<LoadReport>) -> String {
+    match run.verdict() {
+        Ok(()) => format!("{} acked, replicas identical", run.report.ops),
+        Err(e) => e,
+    }
+}
+
 /// E12 — the service layer: the replicated KV store (Theorem 5's log with
 /// a state machine on top) under client load, per transport backend.
 ///
@@ -916,11 +1050,8 @@ pub fn e11_deployment(quick: bool) -> Table {
 /// Wall-clock numbers vary with the host; compare backends and regimes,
 /// not absolute values.
 pub fn e12_kv_service(quick: bool) -> Table {
-    use irs_net::LinkModel;
-    use irs_svc::loadgen::{
-        check_consistency, closed_loop, open_loop, ClosedLoopOptions, OpenLoopOptions,
-    };
-    use irs_svc::{SvcCluster, SvcConfig, SvcReplica};
+    use irs_svc::loadgen::{open_loop, OpenLoopOptions};
+    use irs_svc::{SvcCluster, SvcConfig};
     use std::time::Duration as StdDuration;
 
     let mut table = Table::new(
@@ -937,44 +1068,19 @@ pub fn e12_kv_service(quick: bool) -> Table {
         op_deadline: StdDuration::from_secs(8),
         ..ClosedLoopOptions::default()
     };
-    let mut push_row = |backend: &str,
-                        regime: &str,
-                        c: usize,
-                        report: &irs_svc::loadgen::LoadReport,
-                        outcome: String| {
-        table.push_row(vec![
-            backend.to_string(),
-            regime.to_string(),
-            n.to_string(),
-            c.to_string(),
-            format!("{:.0}", report.ops_per_sec()),
-            report.latency.percentile(50.0).to_string(),
-            report.latency.percentile(99.0).to_string(),
-            outcome,
-        ]);
-    };
-
-    // One closed-loop run to completion, generic over the backend's
-    // transport type: drive the load, let a replica that lags behind a
-    // lossy link catch up, freeze the cluster, verify the consistency
-    // contract against everything the clients were acked.
-    fn closed_run<T: irs_net::Transport>(
-        cluster: SvcCluster,
-        cl: &mut [irs_svc::SvcClient<T>],
-        opts: ClosedLoopOptions,
-    ) -> (irs_svc::loadgen::LoadReport, String) {
-        let (report, acked) = closed_loop(cl, opts);
-        // An id beyond the group excludes nobody from the comparison.
-        let nobody = irs_types::ProcessId::new(cluster.n() as u32);
-        irs_svc::loadgen::await_survivor_convergence(&cluster, nobody, StdDuration::from_secs(10));
-        let finals = cluster.shutdown();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
-        let outcome = match check_consistency(&refs, &acked) {
-            Ok(()) => format!("{} acked, replicas identical", report.ops),
-            Err(e) => format!("INCONSISTENT: {e}"),
+    let mut push_row =
+        |backend: &str, regime: &str, c: usize, report: &LoadReport, outcome: String| {
+            table.push_row(vec![
+                backend.to_string(),
+                regime.to_string(),
+                n.to_string(),
+                c.to_string(),
+                format!("{:.0}", report.ops_per_sec()),
+                report.latency.percentile(50.0).to_string(),
+                report.latency.percentile(99.0).to_string(),
+                outcome,
+            ]);
         };
-        (report, outcome)
-    }
 
     // Rows 1–3: closed-loop saturation over the in-memory mesh, over real
     // UDP sockets (one blocking thread per endpoint), and over the
@@ -982,73 +1088,44 @@ pub fn e12_kv_service(quick: bool) -> Table {
     // threads for all the replicas) — the same workload, so the mux row
     // measures what the readiness runtime costs or buys over thread-per-
     // socket blocking I/O.
-    for backend in ["mem", "udp", "mux-udp"] {
-        let (report, outcome) = match backend {
-            "mem" => {
-                let (cluster, mut cl) =
-                    SvcCluster::in_memory(n, clients, SvcConfig::new(n, clients));
-                closed_run(cluster, &mut cl, opts)
-            }
-            "udp" => {
-                let (cluster, mut cl) =
-                    SvcCluster::udp(n, clients, SvcConfig::new(n, clients)).expect("bind sockets");
-                closed_run(cluster, &mut cl, opts)
-            }
-            _ => {
-                let (cluster, mut cl) =
-                    SvcCluster::mux_udp(n, clients, 0, SvcConfig::new(n, clients))
-                        .expect("bind sockets");
-                closed_run(cluster, &mut cl, opts)
-            }
-        };
-        push_row(backend, "closed-loop", clients, &report, outcome);
+    for (backend, links) in [
+        ("mem", Links::Mem),
+        ("udp", Links::Udp),
+        ("mux-udp", Links::MuxUdp),
+    ] {
+        let run = service_run(SvcConfig::new(n, clients), links, opts, None);
+        push_row(
+            backend,
+            "closed-loop",
+            clients,
+            &run.report,
+            acked_cell(&run),
+        );
     }
 
     // Batching × pipelining grid over the mem backend (the
     // decision-latency lever: up to `b` commands per slot, `d` slots in
-    // flight). Compaction stays on, and every row keeps the machine-checked
-    // consistency verdict. Quick mode runs the headline cell only.
+    // flight), then saturation rows: enough closed-loop clients that the
+    // pending queue actually accumulates and slots carry real batches (with
+    // few clients and a wide window every request gets its own slot, so the
+    // per-slot ballot cost is never amortised). The unbatched saturation
+    // row is the control: the gap between the two is what batching buys.
+    // Compaction stays on, and every row keeps the machine-checked
+    // consistency verdict. Quick mode runs the headline grid cell only.
     let grid: &[(usize, u64)] = if quick {
         &[(8, 4)]
     } else {
         &[(8, 1), (1, 4), (8, 4), (16, 8)]
     };
-    for &(b, d) in grid {
-        let config = SvcConfig::new(n, clients)
+    let sat_clients = if quick { 12 } else { 16 };
+    let cells = grid.iter().map(|&cell| (clients, cell));
+    for (c, (b, d)) in cells.chain([(sat_clients, (1, 1)), (sat_clients, (16, 4))]) {
+        let config = SvcConfig::new(n, c)
             .with_batching(b, d)
             .with_snapshot_interval(256);
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, outcome) = closed_run(cluster, &mut cl, opts);
-        push_row(
-            "mem",
-            &format!("closed b{b}xd{d}"),
-            clients,
-            &report,
-            outcome,
-        );
-    }
-
-    // Saturation rows: enough closed-loop clients that the pending queue
-    // actually accumulates and slots carry real batches (with few clients
-    // and a wide window every request gets its own slot, so the per-slot
-    // ballot cost is never amortised). The unbatched row at the same client
-    // count is the control: the gap between the two is what batching buys.
-    {
-        let sat_clients = if quick { 12 } else { 16 };
-        for (b, d) in [(1usize, 1u64), (16, 4)] {
-            let config = SvcConfig::new(n, sat_clients)
-                .with_batching(b, d)
-                .with_snapshot_interval(256);
-            let (cluster, mut cl) = SvcCluster::in_memory(n, sat_clients, config);
-            let (report, outcome) = closed_run(cluster, &mut cl, opts);
-            push_row(
-                "mem",
-                &format!("closed b{b}xd{d}"),
-                sat_clients,
-                &report,
-                outcome,
-            );
-        }
+        let run = service_run(config, Links::Mem, opts, None);
+        let regime = format!("closed b{b}xd{d}");
+        push_row("mem", &regime, c, &run.report, acked_cell(&run));
     }
 
     // Row 3: open-loop arrival-rate load (one client, fixed fire interval).
@@ -1068,14 +1145,20 @@ pub fn e12_kv_service(quick: bool) -> Table {
     }
 
     // Row 4: closed-loop under a seeded 10% receiver-side drop on every
-    // replica link (clients see clean links; consensus rides the loss).
+    // replica link.
     {
-        let (cluster, mut cl) =
-            SvcCluster::with_link_models(n, clients, SvcConfig::new(n, clients), |p| {
-                LinkModel::new(0x0E12_D20B ^ u64::from(p.as_u32())).with_drop_prob(0.1)
-            });
-        let (report, outcome) = closed_run(cluster, &mut cl, opts);
-        push_row("mem+drop0.1", "closed-loop", clients, &report, outcome);
+        let lossy = Links::Lossy {
+            seed: 0x0E12_D20B,
+            drop: 0.1,
+        };
+        let run = service_run(SvcConfig::new(n, clients), lossy, opts, None);
+        push_row(
+            "mem+drop0.1",
+            "closed-loop",
+            clients,
+            &run.report,
+            acked_cell(&run),
+        );
     }
 
     // Row 5: the leader goes dark mid-load (crash-stop under a lossy link
@@ -1089,32 +1172,27 @@ pub fn e12_kv_service(quick: bool) -> Table {
             .with_batching(8, 4)
             .with_snapshot_interval(64)
             .with_obs(obs.clone());
-        let (cluster, mut cl) = SvcCluster::with_link_models(n, clients, crash_config, |p| {
-            LinkModel::new(0x0E12_C4A5 ^ u64::from(p.as_u32())).with_drop_prob(0.05)
-        });
         let crash_opts = ClosedLoopOptions {
             duration: StdDuration::from_secs(if quick { 4 } else { 8 }),
-            op_deadline: StdDuration::from_secs(8),
-            ..ClosedLoopOptions::default()
+            ..opts
         };
-        let (report, acked, crashed) = irs_svc::loadgen::closed_loop_with_leader_crash(
-            &cluster,
-            &mut cl,
+        let lossy = Links::Lossy {
+            seed: 0x0E12_C4A5,
+            drop: 0.05,
+        };
+        let run = service_run(
+            crash_config,
+            lossy,
             crash_opts,
-            crash_opts.duration / 3,
+            Some(crash_opts.duration / 3),
         );
-        // Idle settle so catch-up converges the survivors before freezing.
-        irs_svc::loadgen::await_survivor_convergence(&cluster, crashed, StdDuration::from_secs(30));
-        let finals = cluster.shutdown();
-        let survivors: Vec<&SvcReplica> = finals
-            .iter()
-            .filter(|r| irs_types::Protocol::id(*r) != crashed)
-            .collect();
-        let outcome = match check_consistency(&survivors, &acked) {
+        let report = &run.report;
+        let outcome = match run.verdict() {
             Ok(()) => format!(
-                "leader {crashed} crashed; {} survivors identical, no acked op lost/reordered; \
+                "leader {} crashed; {} survivors identical, no acked op lost/reordered; \
                  client wait {} us (srtt {} us), {} retries",
-                survivors.len(),
+                run.crashed.expect("crash row crashes a leader"),
+                run.survivors.len(),
                 report.rto_us,
                 report.srtt_us,
                 report.retries
@@ -1124,180 +1202,13 @@ pub fn e12_kv_service(quick: bool) -> Table {
                 // for: dump the per-node trace of the run's last events as
                 // a CI-collectable artifact before reporting.
                 let path = flight_recorder_artifact("e12-crash", &obs);
-                format!("INCONSISTENT: {e} (flight recorder: {path})")
+                format!("{e} (flight recorder: {path})")
             }
         };
-        push_row("mem+drop0.05", "crash b8xd4", clients, &report, outcome);
+        push_row("mem+drop0.05", "crash b8xd4", clients, report, outcome);
     }
 
     table
-}
-
-/// Child half of the E13 kill -9 row: one durable KV replica as its own OS
-/// process, joining (or — when `IRS_E13_PORT` is set — *re*-joining with
-/// its predecessor's port) the localhost UDP mesh, then reporting
-/// `DIGEST <hex> <applied>` on `STOP`. Invoked from `main` when the
-/// `IRS_E13_CHILD` environment variable names a replica id.
-pub fn e13_child_main(id: u32, base: &std::path::Path) {
-    use irs_net::reexec;
-    use irs_svc::{run_svc_node, SvcConfig};
-    use std::io::BufRead;
-    use std::sync::atomic::Ordering;
-
-    let n = 3;
-    let stdin = std::io::stdin();
-    let mut lines = stdin.lock().lines();
-    let transport = match std::env::var("IRS_E13_PORT") {
-        Ok(port) => reexec::child_rejoin_mesh(&mut lines, n + 1, port.parse().expect("port env")),
-        Err(_) => reexec::child_join_mesh(&mut lines, n + 1),
-    };
-
-    let config = SvcConfig::new(n, 1)
-        .with_tick(std::time::Duration::from_micros(500))
-        .with_data_dir(base);
-    let replica = config.replica(ProcessId::new(id));
-    let handle = irs_runtime::NodeHandle::new();
-    let observer = handle.clone();
-    let node = std::thread::spawn(move || run_svc_node(replica, transport, config, handle));
-    for line in lines {
-        if line.expect("stdin line").trim() == "STOP" {
-            break;
-        }
-    }
-    observer.stop.store(true, Ordering::SeqCst);
-    let replica = node.join().expect("node thread");
-    println!(
-        "DIGEST {:x} {}",
-        replica.store().digest(),
-        replica.store().applied()
-    );
-}
-
-/// The E13 kill -9 row: spawns three durable replica processes over real
-/// UDP sockets, writes through a real client, SIGKILLs one replica
-/// mid-service, keeps writing on the surviving majority, respawns the
-/// victim with the same port and data directory, writes again, and then
-/// machine-checks the verdict: identical digests everywhere (restarted
-/// replica included), no acked write lost, and deterministic offline
-/// replay of the victim's directory. Returns the verdict cell.
-fn e13_kill9_verdict(quick: bool, base: &std::path::Path) -> String {
-    use irs_net::{reexec, UdpTransport};
-    use irs_svc::{SvcClient, SvcConfig};
-    use std::time::Duration as StdDuration;
-
-    let n = 3usize;
-    let _ = std::fs::remove_dir_all(base);
-    let (mut children, mut readers) = reexec::spawn_self_children(n, |id, cmd| {
-        cmd.env("IRS_E13_CHILD", id.to_string())
-            .env("IRS_E13_DIR", base);
-    });
-    let mut client_transport = UdpTransport::bind_localhost_retry().expect("bind client socket");
-    let client_port = client_transport.local_addr().expect("client addr").port();
-    let replica_ports = reexec::exchange_peer_table(&mut children, &mut readers, &[client_port]);
-    let mut peers: Vec<_> = replica_ports
-        .iter()
-        .map(|&p| reexec::localhost(p))
-        .collect();
-    peers.push(reexec::localhost(client_port));
-    client_transport.set_peers(peers);
-
-    let mut client = SvcClient::new(ProcessId::new(n as u32), n, client_transport, 0xE13);
-    let deadline = StdDuration::from_secs(40);
-    let per_phase = if quick { 4u64 } else { 8 };
-    let mut acked = 0u64;
-    let put_phase = |client: &mut SvcClient<UdpTransport>, tag: &str, acked: &mut u64| {
-        for k in 0..per_phase {
-            if let Err(e) = client.put(format!("{tag}-{k}").as_bytes(), &k.to_le_bytes(), deadline)
-            {
-                return Err(format!("FAIL: `{tag}` put {k} not acked: {e:?}"));
-            }
-            *acked += 1;
-        }
-        Ok(())
-    };
-
-    if let Err(v) = put_phase(&mut client, "pre", &mut acked) {
-        return v;
-    }
-    // kill -9 the initial leader: no flush, no drain, mid-service.
-    let victim = 0usize;
-    children.0[victim].kill().expect("SIGKILL child");
-    children.0[victim].wait().expect("reap child");
-    if let Err(v) = put_phase(&mut client, "down", &mut acked) {
-        return v;
-    }
-
-    // Respawn with the same identity: same UDP port, same data directory.
-    let (mut respawned, mut respawned_readers) = reexec::spawn_self_children(1, |_, cmd| {
-        cmd.env("IRS_E13_CHILD", victim.to_string())
-            .env("IRS_E13_DIR", base)
-            .env("IRS_E13_PORT", replica_ports[victim].to_string());
-    });
-    let port = reexec::read_tagged_line(&mut respawned_readers[0], "PORT ", victim);
-    if port.parse::<u16>() != Ok(replica_ports[victim]) {
-        return format!(
-            "FAIL: respawn bound port {port}, expected {}",
-            replica_ports[victim]
-        );
-    }
-    let table: Vec<String> = replica_ports
-        .iter()
-        .chain(std::iter::once(&client_port))
-        .map(u16::to_string)
-        .collect();
-    reexec::send_line(&mut respawned.0[0], &format!("PEERS {}", table.join(" ")));
-    children.0[victim] = respawned.0.remove(0);
-    readers[victim] = respawned_readers.remove(0);
-
-    if let Err(v) = put_phase(&mut client, "post", &mut acked) {
-        return v;
-    }
-    // Let catch-up settle the rejoiner before freezing the cluster.
-    std::thread::sleep(StdDuration::from_secs(2));
-    reexec::broadcast_line(&mut children, "STOP");
-    let digests: Vec<(String, u64)> = readers
-        .iter_mut()
-        .enumerate()
-        .map(|(who, r)| {
-            let line = reexec::read_tagged_line(r, "DIGEST ", who);
-            let mut parts = line.split_whitespace();
-            let digest = parts.next().expect("digest").to_string();
-            let applied: u64 = parts.next().expect("applied").parse().expect("count");
-            (digest, applied)
-        })
-        .collect();
-    children.join_all();
-
-    if !digests.iter().all(|d| d.0 == digests[0].0) {
-        return format!("FAIL: replicas diverged after kill -9 + restart: {digests:?}");
-    }
-    if digests[0].1 < acked {
-        return format!(
-            "FAIL: acked {acked} writes but replicas applied only {}",
-            digests[0].1
-        );
-    }
-    // Deterministic replay: the victim's directory recovers to the same
-    // state twice, and that state is what the restarted process reported.
-    let recover = || {
-        let config = SvcConfig::new(n, 1).with_data_dir(base);
-        let replica = config.replica(ProcessId::new(victim as u32));
-        (replica.store().digest(), replica.store().applied())
-    };
-    let (first, second) = (recover(), recover());
-    if first != second {
-        return format!("FAIL: offline recovery not deterministic: {first:?} vs {second:?}");
-    }
-    if format!("{:x}", first.0) != digests[victim].0 {
-        return format!(
-            "FAIL: offline recovery digest {:x} disagrees with restarted replica {}",
-            first.0, digests[victim].0
-        );
-    }
-    format!(
-        "replicas identical, applied {} >= acked {acked}, offline replay deterministic",
-        digests[0].1
-    )
 }
 
 /// E13 — crash-restart durability. Rows 1–4 run the same closed-loop load
@@ -1306,20 +1217,20 @@ fn e13_kill9_verdict(quick: bool, base: &std::path::Path) -> String {
 /// it under load; `EveryN` trades a bounded suffix for throughput). Row 5
 /// replays the fsync-always run's node-0 directory offline and checks the
 /// recovered store is digest-identical to the live replica it crashed out
-/// of. Row 6 is the full kill -9 + same-identity restart over OS processes
-/// and real UDP sockets ([`e13_kill9_verdict`]).
+/// of. The kill -9 + same-identity restart over OS processes and real UDP
+/// sockets is `irs-svc`'s `restart_durability` test
+/// (`killed_replica_recovers_with_identical_state_and_no_acked_loss`).
 ///
 /// Wall-clock numbers vary with the host (and with the filesystem under
 /// the data directory — fsync on tmpfs is nearly free); compare regimes,
 /// not absolute values.
 pub fn e13_durability(quick: bool) -> Table {
-    use irs_svc::loadgen::{check_consistency, closed_loop, ClosedLoopOptions};
-    use irs_svc::{FsyncPolicy, SvcCluster, SvcConfig, SvcReplica};
+    use irs_svc::{FsyncPolicy, SvcConfig};
     use std::time::Duration as StdDuration;
 
     let mut table = Table::new(
         "E13",
-        "Crash-restart durability: WAL fsync policies, recovery replay, kill -9 restart",
+        "Crash-restart durability: WAL fsync policies and recovery replay",
         &[
             "scenario",
             "durability",
@@ -1355,27 +1266,21 @@ pub fn e13_durability(quick: bool) -> Table {
         if let Some(policy) = policy {
             config = config.with_data_dir(&dir).with_fsync(*policy);
         }
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, acked) = closed_loop(&mut cl, opts);
-        let finals = cluster.shutdown();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
-        let verdict = match check_consistency(&refs, &acked) {
-            Ok(()) => format!("{} acked, replicas identical", report.ops),
-            Err(e) => format!("INCONSISTENT: {e}"),
-        };
+        // Dropped at the end of the iteration, which closes the WALs
+        // before any offline re-open.
+        let run = service_run(config, Links::Mem, opts, None);
         if matches!(policy, Some(FsyncPolicy::Always)) {
-            let store = finals[0].store();
+            let store = run.survivors[0].store();
             always_state = Some(((store.digest(), store.applied()), dir.clone()));
         }
-        drop(finals); // close the WALs before any offline re-open
         table.push_row(vec![
             "closed-loop".to_string(),
             label.to_string(),
             n.to_string(),
-            format!("{:.0}", report.ops_per_sec()),
-            report.latency.percentile(50.0).to_string(),
-            report.latency.percentile(99.0).to_string(),
-            verdict,
+            format!("{:.0}", run.report.ops_per_sec()),
+            run.report.latency.percentile(50.0).to_string(),
+            run.report.latency.percentile(99.0).to_string(),
+            acked_cell(&run),
         ]);
     }
 
@@ -1408,18 +1313,6 @@ pub fn e13_durability(quick: bool) -> Table {
         ]);
     }
 
-    // Row 6: kill -9 + same-identity restart across OS processes.
-    let verdict = e13_kill9_verdict(quick, &base.join("kill9"));
-    table.push_row(vec![
-        "kill -9 + restart".to_string(),
-        "wal, fsync always".to_string(),
-        n.to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        verdict,
-    ]);
-
     let _ = std::fs::remove_dir_all(&base);
     table
 }
@@ -1451,8 +1344,7 @@ fn flight_recorder_artifact(tag: &str, obs: &irs_obs::Obs) -> String {
 /// the story: leader-change and WAL-commit events leading up to the crash.
 pub fn e14_observability(quick: bool) -> Table {
     use irs_obs::{EventKind, Obs};
-    use irs_svc::loadgen::{check_consistency, closed_loop, ClosedLoopOptions};
-    use irs_svc::{FsyncPolicy, SvcCluster, SvcConfig, SvcReplica};
+    use irs_svc::{FsyncPolicy, SvcConfig};
     use std::sync::Arc;
     use std::time::Duration as StdDuration;
 
@@ -1472,27 +1364,16 @@ pub fn e14_observability(quick: bool) -> Table {
     };
 
     // One measured closed-loop run over the mem backend under the given
-    // obs mode; returns ops/s alongside the report row fields.
-    fn measured(
-        n: usize,
-        clients: usize,
-        opts: ClosedLoopOptions,
-        obs: Option<Arc<Obs>>,
-    ) -> (irs_svc::loadgen::LoadReport, String) {
+    // obs mode; returns the report with its verdict cell.
+    let measured = |opts: ClosedLoopOptions, obs: Option<Arc<Obs>>| {
         let mut config = SvcConfig::new(n, clients);
         if let Some(obs) = obs {
             config = config.with_obs(obs);
         }
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, acked) = closed_loop(&mut cl, opts);
-        let finals = cluster.shutdown();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
-        let verdict = match check_consistency(&refs, &acked) {
-            Ok(()) => format!("{} acked, replicas identical", report.ops),
-            Err(e) => format!("INCONSISTENT: {e}"),
-        };
-        (report, verdict)
-    }
+        let run = service_run(config, Links::Mem, opts, None);
+        let verdict = acked_cell(&run);
+        (run.report, verdict)
+    };
 
     // Warm-up (discarded): fault in code paths and thread pools so the
     // first measured row is not paying one-time costs the others skip.
@@ -1500,7 +1381,7 @@ pub fn e14_observability(quick: bool) -> Table {
         duration: StdDuration::from_millis(500),
         ..opts
     };
-    let _ = measured(n, clients, warm, None);
+    let _ = measured(warm, None);
 
     // Median of three runs per mode: a single closed-loop run on a
     // contended runner jitters more than the ~3% effect under test, and
@@ -1508,14 +1389,14 @@ pub fn e14_observability(quick: bool) -> Table {
     // cold scheduler) that used to flip the gate.
     let mut ops_by_mode: Vec<(&str, f64)> = Vec::new();
     for mode in ["off", "metrics", "metrics+recorder"] {
-        let mut runs: Vec<(irs_svc::loadgen::LoadReport, String)> = (0..3)
+        let mut runs: Vec<(LoadReport, String)> = (0..3)
             .map(|_| {
                 let obs = match mode {
                     "off" => None,
                     "metrics" => Some(Arc::new(Obs::metrics_only())),
                     _ => Some(Arc::new(Obs::new(n))),
                 };
-                measured(n, clients, opts, obs)
+                measured(opts, obs)
             })
             .collect();
         runs.sort_by(|a, b| a.0.ops_per_sec().total_cmp(&b.0.ops_per_sec()));
@@ -1578,17 +1459,15 @@ pub fn e14_observability(quick: bool) -> Table {
             .with_obs(obs.clone());
         let crash_opts = ClosedLoopOptions {
             duration: StdDuration::from_secs(if quick { 4 } else { 8 }),
-            op_deadline: StdDuration::from_secs(8),
-            ..ClosedLoopOptions::default()
+            ..opts
         };
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, acked, crashed) = irs_svc::loadgen::closed_loop_with_leader_crash(
-            &cluster,
-            &mut cl,
+        let run = service_run(
+            config,
+            Links::Mem,
             crash_opts,
-            crash_opts.duration / 3,
+            Some(crash_opts.duration / 3),
         );
-        irs_svc::loadgen::await_survivor_convergence(&cluster, crashed, StdDuration::from_secs(30));
+        let crashed = run.crashed.expect("forensics row crashes a leader");
         let events = obs.recorder().expect("recorder attached").dump();
         let leader_changes = events
             .iter()
@@ -1615,30 +1494,25 @@ pub fn e14_observability(quick: bool) -> Table {
                 .any(|e| e.kind == EventKind::WalCommit && e.at < at)
         });
         let artifact = flight_recorder_artifact("e14-crash", &obs);
-        let finals = cluster.shutdown();
-        let survivors: Vec<&SvcReplica> = finals
-            .iter()
-            .filter(|r| irs_types::Protocol::id(*r) != crashed)
-            .collect();
         let verdict = if leader_changes == 0 || wal_commits == 0 || !commits_before_change {
             format!(
                 "FAIL: dump missing forensics (leader_change={leader_changes}, wal_commit={wal_commits}, commits_before_change={commits_before_change}) — {artifact}"
             )
         } else {
-            match check_consistency(&survivors, &acked) {
+            match run.verdict() {
                 Ok(()) => format!(
                     "leader {crashed} crashed; dump has {leader_changes} leader_change + {wal_commits} wal_commit events, commits precede re-election ({artifact}); survivors consistent"
                 ),
-                Err(e) => format!("INCONSISTENT: {e} ({artifact})"),
+                Err(e) => format!("{e} ({artifact})"),
             }
         };
         table.push_row(vec![
             "crash forensics".to_string(),
             n.to_string(),
             clients.to_string(),
-            format!("{:.0}", report.ops_per_sec()),
-            report.latency.percentile(50.0).to_string(),
-            report.latency.percentile(99.0).to_string(),
+            format!("{:.0}", run.report.ops_per_sec()),
+            run.report.latency.percentile(50.0).to_string(),
+            run.report.latency.percentile(99.0).to_string(),
             verdict,
         ]);
         let _ = std::fs::remove_dir_all(&base);
@@ -1651,17 +1525,17 @@ pub fn e14_observability(quick: bool) -> Table {
 /// (no shared filesystem, no shared memory), merge the per-node registries
 /// into one artifact, and machine-check the leader-reign SLO panel — on
 /// clean UDP, under a receiver-side drop adversary, and under duty-cycle
-/// intermittency; plus the default-ring crash-forensics window the
-/// severity-tiered recorder now preserves without hand-tuning.
+/// intermittency. The crash-forensics window on the default recorder ring
+/// is checked by E14's forensics row.
 pub fn e15_live_telemetry(quick: bool) -> Table {
     use irs_net::{
         DutyCycle, FaultyLink, LinkModel, MemNetwork, Transport, TransportScraper, UdpTransport,
     };
     use irs_obs::collector::{check_conformance, parse_prometheus, ClusterScrape};
-    use irs_obs::{EventKind, Obs};
+    use irs_obs::Obs;
     use irs_runtime::NodeHandle;
-    use irs_svc::loadgen::{check_consistency, closed_loop, ClosedLoopOptions};
-    use irs_svc::{run_svc_node, FsyncPolicy, SvcClient, SvcCluster, SvcConfig, SvcReplica};
+    use irs_svc::loadgen::closed_loop;
+    use irs_svc::{run_svc_node, SvcClient, SvcConfig, SvcReplica};
     use std::sync::atomic::Ordering as AtomicOrdering;
     use std::sync::Arc;
     use std::time::Duration as StdDuration;
@@ -1718,25 +1592,36 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
         Ok(format!("PASS: {}", stats.render()))
     }
 
-    // Spawns one replica node thread per endpoint, each with its *own*
+    // One row's worth of work, generic over the transport backend. Spawns
+    // one replica node thread per endpoint, each with its *own*
     // observability handle — the telemetry topology of the process-per-
     // node deployment (one registry per address space), which is what the
-    // collector merge is for. A cluster-shared registry would make every
-    // endpoint serve the same panel and the merge double-count it.
-    fn spawn_per_node<T>(
-        transports: Vec<T>,
-        n: usize,
-        clients: usize,
-        obs: &[Arc<Obs>],
-    ) -> (Vec<NodeHandle>, Vec<std::thread::JoinHandle<SvcReplica>>)
+    // collector merge is for; a cluster-shared registry would make every
+    // endpoint serve the same panel and the merge double-count it. Then
+    // drives closed-loop load from the client endpoints of `rest`, scrapes
+    // every replica live over the wire from its last (collector) endpoint
+    // mid-load, settles, freezes the cluster and checks both the artifact
+    // verdict and the service contract. The settle window lets replicas
+    // behind an intermittent link catch back up before the digests are
+    // compared.
+    fn scrape_mid_load<R, C>(
+        replicas: Vec<(R, Arc<Obs>)>,
+        mut rest: Vec<C>,
+        opts: ClosedLoopOptions,
+        min_stable: f64,
+        settle: StdDuration,
+    ) -> (f64, String)
     where
-        T: Transport + Send + 'static,
+        R: Transport + Send + 'static,
+        C: Transport + Send + 'static,
     {
-        transports
+        let (n, clients) = (replicas.len(), rest.len() - 1);
+        let collector = rest.pop().expect("collector endpoint");
+        let (handles, threads): (Vec<NodeHandle>, Vec<_>) = replicas
             .into_iter()
             .enumerate()
-            .map(|(i, transport)| {
-                let config = SvcConfig::new(n, clients).with_obs(Arc::clone(&obs[i]));
+            .map(|(i, (transport, obs))| {
+                let config = SvcConfig::new(n, clients).with_obs(obs);
                 let replica = config.replica(ProcessId::new(i as u32));
                 let handle = NodeHandle::new();
                 let inner = handle.clone();
@@ -1746,30 +1631,15 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
                     .expect("spawn replica thread");
                 (handle, thread)
             })
-            .unzip()
-    }
-
-    // One row's worth of work, generic over the transport backend: drive
-    // closed-loop load, scrape every replica live over the wire from the
-    // collector endpoint mid-load, then settle, freeze the cluster and
-    // check both the artifact verdict and the service consistency
-    // contract. The settle window lets replicas behind an intermittent
-    // link catch back up before the digests are compared.
-    #[allow(clippy::too_many_arguments)]
-    fn scrape_mid_load<T>(
-        handles: Vec<NodeHandle>,
-        threads: Vec<std::thread::JoinHandle<SvcReplica>>,
-        mut cl: Vec<SvcClient<T>>,
-        collector: T,
-        n: usize,
-        clients: usize,
-        opts: ClosedLoopOptions,
-        min_stable: f64,
-        settle: StdDuration,
-    ) -> (f64, String)
-    where
-        T: Transport + Send + 'static,
-    {
+            .unzip();
+        let mut cl: Vec<SvcClient<C>> = rest
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let seed = 0x0E15_C11E ^ (i as u64 + 1);
+                SvcClient::new(ProcessId::new((n + i) as u32), n, t, seed)
+            })
+            .collect();
         let load = std::thread::spawn(move || {
             let (report, acked) = closed_loop(&mut cl, opts);
             (report, acked, cl)
@@ -1787,27 +1657,22 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
         // burst whose new slots give catch-up something to key off. The
         // trickle writes are acked writes like any others and join the
         // consistency input.
-        let deadline = std::time::Instant::now() + settle;
-        loop {
-            let snaps: Vec<_> = handles.iter().map(|h| h.snapshot.read()).collect();
-            let converged = snaps.windows(2).all(|w| {
-                w[0].gauge("kv_digest") == w[1].gauge("kv_digest")
-                    && w[0].gauge("applied") == w[1].gauge("applied")
-            });
-            if converged || std::time::Instant::now() >= deadline {
-                break;
+        let trickle = ClosedLoopOptions {
+            duration: StdDuration::from_millis(100),
+            op_deadline: StdDuration::from_secs(2),
+            ..opts
+        };
+        poll_until(settle, || {
+            if same_store(handles.iter().map(|h| h.snapshot.read())) {
+                return Some(());
             }
-            let trickle = ClosedLoopOptions {
-                duration: StdDuration::from_millis(100),
-                op_deadline: StdDuration::from_secs(2),
-                ..opts
-            };
             let (_, extra) = closed_loop(&mut cl, trickle);
             acked.extend(extra);
             // Give the burst's tail a full duty-cycle period to replicate
             // before the digests are compared again.
             std::thread::sleep(StdDuration::from_millis(400));
-        }
+            None
+        });
         for handle in &handles {
             handle.stop.store(true, AtomicOrdering::SeqCst);
         }
@@ -1815,10 +1680,9 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
             .into_iter()
             .map(|t| t.join().expect("replica thread"))
             .collect();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
-        let verdict = match (scraped, check_consistency(&refs, &acked)) {
+        let verdict = match (scraped, service_verdict(&finals, &acked, &[])) {
             (Err(e), _) => format!("FAIL: live scrape failed: {e}"),
-            (_, Err(e)) => format!("FAIL: INCONSISTENT: {e}"),
+            (_, Err(e)) => format!("FAIL: {e}"),
             (Ok(scrape), Ok(())) => {
                 artifact_verdict(&scrape, n, min_stable).unwrap_or_else(|e| format!("FAIL: {e}"))
             }
@@ -1833,37 +1697,17 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
     // long.
     {
         let mut mesh = UdpTransport::localhost_mesh(n + clients + 1).expect("bind sockets");
-        let collector = mesh.pop().expect("collector endpoint");
-        let client_eps = mesh.split_off(n);
-        let obs: Vec<Arc<Obs>> = (0..n).map(|_| Arc::new(Obs::new(n))).collect();
-        let mut replica_eps = mesh;
-        for (i, t) in replica_eps.iter_mut().enumerate() {
-            t.attach_obs(obs[i].registry());
-        }
-        let (handles, threads) = spawn_per_node(replica_eps, n, clients, &obs);
-        let cl: Vec<SvcClient<UdpTransport>> = client_eps
+        let rest = mesh.split_off(n);
+        let replicas = mesh
             .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                SvcClient::new(
-                    ProcessId::new((n + i) as u32),
-                    n,
-                    t,
-                    0x0E15_C11E ^ (i as u64 + 1),
-                )
+            .map(|mut t| {
+                let obs = Arc::new(Obs::new(n));
+                t.attach_obs(obs.registry());
+                (t, obs)
             })
             .collect();
-        let (ops, verdict) = scrape_mid_load(
-            handles,
-            threads,
-            cl,
-            collector,
-            n,
-            clients,
-            opts,
-            0.15,
-            StdDuration::from_secs(10),
-        );
+        let settle = StdDuration::from_secs(10);
+        let (ops, verdict) = scrape_mid_load(replicas, rest, opts, 0.15, settle);
         table.push_row(vec![
             "live scrape".to_string(),
             "udp".to_string(),
@@ -1882,10 +1726,8 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
     // supposed to cost reign stability, the panel is supposed to show it.
     for (row, min_stable) in [("drop 0.2", 0.08), ("duty-cycle", 0.05)] {
         let mut mesh = MemNetwork::mesh(n + clients + 1);
-        let collector = mesh.pop().expect("collector endpoint");
-        let client_eps = mesh.split_off(n);
-        let obs: Vec<Arc<Obs>> = (0..n).map(|_| Arc::new(Obs::new(n))).collect();
-        let mut replica_eps: Vec<FaultyLink<irs_net::MemTransport>> = mesh
+        let rest = mesh.split_off(n);
+        let replicas = mesh
             .into_iter()
             .enumerate()
             .map(|(i, t)| {
@@ -1905,36 +1747,14 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
                         phase: (i as u64) * 80,
                     })
                 };
-                FaultyLink::new(t, model)
+                let mut link = FaultyLink::new(t, model);
+                let obs = Arc::new(Obs::new(n));
+                link.attach_obs(obs.registry());
+                (link, obs)
             })
             .collect();
-        for (i, t) in replica_eps.iter_mut().enumerate() {
-            t.attach_obs(obs[i].registry());
-        }
-        let (handles, threads) = spawn_per_node(replica_eps, n, clients, &obs);
-        let cl: Vec<SvcClient<irs_net::MemTransport>> = client_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                SvcClient::new(
-                    ProcessId::new((n + i) as u32),
-                    n,
-                    t,
-                    0x0E15_C11E ^ (i as u64 + 1),
-                )
-            })
-            .collect();
-        let (ops, verdict) = scrape_mid_load(
-            handles,
-            threads,
-            cl,
-            collector,
-            n,
-            clients,
-            opts,
-            min_stable,
-            StdDuration::from_secs(15),
-        );
+        let settle = StdDuration::from_secs(15);
+        let (ops, verdict) = scrape_mid_load(replicas, rest, opts, min_stable, settle);
         table.push_row(vec![
             format!("live scrape, {row}"),
             "mem+faulty".to_string(),
@@ -1945,84 +1765,11 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
         ]);
     }
 
-    // Row 4: the crash-forensics window on the *default* ring. The
-    // severity-tiered recorder must preserve the re-election and the WAL
-    // commits that precede it without the 32k-deep ring E14 used to
-    // hand-tune: leader changes live in the small critical ring, and the
-    // crashed leader's rings freeze at the crash.
-    {
-        let base = std::env::temp_dir().join(format!("irs-e15-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let obs = Arc::new(Obs::new(n));
-        let config = SvcConfig::new(n, clients)
-            .with_batching(8, 4)
-            .with_snapshot_interval(64)
-            .with_data_dir(&base)
-            .with_fsync(FsyncPolicy::EveryN(8))
-            .with_obs(obs.clone());
-        let crash_opts = ClosedLoopOptions {
-            duration: StdDuration::from_secs(if quick { 3 } else { 6 }),
-            op_deadline: StdDuration::from_secs(8),
-            ..ClosedLoopOptions::default()
-        };
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, acked, crashed) = irs_svc::loadgen::closed_loop_with_leader_crash(
-            &cluster,
-            &mut cl,
-            crash_opts,
-            crash_opts.duration / 3,
-        );
-        irs_svc::loadgen::await_survivor_convergence(&cluster, crashed, StdDuration::from_secs(30));
-        let events = obs.recorder().expect("recorder attached").dump();
-        // The dump is time-sorted and the critical tier preserves *every*
-        // leader change (startup election included), so the re-election
-        // the crash forced is the last one; the window property is that
-        // WAL commits leading up to it survived — they live in the
-        // crashed leader's rings, frozen at the crash.
-        let reelection = events
-            .iter()
-            .rev()
-            .find(|e| e.kind == EventKind::LeaderChange)
-            .map(|e| e.at);
-        let commits_before_change = reelection.is_some_and(|at| {
-            events
-                .iter()
-                .any(|e| e.kind == EventKind::WalCommit && e.at < at)
-        });
-        let finals = cluster.shutdown();
-        let survivors: Vec<&SvcReplica> = finals
-            .iter()
-            .filter(|r| irs_types::Protocol::id(*r) != crashed)
-            .collect();
-        let verdict = if reelection.is_none() || !commits_before_change {
-            format!(
-                "FAIL: default ring lost the crash window (leader_change seen: {}, wal_commit before it: {commits_before_change})",
-                reelection.is_some()
-            )
-        } else {
-            match check_consistency(&survivors, &acked) {
-                Ok(()) => format!(
-                    "PASS: default ring kept the window — leader {crashed} crashed, re-election and preceding wal_commit events survived"
-                ),
-                Err(e) => format!("FAIL: INCONSISTENT: {e}"),
-            }
-        };
-        table.push_row(vec![
-            "crash window, default ring".to_string(),
-            "mem".to_string(),
-            n.to_string(),
-            clients.to_string(),
-            format!("{:.0}", report.ops_per_sec()),
-            verdict,
-        ]);
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
     table
 }
 
-/// E16 — The stable-reign fast path: what the phase-1 skip and the leader
-/// lease buy, and whether the read tiers keep their promises under load.
+/// E16 — The stable-reign fast path: what the leader lease buys, and
+/// whether the read tiers keep their promises under load.
 ///
 /// * **Mix rows** run an in-memory n = 5 cluster under a deterministic
 ///   read/write mix (95/5 read-heavy and 50/50 balanced) at each
@@ -2036,23 +1783,18 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
 ///   still be live — the scenario the lease clock-safety argument (see
 ///   `irs_svc::replica` module docs) must survive. PASS requires reads to
 ///   stay linearizable across the reign change and no acked write lost.
-/// * **Skip rows** run the same write-only load with the phase-1 skip on
-///   and off (`SvcConfig::with_phase1_skip`) and read the consensus
-///   counters: with the skip on, slots open directly in phase 2 under one
-///   reign-scoped prepare; the baseline pays a prepare broadcast per
-///   slot. The verdict carries the counter delta.
+///
+/// Every run takes the phase-1 skip. That most slots of a stable reign
+/// skip phase 1 is `irs-consensus`'s `theorem5` test
+/// `stable_reign_skips_phase_one_for_later_slots`; the ledger tracks
+/// `log.phase1_skips_per_kop` on every run.
 pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
-    use irs_svc::loadgen::{
-        check_consistency, check_read_linearizability, closed_loop, mixed_loop,
-        mixed_loop_with_leader_crash, ClosedLoopOptions, MixedLoopOptions,
-    };
-    use irs_svc::{ReadTier, SvcCluster, SvcConfig, SvcReplica};
-    use irs_types::Protocol;
+    use irs_svc::{ReadTier, SvcConfig};
     use std::time::Duration as StdDuration;
 
     let mut table = Table::new(
         "E16",
-        "Stable-reign fast path: phase-1 skip, leader leases, linearizable reads",
+        "Stable-reign fast path: leader leases, linearizable reads",
         &[
             "scenario",
             "tier",
@@ -2079,34 +1821,26 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
     let mut reads_per_sec_at_95: std::collections::BTreeMap<&str, f64> =
         std::collections::BTreeMap::new();
     for (tier, read_pct) in mixes {
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, SvcConfig::new(n, clients));
-        let (report, acked, reads) = mixed_loop(
-            &mut cl,
-            MixedLoopOptions {
-                duration,
-                op_deadline: StdDuration::from_secs(8),
-                read_pct,
-                tier,
-                ..MixedLoopOptions::default()
-            },
-        );
-        let finals = cluster.shutdown();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
+        let load = MixedLoopOptions {
+            duration,
+            op_deadline: StdDuration::from_secs(8),
+            read_pct,
+            tier,
+            ..MixedLoopOptions::default()
+        };
+        let run = service_run(SvcConfig::new(n, clients), Links::Mem, load, None);
+        let report = &run.report;
         let tier_name = match tier {
             ReadTier::Lease => "lease",
             ReadTier::ReadIndex => "read-index",
             ReadTier::Stale => "stale",
         };
-        let verdict = match (
-            check_read_linearizability(&reads),
-            check_consistency(&refs, &acked),
-        ) {
-            (Ok(()), Ok(())) => format!(
+        let verdict = match run.verdict() {
+            Ok(()) => format!(
                 "{} reads within contract, {} writes consistent",
                 report.reads, report.writes
             ),
-            (Err(e), _) => format!("FAIL: read contract violated: {e}"),
-            (_, Err(e)) => format!("FAIL: INCONSISTENT: {e}"),
+            Err(e) => format!("FAIL: {e}"),
         };
         if read_pct == 95 {
             reads_per_sec_at_95.insert(tier_name, report.reads_per_sec());
@@ -2152,41 +1886,31 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
 
     // Crash row: leader dies while its lease may still be live.
     {
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, SvcConfig::new(n, clients));
-        let (report, acked, reads, crashed) = mixed_loop_with_leader_crash(
-            &cluster,
-            &mut cl,
-            MixedLoopOptions {
-                duration: StdDuration::from_secs(if quick { 3 } else { 5 }),
-                op_deadline: StdDuration::from_secs(10),
-                read_pct: 95,
-                tier: ReadTier::Lease,
-                ..MixedLoopOptions::default()
-            },
-            StdDuration::from_millis(if quick { 900 } else { 1500 }),
+        let load = MixedLoopOptions {
+            duration: StdDuration::from_secs(if quick { 3 } else { 5 }),
+            op_deadline: StdDuration::from_secs(10),
+            read_pct: 95,
+            tier: ReadTier::Lease,
+            ..MixedLoopOptions::default()
+        };
+        let crash_after = StdDuration::from_millis(if quick { 900 } else { 1500 });
+        let run = service_run(
+            SvcConfig::new(n, clients),
+            Links::Mem,
+            load,
+            Some(crash_after),
         );
-        let converged = irs_svc::loadgen::await_survivor_convergence(
-            &cluster,
-            crashed,
-            StdDuration::from_secs(30),
-        );
-        let finals = cluster.shutdown();
-        let survivors: Vec<&SvcReplica> = finals.iter().filter(|r| r.id() != crashed).collect();
-        let verdict = if !converged {
-            "FAIL: survivors never converged".to_string()
-        } else {
-            match (
-                check_read_linearizability(&reads),
-                check_consistency(&survivors, &acked),
-            ) {
-                (Ok(()), Ok(())) => format!(
-                    "PASS: leader {crashed} crashed mid-lease; {} reads stayed linearizable, \
-                     {} writes consistent",
-                    report.reads, report.writes
-                ),
-                (Err(e), _) => format!("FAIL: read went non-linearizable: {e}"),
-                (_, Err(e)) => format!("FAIL: INCONSISTENT: {e}"),
-            }
+        let report = &run.report;
+        let verdict = match (run.converged, run.verdict()) {
+            (false, _) => "FAIL: survivors never converged".to_string(),
+            (true, Ok(())) => format!(
+                "PASS: leader {} crashed mid-lease; {} reads stayed linearizable, \
+                 {} writes consistent",
+                run.crashed.expect("crash row crashes a leader"),
+                report.reads,
+                report.writes
+            ),
+            (true, Err(e)) => format!("FAIL: {e}"),
         };
         table.push_row(vec![
             "leader crash mid-lease".to_string(),
@@ -2196,79 +1920,6 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
             format!("{:.0}", report.writes_per_sec()),
             report.read_latency.percentile(50.0).to_string(),
             report.read_latency.percentile(99.0).to_string(),
-            verdict,
-        ]);
-    }
-
-    // Skip rows: write-only load, phase-1 skip on vs off, counter deltas.
-    let mut skip_stats: Vec<(bool, f64, u64, u64, u64)> = Vec::new();
-    for skip in [true, false] {
-        let config = SvcConfig::new(n, clients).with_phase1_skip(skip);
-        let (cluster, mut cl) = SvcCluster::in_memory(n, clients, config);
-        let (report, acked) = closed_loop(
-            &mut cl,
-            ClosedLoopOptions {
-                duration,
-                op_deadline: StdDuration::from_secs(8),
-                ..ClosedLoopOptions::default()
-            },
-        );
-        // Read the consensus counters while the cluster is live, summed
-        // across replicas (only the leader's are nonzero in a calm run).
-        let (mut skips, mut prepares, mut slots) = (0, 0, 0);
-        for p in (0..n as u32).map(irs_types::ProcessId::new) {
-            let snap = cluster.snapshot(p);
-            skips += snap.gauge("phase1_skips").unwrap_or(0);
-            prepares += snap.gauge("reign_prepares").unwrap_or(0);
-            slots += snap.gauge("slots_driven").unwrap_or(0);
-        }
-        let finals = cluster.shutdown();
-        let refs: Vec<&SvcReplica> = finals.iter().collect();
-        let verdict = match check_consistency(&refs, &acked) {
-            Ok(()) => {
-                format!("{slots} slots driven, {prepares} reign prepares, {skips} phase-1 skips")
-            }
-            Err(e) => format!("FAIL: INCONSISTENT: {e}"),
-        };
-        skip_stats.push((skip, report.ops_per_sec(), skips, prepares, slots));
-        table.push_row(vec![
-            format!("write-only, skip {}", if skip { "on" } else { "off" }),
-            "-".to_string(),
-            "0/100".to_string(),
-            "-".to_string(),
-            format!("{:.0}", report.ops_per_sec()),
-            "-".to_string(),
-            "-".to_string(),
-            verdict,
-        ]);
-    }
-
-    // Summary row: with the skip on, nearly every driven slot must have
-    // skipped its per-slot phase 1; the baseline skips none.
-    {
-        let on = skip_stats.iter().find(|s| s.0).expect("skip-on row ran");
-        let off = skip_stats.iter().find(|s| !s.0).expect("skip-off row ran");
-        let saved = on.2; // each skip = one Prepare broadcast + its promises saved
-        let verdict = if on.2 > 0 && off.2 == 0 && on.2 >= on.4 / 2 {
-            format!(
-                "PASS: skip saved {saved} per-slot prepare broadcasts over {} slots \
-                 (baseline paid phase 1 on every slot, {} slots)",
-                on.4, off.4
-            )
-        } else {
-            format!(
-                "FAIL: expected most slots to skip (on: {}/{} skipped, off: {}/{})",
-                on.2, on.4, off.2, off.4
-            )
-        };
-        table.push_row(vec![
-            "phase-1 frame delta".to_string(),
-            "-".to_string(),
-            "0/100".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
             verdict,
         ]);
     }
@@ -2318,6 +1969,24 @@ mod tests {
         let outcome = run_consensus_once(4, 1, None, false, 150_000, 1);
         assert!(outcome.all_decided);
         assert!(outcome.messages > 0);
+    }
+
+    #[test]
+    fn a_service_run_crashes_the_leader_and_keeps_the_contract() {
+        let load = ClosedLoopOptions {
+            duration: std::time::Duration::from_millis(300),
+            op_deadline: std::time::Duration::from_secs(8),
+            ..ClosedLoopOptions::default()
+        };
+        let crash_after = Some(std::time::Duration::from_millis(100));
+        let run = service_run(irs_svc::SvcConfig::new(3, 1), Links::Mem, load, crash_after);
+        assert_eq!(run.verdict(), Ok(()));
+        let crashed = run.crashed.expect("the run crashed a leader");
+        assert_eq!(run.survivors.len(), 2);
+        assert!(run
+            .survivors
+            .iter()
+            .all(|r| irs_types::Protocol::id(r) != crashed));
     }
 
     // The table-producing experiments are exercised end-to-end (in quick

@@ -374,17 +374,16 @@ pub fn open_loop<T: Transport>(client: &mut SvcClient<T>, opts: OpenLoopOptions)
     report
 }
 
-/// Drives `clients` closed-loop while a side thread crash-stops whichever
-/// replica leads `crash_after` into the run (falling back to `p1` when no
-/// agreement is visible yet). Returns the merged report, the acked writes,
-/// and the crashed replica — the shared harness behind the E12
-/// leader-crash row and the `crash_consistency` acceptance test.
-pub fn closed_loop_with_leader_crash<T: Transport>(
+/// Runs `load` while a side thread crash-stops whichever replica leads
+/// `crash_after` into it (falling back to `p1` when no agreement is
+/// visible yet). Returns what `load` returned and the crashed replica —
+/// the shared harness behind the experiments' leader-crash rows and the
+/// `crash_consistency` and `read_path` tests.
+pub fn with_leader_crash<R>(
     cluster: &crate::SvcCluster,
-    clients: &mut [SvcClient<T>],
-    opts: ClosedLoopOptions,
     crash_after: StdDuration,
-) -> (LoadReport, Vec<ClientAcks>, irs_types::ProcessId) {
+    load: impl FnOnce() -> R,
+) -> (R, irs_types::ProcessId) {
     std::thread::scope(|scope| {
         let crasher = scope.spawn(move || {
             std::thread::sleep(crash_after);
@@ -394,8 +393,8 @@ pub fn closed_loop_with_leader_crash<T: Transport>(
             cluster.crash(victim);
             victim
         });
-        let (report, acked) = closed_loop(clients, opts);
-        (report, acked, crasher.join().expect("crasher thread"))
+        let out = load();
+        (out, crasher.join().expect("crasher thread"))
     })
 }
 
@@ -721,41 +720,6 @@ pub fn mixed_loop<T: Transport>(
         all_reads.push(reads);
     }
     (merged, all_acks, all_reads)
-}
-
-/// [`mixed_loop`] with the agreed leader crash-stopped after `crash_after`
-/// — the E16 crash-during-lease scenario. The crash lands while the
-/// victim's lease may still be live, so this is the run that exercises the
-/// lease expiry / redirect / re-election path under a read-heavy mix.
-/// Returns the report, acks, reads, and who was crashed.
-pub fn mixed_loop_with_leader_crash<T: Transport>(
-    cluster: &crate::SvcCluster,
-    clients: &mut [SvcClient<T>],
-    opts: MixedLoopOptions,
-    crash_after: StdDuration,
-) -> (
-    MixedReport,
-    Vec<ClientAcks>,
-    Vec<ClientReads>,
-    irs_types::ProcessId,
-) {
-    std::thread::scope(|scope| {
-        let crasher = scope.spawn(move || {
-            std::thread::sleep(crash_after);
-            let victim = cluster
-                .agreed_leader()
-                .unwrap_or(irs_types::ProcessId::new(0));
-            cluster.crash(victim);
-            victim
-        });
-        let (report, acked, reads) = mixed_loop(clients, opts);
-        (
-            report,
-            acked,
-            reads,
-            crasher.join().expect("crasher thread"),
-        )
-    })
 }
 
 /// Verifies every observed read against the acked write order the same

@@ -53,10 +53,6 @@ pub struct SvcConfig {
     /// handle carries one), and [`run_svc_node`] adds host-loop counters.
     /// `None` (the default) runs fully uninstrumented, as before PR 8.
     pub obs: Option<Arc<Obs>>,
-    /// Whether replicas take the stable-reign fast path (one reign-scoped
-    /// prepare per leadership, Accept-only slots thereafter). On by
-    /// default; the E16 baseline turns it off to measure the saving.
-    pub phase1_skip: bool,
 }
 
 impl SvcConfig {
@@ -73,7 +69,6 @@ impl SvcConfig {
             data_dir: None,
             fsync: FsyncPolicy::Always,
             obs: None,
-            phase1_skip: true,
         }
     }
 
@@ -121,13 +116,6 @@ impl SvcConfig {
         self
     }
 
-    /// Enables or disables the stable-reign fast path (default on).
-    #[must_use]
-    pub fn with_phase1_skip(mut self, enabled: bool) -> Self {
-        self.phase1_skip = enabled;
-        self
-    }
-
     /// The data directory of replica `id` under this config, if durable.
     pub fn node_dir(&self, id: ProcessId) -> Option<PathBuf> {
         self.data_dir
@@ -168,7 +156,6 @@ impl SvcConfig {
                 self.snapshot_interval,
             ),
         };
-        replica.set_phase1_skip(self.phase1_skip);
         if let Some(obs) = &self.obs {
             replica.attach_obs(obs);
         }

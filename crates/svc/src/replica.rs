@@ -290,13 +290,6 @@ impl SvcReplica {
         Ok(replica)
     }
 
-    /// Enables or disables the stable-reign fast path on the underlying
-    /// log (on by default; see [`irs_consensus::ReplicatedLog::set_phase1_skip`]).
-    /// Benchmark baselines turn it off to measure what the skip buys.
-    pub fn set_phase1_skip(&mut self, enabled: bool) {
-        self.log.set_phase1_skip(enabled);
-    }
-
     /// Wires this replica into the process-wide [`irs_obs::Obs`] handle:
     /// apply-latency and batch-occupancy histograms on the registry, WAL
     /// commit/latency histograms on the durability layer, and (when `obs`

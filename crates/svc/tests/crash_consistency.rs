@@ -8,8 +8,8 @@
 
 use irs_net::LinkModel;
 use irs_svc::loadgen::{
-    await_survivor_convergence, check_consistency, closed_loop_with_leader_crash, key_for,
-    open_loop, value_for, AckedWrite, ClientAcks, ClosedLoopOptions, OpenLoopOptions,
+    await_survivor_convergence, check_consistency, closed_loop, key_for, open_loop, value_for,
+    with_leader_crash, AckedWrite, ClientAcks, ClosedLoopOptions, OpenLoopOptions,
 };
 use irs_svc::{SvcCluster, SvcConfig, SvcReplica};
 use irs_types::Protocol;
@@ -31,16 +31,17 @@ fn leader_crash_under_lossy_load_keeps_surviving_replicas_identical() {
 
     // Let the cluster elect and the load ramp, then kill whoever leads
     // mid-flight.
-    let (report, acked, crashed) = closed_loop_with_leader_crash(
-        &cluster,
-        &mut clients,
-        ClosedLoopOptions {
-            duration: Duration::from_secs(4),
-            op_deadline: Duration::from_secs(8),
-            ..ClosedLoopOptions::default()
-        },
-        Duration::from_millis(1200),
-    );
+    let ((report, acked), crashed) =
+        with_leader_crash(&cluster, Duration::from_millis(1200), || {
+            closed_loop(
+                &mut clients,
+                ClosedLoopOptions {
+                    duration: Duration::from_secs(4),
+                    op_deadline: Duration::from_secs(8),
+                    ..ClosedLoopOptions::default()
+                },
+            )
+        });
 
     assert!(
         report.ops > 0,
@@ -87,16 +88,17 @@ fn leader_crash_mid_batch_keeps_survivors_identical_under_compaction() {
     let (cluster, mut clients) = SvcCluster::with_link_models(N, CLIENTS, config, |p| {
         LinkModel::new(0xBA7C_4C4A ^ u64::from(p.as_u32())).with_drop_prob(0.05)
     });
-    let (report, acked, crashed) = closed_loop_with_leader_crash(
-        &cluster,
-        &mut clients,
-        ClosedLoopOptions {
-            duration: Duration::from_secs(4),
-            op_deadline: Duration::from_secs(8),
-            ..ClosedLoopOptions::default()
-        },
-        Duration::from_millis(1200),
-    );
+    let ((report, acked), crashed) =
+        with_leader_crash(&cluster, Duration::from_millis(1200), || {
+            closed_loop(
+                &mut clients,
+                ClosedLoopOptions {
+                    duration: Duration::from_secs(4),
+                    op_deadline: Duration::from_secs(8),
+                    ..ClosedLoopOptions::default()
+                },
+            )
+        });
     assert!(
         report.ops > 0,
         "no operation was ever acknowledged: {report:?}"

@@ -9,7 +9,7 @@
 
 use irs_svc::loadgen::{
     await_survivor_convergence, check_consistency, check_read_linearizability, mixed_loop,
-    mixed_loop_with_leader_crash, ClientReads, MixedLoopOptions, ObservedRead,
+    with_leader_crash, ClientReads, MixedLoopOptions, ObservedRead,
 };
 use irs_svc::{ReadTier, SvcCluster, SvcConfig, SvcReplica};
 use irs_types::Protocol;
@@ -64,18 +64,19 @@ fn stale_reads_never_observe_unissued_values() {
 #[test]
 fn lease_reads_stay_linearizable_across_a_leader_crash() {
     let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, SvcConfig::new(N, CLIENTS));
-    let (report, acked, reads, crashed) = mixed_loop_with_leader_crash(
-        &cluster,
-        &mut clients,
-        MixedLoopOptions {
-            duration: Duration::from_secs(3),
-            op_deadline: Duration::from_secs(8),
-            read_pct: 95,
-            tier: ReadTier::Lease,
-            ..MixedLoopOptions::default()
-        },
-        Duration::from_millis(900),
-    );
+    let ((report, acked, reads), crashed) =
+        with_leader_crash(&cluster, Duration::from_millis(900), || {
+            mixed_loop(
+                &mut clients,
+                MixedLoopOptions {
+                    duration: Duration::from_secs(3),
+                    op_deadline: Duration::from_secs(8),
+                    read_pct: 95,
+                    tier: ReadTier::Lease,
+                    ..MixedLoopOptions::default()
+                },
+            )
+        });
     assert!(report.writes > 0, "no write was acked: {report:?}");
     assert!(report.reads > 0, "no read was answered: {report:?}");
     if let Err(violation) = check_read_linearizability(&reads) {
