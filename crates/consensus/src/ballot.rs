@@ -217,8 +217,12 @@ pub const MAX_BATCH_BYTES: usize = 48 * 1024;
 /// submitted values at once instead of one. A batch of length 1 is
 /// byte-for-byte the degenerate case, so `batch_max = 1` reproduces the
 /// one-value-per-slot protocol exactly.
+///
+/// A batch is a shared slice: a clone — into an acceptance, a decision, an
+/// outbound frame, the applier's cursor — bumps a reference count and
+/// copies no value.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Batch<V = Value>(Vec<V>);
+pub struct Batch<V = Value>(Arc<[V]>);
 
 /// A batch of byte commands — the slot value of the replicated key-value
 /// service (`irs-svc`).
@@ -242,12 +246,12 @@ impl<V> Batch<V> {
             "batch of {} values exceeds MAX_BATCH_LEN",
             values.len()
         );
-        Batch(values)
+        Batch(values.into())
     }
 
     /// The single-value batch (the `batch_max = 1` path).
     pub fn one(v: V) -> Self {
-        Batch(vec![v])
+        Batch(Arc::new([v]))
     }
 
     /// The values, in decided order.
@@ -268,11 +272,6 @@ impl<V> Batch<V> {
     /// Always `false`: a batch is non-empty by construction.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Unwraps the values.
-    pub fn into_vec(self) -> Vec<V> {
-        self.0
     }
 }
 
@@ -296,7 +295,7 @@ impl<V: LogValue> LogValue for Batch<V> {
     /// identical batch decisions show identical gauges everywhere.
     fn gauge(&self) -> u64 {
         let mut h = irs_types::Fnv64::new();
-        for v in &self.0 {
+        for v in self.iter() {
             h.write(&v.gauge().to_le_bytes());
         }
         h.finish()
@@ -395,7 +394,8 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert_eq!(b.values(), &[Value(1), Value(2)]);
-        assert_eq!(b.clone().into_vec(), vec![Value(1), Value(2)]);
+        let shared = b.clone();
+        assert!(std::ptr::eq(shared.values(), b.values()), "a clone shares");
         assert_eq!(Batch::one(Value(1)), Batch::from(Value(1)));
         assert_ne!(b, Batch::new(vec![Value(2), Value(1)]), "order matters");
         assert_eq!(b.to_string(), "batch[2]");

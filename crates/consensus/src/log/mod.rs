@@ -85,10 +85,11 @@
 //!
 //! * `msg.rs` — **owns** [`LogMsg`], [`LogEvent`] and the wire-facing
 //!   bounds; **hides** nothing: it is the vocabulary.
-//! * `queue.rs` — **owns** `pending`, `inflight`, `decided_values`;
-//!   **hides** submission and forward dedup, the count-and-byte batch
-//!   drain, every requeue / reclaim rule, the rotating forward window. Its
-//!   header explains batching and pipelining.
+//! * `queue.rs` — **owns** `pending`, `inflight`, the on-demand
+//!   `decided_index`; **hides** submission and forward dedup, the
+//!   count-and-byte batch drain, every requeue / reclaim rule, the rotating
+//!   forward window. Its header explains batching and pipelining, and when
+//!   the dedup index is built.
 //! * `reign.rs` — **owns** the leader's `Reign` state, the epochs and stall
 //!   counters, the acceptor's range promise; **hides** when a reign begins,
 //!   is re-broadcast, established, fallen back from and ended, and the
@@ -118,7 +119,7 @@
 //! | # | transition | fires when | reads | writes, sends | owner |
 //! |---|---|---|---|---|---|
 //! | L1 | submit | the host calls `submit` | — | `pending` | `queue` |
-//! | L2 | forward | a non-leader's check period; a `Forward` arrives | Ω's leader, `pending`, where last period's window ended; `decided_values`, `inflight` | the next `batch_max` pending values, wrapping → `Forward` to the leader; `pending`, then L9 | `queue` |
+//! | L2 | forward | a non-leader's check period; a `Forward` arrives | Ω's leader, `pending`, where last period's window ended; `decided_index`, `inflight` | the next `batch_max` pending values, wrapping → `Forward` to the leader; `pending`, then L9 | `queue` |
 //! | L3 | reign prepare | a leader with the skip on holds no reign (`drive`, `check`), has caught up past the one it is preparing, or its prepare stalled ≤ `REIGN_RETRIES` checks | `max_epoch_seen`, `frontier` | `Reign::Preparing`, `reign_prepares` → `PrepareReign` to all | `reign` |
 //! | L4 | reign promise | `PrepareReign` at an acceptor that knows no decision in the range | accepted state of `instances` ≥ `from` | the range promise, every instance ≥ `from` pre-promised → `PromiseReign` | `reign` |
 //! | L5 | reign refuse | the acceptor promised a newer reign, or its report would exceed `REIGN_REPORT_MAX` / `_BYTES` (silence); it knows a decision in the range (→ L19) | as L4, `decisions` | — | `reign` |
@@ -139,7 +140,7 @@
 //! | L20 | chunk serve | L19 from below the floor; `SnapshotChunkRequest` | the snapshot | `chunks_served` → `SnapshotChunk`, or `SnapshotOffer` when the snapshot was replaced | `transfer` |
 //! | L21 | chunk assemble | a `SnapshotChunk` within bounds whose digest matches | the assembly, `frontier` | the assembly → `SnapshotChunkRequest` for the next of the window; complete → the parked install | `transfer` |
 //! | L22 | chunk resume | check: the assembly made no progress over a period | the assembly | `chunk_rerequests` → re-requests ≤ a window of missing chunks; a superseded assembly is dropped | `transfer` |
-//! | L23 | truncate | the host calls `truncate_below(upto ≤ frontier, blob)` | `frontier` | `compact_floor`, the snapshot, `decisions` below dropped, `decided_values` rebuilt | `mod`, `transfer`, `queue` |
+//! | L23 | truncate | the host calls `truncate_below(upto ≤ frontier, blob)` | `frontier` | `compact_floor`, the snapshot, `decisions` below dropped, `decided_index` dropped, rebuilt on demand | `mod`, `transfer`, `queue` |
 //! | L24 | install | the host takes the parked blob, applies it, calls `complete_install` | the parked install | `compact_floor`, `frontier`, per-slot state below dropped, moot assignments requeued, the snapshot adopted, `snapshot_installs` | `mod`, `transfer`, `queue` |
 //! | L25 | leaderless finish | a non-leader's check: `still_checks > REIGN_RETRIES`, its turn, an acceptance held for the frontier slot | `still_checks`, the instance | L9 with the accepted batch, classic | `catchup`, `mod` |
 
@@ -217,6 +218,9 @@ pub struct ReplicatedLog<O: Protocol, V = Value> {
     /// Durability events since the last [`take_wal_events`]
     /// (ReplicatedLog::take_wal_events) drain.
     wal_events: Vec<LogEvent<V>>,
+    /// An instance's outbound messages on their way to `emit_slot`: one
+    /// buffer, emptied by every emit, so a handler allocates none.
+    sends: Vec<PaxosSend<Batch<V>>>,
     queue: queue::Queue<V>,
     reign: reign::ReignState<V>,
     held: announce::Held<V>,
@@ -255,6 +259,14 @@ impl<V: LogValue> ReplicatedLog<irs_omega::OmegaProcess, V> {
     }
 }
 
+/// Drops the slots of `map` below `floor` — the one or two a decision
+/// retires, popped from the front instead of a `retain` walking the map.
+fn drop_below<T>(map: &mut BTreeMap<u64, T>, floor: u64) {
+    while map.first_key_value().is_some_and(|(s, _)| *s < floor) {
+        map.pop_first();
+    }
+}
+
 impl<O, V> ReplicatedLog<O, V>
 where
     O: Protocol + LeaderOracle + Introspect,
@@ -280,6 +292,7 @@ where
             last_progress: BTreeMap::new(),
             durable: false,
             wal_events: Vec::new(),
+            sends: Vec::new(),
             queue: queue::Queue::new(),
             reign: reign::ReignState::new(),
             held: announce::Held::new(),
@@ -410,19 +423,6 @@ where
         self.reign.established().is_some()
     }
 
-    /// Enables or disables the stable-reign fast path. Meant for
-    /// construction-time configuration (benchmark baselines run with it
-    /// off); safety never depends on the flag — disabling merely makes
-    /// every future slot pay the classic per-slot phase 1 again, and any
-    /// open reign-leader state is dropped (L7). Acceptor-side reign promises
-    /// are kept: promises once made stay binding.
-    pub fn set_phase1_skip(&mut self, enabled: bool) {
-        self.cfg.phase1_skip = enabled;
-        if !enabled {
-            self.reign.abandon();
-        }
-    }
-
     /// Submits a value for eventual inclusion in the log (L1).
     pub fn submit(&mut self, v: V) {
         self.queue.submit(v);
@@ -448,8 +448,10 @@ where
     }
 
     /// Returns `true` if `v` is known to be decided in some retained slot.
-    pub fn is_decided_value(&self, v: &V) -> bool {
-        self.queue.is_decided(v)
+    /// The first question after a truncation builds the dedup index over
+    /// the retained slots (see `queue.rs`).
+    pub fn is_decided_value(&mut self, v: &V) -> bool {
+        self.queue.is_decided(v, &self.decisions)
     }
 
     /// Returns `true` if `v` is queued (unassigned or assigned to an
@@ -493,9 +495,9 @@ where
     /// Records `slot`'s outbound consensus messages. L13: an `Accept` that
     /// leaves while decisions are held carries off the run at its ballot as
     /// its note, behind a plain `Decide` for each held decision that is not
-    /// part of it.
-    fn emit_slot(&mut self, slot: u64, sends: Vec<PaxosSend<Batch<V>>>, out: &mut Out<O, V>) {
-        for (dest, msg) in sends {
+    /// part of it. Empties `sends` and returns it to the log's buffer.
+    fn emit_slot(&mut self, slot: u64, mut sends: Vec<PaxosSend<Batch<V>>>, out: &mut Out<O, V>) {
+        for (dest, msg) in sends.drain(..) {
             let msg = match msg {
                 PaxosMsg::Accept { b, v } if !self.held.is_empty() => {
                     let ((noted_from, noted_len), left_over) = self.held.carry(b);
@@ -520,6 +522,7 @@ where
             };
             out.push(dest, msg);
         }
+        self.sends = sends;
     }
 
     /// L18: asks `target` to replay the decided slots from our frontier up.
@@ -583,7 +586,6 @@ where
         if slot < self.compact_floor {
             return; // a stale decide for a slot the snapshot already covers
         }
-        self.queue.retire(slot, &batch);
         if !self.decisions.contains_key(&slot) {
             self.trace(EventKind::Decided, slot, batch.len() as u64);
             if self.durable {
@@ -591,15 +593,15 @@ where
                 self.wal_events.push(LogEvent::Decided { slot, value });
             }
         }
-        self.decisions.entry(slot).or_insert(batch);
+        let batch = self.decisions.entry(slot).or_insert(batch).clone();
+        self.queue.retire(slot, &batch, &self.decisions);
         while self.decisions.contains_key(&self.frontier) {
             self.frontier += 1;
         }
         // Keep the window instances and everything above; decided slots
         // below the frontier only need their decision.
-        let frontier = self.frontier;
-        self.instances.retain(|s, _| *s >= frontier);
-        self.last_progress.retain(|s, _| *s >= frontier);
+        drop_below(&mut self.instances, self.frontier);
+        drop_below(&mut self.last_progress, self.frontier);
     }
 
     fn send_chunk(&self, to: ProcessId, c: Chunk, out: &mut Out<O, V>) {
@@ -656,7 +658,7 @@ where
         self.compact_floor = upto;
         self.transfer.adopt(upto, state);
         self.decisions = self.decisions.split_off(&upto);
-        self.queue.rebuild_decided(&self.decisions);
+        self.queue.drop_decided_index();
     }
 
     /// The install this replica received and has not yet applied, if any.
@@ -680,14 +682,14 @@ where
         self.decisions = self.decisions.split_off(&upto);
         self.instances = self.instances.split_off(&upto);
         self.last_progress = self.last_progress.split_off(&upto);
-        // Rebuild the dedup set from the retained decisions *before*
-        // reclaiming, so a value decided in a retained slot is not
-        // re-queued. Assignments for truncated slots are moot; their values
-        // go back in the queue so nothing submitted is lost (those the
-        // snapshot already covers are invisible here — the host's session
-        // filter absorbs the duplicates this can produce).
-        self.queue.rebuild_decided(&self.decisions);
-        self.queue.reclaim_below(upto);
+        // The dedup index answers from the retained decisions only, so a
+        // value decided in a retained slot is not re-queued. Assignments for
+        // truncated slots are moot; their values go back in the queue so
+        // nothing submitted is lost (those the snapshot already covers are
+        // invisible here — the host's session filter absorbs the duplicates
+        // this can produce).
+        self.queue.drop_decided_index();
+        self.queue.reclaim_below(upto, &self.decisions);
         self.frontier = self.frontier.max(upto);
         while self.decisions.contains_key(&self.frontier) {
             self.frontier += 1;
@@ -739,6 +741,7 @@ where
     /// acceptance → count and trace → emit*.
     fn open_ballot(&mut self, slot: u64, how: Open<V>, out: &mut Out<O, V>) {
         let accepted_before = self.accepted_ballot(slot);
+        let mut sends = std::mem::take(&mut self.sends);
         let inst = self.instance(slot);
         let (reign, classic) = match how {
             Open::Propose(batch, reign) => {
@@ -756,7 +759,6 @@ where
                 (None, true)
             }
         };
-        let mut sends = Vec::new();
         if let Some(b) = reign {
             inst.start_ballot_skipped(b, &mut sends);
         }
@@ -865,7 +867,7 @@ where
             PaxosMsg::Accepted { b, .. } => self.reign.established().filter(|at| at == b),
             _ => None,
         };
-        let mut sends = Vec::new();
+        let mut sends = std::mem::take(&mut self.sends);
         let accepted_before = self.accepted_ballot(slot);
         let inst = self.instance(slot);
         let dropped_before = inst.votes_dropped();
@@ -936,7 +938,7 @@ where
         if leader != self.id {
             // L7: discard any reign and reclaim its slot assignments.
             self.reign.abandon();
-            self.queue.reclaim_below(u64::MAX);
+            self.queue.reclaim_below(u64::MAX, &self.decisions);
             // L25. A leader acks from the handler that counts its quorum and
             // announces later; if it dies in between, the batch is chosen
             // and nobody alive knows. Decided at a per-slot ballot, the slot
@@ -1025,7 +1027,7 @@ where
             // otherwise): forwarded traffic should not wait for the next
             // check tick either.
             LogMsg::Forward { v } => {
-                if self.queue.accept_forward(v) {
+                if self.queue.accept_forward(v, &self.decisions) {
                     self.drive(out);
                 }
             }

@@ -2,12 +2,23 @@
 //!
 //! **Owns** `pending` (values submitted here or forwarded to us, not yet
 //! assigned to a slot), `inflight` (batches drained into an open slot of the
-//! window, not yet decided) and `decided_values` (the dedup set of the
-//! *retained* slots). **Hides** every rule about where a value may sit: a
-//! value is in at most one of the three; a forward is queued once; a batch
-//! is drained by count *and* bytes; whatever a slot did not decide goes back
-//! to the front, in order; and which pending values a non-leader forwards
-//! this period.
+//! window, not yet decided) and `decided_index` (the dedup index of the
+//! values of the *retained* slots). **Hides** every rule about where a value
+//! may sit: a value is in at most one of the three; a forward is queued
+//! once; a batch is drained by count *and* bytes; whatever a slot did not
+//! decide goes back to the front, in order; and which pending values a
+//! non-leader forwards this period.
+//!
+//! # The dedup index, on demand
+//!
+//! Whether a value is decided in a retained slot is a question about the
+//! log's `decisions`, which the queue does not own; it is asked only by a
+//! forward, a requeue, and the host's own dedup (`is_decided_value`). The
+//! index answering it is built from `decisions` at the first such question,
+//! kept up to date from then on as slots retire, and dropped when the
+//! retained slots change under a truncation or an install (index dropped,
+//! rebuilt on demand). A replica nobody asks — a follower on a stable
+//! reign — never builds it, and pays nothing per decided value.
 //!
 //! # Batching and pipelining
 //!
@@ -34,6 +45,9 @@
 use crate::{Batch, LogValue, MAX_BATCH_BYTES, MAX_BATCH_LEN};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+/// The retained decided slots, as the log holds them.
+pub(super) type Decisions<V> = BTreeMap<u64, Batch<V>>;
+
 #[derive(Debug)]
 pub(super) struct Queue<V> {
     /// Values submitted locally or forwarded to us, not yet assigned to a
@@ -42,10 +56,12 @@ pub(super) struct Queue<V> {
     /// Leader-side slot assignments. A slot that decides a *different* batch
     /// gets its assignment reclaimed into `pending`.
     inflight: BTreeMap<u64, Batch<V>>,
-    /// The values known to be decided in a *retained* slot. Values below the
-    /// compaction floor are forgotten with their slots; re-submissions of
-    /// those are the host's session filter's problem.
-    decided_values: BTreeSet<V>,
+    /// The values decided in a *retained* slot, once somebody asked (see
+    /// the module docs); `None` until then and after the retained slots
+    /// change. Values below the compaction floor are forgotten with their
+    /// slots; re-submissions of those are the host's session filter's
+    /// problem.
+    decided_index: Option<BTreeSet<V>>,
     /// Where the previous period's forward window ended, as an index into
     /// `pending` (which may have shrunk since: the window then restarts).
     forwarded: usize,
@@ -56,7 +72,7 @@ impl<V: LogValue> Queue<V> {
         Queue {
             pending: VecDeque::new(),
             inflight: BTreeMap::new(),
-            decided_values: BTreeSet::new(),
+            decided_index: None,
             forwarded: 0,
         }
     }
@@ -68,8 +84,8 @@ impl<V: LogValue> Queue<V> {
 
     /// L2: a forwarded submission joins the queue unless it is decided in a
     /// retained slot or queued already. Returns whether it was queued.
-    pub(super) fn accept_forward(&mut self, v: &V) -> bool {
-        let fresh = !self.is_decided(v) && !self.contains(v);
+    pub(super) fn accept_forward(&mut self, v: &V, decisions: &Decisions<V>) -> bool {
+        let fresh = !self.is_decided(v, decisions) && !self.contains(v);
         if fresh {
             self.pending.push_back(v.clone());
         }
@@ -85,8 +101,14 @@ impl<V: LogValue> Queue<V> {
         !self.pending.is_empty()
     }
 
-    pub(super) fn is_decided(&self, v: &V) -> bool {
-        self.decided_values.contains(v)
+    /// Whether `v` is decided in a retained slot — building the index from
+    /// `decisions` if nobody asked since it was last dropped.
+    pub(super) fn is_decided(&mut self, v: &V, decisions: &Decisions<V>) -> bool {
+        let index = self.decided_index.get_or_insert_with(|| {
+            let values = decisions.values().flat_map(|b| b.iter().cloned());
+            values.collect()
+        });
+        index.contains(v)
     }
 
     /// Whether `v` is queued, unassigned or assigned.
@@ -120,19 +142,24 @@ impl<V: LogValue> Queue<V> {
         batch
     }
 
-    /// L12 (the queue's half): `slot` decided `batch`. Its values are
-    /// decided and leave the queue; if we had assigned the slot something
+    /// L12 (the queue's half): `slot` decided `batch`, which `decisions`
+    /// already holds (the index, if built, learns its values here).
+    /// Its values leave the queue; if we had assigned the slot something
     /// else (a conflicting ballot inherited another leader's batch), our
-    /// still-undecided values go back in front to ride the next slot.
-    pub(super) fn retire(&mut self, slot: u64, batch: &Batch<V>) {
+    /// still-undecided values go back in front to ride the next slot. Our
+    /// own batch deciding requeues nothing: every value of it is decided.
+    pub(super) fn retire(&mut self, slot: u64, batch: &Batch<V>, decisions: &Decisions<V>) {
         for v in batch.iter() {
-            self.decided_values.insert(v.clone());
+            if let Some(index) = &mut self.decided_index {
+                index.insert(v.clone());
+            }
             if let Some(pos) = self.pending.iter().position(|p| p == v) {
                 self.pending.remove(pos);
             }
         }
-        if let Some(mine) = self.inflight.remove(&slot) {
-            self.requeue(mine);
+        match self.inflight.remove(&slot) {
+            Some(mine) if mine != *batch => self.requeue(&mine, decisions),
+            _ => {}
         }
     }
 
@@ -140,10 +167,10 @@ impl<V: LogValue> Queue<V> {
     /// front of the queue, preserving their order. The single requeue path
     /// for every reclaim, so the dedup rules (skip values decided in a
     /// retained slot, skip values already queued) cannot drift apart.
-    fn requeue(&mut self, batch: Batch<V>) {
-        for v in batch.into_vec().into_iter().rev() {
-            if !self.decided_values.contains(&v) && !self.pending.contains(&v) {
-                self.pending.push_front(v);
+    fn requeue(&mut self, batch: &Batch<V>, decisions: &Decisions<V>) {
+        for v in batch.iter().rev() {
+            if !self.is_decided(v, decisions) && !self.pending.contains(v) {
+                self.pending.push_front(v.clone());
             }
         }
     }
@@ -155,21 +182,18 @@ impl<V: LogValue> Queue<V> {
     /// snapshot install just made moot otherwise. Values can end up decided
     /// twice this way (our old ballot may still complete, the snapshot may
     /// cover them); the host's session filter is the dedup of record.
-    pub(super) fn reclaim_below(&mut self, upto: u64) {
+    pub(super) fn reclaim_below(&mut self, upto: u64, decisions: &Decisions<V>) {
         let keep = self.inflight.split_off(&upto);
-        for (_, batch) in std::mem::replace(&mut self.inflight, keep)
-            .into_iter()
-            .rev()
-        {
-            self.requeue(batch);
+        for (_, batch) in std::mem::replace(&mut self.inflight, keep).iter().rev() {
+            self.requeue(batch, decisions);
         }
     }
 
     /// L23, L24 (the queue's half): the retained slots changed under a
-    /// truncation or an install; `retained` is what is left of them.
-    pub(super) fn rebuild_decided(&mut self, retained: &BTreeMap<u64, Batch<V>>) {
-        let decided = retained.values().flat_map(|b| b.iter().cloned());
-        self.decided_values = decided.collect();
+    /// truncation or an install. The index is dropped; the next question
+    /// rebuilds it from what is left of them.
+    pub(super) fn drop_decided_index(&mut self) {
+        self.decided_index = None;
     }
 
     /// L2 (the sender's half): what a non-leader forwards this check period
@@ -218,27 +242,42 @@ mod tests {
         q.unassigned().iter().map(|v| v.0).collect()
     }
 
+    fn batch(values: &[u64]) -> Batch<Value> {
+        Batch::new(values.iter().map(|&v| Value(v)).collect())
+    }
+
+    /// L12 as the log runs it: the decision lands in `decisions`, then the
+    /// queue retires it.
+    fn decide(q: &mut Queue<Value>, d: &mut Decisions<Value>, slot: u64, values: &[u64]) {
+        d.insert(slot, batch(values));
+        q.retire(slot, &batch(values), d);
+    }
+
     #[test]
     fn a_forward_is_queued_once_and_never_after_its_decision() {
-        let mut q: Queue<Value> = Queue::new();
-        assert!(q.accept_forward(&Value(5)));
+        let (mut q, mut d): (Queue<Value>, _) = (Queue::new(), Decisions::new());
+        assert!(q.accept_forward(&Value(5), &d));
         assert!(
-            !q.accept_forward(&Value(5)),
+            !q.accept_forward(&Value(5), &d),
             "a second forward is a duplicate"
         );
         assert_eq!(q.len(), 1);
         // Assigned to a slot it is still queued, as far as a forward goes.
         q.assign(0, 1);
         assert!(!q.has_unassigned() && q.contains(&Value(5)));
-        assert!(!q.accept_forward(&Value(5)));
-        q.retire(0, &Batch::one(Value(5)));
+        assert!(!q.accept_forward(&Value(5), &d));
+        decide(&mut q, &mut d, 0, &[5]);
         assert_eq!(q.len(), 0);
-        assert!(q.is_decided(&Value(5)));
-        assert!(!q.accept_forward(&Value(5)), "a stale forward is ignored");
+        assert!(q.is_decided(&Value(5), &d));
+        assert!(
+            !q.accept_forward(&Value(5), &d),
+            "a stale forward is ignored"
+        );
         // Once the slot is compacted away the value is forgotten: the
         // re-submission is the host's session filter's to catch.
-        q.rebuild_decided(&BTreeMap::new());
-        assert!(q.accept_forward(&Value(5)));
+        d.clear();
+        q.drop_decided_index();
+        assert!(q.accept_forward(&Value(5), &d));
     }
 
     /// A slot that decides a *different* batch returns our assignment's
@@ -246,19 +285,19 @@ mod tests {
     /// queued already are not requeued.
     #[test]
     fn a_conflicting_decision_requeues_what_it_did_not_decide_in_front() {
-        let mut q = queue_of(1..=5);
+        let (mut q, mut d) = (queue_of(1..=5), Decisions::new());
         assert_eq!(q.assign(0, 2).values(), &[Value(1), Value(2)]);
         assert_eq!(q.assign(1, 2).values(), &[Value(3), Value(4)]);
         assert_eq!((q.len(), unassigned(&q)), (5, vec![5]));
         // Another leader won slot 0, and its batch happens to hold our 2.
-        q.retire(0, &Batch::new(vec![Value(9), Value(2)]));
+        decide(&mut q, &mut d, 0, &[9, 2]);
         assert_eq!(unassigned(&q), vec![1, 5]);
-        assert!(q.is_decided(&Value(2)) && !q.contains(&Value(2)));
+        assert!(q.is_decided(&Value(2), &d) && !q.contains(&Value(2)));
         assert!(!q.is_assigned(0) && q.is_assigned(1));
         // The next slot opened re-proposes the reclaimed value first.
         assert_eq!(q.assign(2, 2).values(), &[Value(1), Value(5)]);
         // Our own batch deciding retires it without a requeue.
-        q.retire(1, &Batch::new(vec![Value(3), Value(4)]));
+        decide(&mut q, &mut d, 1, &[3, 4]);
         assert_eq!((q.len(), q.assignment(1)), (2, None));
     }
 
@@ -267,17 +306,18 @@ mod tests {
     /// decided.
     #[test]
     fn reclaims_put_assignments_back_oldest_first() {
-        let mut q = queue_of(1..=6);
+        let (mut q, mut d) = (queue_of(1..=6), Decisions::new());
         for slot in 0..3 {
             q.assign(slot, 2);
         }
-        q.reclaim_below(u64::MAX);
+        q.reclaim_below(u64::MAX, &d);
         assert_eq!(unassigned(&q), vec![1, 2, 3, 4, 5, 6]);
         for slot in 0..3 {
             q.assign(slot, 2);
         }
-        q.rebuild_decided(&BTreeMap::from([(7, Batch::one(Value(3)))]));
-        q.reclaim_below(2);
+        d.insert(7, Batch::one(Value(3)));
+        q.drop_decided_index();
+        q.reclaim_below(2, &d);
         assert_eq!(unassigned(&q), vec![1, 2, 4], "3 is decided in a kept slot");
         assert_eq!(q.assignment(2).map(Batch::len), Some(2));
     }
@@ -319,7 +359,7 @@ mod tests {
         assert_eq!(first_rotation, vec![10, 11, 12]);
         assert_eq!(period(&mut q), vec![10], "wrapping");
         // The tail is decided; the stuck head stays, alone in its window.
-        q.retire(0, &Batch::new(vec![Value(11), Value(12)]));
+        decide(&mut q, &mut Decisions::new(), 0, &[11, 12]);
         assert_eq!(period(&mut q), vec![10]);
         // A queue no longer than the window is forwarded whole, from the
         // head, every period — rotation only shows under a backlog.
@@ -335,5 +375,136 @@ mod tests {
             .collect();
         assert_eq!(windows, [vec![0, 1], vec![2, 3], vec![4, 0]]);
         assert!(queue_of([]).forward_window(4).next().is_none());
+    }
+
+    /// The queue as it was with an eager dedup set: every decided value
+    /// inserted as its slot retires, the set rebuilt from the retained
+    /// slots at every truncation and install. The reference the on-demand
+    /// index must answer exactly like.
+    #[derive(Default)]
+    struct Eager {
+        pending: VecDeque<Value>,
+        inflight: BTreeMap<u64, Batch<Value>>,
+        decided: BTreeSet<Value>,
+    }
+
+    impl Eager {
+        fn accept_forward(&mut self, v: Value) -> bool {
+            let queued = self.pending.contains(&v)
+                || self.inflight.values().any(|b| b.values().contains(&v));
+            let fresh = !self.decided.contains(&v) && !queued;
+            if fresh {
+                self.pending.push_back(v);
+            }
+            fresh
+        }
+
+        fn requeue(&mut self, batch: &Batch<Value>) {
+            for v in batch.iter().rev() {
+                if !self.decided.contains(v) && !self.pending.contains(v) {
+                    self.pending.push_front(*v);
+                }
+            }
+        }
+
+        fn retire(&mut self, slot: u64, batch: &Batch<Value>) {
+            for v in batch.iter() {
+                self.decided.insert(*v);
+                if let Some(pos) = self.pending.iter().position(|p| p == v) {
+                    self.pending.remove(pos);
+                }
+            }
+            if let Some(mine) = self.inflight.remove(&slot) {
+                self.requeue(&mine);
+            }
+        }
+
+        fn reclaim_below(&mut self, upto: u64) {
+            let keep = self.inflight.split_off(&upto);
+            for (_, batch) in std::mem::replace(&mut self.inflight, keep).iter().rev() {
+                self.requeue(batch);
+            }
+        }
+
+        fn rebuild(&mut self, retained: &Decisions<Value>) {
+            self.decided = retained.values().flat_map(|b| b.iter().copied()).collect();
+        }
+    }
+
+    proptest::proptest! {
+        /// Driven through the same random history — submissions,
+        /// assignments, own and conflicting decisions (duplicates too),
+        /// forwards, lost leadership, truncations and installs — the
+        /// on-demand index answers `is_decided`, `accept_forward` and every
+        /// requeue exactly as the eager set did.
+        #[test]
+        fn the_on_demand_index_answers_as_the_eager_set_did(
+            ops in proptest::collection::vec(0u64..10_000, 1..160),
+        ) {
+            let (mut q, mut eager) = (Queue::<Value>::new(), Eager::default());
+            let (mut decisions, mut floor, mut next_slot) = (Decisions::new(), 0u64, 0u64);
+            for op in ops {
+                let (v, arg) = (Value(op / 10 % 12), op / 120);
+                match op % 10 {
+                    0 | 1 => {
+                        q.submit(v);
+                        eager.pending.push_back(v);
+                    }
+                    2 if q.has_unassigned() => {
+                        let batch_max = 1 + arg as usize % 3;
+                        let mine = q.assign(next_slot, batch_max);
+                        let len = mine.len();
+                        let drained: Vec<Value> = eager.pending.drain(..len).collect();
+                        proptest::prop_assert_eq!(mine.values(), drained.as_slice());
+                        eager.inflight.insert(next_slot, mine);
+                        next_slot += 1;
+                    }
+                    // A slot decides: what we assigned it, or another
+                    // leader's batch; a slot decided before decides the
+                    // same batch again (a duplicate `Decide`).
+                    3 | 4 => {
+                        let slot = floor + arg % 6;
+                        let decided = match (decisions.get(&slot), q.assignment(slot)) {
+                            (Some(b), _) => b.clone(),
+                            (None, Some(mine)) if op % 10 == 3 => mine.clone(),
+                            (None, _) => Batch::new(vec![v, Value(arg % 12)]),
+                        };
+                        let batch = decisions.entry(slot).or_insert(decided).clone();
+                        q.retire(slot, &batch, &decisions);
+                        eager.retire(slot, &batch);
+                        next_slot = next_slot.max(slot + 1);
+                    }
+                    5 => {
+                        let fresh = q.accept_forward(&v, &decisions);
+                        proptest::prop_assert_eq!(fresh, eager.accept_forward(v));
+                    }
+                    6 => {
+                        q.reclaim_below(u64::MAX, &decisions);
+                        eager.reclaim_below(u64::MAX);
+                    }
+                    // L23, and L24 with its reclaim of the moot assignments.
+                    7 | 8 => {
+                        floor += arg % 4;
+                        decisions = decisions.split_off(&floor);
+                        q.drop_decided_index();
+                        eager.rebuild(&decisions);
+                        if op % 10 == 8 {
+                            q.reclaim_below(floor, &decisions);
+                            eager.reclaim_below(floor);
+                        }
+                        next_slot = next_slot.max(floor);
+                    }
+                    _ => {
+                        let decided = q.is_decided(&v, &decisions);
+                        proptest::prop_assert_eq!(decided, eager.decided.contains(&v));
+                    }
+                }
+                proptest::prop_assert_eq!(q.unassigned(), &eager.pending);
+                proptest::prop_assert_eq!(&q.inflight, &eager.inflight);
+            }
+            for v in (0..12).map(Value) {
+                proptest::prop_assert_eq!(q.is_decided(&v, &decisions), eager.decided.contains(&v));
+            }
+        }
     }
 }

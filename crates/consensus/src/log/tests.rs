@@ -287,7 +287,7 @@ fn orphaned_frontier_proposal_is_restarted_after_re_leadership() {
     // Ω flickers away and back: the not-leader check path reclaims the
     // assignment (so the value could be forwarded), orphaning slot 0's
     // instance with its proposal still set.
-    log.queue.reclaim_below(u64::MAX);
+    log.queue.reclaim_below(u64::MAX, &log.decisions);
     assert!(!log.queue.is_assigned(0));
     assert_eq!(log.queue.unassigned().front(), Some(&Value(9)));
     // Leading again: drive() must not re-assign the value to the

@@ -84,12 +84,16 @@ impl<V: Wire> Wire for Batch<V> {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let values = r.seq(MAX_BATCH_LEN)?;
-        if values.is_empty() {
+        match r.len_at_most(MAX_BATCH_LEN)? {
             // A slot always decides at least one value.
-            return Err(WireError::BadLength(0));
+            0 => Err(WireError::BadLength(0)),
+            // The common slot is decoded straight into its shared slice.
+            1 => Ok(Batch::one(V::decode(r)?)),
+            count => {
+                let values = (0..count).map(|_| V::decode(r));
+                Ok(Batch::new(values.collect::<Result<_, _>>()?))
+            }
         }
-        Ok(Batch::new(values))
     }
 
     fn valid_for(&self, n: usize) -> bool {

@@ -201,6 +201,8 @@ pub struct SvcClient<T> {
     /// Accumulated call statistics.
     pub stats: ClientStats,
     scratch: Vec<u8>,
+    /// The replica whose reply ended the last blocking call.
+    answered_by: Option<ProcessId>,
 }
 
 impl<T: Transport> SvcClient<T> {
@@ -219,6 +221,7 @@ impl<T: Transport> SvcClient<T> {
             clocks: [RtoClock::default(); CLASSES],
             stats: ClientStats::default(),
             scratch: Vec::new(),
+            answered_by: None,
         }
     }
 
@@ -235,6 +238,14 @@ impl<T: Transport> SvcClient<T> {
     /// The replica currently believed to lead.
     pub fn leader_hint(&self) -> ProcessId {
         self.hint
+    }
+
+    /// The replica whose reply ended the last blocking call — for a write,
+    /// the replica that applied it and acked (`None` before the first).
+    /// Not necessarily [`leader_hint`](Self::leader_hint): an attempt that
+    /// met silence may be answered late, after the hint moved on.
+    pub fn answered_by(&self) -> Option<ProcessId> {
+        self.answered_by
     }
 
     /// Next sequence number (what the next write will carry).
@@ -474,7 +485,10 @@ impl<T: Transport> SvcClient<T> {
             };
             match self.digest_frame(&frame) {
                 Some((_, ReplyOutcome::Redirected)) if !follow_redirects => continue,
-                Some((got, outcome)) if got == seq => return Ok(Some(outcome)),
+                Some((got, outcome)) if got == seq => {
+                    self.answered_by = Some(frame.from);
+                    return Ok(Some(outcome));
+                }
                 _ => continue, // stale or foreign; keep waiting
             }
         }

@@ -10,7 +10,7 @@
 //! total — a command is untrusted input the moment it crosses a socket.
 
 use irs_consensus::{Command, MAX_COMMAND_LEN};
-use irs_net::wire::{decode_payload, Bytes, Wire};
+use irs_net::wire::{decode_payload, Bytes, Wire, WireReader};
 
 /// Header (client u64 + seq u64) plus op tag.
 const HEADER_LEN: usize = 8 + 8 + 1;
@@ -73,11 +73,15 @@ impl KvWrite {
     /// Panics if the key or value exceeds [`MAX_KEY_LEN`] /
     /// [`MAX_VALUE_LEN`] — the client library checks at the API boundary.
     pub fn encode(&self) -> Command {
-        assert!(self.op.key().len() <= MAX_KEY_LEN, "key too long");
-        if let KvOp::Put { value, .. } = &self.op {
-            assert!(value.len() <= MAX_VALUE_LEN, "value too long");
-        }
-        let mut buf = Vec::with_capacity(HEADER_LEN + 8 + self.op.key().len());
+        let KvView { key, value, .. } = self.view();
+        assert!(key.len() <= MAX_KEY_LEN, "key too long");
+        assert!(
+            value.is_none_or(|v| v.len() <= MAX_VALUE_LEN),
+            "value too long"
+        );
+        // The header, the key's length and bytes, then the value's.
+        let len = HEADER_LEN + 4 + key.len() + value.map_or(0, |v| 4 + v.len());
+        let mut buf = Vec::with_capacity(len);
         self.client.encode(&mut buf);
         self.seq.encode(&mut buf);
         self.op.encode(&mut buf);
@@ -89,6 +93,60 @@ impl KvWrite {
     pub fn decode(cmd: &Command) -> Option<KvWrite> {
         let (client, seq, op) = decode_payload(cmd.bytes()).ok()?;
         Some(KvWrite { client, seq, op })
+    }
+
+    /// The write as a borrowed [`KvView`].
+    pub fn view(&self) -> KvView<'_> {
+        let (key, value) = match &self.op {
+            KvOp::Put { key, value } => (key, Some(value.as_slice())),
+            KvOp::Del { key } => (key, None),
+        };
+        KvView {
+            client: self.client,
+            seq: self.seq,
+            key,
+            value,
+        }
+    }
+}
+
+/// A write read in place from its command bytes: what a replica applies,
+/// so a decided write reaches the store without an owned copy of its key
+/// and value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KvView<'a> {
+    /// The issuing client's id.
+    pub client: u64,
+    /// The client's sequence number.
+    pub seq: u64,
+    /// The key.
+    pub key: &'a [u8],
+    /// The value a put binds; `None` for a delete.
+    pub value: Option<&'a [u8]>,
+}
+
+impl<'a> KvView<'a> {
+    /// Reads a command's bytes with [`KvWrite::decode`]'s bounds and its
+    /// refusal of trailing bytes: `Some` exactly when `decode` is, with the
+    /// same fields. Returns `None` on any malformed input (never panics).
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut r = WireReader::new(bytes);
+        let (client, seq, tag) = (r.u64().ok()?, r.u64().ok()?, r.u8().ok()?);
+        let (key, value) = match tag {
+            TAG_PUT => (
+                r.bytes(MAX_KEY_LEN).ok()?,
+                Some(r.bytes(MAX_VALUE_LEN).ok()?),
+            ),
+            TAG_DEL => (r.bytes(MAX_KEY_LEN).ok()?, None),
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(KvView {
+            client,
+            seq,
+            key,
+            value,
+        })
     }
 }
 
@@ -108,6 +166,7 @@ mod tests {
             },
         };
         assert_eq!(KvWrite::decode(&put.encode()), Some(put.clone()));
+        assert_eq!(KvView::parse(put.encode().bytes()), Some(put.view()));
         let del = KvWrite {
             client: 1,
             seq: u64::MAX,
@@ -194,6 +253,39 @@ mod tests {
             bytes in proptest::collection::vec(0u8..255, 0..80),
         ) {
             let _ = KvWrite::decode(&Command::new(bytes));
+        }
+
+        /// The borrowed parse accepts exactly what the owned decode accepts
+        /// and reads the same fields: over encoded writes, and over those
+        /// writes cut short, extended, or with one byte changed.
+        #[test]
+        fn the_view_parses_exactly_what_decode_decodes(
+            client in 0u64..1_000,
+            key in proptest::collection::vec(0u8..255, 0..40),
+            value in proptest::collection::vec(0u8..255, 0..40),
+            del in 0u8..2,
+            edit in 0usize..3,
+            at in 0usize..1_000,
+            byte in 0u8..255,
+        ) {
+            let op = if del == 1 {
+                KvOp::Del { key }
+            } else {
+                KvOp::Put { key, value }
+            };
+            let w = KvWrite { client, seq: client * 7, op };
+            let mut bytes = w.encode().bytes().to_vec();
+            match edit {
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                1 => bytes.push(byte),
+                _ => {
+                    let i = at % bytes.len();
+                    bytes[i] = byte;
+                }
+            }
+            let owned = KvWrite::decode(&Command::new(bytes.clone()));
+            let view = KvView::parse(&bytes);
+            prop_assert_eq!(view, owned.as_ref().map(KvWrite::view));
         }
     }
 }

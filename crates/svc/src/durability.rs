@@ -114,22 +114,19 @@ impl Durability {
             return Ok(());
         }
         for ev in events {
-            let rec = match ev {
+            // Each batch is encoded straight into the WAL's write buffer.
+            match ev {
                 LogEvent::Accepted {
                     slot,
                     ballot,
                     value,
-                } => WalRecord::Accept {
-                    slot: *slot,
-                    ballot: *ballot,
-                    batch: batch_bytes(value),
-                },
-                LogEvent::Decided { slot, value } => WalRecord::Decide {
-                    slot: *slot,
-                    batch: batch_bytes(value),
-                },
-            };
-            self.wal.append(&rec);
+                } => self
+                    .wal
+                    .append_batch(*slot, Some(*ballot), |buf| value.encode(buf)),
+                LogEvent::Decided { slot, value } => {
+                    self.wal.append_batch(*slot, None, |buf| value.encode(buf))
+                }
+            }
         }
         self.wal.commit()
     }

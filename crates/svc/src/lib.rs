@@ -71,7 +71,7 @@ mod store;
 
 pub use client::{ClientError, ClientStats, SvcClient};
 pub use cluster::SvcCluster;
-pub use command::{KvOp, KvWrite};
+pub use command::{KvOp, KvView, KvWrite};
 pub use durability::{Durability, Recovered};
 pub use irs_consensus::Command;
 pub use irs_wal::FsyncPolicy;

@@ -31,7 +31,7 @@
 //! any replica answers from its applied prefix, so the answer is a
 //! committed (possibly old) state — never an unacked in-flight write.
 
-use crate::command::KvWrite;
+use crate::command::KvView;
 use crate::durability::Durability;
 use crate::msg::{ReadTier, ReplicaLogMsg, SvcMsg, SvcReply};
 use crate::store::KvStore;
@@ -338,7 +338,7 @@ impl SvcReplica {
         self.requests += 1;
         // A command that does not parse as a KvWrite can never be applied;
         // drop it at the door (the codec's equivalent of link noise).
-        let Some(w) = KvWrite::decode(cmd) else {
+        let Some(w) = KvView::parse(cmd.bytes()) else {
             return false;
         };
         // `Applied` must mean "this write's effect is in the store". The
@@ -587,12 +587,11 @@ impl SvcReplica {
             let slot = self.cursor;
             self.cursor += 1;
             let apply_start = self.obs.as_ref().map(|_| std::time::Instant::now());
-            // Unparseable commands are no-op entries; the rest go through
-            // the store's one batch-apply path, with the ack bookkeeping
-            // riding the per-write callback.
-            let writes: Vec<KvWrite> = batch.iter().filter_map(KvWrite::decode).collect();
+            // Each command is applied in place (an unparseable one is a
+            // no-op entry), with the ack bookkeeping riding the per-write
+            // callback.
             let awaiting = &mut self.awaiting;
-            self.store.apply_batch(slot, &writes, |w, fresh| {
+            self.store.apply_commands(slot, batch.iter(), |w, fresh| {
                 match awaiting.remove(&(w.client, w.seq)) {
                     // Ack only writes whose effect actually landed. A
                     // decided entry the session filter skipped (a stale seq
@@ -836,7 +835,7 @@ impl Introspect for SvcReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::KvOp;
+    use crate::command::{KvOp, KvWrite};
     use irs_consensus::LogMsg;
     use irs_types::Destination;
 

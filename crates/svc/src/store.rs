@@ -8,7 +8,8 @@
 //! byte-identical state — [`KvStore::digest`] is the cheap witness the
 //! consistency experiments compare.
 
-use crate::command::{KvOp, KvWrite};
+use crate::command::{KvView, KvWrite};
+use irs_consensus::Command;
 use irs_net::wire::{put_bytes, put_u32, Wire, WireReader};
 use std::collections::BTreeMap;
 
@@ -21,7 +22,7 @@ pub struct KvStore {
     applied: u64,
     dup_skips: u64,
     /// Incrementally maintained state digest: the wrapping sum of one
-    /// FNV-1a hash per live binding and per client cursor (a multiset
+    /// [`WordHash`] per live binding and per client cursor (a multiset
     /// hash, so it is order-independent and supports O(1) update on
     /// insert/overwrite/remove). Snapshots publish the digest after every
     /// applied frame; recomputing over the whole map there would make each
@@ -29,24 +30,56 @@ pub struct KvStore {
     digest_acc: u64,
 }
 
+/// The digest's per-entry hash: eight input bytes a multiply step, then a
+/// full avalanche. Stable across processes and releases, which is all a
+/// cross-replica witness needs; it is not built to resist chosen
+/// collisions.
+struct WordHash(u64);
+
+impl WordHash {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new(domain: u64) -> Self {
+        WordHash(domain.wrapping_mul(Self::K))
+    }
+
+    fn word(&mut self, w: u64) -> &mut Self {
+        self.0 = (self.0 ^ w).wrapping_mul(Self::K).rotate_left(29);
+        self
+    }
+
+    /// A length word, then the bytes in little-endian words, the last one
+    /// zero-padded — the length keeps `("ab", "")` apart from `("a", "b")`.
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.word(u64::from_le_bytes(tail))
+    }
+
+    /// The murmur3 64-bit finaliser.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
 /// Domain-separated hash of one `key → value` binding.
 fn binding_hash(key: &[u8], value: &[u8]) -> u64 {
-    let mut h = irs_types::Fnv64::new();
-    h.write(b"kv");
-    h.write(key);
-    h.write(&[0xff]);
-    h.write(value);
-    h.finish()
+    WordHash::new(1).bytes(key).bytes(value).finish()
 }
 
 /// Domain-separated hash of one client's `(seq, slot)` cursor.
 fn cursor_hash(client: u64, seq: u64, slot: u64) -> u64 {
-    let mut h = irs_types::Fnv64::new();
-    h.write(b"cur");
-    h.write(&client.to_le_bytes());
-    h.write(&seq.to_le_bytes());
-    h.write(&slot.to_le_bytes());
-    h.finish()
+    WordHash::new(2).word(client).word(seq).word(slot).finish()
 }
 
 impl KvStore {
@@ -59,24 +92,39 @@ impl KvStore {
     /// nothing but the duplicate counter) when the write is a retry
     /// duplicate — its `seq` does not exceed the client's last applied one.
     pub fn apply(&mut self, slot: u64, w: &KvWrite) -> bool {
+        self.apply_view(slot, w.view())
+    }
+
+    /// [`KvStore::apply`] over a borrowed write: a put copies its key only
+    /// when the key is new, and overwrites a bound value in place.
+    pub fn apply_view(&mut self, slot: u64, w: KvView<'_>) -> bool {
         if let Some(&(seq, _)) = self.last.get(&w.client) {
             if w.seq <= seq {
                 self.dup_skips += 1;
                 return false;
             }
         }
-        match &w.op {
-            KvOp::Put { key, value } => {
-                if let Some(old) = self.map.insert(key.clone(), value.clone()) {
-                    self.digest_acc = self.digest_acc.wrapping_sub(binding_hash(key, &old));
-                }
+        let key = w.key;
+        let old = match w.value {
+            Some(value) => {
                 self.digest_acc = self.digest_acc.wrapping_add(binding_hash(key, value));
-            }
-            KvOp::Del { key } => {
-                if let Some(old) = self.map.remove(key) {
-                    self.digest_acc = self.digest_acc.wrapping_sub(binding_hash(key, &old));
+                match self.map.get_mut(key) {
+                    Some(bound) => {
+                        let old = binding_hash(key, bound);
+                        bound.clear();
+                        bound.extend_from_slice(value);
+                        Some(old)
+                    }
+                    None => {
+                        self.map.insert(key.to_vec(), value.to_vec());
+                        None
+                    }
                 }
             }
+            None => self.map.remove(key).map(|old| binding_hash(key, &old)),
+        };
+        if let Some(old) = old {
+            self.digest_acc = self.digest_acc.wrapping_sub(old);
         }
         if let Some((old_seq, old_slot)) = self.last.insert(w.client, (w.seq, slot)) {
             self.digest_acc = self
@@ -125,22 +173,23 @@ impl KvStore {
         &self.map
     }
 
-    /// A 64-bit witness of the applied state — one FNV-1a hash per live
-    /// binding and per client cursor, folded order-independently: two
-    /// replicas with equal digests applied the same effective writes.
-    /// O(1): the accumulator is maintained incrementally by
-    /// [`KvStore::apply`], so per-frame snapshot publication stays cheap
-    /// regardless of store size.
+    /// A 64-bit witness of the applied state — the wrapping sum of one hash
+    /// per live binding and per client cursor, so it is order-independent:
+    /// two replicas with equal digests applied the same effective writes.
+    /// The per-entry hash takes eight bytes a step and is fixed (stable
+    /// across processes), but no test pins its value: compare digests, do
+    /// not store them. O(1): the accumulator is maintained incrementally
+    /// by every apply, so per-frame snapshot publication stays cheap
+    /// regardless of store size; [`KvStore::install`] recomputes it from
+    /// the installed content.
     pub fn digest(&self) -> u64 {
         self.digest_acc
     }
 
-    /// Applies a whole decided batch in order, returning how many writes
-    /// were fresh (the rest were retry duplicates). `on_applied` is invoked
-    /// once per write with whether its effect landed — the replica's ack
-    /// bookkeeping rides it, so this is the one batch-apply path both
-    /// production (`SvcReplica::apply_ready`) and the digest-equivalence
-    /// proptest exercise. Digest-identical to applying the writes singly.
+    /// Applies a whole decided batch of owned writes in order, returning
+    /// how many were fresh (the rest were retry duplicates). `on_applied`
+    /// is invoked once per write with whether its effect landed.
+    /// Digest-identical to applying the writes singly.
     pub fn apply_batch<'a>(
         &mut self,
         slot: u64,
@@ -150,6 +199,30 @@ impl KvStore {
         let mut fresh = 0u64;
         for w in writes {
             let applied = self.apply(slot, w);
+            fresh += u64::from(applied);
+            on_applied(w, applied);
+        }
+        fresh
+    }
+
+    /// Applies a decided batch as the log holds it, each command read in
+    /// place ([`KvView::parse`]) — the replica's apply path
+    /// (`SvcReplica::apply_ready`), whose ack bookkeeping rides
+    /// `on_applied`. A command that does not parse is a no-op entry.
+    /// Returns how many writes were fresh; state- and digest-identical to
+    /// [`KvStore::apply_batch`] over the decoded writes.
+    pub fn apply_commands<'a>(
+        &mut self,
+        slot: u64,
+        commands: impl IntoIterator<Item = &'a Command>,
+        mut on_applied: impl FnMut(KvView<'a>, bool),
+    ) -> u64 {
+        let mut fresh = 0u64;
+        for w in commands
+            .into_iter()
+            .filter_map(|c| KvView::parse(c.bytes()))
+        {
+            let applied = self.apply_view(slot, w);
             fresh += u64::from(applied);
             on_applied(w, applied);
         }
@@ -212,6 +285,7 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::KvOp;
 
     fn put(client: u64, seq: u64, key: &[u8], value: &[u8]) -> KvWrite {
         KvWrite {
@@ -404,6 +478,45 @@ mod tests {
             prop_assert_eq!(batched.map(), singly.map());
             prop_assert_eq!(batched.applied(), singly.applied());
             prop_assert_eq!(batched.dup_skips(), singly.dup_skips());
+        }
+
+        /// The replica's borrowed apply — commands read in place, a bound
+        /// value overwritten in place — leaves the map, the digest, the
+        /// cursors and the counters exactly where `apply(&KvWrite)` leaves
+        /// them, over random puts, deletes and retry duplicates, and
+        /// reports the same write as fresh or skipped. A command that does
+        /// not parse is a no-op entry.
+        #[test]
+        fn borrowed_apply_is_state_and_digest_identical_to_owned_apply(
+            seeds in proptest::collection::vec(0u64..1_000, 1..64),
+            batch_len in 1usize..9,
+        ) {
+            let writes = writes_from(&seeds);
+            let commands: Vec<Command> = writes.iter().map(KvWrite::encode).collect();
+            let (mut borrowed, mut owned) = (KvStore::new(), KvStore::new());
+            for (slot, chunk) in commands.chunks(batch_len).enumerate() {
+                let slot = slot as u64;
+                let garbage = Command::new(vec![slot as u8; 3]);
+                let mut seen = Vec::new();
+                let fresh = borrowed.apply_commands(slot, chunk.iter().chain([&garbage]), |w, f| {
+                    seen.push((w.client, w.seq, f));
+                });
+                let mut expect = Vec::new();
+                for w in chunk.iter().filter_map(KvWrite::decode) {
+                    expect.push((w.client, w.seq, owned.apply(slot, &w)));
+                }
+                prop_assert_eq!(fresh, expect.iter().filter(|e| e.2).count() as u64);
+                prop_assert_eq!(seen, expect);
+            }
+            prop_assert_eq!(borrowed.map(), owned.map());
+            prop_assert_eq!(borrowed.digest(), owned.digest());
+            prop_assert_eq!(borrowed.applied(), owned.applied());
+            prop_assert_eq!(borrowed.dup_skips(), owned.dup_skips());
+            for client in 0..3 {
+                prop_assert_eq!(borrowed.last_applied(client), owned.last_applied(client));
+            }
+            let restored = KvStore::install(&borrowed.export()).expect("own export");
+            prop_assert_eq!(restored.digest(), borrowed.digest());
         }
 
         /// `install ∘ export` is the identity on (map, cursors, digest,

@@ -232,14 +232,17 @@ fn a_leader_crashed_between_the_ack_and_any_announcement_loses_nothing() {
             put(client);
         }
         let settled = Instant::now();
-        let leader = loop {
-            match cluster.agreed_leader() {
-                Some(leader) => break leader,
-                None if settled.elapsed() > Duration::from_secs(10) => panic!("no agreed leader"),
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-        };
+        while cluster.agreed_leader().is_none() {
+            assert!(
+                settled.elapsed() < Duration::from_secs(10),
+                "no agreed leader"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         put(client);
+        // The replica that acked, which is not always the one the replicas
+        // agreed on a moment before: early in a run Ω can still move.
+        let leader = client.answered_by().expect("the put was answered");
         let applied = |p: u32| {
             cluster
                 .snapshot(irs_types::ProcessId::new(p))

@@ -1,8 +1,8 @@
 //! A tiny shared FNV-1a hasher.
 //!
 //! Several layers need a cheap, dependency-free, *cross-process-stable*
-//! 64-bit digest (snapshot gauges for decided commands, store-state
-//! witnesses compared between replicas). `std`'s `DefaultHasher` is
+//! 64-bit digest (snapshot gauges for decided commands, WAL frame and
+//! snapshot checksums). `std`'s `DefaultHasher` is
 //! explicitly unstable across releases and processes, so the workspace
 //! standardises on one FNV-1a implementation instead of each crate
 //! hand-rolling the constants.

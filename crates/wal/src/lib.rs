@@ -144,18 +144,25 @@ irs_net::wire_table! {
 /// Public so tests can compute exact frame boundaries when exercising
 /// torn-tail truncation.
 pub fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    rec.encode(&mut payload);
-    assert!(
-        payload.len() <= MAX_RECORD_LEN,
-        "WAL record of {} bytes exceeds MAX_RECORD_LEN",
-        payload.len()
-    );
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u64(&mut frame, Fnv64::digest_of(&payload));
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    push_frame(&mut frame, |buf| rec.encode(buf));
     frame
+}
+
+/// Appends one frame to `buf`, its payload written by `payload` straight
+/// behind the header, which is filled in afterwards.
+fn push_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    payload(buf);
+    let len = buf.len() - start - FRAME_HEADER;
+    assert!(
+        len <= MAX_RECORD_LEN,
+        "WAL record of {len} bytes exceeds MAX_RECORD_LEN"
+    );
+    let sum = Fnv64::digest_of(&buf[start + FRAME_HEADER..]);
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4..start + FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Replays the longest valid frame prefix of `bytes`.
@@ -252,7 +259,40 @@ impl Wal {
 
     /// Buffers one record for the next [`commit`](Wal::commit).
     pub fn append(&mut self, rec: &WalRecord) {
-        self.buf.extend_from_slice(&encode_frame(rec));
+        push_frame(&mut self.buf, |buf| rec.encode(buf));
+        self.count_append();
+    }
+
+    /// Buffers the record [`append`](Wal::append) would write for an
+    /// `Accept { slot, ballot, batch }` (`ballot` given) or a
+    /// `Decide { slot, batch }`, with `encode_batch` writing the batch bytes
+    /// straight into the frame instead of into a `Vec` of their own.
+    pub fn append_batch(
+        &mut self,
+        slot: u64,
+        ballot: Option<Ballot>,
+        encode_batch: impl FnOnce(&mut Vec<u8>),
+    ) {
+        push_frame(&mut self.buf, |buf| {
+            buf.push(if ballot.is_some() {
+                TAG_ACCEPT
+            } else {
+                TAG_DECIDE
+            });
+            slot.encode(buf);
+            if let Some(ballot) = ballot {
+                ballot.encode(buf);
+            }
+            let len_at = buf.len();
+            put_u32(buf, 0);
+            encode_batch(buf);
+            let len = (buf.len() - len_at - 4) as u32;
+            buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        });
+        self.count_append();
+    }
+
+    fn count_append(&mut self) {
         self.unsynced += 1;
         self.batch_records += 1;
         self.appended += 1;
@@ -323,7 +363,7 @@ impl Wal {
         let tmp = self.path.with_extension("log.tmp");
         let mut bytes = Vec::new();
         for rec in records {
-            bytes.extend_from_slice(&encode_frame(rec));
+            push_frame(&mut bytes, |buf| rec.encode(buf));
         }
         let mut f = File::create(&tmp)?;
         f.write_all(&bytes)?;
@@ -504,6 +544,36 @@ mod tests {
         drop(wal);
         let (_, replayed) = Wal::open(&path, FsyncPolicy::Always).expect("reopen");
         assert_eq!(replayed, sample_records());
+    }
+
+    /// A batch record encoded in place is byte for byte the record
+    /// `append` writes for the same bytes.
+    #[test]
+    fn append_batch_writes_the_bytes_append_writes() {
+        let dir = tmpdir("inplace");
+        let (mut owned, _) = Wal::open(dir.join("owned.log"), FsyncPolicy::Never).expect("open");
+        let (mut inplace, _) =
+            Wal::open(dir.join("inplace.log"), FsyncPolicy::Never).expect("open");
+        for r in sample_records() {
+            owned.append(&r);
+            match r {
+                WalRecord::Accept {
+                    slot,
+                    ballot,
+                    batch,
+                } => inplace.append_batch(slot, Some(ballot), |buf| buf.extend(&batch)),
+                WalRecord::Decide { slot, batch } => {
+                    inplace.append_batch(slot, None, |buf| buf.extend(&batch))
+                }
+                other => inplace.append(&other),
+            }
+        }
+        owned.commit().expect("commit");
+        inplace.commit().expect("commit");
+        assert_eq!(owned.appended(), inplace.appended());
+        drop((owned, inplace));
+        let read = |name: &str| std::fs::read(dir.join(name)).expect("read");
+        assert_eq!(read("owned.log"), read("inplace.log"));
     }
 
     #[test]
