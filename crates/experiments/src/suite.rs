@@ -12,7 +12,7 @@ use irs_consensus::{ConsensusProcess, Value};
 use irs_omega::OmegaProcess;
 use irs_sim::adversary::presets;
 use irs_sim::{CrashPlan, SimConfig, Simulation};
-use irs_svc::loadgen::{ClientAcks, ClientReads, ClosedLoopOptions, LoadReport, MixedLoopOptions};
+use irs_svc::loadgen::{closed_loop, ClientAcks, ClientReads, ClosedLoopOptions, LoadReport};
 use irs_types::{Duration, GrowthFn, ProcessId, SystemConfig, Time};
 
 fn seeds(quick: bool) -> Vec<u64> {
@@ -626,7 +626,7 @@ fn poll_until<T>(
 /// Without the progress gate the all-zero initial state counts as a
 /// trivial agreement at t = 0.
 fn await_agreement(
-    cluster: &irs_runtime::NetCluster<OmegaProcess>,
+    cluster: &irs_runtime::Cluster<OmegaProcess>,
     limit: std::time::Duration,
 ) -> Option<(ProcessId, std::time::Duration)> {
     poll_until(limit, || {
@@ -654,9 +654,30 @@ fn ms_cell<T>(polled: Option<(T, std::time::Duration)>) -> String {
 /// separate-OS-process deployment is `examples/socket_cluster.rs` and the
 /// `socket_cluster` integration test.
 pub fn e11_deployment(quick: bool) -> Table {
-    use irs_net::{DutyCycle, FaultyLink, LinkModel, UdpTransport};
-    use irs_runtime::{NetCluster, NodeConfig};
+    use irs_net::{DutyCycle, FaultyLink, LinkModel, MemNetwork, Transport, UdpTransport};
+    use irs_runtime::{Cluster, RealtimeConfig};
     use std::time::Duration as StdDuration;
+
+    // One endpoint per process: every node on its own thread and link.
+    fn spawn<T: Transport + 'static>(links: Vec<T>) -> Cluster<OmegaProcess> {
+        Cluster::spawn_on(
+            deployment_omega(links.len()),
+            RealtimeConfig::default(),
+            links,
+        )
+    }
+    // The in-memory mesh with `model(p)` shaping what process `p` receives.
+    fn faulty_mem(
+        n: usize,
+        mut model: impl FnMut(ProcessId) -> LinkModel,
+    ) -> Cluster<OmegaProcess> {
+        let links = MemNetwork::mesh(n).into_iter().enumerate();
+        spawn(
+            links
+                .map(|(i, t)| FaultyLink::new(t, model(ProcessId::new(i as u32))))
+                .collect(),
+        )
+    }
 
     let mut table = Table::new(
         "E11",
@@ -676,13 +697,9 @@ pub fn e11_deployment(quick: bool) -> Table {
     // Row 1/2: fault-free election + crashed-leader re-election over the
     // in-memory mesh and over real UDP sockets.
     for backend in ["mem", "udp"] {
-        let config = NodeConfig::new(n);
         let cluster = match backend {
-            "mem" => NetCluster::in_memory(deployment_omega(n), config),
-            _ => {
-                let sockets = UdpTransport::localhost_mesh(n).expect("bind localhost sockets");
-                NetCluster::spawn(deployment_omega(n), sockets, config)
-            }
+            "mem" => spawn(MemNetwork::mesh(n)),
+            _ => spawn(UdpTransport::localhost_mesh(n).expect("bind localhost sockets")),
         };
         let elected = await_agreement(&cluster, limit);
         let reelect = elected.and_then(|(first, _)| {
@@ -704,7 +721,7 @@ pub fn e11_deployment(quick: bool) -> Table {
     // per-round ALIVEs, so 20% uniform loss merely slows the election.
     {
         let drop_p = 0.2;
-        let cluster = NetCluster::with_link_models(deployment_omega(n), NodeConfig::new(n), |p| {
+        let cluster = faulty_mem(n, |p| {
             LinkModel::new(0x0E11_D20B ^ u64::from(p.as_u32())).with_drop_prob(drop_p)
         });
         let elected = await_agreement(&cluster, limit);
@@ -731,7 +748,7 @@ pub fn e11_deployment(quick: bool) -> Table {
         let neutral = 900_000u64;
         let clock = ManualClock::new();
         clock.set(neutral);
-        let cluster = NetCluster::with_link_models(deployment_omega(n), NodeConfig::new(n), |_| {
+        let cluster = faulty_mem(n, |_| {
             let mut model = LinkModel::new(0x000E_11DC).with_manual_clock(clock.clone());
             for node in 0..n as u32 {
                 let (period, width) = (1_000_000, 3_000);
@@ -862,7 +879,7 @@ pub fn e11_deployment(quick: bool) -> Table {
                 )
             })
             .collect();
-        let cluster = NetCluster::spawn(deployment_omega(n), sockets, NodeConfig::new(n));
+        let cluster = spawn(sockets);
         let elected = await_agreement(&cluster, limit);
         table.push_row(vec![
             "udp".to_string(),
@@ -891,39 +908,9 @@ enum Links {
     MuxUdp,
 }
 
-/// The load a service run drives: closed-loop writes or a read/write mix.
-trait Load {
-    type Report;
-    fn drive<T: irs_net::Transport>(
-        self,
-        clients: &mut [irs_svc::SvcClient<T>],
-    ) -> (Self::Report, Vec<ClientAcks>, Vec<ClientReads>);
-}
-
-impl Load for ClosedLoopOptions {
-    type Report = LoadReport;
-    fn drive<T: irs_net::Transport>(
-        self,
-        clients: &mut [irs_svc::SvcClient<T>],
-    ) -> (LoadReport, Vec<ClientAcks>, Vec<ClientReads>) {
-        let (report, acked) = irs_svc::loadgen::closed_loop(clients, self);
-        (report, acked, Vec::new())
-    }
-}
-
-impl Load for MixedLoopOptions {
-    type Report = irs_svc::loadgen::MixedReport;
-    fn drive<T: irs_net::Transport>(
-        self,
-        clients: &mut [irs_svc::SvcClient<T>],
-    ) -> (Self::Report, Vec<ClientAcks>, Vec<ClientReads>) {
-        irs_svc::loadgen::mixed_loop(clients, self)
-    }
-}
-
 /// What one service run left behind (see [`service_run`]).
-struct ServiceRun<R> {
-    report: R,
+struct ServiceRun {
+    report: LoadReport,
     acked: Vec<ClientAcks>,
     reads: Vec<ClientReads>,
     crashed: Option<ProcessId>,
@@ -933,7 +920,7 @@ struct ServiceRun<R> {
     survivors: Vec<irs_svc::SvcReplica>,
 }
 
-impl<R> ServiceRun<R> {
+impl ServiceRun {
     fn verdict(&self) -> Result<(), String> {
         service_verdict(&self.survivors, &self.acked, &self.reads)
     }
@@ -957,12 +944,12 @@ fn service_verdict(
 /// drives `load` (crash-stopping the agreed leader `crash_after` into it,
 /// if set), waits up to 30 s for the survivors' digests to agree — a
 /// replica behind a lossy link catches up here — and freezes the cluster.
-fn service_run<L: Load>(
+fn service_run(
     config: irs_svc::SvcConfig,
     links: Links,
-    load: L,
+    load: ClosedLoopOptions,
     crash_after: Option<std::time::Duration>,
-) -> ServiceRun<L::Report> {
+) -> ServiceRun {
     use irs_svc::SvcCluster;
     let (n, clients) = (config.n, config.peers - config.n);
     match links {
@@ -988,19 +975,19 @@ fn service_run<L: Load>(
 }
 
 /// [`service_run`] past the spawn, generic over the clients' transport.
-fn drive<T: irs_net::Transport, L: Load>(
+fn drive<T: irs_net::Transport>(
     cluster: irs_svc::SvcCluster,
     mut clients: Vec<irs_svc::SvcClient<T>>,
-    load: L,
+    load: ClosedLoopOptions,
     crash_after: Option<std::time::Duration>,
-) -> ServiceRun<L::Report> {
+) -> ServiceRun {
+    let mut run = || closed_loop(&mut clients, load);
     let ((report, acked, reads), crashed) = match crash_after {
         Some(after) => {
-            let (out, victim) =
-                irs_svc::loadgen::with_leader_crash(&cluster, after, || load.drive(&mut clients));
+            let (out, victim) = irs_svc::loadgen::with_leader_crash(&cluster, after, run);
             (out, Some(victim))
         }
-        None => (load.drive(&mut clients), None),
+        None => (run(), None),
     };
     let survives = |i: usize| crashed.map(ProcessId::index) != Some(i);
     let converged = poll_until(std::time::Duration::from_secs(30), || {
@@ -1030,7 +1017,7 @@ fn same_store(snaps: impl IntoIterator<Item = irs_types::Snapshot>) -> bool {
 }
 
 /// The verdict cell of a crash-free closed-loop run.
-fn acked_cell(run: &ServiceRun<LoadReport>) -> String {
+fn acked_cell(run: &ServiceRun) -> String {
     match run.verdict() {
         Ok(()) => format!("{} acked, replicas identical", run.report.ops),
         Err(e) => e,
@@ -1534,7 +1521,6 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
     use irs_obs::collector::{check_conformance, parse_prometheus, ClusterScrape};
     use irs_obs::Obs;
     use irs_runtime::NodeHandle;
-    use irs_svc::loadgen::closed_loop;
     use irs_svc::{run_svc_node, SvcClient, SvcConfig, SvcReplica};
     use std::sync::atomic::Ordering as AtomicOrdering;
     use std::sync::Arc;
@@ -1641,7 +1627,7 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
             })
             .collect();
         let load = std::thread::spawn(move || {
-            let (report, acked) = closed_loop(&mut cl, opts);
+            let (report, acked, _) = closed_loop(&mut cl, opts);
             (report, acked, cl)
         });
         std::thread::sleep(opts.duration / 2);
@@ -1666,7 +1652,7 @@ pub fn e15_live_telemetry(quick: bool) -> Table {
             if same_store(handles.iter().map(|h| h.snapshot.read())) {
                 return Some(());
             }
-            let (_, extra) = closed_loop(&mut cl, trickle);
+            let (_, extra, _) = closed_loop(&mut cl, trickle);
             acked.extend(extra);
             // Give the burst's tail a full duty-cycle period to replicate
             // before the digests are compared again.
@@ -1821,12 +1807,12 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
     let mut reads_per_sec_at_95: std::collections::BTreeMap<&str, f64> =
         std::collections::BTreeMap::new();
     for (tier, read_pct) in mixes {
-        let load = MixedLoopOptions {
+        let load = ClosedLoopOptions {
             duration,
             op_deadline: StdDuration::from_secs(8),
             read_pct,
             tier,
-            ..MixedLoopOptions::default()
+            ..ClosedLoopOptions::default()
         };
         let run = service_run(SvcConfig::new(n, clients), Links::Mem, load, None);
         let report = &run.report;
@@ -1838,7 +1824,7 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
         let verdict = match run.verdict() {
             Ok(()) => format!(
                 "{} reads within contract, {} writes consistent",
-                report.reads, report.writes
+                report.reads, report.ops
             ),
             Err(e) => format!("FAIL: {e}"),
         };
@@ -1850,7 +1836,7 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
             tier_name.to_string(),
             format!("{read_pct}/{}", 100 - read_pct),
             format!("{:.0}", report.reads_per_sec()),
-            format!("{:.0}", report.writes_per_sec()),
+            format!("{:.0}", report.ops_per_sec()),
             report.read_latency.percentile(50.0).to_string(),
             report.read_latency.percentile(99.0).to_string(),
             verdict,
@@ -1886,12 +1872,12 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
 
     // Crash row: leader dies while its lease may still be live.
     {
-        let load = MixedLoopOptions {
+        let load = ClosedLoopOptions {
             duration: StdDuration::from_secs(if quick { 3 } else { 5 }),
             op_deadline: StdDuration::from_secs(10),
             read_pct: 95,
             tier: ReadTier::Lease,
-            ..MixedLoopOptions::default()
+            ..ClosedLoopOptions::default()
         };
         let crash_after = StdDuration::from_millis(if quick { 900 } else { 1500 });
         let run = service_run(
@@ -1908,7 +1894,7 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
                  {} writes consistent",
                 run.crashed.expect("crash row crashes a leader"),
                 report.reads,
-                report.writes
+                report.ops
             ),
             (true, Err(e)) => format!("FAIL: {e}"),
         };
@@ -1917,7 +1903,7 @@ pub fn e16_stable_reign_fast_path(quick: bool) -> Table {
             "lease".to_string(),
             "95/5".to_string(),
             format!("{:.0}", report.reads_per_sec()),
-            format!("{:.0}", report.writes_per_sec()),
+            format!("{:.0}", report.ops_per_sec()),
             report.read_latency.percentile(50.0).to_string(),
             report.read_latency.percentile(99.0).to_string(),
             verdict,

@@ -102,11 +102,10 @@ pub fn encode_scrape_reply(
 }
 
 /// A [`ScrapeSource`] over any [`Transport`]: the collector's wire-level
-/// client. Node index `i` is scraped at `ProcessId::new(base + i)`.
+/// client. Node index `i` is scraped at `ProcessId::new(i)`.
 pub struct TransportScraper<T: Transport> {
     transport: T,
     me: ProcessId,
-    base: u32,
     timeout: Duration,
     retries: u32,
 }
@@ -115,7 +114,6 @@ impl<T: Transport> std::fmt::Debug for TransportScraper<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransportScraper")
             .field("me", &self.me)
-            .field("base", &self.base)
             .field("timeout", &self.timeout)
             .field("retries", &self.retries)
             .finish_non_exhaustive()
@@ -129,16 +127,9 @@ impl<T: Transport> TransportScraper<T> {
         TransportScraper {
             transport,
             me,
-            base: 0,
             timeout: Duration::from_millis(250),
             retries: 8,
         }
-    }
-
-    /// Maps collector node `i` to `ProcessId::new(base + i)`.
-    pub fn with_base(mut self, base: u32) -> Self {
-        self.base = base;
-        self
     }
 
     /// Per-request receive timeout (each of the `retries` attempts waits
@@ -209,7 +200,7 @@ struct ScrapeSession {
 
 impl<T: Transport> TransportScraper<T> {
     fn send_request(&mut self, node: u32, format: ScrapeFormat, cursor: u32) -> Result<(), String> {
-        let target = ProcessId::new(self.base + node);
+        let target = ProcessId::new(node);
         let mut req = Vec::with_capacity(8);
         ObsMsg::ScrapeRequest { format, cursor }.encode(&mut req);
         match self.transport.send(self.me, target, &req) {
@@ -226,7 +217,7 @@ impl<T: Transport> ScrapeSource for TransportScraper<T> {
         format: ScrapeFormat,
         cursor: u32,
     ) -> Result<(Vec<u8>, bool), String> {
-        let target = ProcessId::new(self.base + node);
+        let target = ProcessId::new(node);
         for _ in 0..self.retries {
             if let Some(hit) = self.attempt(target, format, cursor)? {
                 return Ok(hit);
@@ -289,10 +280,10 @@ impl<T: Transport> ScrapeSource for TransportScraper<T> {
             if let Some(frame) = frame {
                 // Match the chunk to its session by sender and cursor;
                 // anything else (stale retransmission, stray plane) drops.
-                if frame.to != self.me || frame.from.as_u32() < self.base {
+                if frame.to != self.me {
                     continue;
                 }
-                let node = frame.from.as_u32() - self.base;
+                let node = frame.from.as_u32();
                 let Some(s) = sessions.get_mut(node as usize) else {
                     continue;
                 };
@@ -339,7 +330,7 @@ impl<T: Transport> ScrapeSource for TransportScraper<T> {
                 if s.attempts_left == 0 {
                     s.outcome = Some(Err(format!(
                         "node {node} ({}) did not answer scrape cursor {} after {retries} attempts",
-                        ProcessId::new(self.base + node),
+                        ProcessId::new(node),
                         s.cursor
                     )));
                     continue;

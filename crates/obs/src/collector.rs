@@ -96,11 +96,6 @@ pub struct Exposition {
 }
 
 impl Exposition {
-    /// Samples named exactly `name`.
-    pub fn samples_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Sample> {
-        self.samples.iter().filter(move |s| s.name == name)
-    }
-
     /// Scalar (counter/gauge) samples as `(name, value-as-u64)` pairs —
     /// the shape [`ReignStats::from_metrics`] consumes. Histogram series
     /// are skipped.

@@ -270,6 +270,25 @@ mod tests {
         assert!(text.contains("wal_commit_micros_count 3"), "{text}");
     }
 
+    /// The store digest's `# HELP` line (what E15's scrape reads) says what
+    /// `KvStore::digest` computes: an order-independent sum.
+    #[test]
+    fn the_kv_digest_help_line_says_order_independent() {
+        let r = Registry::new();
+        r.gauge(names::KV_DIGEST).set(0xD1);
+        let text = render_prometheus(&r.scrape());
+        let help = text
+            .lines()
+            .find(|l| l.starts_with("# HELP kv_digest "))
+            .unwrap_or_else(|| panic!("no kv_digest help line: {text}"));
+        assert_eq!(
+            help,
+            "# HELP kv_digest order-independent store digest: \
+             one hash per binding and per client cursor, summed"
+        );
+        assert!(text.contains("kv_digest 209\n"), "{text}");
+    }
+
     #[test]
     fn histogram_buckets_are_cumulative_and_edge_correct() {
         let r = Registry::new();

@@ -87,17 +87,18 @@ pub const SUSPECTED_NOW: &str = "suspected_now";
 pub const TICKS: &str = "ticks";
 
 // ── Service replica (crates/svc) snapshot gauges ────────────────────────
-/// Log slots applied to the store.
+/// Writes applied to the store, duplicates excluded.
 pub const APPLIED: &str = "applied";
 /// Keys currently in the store.
 pub const KV_ENTRIES: &str = "kv_entries";
-/// Order-sensitive digest of the applied command stream.
+/// Order-independent digest of the store: the sum of one hash per binding
+/// and per client cursor.
 pub const KV_DIGEST: &str = "kv_digest";
 /// Duplicate client commands skipped by the session table.
 pub const DUP_SKIPS: &str = "dup_skips";
-/// Proposed commands awaiting decision.
+/// Writes this replica sequenced whose ack is still outstanding.
 pub const AWAITING: &str = "awaiting";
-/// Client requests accepted.
+/// Client requests and reads received, redirected ones included.
 pub const REQUESTS: &str = "requests";
 /// Client requests redirected to the leader.
 pub const REDIRECTS: &str = "redirects";
@@ -285,12 +286,18 @@ pub const ALL: &[(&str, &str)] = &[
         "processes currently suspected (timeout-all baseline)",
     ),
     (TICKS, "virtual-clock ticks elapsed in the simulation run"),
-    (APPLIED, "log slots applied to the store"),
+    (APPLIED, "writes applied to the store, duplicates excluded"),
     (KV_ENTRIES, "keys currently in the store"),
-    (KV_DIGEST, "order-sensitive digest of the applied stream"),
+    (
+        KV_DIGEST,
+        "order-independent store digest: one hash per binding and per client cursor, summed",
+    ),
     (DUP_SKIPS, "duplicate client commands skipped"),
-    (AWAITING, "proposed commands awaiting decision"),
-    (REQUESTS, "client requests accepted"),
+    (AWAITING, "writes sequenced here whose ack is outstanding"),
+    (
+        REQUESTS,
+        "client requests and reads received, redirected ones included",
+    ),
     (REDIRECTS, "client requests redirected to the leader"),
     (SNAPSHOTS_TAKEN, "compaction snapshots exported"),
     (WAL_APPENDED, "WAL records appended by this replica"),
@@ -411,7 +418,10 @@ mod tests {
 
     #[test]
     fn doc_lookup_works() {
-        assert_eq!(doc(APPLIED), Some("log slots applied to the store"));
+        assert_eq!(
+            doc(APPLIED),
+            Some("writes applied to the store, duplicates excluded")
+        );
         assert_eq!(doc("no_such_metric"), None);
     }
 

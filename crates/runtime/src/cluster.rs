@@ -105,7 +105,10 @@ where
     ///
     /// This is how a sharded cluster runs over a decorated or non-default
     /// backend — e.g. `FaultyLink`-wrapped endpoints for fault-injection
-    /// runs.
+    /// runs. With one endpoint per process (`W = n`, e.g.
+    /// [`MemNetwork::mesh`] or `UdpTransport::localhost_mesh`) every process
+    /// runs on a thread of its own over its own link: the loop a
+    /// process-per-node deployment runs, hosted in one address space.
     ///
     /// # Panics
     ///
@@ -301,6 +304,152 @@ mod tests {
             "no agreement under 15% loss: {:?}",
             cluster.leaders()
         );
+        cluster.shutdown();
+    }
+
+    fn fig3_processes(n: usize, t: usize) -> Vec<OmegaProcess> {
+        let system = SystemConfig::new(n, t).unwrap();
+        system
+            .processes()
+            .map(|id| OmegaProcess::fig3(id, system))
+            .collect()
+    }
+
+    /// One endpoint per process (`W = n`): the shape every process of a
+    /// socket deployment has, hosted in one address space.
+    fn one_per_process<T: Transport + 'static>(
+        n: usize,
+        t: usize,
+        transports: Vec<T>,
+    ) -> Cluster<OmegaProcess> {
+        Cluster::spawn_on(fig3_processes(n, t), RealtimeConfig::default(), transports)
+    }
+
+    /// Agreement alone is trivially true of the all-default initial state
+    /// (every fresh Figure 3 process outputs `p1`, so a read right after
+    /// `on_start` already agrees), so deployment tests additionally require
+    /// every node to have progressed through real ALIVE rounds.
+    fn agreed_after_progress(cluster: &Cluster<OmegaProcess>, rounds: u64) -> bool {
+        cluster.snapshots().iter().all(|s| s.sending_round > rounds)
+            && cluster.agreed_leader().is_some()
+    }
+
+    #[test]
+    fn udp_socket_deployment_elects_and_survives_a_crash() {
+        let transports = irs_net::UdpTransport::localhost_mesh(4).expect("bind sockets");
+        let cluster = one_per_process(4, 1, transports);
+        assert!(
+            wait_for(StdDuration::from_secs(30), || agreed_after_progress(
+                &cluster, 10
+            )),
+            "no agreement over UDP: {:?}",
+            cluster.leaders()
+        );
+        let first = cluster.agreed_leader().unwrap();
+        cluster.crash(first);
+        assert!(cluster.is_crashed(first));
+        assert!(
+            wait_for(StdDuration::from_secs(30), || cluster
+                .agreed_leader()
+                .is_some_and(|l| l != first)),
+            "no re-election over UDP: {:?}",
+            cluster.leaders()
+        );
+        cluster.shutdown();
+    }
+
+    /// A socket is an untrusted input: well-formed frames with out-of-range
+    /// ids or messages sized for a different deployment must be dropped as
+    /// link noise, not panic the node thread.
+    #[test]
+    fn stray_datagrams_do_not_kill_a_udp_node() {
+        use irs_net::wire::encode_frame;
+        let transports = irs_net::UdpTransport::localhost_mesh(4).expect("bind sockets");
+        let victim_addr = transports[0].local_addr().unwrap();
+        let cluster = one_per_process(4, 1, transports);
+
+        let stray = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        // Out-of-range sender; misrouted receiver; ALIVE sized for n = 256;
+        // delta entry indexing process 200.
+        let mut wrong_size = Vec::new();
+        irs_omega::OmegaMsg::Alive {
+            rn: irs_types::RoundNum::new(3),
+            susp: irs_omega::SuspVector::new(256),
+        }
+        .encode(&mut wrong_size);
+        let mut bad_delta = Vec::new();
+        irs_omega::OmegaMsg::AliveDelta {
+            rn: irs_types::RoundNum::new(3),
+            entries: vec![(200, 7)],
+        }
+        .encode(&mut bad_delta);
+        let strays: [(u32, u32, &[u8]); 4] = [
+            (99, 0, &wrong_size),
+            (1, 77, b"not a message"),
+            (1, 0, &wrong_size),
+            (2, 0, &bad_delta),
+        ];
+        for (from, to, payload) in strays {
+            let mut frame = Vec::new();
+            encode_frame(
+                &mut frame,
+                ProcessId::new(from),
+                ProcessId::new(to),
+                payload,
+            );
+            stray.send_to(&frame, victim_addr).unwrap();
+        }
+
+        // The bombarded node keeps running and the cluster still elects
+        // (with every node, the victim included, progressing through real
+        // rounds).
+        assert!(
+            wait_for(StdDuration::from_secs(30), || agreed_after_progress(
+                &cluster, 10
+            )),
+            "no agreement after stray datagrams: {:?}",
+            cluster.leaders()
+        );
+        let finals = cluster.shutdown();
+        assert_eq!(finals.len(), 4, "a node thread died on stray input");
+    }
+
+    #[test]
+    fn faulty_links_with_random_drops_still_elect() {
+        // 20% receiver-side loss on every link: the algorithm only needs
+        // quorums of ALIVEs per round, so elections go through regardless.
+        let transports = MemNetwork::mesh(5)
+            .into_iter()
+            .enumerate()
+            .map(|(p, t)| {
+                FaultyLink::new(
+                    t,
+                    LinkModel::new(0x00D0_5EED ^ p as u64).with_drop_prob(0.2),
+                )
+            })
+            .collect();
+        let cluster = one_per_process(5, 2, transports);
+        assert!(
+            wait_for(StdDuration::from_secs(30), || agreed_after_progress(
+                &cluster, 10
+            )),
+            "no agreement under 20% loss: {:?}",
+            cluster.leaders()
+        );
+        // Discriminate a dead transport: without delivered ALIVEs every
+        // receiving round closes by its (initially zero-valued) timeout and
+        // `r_rn` races orders of magnitude past `s_rn`; with 80% of frames
+        // arriving, rounds close mostly by quorum and the two stay in step.
+        for i in 0..cluster.n() as u32 {
+            let snap = cluster.snapshot(ProcessId::new(i));
+            assert!(
+                snap.receiving_round < 50 * snap.sending_round + 200,
+                "p{}: receiving rounds racing ahead of sends ({} vs {}) — links are dead",
+                i + 1,
+                snap.receiving_round,
+                snap.sending_round
+            );
+        }
         cluster.shutdown();
     }
 

@@ -5,7 +5,7 @@
 //! and "set timer" — and [`Shard`] is the only code in the stack that turns
 //! those effects into wall-clock behaviour. Every deployment shape is a
 //! constructor over it: [`Cluster`](crate::Cluster) (`W` shards over grouped
-//! endpoints), [`NetCluster`](crate::NetCluster) (`n` shards of one),
+//! endpoints, `n` shards of one with an endpoint per process),
 //! [`MuxCluster`](crate::MuxCluster) (`W` shards over reactors) and
 //! [`run_node`](crate::run_node) (one shard of one on the calling thread).
 //! What a shard owns, once:
@@ -949,9 +949,9 @@ pub(crate) fn resolve_workers(workers: usize, n: usize) -> usize {
 /// A running in-process deployment: `n` protocol instances on `W` shard
 /// threads, observed through per-process snapshot cells and crash flags.
 ///
-/// This is the one handle behind [`Cluster`](crate::Cluster),
-/// [`NetCluster`](crate::NetCluster) and [`MuxCluster`](crate::MuxCluster)
-/// (which deref to it) and the service's `SvcCluster`. Dropping it without
+/// This is the one handle behind [`Cluster`](crate::Cluster) and
+/// [`MuxCluster`](crate::MuxCluster) (which deref to it) and the service's
+/// `SvcCluster`. Dropping it without
 /// [`Deployment::shutdown`] still stops the shard threads — the shared stop
 /// flag is set on drop and every shard observes it within one poll budget —
 /// but does not join them or recover the final states.

@@ -1,5 +1,5 @@
 //! Real-time execution of the sans-IO protocols: one host loop, two I/O
-//! sources, four constructors.
+//! sources, three constructors.
 //!
 //! The discrete-event simulator (`irs-sim`) is where the assumptions of the
 //! paper are reproduced faithfully and deterministically; this crate answers
@@ -20,21 +20,23 @@
 //! encode-once fan-out). Link delay and loss live in the link
 //! ([`irs_net::FaultyLink`]), never in the loop.
 //!
-//! **Four constructors.** The three in-process ones dereference to the same
+//! **Three constructors.** The two in-process ones dereference to the same
 //! [`Deployment`] handle — snapshots, `leader()` outputs, crash injection,
-//! draining shutdown, stop-on-drop; the fourth hands the same cells to the
+//! draining shutdown, stop-on-drop; the third hands the same cells to the
 //! embedder as a [`NodeHandle`]:
 //!
-//! * [`Cluster`] — the shared-memory scale shape: `W` worker shards
-//!   (default: the machine's available parallelism), each owning `n / W`
-//!   processes behind one transport endpoint (the in-memory mesh with seeded
-//!   per-link delay by default; any backend via [`Cluster::spawn_on`]).
-//!   Clusters of 256+ processes run on a handful of OS threads.
-//! * [`NetCluster`] — `n` shards of one: one node thread per process, each
-//!   over its own endpoint — in-memory, UDP-socket, or fault-injected links.
+//! * [`Cluster`] — `W` worker shards over transport endpoints, shard `s`
+//!   owning the processes `i` with `i % W == s` behind one endpoint.
+//!   [`Cluster::spawn`] is the shared-memory scale shape: `W` = the machine's available
+//!   parallelism by default, over the in-memory mesh with seeded per-link
+//!   delay, so clusters of 256+ processes run on a handful of OS threads.
+//!   [`Cluster::spawn_on`] takes the endpoints instead — with one endpoint
+//!   per process (`W = n`) every process has its own in-memory, UDP-socket
+//!   or fault-injected link, on a thread of its own.
 //! * [`MuxCluster`] — `W` shards over reactors: one real UDP socket per
 //!   process, a 128-socket deployment on a handful of threads where
-//!   [`NetCluster`] would park 128 threads in `recv`.
+//!   [`Cluster::spawn_on`] with one socket per process would park 128
+//!   threads in `recv`.
 //! * [`run_node`] / [`run_node_with`] — one shard of one on the calling
 //!   thread, for deployments where every process is its own OS process (see
 //!   `examples/socket_cluster.rs`).
@@ -71,11 +73,9 @@
 mod cluster;
 mod host;
 mod muxcluster;
-mod netcluster;
 mod node;
 
 pub use cluster::{Cluster, LinkDelay, RealtimeConfig};
 pub use host::{accept_frame, accept_frame_bytes, Deployment, MuxAccept, SnapshotCell};
 pub use muxcluster::{MuxCluster, MuxConfig};
-pub use netcluster::NetCluster;
 pub use node::{run_node, run_node_with, NodeConfig, NodeHandle};

@@ -1,15 +1,15 @@
 //! The multiplexed deployment: many UDP endpoints per reactor shard.
 //!
 //! [`Cluster`](crate::Cluster) multiplexes *processes* onto shard threads
-//! but gives every shard exactly one transport endpoint;
-//! [`NetCluster`](crate::NetCluster) gives every process its own endpoint
-//! but spends one OS thread blocked in `recv` per endpoint. [`MuxCluster`]
-//! is the deployment shape the socket runtime was built for: every process
-//! keeps its own real UDP socket, and `W` shard threads each drive an
-//! [`irs_net::Reactor`] over their processes' sockets — nonblocking I/O, one
-//! readiness wait per shard per turn, batched drains into recycled buffers,
-//! and encode-once broadcast fan-out through the reactor's queued sends. A
-//! 128-socket election therefore runs on `W ≤ cores` threads instead of 128.
+//! but gives every shard exactly one transport endpoint: with an endpoint
+//! per process it spends one OS thread blocked in `recv` per endpoint.
+//! [`MuxCluster`] is the deployment shape the socket runtime was built for:
+//! every process keeps its own real UDP socket, and `W` shard threads each
+//! drive an [`irs_net::Reactor`] over their processes' sockets —
+//! nonblocking I/O, one readiness wait per shard per turn, batched drains
+//! into recycled buffers, and encode-once broadcast fan-out through the
+//! reactor's queued sends. A 128-socket election therefore runs on
+//! `W ≤ cores` threads instead of 128.
 //! The loop itself is the shared one (see `host.rs`).
 
 use crate::host::{default_accept, Deployment, MuxAccept};

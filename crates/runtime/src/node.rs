@@ -8,8 +8,9 @@
 //! belongs to the link model, not the node), timers are driven off the wall
 //! clock, and outbound messages are wire-encoded once per broadcast.
 //!
-//! [`NetCluster`](crate::NetCluster) spawns one such thread per node for
-//! in-process deployments, and `examples/socket_cluster.rs` calls
+//! [`Cluster::spawn_on`](crate::Cluster::spawn_on) with one endpoint per
+//! process runs the same loop on one thread per node for in-process
+//! deployments, and `examples/socket_cluster.rs` calls
 //! [`run_node`] directly from `main` in each spawned OS process.
 //! [`run_node_with`] exposes the same loop with a caller-supplied admission
 //! policy and an optional observability handle — the replicated KV service

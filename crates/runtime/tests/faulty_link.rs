@@ -3,9 +3,9 @@
 //! partition healed before the horizon still yields a stable leader
 //! (satellite proptest).
 
-use irs_net::{DutyCycle, LinkModel, ManualClock, Partition};
+use irs_net::{DutyCycle, FaultyLink, LinkModel, ManualClock, MemNetwork, Partition};
 use irs_omega::OmegaProcess;
-use irs_runtime::{NetCluster, NodeConfig};
+use irs_runtime::{Cluster, RealtimeConfig};
 use irs_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ fn wait_until<F: Fn() -> bool>(deadline: Instant, check: F) -> bool {
 /// Agreement only counts once every node has progressed through real ALIVE
 /// rounds: the all-default initial state trivially agrees on `p1`.
 fn wait_for_stable_agreement<P>(
-    cluster: &NetCluster<P>,
+    cluster: &Cluster<P>,
     deadline: Instant,
     hold: Duration,
 ) -> Option<ProcessId>
@@ -64,6 +64,21 @@ fn omega_processes(n: usize, t: usize) -> Vec<OmegaProcess> {
         .collect()
 }
 
+/// `n` Figure 3 processes, each on its own in-memory endpoint behind a
+/// fault-injecting link: `model(p)` shapes what process `p` receives.
+fn faulty_cluster(
+    n: usize,
+    t: usize,
+    mut model: impl FnMut(ProcessId) -> LinkModel,
+) -> Cluster<OmegaProcess> {
+    let links = MemNetwork::mesh(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, link)| FaultyLink::new(link, model(ProcessId::new(i as u32))))
+        .collect();
+    Cluster::spawn_on(omega_processes(n, t), RealtimeConfig::default(), links)
+}
+
 /// The per-node dark regions of the duty-cycle schedule: node `k` is dark
 /// over the model-clock region `[k·10 000 + 1 000, k·10 000 + 4 000)` and
 /// connected everywhere else. The test owns the [`ManualClock`], so an
@@ -92,14 +107,13 @@ fn duty_cycle_off_windows_force_reelection_after_each() {
     let n = 8;
     let clock = ManualClock::new();
     clock.set(NEUTRAL_TICK);
-    let cluster =
-        NetCluster::with_link_models(omega_processes(n, 3), NodeConfig::new(n), |_receiver| {
-            let mut model = LinkModel::new(0x0B19_3124).with_manual_clock(clock.clone());
-            for node in 0..n as u32 {
-                model = model.with_duty_cycle(dark_region(node));
-            }
-            model
-        });
+    let cluster = faulty_cluster(n, 3, |_receiver| {
+        let mut model = LinkModel::new(0x0B19_3124).with_manual_clock(clock.clone());
+        for node in 0..n as u32 {
+            model = model.with_duty_cycle(dark_region(node));
+        }
+        model
+    });
 
     // Let the deployment elect and settle before the first off-window.
     let mut leader = wait_for_stable_agreement(
@@ -166,21 +180,17 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let n = 4;
-        let cluster = NetCluster::with_link_models(
-            omega_processes(n, 1),
-            NodeConfig::new(n),
-            |_receiver| {
-                LinkModel::new(seed)
-                    .with_wall_clock(Duration::from_millis(1))
-                    .with_partition(Partition {
-                        a: (0..split as u32).collect(),
-                        b: (split as u32..n as u32).collect(),
-                        from_tick: 0,
-                        until_tick: heal_ms,
-                        symmetric: true,
-                    })
-            },
-        );
+        let cluster = faulty_cluster(n, 1, |_receiver| {
+            LinkModel::new(seed)
+                .with_wall_clock(Duration::from_millis(1))
+                .with_partition(Partition {
+                    a: (0..split as u32).collect(),
+                    b: (split as u32..n as u32).collect(),
+                    from_tick: 0,
+                    until_tick: heal_ms,
+                    symmetric: true,
+                })
+        });
         let deadline = Instant::now() + Duration::from_millis(heal_ms) + Duration::from_secs(15);
         let stable = wait_for_stable_agreement(&cluster, deadline, Duration::from_millis(700));
         prop_assert!(

@@ -32,7 +32,7 @@ use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
     accept_frame_bytes, run_node, Cluster, Deployment, LinkDelay, MuxAccept, MuxCluster, MuxConfig,
-    NetCluster, NodeConfig, NodeHandle, RealtimeConfig,
+    NodeConfig, NodeHandle, RealtimeConfig,
 };
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
@@ -198,7 +198,8 @@ fn wait_for(limit: StdDuration, check: impl Fn() -> bool) -> bool {
 /// The host shapes under test: I/O source × processes per shard.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
-    /// `Transport` source, one process per endpoint (`NetCluster`, `run_node`).
+    /// `Transport` source, one process per endpoint (`Cluster::spawn_on`
+    /// with `W = n`, `run_node`).
     TransportOne,
     /// `Transport` source, `N / 2` processes per shared endpoint (`Cluster`).
     TransportMany,
@@ -1415,8 +1416,14 @@ fn dropping_any_constructor_stops_its_threads() {
         "irs-shard-",
         Cluster::spawn(probes(), realtime, LinkDelay::None),
     );
-    let node = NodeConfig::new(N).with_tick(TICK);
-    check("irs-node-", NetCluster::in_memory(probes(), node));
+    let one_per_endpoint = RealtimeConfig {
+        tick: TICK,
+        ..RealtimeConfig::default()
+    };
+    check(
+        "irs-shard-",
+        Cluster::spawn_on(probes(), one_per_endpoint, MemNetwork::mesh(N)),
+    );
     let mux = MuxConfig {
         tick: TICK,
         workers: 2,

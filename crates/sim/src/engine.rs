@@ -139,17 +139,6 @@ impl SimReport {
         self.stabilization.map(|s| s.at.ticks())
     }
 
-    /// The largest value ever reported as a timer value in the final
-    /// snapshots (the bounded-timeout claim of Section 6 is about this).
-    pub fn max_final_timer_value(&self) -> u64 {
-        self.final_snapshots
-            .iter()
-            .flatten()
-            .map(|s| s.timer_value)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The largest suspicion level across all live processes at the end.
     pub fn max_final_susp_level(&self) -> u64 {
         self.final_snapshots

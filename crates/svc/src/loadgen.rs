@@ -1,12 +1,20 @@
 //! The load-generator harness: closed-loop and open-loop clients with
-//! log2-bucket latency histograms, plus the replica-consistency checker the
-//! E12 experiments and the crash tests share.
+//! log2-bucket latency histograms, plus the consistency and read
+//! linearizability checkers the E12–E16 experiments and the service tests
+//! share.
 //!
 //! * [`closed_loop`] — every client keeps exactly one request outstanding
-//!   (classic saturation load: ops/s is limited by latency × clients).
-//! * [`open_loop`] — one client fires at a fixed interval regardless of
-//!   acks (arrival-rate load: latency reflects queueing, unacked requests
-//!   at the end count as failures).
+//!   (classic saturation load: ops/s is limited by latency × clients). Its
+//!   `read_pct` mixes reads at one [`ReadTier`] into the writes; a run with
+//!   `read_pct = 0` writes only.
+//! * [`open_loop`] — one client fires writes at a fixed interval regardless
+//!   of acks (arrival-rate load: latency reflects queueing, unacked
+//!   requests at the end count as failures).
+//!
+//! Both fill one [`LoadReport`]. A run's acked writes go to
+//! [`check_consistency`] and its observed reads to
+//! [`check_read_linearizability`]; [`with_leader_crash`] crash-stops the
+//! leader in the middle of either.
 //!
 //! Latencies are recorded in microseconds into [`irs_obs::Histogram`] —
 //! the same log2-bucket type the metrics registry scrapes, so load-test
@@ -24,14 +32,19 @@ use irs_types::Protocol;
 use std::collections::BTreeMap;
 use std::time::{Duration as StdDuration, Instant};
 
-/// What one load run produced.
+/// What one load run produced. Writes are the `ops` side; a closed loop
+/// with reads in its mix fills the read side too.
 #[derive(Clone, Debug, Default)]
 pub struct LoadReport {
-    /// Acknowledged operations.
+    /// Acknowledged writes.
     pub ops: u64,
-    /// Operations that exhausted their deadline (closed loop) or were never
+    /// Writes that exhausted their deadline (closed loop) or were never
     /// acked (open loop).
     pub failures: u64,
+    /// Answered reads.
+    pub reads: u64,
+    /// Reads that exhausted their deadline.
+    pub read_failures: u64,
     /// Redirects followed across all clients.
     pub redirects: u64,
     /// Timed-out attempts that were retried.
@@ -44,18 +57,44 @@ pub struct LoadReport {
     pub rto_us: u64,
     /// Wall-clock span of the run.
     pub elapsed: StdDuration,
-    /// Ack latencies in microseconds.
+    /// Write ack latencies, µs.
     pub latency: Histogram,
+    /// Read answer latencies, µs.
+    pub read_latency: Histogram,
 }
 
 impl LoadReport {
-    /// Acknowledged operations per second of wall clock.
+    /// Acknowledged writes per second of wall clock.
     pub fn ops_per_sec(&self) -> f64 {
+        self.per_sec(self.ops)
+    }
+
+    /// Answered reads per second of wall clock.
+    pub fn reads_per_sec(&self) -> f64 {
+        self.per_sec(self.reads)
+    }
+
+    fn per_sec(&self, count: u64) -> f64 {
         if self.elapsed.is_zero() {
             0.0
         } else {
-            self.ops as f64 / self.elapsed.as_secs_f64()
+            count as f64 / self.elapsed.as_secs_f64()
         }
+    }
+
+    /// Adds one client's counts and latencies; the clock figures take the
+    /// largest of the clients'.
+    fn merge(&mut self, other: &LoadReport) {
+        self.ops += other.ops;
+        self.failures += other.failures;
+        self.reads += other.reads;
+        self.read_failures += other.read_failures;
+        self.redirects += other.redirects;
+        self.retries += other.retries;
+        self.srtt_us = self.srtt_us.max(other.srtt_us);
+        self.rto_us = self.rto_us.max(other.rto_us);
+        self.latency.merge(&other.latency);
+        self.read_latency.merge(&other.read_latency);
     }
 }
 
@@ -79,6 +118,37 @@ pub struct ClientAcks {
     pub acked: Vec<AckedWrite>,
 }
 
+/// One answered read, as the issuing client saw it, with the bounds the
+/// linearizability checker needs: what the client had *acked* on the key
+/// before issuing (the floor a linearizable read must observe) and what it
+/// had *issued* (the ceiling any read may observe — a value never written
+/// cannot be read).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ObservedRead {
+    /// The key read.
+    pub key: Vec<u8>,
+    /// The seq carried by the returned value (`None` = key unbound).
+    pub value_seq: Option<u64>,
+    /// The answering replica's apply frontier (staleness witness).
+    pub frontier: u64,
+    /// Largest write seq this client had acked on the key before issuing.
+    pub acked_floor: Option<u64>,
+    /// Largest write seq this client had issued on the key before issuing
+    /// (timed-out writes included — they may still land).
+    pub issued_ceiling: Option<u64>,
+}
+
+/// Everything one client observed through reads during a run.
+#[derive(Clone, Debug, Default)]
+pub struct ClientReads {
+    /// The logical client id.
+    pub client: u64,
+    /// The tier the reads ran at.
+    pub tier: Option<ReadTier>,
+    /// Answered reads in issue order.
+    pub reads: Vec<ObservedRead>,
+}
+
 /// Tuning of a closed-loop run.
 #[derive(Clone, Copy, Debug)]
 pub struct ClosedLoopOptions {
@@ -90,6 +160,11 @@ pub struct ClosedLoopOptions {
     pub keys_per_client: u64,
     /// Value payload length in bytes (the first 8 carry the seq).
     pub value_len: usize,
+    /// Reads per 100 operations (0 = write-only, 95 = read-heavy, 50 =
+    /// balanced). Op `i` of a client is a read iff `i % 100 < read_pct`.
+    pub read_pct: u32,
+    /// The consistency tier every read selects.
+    pub tier: ReadTier,
 }
 
 impl Default for ClosedLoopOptions {
@@ -99,6 +174,8 @@ impl Default for ClosedLoopOptions {
             op_deadline: StdDuration::from_secs(3),
             keys_per_client: 8,
             value_len: 16,
+            read_pct: 0,
+            tier: ReadTier::Lease,
         }
     }
 }
@@ -121,80 +198,108 @@ pub fn seq_of_value(value: &[u8]) -> Option<u64> {
 }
 
 /// Runs every client closed-loop (one outstanding request each) for the
-/// configured duration, one OS thread per client. Returns the merged
-/// report and each client's acked writes.
+/// configured duration, one OS thread per client, on the read/write mix
+/// `opts.read_pct` sets. Returns the merged report, each client's acked
+/// writes (for [`check_consistency`]) and each client's observed reads
+/// (for [`check_read_linearizability`]; empty on a write-only run).
 pub fn closed_loop<T: Transport>(
     clients: &mut [SvcClient<T>],
     opts: ClosedLoopOptions,
-) -> (LoadReport, Vec<ClientAcks>) {
+) -> (LoadReport, Vec<ClientAcks>, Vec<ClientReads>) {
     let started = Instant::now();
-    let per_client: Vec<(Histogram, ClientAcks, u64, crate::ClientStats)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = clients
-                .iter_mut()
-                .map(|client| {
-                    scope.spawn(move || {
-                        let stats_before = client.stats;
-                        let mut hist = Histogram::new();
-                        let mut acks = ClientAcks {
-                            client: client.client_id(),
-                            acked: Vec::new(),
-                        };
-                        let mut failures = 0u64;
-                        let deadline = Instant::now() + opts.duration;
-                        let mut k = 0u64;
-                        while Instant::now() < deadline {
-                            let key = key_for(acks.client, k % opts.keys_per_client);
-                            k += 1;
-                            let seq = client.next_seq();
-                            let value = value_for(seq, opts.value_len);
-                            let op_started = Instant::now();
-                            match client.put(&key, &value, opts.op_deadline) {
-                                Ok(slot) => {
-                                    hist.record(op_started.elapsed().as_micros() as u64);
-                                    acks.acked.push(AckedWrite { seq, key, slot });
-                                }
-                                Err(ClientError::Closed) => break,
-                                Err(ClientError::TimedOut) => failures += 1,
-                            }
-                        }
-                        let stats = client.stats;
-                        (
-                            hist,
-                            acks,
-                            failures,
-                            crate::ClientStats {
-                                acked: stats.acked - stats_before.acked,
-                                redirects: stats.redirects - stats_before.redirects,
-                                retries: stats.retries - stats_before.retries,
-                                failures: stats.failures - stats_before.failures,
-                                ..stats
-                            },
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
-    let mut report = LoadReport {
+    let per_client: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .map(|client| scope.spawn(move || closed_loop_client(client, opts)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    });
+    let mut merged = LoadReport {
         elapsed: started.elapsed(),
         ..LoadReport::default()
     };
-    let mut acked = Vec::new();
-    for (hist, acks, failures, stats) in per_client {
-        report.ops += acks.acked.len() as u64;
-        report.failures += failures;
-        report.redirects += stats.redirects;
-        report.retries += stats.retries;
-        report.srtt_us = report.srtt_us.max(stats.srtt_us);
-        report.rto_us = report.rto_us.max(stats.rto_us);
-        report.latency.merge(&hist);
-        acked.push(acks);
+    let (mut all_acks, mut all_reads) = (Vec::new(), Vec::new());
+    for (report, acks, reads) in per_client {
+        merged.merge(&report);
+        all_acks.push(acks);
+        all_reads.push(reads);
     }
-    (report, acked)
+    (merged, all_acks, all_reads)
+}
+
+/// One client's thread of [`closed_loop`].
+fn closed_loop_client<T: Transport>(
+    client: &mut SvcClient<T>,
+    opts: ClosedLoopOptions,
+) -> (LoadReport, ClientAcks, ClientReads) {
+    let stats_before = client.stats;
+    let mut report = LoadReport::default();
+    let mut acks = ClientAcks {
+        client: client.client_id(),
+        acked: Vec::new(),
+    };
+    let mut reads = ClientReads {
+        client: client.client_id(),
+        tier: Some(opts.tier),
+        reads: Vec::new(),
+    };
+    // Per key: largest acked and largest issued write seq.
+    let mut acked_floor: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let mut issued_ceiling: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let deadline = Instant::now() + opts.duration;
+    let mut op = 0u64;
+    while Instant::now() < deadline {
+        let key = key_for(acks.client, op % opts.keys_per_client);
+        // Op i is a read iff its residue falls inside the read share: each
+        // 100-op window opens with its `read_pct` reads.
+        let is_read = (op % 100) < u64::from(opts.read_pct.min(100));
+        op += 1;
+        let op_started = Instant::now();
+        if is_read {
+            match client.get(&key, opts.tier, opts.op_deadline) {
+                Ok((value, frontier)) => {
+                    report
+                        .read_latency
+                        .record(op_started.elapsed().as_micros() as u64);
+                    report.reads += 1;
+                    reads.reads.push(ObservedRead {
+                        value_seq: value.as_deref().and_then(seq_of_value),
+                        frontier,
+                        acked_floor: acked_floor.get(&key).copied(),
+                        issued_ceiling: issued_ceiling.get(&key).copied(),
+                        key,
+                    });
+                }
+                Err(ClientError::Closed) => break,
+                Err(ClientError::TimedOut) => report.read_failures += 1,
+            }
+        } else {
+            let seq = client.next_seq();
+            let value = value_for(seq, opts.value_len);
+            issued_ceiling.insert(key.clone(), seq);
+            match client.put(&key, &value, opts.op_deadline) {
+                Ok(slot) => {
+                    report
+                        .latency
+                        .record(op_started.elapsed().as_micros() as u64);
+                    report.ops += 1;
+                    acked_floor.insert(key.clone(), seq);
+                    acks.acked.push(AckedWrite { seq, key, slot });
+                }
+                Err(ClientError::Closed) => break,
+                Err(ClientError::TimedOut) => report.failures += 1,
+            }
+        }
+    }
+    let stats = client.stats;
+    report.redirects = stats.redirects - stats_before.redirects;
+    report.retries = stats.retries - stats_before.retries;
+    report.srtt_us = stats.srtt_us;
+    report.rto_us = stats.rto_us;
+    (report, acks, reads)
 }
 
 /// Tuning of an open-loop run.
@@ -504,224 +609,6 @@ pub fn check_consistency(replicas: &[&SvcReplica], acked: &[ClientAcks]) -> Resu
     Ok(())
 }
 
-// ---- Mixed read/write load (the E16 family) ----
-
-/// Tuning of a mixed read/write closed-loop run.
-#[derive(Clone, Copy, Debug)]
-pub struct MixedLoopOptions {
-    /// Wall-clock length of the run.
-    pub duration: StdDuration,
-    /// Per-operation deadline (retries included).
-    pub op_deadline: StdDuration,
-    /// Keys each client cycles through.
-    pub keys_per_client: u64,
-    /// Value payload length in bytes.
-    pub value_len: usize,
-    /// Reads per 100 operations (95 = the read-heavy mix, 50 = balanced).
-    pub read_pct: u32,
-    /// The consistency tier every read selects.
-    pub tier: ReadTier,
-}
-
-impl Default for MixedLoopOptions {
-    fn default() -> Self {
-        MixedLoopOptions {
-            duration: StdDuration::from_secs(2),
-            op_deadline: StdDuration::from_secs(3),
-            keys_per_client: 8,
-            value_len: 16,
-            read_pct: 95,
-            tier: ReadTier::Lease,
-        }
-    }
-}
-
-/// What one mixed run produced, split by operation class.
-#[derive(Clone, Debug, Default)]
-pub struct MixedReport {
-    /// Acknowledged writes.
-    pub writes: u64,
-    /// Writes that exhausted their deadline.
-    pub write_failures: u64,
-    /// Answered reads.
-    pub reads: u64,
-    /// Reads that exhausted their deadline.
-    pub read_failures: u64,
-    /// Redirects followed across all clients.
-    pub redirects: u64,
-    /// Wall-clock span of the run.
-    pub elapsed: StdDuration,
-    /// Write ack latencies, µs.
-    pub write_latency: Histogram,
-    /// Read answer latencies, µs.
-    pub read_latency: Histogram,
-}
-
-impl MixedReport {
-    /// Answered reads per second of wall clock.
-    pub fn reads_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.reads as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-
-    /// Acknowledged writes per second of wall clock.
-    pub fn writes_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.writes as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-
-    /// All answered operations per second of wall clock.
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            (self.reads + self.writes) as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-}
-
-/// One answered read, as the issuing client saw it, with the bounds the
-/// linearizability checker needs: what the client had *acked* on the key
-/// before issuing (the floor a linearizable read must observe) and what it
-/// had *issued* (the ceiling any read may observe — a value never written
-/// cannot be read).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObservedRead {
-    /// The key read.
-    pub key: Vec<u8>,
-    /// The seq carried by the returned value (`None` = key unbound).
-    pub value_seq: Option<u64>,
-    /// The answering replica's apply frontier (staleness witness).
-    pub frontier: u64,
-    /// Largest write seq this client had acked on the key before issuing.
-    pub acked_floor: Option<u64>,
-    /// Largest write seq this client had issued on the key before issuing
-    /// (timed-out writes included — they may still land).
-    pub issued_ceiling: Option<u64>,
-}
-
-/// Everything one client observed through reads during a run.
-#[derive(Clone, Debug, Default)]
-pub struct ClientReads {
-    /// The logical client id.
-    pub client: u64,
-    /// The tier the reads ran at.
-    pub tier: Option<ReadTier>,
-    /// Answered reads in issue order.
-    pub reads: Vec<ObservedRead>,
-}
-
-/// Runs every client closed-loop on a deterministic read/write mix
-/// (`read_pct` reads per 100 ops, interleaved evenly). Returns the merged
-/// per-class report, each client's acked writes (for
-/// [`check_consistency`]) and each client's observed reads (for
-/// [`check_read_linearizability`]).
-pub fn mixed_loop<T: Transport>(
-    clients: &mut [SvcClient<T>],
-    opts: MixedLoopOptions,
-) -> (MixedReport, Vec<ClientAcks>, Vec<ClientReads>) {
-    let started = Instant::now();
-    let per_client: Vec<(MixedReport, ClientAcks, ClientReads)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .map(|client| {
-                scope.spawn(move || {
-                    let stats_before = client.stats;
-                    let mut report = MixedReport::default();
-                    let mut acks = ClientAcks {
-                        client: client.client_id(),
-                        acked: Vec::new(),
-                    };
-                    let mut reads = ClientReads {
-                        client: client.client_id(),
-                        tier: Some(opts.tier),
-                        reads: Vec::new(),
-                    };
-                    // Per key: largest acked and largest issued write seq.
-                    let mut acked_floor: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-                    let mut issued_ceiling: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-                    let deadline = Instant::now() + opts.duration;
-                    let mut op = 0u64;
-                    let mut k = 0u64;
-                    while Instant::now() < deadline {
-                        let key = key_for(acks.client, k % opts.keys_per_client);
-                        k += 1;
-                        // Even interleave: op i is a read iff its residue
-                        // falls inside the read share of each 100-op window.
-                        let is_read = (op % 100) < u64::from(opts.read_pct.min(100));
-                        op += 1;
-                        let op_started = Instant::now();
-                        if is_read {
-                            match client.get(&key, opts.tier, opts.op_deadline) {
-                                Ok((value, frontier)) => {
-                                    report
-                                        .read_latency
-                                        .record(op_started.elapsed().as_micros() as u64);
-                                    report.reads += 1;
-                                    reads.reads.push(ObservedRead {
-                                        value_seq: value.as_deref().and_then(seq_of_value),
-                                        frontier,
-                                        acked_floor: acked_floor.get(&key).copied(),
-                                        issued_ceiling: issued_ceiling.get(&key).copied(),
-                                        key,
-                                    });
-                                }
-                                Err(ClientError::Closed) => break,
-                                Err(ClientError::TimedOut) => report.read_failures += 1,
-                            }
-                        } else {
-                            let seq = client.next_seq();
-                            let value = value_for(seq, opts.value_len);
-                            issued_ceiling.insert(key.clone(), seq);
-                            match client.put(&key, &value, opts.op_deadline) {
-                                Ok(slot) => {
-                                    report
-                                        .write_latency
-                                        .record(op_started.elapsed().as_micros() as u64);
-                                    report.writes += 1;
-                                    acked_floor.insert(key.clone(), seq);
-                                    acks.acked.push(AckedWrite { seq, key, slot });
-                                }
-                                Err(ClientError::Closed) => break,
-                                Err(ClientError::TimedOut) => report.write_failures += 1,
-                            }
-                        }
-                    }
-                    report.redirects = client.stats.redirects - stats_before.redirects;
-                    (report, acks, reads)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let mut merged = MixedReport {
-        elapsed: started.elapsed(),
-        ..MixedReport::default()
-    };
-    let (mut all_acks, mut all_reads) = (Vec::new(), Vec::new());
-    for (report, acks, reads) in per_client {
-        merged.writes += report.writes;
-        merged.write_failures += report.write_failures;
-        merged.reads += report.reads;
-        merged.read_failures += report.read_failures;
-        merged.redirects += report.redirects;
-        merged.write_latency.merge(&report.write_latency);
-        merged.read_latency.merge(&report.read_latency);
-        all_acks.push(acks);
-        all_reads.push(reads);
-    }
-    (merged, all_acks, all_reads)
-}
-
 /// Verifies every observed read against the acked write order the same
 /// client produced:
 ///
@@ -827,5 +714,63 @@ mod tests {
         assert_eq!(report.retries, 1, "one silence moved the hint for good");
         assert_eq!(client.leader_hint(), ProcessId::new(1));
         assert!(report.rto_us > 0, "acks through replica 1 fed the clock");
+    }
+
+    /// One in-memory n = 3 run of `closed_loop`, frozen after the load.
+    fn closed_run(
+        opts: ClosedLoopOptions,
+    ) -> (
+        LoadReport,
+        Vec<ClientAcks>,
+        Vec<ClientReads>,
+        Vec<SvcReplica>,
+    ) {
+        let (cluster, mut clients) =
+            crate::SvcCluster::in_memory(3, 1, crate::SvcConfig::new(3, 1));
+        let (report, acked, reads) = closed_loop(&mut clients, opts);
+        (report, acked, reads, cluster.shutdown())
+    }
+
+    /// The default mix writes only: the run yields acked writes and no
+    /// read at all.
+    #[test]
+    fn a_write_only_closed_loop_yields_no_reads() {
+        let (report, acked, reads, replicas) = closed_run(ClosedLoopOptions {
+            duration: StdDuration::from_millis(300),
+            op_deadline: StdDuration::from_secs(8),
+            ..ClosedLoopOptions::default()
+        });
+        assert!(report.ops > 0, "{report:?}");
+        assert_eq!(report.ops, acked[0].acked.len() as u64);
+        assert_eq!((report.reads, report.read_failures), (0, 0));
+        assert_eq!(report.read_latency.count(), 0);
+        assert!(reads.iter().all(|r| r.reads.is_empty()), "{reads:?}");
+        let refs: Vec<&SvcReplica> = replicas.iter().collect();
+        assert_eq!(check_consistency(&refs, &acked), Ok(()));
+    }
+
+    /// At `read_pct = 50` each 100-op window is 50 reads then 50 writes, so
+    /// one client's `N` ops hold exactly the reads the rule gives `N`, and
+    /// the run keeps both contracts.
+    #[test]
+    fn a_balanced_closed_loop_interleaves_reads_and_writes() {
+        let (report, acked, reads, replicas) = closed_run(ClosedLoopOptions {
+            duration: StdDuration::from_millis(300),
+            op_deadline: StdDuration::from_secs(8),
+            read_pct: 50,
+            ..ClosedLoopOptions::default()
+        });
+        assert_eq!(
+            (report.failures, report.read_failures),
+            (0, 0),
+            "{report:?}"
+        );
+        assert!(report.reads > 0 && report.ops > 0, "{report:?}");
+        let total = report.reads + report.ops;
+        assert_eq!(report.reads, 50 * (total / 100) + (total % 100).min(50));
+        assert_eq!(report.reads, reads[0].reads.len() as u64);
+        assert_eq!(check_read_linearizability(&reads), Ok(()));
+        let refs: Vec<&SvcReplica> = replicas.iter().collect();
+        assert_eq!(check_consistency(&refs, &acked), Ok(()));
     }
 }

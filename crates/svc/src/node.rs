@@ -14,7 +14,7 @@ use crate::replica::SvcReplica;
 use irs_net::{wire::decode_payload, Frame, Transport, Wire};
 use irs_obs::Obs;
 use irs_runtime::{run_node_with, MuxAccept, NodeConfig, NodeHandle};
-use irs_types::{ProcessId, SystemConfig};
+use irs_types::ProcessId;
 use irs_wal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -123,39 +123,21 @@ impl SvcConfig {
             .map(|base| base.join(format!("node-{}", id.index())))
     }
 
-    /// Builds the replica this config describes — the canonical way to
-    /// construct the node passed to [`run_svc_node`]. The batching,
-    /// pipelining and compaction knobs live on the config but act inside
-    /// the replica; building the replica anywhere else risks the two
-    /// silently disagreeing (a replica built with `SvcReplica::new` next
-    /// to a `with_batching(…)` config runs unbatched). Resilience is the
-    /// largest consensus-compatible `t = ⌊(n−1)/2⌋`.
+    /// Builds the replica this config describes — the only public way to
+    /// construct a [`SvcReplica`], and the node passed to
+    /// [`run_svc_node`]. The batching, pipelining, compaction and
+    /// durability knobs live on the config but act inside the replica, so
+    /// building it here keeps the two from disagreeing. Resilience is the
+    /// largest consensus-compatible `t = ⌊(n−1)/2⌋`. With a data directory
+    /// the replica recovers from (and persists to) `<data_dir>/node-<id>/`.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 3` (no consensus-compatible resilience).
+    /// Panics if `n < 3` (no consensus-compatible resilience), or if a
+    /// durable replica's directory cannot be opened or replayed.
     pub fn replica(&self, id: ProcessId) -> SvcReplica {
         assert!(self.n >= 3, "a replicated service needs n >= 3");
-        let system = SystemConfig::new(self.n, (self.n - 1) / 2).expect("valid replica system");
-        let mut replica = match self.node_dir(id) {
-            Some(dir) => SvcReplica::durable(
-                id,
-                system,
-                self.batch_max,
-                self.pipeline_depth,
-                self.snapshot_interval,
-                &dir,
-                self.fsync,
-            )
-            .expect("open durable replica state"),
-            None => SvcReplica::with_tuning(
-                id,
-                system,
-                self.batch_max,
-                self.pipeline_depth,
-                self.snapshot_interval,
-            ),
-        };
+        let mut replica = SvcReplica::open(id, self).expect("open durable replica state");
         if let Some(obs) = &self.obs {
             replica.attach_obs(obs);
         }

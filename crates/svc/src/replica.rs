@@ -32,18 +32,17 @@
 //! committed (possibly old) state — never an unacked in-flight write.
 
 use crate::command::KvView;
-use crate::durability::Durability;
+use crate::durability::{Durability, Recovered};
 use crate::msg::{ReadTier, ReplicaLogMsg, SvcMsg, SvcReply};
 use crate::store::KvStore;
+use crate::SvcConfig;
 use irs_consensus::{Command, ConsensusConfig, ReplicatedLog};
 use irs_omega::OmegaProcess;
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, SystemConfig,
     TimerId,
 };
-use irs_wal::FsyncPolicy;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 use std::sync::Arc;
 
 /// The lease/read-index probe timer (disjoint from the oracle's 0..,
@@ -173,120 +172,84 @@ struct ReplicaObs {
 }
 
 impl SvcReplica {
-    /// Builds a replica over the paper's Figure 3 Ω algorithm with the
-    /// historical tuning: unbatched, one slot in flight, compaction every
-    /// 1024 applied slots.
+    /// Builds replica `id` of `config`'s group over the paper's Figure 3 Ω
+    /// algorithm, with resilience `t = ⌊(n−1)/2⌋` (callers check `n ≥ 3`;
+    /// [`SvcConfig::replica`] is the public way in).
     ///
-    /// # Panics
+    /// With a data directory the replica is *durable*: it opens (or
+    /// creates) `<data_dir>/node-<id>/`, replays the snapshot file plus the
+    /// WAL's valid prefix into the store and the log, and from then on
+    /// persists every accepted ballot and decided slot before the round's
+    /// messages leave the handler. Restarting with the same directory
+    /// resumes with every promise the previous incarnation made still in
+    /// force, and a state machine that is digest-identical to deterministic
+    /// replay of the durable prefix.
     ///
-    /// Panics if the system does not have a correct majority (`t ≥ n/2`).
-    pub fn new(id: ProcessId, system: SystemConfig) -> Self {
-        Self::with_tuning(id, system, 1, 1, 1024)
-    }
-
-    /// Builds a replica with explicit batching/pipelining/compaction
-    /// tuning (see [`crate::SvcConfig`] for the knobs' meaning).
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if the system does not have a correct majority (`t ≥ n/2`).
-    pub fn with_tuning(
-        id: ProcessId,
-        system: SystemConfig,
-        batch_max: usize,
-        pipeline_depth: u64,
-        snapshot_interval: u64,
-    ) -> Self {
-        assert!(
-            system.supports_consensus(),
-            "replication requires t < n/2 (got n = {}, t = {})",
-            system.n(),
-            system.t()
-        );
+    /// Returns any I/O error from opening or replaying the directory.
+    pub(crate) fn open(id: ProcessId, config: &SvcConfig) -> std::io::Result<Self> {
+        let system = SystemConfig::new(config.n, (config.n - 1) / 2).expect("valid replica system");
         // The service opts into the stable-reign fast path: one reign
         // prepare per leadership, Accept-only slots from then on.
         let cfg = ConsensusConfig::new(system)
-            .with_batching(batch_max, pipeline_depth)
+            .with_batching(config.batch_max, config.pipeline_depth)
             .with_phase1_skip(true);
         let lease = LeaseState {
             period: cfg.ballot_check_period,
             quorum: system.quorum(),
             ..LeaseState::default()
         };
-        SvcReplica {
-            log: ReplicatedLog::new(id, cfg, OmegaProcess::fig3(id, system)),
-            store: KvStore::new(),
-            cursor: 0,
-            snapshot_interval,
-            last_snapshot: 0,
+        let (durability, recovered) = match config.node_dir(id) {
+            Some(dir) => {
+                let (durability, recovered) = Durability::open(&dir, config.fsync)?;
+                (Some(durability), recovered)
+            }
+            None => (None, Recovered::default()),
+        };
+        // A blob that passed the file checksum but fails semantic
+        // validation is not one of our exports; recovery then starts from
+        // the log floor alone and converges via peer catch-up.
+        let installed = recovered
+            .snapshot
+            .as_ref()
+            .and_then(|(upto, blob)| Some((*upto, KvStore::install(blob)?)));
+        let (cursor, store) = installed.unwrap_or((0, KvStore::new()));
+        let log_snapshot = recovered
+            .snapshot
+            .map(|(upto, blob)| (upto, Arc::from(blob)));
+        let mut replica = SvcReplica {
+            log: ReplicatedLog::recover(
+                id,
+                cfg,
+                OmegaProcess::fig3(id, system),
+                log_snapshot,
+                recovered.decisions,
+                recovered.accepted,
+            ),
+            store,
+            cursor,
+            snapshot_interval: config.snapshot_interval,
+            last_snapshot: cursor,
             awaiting: BTreeMap::new(),
             requests: 0,
             redirects: 0,
             bursts: 0,
             wal_commits: 0,
             snapshots_taken: 0,
-            durability: None,
+            durability,
             obs: None,
             lease,
             log_out: Actions::new(),
+        };
+        if replica.durability.is_some() {
+            // Apply the replayed decided prefix before any message flows;
+            // the drained actions go nowhere (clients re-learn outcomes by
+            // retry).
+            replica.apply_ready(&mut Actions::new());
+            // Recording starts only now, so replay itself is never re-logged.
+            replica.log.set_durable(true);
         }
-    }
-
-    /// Builds a *durable* replica: opens (or creates) the data directory,
-    /// replays the snapshot file plus the WAL's valid prefix into the
-    /// store and the log, and from then on persists every accepted ballot
-    /// and decided slot before the round's messages leave the handler.
-    /// Restarting with the same directory resumes with every promise the
-    /// previous incarnation made still in force, and a state machine that
-    /// is digest-identical to deterministic replay of the durable prefix.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening or replaying the directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system does not have a correct majority (`t ≥ n/2`).
-    pub fn durable(
-        id: ProcessId,
-        system: SystemConfig,
-        batch_max: usize,
-        pipeline_depth: u64,
-        snapshot_interval: u64,
-        dir: &Path,
-        policy: FsyncPolicy,
-    ) -> std::io::Result<Self> {
-        let mut replica =
-            Self::with_tuning(id, system, batch_max, pipeline_depth, snapshot_interval);
-        let (durability, recovered) = Durability::open(dir, policy)?;
-        let log_snapshot = recovered.snapshot.as_ref().map(|(upto, blob)| {
-            // A blob that passed the file checksum but fails semantic
-            // validation is not one of our exports; recovery then starts
-            // from the log floor alone and converges via peer catch-up.
-            if let Some(store) = KvStore::install(blob) {
-                replica.store = store;
-                replica.cursor = *upto;
-                replica.last_snapshot = *upto;
-            }
-            (*upto, Arc::from(blob.as_slice()))
-        });
-        let cfg = ConsensusConfig::new(system)
-            .with_batching(batch_max, pipeline_depth)
-            .with_phase1_skip(true);
-        replica.log = ReplicatedLog::recover(
-            id,
-            cfg,
-            OmegaProcess::fig3(id, system),
-            log_snapshot,
-            recovered.decisions,
-            recovered.accepted,
-        );
-        replica.durability = Some(durability);
-        // Apply the replayed decided prefix before any message flows; the
-        // drained actions go nowhere (clients re-learn outcomes by retry).
-        replica.apply_ready(&mut Actions::new());
-        // Recording starts only now, so replay itself is never re-logged.
-        replica.log.set_durable(true);
         Ok(replica)
     }
 
@@ -839,8 +802,9 @@ mod tests {
     use irs_consensus::LogMsg;
     use irs_types::Destination;
 
-    fn system() -> SystemConfig {
-        SystemConfig::new(5, 2).unwrap()
+    /// The five-replica group (`t = 2`) every test here runs in.
+    fn config() -> SvcConfig {
+        SvcConfig::new(5, 0)
     }
 
     fn write(client: u64, seq: u64) -> KvWrite {
@@ -888,7 +852,7 @@ mod tests {
     #[test]
     fn leader_sequences_applies_and_acks_a_request() {
         let mut replicas: Vec<SvcReplica> = (0..5)
-            .map(|i| SvcReplica::new(ProcessId::new(i), system()))
+            .map(|i| config().replica(ProcessId::new(i)))
             .collect();
         // p1 is the initial Ω leader. A client at endpoint 7 asks it to put.
         let client_ep = ProcessId::new(7);
@@ -946,7 +910,12 @@ mod tests {
     /// which p0 has applied and not announced yet.
     fn reigning_group() -> Vec<SvcReplica> {
         let mut replicas: Vec<SvcReplica> = (0..5)
-            .map(|i| SvcReplica::with_tuning(ProcessId::new(i), system(), 8, 4, 0))
+            .map(|i| {
+                config()
+                    .with_batching(8, 4)
+                    .with_snapshot_interval(0)
+                    .replica(ProcessId::new(i))
+            })
             .collect();
         let mut out = Actions::new();
         let cmd = write(99, 1).encode();
@@ -1132,7 +1101,7 @@ mod tests {
 
     #[test]
     fn non_leader_redirects_to_its_oracle_output() {
-        let mut replica = SvcReplica::new(ProcessId::new(3), system());
+        let mut replica = config().replica(ProcessId::new(3));
         let mut out = Actions::new();
         replica.on_message(
             ProcessId::new(9),
@@ -1152,7 +1121,7 @@ mod tests {
 
     #[test]
     fn applied_retry_is_acked_immediately_without_resequencing() {
-        let mut replica = SvcReplica::new(ProcessId::new(0), system());
+        let mut replica = config().replica(ProcessId::new(0));
         let w = write(4, 1);
         // Pretend the write is already decided and applied.
         replica.store.apply(0, &w);
@@ -1180,7 +1149,7 @@ mod tests {
     /// and a decided-but-skipped entry is likewise never acked.
     #[test]
     fn stale_writes_are_never_acked_as_applied() {
-        let mut replica = SvcReplica::new(ProcessId::new(0), system());
+        let mut replica = config().replica(ProcessId::new(0));
         replica.store.apply(0, &write(4, 1));
         replica.store.apply(1, &write(4, 2));
         // Request for seq 1 < last applied 2: dropped, not acked.
@@ -1223,7 +1192,7 @@ mod tests {
 
     #[test]
     fn unparseable_commands_are_dropped_at_the_door() {
-        let mut replica = SvcReplica::new(ProcessId::new(0), system());
+        let mut replica = config().replica(ProcessId::new(0));
         let mut out = Actions::new();
         replica.on_message(
             ProcessId::new(9),
@@ -1249,7 +1218,7 @@ mod tests {
 
     #[test]
     fn snapshot_exposes_service_gauges() {
-        let replica = SvcReplica::new(ProcessId::new(2), system());
+        let replica = config().replica(ProcessId::new(2));
         let snap = replica.snapshot();
         for gauge in [
             "applied",
@@ -1285,7 +1254,10 @@ mod tests {
     /// every awaiting client — many acks per decision.
     #[test]
     fn a_batched_decision_acks_every_client_in_the_slot() {
-        let mut replica = SvcReplica::with_tuning(ProcessId::new(0), system(), 8, 2, 0);
+        let mut replica = config()
+            .with_batching(8, 2)
+            .with_snapshot_interval(0)
+            .replica(ProcessId::new(0));
         let (w1, w2, w3) = (write(7, 1), write(8, 1), write(9, 1));
         replica.awaiting.insert((7, 1), ProcessId::new(7));
         replica.awaiting.insert((8, 1), ProcessId::new(8));
@@ -1322,7 +1294,10 @@ mod tests {
     /// It must compact anyway and keep the blob servable, two chunks of it.
     #[test]
     fn oversized_exports_still_compact_and_are_served_in_chunks() {
-        let mut replica = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, 8);
+        let mut replica = config()
+            .with_batching(1, 1)
+            .with_snapshot_interval(8)
+            .replica(ProcessId::new(0));
         // ~56 KiB of state: 72 keys × 800-byte values (commands stay under
         // the command/value caps; the export outgrows one snapshot chunk).
         for slot in 0..72u64 {
@@ -1406,7 +1381,7 @@ mod tests {
     #[test]
     fn a_granted_lease_serves_leader_reads_locally() {
         use crate::msg::ReadTier;
-        let mut leader = SvcReplica::new(ProcessId::new(0), system());
+        let mut leader = config().replica(ProcessId::new(0));
         leader.store.apply(0, &write(7, 1));
         leader.cursor = 1;
         let out = lease_tick(&mut leader);
@@ -1455,7 +1430,7 @@ mod tests {
     #[test]
     fn an_uncertain_lease_falls_back_to_a_read_index_round() {
         use crate::msg::ReadTier;
-        let mut leader = SvcReplica::new(ProcessId::new(0), system());
+        let mut leader = config().replica(ProcessId::new(0));
         let mut out = Actions::new();
         leader.on_message(
             ProcessId::new(9),
@@ -1491,7 +1466,7 @@ mod tests {
     #[test]
     fn read_index_tier_always_takes_the_quorum_round() {
         use crate::msg::ReadTier;
-        let mut leader = SvcReplica::new(ProcessId::new(0), system());
+        let mut leader = config().replica(ProcessId::new(0));
         lease_tick(&mut leader);
         grant_round(&mut leader, 1, &[1, 2]);
         assert!(leader.lease.valid());
@@ -1517,7 +1492,7 @@ mod tests {
     #[test]
     fn an_unrefreshed_lease_expires_and_stops_serving() {
         use crate::msg::ReadTier;
-        let mut leader = SvcReplica::new(ProcessId::new(0), system());
+        let mut leader = config().replica(ProcessId::new(0));
         lease_tick(&mut leader);
         grant_round(&mut leader, 1, &[1, 2]);
         assert!(leader.lease.valid());
@@ -1543,7 +1518,7 @@ mod tests {
     /// probe for themselves.
     #[test]
     fn followers_grant_only_their_omega_leader() {
-        let mut follower = SvcReplica::new(ProcessId::new(3), system());
+        let mut follower = config().replica(ProcessId::new(3));
         // p1 (id 0) is the initial Ω output everywhere.
         let mut out = Actions::new();
         follower.on_message(ProcessId::new(0), &SvcMsg::LeaseProbe { rid: 1 }, &mut out);
@@ -1575,7 +1550,7 @@ mod tests {
     #[test]
     fn non_leaders_redirect_linearizable_reads_but_serve_stale_ones() {
         use crate::msg::ReadTier;
-        let mut follower = SvcReplica::new(ProcessId::new(3), system());
+        let mut follower = config().replica(ProcessId::new(3));
         for tier in [ReadTier::Lease, ReadTier::ReadIndex] {
             let mut out = Actions::new();
             follower.on_message(ProcessId::new(9), &read_msg(9, 1, b"k", tier), &mut out);
@@ -1613,7 +1588,7 @@ mod tests {
     #[test]
     fn stale_reads_are_bounded_by_the_apply_frontier() {
         use crate::msg::ReadTier;
-        let mut replica = SvcReplica::new(ProcessId::new(0), system());
+        let mut replica = config().replica(ProcessId::new(0));
         // Slot 0 decided and applied: k7 = 1.
         replica.log.on_message(
             ProcessId::new(1),
@@ -1661,7 +1636,10 @@ mod tests {
     /// host-mediated install path.
     #[test]
     fn snapshots_truncate_and_install_across_replicas() {
-        let mut loaded = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, 4);
+        let mut loaded = config()
+            .with_batching(1, 1)
+            .with_snapshot_interval(4)
+            .replica(ProcessId::new(0));
         for seq in 1..=10u64 {
             loaded.log.on_message(
                 ProcessId::new(1),
@@ -1682,7 +1660,10 @@ mod tests {
         );
         // A wiped replica asks to catch up from slot 0 — below the floor —
         // and converges by install, ending digest-identical.
-        let mut wiped = SvcReplica::with_tuning(ProcessId::new(3), system(), 1, 1, 4);
+        let mut wiped = config()
+            .with_batching(1, 1)
+            .with_snapshot_interval(4)
+            .replica(ProcessId::new(3));
         let mut answer = Actions::new();
         loaded.on_message(
             ProcessId::new(3),
@@ -1707,5 +1688,26 @@ mod tests {
         assert_eq!(wiped.store.map(), loaded.store.map());
         assert_eq!(wiped.cursor, loaded.cursor);
         assert_eq!(wiped.store.last_applied(7), Some((10, 9)));
+    }
+
+    /// A durable replica opened over an empty directory has nothing to
+    /// replay: it starts exactly like the in-memory replica of the same
+    /// config — the same `on_start` actions and the same snapshot gauges.
+    #[test]
+    fn a_durable_replica_over_an_empty_directory_starts_like_an_in_memory_one() {
+        let dir = std::env::temp_dir().join(format!("irs-replica-empty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tuned = config().with_batching(8, 4).with_snapshot_interval(64);
+        let id = ProcessId::new(2);
+        let mut memory = tuned.replica(id);
+        let mut durable = tuned.clone().with_data_dir(&dir).replica(id);
+        assert!(durable.durability.is_some() && memory.durability.is_none());
+        let (mut from_memory, mut from_durable) = (Actions::new(), Actions::new());
+        memory.on_start(&mut from_memory);
+        durable.on_start(&mut from_durable);
+        assert_eq!(format!("{from_durable:?}"), format!("{from_memory:?}"));
+        assert_eq!(durable.snapshot(), memory.snapshot());
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

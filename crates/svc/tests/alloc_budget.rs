@@ -16,8 +16,8 @@
 use irs_net::wire::decode_payload;
 use irs_net::{Frame, Wire};
 use irs_svc::loadgen::{key_for, value_for};
-use irs_svc::{accept_svc_frame, KvOp, KvWrite, SvcMsg, SvcReplica, SvcReply};
-use irs_types::{Actions, Destination, ProcessId, Protocol, SystemConfig};
+use irs_svc::{accept_svc_frame, KvOp, KvWrite, SvcConfig, SvcMsg, SvcReplica, SvcReply};
+use irs_types::{Actions, Destination, ProcessId, Protocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -104,9 +104,9 @@ struct Group {
 
 impl Group {
     fn new() -> Self {
-        let system = SystemConfig::new(N, 2).expect("n = 5, t = 2");
+        let config = SvcConfig::new(N, 0);
         Group {
-            replicas: (0..N).map(|i| SvcReplica::new(pid(i), system)).collect(),
+            replicas: (0..N).map(|i| config.replica(pid(i))).collect(),
             in_flight: VecDeque::new(),
             burst: Vec::new(),
             out: Actions::new(),

@@ -22,8 +22,8 @@ use irs_svc::loadgen::{
     check_consistency, check_read_linearizability, key_for, seq_of_value, value_for, AckedWrite,
     ClientAcks, ClientReads, ObservedRead,
 };
-use irs_svc::{KvOp, KvWrite, ReadTier, SvcMsg, SvcReplica, SvcReply, TIMER_LEASE};
-use irs_types::{Actions, Destination, ProcessId, Protocol, SystemConfig};
+use irs_svc::{KvOp, KvWrite, ReadTier, SvcConfig, SvcMsg, SvcReplica, SvcReply, TIMER_LEASE};
+use irs_types::{Actions, Destination, ProcessId, Protocol};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -191,10 +191,10 @@ struct Group {
 
 impl Group {
     fn new(batch_max: usize, scripts: Vec<Vec<bool>>) -> Self {
-        let system = SystemConfig::new(N, 2).expect("n = 5, t = 2");
-        let replicas = (0..N as u64)
-            .map(|i| SvcReplica::with_tuning(pid(i), system, batch_max, 4, 0))
-            .collect();
+        let config = SvcConfig::new(N, 0)
+            .with_batching(batch_max, 4)
+            .with_snapshot_interval(0);
+        let replicas = (0..N as u64).map(|i| config.replica(pid(i))).collect();
         let clients = scripts
             .into_iter()
             .enumerate()

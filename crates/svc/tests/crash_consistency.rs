@@ -31,7 +31,7 @@ fn leader_crash_under_lossy_load_keeps_surviving_replicas_identical() {
 
     // Let the cluster elect and the load ramp, then kill whoever leads
     // mid-flight.
-    let ((report, acked), crashed) =
+    let ((report, acked, _), crashed) =
         with_leader_crash(&cluster, Duration::from_millis(1200), || {
             closed_loop(
                 &mut clients,
@@ -88,7 +88,7 @@ fn leader_crash_mid_batch_keeps_survivors_identical_under_compaction() {
     let (cluster, mut clients) = SvcCluster::with_link_models(N, CLIENTS, config, |p| {
         LinkModel::new(0xBA7C_4C4A ^ u64::from(p.as_u32())).with_drop_prob(0.05)
     });
-    let ((report, acked), crashed) =
+    let ((report, acked, _), crashed) =
         with_leader_crash(&cluster, Duration::from_millis(1200), || {
             closed_loop(
                 &mut clients,

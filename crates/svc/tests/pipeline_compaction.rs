@@ -13,7 +13,7 @@
 use irs_consensus::LogMsg;
 use irs_svc::loadgen::{check_consistency, closed_loop, ClosedLoopOptions};
 use irs_svc::{SvcCluster, SvcConfig, SvcMsg, SvcReplica};
-use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, SystemConfig};
+use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol};
 use std::time::Duration;
 
 const N: usize = 5;
@@ -28,7 +28,7 @@ fn compaction_bounds_log_memory_under_batched_pipelined_load() {
         .with_batching(BATCH_MAX, PIPELINE_DEPTH)
         .with_snapshot_interval(SNAPSHOT_INTERVAL);
     let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, config);
-    let (report, acked) = closed_loop(
+    let (report, acked, _) = closed_loop(
         &mut clients,
         ClosedLoopOptions {
             duration: Duration::from_secs(2),
@@ -81,8 +81,8 @@ fn wiped_replica_converges_via_snapshot_install() {
     let config = SvcConfig::new(N, CLIENTS)
         .with_batching(BATCH_MAX, PIPELINE_DEPTH)
         .with_snapshot_interval(SNAPSHOT_INTERVAL);
-    let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, config);
-    let (report, _) = closed_loop(
+    let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, config.clone());
+    let (report, _, _) = closed_loop(
         &mut clients,
         ClosedLoopOptions {
             duration: Duration::from_secs(1),
@@ -101,15 +101,8 @@ fn wiped_replica_converges_via_snapshot_install() {
 
     // A wiped replacement for p4: fresh store, empty log, far behind a
     // cluster whose decided history below the floor no longer exists.
-    let system = SystemConfig::new(N, (N - 1) / 2).unwrap();
     let wiped_id = ProcessId::new(4);
-    let mut wiped = SvcReplica::with_tuning(
-        wiped_id,
-        system,
-        BATCH_MAX,
-        PIPELINE_DEPTH,
-        SNAPSHOT_INTERVAL,
-    );
+    let mut wiped = config.replica(wiped_id);
 
     // Catch-up conversation: the wiped replica asks from its frontier, the
     // loaded one answers (snapshot install first, then bounded Decide

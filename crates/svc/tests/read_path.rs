@@ -8,8 +8,8 @@
 //! invariant, pinned here as a test.
 
 use irs_svc::loadgen::{
-    await_survivor_convergence, check_consistency, check_read_linearizability, mixed_loop,
-    with_leader_crash, ClientReads, MixedLoopOptions, ObservedRead,
+    await_survivor_convergence, check_consistency, check_read_linearizability, closed_loop,
+    with_leader_crash, ClientReads, ClosedLoopOptions, ObservedRead,
 };
 use irs_svc::{ReadTier, SvcCluster, SvcConfig, SvcReplica};
 use irs_types::Protocol;
@@ -20,17 +20,17 @@ const CLIENTS: usize = 3;
 
 fn mixed_run(tier: ReadTier, read_pct: u32) {
     let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, SvcConfig::new(N, CLIENTS));
-    let (report, acked, reads) = mixed_loop(
+    let (report, acked, reads) = closed_loop(
         &mut clients,
-        MixedLoopOptions {
+        ClosedLoopOptions {
             duration: Duration::from_millis(1500),
             op_deadline: Duration::from_secs(5),
             read_pct,
             tier,
-            ..MixedLoopOptions::default()
+            ..ClosedLoopOptions::default()
         },
     );
-    assert!(report.writes > 0, "no write was acked: {report:?}");
+    assert!(report.ops > 0, "no write was acked: {report:?}");
     assert!(report.reads > 0, "no read was answered: {report:?}");
     if let Err(violation) = check_read_linearizability(&reads) {
         panic!("{tier:?} reads violated their guarantee: {violation}");
@@ -66,18 +66,18 @@ fn lease_reads_stay_linearizable_across_a_leader_crash() {
     let (cluster, mut clients) = SvcCluster::in_memory(N, CLIENTS, SvcConfig::new(N, CLIENTS));
     let ((report, acked, reads), crashed) =
         with_leader_crash(&cluster, Duration::from_millis(900), || {
-            mixed_loop(
+            closed_loop(
                 &mut clients,
-                MixedLoopOptions {
+                ClosedLoopOptions {
                     duration: Duration::from_secs(3),
                     op_deadline: Duration::from_secs(8),
                     read_pct: 95,
                     tier: ReadTier::Lease,
-                    ..MixedLoopOptions::default()
+                    ..ClosedLoopOptions::default()
                 },
             )
         });
-    assert!(report.writes > 0, "no write was acked: {report:?}");
+    assert!(report.ops > 0, "no write was acked: {report:?}");
     assert!(report.reads > 0, "no read was answered: {report:?}");
     if let Err(violation) = check_read_linearizability(&reads) {
         panic!("lease reads went non-linearizable across the crash: {violation}");
@@ -93,7 +93,7 @@ fn lease_reads_stay_linearizable_across_a_leader_crash() {
     }
     println!(
         "crash-lease: {} reads + {} writes acked, leader {crashed} crashed, reads linearizable",
-        report.reads, report.writes
+        report.reads, report.ops
     );
 }
 

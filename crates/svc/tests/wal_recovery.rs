@@ -7,14 +7,20 @@
 //! built from flat seed vectors (the same idiom as the store's proptests).
 
 use irs_consensus::{Batch, LogMsg, PaxosMsg};
-use irs_svc::{FsyncPolicy, KvOp, KvWrite, SvcMsg, SvcReplica};
-use irs_types::{Actions, ProcessId, Protocol, SystemConfig};
+use irs_svc::{KvOp, KvWrite, SvcConfig, SvcMsg, SvcReplica};
+use irs_types::{Actions, ProcessId, Protocol};
 use irs_wal::WalRecord;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn system() -> SystemConfig {
-    SystemConfig::new(3, 1).unwrap()
+/// Replica p1 of a three-replica group (`t = 1`), unbatched, compacting
+/// every `snapshot_interval` applied slots.
+fn config(snapshot_interval: u64) -> SvcConfig {
+    SvcConfig::new(3, 0).with_snapshot_interval(snapshot_interval)
+}
+
+fn in_memory(snapshot_interval: u64) -> SvcReplica {
+    config(snapshot_interval).replica(ProcessId::new(0))
 }
 
 /// A fresh per-test scratch directory (removed up front so a previous
@@ -67,17 +73,12 @@ fn feed(replica: &mut SvcReplica, msg: &SvcMsg) {
     replica.on_message(ProcessId::new(1), msg, &mut Actions::new());
 }
 
-fn durable(dir: &std::path::Path, snapshot_interval: u64) -> SvcReplica {
-    SvcReplica::durable(
-        ProcessId::new(0),
-        system(),
-        1,
-        1,
-        snapshot_interval,
-        dir,
-        FsyncPolicy::Always,
-    )
-    .expect("open durable replica")
+/// The same replica, durable under `<base>/node-0/` with fsync on every
+/// commit (the config default).
+fn durable(base: &Path, snapshot_interval: u64) -> SvcReplica {
+    config(snapshot_interval)
+        .with_data_dir(base)
+        .replica(ProcessId::new(0))
 }
 
 fn state(r: &SvcReplica) -> (u64, u64, usize) {
@@ -96,10 +97,9 @@ proptest! {
         interval in 0u64..7,
     ) {
         let base = tmpdir("identical");
-        let dir = base.join("node-0");
         let writes = writes_from(&seeds);
-        let mut durable_replica = durable(&dir, interval);
-        let mut memory = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, interval);
+        let mut durable_replica = durable(&base, interval);
+        let mut memory = in_memory(interval);
         for (slot, chunk) in writes.chunks(batch_len).enumerate() {
             let batch = Batch::new(chunk.iter().map(KvWrite::encode).collect::<Vec<_>>());
             let msg = decide(slot as u64, batch);
@@ -108,7 +108,7 @@ proptest! {
         }
         prop_assert_eq!(state(&durable_replica), state(&memory), "pre-crash divergence");
         drop(durable_replica); // the crash: nothing flushed beyond the WAL's own commits
-        let recovered = durable(&dir, interval);
+        let recovered = durable(&base, interval);
         prop_assert_eq!(state(&recovered), state(&memory));
         prop_assert_eq!(recovered.store().map(), memory.store().map());
         let _ = std::fs::remove_dir_all(&base);
@@ -126,7 +126,7 @@ proptest! {
         let base = tmpdir("torn");
         let dir = base.join("node-0");
         let writes = writes_from(&seeds);
-        let mut durable_replica = durable(&dir, 0); // WAL-only: no rotation
+        let mut durable_replica = durable(&base, 0); // WAL-only: no rotation
         for (slot, w) in writes.iter().enumerate() {
             feed(&mut durable_replica, &decide(slot as u64, Batch::one(w.encode())));
         }
@@ -141,7 +141,7 @@ proptest! {
         // The oracle replica replays only the records that survive the cut.
         let (records, valid) = irs_wal::read_records_bytes(&bytes[..keep]);
         prop_assert!(valid <= keep);
-        let mut oracle = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, 0);
+        let mut oracle = in_memory(0);
         for rec in records {
             if let WalRecord::Decide { slot, batch } = rec {
                 let batch: Batch<irs_svc::Command> =
@@ -149,11 +149,11 @@ proptest! {
                 feed(&mut oracle, &decide(slot, batch));
             }
         }
-        let first = durable(&dir, 0);
+        let first = durable(&base, 0);
         prop_assert_eq!(state(&first), state(&oracle), "torn-tail recovery diverged");
         prop_assert_eq!(first.store().map(), oracle.store().map());
         drop(first);
-        let second = durable(&dir, 0);
+        let second = durable(&base, 0);
         prop_assert_eq!(state(&second), state(&oracle), "recovery is not deterministic");
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -168,8 +168,8 @@ proptest! {
         let base = tmpdir("midsnap");
         let dir = base.join("node-0");
         let writes = writes_from(&seeds);
-        let mut durable_replica = durable(&dir, 4);
-        let mut memory = SvcReplica::with_tuning(ProcessId::new(0), system(), 1, 1, 4);
+        let mut durable_replica = durable(&base, 4);
+        let mut memory = in_memory(4);
         for (slot, w) in writes.iter().enumerate() {
             let msg = decide(slot as u64, Batch::one(w.encode()));
             feed(&mut durable_replica, &msg);
@@ -179,7 +179,7 @@ proptest! {
         // The interrupted write: garbage where the next snapshot was going.
         std::fs::write(dir.join("snapshot.bin.tmp"), b"half a snapshot, then power loss")
             .expect("write torn tmp snapshot");
-        let recovered = durable(&dir, 4);
+        let recovered = durable(&base, 4);
         prop_assert_eq!(state(&recovered), state(&memory));
         prop_assert_eq!(recovered.store().map(), memory.store().map());
         let _ = std::fs::remove_dir_all(&base);
@@ -195,7 +195,7 @@ fn corrupt_snapshot_files_read_as_absent_not_garbage() {
     let base = tmpdir("rot");
     let dir = base.join("node-0");
     let writes = writes_from(&(0..24u64).map(|i| i * 37 + 1).collect::<Vec<_>>());
-    let mut durable_replica = durable(&dir, 4);
+    let mut durable_replica = durable(&base, 4);
     for (slot, w) in writes.iter().enumerate() {
         feed(
             &mut durable_replica,
@@ -211,8 +211,8 @@ fn corrupt_snapshot_files_read_as_absent_not_garbage() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&snap_path, &bytes).expect("corrupt snapshot");
 
-    let first = durable(&dir, 4);
-    let second = durable(&dir, 4);
+    let first = durable(&base, 4);
+    let second = durable(&base, 4);
     assert_eq!(
         state(&first),
         state(&second),

@@ -163,7 +163,7 @@ fn main() {
 
     println!("driving {clients} closed-loop clients for {secs}s …");
     let load = std::thread::spawn(move || {
-        let (report, _acked) = closed_loop(
+        let (report, _, _) = closed_loop(
             &mut svc_clients,
             ClosedLoopOptions {
                 duration: Duration::from_secs(secs),
