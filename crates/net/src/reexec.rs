@@ -20,6 +20,13 @@
 //! guard that kills stragglers when a parent assertion fails. The
 //! protocol-specific parts — what each child runs and reports — stay with
 //! the callers.
+//!
+//! The `expect`s and `assert`s here are harness failures, not input
+//! handling: they read the stdio pipe between a parent and the children it
+//! spawned in the process-per-node harness of E11 and E13 (the
+//! `socket_cluster`, `kv_cluster` and `restart_durability` tests and the two
+//! examples), never network input. A child that cannot bind, or a parent
+//! that sends a malformed `PEERS` line, should stop the run loudly.
 
 use crate::UdpTransport;
 use std::io::{BufRead, BufReader, Write};

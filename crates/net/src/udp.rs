@@ -157,6 +157,7 @@ impl UdpTransport {
                 Err(e) => return Err(e),
             }
         }
+        // Invariant, not input: each of the five passes returned or stored an error.
         Err(last_err.expect("retries imply an error"))
     }
 

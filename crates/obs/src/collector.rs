@@ -290,6 +290,7 @@ pub fn check_conformance(exp: &Exposition) -> Result<(), String> {
                 return Err(format!("{ctx}: cumulative bucket counts decreased"));
             }
         }
+        // Invariant, not input: a series is created by pushing its first bucket.
         let (last_le, last_count) = *series.last().expect("non-empty by construction");
         if last_le != u128::MAX {
             return Err(format!("{ctx}: missing +Inf bucket"));
@@ -393,6 +394,7 @@ impl ClusterScrape {
                     }
                 }
             }
+            // Invariant, not input: `families` holds only declared TYPE keys.
             let kind = kind.expect("family came from a TYPE line");
             if let Some(help) = parsed.iter().find_map(|(_, e)| e.helps.get(family)) {
                 let _ = writeln!(out, "# HELP {family} {help}");

@@ -167,6 +167,7 @@ impl Responder {
 mod tests {
     use super::*;
     use crate::names;
+    use proptest::prelude::*;
 
     fn obs_with_data() -> Obs {
         let obs = Obs::metrics_only();
@@ -253,5 +254,75 @@ mod tests {
             let _ = r.chunk(&obs, client, ScrapeFormat::Prometheus, 0);
         }
         assert!(r.sessions() <= super::MAX_SESSIONS);
+    }
+
+    /// A registry whose Prometheus body spans a few chunks, and a JSON body
+    /// under one.
+    fn obs_over_a_few_chunks() -> Obs {
+        let obs = Obs::metrics_only();
+        for &(name, _) in &names::ALL[..40] {
+            let h = obs.registry().histogram(name);
+            for b in 0..64 {
+                h.record(0, 1u64 << b);
+            }
+        }
+        obs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Any sequence of `(client key, format, cursor)` requests, cursors
+        /// at 0, within the body, past its end and at `u32::MAX`: the
+        /// responder never panics, never caches more than `MAX_SESSIONS`,
+        /// answers every request with the slice of one render at that
+        /// cursor (`(empty, true)` past the end), and an uninterrupted
+        /// paging 0, 1, 2, … afterwards concatenates to exactly one render.
+        #[test]
+        fn prop_responder_pages_one_render_whatever_it_was_asked_before(
+            requests in proptest::collection::vec((0u64..1024, 0u8..6, (0u8..4, 0u32..8)), 0..400),
+            client in 0u64..1024,
+        ) {
+            let obs = obs_over_a_few_chunks();
+            let formats = [ScrapeFormat::Prometheus, ScrapeFormat::Json, ScrapeFormat::Trace];
+            let bodies = formats.map(|f| Responder::render(&obs, f));
+            let chunks = bodies[0].len().div_ceil(SCRAPE_CHUNK_LEN) as u32;
+            prop_assert!(chunks >= 3, "the Prometheus body must page");
+            let r = Responder::new();
+            for (key, f, (kind, raw)) in requests {
+                let cursor = match kind {
+                    0 => 0,
+                    1 => raw % (chunks + 2),
+                    2 => u32::MAX,
+                    _ => u32::MAX - raw,
+                };
+                // Two requests in three page the multi-chunk body, so
+                // sessions pile up past the cap and get evicted.
+                let f = if f < 3 { usize::from(f) } else { 0 };
+                let (bytes, last) = r.chunk(&obs, key, formats[f], cursor);
+                let body = &bodies[f];
+                prop_assert!(r.sessions() <= MAX_SESSIONS);
+                let start = (cursor as usize).saturating_mul(SCRAPE_CHUNK_LEN);
+                if start >= body.len() {
+                    prop_assert!(bytes.is_empty() && last, "past the end: (empty, true)");
+                } else {
+                    let end = (start + SCRAPE_CHUNK_LEN).min(body.len());
+                    prop_assert_eq!(&bytes[..], &body[start..end]);
+                    prop_assert_eq!(last, end == body.len());
+                }
+            }
+            for (f, body) in formats.into_iter().zip(&bodies) {
+                let mut paged = Vec::new();
+                for cursor in 0u32.. {
+                    let (bytes, last) = r.chunk(&obs, client, f, cursor);
+                    paged.extend_from_slice(&bytes);
+                    if last {
+                        break;
+                    }
+                    prop_assert!(cursor <= chunks, "runaway cursor");
+                }
+                prop_assert_eq!(&paged, body);
+            }
+        }
     }
 }

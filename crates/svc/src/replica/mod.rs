@@ -1,35 +1,123 @@
 //! One service replica: the replicated log plus the KV apply loop plus the
 //! client request handling, as a single sans-IO [`Protocol`].
 //!
-//! # The leader lease and its clock-safety argument
+//! # The three planes
 //!
-//! The lease plane lets a stable leader serve linearizable reads without
-//! logging them. Every [`TIMER_LEASE`] period the leader broadcasts a
-//! [`SvcMsg::LeaseProbe`]; a replica answers granted only while its own Ω
-//! output names the prober and it holds no unexpired grant to anyone else.
-//! A quorum of grants makes the lease valid for [`LEASE_VALIDITY`] periods
-//! counted **from the period the probe was sent**, while each granting
-//! replica honours its grant for [`GRANT_PERIODS`] periods counted **from
-//! the period the probe was received**. Receipt never precedes send in
-//! real time, so with `GRANT_PERIODS = 2 × LEASE_VALIDITY` every grant
-//! outlives the leader's validity window as long as no replica's timer
-//! cadence runs more than twice as fast as the leader's — far beyond the
-//! drift of timers all driven at the same configured tick. While the
-//! quorum lease is valid no competing leader can collect its own quorum of
-//! grants, and Ω stability (the paper's intermittent rotating star) is
-//! exactly what keeps the grants flowing — so a lease-tier read served
-//! from the leader's applied store observes every write the service ever
-//! acknowledged, because acks are only sent after local application at
-//! that same leader.
+//! *Writes.* The leader sequences a client's write into the log, applies
+//! the decided prefix to its [`KvStore`] and acks the client once the
+//! write's effect is in the store. A replica that does not lead redirects
+//! to its Ω output; a retry of the client's latest applied write is
+//! re-acked without sequencing it again.
 //!
-//! When the lease is uncertain (just elected, grants lost, Ω flickering)
-//! a lease-tier read degrades to the read-index path: the read is queued
-//! with the current decided frontier as its read index, leadership is
-//! re-confirmed by a quorum of granted acks for a probe round **started
-//! after the read arrived**, and the answer waits until the apply cursor
-//! covers the read index. Stale-tier reads skip coordination entirely:
-//! any replica answers from its applied prefix, so the answer is a
-//! committed (possibly old) state — never an unacked in-flight write.
+//! *Reads.* The lease plane lets a stable leader serve linearizable reads
+//! without logging them: every [`TIMER_LEASE`] period the leader probes
+//! the others, and a quorum of grants makes its lease valid. When the
+//! lease is uncertain (just elected, grants lost, Ω flickering) a
+//! lease-tier read degrades to the read-index path: it is queued with the
+//! decided frontier as its read index, leadership is re-confirmed by a
+//! quorum of grants for a probe round **started after the read arrived**,
+//! and the answer waits until the apply cursor covers the read index.
+//! Stale-tier reads skip coordination entirely: any replica answers from
+//! its applied prefix, so the answer is a committed (possibly old) state —
+//! never an unacked in-flight write.
+//!
+//! *The apply loop.* Each turn ends by adopting a parked snapshot, applying
+//! what was decided (the acks), driving the log's window, answering the
+//! reads that became ready, handing over the log's frames behind all of
+//! those replies, and committing the WAL before any of it leaves.
+//!
+//! # The parts
+//!
+//! [`SvcReplica`] is a composition. Each part is a plain sans-IO struct
+//! that owns the fields of one job; none of them sees the log, the action
+//! buffer or a message. They are handed Ω's output, their own id, the
+//! apply cursor or the decided frontier, and return verdicts; this file
+//! builds and sends the replies.
+//!
+//! * `lease.rs` — **owns** the period clock, the probe round, its grants
+//!   and validity, and the follower's open grant; **hides** when a round
+//!   opens, when a grant is given, when a lease is valid and when it ends.
+//! * `reads.rs` — **owns** the read-index queue and the three tier
+//!   counters; **hides** which path a read takes and when a queued read is
+//!   ready.
+//! * `session.rs` — **owns** `awaiting`; **hides** what a request and an
+//!   apply owe the client.
+//! * this file — **owns** the log, the store, the cursor, the snapshot
+//!   interval, durability and the turn counters; **hides** the order in
+//!   which a turn consults the parts, the apply / snapshot / install loop
+//!   and persist-before-send.
+//!
+//! # The rule table
+//!
+//! One numbered rule per transition, in the format of the log's table
+//! (`irs_consensus`'s `log/mod.rs`). Every handler branch cites its rule.
+//! "Ω" is the log's oracle output, Fig. 3's `leader()`: the only output of
+//! the paper's algorithm the lease plane reads.
+//!
+//! | # | transition | fires when | reads | writes, sends | owner |
+//! |---|---|---|---|---|---|
+//! | R1 | door | a `Request` whose command does not parse as a `KvWrite` | — | `requests`; nothing is sent | `mod` |
+//! | R2 | re-ack | a request for the client's latest applied seq | the store's `last_applied` | → `Applied` at that write's slot | `session` |
+//! | R3 | stale drop | a request below the client's latest applied seq | as R2 | silence | `session` |
+//! | R4 | write redirect | any other request while Ω names another replica | Ω | `redirects` → `Redirect` naming Ω | `session` |
+//! | R5 | sequence | any other request while Ω names us | the log's decided and pending values | `awaiting`; `submit` unless decided or pending; the turn drives the window (R20) | `session`, `mod` |
+//! | R6 | ack on apply | R22 applies a write somebody awaits | `awaiting`, whether its effect landed | the entry retired; landed → `Applied`, else silence | `session` |
+//! | R7 | stale read | a `Stale` read, at any replica | the store, the apply cursor | `reads_stale` → `Value` with the cursor as witness | `reads` |
+//! | R8 | read redirect | a `Lease` or `ReadIndex` read while Ω names another replica | Ω | `redirects` → `Redirect` naming Ω | `reads` |
+//! | R9 | lease read | a `Lease` read at the leader while its lease is valid (R17) | `valid_until`, the store | `reads_lease` → `Value` | `reads`, `lease` |
+//! | R10 | queue read | any other linearizable read at the leader | the decided frontier, `probe_rid` | the queue: read index = the frontier, confirming round = the next one | `reads` |
+//! | R11 | serve queued | R17 may have confirmed a round; the end of every turn (R20) | `confirmed_rid`, the apply cursor | `reads_read_index` → `Value` for each read confirmed and covered | `reads` |
+//! | R12 | redirect queued | R14 at a replica Ω no longer names | Ω | the queue emptied → `Redirect` each | `reads` |
+//! | R13 | probe | the lease timer at a replica Ω names | `now` | `now`, `probe_rid`, `probe_sent_at`, the grants cleared → `LeaseProbe` to the others; the timer re-armed | `lease` |
+//! | R14 | lease end on tick | the lease timer where Ω names another replica or `now ≥ valid_until` | Ω, `valid_until` | `now`, the grants cleared; a held lease ends, `lease_expiries`; not leading → R12; the timer re-armed | `lease` |
+//! | R15 | grant | a `LeaseProbe` from `p`: Ω names `p`, `p` is not us, no unexpired grant to another replica | Ω, `granted`, `now` | `granted = (p, now + GRANT_PERIODS)` — counted from *receipt*; → `LeaseAck` granted or not | `lease` |
+//! | R16 | grant ends own lease | R15 grants | `valid_until` | a held lease ends, `lease_expiries` | `lease` |
+//! | R17 | refresh | a granted `LeaseAck` for the current round while Ω names us; `n − t` votes for the first time this round | the grants, R18's vote, `probe_sent_at` | `confirmed_rid`; `valid_until = max(·, probe_sent_at + LEASE_VALIDITY)` — counted from *send*, `lease_refreshes`; then R11 | `lease` |
+//! | R18 | self vote | R17 counts votes | `granted`, `now` | the prober counts itself only while it holds no unexpired grant to another replica | `lease` |
+//! | R19 | fresh-leader read point — **open** | R9 or R10 at a leader that has not yet learned every slot its predecessor acked | the frontier | nothing waits for those slots: the read index (R10) or the store (R9) can lie below an acked write. Only timing covers it: grants to the old leader hold for `GRANT_PERIODS`, and a reign is usually established within a period or two | `reads` |
+//! | R20 | settle | the end of every turn: a message, a burst, a timer | `sequenced`, the cursor | R21; R22; the log's window driven if a request was sequenced or the cursor moved; R11; the log's frames behind every reply; R24 | `mod` |
+//! | R21 | install | R20 finds a parked snapshot above the cursor whose blob validates | the blob | the store, the cursor, `last_snapshot`; `complete_install`; the snapshot persisted as in R23; `awaiting` cleared | `mod` |
+//! | R22 | apply | R20, or `open` after replay, finds the cursor's slot decided | the decision | the store, the cursor; R6 per write; the apply histograms; then R23 | `mod` |
+//! | R23 | snapshot | R22 moved the cursor `snapshot_interval` past the last snapshot | the store | the export, `truncate_below`, `snapshots_taken`; durable: the snapshot file and the WAL rotation | `mod` |
+//! | R24 | persist | R20 at a durable replica | the log's WAL events | one WAL group commit, `wal_commits`, a `WalCommit` trace event — before the turn's frames leave | `mod` |
+//! | R25 | log traffic | a `Log` message; any timer but the lease's; start; quiesce | — | the log's handlers; its frames behind the turn's replies | `mod` |
+//! | R26 | stray reply | a `Reply` at a replica | — | nothing | `mod` |
+//!
+//! # Why the lease is safe
+//!
+//! A lease-tier read (R9) served from the leader's applied store observes
+//! every write the service acknowledged, because acks are sent only after
+//! local application at that same leader (R6) — provided no other replica
+//! holds a valid lease at the same time. The rows that make it so:
+//!
+//! 1. *One leader per grant.* A replica grants only its Ω output, never
+//!    itself, and only while it holds no unexpired grant to another
+//!    replica (R15).
+//! 2. *Grants outlive leases.* Validity counts `LEASE_VALIDITY` periods
+//!    from the probe's *send* (R17); the grant binds for
+//!    `GRANT_PERIODS = 2 × LEASE_VALIDITY` periods from its *receipt*
+//!    (R15). Receipt never precedes send in real time, so every grant in a
+//!    quorum outlives the lease it made, as long as no replica's timer runs
+//!    more than twice as fast as the leader's — far beyond the drift of
+//!    timers driven at one configured tick. These are purely local period
+//!    clocks: the clock-rate adversary of ROADMAP item 3(d) attacks exactly
+//!    this row pair.
+//! 3. *The prober's own vote is exclusive too.* Granting another replica
+//!    ends the granter's lease (R16), and a prober counts itself only while
+//!    it holds no unexpired grant to another replica (R18). Without these
+//!    two rows an Ω flicker at the leader lets it grant a rival and keep (or
+//!    re-acquire) its own lease beside the rival's.
+//! 4. *Quorums intersect.* Two leases valid at once would need two vote
+//!    quorums of `n − t` out of `n` with `t < n/2`; they share a replica
+//!    whose vote (1) and (3) make exclusive for longer than (2)'s window.
+//!
+//! Ω stability — the paper's intermittent rotating star — is what keeps the
+//! grants flowing. R19 is what the argument does *not* cover: a lease says
+//! who leads, not that the leader has learned what its predecessor acked.
+
+mod lease;
+mod reads;
+mod session;
 
 use crate::command::KvView;
 use crate::durability::{Durability, Recovered};
@@ -38,25 +126,15 @@ use crate::store::KvStore;
 use crate::SvcConfig;
 use irs_consensus::{Command, ConsensusConfig, ReplicatedLog};
 use irs_omega::OmegaProcess;
-use irs_types::{
-    Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, SystemConfig,
-    TimerId,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use irs_types::{Actions, Introspect, LeaderOracle, ProcessId, Protocol, SystemConfig, TimerId};
+use lease::Lease;
+use reads::{Admit, PendingRead, Reads};
+use session::{OnRequest, Session};
 use std::sync::Arc;
 
 /// The lease/read-index probe timer (disjoint from the oracle's 0..,
 /// consensus' 200 and the log's 201).
 pub const TIMER_LEASE: TimerId = TimerId::new(202);
-
-/// Periods a quorum-granted lease stays valid, counted from the period the
-/// winning probe was *sent* (see the module docs for why send-side
-/// counting is the safe side of the inequality).
-const LEASE_VALIDITY: u64 = 4;
-
-/// Periods a replica honours a grant, counted from probe *receipt*. Twice
-/// the validity window: the safety margin against relative timer drift.
-const GRANT_PERIODS: u64 = 2 * LEASE_VALIDITY;
 
 /// One replica of the key-value service.
 ///
@@ -79,8 +157,7 @@ pub struct SvcReplica {
     snapshot_interval: u64,
     /// The cursor at the last truncation (or snapshot install).
     last_snapshot: u64,
-    /// Clients awaiting an ack, by `(client, seq)` → their endpoint id.
-    awaiting: BTreeMap<(u64, u64), ProcessId>,
+    session: Session,
     requests: u64,
     redirects: u64,
     /// Protocol turns taken on inbound traffic (one per `on_burst`).
@@ -93,68 +170,12 @@ pub struct SvcReplica {
     /// Optional observability hooks (metrics handles + flight-recorder
     /// tracer); `None` costs nothing on the hot path.
     obs: Option<ReplicaObs>,
-    /// The lease/read-index plane (see the module docs).
-    lease: LeaseState,
+    lease: Lease,
+    reads: Reads,
     /// What the log recorded so far this turn. Lifted into the turn's
     /// actions only when it ends, behind every client reply: an ack never
     /// queues behind the fan-out of the next slot's `Accept`.
     log_out: Actions<ReplicaLogMsg>,
-}
-
-/// One read awaiting its read-index conditions at the leader.
-#[derive(Debug)]
-struct PendingRead {
-    /// The endpoint to answer.
-    from: ProcessId,
-    client: u64,
-    rid: u64,
-    key: Vec<u8>,
-    /// The decided frontier when the read arrived; the answer waits until
-    /// the apply cursor covers it.
-    read_index: u64,
-    /// The probe round whose quorum confirms leadership for this read —
-    /// always a round *sent after* the read arrived.
-    confirm_rid: u64,
-}
-
-/// The lease clock and probe bookkeeping of one replica.
-#[derive(Debug, Default)]
-struct LeaseState {
-    /// Cadence of [`TIMER_LEASE`] (the consensus ballot-check period).
-    period: Duration,
-    /// Local period counter — the only clock the lease logic reads.
-    now: u64,
-    /// Phase-1 quorum size (`n − t`), shared with the consensus layer.
-    quorum: usize,
-    /// Leader side: the probe round currently collecting acks.
-    probe_rid: u64,
-    /// Leader side: the period `probe_rid` was sent.
-    probe_sent_at: u64,
-    /// Leader side: replicas that granted the current round (self included
-    /// implicitly).
-    grants: BTreeSet<ProcessId>,
-    /// Leader side: the highest probe round that reached a grant quorum.
-    confirmed_rid: u64,
-    /// Leader side: first period at which the lease is no longer valid
-    /// (0 = no lease).
-    valid_until: u64,
-    /// Follower side: an open grant `(leader, first period it no longer
-    /// binds)`.
-    granted: Option<(ProcessId, u64)>,
-    /// Reads queued on the read-index path.
-    pending_reads: Vec<PendingRead>,
-    reads_lease: u64,
-    reads_read_index: u64,
-    reads_stale: u64,
-    refreshes: u64,
-    expiries: u64,
-}
-
-impl LeaseState {
-    /// Whether the quorum lease currently covers a leader-local read.
-    fn valid(&self) -> bool {
-        self.now < self.valid_until
-    }
 }
 
 /// The registry handles and tracer a replica records onto once
@@ -168,7 +189,21 @@ struct ReplicaObs {
     /// Flight-recorder hook for WAL commits (the log layer holds its own
     /// clone for ballot/snapshot events).
     tracer: Option<irs_obs::Tracer>,
-    shard: usize,
+}
+
+/// The ack of write `(client, seq)`, whose effect is in the store at `slot`.
+fn applied(client: u64, seq: u64, slot: u64) -> SvcMsg {
+    SvcMsg::Reply(SvcReply::Applied { client, seq, slot })
+}
+
+/// The answer to request or read `seq` of `client` at a replica that does
+/// not lead: ask `leader`.
+fn redirect(client: u64, seq: u64, leader: ProcessId) -> SvcMsg {
+    SvcMsg::Reply(SvcReply::Redirect {
+        client,
+        seq,
+        leader,
+    })
 }
 
 impl SvcReplica {
@@ -195,16 +230,8 @@ impl SvcReplica {
         let cfg = ConsensusConfig::new(system)
             .with_batching(config.batch_max, config.pipeline_depth)
             .with_phase1_skip(true);
-        let lease = LeaseState {
-            period: cfg.ballot_check_period,
-            quorum: system.quorum(),
-            ..LeaseState::default()
-        };
         let (durability, recovered) = match config.node_dir(id) {
-            Some(dir) => {
-                let (durability, recovered) = Durability::open(&dir, config.fsync)?;
-                (Some(durability), recovered)
-            }
+            Some(dir) => Durability::open(&dir, config.fsync).map(|(d, r)| (Some(d), r))?,
             None => (None, Recovered::default()),
         };
         // A blob that passed the file checksum but fails semantic
@@ -219,6 +246,7 @@ impl SvcReplica {
             .snapshot
             .map(|(upto, blob)| (upto, Arc::from(blob)));
         let mut replica = SvcReplica {
+            lease: Lease::new(cfg.ballot_check_period, system.quorum()),
             log: ReplicatedLog::recover(
                 id,
                 cfg,
@@ -231,7 +259,7 @@ impl SvcReplica {
             cursor,
             snapshot_interval: config.snapshot_interval,
             last_snapshot: cursor,
-            awaiting: BTreeMap::new(),
+            session: Session::default(),
             requests: 0,
             redirects: 0,
             bursts: 0,
@@ -239,13 +267,13 @@ impl SvcReplica {
             snapshots_taken: 0,
             durability,
             obs: None,
-            lease,
+            reads: Reads::default(),
             log_out: Actions::new(),
         };
         if replica.durability.is_some() {
-            // Apply the replayed decided prefix before any message flows;
-            // the drained actions go nowhere (clients re-learn outcomes by
-            // retry).
+            // R22: apply the replayed decided prefix before any message
+            // flows; the drained actions go nowhere (clients re-learn
+            // outcomes by retry).
             replica.apply_ready(&mut Actions::new());
             // Recording starts only now, so replay itself is never re-logged.
             replica.log.set_durable(true);
@@ -271,7 +299,6 @@ impl SvcReplica {
             apply_micros: obs.registry().histogram(irs_obs::names::SVC_APPLY_MICROS),
             batch_commands: obs.registry().histogram(irs_obs::names::SVC_BATCH_COMMANDS),
             tracer,
-            shard,
         });
     }
 
@@ -299,251 +326,109 @@ impl SvcReplica {
     /// path — the turn must then [`drive`](ReplicatedLog::drive) the log.
     fn on_request(&mut self, from: ProcessId, cmd: &Command, out: &mut Actions<SvcMsg>) -> bool {
         self.requests += 1;
-        // A command that does not parse as a KvWrite can never be applied;
-        // drop it at the door (the codec's equivalent of link noise).
+        // R1: a command that does not parse as a KvWrite can never be
+        // applied (the codec's equivalent of link noise).
         let Some(w) = KvView::parse(cmd.bytes()) else {
             return false;
         };
-        // `Applied` must mean "this write's effect is in the store". The
-        // session filter applies per-client seqs in increasing order, so
-        // only a retry of the *latest* applied write can be re-acked; a
-        // request below that seq was (or will be) rejected as stale — drop
-        // it silently and let the client's deadline surface the failure
-        // instead of lying about success.
-        if let Some((seq, slot)) = self.store.last_applied(w.client) {
-            if w.seq == seq {
-                out.send(
-                    from,
-                    SvcMsg::Reply(SvcReply::Applied {
-                        client: w.client,
-                        seq: w.seq,
-                        slot,
-                    }),
-                );
-                return false;
+        let last = self.store.last_applied(w.client);
+        let (leader, me) = (self.log.leader(), self.log.id());
+        let write = (w.client, w.seq);
+        match self.session.on_request(from, write, last, leader, me) {
+            // R2.
+            OnRequest::Reack(slot) => out.send(from, applied(w.client, w.seq, slot)),
+            // R3.
+            OnRequest::Stale => {}
+            // R4.
+            OnRequest::Redirect(leader) => {
+                self.redirects += 1;
+                out.send(from, redirect(w.client, w.seq, leader));
             }
-            if w.seq < seq {
-                return false;
+            // R5: sequence the command once. The turn drives the window
+            // before it ends — ack latency is bounded by round trips, not by
+            // the periodic log check — and every request that arrived with
+            // this one rides the same slot.
+            OnRequest::Sequence => {
+                if !self.log.is_decided_value(cmd) && !self.log.contains_pending(cmd) {
+                    self.log.submit(cmd.clone());
+                }
+                return true;
             }
         }
-        let me = self.log.id();
-        let leader = self.log.leader();
-        if leader != me {
-            self.redirects += 1;
-            out.send(
-                from,
-                SvcMsg::Reply(SvcReply::Redirect {
-                    client: w.client,
-                    seq: w.seq,
-                    leader,
-                }),
-            );
-            return false;
-        }
-        // We lead: remember who to ack and sequence the command (once). The
-        // turn drives the window before it ends — ack latency is bounded by
-        // round trips, not by the periodic log check — and every request
-        // that arrived with this one rides the same slot.
-        self.awaiting.insert((w.client, w.seq), from);
-        if !self.log.is_decided_value(cmd) && !self.log.contains_pending(cmd) {
-            self.log.submit(cmd.clone());
-        }
-        true
+        false
     }
 
-    /// Answers one read under its tier's guarantee (or queues it on the
-    /// read-index path; see the module docs).
+    /// Answers one read under its tier's guarantee, or queues it on the
+    /// read-index path.
     fn on_read(
         &mut self,
         from: ProcessId,
-        client: u64,
-        rid: u64,
-        key: &[u8],
-        tier: ReadTier,
+        (client, rid, key, tier): (u64, u64, &[u8], ReadTier),
         out: &mut Actions<SvcMsg>,
     ) {
         self.requests += 1;
-        if tier == ReadTier::Stale {
-            // Any replica serves its applied prefix — committed state,
-            // bounded behind the decided frontier by the apply cursor.
-            self.lease.reads_stale += 1;
-            self.reply_value(from, client, rid, key, out);
-            return;
-        }
-        let me = self.log.id();
         let leader = self.log.leader();
-        if leader != me {
-            self.redirects += 1;
-            out.send(
+        let leading = leader == self.log.id();
+        match self.reads.admit(tier, leading, self.lease.valid()) {
+            // R7, R9, R19 (open).
+            Admit::Serve => out.send(from, self.value(client, rid, key)),
+            // R8.
+            Admit::Redirect => {
+                self.redirects += 1;
+                out.send(from, redirect(client, rid, leader));
+            }
+            // R10, R19 (open).
+            Admit::Queue => self.reads.pending.push(PendingRead {
                 from,
-                SvcMsg::Reply(SvcReply::Redirect {
-                    client,
-                    seq: rid,
-                    leader,
-                }),
-            );
-            return;
-        }
-        if tier == ReadTier::Lease && self.lease.valid() {
-            // The lease fast path: zero messages. Every acked write was
-            // applied here before its ack left, so the local store is a
-            // linearizable read point while the lease pins leadership.
-            self.lease.reads_lease += 1;
-            self.reply_value(from, client, rid, key, out);
-            return;
-        }
-        // Read-index (and the lease-uncertain fallback): confirm
-        // leadership with a probe round sent after this moment, then wait
-        // for the apply cursor to cover today's decided frontier.
-        self.lease.pending_reads.push(PendingRead {
-            from,
-            client,
-            rid,
-            key: key.to_vec(),
-            read_index: self.log.frontier_slot(),
-            confirm_rid: self.lease.probe_rid + 1,
-        });
-    }
-
-    /// Sends the store's current binding of `key` with the apply frontier
-    /// as the staleness witness.
-    fn reply_value(
-        &mut self,
-        to: ProcessId,
-        client: u64,
-        rid: u64,
-        key: &[u8],
-        out: &mut Actions<SvcMsg>,
-    ) {
-        out.send(
-            to,
-            SvcMsg::Reply(SvcReply::Value {
                 client,
                 rid,
-                value: self.store.get(key).map(<[u8]>::to_vec),
-                frontier: self.cursor,
+                key: key.to_vec(),
+                read_index: self.log.frontier_slot(),
+                confirm_rid: self.lease.next_rid(),
             }),
-        );
+        }
     }
 
-    /// One firing of the lease timer: advance the local period clock, let
-    /// a leader open the next probe round, and let a deposed leader drop
-    /// its lease state.
+    /// The store's current binding of `key`, with the apply cursor as the
+    /// staleness witness.
+    fn value(&self, client: u64, rid: u64, key: &[u8]) -> SvcMsg {
+        SvcMsg::Reply(SvcReply::Value {
+            client,
+            rid,
+            value: self.store.get(key).map(<[u8]>::to_vec),
+            frontier: self.cursor,
+        })
+    }
+
+    /// One firing of the lease timer: advance the period clock, let a
+    /// leader open the next probe round, and let a deposed leader redirect
+    /// the reads it can no longer answer.
     fn on_lease_tick(&mut self, out: &mut Actions<SvcMsg>) {
-        self.lease.now += 1;
-        let me = self.log.id();
-        if self.log.leader() == me {
-            if self.lease.valid_until != 0 && !self.lease.valid() {
-                self.lease.expiries += 1;
-                self.lease.valid_until = 0;
+        let leader = self.log.leader();
+        match self.lease.tick(leader == self.log.id()) {
+            // R13.
+            Some(rid) => out.broadcast_others(SvcMsg::LeaseProbe { rid }),
+            // R14, R12.
+            None => {
+                for r in self.reads.drain() {
+                    out.send(r.from, redirect(r.client, r.rid, leader));
+                }
             }
-            self.lease.probe_rid += 1;
-            self.lease.probe_sent_at = self.lease.now;
-            self.lease.grants.clear();
-            out.broadcast_others(SvcMsg::LeaseProbe {
-                rid: self.lease.probe_rid,
-            });
-        } else {
-            if self.lease.valid() {
-                // Deposed mid-lease: the lease dies with the leadership.
-                self.lease.expiries += 1;
-            }
-            self.lease.valid_until = 0;
-            self.lease.grants.clear();
-            self.redirect_pending_reads(out);
         }
         out.set_timer(TIMER_LEASE, self.lease.period);
     }
 
-    /// A probe from `from`: grant only while our Ω output names the
-    /// prober and no unexpired grant to a different leader is open. The
-    /// grant window counts from *this* period — probe receipt, which
-    /// follows probe send in real time (the safe side of the clock
-    /// inequality).
-    fn on_lease_probe(&mut self, from: ProcessId, rid: u64, out: &mut Actions<SvcMsg>) {
-        let free = match self.lease.granted {
-            Some((holder, until)) => holder == from || self.lease.now >= until,
-            None => true,
-        };
-        let granted = free && self.log.leader() == from && from != self.log.id();
-        if granted {
-            self.lease.granted = Some((from, self.lease.now + GRANT_PERIODS));
-        }
-        out.send(from, SvcMsg::LeaseAck { rid, granted });
-    }
-
-    /// An ack for the current probe round. A quorum of grants (the prober
-    /// counts itself) refreshes the lease — validity counted from the
-    /// round's *send* period — and confirms leadership for queued
-    /// read-index reads.
-    fn on_lease_ack(
-        &mut self,
-        from: ProcessId,
-        rid: u64,
-        granted: bool,
-        out: &mut Actions<SvcMsg>,
-    ) {
-        if !granted || rid != self.lease.probe_rid || self.log.leader() != self.log.id() {
-            return;
-        }
-        self.lease.grants.insert(from);
-        if self.lease.grants.len() + 1 >= self.lease.quorum && self.lease.confirmed_rid < rid {
-            self.lease.confirmed_rid = rid;
-            let fresh = self.lease.probe_sent_at + LEASE_VALIDITY;
-            if fresh > self.lease.valid_until {
-                self.lease.valid_until = fresh;
-                self.lease.refreshes += 1;
-            }
-        }
-        self.service_pending_reads(out);
-    }
-
-    /// Answers every queued read whose leadership round confirmed and
+    /// R11: answers every queued read whose leadership round confirmed and
     /// whose read index the apply cursor has covered.
-    fn service_pending_reads(&mut self, out: &mut Actions<SvcMsg>) {
-        if self.lease.pending_reads.is_empty() {
-            return;
-        }
-        let (confirmed, cursor) = (self.lease.confirmed_rid, self.cursor);
-        let ready: Vec<PendingRead> = {
-            let pending = &mut self.lease.pending_reads;
-            let mut ready = Vec::new();
-            let mut i = 0;
-            while i < pending.len() {
-                if confirmed >= pending[i].confirm_rid && cursor >= pending[i].read_index {
-                    ready.push(pending.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            ready
-        };
-        for r in ready {
-            self.lease.reads_read_index += 1;
-            self.reply_value(r.from, r.client, r.rid, &r.key, out);
+    fn serve_ready_reads(&mut self, out: &mut Actions<SvcMsg>) {
+        for r in self.reads.take_ready(self.lease.confirmed_rid, self.cursor) {
+            out.send(r.from, self.value(r.client, r.rid, &r.key));
         }
     }
 
-    /// A deposed leader cannot answer its queued reads; redirect them so
-    /// clients re-aim instead of waiting out their deadline.
-    fn redirect_pending_reads(&mut self, out: &mut Actions<SvcMsg>) {
-        let leader = self.log.leader();
-        for r in self.lease.pending_reads.drain(..) {
-            out.send(
-                r.from,
-                SvcMsg::Reply(SvcReply::Redirect {
-                    client: r.client,
-                    seq: r.rid,
-                    leader,
-                }),
-            );
-        }
-    }
-
-    /// Applies every newly decided contiguous slot — each slot is a batch,
-    /// applied atomically in order, and may ack many clients. Snapshots are
-    /// taken on the interval boundary. Returns whether the cursor moved (the
-    /// turn then drives the window forward).
+    /// R22: applies every newly decided contiguous slot — each slot is a
+    /// batch, applied atomically in order, and may ack many clients.
+    /// Returns whether the cursor moved (the turn then drives the window).
     fn apply_ready(&mut self, out: &mut Actions<SvcMsg>) -> bool {
         let cursor_before = self.cursor;
         while let Some(batch) = self.log.decision(self.cursor).cloned() {
@@ -553,44 +438,29 @@ impl SvcReplica {
             // Each command is applied in place (an unparseable one is a
             // no-op entry), with the ack bookkeeping riding the per-write
             // callback.
-            let awaiting = &mut self.awaiting;
+            let session = &mut self.session;
             self.store.apply_commands(slot, batch.iter(), |w, fresh| {
-                match awaiting.remove(&(w.client, w.seq)) {
-                    // Ack only writes whose effect actually landed. A
-                    // decided entry the session filter skipped (a stale seq
-                    // overtaken by a pipelined later write, or a retry's
-                    // second copy) was rejected — staying silent lets the
-                    // client's deadline report it honestly instead of
-                    // acking a lost write.
-                    Some(client_ep) if fresh => {
-                        out.send(
-                            client_ep,
-                            SvcMsg::Reply(SvcReply::Applied {
-                                client: w.client,
-                                seq: w.seq,
-                                slot,
-                            }),
-                        );
-                    }
-                    _ => {}
+                // R6.
+                if let Some(client_ep) = session.on_apply((w.client, w.seq), fresh) {
+                    out.send(client_ep, applied(w.client, w.seq, slot));
                 }
             });
             if let (Some(o), Some(t0)) = (&self.obs, apply_start) {
+                let shard = self.log.id().index();
                 o.apply_micros
-                    .record(o.shard, t0.elapsed().as_micros() as u64);
-                o.batch_commands.record(o.shard, batch.len() as u64);
+                    .record(shard, t0.elapsed().as_micros() as u64);
+                o.batch_commands.record(shard, batch.len() as u64);
             }
         }
-        let advanced = self.cursor > cursor_before;
-        if advanced {
-            self.maybe_snapshot();
-        }
-        advanced
+        // R23 guards itself: a cursor that did not move crosses no interval.
+        self.maybe_snapshot();
+        self.cursor > cursor_before
     }
 
-    /// Exports the store and truncates the log once enough slots have been
-    /// applied since the last snapshot. Compaction *always* proceeds: the log
-    /// serves an export of any size to laggards over its chunk plane.
+    /// R23: exports the store and truncates the log once enough slots have
+    /// been applied since the last snapshot. Compaction *always* proceeds:
+    /// the log serves an export of any size to laggards over its chunk
+    /// plane.
     fn maybe_snapshot(&mut self) {
         if self.snapshot_interval == 0 || self.cursor < self.last_snapshot + self.snapshot_interval
         {
@@ -617,23 +487,22 @@ impl SvcReplica {
             .expect("persist snapshot + rotate WAL");
     }
 
-    /// Commits this turn's durability events as one WAL group. Runs at the
-    /// end of every turn — a timer, a message, or a whole burst — before
-    /// the runtime releases the turn's outbound frames: persist-before-send.
+    /// R24: commits this turn's durability events as one WAL group. Runs
+    /// at the end of every turn — a timer, a message, or a whole burst —
+    /// before the runtime releases the turn's outbound frames:
+    /// persist-before-send.
     fn persist(&mut self) {
-        if self.durability.is_none() {
+        let Some(d) = self.durability.as_mut() else {
             return;
-        }
+        };
         let events = self.log.take_wal_events();
-        if let Some(d) = self.durability.as_mut() {
-            let syncs_before = d.syncs();
-            d.append_events(&events).expect("append to WAL");
-            if !events.is_empty() {
-                self.wal_commits += 1;
-                if let Some(t) = self.obs.as_ref().and_then(|o| o.tracer.as_ref()) {
-                    let fsynced = u64::from(d.syncs() > syncs_before);
-                    t.emit_now(irs_obs::EventKind::WalCommit, events.len() as u64, fsynced);
-                }
+        let syncs_before = d.syncs();
+        d.append_events(&events).expect("append to WAL");
+        if !events.is_empty() {
+            self.wal_commits += 1;
+            if let Some(t) = self.obs.as_ref().and_then(|o| o.tracer.as_ref()) {
+                let fsynced = u64::from(d.syncs() > syncs_before);
+                t.emit_now(irs_obs::EventKind::WalCommit, events.len() as u64, fsynced);
             }
         }
     }
@@ -642,6 +511,7 @@ impl SvcReplica {
     /// request on the sequencing path (see [`Self::on_request`]).
     fn dispatch(&mut self, from: ProcessId, msg: &SvcMsg, out: &mut Actions<SvcMsg>) -> bool {
         match msg {
+            // R25.
             SvcMsg::Log(m) => self.log.on_message(from, m, &mut self.log_out),
             SvcMsg::Request { cmd } => return self.on_request(from, cmd, out),
             SvcMsg::Read {
@@ -649,36 +519,47 @@ impl SvcReplica {
                 rid,
                 key,
                 tier,
-            } => self.on_read(from, *client, *rid, key, *tier, out),
-            SvcMsg::LeaseProbe { rid } => self.on_lease_probe(from, *rid, out),
-            SvcMsg::LeaseAck { rid, granted } => self.on_lease_ack(from, *rid, *granted, out),
-            // Replies are client-plane messages; at a replica they are
-            // stray traffic.
-            SvcMsg::Reply(_) => {}
+            } => self.on_read(from, (*client, *rid, key, *tier), out),
+            // R15, R16.
+            SvcMsg::LeaseProbe { rid } => {
+                let granted = self.lease.probe(from, self.log.leader(), self.log.id());
+                out.send(from, SvcMsg::LeaseAck { rid: *rid, granted });
+            }
+            // R17, R18, then R11.
+            SvcMsg::LeaseAck { rid, granted: true } => {
+                let me = self.log.id();
+                self.lease.ack(from, *rid, self.log.leader() == me, me);
+                self.serve_ready_reads(out);
+            }
+            // R17: a refused grant counts for nothing. R26: replies are
+            // client-plane messages; at a replica they are stray traffic.
+            SvcMsg::LeaseAck { granted: false, .. } | SvcMsg::Reply(_) => {}
         }
         false
     }
 
-    /// Ends a turn: adopt a parked snapshot, apply what was decided (the
-    /// acks), drive the window once — only when a request was sequenced or
-    /// the cursor moved, so an idle follower's turn never touches the log's
-    /// reign — answer the reads that became ready, hand over the log's
-    /// frames behind all of those replies, and commit the WAL.
+    /// R20: ends a turn — adopt a parked snapshot, apply what was decided
+    /// (the acks), drive the window once (only when a request was
+    /// sequenced or the cursor moved, so an idle follower's turn never
+    /// touches the log's reign), answer the reads that became ready, hand
+    /// over the log's frames behind all of those replies, and commit the
+    /// WAL.
     fn settle(&mut self, sequenced: bool, out: &mut Actions<SvcMsg>) {
         self.maybe_install();
         let advanced = self.apply_ready(out);
         if sequenced || advanced {
             self.log.drive(&mut self.log_out);
         }
-        self.service_pending_reads(out);
+        self.serve_ready_reads(out);
         self.log_out.drain_into(out, SvcMsg::Log);
         self.persist();
     }
 
-    /// Adopts a snapshot a peer sent us (we lag past its truncation point):
-    /// validate the blob, replace the store, jump the cursor, and confirm
-    /// the install to the log. A blob that fails validation is dropped —
-    /// the log stays where it was and per-slot catch-up keeps trying.
+    /// R21: adopts a snapshot a peer sent us (we lag past its truncation
+    /// point): validate the blob, replace the store, jump the cursor, and
+    /// confirm the install to the log. A blob that fails validation is
+    /// dropped — the log stays where it was and per-slot catch-up keeps
+    /// trying.
     fn maybe_install(&mut self) {
         let Some((upto, blob)) = self.log.take_pending_install() else {
             return;
@@ -697,8 +578,8 @@ impl SvcReplica {
         // Anything we still owed an ack for is covered (or superseded) by
         // the snapshot; falling far enough behind to need an install means
         // those clients gave up on us long ago. A retry of a client's
-        // latest applied write still re-acks via `last_applied`.
-        self.awaiting.clear();
+        // latest applied write still re-acks (R2).
+        self.session.awaiting.clear();
     }
 }
 
@@ -710,6 +591,7 @@ impl Protocol for SvcReplica {
     }
 
     fn on_start(&mut self, out: &mut Actions<Self::Msg>) {
+        // R25.
         self.log.on_start(&mut self.log_out);
         self.log_out.drain_into(out, SvcMsg::Log);
         out.set_timer(TIMER_LEASE, self.lease.period);
@@ -740,6 +622,7 @@ impl Protocol for SvcReplica {
         if timer == TIMER_LEASE {
             self.on_lease_tick(out);
         } else {
+            // R25.
             self.log.on_timer(timer, &mut self.log_out);
         }
         self.settle(false, out);
@@ -748,6 +631,7 @@ impl Protocol for SvcReplica {
     /// The log's held announcements, lifted: after a stop every replica the
     /// frames reach holds what this one acked.
     fn on_quiesce(&mut self, out: &mut Actions<Self::Msg>) {
+        // R25.
         self.log.on_quiesce(&mut self.log_out);
         self.log_out.drain_into(out, SvcMsg::Log);
     }
@@ -760,47 +644,93 @@ impl LeaderOracle for SvcReplica {
 }
 
 impl Introspect for SvcReplica {
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> irs_types::Snapshot {
         use irs_obs::names;
         let mut snap = self.log.snapshot();
-        snap.extra.push((names::APPLIED, self.store.applied()));
-        snap.extra
-            .push((names::KV_ENTRIES, self.store.len() as u64));
-        snap.extra.push((names::KV_DIGEST, self.store.digest()));
-        snap.extra.push((names::DUP_SKIPS, self.store.dup_skips()));
-        snap.extra
-            .push((names::AWAITING, self.awaiting.len() as u64));
-        snap.extra.push((names::REQUESTS, self.requests));
-        snap.extra.push((names::REDIRECTS, self.redirects));
-        snap.extra.push((names::BURSTS, self.bursts));
-        snap.extra.push((names::WAL_COMMITS, self.wal_commits));
-        snap.extra
-            .push((names::SNAPSHOTS_TAKEN, self.snapshots_taken));
-        snap.extra
-            .push((names::READS_LEASE, self.lease.reads_lease));
-        snap.extra
-            .push((names::READS_READ_INDEX, self.lease.reads_read_index));
-        snap.extra
-            .push((names::READS_STALE, self.lease.reads_stale));
-        snap.extra
-            .push((names::LEASE_REFRESHES, self.lease.refreshes));
-        snap.extra
-            .push((names::LEASE_EXPIRIES, self.lease.expiries));
         let d = self.durability.as_ref();
-        snap.extra
-            .push((names::WAL_APPENDED, d.map_or(0, |d| d.appended())));
-        snap.extra
-            .push((names::WAL_SYNCS, d.map_or(0, |d| d.syncs())));
+        snap.extra.extend([
+            (names::APPLIED, self.store.applied()),
+            (names::KV_ENTRIES, self.store.len() as u64),
+            (names::KV_DIGEST, self.store.digest()),
+            (names::DUP_SKIPS, self.store.dup_skips()),
+            (names::AWAITING, self.session.awaiting.len() as u64),
+            (names::REQUESTS, self.requests),
+            (names::REDIRECTS, self.redirects),
+            (names::BURSTS, self.bursts),
+            (names::WAL_COMMITS, self.wal_commits),
+            (names::SNAPSHOTS_TAKEN, self.snapshots_taken),
+            (names::READS_LEASE, self.reads.lease),
+            (names::READS_READ_INDEX, self.reads.read_index),
+            (names::READS_STALE, self.reads.stale),
+            (names::LEASE_REFRESHES, self.lease.refreshes),
+            (names::LEASE_EXPIRIES, self.lease.expiries),
+            (names::WAL_APPENDED, d.map_or(0, Durability::appended)),
+            (names::WAL_SYNCS, d.map_or(0, Durability::syncs)),
+        ]);
         snap
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::lease::{GRANT_PERIODS, LEASE_VALIDITY};
     use super::*;
     use crate::command::{KvOp, KvWrite};
     use irs_consensus::LogMsg;
     use irs_types::Destination;
+
+    /// The `R<k>` numbers a line mentions.
+    fn rows_in(line: &str) -> Vec<u32> {
+        let b = line.as_bytes();
+        (0..b.len())
+            .filter(|&i| b[i] == b'R' && (i == 0 || !b[i - 1].is_ascii_alphanumeric()))
+            .filter_map(|i| {
+                let digits: String = line[i + 1..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
+                digits.parse().ok()
+            })
+            .collect()
+    }
+
+    /// The rule table and the code agree: every row of the module docs'
+    /// table is cited by a handler comment in one of the four files, and
+    /// every row a handler cites is in the table.
+    #[test]
+    fn every_rule_row_is_cited_and_every_citation_is_a_row() {
+        let files = [
+            include_str!("mod.rs"),
+            include_str!("lease.rs"),
+            include_str!("reads.rs"),
+            include_str!("session.rs"),
+        ];
+        let table: Vec<u32> = files[0]
+            .lines()
+            .filter(|l| l.starts_with("//! | R"))
+            .map(|l| rows_in(l)[0])
+            .collect();
+        assert_eq!(
+            table,
+            (1..=table.len() as u32).collect::<Vec<_>>(),
+            "rows are numbered R1..Rk in order"
+        );
+        let cited: std::collections::BTreeSet<u32> = files
+            .iter()
+            .flat_map(|f| f.lines().take_while(|l| !l.starts_with("#[cfg(test)]")))
+            .map(str::trim_start)
+            .filter(|l| l.starts_with("//") && !l.starts_with("//!"))
+            .flat_map(rows_in)
+            .collect();
+        let table: std::collections::BTreeSet<u32> = table.into_iter().collect();
+        let uncited: Vec<_> = table.difference(&cited).collect();
+        let unknown: Vec<_> = cited.difference(&table).collect();
+        assert!(uncited.is_empty(), "rows no handler cites: {uncited:?}");
+        assert!(
+            unknown.is_empty(),
+            "citations of rows the table lacks: {unknown:?}"
+        );
+    }
 
     /// The five-replica group (`t = 2`) every test here runs in.
     fn config() -> SvcConfig {
@@ -979,7 +909,7 @@ mod tests {
             "one Accept of 8, carrying slot 0's decision"
         );
         assert_eq!(out.sends().len(), 1, "and nothing else");
-        assert_eq!(leader.awaiting.len(), 8);
+        assert_eq!(leader.session.awaiting.len(), 8);
 
         let leader = &mut reigning_group()[0];
         let mut out = Actions::new();
@@ -996,7 +926,7 @@ mod tests {
             ],
             "frame at a time: four slots of one, four requests left waiting"
         );
-        assert_eq!(leader.awaiting.len(), 8);
+        assert_eq!(leader.session.awaiting.len(), 8);
     }
 
     /// The decision turn: the vote that completes the quorum is answered
@@ -1164,7 +1094,7 @@ mod tests {
         assert!(out.sends().is_empty(), "stale request must get silence");
         // A decided entry the store skips as stale is not acked either,
         // even with a client awaiting it.
-        replica.awaiting.insert((4, 1), ProcessId::new(9));
+        replica.session.awaiting.insert((4, 1), ProcessId::new(9));
         let mut out = Actions::new();
         // Force the decision through the log's own path: decide slot 0 of
         // a fresh instance view via note-decision-equivalent message flow
@@ -1187,7 +1117,10 @@ mod tests {
             out.sends().len()
         );
         assert_eq!(replica.store.dup_skips(), 1);
-        assert!(replica.awaiting.is_empty(), "awaiting entry is retired");
+        assert!(
+            replica.session.awaiting.is_empty(),
+            "awaiting entry is retired"
+        );
     }
 
     #[test]
@@ -1259,9 +1192,9 @@ mod tests {
             .with_snapshot_interval(0)
             .replica(ProcessId::new(0));
         let (w1, w2, w3) = (write(7, 1), write(8, 1), write(9, 1));
-        replica.awaiting.insert((7, 1), ProcessId::new(7));
-        replica.awaiting.insert((8, 1), ProcessId::new(8));
-        replica.awaiting.insert((9, 1), ProcessId::new(9));
+        replica.session.awaiting.insert((7, 1), ProcessId::new(7));
+        replica.session.awaiting.insert((8, 1), ProcessId::new(8));
+        replica.session.awaiting.insert((9, 1), ProcessId::new(9));
         replica.log.on_message(
             ProcessId::new(1),
             &irs_consensus::LogMsg::Slot {
@@ -1286,7 +1219,7 @@ mod tests {
             })
             .collect();
         assert_eq!(acks, vec![7, 8, 9], "one ack per batched write");
-        assert!(replica.awaiting.is_empty());
+        assert!(replica.session.awaiting.is_empty());
     }
 
     /// The compaction-stall regression: an export too large for one frame
@@ -1420,8 +1353,8 @@ mod tests {
             vec![(Some(1u64.to_le_bytes().to_vec()), 1)],
             "served immediately from the applied store"
         );
-        assert_eq!(leader.lease.reads_lease, 1);
-        assert_eq!(leader.lease.reads_read_index, 0);
+        assert_eq!(leader.reads.lease, 1);
+        assert_eq!(leader.reads.read_index, 0);
     }
 
     /// A lease-tier read under an uncertain lease degrades to the
@@ -1441,7 +1374,7 @@ mod tests {
             out.sends().is_empty(),
             "no lease yet: the read must wait, not answer early"
         );
-        assert_eq!(leader.lease.pending_reads.len(), 1);
+        assert_eq!(leader.reads.pending.len(), 1);
         // The next probe round confirms leadership after the read arrived.
         lease_tick(&mut leader);
         let out = grant_round(&mut leader, 1, &[1, 2]);
@@ -1457,8 +1390,8 @@ mod tests {
             )
         });
         assert!(answered, "confirmed round answers the queued read");
-        assert_eq!(leader.lease.reads_read_index, 1);
-        assert!(leader.lease.pending_reads.is_empty());
+        assert_eq!(leader.reads.read_index, 1);
+        assert!(leader.reads.pending.is_empty());
     }
 
     /// An explicitly read-index read takes the quorum round even while a
@@ -1476,14 +1409,14 @@ mod tests {
             &read_msg(9, 2, b"k", ReadTier::ReadIndex),
             &mut out,
         );
-        assert_eq!(leader.lease.pending_reads.len(), 1, "queued, not served");
+        assert_eq!(leader.reads.pending.len(), 1, "queued, not served");
         lease_tick(&mut leader);
         let out = grant_round(&mut leader, 2, &[1, 2]);
         assert!(out
             .sends()
             .iter()
             .any(|s| matches!(&s.msg, SvcMsg::Reply(SvcReply::Value { rid: 2, .. }))));
-        assert_eq!(leader.lease.reads_read_index, 1);
+        assert_eq!(leader.reads.read_index, 1);
     }
 
     /// An unrefreshed lease expires after its validity window, is counted,
@@ -1510,8 +1443,8 @@ mod tests {
             &mut out,
         );
         assert!(out.sends().is_empty(), "expired lease must not serve");
-        assert_eq!(leader.lease.pending_reads.len(), 1);
-        assert_eq!(leader.lease.reads_lease, 0);
+        assert_eq!(leader.reads.pending.len(), 1);
+        assert_eq!(leader.reads.lease, 0);
     }
 
     /// Followers grant only their own Ω leader output, and replicas never
@@ -1578,7 +1511,7 @@ mod tests {
                 frontier: 0,
             })
         )));
-        assert_eq!(follower.lease.reads_stale, 1);
+        assert_eq!(follower.reads.stale, 1);
     }
 
     /// The stale-tier staleness bound: the answer reflects exactly the
