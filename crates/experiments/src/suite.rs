@@ -626,7 +626,7 @@ fn poll_until<T>(
 /// Without the progress gate the all-zero initial state counts as a
 /// trivial agreement at t = 0.
 fn await_agreement(
-    cluster: &irs_runtime::Cluster<OmegaProcess>,
+    cluster: &irs_runtime::Deployment<OmegaProcess>,
     limit: std::time::Duration,
 ) -> Option<(ProcessId, std::time::Duration)> {
     poll_until(limit, || {
@@ -655,12 +655,12 @@ fn ms_cell<T>(polled: Option<(T, std::time::Duration)>) -> String {
 /// `socket_cluster` integration test.
 pub fn e11_deployment(quick: bool) -> Table {
     use irs_net::{DutyCycle, FaultyLink, LinkModel, MemNetwork, Transport, UdpTransport};
-    use irs_runtime::{Cluster, RealtimeConfig};
+    use irs_runtime::{Deployment, RealtimeConfig};
     use std::time::Duration as StdDuration;
 
     // One endpoint per process: every node on its own thread and link.
-    fn spawn<T: Transport + 'static>(links: Vec<T>) -> Cluster<OmegaProcess> {
-        Cluster::spawn_on(
+    fn spawn<T: Transport + 'static>(links: Vec<T>) -> Deployment<OmegaProcess> {
+        Deployment::spawn_on(
             deployment_omega(links.len()),
             RealtimeConfig::default(),
             links,
@@ -670,7 +670,7 @@ pub fn e11_deployment(quick: bool) -> Table {
     fn faulty_mem(
         n: usize,
         mut model: impl FnMut(ProcessId) -> LinkModel,
-    ) -> Cluster<OmegaProcess> {
+    ) -> Deployment<OmegaProcess> {
         let links = MemNetwork::mesh(n).into_iter().enumerate();
         spawn(
             links
@@ -803,7 +803,7 @@ pub fn e11_deployment(quick: bool) -> Table {
         cluster.shutdown();
     }
 
-    // Scaling curve: the multiplexed socket runtime ([`irs_runtime::MuxCluster`]).
+    // Scaling curve: the multiplexed socket runtime ([`irs_runtime::Deployment::spawn_udp`]).
     // One real UDP socket per process, `W = cores` reactor shard threads
     // serving all of them through the readiness runtime — where the `udp`
     // rows above park one blocking thread per socket. Quick mode runs the
@@ -811,7 +811,7 @@ pub fn e11_deployment(quick: bool) -> Table {
     // election must converge on ≤ cores threads).
     {
         use irs_omega::{OmegaConfig, Variant};
-        use irs_runtime::{MuxCluster, MuxConfig};
+
         let sizes: &[usize] = if quick { &[32] } else { &[32, 128] };
         for &size in sizes {
             let system = SystemConfig::new(size, (size - 1) / 2).expect("valid system");
@@ -833,7 +833,7 @@ pub fn e11_deployment(quick: bool) -> Table {
             } else {
                 StdDuration::from_micros(500)
             };
-            let cluster = MuxCluster::spawn_udp(processes, MuxConfig { tick, workers: 0 })
+            let cluster = Deployment::spawn_udp(processes, RealtimeConfig { tick, workers: 0 })
                 .expect("spawn mux cluster");
             let size_limit = StdDuration::from_secs(if size >= 64 { 120 } else { 60 });
             let elected = poll_until(size_limit, || {

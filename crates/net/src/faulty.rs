@@ -93,12 +93,28 @@ impl FaultClock {
         }
     }
 
-    fn now_ticks(&self) -> u64 {
+    /// The current tick.
+    #[inline]
+    pub fn now_ticks(&self) -> u64 {
         match self {
             FaultClock::Wall { epoch, tick } => {
                 (epoch.elapsed().as_nanos() / tick.as_nanos()) as u64
             }
             FaultClock::Manual(clock) => clock.now(),
+        }
+    }
+
+    /// The wall time left until tick `at` begins: zero once it has, and
+    /// always zero on a manual clock, which moves only when advanced.
+    #[inline]
+    pub fn until(&self, at: u64) -> Duration {
+        match self {
+            FaultClock::Wall { epoch, tick } => {
+                let due = tick.as_nanos().saturating_mul(u128::from(at));
+                let wait = due.saturating_sub(epoch.elapsed().as_nanos());
+                Duration::from_nanos(wait.min(u128::from(u64::MAX)) as u64)
+            }
+            FaultClock::Manual(_) => Duration::ZERO,
         }
     }
 }
@@ -276,7 +292,9 @@ impl LinkModel {
     }
 
     /// Holds every admitted frame for a wall-clock delay in `[min, max]`
-    /// before the receiver sees it (a slow but lossless link). Each
+    /// before the receiver sees it (a slow but lossless link). The delay is
+    /// wall time even under a [`ManualClock`], so a run stepped on a manual
+    /// clock replays only without one. Each
     /// `(from, to)` link draws from its own stream — a pure function of
     /// `(seed, from, to, per-link arrival index)` — so `min == max` is a
     /// fixed delay and a range is per-link jitter. A range with

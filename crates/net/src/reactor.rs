@@ -23,7 +23,7 @@
 //! by assumption.
 //!
 //! The reactor is single-threaded by design; a multi-core deployment runs
-//! one reactor per shard thread (see `irs_runtime`'s `MuxCluster`).
+//! one reactor per shard thread (see `irs_runtime`'s `Deployment::spawn_udp`).
 
 use crate::pool::BufPool;
 use crate::wire::{self, FRAME_HEADER_LEN, MAX_PAYLOAD};

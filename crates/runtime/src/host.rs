@@ -3,19 +3,24 @@
 //!
 //! The paper's Figure 3 is a state machine with two effects — "broadcast"
 //! and "set timer" — and [`Shard`] is the only code in the stack that turns
-//! those effects into wall-clock behaviour. Every deployment shape is a
-//! constructor over it: [`Cluster`](crate::Cluster) (`W` shards over grouped
-//! endpoints, `n` shards of one with an endpoint per process),
-//! [`MuxCluster`](crate::MuxCluster) (`W` shards over reactors) and
-//! [`run_node`](crate::run_node) (one shard of one on the calling thread).
+//! those effects into behaviour. One [`Shard::turn`] fires the due timers,
+//! polls the source up to the next deadline and delivers what arrived; the
+//! three drivers differ only in who turns it: shard threads
+//! ([`Deployment`](crate::Deployment): `W` shards over grouped endpoints,
+//! `n` shards of one with an endpoint per process, or `W` shards over
+//! reactors), the calling thread ([`run_node`](crate::run_node): one shard
+//! of one) or the caller, one turn at a time on a manual clock
+//! ([`Stepper`](crate::Stepper): all processes on one shard).
 //! What a shard owns, once:
 //!
+//! * the **clock** — an [`irs_net::FaultClock`]: wall ticks since the shard
+//!   started on a thread, a [`irs_net::ManualClock`] under the stepper;
 //! * the **timer wheel** — `irs-sim`'s hierarchical [`EventQueue`], keyed in
-//!   ticks since the shard started, with generation-stamped entries: arming
-//!   a timer bumps its generation and pushes a new entry, cancelling only
-//!   bumps, and a popped entry whose generation is stale is skipped. That is
-//!   the paper's "set timer to …" (re-arming replaces) without ever deleting
-//!   from the wheel;
+//!   the clock's ticks, with generation-stamped entries ([`TimerGens`]):
+//!   arming a timer bumps its generation and pushes a new entry, cancelling
+//!   only bumps, and a popped entry whose generation is stale is skipped.
+//!   That is the paper's "set timer to …" (re-arming replaces) without ever
+//!   deleting from the wheel;
 //! * the **`Actions` dispatch** — each outbound message is wire-encoded once
 //!   into a reused buffer and handed to the I/O source with its whole
 //!   receiver list, so a broadcast costs one encode however wide it is;
@@ -93,17 +98,14 @@
 //! in-process [`Obs`] handle), while the source keeps draining so its peers
 //! see silence rather than backpressure.
 
-use crate::muxcluster::MuxConfig;
 use irs_net::wire::decode_payload;
 use irs_net::wire_obs::{encode_scrape_reply, is_obs_payload, scrape_session_key};
-use irs_net::{Frame, NetError, ObsMsg, Reactor, Transport, Wire};
+use irs_net::{FaultClock, Frame, NetError, ObsMsg, Reactor, Transport, Wire};
 use irs_obs::{names, EventKind, Obs, ReignTracker, Responder, ScrapeFormat};
-use irs_sim::{Event, EventQueue};
-use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time, TimerId};
-use std::net::{SocketAddr, UdpSocket};
+use irs_sim::{Event, EventQueue, TimerGens};
+use irs_types::{Actions, Destination, Introspect, ProcessId, Protocol, Snapshot, Time};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 /// Longest a shard blocks in its I/O source before re-checking the stop
@@ -257,7 +259,7 @@ impl<T: Transport> ShardIo for T {
 /// The reactor as an I/O source: slot `i` is the `i`-th registered socket.
 /// (A local wrapper, because a blanket impl over the foreign [`Transport`]
 /// trait cannot coexist with an impl for the foreign [`Reactor`] type.)
-struct Sockets(Reactor);
+pub(crate) struct Sockets(pub(crate) Reactor);
 
 impl ShardIo for Sockets {
     /// The reactor's links are bare kernel loopback with nothing injected.
@@ -333,12 +335,12 @@ impl SnapshotCell {
     }
 
     /// Registers a read and returns its ticket.
-    fn ask(&self) -> u64 {
+    pub(crate) fn ask(&self) -> u64 {
         self.asked.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Waits until the shard has served `ticket` (or closed the cell).
-    fn wait(&self, ticket: u64) -> Snapshot {
+    pub(crate) fn wait(&self, ticket: u64) -> Snapshot {
         let mut served = self.lock();
         while served.generation < ticket && !served.closed {
             served = self
@@ -416,9 +418,7 @@ pub(crate) struct Local<P: Protocol> {
     inbox: Vec<(ProcessId, P::Msg)>,
     /// Frames handed to it by co-hosted processes without the source.
     frames_in_shard: u64,
-    /// Timer generations, densely indexed by the raw `TimerId` (see the
-    /// module docs).
-    timer_gen: Vec<u64>,
+    timer_gens: TimerGens,
     frames_delivered: u64,
     /// The last generation served into `cells.snapshot`.
     served: u64,
@@ -451,7 +451,7 @@ impl<P: Protocol + Introspect> Local<P> {
             staged: Vec::new(),
             inbox: Vec::new(),
             frames_in_shard: 0,
-            timer_gen: Vec::new(),
+            timer_gens: TimerGens::default(),
             frames_delivered: 0,
             served: 0,
             frozen: false,
@@ -459,17 +459,28 @@ impl<P: Protocol + Introspect> Local<P> {
         }
     }
 
-    fn crashed(&self) -> bool {
-        self.cells.crashed.load(Ordering::SeqCst)
+    /// Process `i` of a deployment, hosted with fresh cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proto` does not report id `i`: every driver hosts the
+    /// processes `0..n` in id order.
+    pub(crate) fn nth(i: usize, proto: P, obs: Option<&Obs>, tick: StdDuration) -> Self {
+        assert_eq!(
+            proto.id(),
+            ProcessId::new(i as u32),
+            "process at index {i} reports id {}",
+            proto.id()
+        );
+        Local::new(proto, NodeCells::default(), obs, tick)
     }
 
-    fn bump_timer_gen(&mut self, id: TimerId) -> u64 {
-        let i = id.raw() as usize;
-        if i >= self.timer_gen.len() {
-            self.timer_gen.resize(i + 1, 0);
-        }
-        self.timer_gen[i] += 1;
-        self.timer_gen[i]
+    pub(crate) fn cells(&self) -> &NodeCells {
+        &self.cells
+    }
+
+    fn crashed(&self) -> bool {
+        self.cells.crashed.load(Ordering::SeqCst)
     }
 }
 
@@ -499,11 +510,12 @@ pub(crate) struct Shard<'a, P: Protocol, Io, A> {
     stride: usize,
     /// Broadcast fan-out: the number of processes in the deployment.
     n: usize,
-    tick: StdDuration,
-    epoch: Instant,
+    clock: FaultClock,
     wheel: EventQueue<()>,
     accept: A,
-    stop: Arc<AtomicBool>,
+    /// What the process being turned recorded (reused, so a turn allocates
+    /// nothing).
+    out: Actions<P::Msg>,
     /// Scrape requests staged by the same poll: `(local, asker, format,
     /// cursor)`.
     scrapes: Vec<(usize, ProcessId, ScrapeFormat, u32)>,
@@ -519,15 +531,13 @@ where
     Io: ShardIo,
     A: FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<P::Msg>,
 {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         io: Io,
         locals: Vec<Local<P>>,
         stride: usize,
         n: usize,
-        tick: StdDuration,
+        clock: FaultClock,
         accept: A,
-        stop: Arc<AtomicBool>,
         obs: Option<&'a Obs>,
     ) -> Self {
         let cell = locals.first().map_or(0, |l| l.me.index());
@@ -536,11 +546,10 @@ where
             locals,
             stride,
             n,
-            tick: tick.max(StdDuration::from_nanos(1)),
-            epoch: Instant::now(),
+            clock,
             wheel: EventQueue::new(),
             accept,
-            stop,
+            out: Actions::new(),
             scrapes: Vec::new(),
             targets: Vec::new(),
             encoded: Vec::new(),
@@ -558,44 +567,72 @@ where
         }
     }
 
-    /// Runs until the stop flag is set (or the source dies), drains, and
+    /// Starts, turns until `stop` is set (or the source dies), drains, and
     /// returns the final protocol states in local order.
-    pub(crate) fn run(mut self) -> Vec<P> {
+    pub(crate) fn run(mut self, stop: &AtomicBool) -> Vec<P> {
         let cells = self.locals.iter().map(|l| Arc::clone(&l.cells.snapshot));
         let _close = CloseOnExit(cells.collect());
-        let mut out = Actions::new();
+        self.start();
+        while !stop.load(Ordering::SeqCst) {
+            if self.turn(POLL_BUDGET).is_err() {
+                break; // the source is gone; nothing left to serve
+            }
+        }
+        self.finish(DRAIN_QUIET)
+    }
+
+    /// Calls every hosted process's `on_start` and applies what it recorded.
+    pub(crate) fn start(&mut self) {
         for li in 0..self.locals.len() {
+            let mut out = std::mem::take(&mut self.out);
             self.locals[li].proto.on_start(&mut out);
             self.note_leader(li);
             self.apply(li, &mut out);
+            self.out = out;
         }
-        while !self.stop.load(Ordering::SeqCst) {
-            self.run_due(&mut out);
-            self.note_turn();
-            self.serve_reads();
-            // Block in the source until the next wheel deadline, the next
-            // frame, or the poll budget — whichever comes first.
-            let timeout = match self.wheel.peek_time() {
-                Some(at) => {
-                    let due = self.tick.as_nanos().saturating_mul(u128::from(at.ticks()));
-                    let wait = due.saturating_sub(self.epoch.elapsed().as_nanos());
-                    StdDuration::from_nanos(wait.min(u128::from(u64::MAX)) as u64).min(POLL_BUDGET)
-                }
-                None => POLL_BUDGET,
-            };
-            if self.poll_and_stage(timeout).is_err() {
-                break; // the source is gone; nothing left to serve
-            }
-            self.answer_scrapes();
-            self.deliver_staged(&mut out, false);
-        }
-        self.drain();
+    }
+
+    /// One turn: fires the due timers, serves the reads begun since the
+    /// last turn, blocks in the source until the next wheel deadline, the
+    /// next frame or `budget` — whichever comes first — and delivers what
+    /// arrived. Returns the frames delivered.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the source can no longer receive at all.
+    pub(crate) fn turn(&mut self, budget: StdDuration) -> Result<usize, NetError> {
+        self.run_due();
+        self.note_turn();
+        self.serve_reads();
+        let timeout = match self.wheel.peek_time() {
+            Some(at) => self.clock.until(at.ticks()).min(budget),
+            None => budget,
+        };
+        self.poll_and_stage(timeout)?;
+        self.answer_scrapes();
+        Ok(self.deliver_staged(false))
+    }
+
+    /// The shutdown drain with a quiet window of `quiet`, then the last
+    /// reads; returns the final protocol states in local order.
+    pub(crate) fn finish(mut self, quiet: StdDuration) -> Vec<P> {
+        self.drain(quiet);
         self.serve_reads();
         self.locals.into_iter().map(|l| l.proto).collect()
     }
 
+    /// The process at local index `li`.
+    pub(crate) fn process(&self, li: usize) -> &P {
+        &self.locals[li].proto
+    }
+
+    /// The snapshot cell of the process at local index `li`.
+    pub(crate) fn cell(&self, li: usize) -> &SnapshotCell {
+        &self.locals[li].cells.snapshot
+    }
+
     fn now_tick(&self) -> u64 {
-        (self.epoch.elapsed().as_nanos() / self.tick.as_nanos()) as u64
+        self.clock.now_ticks()
     }
 
     /// Per-turn telemetry: the poll counter, the time-derived SLO gauges
@@ -702,8 +739,10 @@ where
     /// Hands every hosted process the burst the last poll staged for it:
     /// one `on_burst`, then one `apply`. A crashed process drops its burst;
     /// while `quiescing` (the shutdown drain) a burst's reactions are
-    /// discarded instead of applied.
-    fn deliver_staged(&mut self, out: &mut Actions<P::Msg>, quiescing: bool) {
+    /// discarded instead of applied. Returns the frames delivered.
+    fn deliver_staged(&mut self, quiescing: bool) -> usize {
+        let mut out = std::mem::take(&mut self.out);
+        let mut delivered = 0;
         for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
             if local.staged.is_empty() {
@@ -712,13 +751,14 @@ where
             let mut burst = std::mem::take(&mut local.staged);
             if !local.crashed() {
                 let frames = burst.len() as u64;
+                delivered += burst.len();
                 local.frames_delivered += frames;
-                local.proto.on_burst(&burst, out);
+                local.proto.on_burst(&burst, &mut out);
                 self.note_leader(li);
                 if quiescing {
                     out.clear();
                 } else {
-                    self.apply(li, out);
+                    self.apply(li, &mut out);
                 }
                 if let Some(o) = &self.obs {
                     o.frames.add(o.cell, frames);
@@ -728,12 +768,15 @@ where
             burst.clear();
             self.locals[li].staged = burst;
         }
+        self.out = out;
+        delivered
     }
 
-    /// Pops and fires every timer due at the current wall tick. A fired
+    /// Pops and fires every timer due at the clock's current tick. A fired
     /// timer may re-arm itself for a deadline that is already due; the loop
     /// runs until quiescent.
-    fn run_due(&mut self, out: &mut Actions<P::Msg>) {
+    fn run_due(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
         while self
             .wheel
             .peek_time()
@@ -752,11 +795,10 @@ where
             };
             let li = pid.index() / self.stride;
             let local = &mut self.locals[li];
-            let current = local.timer_gen.get(timer.raw() as usize).copied();
-            if local.crashed() || current != Some(generation) {
+            if local.crashed() || local.timer_gens.current(timer) != generation {
                 continue;
             }
-            local.proto.on_timer(timer, out);
+            local.proto.on_timer(timer, &mut out);
             if let (CHECK_TIMER_SLOT, Some(panel)) = (timer.raw(), &mut local.panel) {
                 let at = Instant::now();
                 if let Some(prev) = panel.last_check_fire.replace(at) {
@@ -767,11 +809,12 @@ where
                 }
             }
             self.note_leader(li);
-            self.apply(li, out);
+            self.apply(li, &mut out);
             if let Some(o) = &self.obs {
                 o.timers_fired.inc(o.cell);
             }
         }
+        self.out = out;
     }
 
     /// Executes the actions a local process recorded: sends its messages,
@@ -784,7 +827,7 @@ where
         let from = self.locals[li].me;
         let now = self.now_tick();
         for req in out.drain_timers() {
-            let generation = self.locals[li].bump_timer_gen(req.id);
+            let generation = self.locals[li].timer_gens.bump(req.id);
             self.wheel.push(
                 Time::from_ticks(now + req.after.ticks()),
                 Event::TimerFire {
@@ -795,7 +838,7 @@ where
             );
         }
         for id in out.drain_cancels() {
-            self.locals[li].bump_timer_gen(id);
+            self.locals[li].timer_gens.bump(id);
         }
     }
 
@@ -850,12 +893,13 @@ where
         }
     }
 
-    /// The shutdown drain (see the module docs). A scraper racing the
-    /// shutdown still gets its chunk — flushing queued sends is exactly what
-    /// the drain is for.
-    fn drain(&mut self) {
+    /// The shutdown drain (see the module docs), ending after a `quiet`
+    /// window with nothing arriving. A scraper racing the shutdown still
+    /// gets its chunk — flushing queued sends is exactly what the drain is
+    /// for.
+    fn drain(&mut self, quiet: StdDuration) {
         let started = Instant::now();
-        let mut sink = Actions::new();
+        let mut sink = std::mem::take(&mut self.out);
         // Before the first drain poll, so a peer's quiet window cannot close
         // on frames a protocol had yet to hand over.
         for li in 0..self.locals.len() {
@@ -866,9 +910,10 @@ where
                 sink.clear();
             }
         }
-        while let Ok(arrived) = self.poll_and_stage(DRAIN_QUIET) {
+        self.out = sink;
+        while let Ok(arrived) = self.poll_and_stage(quiet) {
             self.answer_scrapes();
-            self.deliver_staged(&mut sink, true);
+            self.deliver_staged(true);
             self.serve_reads();
             let quiet = arrived == 0 && self.io.unsent() == 0 && self.io.held() == 0;
             if quiet || started.elapsed() >= DRAIN_CAP {
@@ -883,7 +928,7 @@ where
     /// handed to the protocol, the drain included), the source's own list
     /// and, on an [`ShardIo::IN_SHARD`] source, `frames_in_shard` — unless
     /// its post-crash snapshot is already frozen.
-    fn serve_reads(&mut self) {
+    pub(crate) fn serve_reads(&mut self) {
         for li in 0..self.locals.len() {
             let local = &mut self.locals[li];
             let cell = &local.cells.snapshot;
@@ -933,258 +978,5 @@ where
         }
         panel.reign.on_leader_change(o.obs.now_micros() / 1_000);
         panel.last_leader = leader;
-    }
-}
-
-/// Resolves a configured worker count: `0` means the machine's available
-/// parallelism; the result is clamped to `1..=n`.
-pub(crate) fn resolve_workers(workers: usize, n: usize) -> usize {
-    let workers = match workers {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        w => w,
-    };
-    workers.clamp(1, n.max(1))
-}
-
-/// A running in-process deployment: `n` protocol instances on `W` shard
-/// threads, observed through per-process snapshot cells and crash flags.
-///
-/// This is the one handle behind [`Cluster`](crate::Cluster) and
-/// [`MuxCluster`](crate::MuxCluster) (which deref to it) and the service's
-/// `SvcCluster`. Dropping it without
-/// [`Deployment::shutdown`] still stops the shard threads — the shared stop
-/// flag is set on drop and every shard observes it within one poll budget —
-/// but does not join them or recover the final states.
-#[derive(Debug)]
-pub struct Deployment<P> {
-    cells: Vec<NodeCells>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<Vec<P>>>,
-}
-
-impl<P> Deployment<P>
-where
-    P: Protocol + Introspect + Send + 'static,
-    P::Msg: Wire,
-{
-    /// Spawns `processes` on `W = transports.len()` shard threads named
-    /// `<thread_prefix>-<shard>`: shard `s` drives `transports[s]`, which
-    /// must host every process `i` with `i % W == s`. `W = n` is one node
-    /// thread per process over its own endpoint. `accept` admits inbound
-    /// frames; with `obs` attached every node joins the telemetry plane
-    /// (host-loop counters, leader-change trace, reign panel, live scrape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instances' ids are not `0..n` in order, or if the
-    /// endpoint count is not in `1..=n`.
-    pub fn over_transports<T: Transport + 'static>(
-        thread_prefix: &str,
-        processes: Vec<P>,
-        transports: Vec<T>,
-        tick: StdDuration,
-        accept: MuxAccept<P::Msg>,
-        obs: Option<Arc<Obs>>,
-    ) -> Self {
-        Self::spawn(thread_prefix, processes, transports, tick, accept, obs)
-    }
-
-    /// Spawns `processes` over pre-bound UDP sockets on `config.workers`
-    /// reactor shard threads named `<thread_prefix>-<shard>`: `sockets[i]`
-    /// hosts process `i`, and `peer_addrs` is the full routing table
-    /// (`peer_addrs[p]` hosts `ProcessId(p)`), which may name endpoints
-    /// beyond the hosted processes — that is how a service replica group
-    /// routes replies to client endpoints it does not own.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from switching a socket to nonblocking mode or
-    /// registering it with the readiness backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instances' ids are not `0..n` in order, or if the
-    /// socket count differs from the process count.
-    pub fn over_sockets(
-        thread_prefix: &str,
-        processes: Vec<P>,
-        sockets: Vec<UdpSocket>,
-        peer_addrs: Vec<SocketAddr>,
-        config: MuxConfig,
-        accept: MuxAccept<P::Msg>,
-        obs: Option<Arc<Obs>>,
-    ) -> std::io::Result<Self> {
-        assert_eq!(sockets.len(), processes.len(), "one socket per process");
-        let workers = resolve_workers(config.workers, processes.len());
-        // Shard `s` registers the sockets of processes `s, s + W, …` in
-        // ascending order, so reactor endpoint index == local index.
-        let mut reactors: Vec<Reactor> = (0..workers).map(|_| Reactor::new()).collect();
-        for (i, socket) in sockets.into_iter().enumerate() {
-            reactors[i % workers].add_endpoint(socket, peer_addrs.clone())?;
-        }
-        for reactor in &mut reactors {
-            if let Some(o) = &obs {
-                reactor.attach_obs(o.registry());
-            }
-        }
-        let sources = reactors.into_iter().map(Sockets).collect();
-        Ok(Self::spawn(
-            thread_prefix,
-            processes,
-            sources,
-            config.tick,
-            accept,
-            obs,
-        ))
-    }
-
-    fn spawn<Io: ShardIo + Send + 'static>(
-        thread_prefix: &str,
-        processes: Vec<P>,
-        sources: Vec<Io>,
-        tick: StdDuration,
-        accept: MuxAccept<P::Msg>,
-        obs: Option<Arc<Obs>>,
-    ) -> Self {
-        let (n, workers) = (processes.len(), sources.len());
-        assert!(
-            (1..=n.max(1)).contains(&workers),
-            "need 1..=n shard endpoints, got {workers} for n = {n}"
-        );
-        let mut cells = Vec::with_capacity(n);
-        // Round-robin, so a small cluster still spreads over all shards.
-        let mut per_shard: Vec<Vec<Local<P>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, proto) in processes.into_iter().enumerate() {
-            assert_eq!(
-                proto.id(),
-                ProcessId::new(i as u32),
-                "process at index {i} reports id {}",
-                proto.id()
-            );
-            let node = NodeCells::default();
-            cells.push(node.clone());
-            per_shard[i % workers].push(Local::new(proto, node, obs.as_deref(), tick));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads = per_shard
-            .into_iter()
-            .zip(sources)
-            .enumerate()
-            .map(|(s, (locals, io))| {
-                let (accept, stop, obs) = (Arc::clone(&accept), Arc::clone(&stop), obs.clone());
-                std::thread::Builder::new()
-                    .name(format!("{thread_prefix}-{s}"))
-                    .spawn(move || {
-                        Shard::new(io, locals, workers, n, tick, &*accept, stop, obs.as_deref())
-                            .run()
-                    })
-                    .expect("spawn shard thread")
-            })
-            .collect();
-        Deployment {
-            cells,
-            stop,
-            threads,
-        }
-    }
-}
-
-impl<P> Deployment<P> {
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of shard threads the deployment runs on.
-    pub fn worker_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// A snapshot of a process built after this call began, with the
-    /// runtime gauges appended ([`SnapshotCell::read`]): it waits at most
-    /// one loop iteration of the process's shard.
-    pub fn snapshot(&self, pid: ProcessId) -> Snapshot {
-        self.cells[pid.index()].snapshot.read()
-    }
-
-    /// [`Deployment::snapshot`] of every process, in id order. Every cell is
-    /// asked before any is waited on, so the whole read costs one loop
-    /// iteration of the slowest shard, not one per process.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        let tickets: Vec<u64> = self.cells.iter().map(|c| c.snapshot.ask()).collect();
-        self.cells
-            .iter()
-            .zip(tickets)
-            .map(|(c, ticket)| c.snapshot.wait(ticket))
-            .collect()
-    }
-
-    /// The current `leader()` output of a process.
-    pub fn leader_of(&self, pid: ProcessId) -> ProcessId {
-        self.snapshot(pid).leader
-    }
-
-    /// The current `leader()` output of every process, in id order.
-    pub fn leaders(&self) -> Vec<ProcessId> {
-        self.snapshots().into_iter().map(|s| s.leader).collect()
-    }
-
-    /// Returns `Some(p)` when every non-crashed process currently outputs
-    /// the same leader `p` and `p` has not been crashed through
-    /// [`Deployment::crash`].
-    pub fn agreed_leader(&self) -> Option<ProcessId> {
-        let leaders = self.leaders();
-        let mut live = (0..self.n() as u32)
-            .map(ProcessId::new)
-            .filter(|&p| !self.is_crashed(p))
-            .map(|p| leaders[p.index()]);
-        let leader = live.next()?;
-        (live.all(|l| l == leader) && !self.is_crashed(leader)).then_some(leader)
-    }
-
-    /// Crash-stops a process: it stops reacting to messages, timers and
-    /// scrapes, while its endpoint keeps draining (arrivals are dropped).
-    pub fn crash(&self, pid: ProcessId) {
-        self.cells[pid.index()]
-            .crashed
-            .store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` if the process has been crashed through
-    /// [`Deployment::crash`].
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.cells[pid.index()].crashed.load(Ordering::SeqCst)
-    }
-
-    /// Stops every shard and returns the final protocol states (crashed
-    /// processes included), in id order.
-    ///
-    /// Shutdown is *draining*: every live process is asked once for the
-    /// output it was still holding back ([`Protocol::on_quiesce`]), and that,
-    /// like every frame already handed to the I/O source when the stop was
-    /// requested — queued behind backpressure, held behind a link delay, or
-    /// on the wire — is still delivered to its (non-crashed) receiver before
-    /// the states are returned; only the sends and timers those final
-    /// deliveries would generate are discarded.
-    pub fn shutdown(mut self) -> Vec<P> {
-        self.stop.store(true, Ordering::SeqCst);
-        let workers = self.threads.len();
-        let mut slots: Vec<Option<P>> = (0..self.n()).map(|_| None).collect();
-        for (s, handle) in self.threads.drain(..).enumerate() {
-            let finals = handle.join().expect("shard thread panicked");
-            for (li, proto) in finals.into_iter().enumerate() {
-                slots[li * workers + s] = Some(proto);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|p| p.expect("every process returned by its shard"))
-            .collect()
-    }
-}
-
-impl<P> Drop for Deployment<P> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
     }
 }

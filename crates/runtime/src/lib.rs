@@ -1,5 +1,5 @@
 //! Real-time execution of the sans-IO protocols: one host loop, two I/O
-//! sources, three constructors.
+//! sources, three drivers.
 //!
 //! The discrete-event simulator (`irs-sim`) is where the assumptions of the
 //! paper are reproduced faithfully and deterministically; this crate answers
@@ -20,26 +20,30 @@
 //! encode-once fan-out). Link delay and loss live in the link
 //! ([`irs_net::FaultyLink`]), never in the loop.
 //!
-//! **Three constructors.** The two in-process ones dereference to the same
-//! [`Deployment`] handle — snapshots, `leader()` outputs, crash injection,
-//! draining shutdown, stop-on-drop; the third hands the same cells to the
-//! embedder as a [`NodeHandle`]:
+//! **Three drivers.** Who turns the loop is the only difference between
+//! the deployment shapes:
 //!
-//! * [`Cluster`] — `W` worker shards over transport endpoints, shard `s`
-//!   owning the processes `i` with `i % W == s` behind one endpoint.
-//!   [`Cluster::spawn`] is the shared-memory scale shape: `W` = the machine's available
-//!   parallelism by default, over the in-memory mesh with seeded per-link
-//!   delay, so clusters of 256+ processes run on a handful of OS threads.
-//!   [`Cluster::spawn_on`] takes the endpoints instead — with one endpoint
-//!   per process (`W = n`) every process has its own in-memory, UDP-socket
-//!   or fault-injected link, on a thread of its own.
-//! * [`MuxCluster`] — `W` shards over reactors: one real UDP socket per
-//!   process, a 128-socket deployment on a handful of threads where
-//!   [`Cluster::spawn_on`] with one socket per process would park 128
-//!   threads in `recv`.
-//! * [`run_node`] / [`run_node_with`] — one shard of one on the calling
-//!   thread, for deployments where every process is its own OS process (see
-//!   `examples/socket_cluster.rs`).
+//! * shard threads — [`Deployment`]: `W` shards, shard `s` owning the
+//!   processes `i` with `i % W == s`, each on a thread of its own with a
+//!   wall clock. [`Deployment::spawn`] is the shared-memory scale shape (`W`
+//!   = the machine's available parallelism by default, over the in-memory
+//!   mesh behind a seeded [`irs_net::LinkModel`]), so clusters of 256+
+//!   processes run on a handful of OS threads; [`Deployment::spawn_on`]
+//!   takes the endpoints instead (with one per process every process has
+//!   its own in-memory, UDP-socket or fault-injected link); and
+//!   [`Deployment::spawn_udp`] gives every process a real UDP socket served
+//!   by `W` reactor shards, a 128-socket deployment on a handful of
+//!   threads. The handle takes snapshots, reads `leader()` outputs, injects
+//!   crashes, shuts down draining and stops its threads on drop.
+//! * the calling thread — [`run_node`] / [`run_node_with`]: one shard of
+//!   one, for deployments where every process is its own OS process (see
+//!   `examples/socket_cluster.rs`); the same cells reach the embedder as a
+//!   [`NodeHandle`].
+//! * the caller's turns — [`Stepper`]: all `n` processes on one shard over
+//!   one endpoint, on an [`irs_net::ManualClock`]; each call fires the due
+//!   timers, polls once without waiting and delivers, so over a
+//!   deterministic endpoint (no link delay) a schedule of clock advances
+//!   replays a run exactly.
 //!
 //! The protocols themselves are byte-for-byte the same state machines that
 //! run under the simulator: [`irs_omega::OmegaProcess`], the baselines and
@@ -48,18 +52,19 @@
 //! # Example
 //!
 //! ```no_run
-//! use irs_runtime::{Cluster, LinkDelay, RealtimeConfig};
+//! use irs_net::LinkModel;
+//! use irs_runtime::{Deployment, RealtimeConfig};
 //! use irs_omega::OmegaProcess;
 //! use irs_types::SystemConfig;
+//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), irs_types::ConfigError> {
 //! let system = SystemConfig::new(4, 1)?;
 //! let processes: Vec<_> = system.processes().map(|id| OmegaProcess::fig3(id, system)).collect();
-//! let cluster = Cluster::spawn(processes, RealtimeConfig::default(), LinkDelay::Jitter {
-//!     min: std::time::Duration::from_micros(50),
-//!     max: std::time::Duration::from_millis(2),
-//! });
-//! std::thread::sleep(std::time::Duration::from_millis(500));
+//! // Every link delays each frame by 50 µs – 2 ms, drawn from seed 7.
+//! let link = LinkModel::new(7).with_delay(Duration::from_micros(50), Duration::from_millis(2));
+//! let cluster = Deployment::spawn(processes, RealtimeConfig::default(), link);
+//! std::thread::sleep(Duration::from_millis(500));
 //! println!("leaders: {:?}", cluster.leaders());
 //! cluster.shutdown();
 //! # Ok(())
@@ -72,10 +77,10 @@
 
 mod cluster;
 mod host;
-mod muxcluster;
 mod node;
+mod step;
 
-pub use cluster::{Cluster, LinkDelay, RealtimeConfig};
-pub use host::{accept_frame, accept_frame_bytes, Deployment, MuxAccept, SnapshotCell};
-pub use muxcluster::{MuxCluster, MuxConfig};
+pub use cluster::{Deployment, RealtimeConfig};
+pub use host::{accept_frame, accept_frame_bytes, MuxAccept, SnapshotCell};
 pub use node::{run_node, run_node_with, NodeConfig, NodeHandle};
+pub use step::Stepper;

@@ -8,8 +8,8 @@
 //! belongs to the link model, not the node), timers are driven off the wall
 //! clock, and outbound messages are wire-encoded once per broadcast.
 //!
-//! [`Cluster::spawn_on`](crate::Cluster::spawn_on) with one endpoint per
-//! process runs the same loop on one thread per node for in-process
+//! [`Deployment::spawn_on`](crate::Deployment::spawn_on) with one endpoint
+//! per process runs the same loop on one thread per node for in-process
 //! deployments, and `examples/socket_cluster.rs` calls
 //! [`run_node`] directly from `main` in each spawned OS process.
 //! [`run_node_with`] exposes the same loop with a caller-supplied admission
@@ -18,7 +18,7 @@
 //! replica group, which the default policy treats as link noise.
 
 use crate::host::{default_accept, Local, NodeCells, Shard, SnapshotCell};
-use irs_net::{Transport, Wire};
+use irs_net::{FaultClock, Transport, Wire};
 use irs_obs::Obs;
 use irs_types::{Introspect, ProcessId, Protocol};
 use std::sync::atomic::AtomicBool;
@@ -121,17 +121,9 @@ where
     let local = Local::new(proto, cells, obs, config.tick);
     // One shard of one: with a stride of `n` every id maps to local index 0.
     let stride = config.n.max(1);
-    Shard::new(
-        transport,
-        vec![local],
-        stride,
-        config.n,
-        config.tick,
-        accept,
-        handle.stop,
-        obs,
-    )
-    .run()
-    .pop()
-    .expect("a shard returns every process it hosts")
+    let clock = FaultClock::wall(config.tick);
+    Shard::new(transport, vec![local], stride, config.n, clock, accept, obs)
+        .run(&handle.stop)
+        .pop()
+        .expect("a shard returns every process it hosts")
 }

@@ -5,7 +5,7 @@
 
 use irs_net::{DutyCycle, FaultyLink, LinkModel, ManualClock, MemNetwork, Partition};
 use irs_omega::OmegaProcess;
-use irs_runtime::{Cluster, RealtimeConfig};
+use irs_runtime::{Deployment, RealtimeConfig};
 use irs_types::{ProcessId, SystemConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -26,7 +26,7 @@ fn wait_until<F: Fn() -> bool>(deadline: Instant, check: F) -> bool {
 /// Agreement only counts once every node has progressed through real ALIVE
 /// rounds: the all-default initial state trivially agrees on `p1`.
 fn wait_for_stable_agreement<P>(
-    cluster: &Cluster<P>,
+    cluster: &Deployment<P>,
     deadline: Instant,
     hold: Duration,
 ) -> Option<ProcessId>
@@ -70,13 +70,13 @@ fn faulty_cluster(
     n: usize,
     t: usize,
     mut model: impl FnMut(ProcessId) -> LinkModel,
-) -> Cluster<OmegaProcess> {
+) -> Deployment<OmegaProcess> {
     let links = MemNetwork::mesh(n)
         .into_iter()
         .enumerate()
         .map(|(i, link)| FaultyLink::new(link, model(ProcessId::new(i as u32))))
         .collect();
-    Cluster::spawn_on(omega_processes(n, t), RealtimeConfig::default(), links)
+    Deployment::spawn_on(omega_processes(n, t), RealtimeConfig::default(), links)
 }
 
 /// The per-node dark regions of the duty-cycle schedule: node `k` is dark

@@ -1,6 +1,6 @@
 //! Host conformance: one scripted protocol, every host shape, one contract.
 //!
-//! The runtime has a single host loop behind four constructors and two I/O
+//! The runtime has a single host loop behind every constructor and two I/O
 //! sources. This suite runs the same tiny [`Probe`] protocol through each
 //! `constructor × I/O source` combination — one node per [`Transport`]
 //! endpoint, several nodes per shared endpoint, and several nodes per
@@ -31,8 +31,7 @@ use irs_net::{
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
-    accept_frame_bytes, run_node, Cluster, Deployment, LinkDelay, MuxAccept, MuxCluster, MuxConfig,
-    NodeConfig, NodeHandle, RealtimeConfig,
+    accept_frame_bytes, run_node, Deployment, MuxAccept, NodeConfig, NodeHandle, RealtimeConfig,
 };
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
@@ -198,12 +197,13 @@ fn wait_for(limit: StdDuration, check: impl Fn() -> bool) -> bool {
 /// The host shapes under test: I/O source × processes per shard.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
-    /// `Transport` source, one process per endpoint (`Cluster::spawn_on`
-    /// with `W = n`, `run_node`).
+    /// `Transport` source, one process per endpoint
+    /// (`Deployment::spawn_on` with `W = n`, `run_node`).
     TransportOne,
-    /// `Transport` source, `N / 2` processes per shared endpoint (`Cluster`).
+    /// `Transport` source, `N / 2` processes per shared endpoint
+    /// (`Deployment::spawn`).
     TransportMany,
-    /// `Reactor` source, `N / 2` sockets per shard (`MuxCluster`).
+    /// `Reactor` source, `N / 2` sockets per shard (`Deployment::spawn_udp`).
     Reactor,
 }
 
@@ -296,7 +296,7 @@ where
             .collect();
         let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
         let scraper_socket = sockets.pop().expect("scraper socket");
-        let config = MuxConfig {
+        let config = RealtimeConfig {
             tick: TICK,
             workers: workers(kind),
         };
@@ -886,7 +886,7 @@ fn reading_every_process_costs_one_turn() {
                 .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind"))
                 .collect();
             let peers = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-            let config = MuxConfig {
+            let config = RealtimeConfig {
                 tick: TICK,
                 workers: 1,
             };
@@ -1410,11 +1410,10 @@ fn dropping_any_constructor_stops_its_threads() {
     let realtime = RealtimeConfig {
         tick: TICK,
         workers: 2,
-        ..RealtimeConfig::default()
     };
     check(
         "irs-shard-",
-        Cluster::spawn(probes(), realtime, LinkDelay::None),
+        Deployment::spawn(probes(), realtime, LinkModel::new(1)),
     );
     let one_per_endpoint = RealtimeConfig {
         tick: TICK,
@@ -1422,14 +1421,14 @@ fn dropping_any_constructor_stops_its_threads() {
     };
     check(
         "irs-shard-",
-        Cluster::spawn_on(probes(), one_per_endpoint, MemNetwork::mesh(N)),
+        Deployment::spawn_on(probes(), one_per_endpoint, MemNetwork::mesh(N)),
     );
-    let mux = MuxConfig {
+    let mux = RealtimeConfig {
         tick: TICK,
         workers: 2,
     };
     check(
         "irs-mux-",
-        MuxCluster::spawn_udp(probes(), mux).expect("spawn mux"),
+        Deployment::spawn_udp(probes(), mux).expect("spawn mux"),
     );
 }

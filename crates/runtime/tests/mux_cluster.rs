@@ -6,7 +6,7 @@
 //! job with `--ignored`.
 
 use irs_omega::{OmegaConfig, OmegaProcess, Variant};
-use irs_runtime::{MuxCluster, MuxConfig};
+use irs_runtime::{Deployment, RealtimeConfig};
 use irs_types::{Duration, ProcessId, SystemConfig};
 use std::time::Duration as StdDuration;
 use std::time::Instant;
@@ -22,7 +22,7 @@ fn wait_for<F: Fn() -> bool>(limit: StdDuration, check: F) -> bool {
     check()
 }
 
-fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> MuxCluster<OmegaProcess> {
+fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> Deployment<OmegaProcess> {
     let system = SystemConfig::new(n, (n - 1) / 2).unwrap();
     let (send_period, timeout_unit) = if n >= 64 { (300, 100) } else { (20, 10) };
     let processes: Vec<_> = system
@@ -37,7 +37,7 @@ fn omega_mux(n: usize, workers: usize, tick: StdDuration) -> MuxCluster<OmegaPro
             OmegaProcess::new(id, config)
         })
         .collect();
-    MuxCluster::spawn_udp(processes, MuxConfig { tick, workers }).expect("spawn mux cluster")
+    Deployment::spawn_udp(processes, RealtimeConfig { tick, workers }).expect("spawn mux cluster")
 }
 
 /// An n = 16 election over 16 real UDP sockets on 2 reactor shards, with

@@ -24,9 +24,9 @@
 //!   the payload by reference ([`Protocol::on_message`] takes `&Msg`), so a
 //!   round of `n` broadcasts costs `n` allocations instead of `n²` deep
 //!   `SuspVector` clones.
-//! * **Dense per-process state.** Timer generations live in a plain
-//!   `Vec<u64>` indexed by the (small, enumerable) raw [`TimerId`], not a
-//!   `HashMap`. The winning-message gate keys `(receiver, round)` live in a
+//! * **Dense per-process state.** Timer generations live in a
+//!   [`TimerGens`] — a plain `Vec<u64>` indexed by the (small, enumerable)
+//!   raw timer id, not a `HashMap`. The winning-message gate keys `(receiver, round)` live in a
 //!   per-receiver ring of recent rounds — sized by
 //!   [`SimConfig::gate_window`] and allocated lazily the first time the
 //!   adversary gates a message to that receiver, so an ungated receiver (or
@@ -46,12 +46,12 @@
 
 use crate::adversary::{Adversary, Delivery};
 use crate::crash::CrashPlan;
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, TimerGens};
 use crate::rng::SimRng;
 use crate::trace::{LeaderChange, Trace, TraceCounters};
 use irs_types::{
     Actions, Destination, Duration, Introspect, ProcessId, Protocol, RoundNum, RoundTagged,
-    Snapshot, Time, TimerId, TimerRequest,
+    Snapshot, Time, TimerRequest,
 };
 use std::rc::Rc;
 /// Static parameters of one simulation run.
@@ -203,25 +203,8 @@ impl GateSlot {
 struct ProcSlot<P> {
     proto: P,
     crashed: bool,
-    /// Timer generations, densely indexed by the raw `TimerId` (grown on
-    /// demand; protocols use a handful of small ids).
-    timer_gen: Vec<u64>,
+    timer_gens: TimerGens,
     last_leader: ProcessId,
-}
-
-impl<P> ProcSlot<P> {
-    fn bump_timer_gen(&mut self, id: TimerId) -> u64 {
-        let i = id.raw() as usize;
-        if i >= self.timer_gen.len() {
-            self.timer_gen.resize(i + 1, 0);
-        }
-        self.timer_gen[i] += 1;
-        self.timer_gen[i]
-    }
-
-    fn timer_gen(&self, id: TimerId) -> u64 {
-        self.timer_gen.get(id.raw() as usize).copied().unwrap_or(0)
-    }
 }
 
 /// A deterministic discrete-event simulation of `n` protocol instances under
@@ -321,7 +304,7 @@ where
                 ProcSlot {
                     proto: p,
                     crashed: false,
-                    timer_gen: Vec::new(),
+                    timer_gens: TimerGens::default(),
                     last_leader,
                 }
             })
@@ -443,7 +426,7 @@ where
                 if slot.crashed {
                     return true;
                 }
-                if slot.timer_gen(timer) != generation {
+                if slot.timer_gens.current(timer) != generation {
                     return true; // superseded or cancelled
                 }
                 self.trace.counters.timer_fires += 1;
@@ -726,12 +709,12 @@ where
             self.arm_timer(pid, request);
         }
         for id in actions.drain_cancels() {
-            self.procs[pid.index()].bump_timer_gen(id);
+            self.procs[pid.index()].timer_gens.bump(id);
         }
     }
 
     fn arm_timer(&mut self, pid: ProcessId, request: TimerRequest) {
-        let generation = self.procs[pid.index()].bump_timer_gen(request.id);
+        let generation = self.procs[pid.index()].timer_gens.bump(request.id);
         self.trace.counters.timers_set += 1;
         self.queue.push(
             self.now + request.after,
@@ -936,7 +919,7 @@ mod tests {
     use super::*;
     use crate::adversary::basic::FixedDelay;
     use crate::adversary::DelayDist;
-    use irs_types::LeaderOracle;
+    use irs_types::{LeaderOracle, TimerId};
 
     /// A tiny test protocol: every process periodically broadcasts a beacon
     /// carrying its id; each process elects the smallest id it has heard from

@@ -64,6 +64,35 @@ pub enum Event<H> {
     },
 }
 
+/// One process's timer generations, densely indexed by the raw [`TimerId`]
+/// (grown on demand; protocols use a handful of small ids). Arming bumps
+/// the generation stamped on the new [`Event::TimerFire`], cancelling only
+/// bumps, and a fire whose generation is not [`TimerGens::current`] is
+/// stale — "re-arming replaces the pending timer" without deleting from the
+/// queue.
+#[derive(Clone, Debug, Default)]
+pub struct TimerGens(Vec<u64>);
+
+impl TimerGens {
+    /// Supersedes every pending instance of `id`; returns the generation
+    /// for a new one.
+    #[inline]
+    pub fn bump(&mut self, id: TimerId) -> u64 {
+        let i = id.raw() as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, 0);
+        }
+        self.0[i] += 1;
+        self.0[i]
+    }
+
+    /// The live generation of `id` (zero if it was never armed).
+    #[inline]
+    pub fn current(&self, id: TimerId) -> u64 {
+        self.0.get(id.raw() as usize).copied().unwrap_or(0)
+    }
+}
+
 /// Slots per wheel level (one 10-bit digit of the tick value per level).
 /// 1024-tick level-0 windows cover the typical message-delay spread, so most
 /// events are filed exactly once.

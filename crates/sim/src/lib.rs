@@ -47,7 +47,7 @@ mod trace;
 
 pub use crash::CrashPlan;
 pub use engine::{SimConfig, SimReport, Simulation, Stabilization};
-pub use event::{Event, EventQueue};
+pub use event::{Event, EventQueue, TimerGens};
 pub use irs_obs::Histogram;
 pub use rng::SimRng;
 pub use stats::{percentage, Summary};

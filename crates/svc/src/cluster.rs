@@ -12,7 +12,7 @@ use crate::client::SvcClient;
 use crate::node::SvcConfig;
 use crate::replica::SvcReplica;
 use irs_net::{FaultyLink, LinkModel, MemNetwork, MemTransport, Transport, UdpTransport};
-use irs_runtime::{Deployment, MuxConfig};
+use irs_runtime::{Deployment, RealtimeConfig};
 use irs_types::ProcessId;
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ impl SvcCluster {
             config.replicas(),
             sockets,
             peer_addrs.clone(),
-            MuxConfig {
+            RealtimeConfig {
                 tick: config.tick,
                 workers,
             },

@@ -157,8 +157,10 @@ impl SvcConfig {
     }
 
     /// The admission policy of a replica under this config, in the host
-    /// loop's borrowed form (see [`accept_svc_frame`]).
-    pub(crate) fn accept(&self) -> MuxAccept<SvcMsg> {
+    /// loop's borrowed form (see [`accept_svc_frame`]): what every driver
+    /// of the replicas — shard threads, `run_svc_node`, a stepper — admits
+    /// by.
+    pub fn accept(&self) -> MuxAccept<SvcMsg> {
         let (n, peers) = (self.n, self.peers);
         Arc::new(move |me, from, to, payload| {
             accept_svc_frame_bytes(from, to, payload, me, n, peers)

@@ -1,27 +1,29 @@
 //! The allocation budget of a put: how many heap allocations the replicas
 //! make for one steady-state write at n = 5.
 //!
-//! Five `SvcReplica`s and one client run over a single-threaded FIFO of
-//! encoded frames, the shape of `burst_equivalence.rs`: every frame is
-//! admitted through `accept_svc_frame` (decode plus `valid_for`), whatever
-//! the FIFO holds is handed to each replica as one burst in arrival order,
-//! and every message a turn sends is encoded once into a reused buffer, as
-//! the host loop does. A thread-local counting allocator counts the
-//! allocations made while a frame is admitted, a turn runs, or its sends
-//! are encoded — the replicas' side of a put; the client's request, the
-//! FIFO and the `Frame`s that carry the bytes are the harness's and are not
-//! counted. This file is a crate of its own, so the counting allocator's
-//! `unsafe` stays out of the library crates, which forbid it.
+//! Five `SvcReplica`s run on the real host loop — an `irs_runtime::Stepper`
+//! over one endpoint of an in-memory mesh, admitting by the replicas' own
+//! policy (`SvcConfig::accept`) — and one client sits on the mesh's second
+//! endpoint. The manual clock never moves, so no timer fires and Ω stays
+//! on replica 0. A thread-local counting allocator counts every allocation the
+//! stepper's turns make — admission (decode plus `valid_for`), the bursts,
+//! the encode of what they send, the loop's own staging and dispatch —
+//! except inside the link's own `send` and `recv`, around which a
+//! test-local decorator pauses the count: the mesh's channel items and
+//! frames are the link's, not the loop's. The client's request and its
+//! reading of the reply are not counted either. This file is a crate of its
+//! own, so the counting allocator's `unsafe` stays out of the library
+//! crates, which forbid it.
 
 use irs_net::wire::decode_payload;
-use irs_net::{Frame, Wire};
+use irs_net::{Frame, MemNetwork, MemTransport, NetError, Transport, Wire};
+use irs_runtime::Stepper;
 use irs_svc::loadgen::{key_for, value_for};
-use irs_svc::{accept_svc_frame, KvOp, KvWrite, SvcConfig, SvcMsg, SvcReplica, SvcReply};
-use irs_types::{Actions, Destination, ProcessId, Protocol};
+use irs_svc::{KvOp, KvWrite, SvcConfig, SvcMsg, SvcReplica, SvcReply};
+use irs_types::{ProcessId, Protocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::time::Duration;
 
 const N: usize = 5;
 /// The client's endpoint.
@@ -86,98 +88,66 @@ fn counted<R>(total: &mut u64, f: impl FnOnce() -> R) -> R {
     result
 }
 
+/// Runs `f` with the count paused, resuming it where it stood.
+fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let paused = COUNTED.with(|c| c.replace(None));
+    let result = f();
+    COUNTED.with(|c| c.set(paused));
+    result
+}
+
+/// A link whose own work is not counted (see the module docs).
+struct Uncounted(MemTransport);
+
+impl Transport for Uncounted {
+    fn send(&mut self, from: ProcessId, to: ProcessId, payload: &[u8]) -> Result<(), NetError> {
+        uncounted(|| self.0.send(from, to, payload))
+    }
+
+    fn send_many(
+        &mut self,
+        from: ProcessId,
+        targets: &[ProcessId],
+        payload: &[u8],
+    ) -> Result<(), NetError> {
+        uncounted(|| self.0.send_many(from, targets, payload))
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
+        uncounted(|| self.0.recv(timeout))
+    }
+}
+
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i as u32)
 }
 
-/// The replicas, the FIFO of frames in flight, and the reused buffers a
-/// host keeps: a burst, an action list, an encode buffer.
+/// The replicas on the stepper, the client's endpoint, and the
+/// allocations counted so far.
 struct Group {
-    replicas: Vec<SvcReplica>,
-    in_flight: VecDeque<Frame>,
-    burst: Vec<(ProcessId, SvcMsg)>,
-    out: Actions<SvcMsg>,
-    encoded: Vec<u8>,
-    /// Allocations counted so far.
+    stepper: Stepper<SvcReplica, Uncounted>,
+    client: MemTransport,
     allocations: u64,
 }
 
 impl Group {
     fn new() -> Self {
-        let config = SvcConfig::new(N, 0);
+        let config = SvcConfig::new(N, 1);
+        let mut owner = vec![0; N];
+        owner.push(1);
+        let mut endpoints = MemNetwork::grouped(&owner);
+        let client = endpoints.pop().expect("the client's endpoint");
+        let replicas = endpoints.pop().expect("the replicas' endpoint");
+        let processes = (0..N).map(|i| config.replica(pid(i))).collect();
         Group {
-            replicas: (0..N).map(|i| config.replica(pid(i))).collect(),
-            in_flight: VecDeque::new(),
-            burst: Vec::new(),
-            out: Actions::new(),
-            encoded: Vec::new(),
+            stepper: Stepper::new(processes, Uncounted(replicas), config.accept()),
+            client,
             allocations: 0,
         }
     }
 
-    fn send(&mut self, from: ProcessId, to: ProcessId, payload: &[u8]) {
-        let payload: Arc<[u8]> = payload.into();
-        self.in_flight.push_back(Frame { from, to, payload });
-    }
-
-    /// Encodes (counted) and queues what replica `from`'s turn sent.
-    fn route(&mut self, from: ProcessId) {
-        let sends: Vec<_> = self.out.drain_sends().collect();
-        self.out.clear();
-        for send in sends {
-            let mut encoded = std::mem::take(&mut self.encoded);
-            encoded.clear();
-            counted(&mut self.allocations, || send.msg.encode(&mut encoded));
-            let targets: Vec<ProcessId> = match send.dest {
-                Destination::To(q) => vec![q],
-                Destination::AllOthers => (0..N).map(pid).filter(|&q| q != from).collect(),
-                Destination::All => (0..N).map(pid).collect(),
-            };
-            for to in targets {
-                self.send(from, to, &encoded);
-            }
-            self.encoded = encoded;
-        }
-    }
-
-    /// Delivers until the FIFO is empty: each pass hands every replica the
-    /// frames addressed to it as one burst, in arrival order. Returns the
-    /// replies that reached the client.
-    fn run_to_quiet(&mut self) -> Vec<SvcReply> {
-        let mut replies = Vec::new();
-        while !self.in_flight.is_empty() {
-            let frames: Vec<Frame> = self.in_flight.drain(..).collect();
-            for to in 0..=N {
-                let mine = frames.iter().filter(|f| f.to == pid(to));
-                if to == CLIENT {
-                    for f in mine {
-                        if let Ok(SvcMsg::Reply(reply)) = decode_payload(&f.payload) {
-                            replies.push(reply);
-                        }
-                    }
-                    continue;
-                }
-                let (replica, burst, out) =
-                    (&mut self.replicas[to], &mut self.burst, &mut self.out);
-                counted(&mut self.allocations, || {
-                    let admitted = mine.filter_map(|f| {
-                        let msg = accept_svc_frame(f, pid(to), N, N + 1)?;
-                        Some((f.from, msg))
-                    });
-                    burst.extend(admitted);
-                    if !burst.is_empty() {
-                        replica.on_burst(burst, out);
-                    }
-                    burst.clear();
-                });
-                self.route(pid(to));
-            }
-        }
-        replies
-    }
-
-    /// One put from the client to replica 0 (the leader from the start:
-    /// no timer fires, so Ω never moves), run to quiet. Returns its slot.
+    /// One put from the client to replica 0 (the leader from the start),
+    /// turned to quiet with the turns counted. Returns its slot.
     fn put(&mut self, seq: u64) -> u64 {
         let write = KvWrite {
             client: CLIENT as u64,
@@ -192,8 +162,16 @@ impl Group {
             cmd: write.encode(),
         }
         .encode(&mut request);
-        self.send(pid(CLIENT), pid(0), &request);
-        let replies = self.run_to_quiet();
+        let sent = self.client.send(pid(CLIENT), pid(0), &request);
+        sent.expect("in-memory send");
+        let stepper = &mut self.stepper;
+        counted(&mut self.allocations, || while stepper.turn() > 0 {});
+        let mut replies = Vec::new();
+        while let Some(frame) = self.client.recv(Duration::ZERO).expect("in-memory recv") {
+            if let Ok(SvcMsg::Reply(reply)) = decode_payload(&frame.payload) {
+                replies.push(reply);
+            }
+        }
         match replies.as_slice() {
             [SvcReply::Applied {
                 seq: acked, slot, ..
@@ -219,14 +197,10 @@ fn a_steady_state_put_stays_within_its_allocation_budget() {
     let per_put = group.allocations as f64 / MEASURED as f64;
     // The host's stop: the last decision's held announcement goes out, and
     // every replica ends holding every write.
-    for r in 0..N {
-        group.replicas[r].on_quiesce(&mut group.out);
-        group.route(pid(r));
-    }
-    group.run_to_quiet();
-    for r in &group.replicas {
+    let replicas = group.stepper.finish();
+    for r in &replicas {
         assert_eq!(r.store().applied(), WARMUP + MEASURED, "{} lags", r.id());
-        assert_eq!(r.store().digest(), group.replicas[0].store().digest());
+        assert_eq!(r.store().digest(), replicas[0].store().digest());
     }
     println!("alloc-budget: {per_put:.1} allocations per put at n = {N} (budget {BUDGET})");
     assert!(

@@ -3,35 +3,49 @@
 //!
 //! `SvcReplica::on_burst` coalesces the per-event tail of a turn — one
 //! window drive, one apply pass, one WAL commit for everything a poll
-//! handed over. This suite routes a five-replica group and a dozen
-//! closed-loop clients over one FIFO of in-flight frames (no threads, no
-//! clocks: the lease timer fires on script, the run ends with the host's
-//! quiesce turn) and delivers that FIFO twice:
-//! once a frame at a time through `on_message`, once cut into arbitrary
-//! bursts through `on_burst`, each burst grouped per destination in arrival
-//! order exactly as the host loop groups a poll. Both runs must apply every
-//! submitted write exactly once, ack it exactly once, pass
-//! `check_consistency` and `check_read_linearizability`, and end with the
-//! same key-value map. Unbatched (`batch_max = 1`) slot assignment is the
-//! submission order whatever the cut, so there the full store digest — which
-//! also hashes each client's `(seq, slot)` cursor — must match too; batched,
-//! a burst legitimately packs slots differently, and the digest is compared
-//! across the replicas of a run instead.
+//! handed over. This suite runs a five-replica group on the real host loop
+//! — an `irs_runtime::Stepper` over one endpoint of an in-memory mesh,
+//! admitting by the replicas' own policy — with a dozen closed-loop clients
+//! on the mesh's second endpoint, and runs each script twice: once a frame
+//! per poll (a burst of one, which the library's
+//! `a_burst_of_one_is_on_message` pins to `on_message`), once with every
+//! poll cut after an arbitrary number of frames by a test-local decorator
+//! on the replicas' link. Every [`TICK_EVERY`] rounds the manual clock moves
+//! one ballot-check period, which fires the lease timer together with Ω's
+//! and the log's; the group is delivered to quiet before each move, so
+//! every `ALIVE` arrives before any receive timer expires, Figure 3
+//! suspects nobody, and Ω stays on replica 0. The run ends with the stepper's
+//! shutdown drain. Both runs must apply every submitted write exactly once,
+//! ack it exactly once, pass `check_consistency` and
+//! `check_read_linearizability`, and end with the same key-value map.
+//! Unbatched (`batch_max = 1`) slot assignment is the submission order
+//! whatever the cut, so there the full store digest — which also hashes
+//! each client's `(seq, slot)` cursor — must match too; batched, a burst
+//! legitimately packs slots differently, and the digest is compared across
+//! the replicas of a run instead.
 
+use irs_net::wire::decode_payload;
+use irs_net::{Frame, MemNetwork, MemTransport, NetError, Transport, Wire};
+use irs_obs::names;
+use irs_runtime::Stepper;
 use irs_svc::loadgen::{
     check_consistency, check_read_linearizability, key_for, seq_of_value, value_for, AckedWrite,
     ClientAcks, ClientReads, ObservedRead,
 };
-use irs_svc::{KvOp, KvWrite, ReadTier, SvcConfig, SvcMsg, SvcReplica, SvcReply, TIMER_LEASE};
-use irs_types::{Actions, Destination, ProcessId, Protocol};
+use irs_svc::{KvOp, KvWrite, ReadTier, SvcConfig, SvcMsg, SvcReplica, SvcReply};
+use irs_types::{LeaderOracle, ProcessId, Protocol};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 const N: usize = 5;
 const CLIENTS: u64 = 12;
 const KEYS: u64 = 3;
-/// Rounds between lease-timer fires.
+/// Rounds between clock moves.
 const TICK_EVERY: usize = 3;
+/// One move of the clock: the replicas' ballot-check period, which is the
+/// lease timer's period and the log's check period.
+const CHECK_PERIOD: u64 = 80;
 
 fn pid(i: u64) -> ProcessId {
     ProcessId::new(i as u32)
@@ -179,21 +193,69 @@ impl Client {
     }
 }
 
-/// The routed group: replicas, clients and the one FIFO of frames in flight
-/// (a global FIFO keeps every link FIFO).
+/// The replicas' link, its polls cut: each poll ends after the next cut's
+/// frame count (cycled), or sooner when the link runs dry.
+struct Cut {
+    link: MemTransport,
+    cuts: Vec<usize>,
+    next: usize,
+    left: usize,
+}
+
+impl Cut {
+    fn new(link: MemTransport, cuts: &[usize]) -> Self {
+        Cut {
+            link,
+            cuts: cuts.to_vec(),
+            next: 1,
+            left: cuts[0],
+        }
+    }
+
+    /// Ends the poll and arms the next cut.
+    fn end_poll(&mut self) -> Result<Option<Frame>, NetError> {
+        self.left = self.cuts[self.next % self.cuts.len()];
+        self.next += 1;
+        Ok(None)
+    }
+}
+
+impl Transport for Cut {
+    fn send(&mut self, from: ProcessId, to: ProcessId, payload: &[u8]) -> Result<(), NetError> {
+        self.link.send(from, to, payload)
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
+        if self.left == 0 {
+            return self.end_poll();
+        }
+        match self.link.recv(timeout)? {
+            Some(frame) => {
+                self.left -= 1;
+                Ok(Some(frame))
+            }
+            None => self.end_poll(),
+        }
+    }
+}
+
+/// The group on the stepper and the clients on their endpoint.
 struct Group {
-    replicas: Vec<SvcReplica>,
+    stepper: Stepper<SvcReplica, Cut>,
     clients: Vec<Client>,
-    in_flight: VecDeque<(ProcessId, ProcessId, SvcMsg)>,
-    /// The largest burst any replica was handed.
-    widest_burst: usize,
+    endpoint: MemTransport,
 }
 
 impl Group {
-    fn new(batch_max: usize, scripts: Vec<Vec<bool>>) -> Self {
-        let config = SvcConfig::new(N, 0)
+    fn new(batch_max: usize, scripts: Vec<Vec<bool>>, cuts: &[usize]) -> Self {
+        let config = SvcConfig::new(N, scripts.len())
             .with_batching(batch_max, 4)
             .with_snapshot_interval(0);
+        let mut owner = vec![0; N];
+        owner.resize(N + scripts.len(), 1);
+        let mut endpoints = MemNetwork::grouped(&owner);
+        let endpoint = endpoints.pop().expect("the clients' endpoint");
+        let link = Cut::new(endpoints.pop().expect("the replicas' endpoint"), cuts);
         let replicas = (0..N as u64).map(|i| config.replica(pid(i))).collect();
         let clients = scripts
             .into_iter()
@@ -201,139 +263,105 @@ impl Group {
             .map(|(i, script)| Client::new(N as u64 + i as u64, script))
             .collect();
         Group {
-            replicas,
+            stepper: Stepper::new(replicas, link, config.accept()),
             clients,
-            in_flight: VecDeque::new(),
-            widest_burst: 0,
+            endpoint,
         }
     }
 
-    /// Queues what `from` recorded (timers are fired by the script instead).
-    fn route(&mut self, from: ProcessId, actions: Actions<SvcMsg>) {
-        let (sends, _, _) = actions.into_parts();
-        for send in sends {
-            let everyone = (0..N as u64).map(pid);
-            let targets: Vec<ProcessId> = match send.dest {
-                Destination::To(q) => vec![q],
-                Destination::AllOthers => everyone.filter(|&q| q != from).collect(),
-                Destination::All => everyone.collect(),
-            };
-            for to in targets {
-                self.in_flight.push_back((from, to, send.msg.clone()));
-            }
-        }
-    }
-
-    /// Delivers the next `cut` frames as the host delivers a poll: grouped
-    /// per destination, each group in arrival order, one call per replica —
-    /// `on_burst`, or frame-at-a-time `on_message` for the reference run.
-    fn deliver(&mut self, cut: usize, frame_at_a_time: bool) {
-        let cut = cut.min(self.in_flight.len());
-        let mut groups: Vec<(ProcessId, Vec<(ProcessId, SvcMsg)>)> = Vec::new();
-        for (from, to, msg) in self.in_flight.drain(..cut) {
-            match groups.iter_mut().find(|(dest, _)| *dest == to) {
-                Some((_, burst)) => burst.push((from, msg)),
-                None => groups.push((to, vec![(from, msg)])),
-            }
-        }
-        for (to, burst) in groups {
-            let Some(replica) = self.replicas.get_mut(to.index()) else {
-                let client = &mut self.clients[to.index() - N];
-                for (_, msg) in &burst {
-                    if let SvcMsg::Reply(reply) = msg {
-                        client.on_reply(reply);
-                    }
+    /// Turns the stepper until a turn delivers nothing, handing every
+    /// reply that reached the clients' endpoint to its client.
+    fn deliver_to_quiet(&mut self) {
+        loop {
+            let delivered = self.stepper.turn();
+            while let Some(frame) = self.endpoint.recv(Duration::ZERO).expect("in-memory recv") {
+                if let Ok(SvcMsg::Reply(reply)) = decode_payload(&frame.payload) {
+                    self.clients[frame.to.index() - N].on_reply(&reply);
                 }
-                continue;
-            };
-            let mut out = Actions::new();
-            if frame_at_a_time {
-                for (from, msg) in &burst {
-                    replica.on_message(*from, msg, &mut out);
-                }
-            } else {
-                self.widest_burst = self.widest_burst.max(burst.len());
-                replica.on_burst(&burst, &mut out);
             }
-            self.route(to, out);
+            if delivered == 0 {
+                return;
+            }
         }
     }
 
     /// Runs the scripts to completion: each round every idle client issues
-    /// its next op, the lease timer fires on its cadence, and the FIFO is
-    /// delivered to quiescence in bursts of `cuts` (cycled).
-    fn run(&mut self, cuts: &[usize], frame_at_a_time: bool) {
-        let mut cut = cuts.iter().copied().cycle();
+    /// its next op, the clock moves on its cadence, and the group is
+    /// delivered to quiet; then the stepper's shutdown drain. Returns the
+    /// final replicas once they pass the verdict, and whether some replica
+    /// took a burst of more than one frame.
+    fn run(mut self) -> Result<(Vec<SvcReplica>, bool), String> {
         for round in 0.. {
             assert!(round < 10_000, "the group stopped making progress");
             if self.clients.iter().all(Client::done) {
                 break;
             }
-            for c in 0..self.clients.len() {
-                if let Some((to, msg)) = self.clients[c].issue() {
-                    let from = pid(self.clients[c].id);
-                    self.in_flight.push_back((from, to, msg));
+            for client in &mut self.clients {
+                if let Some((to, msg)) = client.issue() {
+                    let mut payload = Vec::new();
+                    msg.encode(&mut payload);
+                    let sent = self.endpoint.send(pid(client.id), to, &payload);
+                    sent.expect("in-memory send");
                 }
             }
             if round % TICK_EVERY == 0 {
-                for r in 0..N {
-                    let mut out = Actions::new();
-                    self.replicas[r].on_timer(TIMER_LEASE, &mut out);
-                    self.route(pid(r as u64), out);
+                self.stepper.clock().advance(CHECK_PERIOD);
+            }
+            self.deliver_to_quiet();
+            for i in 0..N as u64 {
+                let leader = self.stepper.process(pid(i)).leader().index();
+                if leader != 0 {
+                    return Err(format!("round {round}: Ω at replica {i} moved to {leader}"));
                 }
             }
-            while !self.in_flight.is_empty() {
-                let next = cut.next().expect("cuts is non-empty");
-                self.deliver(next, frame_at_a_time);
+        }
+        let mut took_a_burst = false;
+        for i in 0..N as u64 {
+            let snap = self.stepper.snapshot(pid(i));
+            // Ω staying put means something only if its rounds ran.
+            if snap.receiving_round < 3 {
+                return Err(format!("replica {i}: Ω closed fewer than two rounds"));
             }
+            took_a_burst |= snap.gauge(names::FRAMES_DELIVERED) > snap.gauge(names::BURSTS);
         }
-        // The host's stop. The script fires no oracle timer, so the last
-        // slot's decision is still waiting for an `Accept` to ride on: every
-        // replica hands over what it holds back, as `Shard::drain` asks.
-        for r in 0..N {
-            let mut out = Actions::new();
-            self.replicas[r].on_quiesce(&mut out);
-            self.route(pid(r as u64), out);
-        }
-        while !self.in_flight.is_empty() {
-            let next = cut.next().expect("cuts is non-empty");
-            self.deliver(next, frame_at_a_time);
-        }
+        let replicas = self.stepper.finish();
+        verdict(&replicas, &self.clients)?;
+        Ok((replicas, took_a_burst))
     }
+}
 
-    /// The end-state verdict shared by both runs.
-    fn verdict(&self) -> Result<(), String> {
-        let writes: u64 = self.clients.iter().map(|c| c.seq).sum();
-        for c in &self.clients {
-            if c.stray_replies != 0 {
-                return Err(format!("client {} was answered twice", c.id));
-            }
-            if c.acks.acked.len() as u64 != c.seq {
-                return Err(format!("client {}: a write was never acked", c.id));
-            }
-            let reads = c.script.iter().filter(|&&is_read| is_read).count();
-            if c.reads.reads.len() != reads {
-                return Err(format!("client {}: a read was never answered", c.id));
-            }
+/// The end-state verdict shared by both runs.
+fn verdict(replicas: &[SvcReplica], clients: &[Client]) -> Result<(), String> {
+    let writes: u64 = clients.iter().map(|c| c.seq).sum();
+    for c in clients {
+        if c.stray_replies != 0 {
+            return Err(format!("client {} was answered twice", c.id));
         }
-        for r in &self.replicas {
-            let store = r.store();
-            if store.applied() != writes || store.dup_skips() != 0 {
-                return Err(format!(
-                    "replica {}: {} writes submitted, {} applied, {} skipped as duplicates",
-                    r.id(),
-                    writes,
-                    store.applied(),
-                    store.dup_skips()
-                ));
-            }
+        if c.acks.acked.len() as u64 != c.seq {
+            return Err(format!("client {}: a write was never acked", c.id));
         }
-        let refs: Vec<&SvcReplica> = self.replicas.iter().collect();
-        let acks: Vec<ClientAcks> = self.clients.iter().map(|c| c.acks.clone()).collect();
-        check_consistency(&refs, &acks)?;
-        let reads: Vec<ClientReads> = self.clients.iter().map(|c| c.reads.clone()).collect();
-        check_read_linearizability(&reads)
+        let reads = c.script.iter().filter(|&&is_read| is_read).count();
+        if c.reads.reads.len() != reads {
+            return Err(format!("client {}: a read was never answered", c.id));
+        }
     }
+    for r in replicas {
+        let store = r.store();
+        if store.applied() != writes || store.dup_skips() != 0 {
+            return Err(format!(
+                "replica {}: {} writes submitted, {} applied, {} skipped as duplicates",
+                r.id(),
+                writes,
+                store.applied(),
+                store.dup_skips()
+            ));
+        }
+    }
+    let refs: Vec<&SvcReplica> = replicas.iter().collect();
+    let acks: Vec<ClientAcks> = clients.iter().map(|c| c.acks.clone()).collect();
+    check_consistency(&refs, &acks)?;
+    let reads: Vec<ClientReads> = clients.iter().map(|c| c.reads.clone()).collect();
+    check_read_linearizability(&reads)
 }
 
 /// One scripted op per seed, dealt round-robin to the clients; about a
@@ -354,18 +382,12 @@ proptest! {
         batched in 0u8..2,
     ) {
         let batch_max = if batched == 1 { 8 } else { 1 };
-        let mut reference = Group::new(batch_max, scripts_from(&seeds));
-        reference.run(&[1], true);
-        let mut bursty = Group::new(batch_max, scripts_from(&seeds));
-        bursty.run(&cuts, false);
-
-        if let Err(why) = reference.verdict() {
-            panic!("frame at a time: {why}");
-        }
-        if let Err(why) = bursty.verdict() {
-            panic!("bursts of {cuts:?}: {why}");
-        }
-        let (store, ref_store) = (bursty.replicas[0].store(), reference.replicas[0].store());
+        let reference = Group::new(batch_max, scripts_from(&seeds), &[1]).run();
+        let (reference, _) = reference.unwrap_or_else(|why| panic!("frame at a time: {why}"));
+        let bursty = Group::new(batch_max, scripts_from(&seeds), &cuts).run();
+        let (bursty, took_a_burst) =
+            bursty.unwrap_or_else(|why| panic!("bursts of {cuts:?}: {why}"));
+        let (store, ref_store) = (bursty[0].store(), reference[0].store());
         prop_assert_eq!(store.map(), ref_store.map(), "bursts of {:?} changed the state", cuts);
         if batch_max == 1 {
             let (digest, ref_digest) = (store.digest(), ref_store.digest());
@@ -374,7 +396,7 @@ proptest! {
         // The cut is exercised, not decorative: some replica took a real
         // burst whenever the schedule offered one.
         if cuts.iter().any(|&c| c >= 16) {
-            prop_assert!(bursty.widest_burst > 1);
+            prop_assert!(took_a_burst);
         }
     }
 }

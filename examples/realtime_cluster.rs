@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example realtime_cluster`
 
+use intermittent_rotating_star::net::LinkModel;
 use intermittent_rotating_star::omega::OmegaProcess;
-use intermittent_rotating_star::runtime::{Cluster, LinkDelay, RealtimeConfig};
+use intermittent_rotating_star::runtime::{Deployment, RealtimeConfig};
 use intermittent_rotating_star::types::SystemConfig;
 use std::time::{Duration, Instant};
 
@@ -29,14 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|id| OmegaProcess::fig3(id, system))
         .collect();
 
-    let cluster = Cluster::spawn(
-        processes,
-        RealtimeConfig::default(),
-        LinkDelay::Jitter {
-            min: Duration::from_micros(50),
-            max: Duration::from_millis(2),
-        },
-    );
+    // Every link holds each frame for 50 µs – 2 ms, drawn from seed 7.
+    let link = LinkModel::new(7).with_delay(Duration::from_micros(50), Duration::from_millis(2));
+    let cluster = Deployment::spawn(processes, RealtimeConfig::default(), link);
 
     let elected = wait_for(Duration::from_secs(15), || {
         cluster.agreed_leader().is_some()

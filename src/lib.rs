@@ -13,8 +13,8 @@
 //!   UDP-socket backends, fault-injecting link models;
 //! * [`obs`] — dependency-free observability: the sharded metrics
 //!   registry, the flight recorder, and Prometheus/JSON exposition;
-//! * [`runtime`] — the real-time runtimes (sharded cluster, per-node
-//!   deployments) over those transports;
+//! * [`runtime`] — the one host loop over those transports, on shard
+//!   threads, on a node's own thread, or stepped on a manual clock;
 //! * [`svc`] — the replicated key-value service on the Ω-driven log:
 //!   deployable replicas, the redirecting client library, and the
 //!   load-generator harness;
