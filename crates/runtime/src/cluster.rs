@@ -104,7 +104,7 @@ where
     }
 
     /// Spawns `processes` over explicit per-shard transport endpoints with
-    /// the default admission policy ([`accept_frame_bytes`](crate::accept_frame_bytes)):
+    /// the default admission rule ([`admits`](crate::admits)):
     /// `transports[s]` must host every process `i` with `i % W == s`, where
     /// `W = transports.len()` (and `workers` in `config` is ignored). With
     /// one endpoint per process (`W = n`, e.g. [`MemNetwork::mesh`] or
@@ -133,7 +133,7 @@ where
 
     /// Binds one ephemeral localhost UDP socket per process and spawns
     /// `processes` over them on `config.workers` reactor shard threads named
-    /// `irs-mux-<shard>`, with the default admission policy — a 128-socket
+    /// `irs-mux-<shard>`, with the default admission rule — a 128-socket
     /// deployment on a handful of threads, where [`Deployment::spawn_on`]
     /// with one socket per process would park 128 threads in `recv`.
     ///
@@ -160,9 +160,10 @@ where
     /// Spawns `processes` on `W = transports.len()` shard threads named
     /// `<thread_prefix>-<shard>`: shard `s` drives `transports[s]`, which
     /// must host every process `i` with `i % W == s`. `W = n` is one node
-    /// thread per process over its own endpoint. `accept` admits inbound
-    /// frames; with `obs` attached every node joins the telemetry plane
-    /// (host-loop counters, leader-change trace, reign panel, live scrape).
+    /// thread per process over its own endpoint. `accept` is the admission
+    /// rule for every inbound message; with `obs` attached every node joins
+    /// the telemetry plane (host-loop counters, leader-change trace, reign
+    /// panel, live scrape).
     ///
     /// # Panics
     ///

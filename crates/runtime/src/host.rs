@@ -21,16 +21,18 @@
 //!   only bumps, and a popped entry whose generation is stale is skipped.
 //!   That is the paper's "set timer to …" (re-arming replaces) without ever
 //!   deleting from the wheel;
-//! * the **`Actions` dispatch** — each outbound message is wire-encoded once
-//!   into a reused buffer and handed to the I/O source with its whole
-//!   receiver list, so a broadcast costs one encode however wide it is;
+//! * the **`Actions` dispatch** — each outbound message is wire-encoded at
+//!   most once, into a reused buffer, and handed to the I/O source with its
+//!   whole receiver list, so a broadcast costs one encode however wide it
+//!   is — and none when every receiver is co-hosted (below);
 //! * the **admit → stage → deliver path** — the I/O source hands each
-//!   arrived frame over as borrowed bytes; the admission policy decodes it
-//!   (or drops it as link noise) into the addressee's staging buffer, and
-//!   the protocols run only after the poll returns: each hosted process
-//!   with arrivals gets them in **one** [`Protocol::on_burst`] call — in
-//!   arrival order, so every link stays FIFO — followed by one `Actions`
-//!   dispatch. A protocol that can coalesce per-event work (the service
+//!   arrived frame over as borrowed bytes; the shard decodes the payload
+//!   once (or drops it as link noise), and the admission rule — a
+//!   [`MuxAccept`], which judges the *typed* message — admits it into the
+//!   addressee's staging buffer or drops it. The protocols run only after
+//!   the poll returns: each hosted process with arrivals gets them in
+//!   **one** [`Protocol::on_burst`] call — in arrival order, so every link
+//!   stays FIFO — followed by one `Actions` dispatch. A protocol that can coalesce per-event work (the service
 //!   replica opens one slot and commits one WAL group for the whole burst)
 //!   does so without a delay timer or a knob: the batch is whatever the
 //!   poll found, at most [`RECV_BURST`] frames per poll on a [`Transport`]
@@ -40,16 +42,20 @@
 //!   reactor path, and the source is never re-entered from inside its own
 //!   receive callback;
 //! * the **co-hosted route** — on a source whose [`ShardIo::IN_SHARD`] is
-//!   set (the reactor), a frame from one hosted process to another (itself
-//!   included: Fig. 3's `SUSPICION` goes to every process) never reaches the
-//!   source. The shard admits the encoded bytes through the same policy
-//!   (`accept(q, from, q, bytes)`: same decode, same `valid_for`) into the
-//!   addressee's inbox, and the next poll opens each burst with its inbox —
-//!   without waiting, once the reactor has flushed — so a co-hosted link
-//!   stays FIFO and the shutdown drain counts inboxed frames as in flight.
-//!   A [`Transport`] source opts out: there a co-hosted link may be an
-//!   [`irs_net::FaultyLink`] that drops, delays or partitions it, so those
-//!   frames still travel through the source;
+//!   set (the reactor), a message from one hosted process to another
+//!   (itself included: Fig. 3's `SUSPICION` goes to every process) never
+//!   reaches the source and never becomes bytes. Each co-hosted receiver
+//!   gets a `clone()` of the typed message (a slot batch is shared, so a
+//!   clone of an `Accept` is a reference-count bump), judged by the same
+//!   rule as a socket frame (`accept(q, from, q, &msg)`: addressed, sender
+//!   in range, `valid_for`), into its inbox; the message is encoded only if
+//!   a receiver outside the shard is left. The next poll opens each burst
+//!   with its inbox — without waiting, once the reactor has flushed — so a
+//!   co-hosted link stays FIFO and the shutdown drain counts inboxed
+//!   messages as in flight. A [`Transport`] source opts out: there a
+//!   co-hosted link may be an [`irs_net::FaultyLink`] that drops, delays or
+//!   partitions it, so those frames still travel through the source as
+//!   bytes;
 //! * the **per-node observation state** — leader-reign SLO tracker,
 //!   leader-change trace, Ω check-period calibration, and the scrape
 //!   [`Responder`] answering telemetry requests off the same staging path
@@ -139,17 +145,24 @@ const STABLE_REIGN_TICKS: u32 = 1024;
 /// intact, so the slot is host-invariant.
 const CHECK_TIMER_SLOT: u16 = 1;
 
-/// A frame-admission policy: `(me, from, to, payload)` for a frame that
-/// arrived for process `me`, returning the decoded message or `None` to drop
-/// it as link noise. The payload is borrowed from the I/O source and valid
-/// only for the duration of the call.
-pub type MuxAccept<M> =
-    Arc<dyn Fn(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<M> + Send + Sync>;
+/// A frame-admission rule: `(me, from, to, &msg)` for a message that
+/// arrived for process `me` — decoded off the I/O source, or handed over
+/// typed by a co-hosted process — returning whether the protocol may see
+/// it. A message the rule refuses is dropped as link noise. The host loop
+/// applies the one rule to both routes, so they cannot disagree.
+pub type MuxAccept<M> = Arc<dyn Fn(ProcessId, ProcessId, ProcessId, &M) -> bool + Send + Sync>;
 
-/// The default admission policy for an `n`-process deployment hosted at
+/// The default admission rule for an `n`-process deployment hosted at
 /// `me`. A socket is an untrusted input: a misrouted frame, an out-of-range
-/// sender, an undecodable payload, or a message sized for a different
-/// deployment is dropped as link noise — it must never take the node down.
+/// sender or a message sized for a different deployment is dropped as link
+/// noise — it must never take the node down.
+pub fn admits<M: Wire>(from: ProcessId, to: ProcessId, msg: &M, me: ProcessId, n: usize) -> bool {
+    to == me && from.index() < n && msg.valid_for(n)
+}
+
+/// The default policy over received bytes: the payload decoded (an
+/// undecodable one is link noise), then judged by [`admits`] — what the
+/// host loop does with a frame off its I/O source.
 pub fn accept_frame_bytes<M: Wire>(
     from: ProcessId,
     to: ProcessId,
@@ -157,16 +170,13 @@ pub fn accept_frame_bytes<M: Wire>(
     me: ProcessId,
     n: usize,
 ) -> Option<M> {
-    if to != me || from.index() >= n {
-        return None;
-    }
     let msg = decode_payload::<M>(payload).ok()?;
-    msg.valid_for(n).then_some(msg)
+    admits(from, to, &msg, me, n).then_some(msg)
 }
 
-/// [`accept_frame_bytes`] as the shareable policy of an `n`-process deployment.
+/// [`admits`] as the shareable rule of an `n`-process deployment.
 pub(crate) fn default_accept<M: Wire>(n: usize) -> MuxAccept<M> {
-    Arc::new(move |me, from, to, payload| accept_frame_bytes(from, to, payload, me, n))
+    Arc::new(move |me, from, to, msg| admits(from, to, msg, me, n))
 }
 
 /// [`accept_frame_bytes`] over an assembled [`Frame`].
@@ -416,7 +426,7 @@ pub(crate) struct Local<P: Protocol> {
     /// Messages co-hosted processes sent it since the last poll, admitted
     /// and in send order: the head of its next burst.
     inbox: Vec<(ProcessId, P::Msg)>,
-    /// Frames handed to it by co-hosted processes without the source.
+    /// Messages handed to it by co-hosted processes without the source.
     frames_in_shard: u64,
     timer_gens: TimerGens,
     frames_delivered: u64,
@@ -529,7 +539,7 @@ where
     P: Protocol + Introspect,
     P::Msg: Wire,
     Io: ShardIo,
-    A: FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<P::Msg>,
+    A: FnMut(ProcessId, ProcessId, ProcessId, &P::Msg) -> bool,
 {
     pub(crate) fn new(
         io: Io,
@@ -660,16 +670,16 @@ where
         o.backpressured = unsent > 0;
     }
 
-    /// One turn of the source. Each process's inbox of co-hosted frames
+    /// One turn of the source. Each process's inbox of co-hosted messages
     /// opens its `staged` burst, and then the source is polled — without
     /// waiting when an inbox was non-empty. Frames are routed by addressee —
     /// a frame for a process this shard does not host, or one that arrived
-    /// on another hosted node's socket, is link noise — and admitted by the
-    /// policy into the addressee's `staged` burst. With observability
-    /// attached, telemetry-plane payloads are routed off by their leading
-    /// tag before the policy sees them: well-formed scrape requests stage
-    /// into `scrapes`, anything else obs-tagged is dropped. Returns the
-    /// frames staged, inboxed ones included.
+    /// on another hosted node's socket, is link noise — then decoded and
+    /// admitted by the rule into the addressee's `staged` burst. With
+    /// observability attached, telemetry-plane payloads are routed off by
+    /// their leading tag before the decode: well-formed scrape requests
+    /// stage into `scrapes`, anything else obs-tagged is dropped. Returns
+    /// the frames staged, inboxed ones included.
     fn poll_and_stage(&mut self, timeout: StdDuration) -> Result<usize, NetError> {
         let Shard {
             io,
@@ -703,8 +713,10 @@ where
                 if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = decode_payload(payload) {
                     scrapes.push((li, from, format, cursor));
                 }
-            } else if let Some(msg) = accept(to, from, to, payload) {
-                locals[li].staged.push((from, msg));
+            } else if let Ok(msg) = decode_payload::<P::Msg>(payload) {
+                if accept(to, from, to, &msg) {
+                    locals[li].staged.push((from, msg));
+                }
             }
         })?;
         Ok(polled + inboxed)
@@ -842,15 +854,13 @@ where
         }
     }
 
-    /// Encodes each recorded message once and hands it to the source with
-    /// its whole receiver list — less, on an [`ShardIo::IN_SHARD`] source,
-    /// the receivers this shard hosts: the policy admits the same bytes for
-    /// each of those into its inbox.
+    /// Hands each recorded message to its receivers: on an
+    /// [`ShardIo::IN_SHARD`] source the ones this shard hosts get it typed
+    /// (see `hand_over`), and the rest — if any are left — get it
+    /// encoded once, through the source, with their whole receiver list.
     fn send_all(&mut self, li: usize, out: &mut Actions<P::Msg>) {
         let from = self.locals[li].me;
         for outbound in out.drain_sends() {
-            self.encoded.clear();
-            outbound.msg.encode(&mut self.encoded);
             self.targets.clear();
             let everyone = (0..self.n as u32).map(ProcessId::new);
             match outbound.dest {
@@ -859,21 +869,25 @@ where
                 Destination::All => self.targets.extend(everyone),
             }
             if Io::IN_SHARD {
-                self.hand_over(from);
+                self.hand_over(from, &outbound.msg);
+                if self.targets.is_empty() {
+                    continue;
+                }
             }
+            self.encoded.clear();
+            outbound.msg.encode(&mut self.encoded);
             self.io.send(li, from, &self.targets, &self.encoded);
         }
     }
 
-    /// Takes the receivers this shard hosts out of `targets` and admits
-    /// `encoded` for each of them into its inbox.
-    fn hand_over(&mut self, from: ProcessId) {
+    /// Takes the receivers this shard hosts out of `targets` and admits a
+    /// clone of `msg` for each of them into its inbox.
+    fn hand_over(&mut self, from: ProcessId, msg: &P::Msg) {
         let Shard {
             locals,
             stride,
             accept,
             targets,
-            encoded,
             obs,
             ..
         } = self;
@@ -883,8 +897,8 @@ where
                 return true;
             };
             local.frames_in_shard += 1;
-            if let Some(msg) = accept(q, from, q, encoded) {
-                local.inbox.push((from, msg));
+            if accept(q, from, q, msg) {
+                local.inbox.push((from, msg.clone()));
             }
             false
         });

@@ -8,7 +8,9 @@
 //! **One loop.** A protocol is a state machine with two effects, "broadcast"
 //! and "set timer". `host.rs` holds the only code that turns those into
 //! wall-clock behaviour: a shard of `k ≥ 1` processes with one timer wheel,
-//! one `Actions` dispatch, one admit → stage → deliver path, one set of
+//! one `Actions` dispatch, one admit → stage → deliver path (a frame's
+//! payload decoded once, every message — a frame's or a co-hosted
+//! process's — judged by one typed admission rule), one set of
 //! per-node telemetry (reign panel, leader-change trace, live scrape),
 //! snapshots built only when someone reads them, and one draining shutdown.
 //! Its module docs carry the hot-path notes.
@@ -81,6 +83,6 @@ mod node;
 mod step;
 
 pub use cluster::{Deployment, RealtimeConfig};
-pub use host::{accept_frame, accept_frame_bytes, MuxAccept, SnapshotCell};
+pub use host::{accept_frame, accept_frame_bytes, admits, MuxAccept, SnapshotCell};
 pub use node::{run_node, run_node_with, NodeConfig, NodeHandle};
 pub use step::Stepper;

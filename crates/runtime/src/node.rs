@@ -13,9 +13,9 @@
 //! deployments, and `examples/socket_cluster.rs` calls
 //! [`run_node`] directly from `main` in each spawned OS process.
 //! [`run_node_with`] exposes the same loop with a caller-supplied admission
-//! policy and an optional observability handle — the replicated KV service
-//! (`irs-svc`) uses it to admit client frames from endpoints outside the
-//! replica group, which the default policy treats as link noise.
+//! rule and an optional observability handle — the replicated KV service
+//! (`irs-svc`) uses it to admit client messages from endpoints outside the
+//! replica group, which the default rule treats as link noise.
 
 use crate::host::{default_accept, Local, NodeCells, Shard, SnapshotCell};
 use irs_net::{FaultClock, Transport, Wire};
@@ -74,9 +74,9 @@ impl NodeHandle {
 }
 
 /// Drives `proto` over `transport` until [`NodeHandle::stop`] is set, then
-/// returns the final protocol state. Frames are admitted by the default
-/// policy ([`accept_frame_bytes`](crate::accept_frame_bytes)): addressed to this node, sender inside
-/// the deployment, payload decodable and sized for it.
+/// returns the final protocol state. A frame's payload is decoded, and the
+/// message admitted by the default rule ([`admits`](crate::admits)):
+/// addressed to this node, sender inside the deployment, sized for it.
 ///
 /// On stop, frames already queued (or held) in the transport are drained
 /// and delivered until a full quiet window passes (so no in-flight message
@@ -92,9 +92,9 @@ where
     run_node_with(proto, transport, config, handle, &*accept, None)
 }
 
-/// [`run_node`] with a caller-supplied admission policy — `accept(me, from,
-/// to, payload)` turns a received frame into a protocol message, or `None`
-/// to drop it as link noise, applied identically in the live loop and the
+/// [`run_node`] with a caller-supplied admission rule — `accept(me, from,
+/// to, &msg)` says whether a decoded message may reach the protocol, or is
+/// dropped as link noise, applied identically in the live loop and the
 /// shutdown drain — and an optional observability handle: with `obs`, the
 /// host-loop counters land on its registry (`runtime_polls`,
 /// `runtime_timers_fired`, `runtime_frames_delivered`), Ω leader changes are
@@ -106,7 +106,7 @@ pub fn run_node_with<P, T>(
     transport: T,
     config: NodeConfig,
     handle: NodeHandle,
-    accept: impl FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<P::Msg>,
+    accept: impl FnMut(ProcessId, ProcessId, ProcessId, &P::Msg) -> bool,
     obs: Option<&Obs>,
 ) -> P
 where

@@ -17,8 +17,8 @@ use irs_net::{FaultClock, ManualClock, Transport, Wire};
 use irs_types::{Introspect, ProcessId, Protocol, Snapshot};
 use std::time::Duration as StdDuration;
 
-/// A stepper's admission policy, owned.
-type Admit<M> = Box<dyn FnMut(ProcessId, ProcessId, ProcessId, &[u8]) -> Option<M>>;
+/// A stepper's admission rule, owned.
+type Admit<M> = Box<dyn Fn(ProcessId, ProcessId, ProcessId, &M) -> bool>;
 
 /// `n` protocol instances on one shard over one endpoint, turned one loop
 /// turn at a time by the caller on a [`ManualClock`] (see the module docs).
@@ -35,9 +35,9 @@ where
 {
     /// Hosts `processes` (ids `0..n` in order, broadcasts fanning out to
     /// all `n`) over `endpoint`, which must receive every frame addressed
-    /// to them, with `accept` as the admission policy, and starts them at
-    /// tick zero: their `on_start` sends are on the endpoint when this
-    /// returns.
+    /// to them, with `accept` as the admission rule — it judges each frame's
+    /// decoded message, as on every other driver — and starts them at tick
+    /// zero: their `on_start` sends are on the endpoint when this returns.
     ///
     /// # Panics
     ///
@@ -50,8 +50,7 @@ where
             .map(|(i, proto)| Local::nth(i, proto, None, StdDuration::ZERO))
             .collect();
         let clock = ManualClock::new();
-        let admit: Admit<P::Msg> =
-            Box::new(move |me, from, to, payload| accept(me, from, to, payload));
+        let admit: Admit<P::Msg> = Box::new(move |me, from, to, msg| accept(me, from, to, msg));
         let time = FaultClock::Manual(clock.clone());
         let mut shard = Shard::new(endpoint, locals, 1, n, time, admit, None);
         shard.start();

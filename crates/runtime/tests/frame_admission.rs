@@ -1,14 +1,17 @@
-//! The admission policy is the one gate in front of a hosted protocol: a
-//! frame off a socket and, on the reactor's co-hosted route, a frame from
-//! another process of the shard both pass [`accept_frame_bytes`] before any
-//! protocol sees them. Arbitrary bytes must never panic it, and whatever it
-//! admits must be addressed to the host, come from inside the deployment and
-//! be sized for it (`valid_for`).
+//! The admission rule is the one gate in front of a hosted protocol: a
+//! frame off a socket is decoded and judged by [`admits`], and on the
+//! reactor's co-hosted route a typed message from another process of the
+//! shard is judged by the same [`admits`] without bytes. Arbitrary bytes
+//! must never panic [`accept_frame_bytes`], whatever it admits must be
+//! addressed to the host, come from inside the deployment and be sized for
+//! it (`valid_for`) — and for bytes that decode it must say exactly what
+//! decoding followed by [`admits`] says, so the two routes cannot disagree.
 
 use irs_consensus::{Ballot, ConsensusMsg, PaxosMsg, Value};
+use irs_net::wire::decode_payload;
 use irs_net::Wire;
 use irs_omega::{OmegaMsg, SuspVector};
-use irs_runtime::accept_frame_bytes;
+use irs_runtime::{accept_frame_bytes, admits};
 use irs_types::{ProcessId, ProcessSet, RoundNum};
 use proptest::prelude::*;
 
@@ -84,14 +87,34 @@ fn seeds() -> Vec<Seed> {
 
 /// Admits `bytes` as both kinds and checks what comes through.
 fn check_admission(bytes: &[u8], from: ProcessId, to: ProcessId, me: ProcessId, n: usize) {
-    let addressed = to == me && from.index() < n;
-    if let Some(msg) = accept_frame_bytes::<OmegaMsg>(from, to, bytes, me, n) {
-        prop_assert!(addressed, "admitted {from} -> {to} at {me}, n = {n}");
+    check_kind::<OmegaMsg>(bytes, from, to, me, n);
+    check_kind::<CMsg>(bytes, from, to, me, n);
+}
+
+/// Admits `bytes` as an `M`: only what is addressed and sized for the host
+/// comes through, and bytes that decode are admitted exactly when the typed
+/// rule admits their message.
+fn check_kind<M: Wire + PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    from: ProcessId,
+    to: ProcessId,
+    me: ProcessId,
+    n: usize,
+) {
+    let admitted = accept_frame_bytes::<M>(from, to, bytes, me, n);
+    if let Some(msg) = &admitted {
+        prop_assert!(
+            to == me && from.index() < n,
+            "admitted {from} -> {to} at {me}, n = {n}"
+        );
         prop_assert!(msg.valid_for(n), "admitted {msg:?} at n = {n}");
     }
-    if let Some(msg) = accept_frame_bytes::<CMsg>(from, to, bytes, me, n) {
-        prop_assert!(addressed, "admitted {from} -> {to} at {me}, n = {n}");
-        prop_assert!(msg.valid_for(n), "admitted {msg:?} at n = {n}");
+    match decode_payload::<M>(bytes) {
+        Ok(msg) => {
+            let typed = admits(from, to, &msg, me, n).then_some(msg);
+            prop_assert_eq!(admitted, typed, "{from} -> {to} at {me}, n = {n}");
+        }
+        Err(_) => prop_assert!(admitted.is_none(), "admitted undecodable {bytes:?}"),
     }
 }
 

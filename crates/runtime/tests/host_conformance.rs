@@ -16,12 +16,14 @@
 //! built on request: an unread process is never snapshotted, reading every
 //! process costs one loop turn, and a read returns once the shard is gone.
 //!
-//! On the reactor a frame between two processes of one shard skips the
-//! kernel (the co-hosted route), and the same contract holds for it: per-link
-//! FIFO with one `on_burst` per poll, the admission policy on every frame,
-//! nothing for a crashed addressee, delivery in the shutdown drain with the
-//! reactions discarded. On a `Transport` source such a frame still goes
-//! through the source, so a `FaultyLink` keeps its say over it.
+//! On the reactor a message between two processes of one shard skips the
+//! kernel and the codec (the co-hosted route: the receiver gets it typed, and
+//! it is encoded only for receivers on other shards), and the same contract
+//! holds for it: per-link FIFO with one `on_burst` per poll, the admission
+//! rule on every message, nothing for a crashed addressee, delivery in the
+//! shutdown drain with the reactions discarded. On a `Transport` source such
+//! a frame still goes through the source, so a `FaultyLink` keeps its say
+//! over it.
 
 use irs_net::wire::{put_u32, WireReader};
 use irs_net::{
@@ -31,7 +33,7 @@ use irs_net::{
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
-    accept_frame_bytes, run_node, Deployment, MuxAccept, NodeConfig, NodeHandle, RealtimeConfig,
+    admits, run_node, Deployment, MuxAccept, NodeConfig, NodeHandle, RealtimeConfig,
 };
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
@@ -275,11 +277,11 @@ where
     P: Protocol<Msg = ProbeMsg> + Introspect + Send + 'static,
 {
     let accept: MuxAccept<ProbeMsg> =
-        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N + 2));
+        Arc::new(|me, from, to, msg: &ProbeMsg| admits(from, to, msg, me, N + 2));
     deploy_with(kind, delay, processes, accept)
 }
 
-/// [`deploy`] with the admission policy `accept`.
+/// [`deploy`] with the admission rule `accept`.
 fn deploy_with<P>(
     kind: Kind,
     delay: StdDuration,
@@ -880,7 +882,7 @@ fn reading_every_process_costs_one_turn() {
     for kind in [Kind::TransportMany, Kind::Reactor] {
         let recorders = timerless(M);
         let accept: MuxAccept<ProbeMsg> =
-            Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, M));
+            Arc::new(|me, from, to, msg: &ProbeMsg| admits(from, to, msg, me, M));
         let deployment = if kind == Kind::Reactor {
             let sockets: Vec<UdpSocket> = (0..M)
                 .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind"))
@@ -1046,7 +1048,7 @@ fn a_read_returns_once_the_shard_is_gone() {
             })
             .collect();
         let accept: MuxAccept<ProbeMsg> =
-            Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N));
+            Arc::new(|me, from, to, msg: &ProbeMsg| admits(from, to, msg, me, N));
         let deployment = Arc::new(Deployment::over_transports(
             "hc-fail",
             timerless(N),
@@ -1280,17 +1282,137 @@ fn transport_cohosted_frames_keep_link_order_in_one_burst() {
     cohosted_frames_keep_link_order_in_one_burst(Kind::TransportMany);
 }
 
+/// Encodes and decodes of [`Tally`] so far. Only
+/// [`a_cohosted_receiver_costs_no_bytes`] sends it, so tests running in
+/// parallel cannot move the counts.
+static ENCODES: AtomicU64 = AtomicU64::new(0);
+static DECODES: AtomicU64 = AtomicU64::new(0);
+
+/// A sequence number that counts its own encodes and decodes.
+#[derive(Clone, Debug, PartialEq)]
+struct Tally(u32);
+
+impl Wire for Tally {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        ENCODES.fetch_add(1, Ordering::SeqCst);
+        put_u32(buf, self.0);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        DECODES.fetch_add(1, Ordering::SeqCst);
+        Ok(Tally(r.u32()?))
+    }
+}
+
+const BROADCASTS: u32 = 20;
+
+/// Broadcasts `Tally(0..BROADCASTS)` to every process, itself included,
+/// at start, and records what it hears.
+#[derive(Debug)]
+struct Broadcaster {
+    id: ProcessId,
+    heard: Vec<(u32, u32)>,
+}
+
+impl Protocol for Broadcaster {
+    type Msg = Tally;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, out: &mut Actions<Tally>) {
+        for seq in 0..BROADCASTS {
+            out.broadcast_all(Tally(seq));
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: &Tally, _out: &mut Actions<Tally>) {
+        self.heard.push((from.as_u32(), msg.0));
+    }
+
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<Tally>) {}
+}
+
+impl LeaderOracle for Broadcaster {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Broadcaster {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            extra: vec![("heard", self.heard.len() as u64)],
+            ..Snapshot::default()
+        }
+    }
+}
+
+/// On the reactor a co-hosted receiver gets the typed message: a broadcast
+/// whose receivers all share the sender's shard is neither encoded nor
+/// decoded, and one with receivers on another shard is encoded exactly once
+/// and decoded once per remote receiver — here two of four. Either way
+/// every link delivers in send order.
+#[test]
+fn a_cohosted_receiver_costs_no_bytes() {
+    for (workers, encodes, decodes) in [(1, 0, 0), (2, 1, 2)] {
+        let (encoded, decoded) = (
+            ENCODES.load(Ordering::SeqCst),
+            DECODES.load(Ordering::SeqCst),
+        );
+        let processes = (0..N as u32)
+            .map(|i| Broadcaster {
+                id: ProcessId::new(i),
+                heard: Vec::new(),
+            })
+            .collect();
+        let config = RealtimeConfig {
+            tick: TICK,
+            workers,
+        };
+        let deployment = Deployment::spawn_udp(processes, config).expect("spawn over sockets");
+        let all = Some(N as u64 * u64::from(BROADCASTS));
+        let heard = |node: u32| deployment.snapshot(ProcessId::new(node)).gauge("heard");
+        assert!(
+            wait_for(StdDuration::from_secs(20), || (0..N as u32)
+                .all(|i| heard(i) == all)),
+            "{workers} shard(s): the broadcasts never arrived"
+        );
+        let finals = deployment.shutdown();
+        let sends = N as u64 * u64::from(BROADCASTS);
+        let counted = |count: &AtomicU64, before| count.load(Ordering::SeqCst) - before;
+        assert_eq!(
+            counted(&ENCODES, encoded),
+            encodes * sends,
+            "{workers} shard(s)"
+        );
+        assert_eq!(
+            counted(&DECODES, decoded),
+            decodes * sends,
+            "{workers} shard(s)"
+        );
+        for rec in finals {
+            for from in 0..N as u32 {
+                let link = rec.heard.iter().filter(|&&(sender, _)| sender == from);
+                let seqs: Vec<u32> = link.map(|&(_, seq)| seq).collect();
+                let sent: Vec<u32> = (0..BROADCASTS).collect();
+                assert_eq!(seqs, sent, "{workers} shard(s): link {from} -> {}", rec.id);
+            }
+        }
+    }
+}
+
 const REJECTED: u32 = 13;
 
-/// Every frame meets the admission policy, whichever route it takes: a
-/// payload the policy rejects is dropped on a co-hosted link and on a
-/// self-link, and the frames around it still arrive in order.
+/// Every message meets the admission rule, whichever route it takes: a
+/// message the rule rejects is dropped on a co-hosted link and on a
+/// self-link, and the messages around it still arrive in order.
 #[test]
 fn the_policy_rejects_cohosted_frames_too() {
     for kind in [Kind::TransportMany, Kind::Reactor] {
-        let accept: MuxAccept<ProbeMsg> = Arc::new(|me, from, to, payload: &[u8]| {
-            accept_frame_bytes(from, to, payload, me, N)
-                .filter(|msg| *msg != ProbeMsg::Ping(REJECTED))
+        let accept: MuxAccept<ProbeMsg> = Arc::new(|me, from, to, msg: &ProbeMsg| {
+            admits(from, to, msg, me, N) && *msg != ProbeMsg::Ping(REJECTED)
         });
         let opening = [1, REJECTED, 2]
             .into_iter()
@@ -1344,7 +1466,7 @@ fn a_faulty_link_still_cuts_cohosted_links() {
         .map(|i| Recorder::new(i, pings(&everyone, PER_LINK)))
         .collect();
     let accept: MuxAccept<ProbeMsg> =
-        Arc::new(|me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, N));
+        Arc::new(|me, from, to, msg: &ProbeMsg| admits(from, to, msg, me, N));
     let deployment =
         Deployment::over_transports("hc-cut", recorders, transports, TICK, accept, None);
     let is_cut = |from: u32, to: u32| matches!((from, to), (0, 2) | (2, 0) | (1, 1));

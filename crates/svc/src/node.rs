@@ -1,13 +1,16 @@
 //! Driving one [`SvcReplica`] over a [`Transport`] endpoint.
 //!
 //! [`run_svc_node`] is [`irs_runtime::run_node`] with a different
-//! frame-admission policy: the default policy drops frames from senders
-//! outside the replica group as link noise, but a service must accept
-//! *client* frames from endpoints beyond `n`. The policy here admits
-//! log traffic from replicas only, requests from any known endpoint, and
-//! drops replies (a reply arriving at a replica is stray traffic) — applied
-//! identically in the live loop and the shutdown drain, and identically by
-//! every deployment shape ([`SvcConfig::accept`]).
+//! admission rule: the default rule drops messages from senders outside the
+//! replica group as link noise, but a service must accept *client* messages
+//! from endpoints beyond `n`. The rule here admits log and lease traffic
+//! from replicas only, requests and reads from any known endpoint, and
+//! drops replies (a reply arriving at a replica is stray traffic). It
+//! judges the typed message ([`SvcConfig::accept`]), so the host loop
+//! applies it unchanged to a frame it decoded off a socket and to a message
+//! a co-hosted replica handed over without bytes — in the live loop and
+//! the shutdown drain, on every deployment shape. [`accept_svc_frame`] is
+//! the same rule behind a decode, for callers that hold a [`Frame`].
 
 use crate::msg::SvcMsg;
 use crate::replica::SvcReplica;
@@ -156,53 +159,44 @@ impl SvcConfig {
             .collect()
     }
 
-    /// The admission policy of a replica under this config, in the host
-    /// loop's borrowed form (see [`accept_svc_frame`]): what every driver
-    /// of the replicas — shard threads, `run_svc_node`, a stepper — admits
-    /// by.
+    /// The admission rule of a replica under this config, over the typed
+    /// message (see the module docs): what every driver of the replicas —
+    /// shard threads, `run_svc_node`, a stepper — admits by, on every route.
     pub fn accept(&self) -> MuxAccept<SvcMsg> {
         let (n, peers) = (self.n, self.peers);
-        Arc::new(move |me, from, to, payload| {
-            accept_svc_frame_bytes(from, to, payload, me, n, peers)
-        })
+        Arc::new(move |me, from, to, msg| svc_admits(from, to, msg, me, n, peers))
     }
 }
 
 /// The service's frame-admission policy (see module docs) over an assembled
-/// [`Frame`]. Public so callers outside the host loop share the exact
-/// policy with [`run_svc_node`].
+/// [`Frame`]: the payload decoded, then judged by the rule of
+/// [`SvcConfig::accept`]. Public so callers outside the host loop share the
+/// exact policy with [`run_svc_node`].
 pub fn accept_svc_frame(frame: &Frame, me: ProcessId, n: usize, peers: usize) -> Option<SvcMsg> {
-    accept_svc_frame_bytes(frame.from, frame.to, &frame.payload, me, n, peers)
+    let msg = decode_payload::<SvcMsg>(&frame.payload).ok()?;
+    svc_admits(frame.from, frame.to, &msg, me, n, peers).then_some(msg)
 }
 
-/// The policy over borrowed parts — what the host loop applies without
-/// assembling a [`Frame`] per datagram (the service analogue of
-/// [`irs_runtime::accept_frame_bytes`]).
-fn accept_svc_frame_bytes(
+/// The rule itself (the service analogue of [`irs_runtime::admits`]).
+fn svc_admits(
     from: ProcessId,
     to: ProcessId,
-    payload: &[u8],
+    msg: &SvcMsg,
     me: ProcessId,
     n: usize,
     peers: usize,
-) -> Option<SvcMsg> {
-    if to != me {
-        return None;
-    }
-    let msg = decode_payload::<SvcMsg>(payload).ok()?;
-    if !msg.valid_for(n) {
-        return None;
+) -> bool {
+    if to != me || !msg.valid_for(n) {
+        return false;
     }
     match msg {
         // The consensus and lease planes are replicas-only.
-        SvcMsg::Log(_) | SvcMsg::LeaseProbe { .. } | SvcMsg::LeaseAck { .. } => {
-            (from.index() < n).then_some(msg)
-        }
+        SvcMsg::Log(_) | SvcMsg::LeaseProbe { .. } | SvcMsg::LeaseAck { .. } => from.index() < n,
         // Requests and reads may come from any endpoint we can route a
         // reply to.
-        SvcMsg::Request { .. } | SvcMsg::Read { .. } => (from.index() < peers).then_some(msg),
+        SvcMsg::Request { .. } | SvcMsg::Read { .. } => from.index() < peers,
         // Replies belong on the client side of the link.
-        SvcMsg::Reply(_) => None,
+        SvcMsg::Reply(_) => false,
     }
 }
 
@@ -316,5 +310,72 @@ mod tests {
         assert!(accept_svc_frame(&frame(6, 0, &probe), me, n, peers).is_none());
         assert!(accept_svc_frame(&frame(6, 0, &ack), me, n, peers).is_none());
         assert!(accept_svc_frame(&frame(2, 0, &value), me, n, peers).is_none());
+    }
+
+    /// A frame off a socket is decoded and judged by the rule, which is
+    /// what `accept_svc_frame` does; a co-hosted replica's message meets
+    /// `SvcConfig::accept` without bytes. For every message kind, sender
+    /// class (replica, client, out of range) and addressee the two routes
+    /// must agree.
+    #[test]
+    fn the_typed_rule_agrees_with_the_frame_policy() {
+        let config = SvcConfig::new(5, 3);
+        let (me, n, peers) = (ProcessId::new(0), config.n, config.peers);
+        let rule = config.accept();
+        let write = KvWrite {
+            client: 6,
+            seq: 1,
+            op: KvOp::Del { key: b"k".to_vec() },
+        };
+        let read = |key: Vec<u8>| SvcMsg::Read {
+            client: 6,
+            rid: 1,
+            key,
+            tier: crate::msg::ReadTier::Lease,
+        };
+        let kinds = [
+            SvcMsg::Log(irs_consensus::LogMsg::Catchup { from: 0 }),
+            SvcMsg::Request {
+                cmd: write.encode(),
+            },
+            read(b"k".to_vec()),
+            read(vec![0; crate::command::MAX_KEY_LEN + 1]),
+            SvcMsg::LeaseProbe { rid: 3 },
+            SvcMsg::LeaseAck {
+                rid: 3,
+                granted: true,
+            },
+            SvcMsg::Reply(SvcReply::Applied {
+                client: 6,
+                seq: 1,
+                slot: 0,
+            }),
+            SvcMsg::Reply(SvcReply::Redirect {
+                client: 6,
+                seq: 1,
+                leader: ProcessId::new(1),
+            }),
+            SvcMsg::Reply(SvcReply::Value {
+                client: 6,
+                rid: 1,
+                value: None,
+                frontier: 0,
+            }),
+        ];
+        let mut admitted = 0;
+        for msg in &kinds {
+            for from in [2, 6, 9] {
+                for to in [0, 3] {
+                    let by_frame = accept_svc_frame(&frame(from, to, msg), me, n, peers);
+                    let by_rule = rule(me, ProcessId::new(from), ProcessId::new(to), msg);
+                    assert_eq!(by_frame.is_some(), by_rule, "{msg:?} {from} -> {to}");
+                    assert!(by_frame.is_none_or(|m| m == *msg));
+                    admitted += usize::from(by_rule);
+                }
+            }
+        }
+        // Log, lease probe and ack from the replica; request and read from
+        // the replica and the client.
+        assert_eq!(admitted, 7);
     }
 }

@@ -22,10 +22,8 @@
 
 use intermittent_rotating_star::net::reexec;
 use intermittent_rotating_star::obs::Obs;
-use intermittent_rotating_star::omega::OmegaProcess;
-use intermittent_rotating_star::runtime::{
-    accept_frame_bytes, run_node_with, NodeConfig, NodeHandle,
-};
+use intermittent_rotating_star::omega::{OmegaMsg, OmegaProcess};
+use intermittent_rotating_star::runtime::{admits, run_node_with, NodeConfig, NodeHandle};
 use intermittent_rotating_star::types::{ProcessId, SystemConfig};
 use std::io::BufRead;
 use std::sync::atomic::Ordering;
@@ -59,8 +57,7 @@ fn child(id: u32, n: usize, metrics: bool) {
     });
     let node = std::thread::spawn(move || {
         let config = NodeConfig::new(n).with_tick(TICK);
-        let accept =
-            move |me, from, to, payload: &[u8]| accept_frame_bytes(from, to, payload, me, n);
+        let accept = move |me, from, to, msg: &OmegaMsg| admits(from, to, msg, me, n);
         run_node_with(proto, transport, config, handle, accept, obs.as_deref())
     });
 
