@@ -641,6 +641,12 @@ where
         &self.locals[li].cells.snapshot
     }
 
+    /// Crash-stops the process at local index `li`: from the next turn on
+    /// it fires no timer, receives nothing, and its snapshot freezes.
+    pub(crate) fn crash(&self, li: usize) {
+        self.locals[li].cells.crashed.store(true, Ordering::SeqCst);
+    }
+
     fn now_tick(&self) -> u64 {
         self.clock.now_ticks()
     }

@@ -45,7 +45,7 @@
 //!   one endpoint, on an [`irs_net::ManualClock`]; each call fires the due
 //!   timers, polls once without waiting and delivers, so over a
 //!   deterministic endpoint (no link delay) a schedule of clock advances
-//!   replays a run exactly.
+//!   (and crashes, [`Stepper::crash`]) replays a run exactly.
 //!
 //! The protocols themselves are byte-for-byte the same state machines that
 //! run under the simulator: [`irs_omega::OmegaProcess`], the baselines and

@@ -81,6 +81,15 @@ where
         self.shard.process(pid.index())
     }
 
+    /// Crash-stops `pid`, as [`Deployment::crash`](crate::Deployment::crash)
+    /// does on a shard thread: from then on it fires no timer and gets no
+    /// burst, so it sends nothing more (what it sent before is still
+    /// delivered), and its snapshot freezes at the first one built after
+    /// the crash. Its state stays readable through [`Stepper::process`].
+    pub fn crash(&self, pid: ProcessId) {
+        self.shard.crash(pid.index());
+    }
+
     /// A snapshot of `pid` with the runtime gauges appended, asked for,
     /// served and read on the calling thread through the same
     /// [`SnapshotCell`](crate::SnapshotCell) path a shard thread serves.
@@ -337,6 +346,57 @@ mod tests {
         assert_eq!(stepper.process(pid(1)).bursts, [vec![(pid(p), 3)]]);
         assert!(stepper.process(pid(2)).bursts.is_empty());
         assert_eq!(stepper.turn(), 0, "the answers left the group");
+    }
+
+    /// A crashed process fires no timer and gets no burst, while the
+    /// others go on; and its snapshot is the one built first after the
+    /// crash, however long the group runs on.
+    #[test]
+    fn a_crashed_process_is_halted_and_its_snapshot_freezes() {
+        let (mut stepper, mut outside) = recorders(2);
+        let (crashed, live) = (ProcessId::new(0), ProcessId::new(1));
+        stepper.crash(crashed);
+        send(&mut outside, 2, 0, 1);
+        send(&mut outside, 2, 1, 2);
+        stepper.clock().advance(1_000);
+        assert_eq!(
+            stepper.turn(),
+            1,
+            "only the live process's note is delivered"
+        );
+        assert!(stepper.process(crashed).fired.is_empty(), "no timer fired");
+        assert!(stepper.process(crashed).bursts.is_empty(), "no burst");
+        assert_eq!(stepper.process(live).fired, [T_ONCE, T_REARMED]);
+        assert_eq!(stepper.process(live).bursts, [vec![(ProcessId::new(2), 2)]]);
+
+        let system = SystemConfig::new(3, 1).unwrap();
+        let processes = system
+            .processes()
+            .map(|id| OmegaProcess::fig3(id, system))
+            .collect();
+        let endpoint = MemNetwork::grouped(&[0; 3]).pop().expect("one endpoint");
+        let mut stepper = Stepper::new(processes, endpoint, default_accept(3));
+        for _ in 0..20 {
+            stepper.clock().advance(10);
+            stepper.turn();
+        }
+        stepper.crash(crashed);
+        let frozen = stepper.snapshot(crashed);
+        let running = stepper.snapshot(live);
+        for _ in 0..50 {
+            stepper.clock().advance(10);
+            stepper.turn();
+        }
+        assert_eq!(
+            stepper.snapshot(crashed),
+            frozen,
+            "the crashed snapshot moved"
+        );
+        let later = stepper.snapshot(live);
+        assert!(
+            later.sending_round > running.sending_round,
+            "the live process stood still"
+        );
     }
 
     #[test]

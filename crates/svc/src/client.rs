@@ -1,5 +1,6 @@
-//! The client path: leader discovery, redirect handling, and a
-//! retransmission clock learned from the client's own traffic.
+//! The client path: one request window, leader discovery, redirect
+//! handling, and a retransmission clock learned from the client's own
+//! traffic.
 //!
 //! A [`SvcClient`] owns one transport endpoint (id ≥ `n`, outside the
 //! replica group) and speaks the request/reply protocol of [`SvcMsg`]. It
@@ -8,6 +9,44 @@
 //! [`SvcReply::Redirect`]s, and on silence rotates its leader hint and
 //! resends at once — which is exactly what rides out a crashed or dark
 //! leader mid-load.
+//!
+//! # The request window
+//!
+//! Every request the client has sent and not yet seen answered sits in one
+//! private window, in sequence order, next to the leader hint, the
+//! per-class retransmission clocks and the seeded RNG. The window owns the
+//! whole rule for resending:
+//!
+//! * a request is sent to the hint;
+//! * a redirect that names a new hint moves *every* outstanding request
+//!   there, oldest first — the replicas apply one client's writes in
+//!   sequence order, so moving only some would let a newer write overtake
+//!   an older one and strand it — but only `MAX_REDIRECT_STREAK` of them
+//!   in a row;
+//! * silence for the wait of the oldest outstanding request's clock
+//!   rotates the hint, backs that clock off and resends everything
+//!   outstanding;
+//! * Karn's rule (below) decides which answers time the cluster.
+//!
+//! The window reads no clock. Every entry point takes `now`, the time since
+//! an origin its caller picks, and it is driven in exactly three ways, none
+//! of which keeps retry state of its own:
+//!
+//! * **the blocking calls** [`put`](SvcClient::put),
+//!   [`delete`](SvcClient::delete) and [`get`](SvcClient::get): a window of
+//!   one under the caller's overall deadline, and the only client code that
+//!   reads the wall clock, once per wake;
+//! * [`loadgen::open_loop`](crate::loadgen::open_loop), which fires writes
+//!   on its interval, drains, and counts what is still outstanding as
+//!   failures;
+//! * the **non-blocking surface** — [`start_put`](SvcClient::start_put),
+//!   [`start_get`](SvcClient::start_get), [`poll`](SvcClient::poll),
+//!   [`wake_at`](SvcClient::wake_at), [`abandon`](SvcClient::abandon) — which
+//!   a caller on a manual clock drives between `irs_runtime::Stepper` turns
+//!   (and a wall-clock caller between [`wait`](SvcClient::wait)s).
+//!
+//! So the crate has one retry mechanism, and it runs on virtual time as
+//! well as on the wall clock.
 //!
 //! # The retransmission clock
 //!
@@ -33,30 +72,28 @@
 //! over a client that mixes 50 µs puts with 8 ms read-index reads settles
 //! between the two and fires on every read.
 //!
-//! **Karn's rule.** Only a call answered on its first transmission, with
-//! no redirect in between, contributes a sample: a reply to a retransmitted
-//! request cannot be matched to the send that caused it, and a redirected
-//! call's time spans two replicas.
+//! **Karn's rule.** Only a request answered on its first transmission, never
+//! moved by a redirect or a silence, contributes a sample: a reply to a
+//! retransmitted request cannot be matched to the send that caused it, and
+//! a redirected request's time spans two replicas.
 //!
-//! **Back-off is listening.** After a silent attempt the client rotates the
+//! **Back-off is listening.** After a silent wait the window rotates the
 //! hint, resends immediately, and listens for the next, doubled and
 //! seed-jittered wait (capped at `MAX_RETRY`). Nothing is ever slept
-//! through: a late reply to an earlier transmission ends the call the moment
-//! it arrives. The backed-off wait also opens the calls that follow, until
-//! one of them is a sample again — without that, Karn's rule would leave a
-//! client whose round trip has grown past its wait retrying every call and
-//! never measuring one.
+//! through: a late reply to an earlier transmission answers the request the
+//! moment it arrives. The backed-off wait also opens the requests that
+//! follow, until one of them is a sample again — without that, Karn's rule
+//! would leave a client whose round trip has grown past its wait retrying
+//! every request and never measuring one.
 //!
 //! **Why the floor is 5 ms.** See `RTO_FLOOR`.
-//!
-//! [`loadgen::open_loop`](crate::loadgen::open_loop) resends its unacked
-//! writes off the same clock, so the crate has one retry mechanism.
 
 use crate::command::{KvOp, KvWrite, MAX_KEY_LEN, MAX_VALUE_LEN};
 use crate::msg::{ReadTier, SvcMsg, SvcReply};
-use irs_net::{wire::decode_payload, Transport, Wire};
+use irs_net::{wire::decode_payload, Frame, Transport, Wire};
 use irs_sim::SimRng;
 use irs_types::ProcessId;
+use std::collections::VecDeque;
 use std::time::{Duration as StdDuration, Instant};
 
 /// First per-attempt wait of a client that has not measured a round trip
@@ -75,12 +112,11 @@ const MAX_RETRY: StdDuration = StdDuration::from_millis(400);
 /// after a leader crash was redirected straight back to the dead leader
 /// (16 retries and 19 redirects over 8 crashes instead of 8 and 8).
 const RTO_FLOOR: StdDuration = StdDuration::from_millis(5);
-/// Consecutive redirects an attempt follows before treating the cluster as
-/// unstable and falling back to the rotate-and-back-off path. During a
+/// Redirects in a row the window follows before treating the cluster as
+/// unstable and leaving its requests to the silence clock. During a
 /// re-election two replicas can transiently point at each other; without a
-/// cap the client would ping-pong requests between them at link speed for
-/// the whole deadline.
-pub(crate) const MAX_REDIRECT_STREAK: u32 = 4;
+/// cap the client would ping-pong requests between them at link speed.
+const MAX_REDIRECT_STREAK: u32 = 4;
 
 /// Why a client call failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,13 +142,14 @@ impl std::error::Error for ClientError {}
 /// Counters a client accumulates across calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
-    /// Requests acknowledged.
+    /// Requests answered.
     pub acked: u64,
-    /// Redirects followed.
+    /// Redirects received.
     pub redirects: u64,
-    /// Timed-out attempts that were retried.
+    /// Silent waits after which the outstanding requests were resent.
     pub retries: u64,
-    /// Calls that exhausted their deadline.
+    /// Requests given up on: blocking calls that exhausted their deadline,
+    /// and whatever [`SvcClient::abandon`] dropped.
     pub failures: u64,
     /// Smoothed round trip of the retransmission clock sampled last, µs (0
     /// before the first sample).
@@ -123,8 +160,18 @@ pub struct ClientStats {
     pub rto_us: u64,
 }
 
+/// A request the window saw answered, as [`SvcClient::poll`] hands it back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Answer {
+    /// The reply: [`SvcReply::Applied`] for a write, [`SvcReply::Value`]
+    /// for a read, carrying the sequence number its `start_*` returned.
+    pub reply: SvcReply,
+    /// The `now` the request was started at.
+    pub started: StdDuration,
+}
+
 /// The clock class of writes (reads use [`read_class`]).
-pub(crate) const WRITE_CLASS: usize = 0;
+const WRITE_CLASS: usize = 0;
 /// Clock classes: writes, then one per [`ReadTier`].
 const CLASSES: usize = 4;
 
@@ -162,8 +209,9 @@ impl Default for RtoClock {
 }
 
 impl RtoClock {
-    /// Folds in the round trip of a call answered on its first transmission
-    /// (the caller applies Karn's rule). The first sample seeds `srtt`.
+    /// Folds in the round trip of a request answered on its first
+    /// transmission (the window applies Karn's rule). The first sample
+    /// seeds `srtt`.
     fn sample(&mut self, rtt: StdDuration) {
         let srtt = self.srtt.unwrap_or(rtt);
         self.rttvar = (self.rttvar * 3 + srtt.abs_diff(rtt)) / 4;
@@ -171,7 +219,7 @@ impl RtoClock {
         self.backed_off = None;
     }
 
-    /// The first per-attempt wait of the next call.
+    /// The first per-attempt wait of the next request.
     fn rto(&self) -> StdDuration {
         self.backed_off.unwrap_or_else(|| {
             let srtt = self.srtt.unwrap_or_default();
@@ -179,29 +227,55 @@ impl RtoClock {
         })
     }
 
-    /// An attempt sat silent for the whole wait. The next wait is that one
-    /// doubled, stretched by up to a quarter by `jitter` ∈ [0, 1), never
-    /// above [`MAX_RETRY`].
+    /// A wait passed in silence. The next wait is that one doubled,
+    /// stretched by up to a quarter by `jitter` ∈ [0, 1), never above
+    /// [`MAX_RETRY`].
     fn back_off(&mut self, jitter: f64) {
         let next = (self.rto() * 2).mul_f64(1.0 + 0.25 * jitter);
         self.backed_off = Some(next.min(MAX_RETRY));
     }
 }
 
-/// A connected client of the replicated KV service.
+/// One outstanding request.
+#[derive(Debug)]
+struct Pending {
+    seq: u64,
+    class: usize,
+    /// Built once, resent as is.
+    msg: SvcMsg,
+    /// The `now` it was started at.
+    started: StdDuration,
+    /// Sent once and never moved, so its answer times the cluster.
+    first_transmission: bool,
+}
+
+/// A connected client of the replicated KV service: its endpoint and its
+/// request window (see the module docs).
 #[derive(Debug)]
 pub struct SvcClient<T> {
     id: ProcessId,
     n: usize,
     transport: T,
+    scratch: Vec<u8>,
+    /// A frame [`SvcClient::wait`] received and no poll has handled yet.
+    held: Option<Frame>,
     hint: ProcessId,
+    /// The replica every outstanding request was last sent to.
+    sent_to: ProcessId,
+    /// Outstanding requests, oldest (lowest sequence number) first.
+    outstanding: VecDeque<Pending>,
+    /// The last sequence number drawn; writes and reads share the space.
     seq: u64,
+    /// Redirects followed with no answer or silence in between.
+    redirect_streak: u32,
+    /// When the silence clock last restarted: an answer, a move, or a
+    /// request sent into an empty window.
+    quiet_since: StdDuration,
     rng: SimRng,
     clocks: [RtoClock; CLASSES],
     /// Accumulated call statistics.
     pub stats: ClientStats,
-    scratch: Vec<u8>,
-    /// The replica whose reply ended the last blocking call.
+    /// The replica whose reply answered the last request.
     answered_by: Option<ProcessId>,
 }
 
@@ -215,12 +289,17 @@ impl<T: Transport> SvcClient<T> {
             id,
             n,
             transport,
+            scratch: Vec::new(),
+            held: None,
             hint: ProcessId::new(0),
+            sent_to: ProcessId::new(0),
+            outstanding: VecDeque::new(),
             seq: 0,
+            redirect_streak: 0,
+            quiet_since: StdDuration::ZERO,
             rng: SimRng::from_seed(seed),
             clocks: [RtoClock::default(); CLASSES],
             stats: ClientStats::default(),
-            scratch: Vec::new(),
             answered_by: None,
         }
     }
@@ -240,10 +319,10 @@ impl<T: Transport> SvcClient<T> {
         self.hint
     }
 
-    /// The replica whose reply ended the last blocking call — for a write,
-    /// the replica that applied it and acked (`None` before the first).
-    /// Not necessarily [`leader_hint`](Self::leader_hint): an attempt that
-    /// met silence may be answered late, after the hint moved on.
+    /// The replica whose reply answered the last request — for a write, the
+    /// replica that applied it and acked (`None` before the first). Not
+    /// necessarily [`leader_hint`](Self::leader_hint): a request that met
+    /// silence may be answered late, after the hint moved on.
     pub fn answered_by(&self) -> Option<ProcessId> {
         self.answered_by
     }
@@ -253,17 +332,12 @@ impl<T: Transport> SvcClient<T> {
         self.seq + 1
     }
 
-    /// Rotates the leader hint to a seeded pseudo-random replica other
-    /// than the current one (used after silence and after a useless
-    /// redirect — resending to the same confused replica wastes a trip).
-    fn rotate_hint(&mut self) {
-        let next = self.rng.index(self.n);
-        self.hint = if ProcessId::new(next as u32) == self.hint {
-            ProcessId::new(((next + 1) % self.n) as u32)
-        } else {
-            ProcessId::new(next as u32)
-        };
+    /// Requests sent and not yet answered or abandoned.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.len()
     }
+
+    // ---- The blocking calls: a window of one under a deadline ----
 
     /// Binds `key` to `value`, blocking until the write is acknowledged as
     /// applied or `deadline` elapses. Returns the log slot of the write.
@@ -276,22 +350,17 @@ impl<T: Transport> SvcClient<T> {
     /// # Panics
     ///
     /// Panics if the key or value exceeds the service bounds
-    /// ([`MAX_KEY_LEN`], [`MAX_VALUE_LEN`]).
+    /// (`MAX_KEY_LEN`, `MAX_VALUE_LEN`), or if a request started
+    /// without blocking is still outstanding.
     pub fn put(
         &mut self,
         key: &[u8],
         value: &[u8],
         deadline: StdDuration,
     ) -> Result<u64, ClientError> {
-        assert!(key.len() <= MAX_KEY_LEN, "key too long");
-        assert!(value.len() <= MAX_VALUE_LEN, "value too long");
-        self.execute(
-            KvOp::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            deadline,
-        )
+        let origin = Instant::now();
+        self.start_put(key, value, StdDuration::ZERO)?;
+        self.block_on_ack(origin, deadline)
     }
 
     /// Removes `key`, blocking like [`SvcClient::put`].
@@ -302,10 +371,13 @@ impl<T: Transport> SvcClient<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the key exceeds [`MAX_KEY_LEN`].
+    /// Panics if the key exceeds `MAX_KEY_LEN`, or if a request started
+    /// without blocking is still outstanding.
     pub fn delete(&mut self, key: &[u8], deadline: StdDuration) -> Result<u64, ClientError> {
+        let origin = Instant::now();
         assert!(key.len() <= MAX_KEY_LEN, "key too long");
-        self.execute(KvOp::Del { key: key.to_vec() }, deadline)
+        self.start_write(KvOp::Del { key: key.to_vec() }, StdDuration::ZERO)?;
+        self.block_on_ack(origin, deadline)
     }
 
     /// Reads `key` at the chosen consistency tier, blocking until a value
@@ -324,230 +396,267 @@ impl<T: Transport> SvcClient<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the key exceeds [`MAX_KEY_LEN`].
+    /// Panics if the key exceeds `MAX_KEY_LEN`, or if a request started
+    /// without blocking is still outstanding.
     pub fn get(
         &mut self,
         key: &[u8],
         tier: ReadTier,
         deadline: StdDuration,
     ) -> Result<(Option<Vec<u8>>, u64), ClientError> {
-        assert!(key.len() <= MAX_KEY_LEN, "key too long");
-        let rid = self.alloc_seq();
-        let msg = SvcMsg::Read {
-            client: self.client_id(),
-            rid,
-            key: key.to_vec(),
-            tier,
-        };
-        match self.call(&msg, rid, read_class(tier), deadline)? {
-            ReplyOutcome::Value { value, frontier } => Ok((value, frontier)),
-            _ => unreachable!("a read's call ends on a value"),
+        let origin = Instant::now();
+        self.start_get(key, tier, StdDuration::ZERO)?;
+        match self.block(origin, deadline)? {
+            SvcReply::Value {
+                value, frontier, ..
+            } => Ok((value, frontier)),
+            _ => unreachable!("a read is answered by a value"),
         }
     }
 
-    /// Runs one write through the redirect/retry protocol.
-    fn execute(&mut self, op: KvOp, deadline: StdDuration) -> Result<u64, ClientError> {
+    /// [`block`](Self::block) on a write: its slot.
+    fn block_on_ack(&mut self, origin: Instant, deadline: StdDuration) -> Result<u64, ClientError> {
+        match self.block(origin, deadline)? {
+            SvcReply::Applied { slot, .. } => Ok(slot),
+            _ => unreachable!("a write is answered by an ack"),
+        }
+    }
+
+    /// Waits out a window of one under `deadline` since `origin`, reading
+    /// the wall clock once per wake. A reply that arrives is handled before
+    /// the deadline is checked, and the deadline before the silence rule.
+    fn block(&mut self, origin: Instant, deadline: StdDuration) -> Result<SvcReply, ClientError> {
+        assert_eq!(self.outstanding.len(), 1, "a blocking call runs alone");
+        let mut now = StdDuration::ZERO;
+        loop {
+            let wake = self.wake_at().map_or(deadline, |at| at.min(deadline));
+            self.wait(wake.saturating_sub(now))?;
+            now = origin.elapsed();
+            if let Some(answer) = self.receive(now)? {
+                return Ok(answer.reply);
+            }
+            if now >= deadline {
+                self.abandon();
+                return Err(ClientError::TimedOut);
+            }
+            self.on_wake(now)?;
+        }
+    }
+
+    // ---- The non-blocking surface: time passed in ----
+
+    /// Sends a write binding `key` to `value` without waiting for its ack,
+    /// at `now` on the caller's timeline. Returns its sequence number, which
+    /// the [`Answer`] that [`poll`](Self::poll) hands back carries.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Closed`] when the transport is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key or value exceeds the service bounds
+    /// (`MAX_KEY_LEN`, `MAX_VALUE_LEN`).
+    pub fn start_put(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        now: StdDuration,
+    ) -> Result<u64, ClientError> {
+        assert!(key.len() <= MAX_KEY_LEN, "key too long");
+        assert!(value.len() <= MAX_VALUE_LEN, "value too long");
+        let op = KvOp::Put {
+            key: key.to_vec(),
+            value: value.to_vec(),
+        };
+        self.start_write(op, now)
+    }
+
+    /// Sends a read of `key` at `tier` without waiting for its value, like
+    /// [`start_put`](Self::start_put). Returns its sequence number (the
+    /// reply's `rid`).
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Closed`] when the transport is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key exceeds `MAX_KEY_LEN`.
+    pub fn start_get(
+        &mut self,
+        key: &[u8],
+        tier: ReadTier,
+        now: StdDuration,
+    ) -> Result<u64, ClientError> {
+        assert!(key.len() <= MAX_KEY_LEN, "key too long");
+        self.seq += 1;
+        let msg = SvcMsg::Read {
+            client: self.client_id(),
+            rid: self.seq,
+            key: key.to_vec(),
+            tier,
+        };
+        self.start(read_class(tier), msg, now)
+    }
+
+    /// Handles what has arrived and what is due at `now`, without waiting:
+    /// replies already received are handled in arrival order until one
+    /// answers an outstanding request, which is returned. When none does,
+    /// the silence rule runs (see the module docs) and `None` is returned.
+    /// Call it until it returns `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Closed`] when the transport is gone.
+    pub fn poll(&mut self, now: StdDuration) -> Result<Option<Answer>, ClientError> {
+        if let Some(answer) = self.receive(now)? {
+            return Ok(Some(answer));
+        }
+        self.on_wake(now)?;
+        Ok(None)
+    }
+
+    /// The `now` at which the next [`poll`](Self::poll) resends on silence
+    /// unless a reply arrives first (`None` with nothing outstanding).
+    pub fn wake_at(&self) -> Option<StdDuration> {
+        let oldest = self.outstanding.front()?;
+        Some(self.quiet_since + self.clocks[oldest.class].rto())
+    }
+
+    /// Blocks until a frame arrives or `timeout` passes, holding the frame
+    /// for the next [`poll`](Self::poll): a wall-clock caller's sleep
+    /// between polls.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Closed`] when the transport is gone.
+    pub fn wait(&mut self, timeout: StdDuration) -> Result<(), ClientError> {
+        self.held = self.next_frame(timeout)?;
+        Ok(())
+    }
+
+    /// Gives up on every outstanding request (each may still land in the
+    /// log; a late answer to it is ignored). Counts them as failures and
+    /// returns how many there were.
+    pub fn abandon(&mut self) -> u64 {
+        let dropped = self.outstanding.len() as u64;
+        self.outstanding.clear();
+        self.redirect_streak = 0;
+        self.stats.failures += dropped;
+        dropped
+    }
+
+    /// The held frame, else one received within `timeout`.
+    fn next_frame(&mut self, timeout: StdDuration) -> Result<Option<Frame>, ClientError> {
+        match self.held.take() {
+            Some(frame) => Ok(Some(frame)),
+            None => self
+                .transport
+                .recv(timeout)
+                .map_err(|_| ClientError::Closed),
+        }
+    }
+
+    /// Handles received frames at `now` until one answers an outstanding
+    /// request or none is left.
+    fn receive(&mut self, now: StdDuration) -> Result<Option<Answer>, ClientError> {
+        while let Some(frame) = self.next_frame(StdDuration::ZERO)? {
+            if let Some(answer) = self.on_frame(&frame, now)? {
+                self.answered_by = Some(frame.from);
+                return Ok(Some(answer));
+            }
+        }
+        Ok(None)
+    }
+
+    // ---- The request window: the one retry rule, on the caller's `now` ----
+
+    /// Draws the next sequence number for `op` and starts it as a write.
+    fn start_write(&mut self, op: KvOp, now: StdDuration) -> Result<u64, ClientError> {
+        self.seq += 1;
         let write = KvWrite {
             client: self.client_id(),
-            seq: self.alloc_seq(),
+            seq: self.seq,
             op,
         };
         let msg = SvcMsg::Request {
             cmd: write.encode(),
         };
-        match self.call(&msg, write.seq, WRITE_CLASS, deadline)? {
-            ReplyOutcome::Applied { slot } => Ok(slot),
-            _ => unreachable!("a write's call ends on an ack"),
+        self.start(WRITE_CLASS, msg, now)
+    }
+
+    /// Sends `msg`, the request under the last sequence number drawn, timed
+    /// by clock `class`, to the hint — after the outstanding ones, if the
+    /// hint moved since they were sent. Returns its sequence number.
+    fn start(&mut self, class: usize, msg: SvcMsg, now: StdDuration) -> Result<u64, ClientError> {
+        if self.outstanding.is_empty() || self.hint != self.sent_to {
+            self.move_all(now)?;
         }
+        self.send(&msg)?;
+        self.outstanding.push_back(Pending {
+            seq: self.seq,
+            class,
+            msg,
+            started: now,
+            first_transmission: true,
+        });
+        Ok(self.seq)
     }
 
-    /// How long a `class` request sent now may stay silent before it is
-    /// resent.
-    pub(crate) fn rto(&self, class: usize) -> StdDuration {
-        self.clocks[class].rto()
+    /// Resends every outstanding request, oldest first, to the hint, and
+    /// restarts the silence clock.
+    fn move_all(&mut self, now: StdDuration) -> Result<(), ClientError> {
+        self.sent_to = self.hint;
+        self.quiet_since = now;
+        let mut outstanding = std::mem::take(&mut self.outstanding);
+        let sent = outstanding.iter_mut().try_for_each(|pending| {
+            pending.first_transmission = false;
+            self.send(&pending.msg)
+        });
+        self.outstanding = outstanding;
+        sent
     }
 
-    /// Feeds `class`'s clock the round trip of a request answered on its
-    /// first transmission with no redirect (Karn's rule is the caller's to
-    /// apply).
-    pub(crate) fn sample_rtt(&mut self, class: usize, rtt: StdDuration) {
-        let clock = &mut self.clocks[class];
-        clock.sample(rtt);
-        self.stats.srtt_us = clock.srtt.unwrap_or_default().as_micros() as u64;
-        self.stats.rto_us = clock.rto().as_micros() as u64;
-    }
-
-    /// A `class` request sat silent for its whole wait: the hinted replica
-    /// is slow, dark or dead. Counts the retry, rotates the hint
-    /// pseudo-randomly (seeded) and backs `class`'s clock off for the resend
-    /// the caller makes next.
-    pub(crate) fn on_silence(&mut self, class: usize) {
-        self.stats.retries += 1;
-        self.rotate_hint();
-        let jitter = self.rng.range_u64(0..1000) as f64 / 1000.0;
-        self.clocks[class].back_off(jitter);
-    }
-
-    /// Sends `msg` — built once, resent as is — until the reply that
-    /// answers it (a value for a read, an ack for anything else) arrives
-    /// under `seq`, or `deadline` elapses.
-    fn call(
-        &mut self,
-        msg: &SvcMsg,
-        seq: u64,
-        class: usize,
-        deadline: StdDuration,
-    ) -> Result<ReplyOutcome, ClientError> {
-        let wants_value = matches!(msg, SvcMsg::Read { .. });
-        let overall = Instant::now() + deadline;
-        let mut redirect_streak = 0u32;
-        // Karn's rule: only a first transmission that was never redirected
-        // times the cluster.
-        let mut first_transmission = true;
-        loop {
-            let sent = Instant::now();
-            if sent >= overall {
-                self.stats.failures += 1;
-                return Err(ClientError::TimedOut);
-            }
-            self.send_msg(msg)?;
-            // A fresh hint is not a retry: follow redirects at once. A long
-            // streak of them, though, means the replicas disagree about the
-            // leader — stop following and listen this attempt out instead of
-            // ping-ponging at link speed.
-            let follow = redirect_streak < MAX_REDIRECT_STREAK;
-            let attempt_deadline = (sent + self.rto(class)).min(overall);
-            match self.await_reply(seq, attempt_deadline, follow)? {
-                Some(ReplyOutcome::Redirected) => {
-                    redirect_streak += 1;
-                    first_transmission = false;
-                    continue;
-                }
-                // A reply of the other kind under this seq cannot happen
-                // (writes and reads draw from one seq space); it would be
-                // resent like silence.
-                Some(outcome) if matches!(outcome, ReplyOutcome::Value { .. }) == wants_value => {
-                    if first_transmission {
-                        self.sample_rtt(class, sent.elapsed());
-                    }
-                    self.stats.acked += 1;
-                    return Ok(outcome);
-                }
-                Some(_) | None => {}
-            }
-            if Instant::now() >= overall {
-                self.stats.failures += 1;
-                return Err(ClientError::TimedOut);
-            }
-            // Silence: resend at once to another replica. The back-off is
-            // how long the next attempt listens, so a late reply to this one
-            // is consumed, not slept through.
-            redirect_streak = 0;
-            first_transmission = false;
-            self.on_silence(class);
-        }
-    }
-
-    /// Sends one already-built service message to the current hint.
-    fn send_msg(&mut self, msg: &SvcMsg) -> Result<(), ClientError> {
+    /// Sends one request to the hint.
+    fn send(&mut self, msg: &SvcMsg) -> Result<(), ClientError> {
         self.scratch.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        msg.encode(&mut scratch);
-        let result = self.transport.send(self.id, self.hint, &scratch);
-        self.scratch = scratch;
-        match result {
-            Ok(()) => Ok(()),
-            // Routing/IO failures to one replica are that replica's
-            // problem; the retry loop rotates away from it.
+        msg.encode(&mut self.scratch);
+        match self.transport.send(self.id, self.hint, &self.scratch) {
             Err(irs_net::NetError::Closed) => Err(ClientError::Closed),
-            Err(_) => Ok(()),
+            // Routing/IO failures to one replica are that replica's
+            // problem; the silence clock rotates away from it.
+            _ => Ok(()),
         }
     }
 
-    /// Waits for a reply to `seq` until `deadline`. `Ok(None)` on silence.
-    /// With `follow_redirects` off, a redirect still moves the hint but does
-    /// not end the wait.
-    fn await_reply(
-        &mut self,
-        seq: u64,
-        deadline: Instant,
-        follow_redirects: bool,
-    ) -> Result<Option<ReplyOutcome>, ClientError> {
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            let frame = match self.transport.recv(remaining) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return Ok(None),
-                Err(_) => return Err(ClientError::Closed),
-            };
-            match self.digest_frame(&frame) {
-                Some((_, ReplyOutcome::Redirected)) if !follow_redirects => continue,
-                Some((got, outcome)) if got == seq => {
-                    self.answered_by = Some(frame.from);
-                    return Ok(Some(outcome));
-                }
-                _ => continue, // stale or foreign; keep waiting
-            }
-        }
+    /// Rotates the leader hint to a seeded pseudo-random replica other
+    /// than the current one (after silence, and after a useless redirect —
+    /// resending to the same confused replica wastes a trip).
+    fn rotate_hint(&mut self) {
+        let next = self.rng.index(self.n);
+        self.hint = if ProcessId::new(next as u32) == self.hint {
+            ProcessId::new(((next + 1) % self.n) as u32)
+        } else {
+            ProcessId::new(next as u32)
+        };
     }
 
-    /// Allocates the next sequence number (the open-loop path builds its
-    /// own [`KvWrite`]s so it can resend them on redirects).
-    pub(crate) fn alloc_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Sends one write without waiting for the reply (the open-loop path).
-    pub(crate) fn send_write(&mut self, w: &KvWrite) -> Result<(), ClientError> {
-        self.send_msg(&SvcMsg::Request { cmd: w.encode() })
-    }
-
-    /// Receives at most one reply event within `timeout` (the open-loop
-    /// path). Redirect events update the hint; the caller decides whether
-    /// to resend.
-    pub(crate) fn poll_event(
-        &mut self,
-        timeout: StdDuration,
-    ) -> Result<Option<(u64, ReplyOutcome)>, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let frame = match self.transport.recv(remaining) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return Ok(None),
-                Err(_) => return Err(ClientError::Closed),
-            };
-            if let Some(event) = self.digest_frame(&frame) {
-                return Ok(Some(event));
-            }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Interprets one received frame: the matched sequence number plus what
-    /// the reply meant. Redirects update the leader hint as a side effect.
-    fn digest_frame(&mut self, frame: &irs_net::Frame) -> Option<(u64, ReplyOutcome)> {
-        if frame.to != self.id {
-            return None;
-        }
-        let msg = decode_payload::<SvcMsg>(&frame.payload).ok()?;
-        match msg {
-            SvcMsg::Reply(SvcReply::Applied { client, seq, slot })
-                if client == self.client_id() =>
-            {
-                Some((seq, ReplyOutcome::Applied { slot }))
-            }
-            SvcMsg::Reply(SvcReply::Redirect {
+    /// Handles one received frame at `now`: a redirect moves the hint (and
+    /// the outstanding requests with it), an answer to an outstanding
+    /// request ends it. Anything else is ignored.
+    fn on_frame(&mut self, frame: &Frame, now: StdDuration) -> Result<Option<Answer>, ClientError> {
+        let reply = match decode_payload::<SvcMsg>(&frame.payload) {
+            Ok(SvcMsg::Reply(reply)) if frame.to == self.id => reply,
+            _ => return Ok(None),
+        };
+        let me = self.client_id();
+        match reply {
+            SvcReply::Redirect {
                 client,
                 seq,
                 leader,
-            }) if client == self.client_id() => {
+            } if client == me => {
                 self.stats.redirects += 1;
                 if leader == frame.from || leader.index() >= self.n {
                     // A replica redirecting to itself (or nowhere useful)
@@ -556,38 +665,66 @@ impl<T: Transport> SvcClient<T> {
                 } else {
                     self.hint = leader;
                 }
-                Some((seq, ReplyOutcome::Redirected))
+                // Past the streak's cap the requests stay where they are and
+                // the silence clock runs on.
+                let ours = self.position(seq, |_| true).is_some();
+                if ours && self.hint != self.sent_to && self.redirect_streak < MAX_REDIRECT_STREAK {
+                    self.redirect_streak += 1;
+                    self.move_all(now)?;
+                }
+                Ok(None)
             }
-            SvcMsg::Reply(SvcReply::Value {
-                client,
-                rid,
-                value,
-                frontier,
-            }) if client == self.client_id() => {
-                Some((rid, ReplyOutcome::Value { value, frontier }))
+            SvcReply::Applied { client, seq, .. }
+            | SvcReply::Value {
+                client, rid: seq, ..
+            } if client == me => {
+                // A reply of the other kind under this seq cannot happen
+                // (writes and reads draw from one seq space); it is ignored
+                // like silence.
+                let is_read = matches!(reply, SvcReply::Value { .. });
+                let fits = |p: &Pending| (p.class != WRITE_CLASS) == is_read;
+                let at = self.position(seq, fits);
+                let Some(done) = at.and_then(|at| self.outstanding.remove(at)) else {
+                    return Ok(None);
+                };
+                if done.first_transmission {
+                    let clock = &mut self.clocks[done.class];
+                    clock.sample(now.saturating_sub(done.started));
+                    self.stats.srtt_us = clock.srtt.unwrap_or_default().as_micros() as u64;
+                    self.stats.rto_us = clock.rto().as_micros() as u64;
+                }
+                self.stats.acked += 1;
+                self.redirect_streak = 0;
+                self.quiet_since = now;
+                let started = done.started;
+                Ok(Some(Answer { reply, started }))
             }
-            _ => None,
+            _ => Ok(None),
         }
     }
-}
 
-/// What a reply meant for the outstanding request.
-#[derive(Clone, Debug)]
-pub(crate) enum ReplyOutcome {
-    /// Acked: decided and applied at the answering replica.
-    Applied {
-        /// The log slot.
-        slot: u64,
-    },
-    /// The hint changed; resend to the new hint.
-    Redirected,
-    /// A read answered with the key's binding and the apply frontier.
-    Value {
-        /// The binding (`None` = unbound).
-        value: Option<Vec<u8>>,
-        /// The answering replica's apply frontier.
-        frontier: u64,
-    },
+    /// Where request `seq` sits in the window, if it is outstanding and
+    /// `fits`.
+    fn position(&self, seq: u64, fits: impl Fn(&Pending) -> bool) -> Option<usize> {
+        let found = self.outstanding.binary_search_by_key(&seq, |p| p.seq);
+        found.ok().filter(|&at| fits(&self.outstanding[at]))
+    }
+
+    /// The silence rule at `now`: once the oldest outstanding request's
+    /// wait has passed with nothing heard, the hinted replica is slow, dark
+    /// or dead. Counts the retry, rotates the hint (seeded), backs that
+    /// request's clock off and resends everything outstanding.
+    fn on_wake(&mut self, now: StdDuration) -> Result<(), ClientError> {
+        if self.wake_at().is_none_or(|at| now < at) {
+            return Ok(());
+        }
+        self.stats.retries += 1;
+        self.rotate_hint();
+        let jitter = self.rng.range_u64(0..1000) as f64 / 1000.0;
+        self.clocks[self.outstanding[0].class].back_off(jitter);
+        self.redirect_streak = 0;
+        self.move_all(now)
+    }
 }
 
 #[cfg(test)]
@@ -631,6 +768,14 @@ pub(crate) mod tests {
     }
 
     const MS: StdDuration = StdDuration::from_millis(1);
+
+    impl<T> SvcClient<T> {
+        /// How long a `class` request sent now may stay silent before it
+        /// is resent.
+        fn rto(&self, class: usize) -> StdDuration {
+            self.clocks[class].rto()
+        }
+    }
 
     #[test]
     fn first_sample_seeds_the_clock() {

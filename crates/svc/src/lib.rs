@@ -38,6 +38,9 @@
 //! * [`SvcClient`] is the client path: leader discovery by probing,
 //!   redirect-on-`NotLeader` (the [`SvcReply::Redirect`] protocol), and
 //!   seeded retry/backoff so a leader crash mid-request heals by itself.
+//!   One request window holds that rule, on time passed in, for the
+//!   blocking calls, the open loop and a non-blocking surface that a
+//!   caller on a manual clock drives.
 //! * [`loadgen`] is the load harness: closed-loop and open-loop clients
 //!   with log2-bucket latency histograms ([`irs_sim::Histogram`]), feeding
 //!   the E12 experiment family (ops/s, p50/p99 per transport backend).
@@ -69,7 +72,7 @@ mod node;
 mod replica;
 mod store;
 
-pub use client::{ClientError, ClientStats, SvcClient};
+pub use client::{Answer, ClientError, ClientStats, SvcClient};
 pub use cluster::SvcCluster;
 pub use command::{KvOp, KvView, KvWrite};
 pub use durability::{Durability, Recovered};

@@ -4,17 +4,21 @@
 //! share.
 //!
 //! * [`closed_loop`] — every client keeps exactly one request outstanding
-//!   (classic saturation load: ops/s is limited by latency × clients). Its
-//!   `read_pct` mixes reads at one [`ReadTier`] into the writes; a run with
-//!   `read_pct = 0` writes only.
+//!   through the blocking calls (classic saturation load: ops/s is limited
+//!   by latency × clients). Its `read_pct` mixes reads at one [`ReadTier`]
+//!   into the writes; a run with `read_pct = 0` writes only.
 //! * [`open_loop`] — one client fires writes at a fixed interval regardless
 //!   of acks (arrival-rate load: latency reflects queueing, unacked
-//!   requests at the end count as failures).
+//!   requests at the end count as failures). It drives the client's
+//!   non-blocking surface and keeps no retry state: redirects, silence and
+//!   resends are the client's request window's, the one rule the blocking
+//!   calls run on too.
 //!
-//! Both fill one [`LoadReport`]. A run's acked writes go to
-//! [`check_consistency`] and its observed reads to
-//! [`check_read_linearizability`]; [`with_leader_crash`] crash-stops the
-//! leader in the middle of either.
+//! Both fill one [`LoadReport`]. A client's acked writes and observed reads
+//! are recorded in one [`History`], whose halves go to
+//! [`check_consistency`] and [`check_read_linearizability`];
+//! [`with_leader_crash`] crash-stops the leader in the middle of either
+//! loop.
 //!
 //! Latencies are recorded in microseconds into [`irs_obs::Histogram`] —
 //! the same log2-bucket type the metrics registry scrapes, so load-test
@@ -22,8 +26,7 @@
 //! (log2 buckets, so p50/p99 reads are factor-of-two accurate at O(1)
 //! memory per client).
 
-use crate::client::{ClientError, ReplyOutcome, SvcClient, MAX_REDIRECT_STREAK, WRITE_CLASS};
-use crate::command::{KvOp, KvWrite};
+use crate::client::{ClientError, SvcClient};
 use crate::msg::ReadTier;
 use crate::replica::SvcReplica;
 use irs_net::Transport;
@@ -149,6 +152,67 @@ pub struct ClientReads {
     pub reads: Vec<ObservedRead>,
 }
 
+/// One client's history as the checkers read it: its acked writes, and
+/// its answered reads with the floor and ceiling each read must respect.
+/// A load loop that keeps one request outstanding records each write when it
+/// issues it and when it is acked, and each read when it is answered; the
+/// read's bounds are the writes recorded before it.
+#[derive(Clone, Debug, Default)]
+pub struct History {
+    /// Acked writes, for [`check_consistency`].
+    pub acks: ClientAcks,
+    /// Answered reads, for [`check_read_linearizability`].
+    pub reads: ClientReads,
+    /// Per key: largest acked write seq.
+    acked_floor: BTreeMap<Vec<u8>, u64>,
+    /// Per key: largest issued write seq.
+    issued_ceiling: BTreeMap<Vec<u8>, u64>,
+}
+
+impl History {
+    /// An empty history of logical client `client`, whose reads run at
+    /// `tier`.
+    pub fn new(client: u64, tier: ReadTier) -> Self {
+        History {
+            acks: ClientAcks {
+                client,
+                acked: Vec::new(),
+            },
+            reads: ClientReads {
+                client,
+                tier: Some(tier),
+                reads: Vec::new(),
+            },
+            ..History::default()
+        }
+    }
+
+    /// Write `seq` on `key` was issued: it may land whether or not it is
+    /// acked, so later reads may see it.
+    pub fn issue(&mut self, key: &[u8], seq: u64) {
+        self.issued_ceiling.insert(key.to_vec(), seq);
+    }
+
+    /// Write `seq` on `key` was acked in log slot `slot`: later
+    /// linearizable reads must see it.
+    pub fn ack(&mut self, key: Vec<u8>, seq: u64, slot: u64) {
+        self.acked_floor.insert(key.clone(), seq);
+        self.acks.acked.push(AckedWrite { seq, key, slot });
+    }
+
+    /// A read of `key` was answered with `value` (`None` = unbound) at the
+    /// answering replica's apply frontier `frontier`.
+    pub fn read(&mut self, key: Vec<u8>, value: Option<&[u8]>, frontier: u64) {
+        self.reads.reads.push(ObservedRead {
+            value_seq: value.and_then(seq_of_value),
+            frontier,
+            acked_floor: self.acked_floor.get(&key).copied(),
+            issued_ceiling: self.issued_ceiling.get(&key).copied(),
+            key,
+        });
+    }
+}
+
 /// Tuning of a closed-loop run.
 #[derive(Clone, Copy, Debug)]
 pub struct ClosedLoopOptions {
@@ -222,10 +286,10 @@ pub fn closed_loop<T: Transport>(
         ..LoadReport::default()
     };
     let (mut all_acks, mut all_reads) = (Vec::new(), Vec::new());
-    for (report, acks, reads) in per_client {
+    for (report, history) in per_client {
         merged.merge(&report);
-        all_acks.push(acks);
-        all_reads.push(reads);
+        all_acks.push(history.acks);
+        all_reads.push(history.reads);
     }
     (merged, all_acks, all_reads)
 }
@@ -234,25 +298,14 @@ pub fn closed_loop<T: Transport>(
 fn closed_loop_client<T: Transport>(
     client: &mut SvcClient<T>,
     opts: ClosedLoopOptions,
-) -> (LoadReport, ClientAcks, ClientReads) {
+) -> (LoadReport, History) {
     let stats_before = client.stats;
     let mut report = LoadReport::default();
-    let mut acks = ClientAcks {
-        client: client.client_id(),
-        acked: Vec::new(),
-    };
-    let mut reads = ClientReads {
-        client: client.client_id(),
-        tier: Some(opts.tier),
-        reads: Vec::new(),
-    };
-    // Per key: largest acked and largest issued write seq.
-    let mut acked_floor: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    let mut issued_ceiling: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let mut history = History::new(client.client_id(), opts.tier);
     let deadline = Instant::now() + opts.duration;
     let mut op = 0u64;
     while Instant::now() < deadline {
-        let key = key_for(acks.client, op % opts.keys_per_client);
+        let key = key_for(history.acks.client, op % opts.keys_per_client);
         // Op i is a read iff its residue falls inside the read share: each
         // 100-op window opens with its `read_pct` reads.
         let is_read = (op % 100) < u64::from(opts.read_pct.min(100));
@@ -265,13 +318,7 @@ fn closed_loop_client<T: Transport>(
                         .read_latency
                         .record(op_started.elapsed().as_micros() as u64);
                     report.reads += 1;
-                    reads.reads.push(ObservedRead {
-                        value_seq: value.as_deref().and_then(seq_of_value),
-                        frontier,
-                        acked_floor: acked_floor.get(&key).copied(),
-                        issued_ceiling: issued_ceiling.get(&key).copied(),
-                        key,
-                    });
+                    history.read(key, value.as_deref(), frontier);
                 }
                 Err(ClientError::Closed) => break,
                 Err(ClientError::TimedOut) => report.read_failures += 1,
@@ -279,15 +326,14 @@ fn closed_loop_client<T: Transport>(
         } else {
             let seq = client.next_seq();
             let value = value_for(seq, opts.value_len);
-            issued_ceiling.insert(key.clone(), seq);
+            history.issue(&key, seq);
             match client.put(&key, &value, opts.op_deadline) {
                 Ok(slot) => {
                     report
                         .latency
                         .record(op_started.elapsed().as_micros() as u64);
                     report.ops += 1;
-                    acked_floor.insert(key.clone(), seq);
-                    acks.acked.push(AckedWrite { seq, key, slot });
+                    history.ack(key, seq, slot);
                 }
                 Err(ClientError::Closed) => break,
                 Err(ClientError::TimedOut) => report.failures += 1,
@@ -299,7 +345,7 @@ fn closed_loop_client<T: Transport>(
     report.retries = stats.retries - stats_before.retries;
     report.srtt_us = stats.srtt_us;
     report.rto_us = stats.rto_us;
-    (report, acks, reads)
+    (report, history)
 }
 
 /// Tuning of an open-loop run.
@@ -329,148 +375,56 @@ impl Default for OpenLoopOptions {
     }
 }
 
-/// One fired, not yet acked open-loop write.
-struct InFlight {
-    write: KvWrite,
-    fired_at: Instant,
-    /// Sent once and never redirected, so its ack times the cluster.
-    first_transmission: bool,
-}
-
-/// Resends every unacked write, oldest first, to the client's current hint.
-/// All of them, because the replicas apply one client's writes in sequence
-/// order: moving only some would let a newer write overtake an older one
-/// and strand it.
-fn resend_all<T: Transport>(
-    client: &mut SvcClient<T>,
-    pending: &mut BTreeMap<u64, InFlight>,
-) -> Result<(), ClientError> {
-    for w in pending.values_mut() {
-        w.first_transmission = false;
-        client.send_write(&w.write)?;
-    }
-    Ok(())
-}
-
-/// Runs one client open-loop: writes are fired on a fixed interval whether
-/// or not earlier ones were acked. A redirect moves the hint and the
-/// unacked writes with it. When writes are outstanding and nothing at all
-/// has come back for a full wait of the client's retransmission clock, the
-/// hinted replica is dark: the hint rotates and every unacked write is
-/// resent. After the sending phase, stragglers are collected for the drain
-/// window; anything still unacked then counts as a failure.
+/// Runs one client open-loop: a write is fired every `interval` whether
+/// or not earlier ones were acked, and the client's request window does the
+/// rest — redirects move the unacked writes, silence rotates the hint and
+/// resends them. After the sending phase, stragglers are collected for the
+/// drain window; the writes still outstanding then are abandoned and count
+/// as failures.
 pub fn open_loop<T: Transport>(client: &mut SvcClient<T>, opts: OpenLoopOptions) -> LoadReport {
     let started = Instant::now();
     let stats_before = client.stats;
-    let send_deadline = started + opts.duration;
-    let drain_deadline = send_deadline + opts.drain;
-    let mut next_fire = started;
-    let mut pending: BTreeMap<u64, InFlight> = BTreeMap::new();
-    // Since when writes have been outstanding with nothing heard.
-    let mut quiet_since: Option<Instant> = None;
-    // Hint changes followed in a row with no ack in between.
-    let mut redirect_streak = 0u32;
-    // The replica every unacked write was last sent to.
-    let mut sent_to = client.leader_hint();
+    let drain_end = opts.duration + opts.drain;
+    let mut next_fire = StdDuration::ZERO;
     let mut report = LoadReport::default();
     let mut k = 0u64;
     let client_id = client.client_id();
-
     loop {
-        let now = Instant::now();
-        let sending = now < send_deadline;
-        if !sending && (pending.is_empty() || now >= drain_deadline) {
+        let now = started.elapsed();
+        let Ok(answered) = client.poll(now) else {
+            break;
+        };
+        if let Some(answer) = answered {
+            report.ops += 1;
+            let latency = now.saturating_sub(answer.started);
+            report.latency.record(latency.as_micros() as u64);
+            continue;
+        }
+        let sending = now < opts.duration;
+        if !sending && (client.outstanding() == 0 || now >= drain_end) {
             break;
         }
         if sending && now >= next_fire {
-            // A write never overtakes an older one: whatever moved the hint
-            // since those went out, they go first.
-            if sent_to != client.leader_hint() {
-                sent_to = client.leader_hint();
-                if resend_all(client, &mut pending).is_err() {
-                    break;
-                }
-            }
-            let seq = client.alloc_seq();
-            let write = KvWrite {
-                client: client_id,
-                seq,
-                op: KvOp::Put {
-                    key: key_for(client_id, k % opts.keys),
-                    value: value_for(seq, opts.value_len),
-                },
-            };
+            let key = key_for(client_id, k % opts.keys);
+            let value = value_for(client.next_seq(), opts.value_len);
             k += 1;
-            if client.send_write(&write).is_err() {
+            if client.start_put(&key, &value, now).is_err() {
                 break;
             }
-            let fired_at = Instant::now();
-            quiet_since.get_or_insert(fired_at);
-            pending.insert(
-                seq,
-                InFlight {
-                    write,
-                    fired_at,
-                    first_transmission: true,
-                },
-            );
             next_fire += opts.interval;
             continue;
         }
-        let mut wake = if sending {
-            next_fire.min(send_deadline)
+        let until = if sending {
+            next_fire.min(opts.duration)
         } else {
-            drain_deadline
+            drain_end
         };
-        if let Some(since) = quiet_since {
-            let wait = client.rto(WRITE_CLASS);
-            if now >= since + wait {
-                client.on_silence(WRITE_CLASS);
-                sent_to = client.leader_hint();
-                if resend_all(client, &mut pending).is_err() {
-                    break;
-                }
-                redirect_streak = 0;
-                quiet_since = Some(Instant::now());
-                continue;
-            }
-            wake = wake.min(since + wait);
+        let until = client.wake_at().map_or(until, |at| at.min(until));
+        if client.wait(until.saturating_sub(now)).is_err() {
+            break;
         }
-        match client.poll_event(wake.saturating_duration_since(now)) {
-            Ok(Some((seq, ReplyOutcome::Applied { .. }))) => {
-                redirect_streak = 0;
-                if let Some(w) = pending.remove(&seq) {
-                    if w.first_transmission {
-                        client.sample_rtt(WRITE_CLASS, w.fired_at.elapsed());
-                    }
-                    report.ops += 1;
-                    report
-                        .latency
-                        .record(w.fired_at.elapsed().as_micros() as u64);
-                }
-            }
-            // Like a blocking call, follow only so many hint changes in a
-            // row: replicas that point at each other mid-election would be
-            // chased at link speed. Past the cap the writes stay where they
-            // are and the silence clock keeps running.
-            Ok(Some((_, ReplyOutcome::Redirected))) if redirect_streak >= MAX_REDIRECT_STREAK => {
-                continue;
-            }
-            Ok(Some((_, ReplyOutcome::Redirected))) => {
-                if sent_to != client.leader_hint() {
-                    sent_to = client.leader_hint();
-                    redirect_streak += 1;
-                    if resend_all(client, &mut pending).is_err() {
-                        break;
-                    }
-                }
-            }
-            Ok(Some((_, ReplyOutcome::Value { .. }))) | Ok(None) => continue,
-            Err(_) => break,
-        }
-        quiet_since = (!pending.is_empty()).then(Instant::now);
     }
-    report.failures = pending.len() as u64;
+    report.failures = client.abandon();
     report.redirects = client.stats.redirects - stats_before.redirects;
     report.retries = client.stats.retries - stats_before.retries;
     report.srtt_us = client.stats.srtt_us;

@@ -10,16 +10,16 @@
 //! the encode of what they send, the loop's own staging and dispatch —
 //! except inside the link's own `send` and `recv`, around which a
 //! test-local decorator pauses the count: the mesh's channel items and
-//! frames are the link's, not the loop's. The client's request and its
-//! reading of the reply are not counted either. This file is a crate of its
-//! own, so the counting allocator's `unsafe` stays out of the library
-//! crates, which forbid it.
+//! frames are the link's, not the loop's. The client is the real
+//! `SvcClient`, driven through its non-blocking surface at the stepper's
+//! virtual time; its request and its handling of the reply are not counted
+//! either. This file is a crate of its own, so the counting allocator's
+//! `unsafe` stays out of the library crates, which forbid it.
 
-use irs_net::wire::decode_payload;
-use irs_net::{Frame, MemNetwork, MemTransport, NetError, Transport, Wire};
+use irs_net::{Frame, MemNetwork, MemTransport, NetError, Transport};
 use irs_runtime::Stepper;
 use irs_svc::loadgen::{key_for, value_for};
-use irs_svc::{KvOp, KvWrite, SvcConfig, SvcMsg, SvcReplica, SvcReply};
+use irs_svc::{SvcClient, SvcConfig, SvcReplica, SvcReply};
 use irs_types::{ProcessId, Protocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -122,11 +122,12 @@ fn pid(i: usize) -> ProcessId {
     ProcessId::new(i as u32)
 }
 
-/// The replicas on the stepper, the client's endpoint, and the
-/// allocations counted so far.
+/// The replicas on the stepper, the client on the mesh's second endpoint,
+/// the length of a tick, and the allocations counted so far.
 struct Group {
     stepper: Stepper<SvcReplica, Uncounted>,
-    client: MemTransport,
+    client: SvcClient<MemTransport>,
+    tick: Duration,
     allocations: u64,
 }
 
@@ -136,46 +137,33 @@ impl Group {
         let mut owner = vec![0; N];
         owner.push(1);
         let mut endpoints = MemNetwork::grouped(&owner);
-        let client = endpoints.pop().expect("the client's endpoint");
+        let client = SvcClient::new(pid(CLIENT), N, endpoints.pop().expect("the client's"), 1);
         let replicas = endpoints.pop().expect("the replicas' endpoint");
         let processes = (0..N).map(|i| config.replica(pid(i))).collect();
         Group {
             stepper: Stepper::new(processes, Uncounted(replicas), config.accept()),
             client,
+            tick: config.tick,
             allocations: 0,
         }
     }
 
-    /// One put from the client to replica 0 (the leader from the start),
-    /// turned to quiet with the turns counted. Returns its slot.
-    fn put(&mut self, seq: u64) -> u64 {
-        let write = KvWrite {
-            client: CLIENT as u64,
-            seq,
-            op: KvOp::Put {
-                key: key_for(CLIENT as u64, seq % KEYS),
-                value: value_for(seq, VALUE_LEN),
-            },
-        };
-        let mut request = Vec::new();
-        SvcMsg::Request {
-            cmd: write.encode(),
-        }
-        .encode(&mut request);
-        let sent = self.client.send(pid(CLIENT), pid(0), &request);
-        sent.expect("in-memory send");
+    /// One put from the client to replica 0 (its first hint, and the leader
+    /// from the start), turned to quiet with the turns counted. Returns its
+    /// slot.
+    fn put(&mut self) -> u64 {
+        let now = self.tick * self.stepper.clock().now() as u32;
+        let seq = self.client.next_seq();
+        let key = key_for(self.client.client_id(), seq % KEYS);
+        let started = self.client.start_put(&key, &value_for(seq, VALUE_LEN), now);
+        assert_eq!(started, Ok(seq), "in-memory send");
         let stepper = &mut self.stepper;
         counted(&mut self.allocations, || while stepper.turn() > 0 {});
-        let mut replies = Vec::new();
-        while let Some(frame) = self.client.recv(Duration::ZERO).expect("in-memory recv") {
-            if let Ok(SvcMsg::Reply(reply)) = decode_payload(&frame.payload) {
-                replies.push(reply);
-            }
-        }
-        match replies.as_slice() {
-            [SvcReply::Applied {
+        let answer = self.client.poll(now).expect("in-memory recv");
+        match answer.map(|a| a.reply) {
+            Some(SvcReply::Applied {
                 seq: acked, slot, ..
-            }] if *acked == seq => *slot,
+            }) if acked == seq => slot,
             other => panic!("put {seq} was answered with {other:?}"),
         }
     }
@@ -184,17 +172,22 @@ impl Group {
 #[test]
 fn a_steady_state_put_stays_within_its_allocation_budget() {
     let mut group = Group::new();
-    for seq in 1..=WARMUP {
-        group.put(seq);
+    for _ in 0..WARMUP {
+        group.put();
     }
     group.allocations = 0;
-    let mut slot = group.put(WARMUP + 1);
-    for seq in WARMUP + 2..=WARMUP + MEASURED {
-        let next = group.put(seq);
+    let mut slot = group.put();
+    for _ in 1..MEASURED {
+        let next = group.put();
         assert_eq!(next, slot + 1, "one slot per put, in order");
         slot = next;
     }
     let per_put = group.allocations as f64 / MEASURED as f64;
+    let stats = group.client.stats;
+    assert_eq!(
+        (stats.acked, stats.retries, stats.redirects),
+        (WARMUP + MEASURED, 0, 0)
+    );
     // The host's stop: the last decision's held announcement goes out, and
     // every replica ends holding every write.
     let replicas = group.stepper.finish();

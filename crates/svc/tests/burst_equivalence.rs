@@ -29,13 +29,12 @@ use irs_net::{Frame, MemNetwork, MemTransport, NetError, Transport, Wire};
 use irs_obs::names;
 use irs_runtime::Stepper;
 use irs_svc::loadgen::{
-    check_consistency, check_read_linearizability, key_for, seq_of_value, value_for, AckedWrite,
-    ClientAcks, ClientReads, ObservedRead,
+    check_consistency, check_read_linearizability, key_for, value_for, ClientAcks, ClientReads,
+    History,
 };
 use irs_svc::{KvOp, KvWrite, ReadTier, SvcConfig, SvcMsg, SvcReplica, SvcReply};
 use irs_types::{LeaderOracle, ProcessId, Protocol};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 const N: usize = 5;
@@ -67,10 +66,7 @@ struct Client {
     seq: u64,
     rid: u64,
     outstanding: Option<Outstanding>,
-    acks: ClientAcks,
-    reads: ClientReads,
-    acked_floor: BTreeMap<Vec<u8>, u64>,
-    issued_ceiling: BTreeMap<Vec<u8>, u64>,
+    history: History,
     /// Replies that answered nothing outstanding (a second ack of a write).
     stray_replies: u64,
 }
@@ -85,17 +81,7 @@ impl Client {
             seq: 0,
             rid: 0,
             outstanding: None,
-            acks: ClientAcks {
-                client: id,
-                acked: Vec::new(),
-            },
-            reads: ClientReads {
-                client: id,
-                tier: Some(tier),
-                reads: Vec::new(),
-            },
-            acked_floor: BTreeMap::new(),
-            issued_ceiling: BTreeMap::new(),
+            history: History::new(id, tier),
             stray_replies: 0,
         }
     }
@@ -116,7 +102,7 @@ impl Client {
         self.next_op += 1;
         if is_read {
             self.rid += 1;
-            let tier = self.reads.tier.expect("tier set at construction");
+            let tier = self.history.reads.tier.expect("tier set at construction");
             let to = if tier == ReadTier::Stale {
                 pid(self.id % N as u64)
             } else {
@@ -135,7 +121,7 @@ impl Client {
             return Some((to, read));
         }
         self.seq += 1;
-        self.issued_ceiling.insert(key.clone(), self.seq);
+        self.history.issue(&key, self.seq);
         self.outstanding = Some(Outstanding::Write {
             seq: self.seq,
             key: key.clone(),
@@ -161,12 +147,7 @@ impl Client {
             (SvcReply::Applied { seq, slot, .. }, Some(Outstanding::Write { seq: want, key }))
                 if *seq == want =>
             {
-                self.acked_floor.insert(key.clone(), want);
-                self.acks.acked.push(AckedWrite {
-                    seq: want,
-                    key,
-                    slot: *slot,
-                });
+                self.history.ack(key, want, *slot);
             }
             (
                 SvcReply::Value {
@@ -177,13 +158,7 @@ impl Client {
                 },
                 Some(Outstanding::Read { rid: want, key }),
             ) if *rid == want => {
-                self.reads.reads.push(ObservedRead {
-                    value_seq: value.as_deref().and_then(seq_of_value),
-                    frontier: *frontier,
-                    acked_floor: self.acked_floor.get(&key).copied(),
-                    issued_ceiling: self.issued_ceiling.get(&key).copied(),
-                    key,
-                });
+                self.history.read(key, value.as_deref(), *frontier);
             }
             (_, still_waiting) => {
                 self.stray_replies += 1;
@@ -337,11 +312,11 @@ fn verdict(replicas: &[SvcReplica], clients: &[Client]) -> Result<(), String> {
         if c.stray_replies != 0 {
             return Err(format!("client {} was answered twice", c.id));
         }
-        if c.acks.acked.len() as u64 != c.seq {
+        if c.history.acks.acked.len() as u64 != c.seq {
             return Err(format!("client {}: a write was never acked", c.id));
         }
         let reads = c.script.iter().filter(|&&is_read| is_read).count();
-        if c.reads.reads.len() != reads {
+        if c.history.reads.reads.len() != reads {
             return Err(format!("client {}: a read was never answered", c.id));
         }
     }
@@ -358,9 +333,9 @@ fn verdict(replicas: &[SvcReplica], clients: &[Client]) -> Result<(), String> {
         }
     }
     let refs: Vec<&SvcReplica> = replicas.iter().collect();
-    let acks: Vec<ClientAcks> = clients.iter().map(|c| c.acks.clone()).collect();
+    let acks: Vec<ClientAcks> = clients.iter().map(|c| c.history.acks.clone()).collect();
     check_consistency(&refs, &acks)?;
-    let reads: Vec<ClientReads> = clients.iter().map(|c| c.reads.clone()).collect();
+    let reads: Vec<ClientReads> = clients.iter().map(|c| c.history.reads.clone()).collect();
     check_read_linearizability(&reads)
 }
 

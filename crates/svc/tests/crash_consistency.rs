@@ -9,9 +9,9 @@
 use irs_net::LinkModel;
 use irs_svc::loadgen::{
     await_survivor_convergence, check_consistency, closed_loop, key_for, open_loop, value_for,
-    with_leader_crash, AckedWrite, ClientAcks, ClosedLoopOptions, OpenLoopOptions,
+    with_leader_crash, ClosedLoopOptions, History, OpenLoopOptions,
 };
-use irs_svc::{SvcCluster, SvcConfig, SvcReplica};
+use irs_svc::{ReadTier, SvcCluster, SvcConfig, SvcReplica};
 use irs_types::Protocol;
 use std::time::{Duration, Instant};
 
@@ -130,18 +130,15 @@ fn leader_crash_mid_batch_keeps_survivors_identical_under_compaction() {
 fn put_across_a_leader_crash() -> Duration {
     let (cluster, mut clients) = SvcCluster::in_memory(N, 1, SvcConfig::new(N, 1));
     let client = &mut clients[0];
-    let mut acks = ClientAcks {
-        client: client.client_id(),
-        acked: Vec::new(),
-    };
+    let mut history = History::new(client.client_id(), ReadTier::Lease);
     let mut put = |client: &mut irs_svc::SvcClient<_>| {
         let seq = client.next_seq();
-        let key = key_for(acks.client, seq % 8);
+        let key = key_for(client.client_id(), seq % 8);
         let started = Instant::now();
         let slot = client
             .put(&key, &value_for(seq, 16), Duration::from_secs(8))
             .expect("put acked");
-        acks.acked.push(AckedWrite { seq, key, slot });
+        history.ack(key, seq, slot);
         started.elapsed()
     };
     for _ in 0..48 {
@@ -174,7 +171,7 @@ fn put_across_a_leader_crash() -> Duration {
     );
     let finals = cluster.shutdown();
     let surviving: Vec<&SvcReplica> = finals.iter().filter(|r| r.id() != leader).collect();
-    if let Err(violation) = check_consistency(&surviving, &[acks]) {
+    if let Err(violation) = check_consistency(&surviving, &[history.acks]) {
         panic!("consistency violated after leader crash: {violation}");
     }
     outage
@@ -196,80 +193,6 @@ fn a_warmed_client_rides_out_a_leader_crash_within_40_ms() {
         .take_while(|&outage| outage >= bound)
         .collect();
     assert!(outages.len() < 2, "two crashes, two slow puts: {outages:?}");
-}
-
-/// The leader acks from the handler that counts the quorum and holds the
-/// announcement for its next `Accept` or its next timer turn. Crash it in
-/// between: no survivor has been told, but a quorum of them accepted the
-/// batch, so the next reign's prepare finds it in a counted report and
-/// decides it again (and were there no next reign, a survivor would finish
-/// the slot itself) — the survivors end up holding the acked write with no
-/// client traffic to prompt them. Ticks of 2 ms put the flush (Ω's send
-/// period) up to 20 ms behind the ack, while the crash lands microseconds
-/// after it; of three runs at least one must have caught every survivor
-/// still a slot behind, or the scenario was not the one tested.
-#[test]
-fn a_leader_crashed_between_the_ack_and_any_announcement_loses_nothing() {
-    const WRITES: u64 = 8;
-    let mut caught_behind = 0;
-    for _ in 0..3 {
-        let config = SvcConfig::new(N, 1).with_tick(Duration::from_millis(2));
-        let (cluster, mut clients) = SvcCluster::in_memory(N, 1, config);
-        let client = &mut clients[0];
-        let mut acks = ClientAcks {
-            client: client.client_id(),
-            acked: Vec::new(),
-        };
-        let mut put = |client: &mut irs_svc::SvcClient<_>| {
-            let seq = client.next_seq();
-            let key = key_for(acks.client, seq % 4);
-            let slot = client
-                .put(&key, &value_for(seq, 16), Duration::from_secs(20))
-                .expect("put acked");
-            acks.acked.push(AckedWrite { seq, key, slot });
-        };
-        for _ in 1..WRITES {
-            put(client);
-        }
-        let settled = Instant::now();
-        while cluster.agreed_leader().is_none() {
-            assert!(
-                settled.elapsed() < Duration::from_secs(10),
-                "no agreed leader"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        put(client);
-        // The replica that acked, which is not always the one the replicas
-        // agreed on a moment before: early in a run Ω can still move.
-        let leader = client.answered_by().expect("the put was answered");
-        let applied = |p: u32| {
-            cluster
-                .snapshot(irs_types::ProcessId::new(p))
-                .gauge("applied")
-        };
-        assert_eq!(applied(leader.as_u32()), Some(WRITES), "{leader} acked it");
-        cluster.crash(leader);
-        let survivors = || (0..N as u32).filter(|&p| p != leader.as_u32());
-        if survivors().all(|p| applied(p) < Some(WRITES)) {
-            caught_behind += 1;
-        }
-        let started = Instant::now();
-        while !survivors().all(|p| applied(p) == Some(WRITES)) {
-            assert!(
-                started.elapsed() < Duration::from_secs(30),
-                "survivors never re-decided the acked write: {:?}",
-                survivors().map(applied).collect::<Vec<_>>()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let finals = cluster.shutdown();
-        let surviving: Vec<&SvcReplica> = finals.iter().filter(|r| r.id() != leader).collect();
-        if let Err(violation) = check_consistency(&surviving, &[acks]) {
-            panic!("an acked write was lost with its leader: {violation}");
-        }
-    }
-    assert!(caught_behind > 0, "no crash landed before the flush");
 }
 
 /// The open loop's resend-on-silence leaves a healthy cluster alone: from a
