@@ -7,7 +7,7 @@
 //! responders (`LOSERS(sn, set)`). A process raises its counter for `k` only
 //! when at least `n − t` processes reported `k` losing for the same query
 //! index — the same quorum-aggregation idea the paper's algorithm borrows
-//! from [16]. Counters are gossiped entry-wise (max) on responses, and the
+//! from \[16\]. Counters are gossiped entry-wise (max) on responses, and the
 //! leader is the process with the smallest `(counter, id)` pair.
 //!
 //! Correctness needs the *message pattern* assumption: a correct process `p`

@@ -1,6 +1,8 @@
 //! Ballots and proposal values.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use core::ops::Range;
 use irs_types::ProcessId;
 use std::sync::Arc;
 
@@ -125,10 +127,12 @@ impl LogValue for Value {
 impl LogValue for Command {
     /// FNV-1a over the command bytes: stable across processes, so identical
     /// decisions show identical gauges in every replica's snapshot.
+    #[inline]
     fn gauge(&self) -> u64 {
         irs_types::Fnv64::digest_of(self.bytes())
     }
 
+    #[inline]
     fn estimated_size(&self) -> usize {
         4 + self.len()
     }
@@ -137,7 +141,7 @@ impl LogValue for Command {
 /// Largest command a log entry may carry, in bytes.
 ///
 /// Commands travel inside consensus messages inside wire frames; a bound far
-/// below [`irs-net`'s] datagram payload limit keeps every `Accept`/`Promise`
+/// below `irs-net`'s datagram payload limit keeps every `Accept`/`Promise`
 /// (which may carry a previously accepted command) well inside one frame.
 pub const MAX_COMMAND_LEN: usize = 1024;
 
@@ -149,8 +153,25 @@ pub const MAX_COMMAND_LEN: usize = 1024;
 /// above it (e.g. `irs-svc`'s key-value machine) defines the command
 /// encoding. Cloning is cheap (`Arc`), because the ballot machinery clones
 /// values freely.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Command(Arc<[u8]>);
+///
+/// A command is a range of a shared buffer. [`Command::new`] owns its
+/// buffer; [`Command::shared`] names a range of a buffer someone else
+/// filled — `irs-net` decodes a command received in a frame as a range of
+/// that frame's payload, so a follower takes an `Accept`'s commands without
+/// copying them. Equality, order, hashing and `Debug` look at the bytes
+/// alone, never at the buffer around them.
+///
+/// A shared command keeps its whole frame alive: at most `irs-net`'s
+/// `MAX_PAYLOAD` (60 KiB) for a command of at most [`MAX_COMMAND_LEN`]
+/// bytes. What a log retains stays bounded all the same, because the log
+/// truncates the decided slots it retains and every pending value is
+/// decided or dropped, so no frame outlives the slots that still name it.
+#[derive(Clone, Default)]
+pub struct Command {
+    buf: Arc<[u8]>,
+    start: u32,
+    len: u32,
+}
 
 impl Command {
     /// Wraps raw command bytes.
@@ -160,35 +181,109 @@ impl Command {
     /// Panics if `bytes` exceeds [`MAX_COMMAND_LEN`] — the caller encodes
     /// the command; an oversized command must be rejected at the service
     /// boundary, not truncated silently here.
+    #[inline]
     pub fn new(bytes: impl Into<Arc<[u8]>>) -> Self {
-        let bytes = bytes.into();
+        let buf: Arc<[u8]> = bytes.into();
+        let len = buf.len();
         assert!(
-            bytes.len() <= MAX_COMMAND_LEN,
-            "command of {} bytes exceeds MAX_COMMAND_LEN",
-            bytes.len()
+            len <= MAX_COMMAND_LEN,
+            "command of {len} bytes exceeds MAX_COMMAND_LEN"
         );
-        Command(bytes)
+        Command {
+            buf,
+            start: 0,
+            len: len as u32,
+        }
+    }
+
+    /// The command held in `range` of `buf`, sharing `buf` rather than
+    /// copying the bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is longer than [`MAX_COMMAND_LEN`] or does not lie
+    /// inside `buf`.
+    #[inline]
+    pub fn shared(buf: &Arc<[u8]>, range: Range<usize>) -> Self {
+        let len = range.len();
+        assert!(
+            len <= MAX_COMMAND_LEN,
+            "command of {len} bytes exceeds MAX_COMMAND_LEN"
+        );
+        assert!(
+            buf.get(range.clone()).is_some(),
+            "command range {range:?} outside a buffer of {} bytes",
+            buf.len()
+        );
+        let start = u32::try_from(range.start).expect("a command starts below 4 GiB");
+        Command {
+            buf: Arc::clone(buf),
+            start,
+            len: len as u32,
+        }
     }
 
     /// The command bytes.
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
-        &self.0
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
     }
 
     /// Length of the command in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len as usize
     }
 
     /// Returns `true` for the empty command.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
+    }
+}
+
+impl PartialEq for Command {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Command {}
+
+impl PartialOrd for Command {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Command {
+    #[inline]
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+impl Hash for Command {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for Command {
+    #[inline]
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Command").field(&self.bytes()).finish()
     }
 }
 
 impl fmt::Display for Command {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cmd[{}B]", self.0.len())
+        write!(f, "cmd[{}B]", self.len)
     }
 }
 
@@ -380,6 +475,56 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
         assert!(Command::default().is_empty());
+    }
+
+    /// A command naming a range of a shared buffer is that range's bytes:
+    /// it compares, orders, hashes and prints like an owned copy of them,
+    /// and it keeps the buffer alive exactly as long as it lives.
+    #[test]
+    fn a_shared_command_is_its_range_and_holds_its_buffer() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash(c: &Command) -> u64 {
+            let mut h = DefaultHasher::new();
+            c.hash(&mut h);
+            h.finish()
+        }
+        let buf: Arc<[u8]> = vec![9u8, 1, 2, 3, 9].into();
+        let shared = Command::shared(&buf, 1..4);
+        let owned = Command::new(vec![1u8, 2, 3]);
+        assert_eq!(shared.bytes(), &[1, 2, 3]);
+        assert_eq!((shared.len(), shared.is_empty()), (3, false));
+        assert_eq!(shared, owned);
+        assert_eq!(shared.cmp(&owned), core::cmp::Ordering::Equal);
+        assert!(shared < Command::new(vec![1u8, 2, 4]));
+        assert_eq!(hash(&shared), hash(&owned));
+        // The derived impls over `Arc<[u8]>` hashed and printed the bytes.
+        let arc: Arc<[u8]> = vec![1u8, 2, 3].into();
+        assert_eq!(hash(&shared), {
+            let mut h = DefaultHasher::new();
+            arc.hash(&mut h);
+            h.finish()
+        });
+        assert_eq!(format!("{shared:?}"), "Command([1, 2, 3])");
+        assert_eq!(shared.to_string(), "cmd[3B]");
+        assert_eq!(shared.gauge(), owned.gauge());
+        assert!(Command::shared(&buf, 5..5).is_empty());
+        assert_eq!(Arc::strong_count(&buf), 2);
+        drop(shared);
+        assert_eq!(Arc::strong_count(&buf), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a buffer")]
+    fn a_shared_range_must_lie_inside_its_buffer() {
+        let buf: Arc<[u8]> = vec![0u8; 4].into();
+        let _ = Command::shared(&buf, 2..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_COMMAND_LEN")]
+    fn oversized_shared_commands_are_rejected() {
+        let buf: Arc<[u8]> = vec![0u8; MAX_COMMAND_LEN + 2].into();
+        let _ = Command::shared(&buf, 1..MAX_COMMAND_LEN + 2);
     }
 
     #[test]

@@ -313,9 +313,9 @@ where
     /// frontier, and restored acceptances keep every released vote binding.
     ///
     /// Recovery is deterministic: the same inputs (same on-disk bytes)
-    /// always produce the same log state. Call [`set_durable`]
-    /// (ReplicatedLog::set_durable) *after* this, so replaying old
-    /// decisions does not re-record them.
+    /// always produce the same log state. Call
+    /// [`set_durable`](ReplicatedLog::set_durable) *after* this, so
+    /// replaying old decisions does not re-record them.
     pub fn recover(
         id: ProcessId,
         cfg: ConsensusConfig,

@@ -20,7 +20,7 @@ pub const CATCHUP_BATCH: u64 = 16;
 pub const CATCHUP_BYTES: usize = 64 * 1024;
 
 /// Payload bytes per snapshot chunk — comfortably inside one wire frame
-/// ([`irs-net`]'s payload cap is 60 KiB) with headers to spare.
+/// (`irs-net`'s payload cap is 60 KiB) with headers to spare.
 pub const SNAPSHOT_CHUNK_LEN: usize = 32 * 1024;
 
 /// How many chunk requests a pulling replica keeps in flight, and how many

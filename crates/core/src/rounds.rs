@@ -253,7 +253,7 @@ impl RoundBook {
     ///
     /// * the round's cache way is resolved once per message, not per suspect;
     /// * votes land four at a time: each 4-bit nibble of the suspect set is
-    ///   spread through [`NIBBLE_LUT`] and added onto a packed lane word;
+    ///   spread through `NIBBLE_LUT` and added onto a packed lane word;
     /// * the same adds piggyback a SWAR "did a lane just reach the quorum"
     ///   equality test that maintains the round's monotone ≥-quorum bitmask,
     ///   so collecting the candidates is one AND per suspect word.

@@ -1,28 +1,25 @@
-//! The in-memory transport backend: an MPSC channel mesh with batched
+//! The in-memory transport backend: a mesh of mailboxes with batched
 //! multicast delivery.
 
 use crate::{Frame, NetError, Transport};
 use irs_types::ProcessId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Builds the endpoints of an in-process network.
 ///
-/// The mesh is the transport the runtimes used implicitly before the
-/// subsystem existed: every endpoint owns one MPSC receiver, and every
-/// endpoint holds a sender to every other. [`MemNetwork::mesh`] gives each
-/// process its own endpoint; [`MemNetwork::grouped`] gives one endpoint per
-/// *group* of processes (the sharded cluster runs one endpoint per worker
-/// shard).
+/// Every endpoint owns one mailbox, and every endpoint can push into every
+/// mailbox. [`MemNetwork::mesh`] gives each process its own endpoint;
+/// [`MemNetwork::grouped`] gives one endpoint per *group* of processes (the
+/// sharded cluster runs one endpoint per worker shard).
 #[derive(Debug)]
 pub struct MemNetwork {}
 
-/// What travels through a mesh channel: either one frame, or one payload
+/// What travels through a mailbox: either one frame, or one payload
 /// multicast to several processes hosted by the receiving endpoint. The
-/// multicast item is what makes a broadcast O(W) channel pushes (one per
+/// multicast item is what makes a broadcast O(W) mailbox pushes (one per
 /// endpoint) instead of O(n) (one per process) — the receiving side expands
 /// it back into per-process [`Frame`]s in order.
 #[derive(Debug)]
@@ -51,20 +48,15 @@ impl MemNetwork {
     pub fn grouped(owner_of: &[usize]) -> Vec<MemTransport> {
         assert!(!owner_of.is_empty(), "a network needs at least one process");
         let endpoints = owner_of.iter().max().expect("non-empty") + 1;
-        let mut txs = Vec::with_capacity(endpoints);
-        let mut rxs = Vec::with_capacity(endpoints);
-        for _ in 0..endpoints {
-            let (tx, rx) = channel::<MemItem>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let mailboxes: Arc<[Mailbox]> = (0..endpoints).map(|_| Mailbox::default()).collect();
         let owner_of: Arc<[usize]> = owner_of.into();
         let pushes: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
-        rxs.into_iter()
-            .map(|rx| MemTransport {
-                txs: txs.clone(),
+        (0..endpoints)
+            .map(|me| MemTransport {
+                mailboxes: Arc::clone(&mailboxes),
+                me,
                 owner_of: Arc::clone(&owner_of),
-                rx,
+                taken: VecDeque::new(),
                 ready: VecDeque::new(),
                 pushes: Arc::clone(&pushes),
                 scratch: Vec::new(),
@@ -73,23 +65,57 @@ impl MemNetwork {
     }
 }
 
+/// One endpoint's incoming queue. A sender takes the lock once per push and
+/// wakes the owner only when it is parked waiting; the owner takes the whole
+/// queue under one lock. The owner parks on a condition variable at once,
+/// without spinning first: on a shared core a spinning receiver only delays
+/// the sender it waits for.
+#[derive(Debug, Default)]
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Inbox {
+    items: VecDeque<MemItem>,
+    /// The owner waits on [`Mailbox::wake`]; the first push clears it and
+    /// notifies.
+    parked: bool,
+    /// The owner is gone: a push fails with [`NetError::Closed`].
+    closed: bool,
+}
+
+impl Mailbox {
+    /// Every update leaves the inbox whole, so a poisoned lock is safe to
+    /// keep using (and the endpoint's `Drop` must not panic).
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// One endpoint of a [`MemNetwork`].
 ///
 /// `send` routes by looking up the receiver's owning endpoint; a broadcast
 /// through [`Transport::send_many`] shares a single payload allocation
-/// across every receiver *and* collapses the fan-out to one channel push
+/// across every receiver *and* collapses the fan-out to one mailbox push
 /// per destination endpoint (the PR 2 `O(W)` batching, restored on the
 /// transport boundary).
 #[derive(Debug)]
 pub struct MemTransport {
-    txs: Vec<Sender<MemItem>>,
+    /// Every endpoint's mailbox, indexed by endpoint.
+    mailboxes: Arc<[Mailbox]>,
+    /// This endpoint's index: the mailbox it owns.
+    me: usize,
     owner_of: Arc<[usize]>,
-    rx: Receiver<MemItem>,
-    /// Frames expanded out of a received multicast item, delivered before
-    /// the channel is polled again (preserves per-link FIFO: one channel,
-    /// in-order expansion).
+    /// The items last taken from the mailbox (kept for its capacity: taking
+    /// swaps it with the mailbox's queue).
+    taken: VecDeque<MemItem>,
+    /// Frames taken from the mailbox, multicast items expanded, delivered
+    /// before the mailbox is looked at again (preserves per-link FIFO: one
+    /// queue, in-order expansion).
     ready: VecDeque<Frame>,
-    /// Network-wide count of channel pushes — the observable the batched
+    /// Network-wide count of mailbox pushes — the observable the batched
     /// fan-out exists to minimise (one push per endpoint per broadcast).
     pushes: Arc<AtomicU64>,
     /// Reused `(owner, target)` scratch for grouping a multicast by
@@ -108,10 +134,53 @@ impl MemTransport {
 
     fn push(&self, owner: usize, item: MemItem) -> Result<(), NetError> {
         self.pushes.fetch_add(1, Ordering::Relaxed);
-        self.txs[owner].send(item).map_err(|_| NetError::Closed)
+        let mailbox = &self.mailboxes[owner];
+        let mut inbox = mailbox.lock();
+        if inbox.closed {
+            return Err(NetError::Closed);
+        }
+        inbox.items.push_back(item);
+        let parked = std::mem::take(&mut inbox.parked);
+        drop(inbox);
+        if parked {
+            mailbox.wake.notify_one();
+        }
+        Ok(())
     }
 
-    /// Total channel pushes across the whole network so far. A broadcast
+    /// Moves everything in this endpoint's mailbox into `ready`, first
+    /// waiting up to `timeout` for something to arrive.
+    fn take(&mut self, timeout: Duration) {
+        let mailbox = &self.mailboxes[self.me];
+        let mut inbox = mailbox.lock();
+        if inbox.items.is_empty() && !timeout.is_zero() {
+            inbox.parked = true;
+            inbox = mailbox
+                .wake
+                .wait_timeout_while(inbox, timeout, |inbox| inbox.items.is_empty())
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            inbox.parked = false;
+        }
+        std::mem::swap(&mut inbox.items, &mut self.taken);
+        drop(inbox);
+        for item in self.taken.drain(..) {
+            match item {
+                MemItem::One(frame) => self.ready.push_back(frame),
+                MemItem::Many {
+                    from,
+                    targets,
+                    payload,
+                } => self.ready.extend(targets.into_iter().map(|to| Frame {
+                    from,
+                    to,
+                    payload: Arc::clone(&payload),
+                })),
+            }
+        }
+    }
+
+    /// Total mailbox pushes across the whole network so far. A broadcast
     /// through [`Transport::send_many`] costs one push per destination
     /// *endpoint*, not per process — pinned by a unit test.
     pub fn channel_pushes(&self) -> u64 {
@@ -138,7 +207,7 @@ impl Transport for MemTransport {
         targets: &[ProcessId],
         payload: &[u8],
     ) -> Result<(), NetError> {
-        // One payload allocation for the whole fan-out, one channel push
+        // One payload allocation for the whole fan-out, one mailbox push
         // per destination endpoint: receivers hosted by the same endpoint
         // share a single multicast item. Grouping goes through a reused
         // scratch sorted by owner (stable, so per-owner target order — and
@@ -190,26 +259,20 @@ impl Transport for MemTransport {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Option<Frame>, NetError> {
-        if let Some(frame) = self.ready.pop_front() {
-            return Ok(Some(frame));
+        if self.ready.is_empty() {
+            self.take(timeout);
         }
-        match self.rx.recv_timeout(timeout) {
-            Ok(MemItem::One(frame)) => Ok(Some(frame)),
-            Ok(MemItem::Many {
-                from,
-                targets,
-                payload,
-            }) => {
-                self.ready.extend(targets.into_iter().map(|to| Frame {
-                    from,
-                    to,
-                    payload: Arc::clone(&payload),
-                }));
-                Ok(self.ready.pop_front())
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
-        }
+        Ok(self.ready.pop_front())
+    }
+}
+
+impl Drop for MemTransport {
+    /// Closes the mailbox: later pushes into it fail with
+    /// [`NetError::Closed`], and what it held is freed now.
+    fn drop(&mut self) {
+        let mut inbox = self.mailboxes[self.me].lock();
+        inbox.closed = true;
+        inbox.items.clear();
     }
 }
 
@@ -218,7 +281,7 @@ mod tests {
     use super::*;
 
     /// A multicast to `k` processes spread over `W` endpoints costs `W`
-    /// channel pushes, not `k` — and still delivers one frame per process,
+    /// mailbox pushes, not `k` — and still delivers one frame per process,
     /// in target order, sharing one payload allocation.
     #[test]
     fn send_many_batches_one_push_per_endpoint() {
@@ -248,6 +311,50 @@ mod tests {
             seen.push(f.to);
         }
         assert_eq!(seen, all, "every target got its frame, in order");
+    }
+
+    /// A send into the mailbox of a dropped endpoint fails as `Closed`;
+    /// the endpoints still alive keep talking.
+    #[test]
+    fn a_send_to_a_dropped_endpoint_is_closed() {
+        let mut eps = MemNetwork::mesh(3);
+        drop(eps.remove(2));
+        let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+        assert!(matches!(eps[0].send(p0, p2, b"x"), Err(NetError::Closed)));
+        assert!(matches!(
+            eps[0].send_many(p0, &[p1, p2], b"y"),
+            Err(NetError::Closed)
+        ));
+        let f = eps[1].recv(Duration::from_secs(1)).unwrap().expect("frame");
+        assert_eq!((f.from, &f.payload[..]), (p0, &b"y"[..]));
+    }
+
+    /// A receiver parked in `recv` wakes for a send from another thread,
+    /// and a `recv` that finds nothing waits out its timeout.
+    #[test]
+    fn a_parked_receiver_wakes_for_a_send() {
+        let mut eps = MemNetwork::mesh(2);
+        let mut sender = eps.pop().expect("endpoint 1");
+        let mut receiver = eps.pop().expect("endpoint 0");
+        let started = std::time::Instant::now();
+        assert!(receiver.recv(Duration::from_millis(20)).unwrap().is_none());
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        let pinger = std::thread::spawn(move || {
+            // Send only once the receiver is parked in its wait.
+            while !sender.mailboxes[0].lock().parked {
+                std::thread::yield_now();
+            }
+            sender
+                .send(ProcessId::new(1), ProcessId::new(0), b"ping")
+                .expect("send");
+            sender
+        });
+        let f = receiver
+            .recv(Duration::from_secs(10))
+            .unwrap()
+            .expect("frame");
+        assert_eq!(&f.payload[..], b"ping");
+        drop(pinger.join().expect("pinger"));
     }
 
     /// Per-link FIFO survives the multicast expansion: a unicast sent after

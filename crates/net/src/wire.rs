@@ -48,6 +48,7 @@ use irs_types::{ProcessId, ProcessSet, RoundNum};
 use std::convert::identity;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Magic bytes opening every frame ("IR").
 pub const FRAME_MAGIC: [u8; 2] = [0x49, 0x52];
@@ -120,19 +121,56 @@ pub fn put_seq<'a, T: Wire + 'a>(buf: &mut Vec<u8>, items: impl ExactSizeIterato
 }
 
 /// A cursor over received bytes with total, panic-free accessors.
+///
+/// A reader over borrowed bytes ([`WireReader::new`]) lends them only for
+/// the decode, so a decoder copies what it keeps. The reader
+/// [`decode_shared`] makes also names the shared buffer it reads, so a
+/// [`Command`](irs_consensus::Command)'s decoder keeps a range of that
+/// buffer instead: a command received in a frame stays a slice of it.
 #[derive(Debug)]
 pub struct WireReader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    shared: Option<&'a Arc<[u8]>>,
 }
 
 impl<'a> WireReader<'a> {
     /// Starts reading at the beginning of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
-        WireReader { bytes, pos: 0 }
+        WireReader {
+            bytes,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Starts reading at the beginning of a shared buffer.
+    #[inline]
+    pub(crate) fn new_shared(buf: &'a Arc<[u8]>) -> Self {
+        WireReader {
+            bytes: buf,
+            pos: 0,
+            shared: Some(buf),
+        }
+    }
+
+    /// The shared buffer this reader reads, if it was made by
+    /// [`WireReader::new_shared`]: every slice it hands out lies in it, at
+    /// the offset [`WireReader::position`] tells.
+    #[inline]
+    pub(crate) fn shared(&self) -> Option<&'a Arc<[u8]>> {
+        self.shared
+    }
+
+    /// Bytes consumed so far: the offset of the next read.
+    #[inline]
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -563,10 +601,40 @@ macro_rules! wire_table {
 /// Returns a [`WireError`] on malformed, truncated or oversized input.
 #[inline]
 pub fn decode_payload<M: Wire>(payload: &[u8]) -> Result<M, WireError> {
-    let mut r = WireReader::new(payload);
+    decode_whole(WireReader::new(payload))
+}
+
+/// [`decode_payload`] over a shared buffer: the same message or the same
+/// error, but what the message keeps of the bytes (a command's) is a range
+/// of `payload`, sharing it, rather than a copy.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on malformed, truncated or oversized input.
+#[inline]
+pub fn decode_shared<M: Wire>(payload: &Arc<[u8]>) -> Result<M, WireError> {
+    decode_whole(WireReader::new_shared(payload))
+}
+
+#[inline]
+fn decode_whole<M: Wire>(mut r: WireReader<'_>) -> Result<M, WireError> {
     let msg = M::decode(&mut r)?;
     r.finish()?;
     Ok(msg)
+}
+
+/// Decodes `bytes` both as borrowed and as shared, checks that the two
+/// agree — the same message, or the same error — and returns that.
+#[cfg(test)]
+pub(crate) fn decode_both<M: Wire + PartialEq + fmt::Debug>(bytes: &[u8]) -> Result<M, WireError> {
+    let borrowed = decode_payload::<M>(bytes);
+    let shared: Arc<[u8]> = bytes.into();
+    assert_eq!(
+        decode_shared::<M>(&shared),
+        borrowed,
+        "shared and borrowed decodes disagree on {bytes:02x?}"
+    );
+    borrowed
 }
 
 /// Encodes a frame header followed by the payload into `buf`.
@@ -598,8 +666,8 @@ const FRAME_TO_OFFSET: usize = 2 + 1 + 4;
 /// This is what makes encode-once fan-out possible: a broadcast encodes the
 /// frame a single time and patches these four bytes per receiver instead of
 /// re-encoding header and payload for every destination
-/// ([`crate::UdpTransport::send_many`] and the reactor's send queue both use
-/// it).
+/// ([`crate::UdpTransport`]'s [`send_many`](crate::Transport::send_many)
+/// and the reactor's send queue both use it).
 ///
 /// # Panics
 ///
@@ -702,7 +770,7 @@ mod tests {
     fn roundtrip(msg: &OmegaMsg) -> OmegaMsg {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        decode_payload(&buf).expect("roundtrip decode")
+        decode_both(&buf).expect("roundtrip decode")
     }
 
     #[test]
@@ -955,7 +1023,7 @@ mod tests {
             bytes in proptest::collection::vec(0u8..255, 0..64),
         ) {
             let _ = decode_frame(&bytes);
-            let _ = decode_payload::<OmegaMsg>(&bytes);
+            let _ = decode_both::<OmegaMsg>(&bytes);
         }
     }
 }

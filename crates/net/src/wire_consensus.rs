@@ -67,13 +67,21 @@ impl Wire for Value {
     }
 }
 
-/// A byte command: at most [`MAX_COMMAND_LEN`] bytes.
+/// A byte command: at most [`MAX_COMMAND_LEN`] bytes. Read from a shared
+/// buffer ([`decode_shared`](crate::wire::decode_shared)), it is a range of
+/// that buffer; read from borrowed bytes, a copy of them.
 impl Wire for Command {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_bytes(buf, self.bytes());
     }
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Command::new(r.bytes(MAX_COMMAND_LEN)?))
+        let bytes = r.bytes(MAX_COMMAND_LEN)?;
+        Ok(match r.shared() {
+            Some(buf) => Command::shared(buf, r.position() - bytes.len()..r.position()),
+            None => Command::new(bytes),
+        })
     }
 }
 
@@ -218,7 +226,7 @@ use std::sync::Arc;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode_payload;
+    use crate::wire::{decode_both, decode_payload, decode_shared};
     use irs_omega::{OmegaMsg, SuspVector};
     use irs_types::RoundNum;
     use proptest::prelude::*;
@@ -226,10 +234,10 @@ mod tests {
     type CMsg = ConsensusMsg<OmegaMsg, Value>;
     type LMsg = LogMsg<OmegaMsg, Command>;
 
-    fn roundtrip<M: Wire>(msg: &M) -> M {
+    fn roundtrip<M: Wire + PartialEq + std::fmt::Debug>(msg: &M) -> M {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        decode_payload(&buf).expect("roundtrip decode")
+        decode_both(&buf).expect("roundtrip decode")
     }
 
     fn alive(n: usize) -> OmegaMsg {
@@ -770,7 +778,74 @@ mod tests {
         assert!(!bad_promise.valid_for(4));
     }
 
+    /// Whether every byte of `cmd` lies inside `frame`.
+    fn points_into(cmd: &Command, frame: &Arc<[u8]>) -> bool {
+        let (inside, bytes) = (frame.as_ptr_range(), cmd.bytes().as_ptr_range());
+        inside.start <= bytes.start && bytes.end <= inside.end
+    }
+
+    /// A command decoded from a shared frame is a range of that frame, not
+    /// a copy: it points into the frame, holds it, and lets it go when the
+    /// message is dropped. From borrowed bytes the same message is a copy.
+    #[test]
+    fn a_shared_decode_keeps_commands_as_ranges_of_the_frame() {
+        let cmds = [Command::new(vec![1u8, 2, 3]), Command::new(vec![4u8; 5])];
+        let accept: LMsg = LogMsg::Slot {
+            slot: 5,
+            msg: PaxosMsg::Accept {
+                b: Ballot::new(2, ProcessId::new(1)),
+                v: Batch::new(cmds.to_vec()),
+            },
+        };
+        let mut buf = Vec::new();
+        accept.encode(&mut buf);
+        let frame: Arc<[u8]> = buf.into();
+        let decoded: LMsg = decode_shared(&frame).expect("decode");
+        assert_eq!(decoded, accept);
+        let LogMsg::Slot {
+            msg: PaxosMsg::Accept { v, .. },
+            ..
+        } = &decoded
+        else {
+            unreachable!("an Accept decodes to an Accept")
+        };
+        assert!(v.iter().all(|cmd| points_into(cmd, &frame)));
+        assert_eq!(Arc::strong_count(&frame), 1 + cmds.len());
+        drop(decoded);
+        assert_eq!(Arc::strong_count(&frame), 1, "the message let its frame go");
+        let copied: LMsg = decode_payload(&frame).expect("decode");
+        assert_eq!(copied, accept);
+        assert_eq!(Arc::strong_count(&frame), 1, "a borrowed decode copies");
+        // A decode that fails after its first command holds nothing either.
+        let short: Arc<[u8]> = frame[..frame.len() - 1].into();
+        assert_eq!(decode_shared::<LMsg>(&short), Err(WireError::Truncated));
+        assert_eq!(Arc::strong_count(&short), 1);
+    }
+
     proptest! {
+        /// Random messages, every prefix of their encoding and a one-byte
+        /// mutation of it decode through `decode_shared` to the same value,
+        /// or the same error, as through `decode_payload`.
+        #[test]
+        fn shared_and_borrowed_decodes_agree_on_every_frame(
+            seed in 0u8..22,
+            slot in 0u64..1_000_000,
+            bytes in proptest::collection::vec(0u8..255, 0..48),
+            at in 0usize..4096,
+            flip in 1u8..255,
+        ) {
+            let mut buf = Vec::new();
+            log_from(seed, slot, &bytes).encode(&mut buf);
+            for end in 0..=buf.len() {
+                let _ = decode_both::<LMsg>(&buf[..end]);
+                let _ = decode_both::<PaxosMsg<Batch<Command>>>(&buf[..end]);
+            }
+            let mut mutated = buf.clone();
+            let i = at % mutated.len();
+            mutated[i] ^= flip;
+            let _ = decode_both::<LMsg>(&mutated);
+        }
+
         /// `encode ∘ decode` is the identity on every consensus/log message
         /// (mirroring the OmegaMsg wire proptest).
         #[test]
@@ -800,15 +875,15 @@ mod tests {
         fn random_bytes_never_panic_the_decoders(
             bytes in proptest::collection::vec(0u8..255, 0..96),
         ) {
-            let _ = decode_payload::<Value>(&bytes);
-            let _ = decode_payload::<Command>(&bytes);
-            let _ = decode_payload::<Ballot>(&bytes);
-            let _ = decode_payload::<Batch<Value>>(&bytes);
-            let _ = decode_payload::<Batch<Command>>(&bytes);
-            let _ = decode_payload::<PaxosMsg<Value>>(&bytes);
-            let _ = decode_payload::<PaxosMsg<Batch<Command>>>(&bytes);
-            let _ = decode_payload::<CMsg>(&bytes);
-            let _ = decode_payload::<LMsg>(&bytes);
+            let _ = decode_both::<Value>(&bytes);
+            let _ = decode_both::<Command>(&bytes);
+            let _ = decode_both::<Ballot>(&bytes);
+            let _ = decode_both::<Batch<Value>>(&bytes);
+            let _ = decode_both::<Batch<Command>>(&bytes);
+            let _ = decode_both::<PaxosMsg<Value>>(&bytes);
+            let _ = decode_both::<PaxosMsg<Batch<Command>>>(&bytes);
+            let _ = decode_both::<CMsg>(&bytes);
+            let _ = decode_both::<LMsg>(&bytes);
         }
     }
 }

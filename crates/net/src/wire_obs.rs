@@ -420,7 +420,7 @@ mod tests {
             msg.encode(&mut buf);
             let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(hex, want, "{msg:?}");
-            assert_eq!(decode_payload::<ObsMsg>(&buf), Ok(msg));
+            assert_eq!(crate::wire::decode_both::<ObsMsg>(&buf), Ok(msg));
         }
     }
 
@@ -447,7 +447,7 @@ mod tests {
         fn random_bytes_never_panic(
             bytes in proptest::collection::vec(0u8..255, 0..96),
         ) {
-            let _ = decode_payload::<ObsMsg>(&bytes);
+            let _ = crate::wire::decode_both::<ObsMsg>(&bytes);
         }
     }
 

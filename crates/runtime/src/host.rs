@@ -26,8 +26,8 @@
 //!   whole receiver list, so a broadcast costs one encode however wide it
 //!   is — and none when every receiver is co-hosted (below);
 //! * the **admit → stage → deliver path** — the I/O source hands each
-//!   arrived frame over as borrowed bytes; the shard decodes the payload
-//!   once (or drops it as link noise), and the admission rule — a
+//!   arrived frame over as a [`Payload`]; the shard decodes it once (or
+//!   drops it as link noise), and the admission rule — a
 //!   [`MuxAccept`], which judges the *typed* message — admits it into the
 //!   addressee's staging buffer or drops it. The protocols run only after
 //!   the poll returns: each hosted process with arrivals gets them in
@@ -40,7 +40,11 @@
 //!   per process reuses each buffer's capacity, so a turn allocates
 //!   nothing. No [`irs_net::Frame`] is assembled per datagram on the
 //!   reactor path, and the source is never re-entered from inside its own
-//!   receive callback;
+//!   receive callback. A [`Transport`] frame's payload is a shared buffer
+//!   and is decoded as one ([`decode_shared`]): the commands of an
+//!   `Accept` stay ranges of the frame they came in, copied nowhere. The
+//!   reactor lends bytes out of a recycled receive buffer, which a decode
+//!   must not outlive, so there the commands are copied;
 //! * the **co-hosted route** — on a source whose [`ShardIo::IN_SHARD`] is
 //!   set (the reactor), a message from one hosted process to another
 //!   (itself included: Fig. 3's `SUSPICION` goes to every process) never
@@ -104,7 +108,7 @@
 //! in-process [`Obs`] handle), while the source keeps draining so its peers
 //! see silence rather than backpressure.
 
-use irs_net::wire::decode_payload;
+use irs_net::wire::{decode_payload, decode_shared, WireError};
 use irs_net::wire_obs::{encode_scrape_reply, is_obs_payload, scrape_session_key};
 use irs_net::{FaultClock, Frame, NetError, ObsMsg, Reactor, Transport, Wire};
 use irs_obs::{names, EventKind, Obs, ReignTracker, Responder, ScrapeFormat};
@@ -179,9 +183,40 @@ pub(crate) fn default_accept<M: Wire>(n: usize) -> MuxAccept<M> {
     Arc::new(move |me, from, to, msg| admits(from, to, msg, me, n))
 }
 
-/// [`accept_frame_bytes`] over an assembled [`Frame`].
+/// [`accept_frame_bytes`] over an assembled [`Frame`], decoding its shared
+/// payload as shared ([`decode_shared`]): what the message keeps of the
+/// bytes is a range of the frame.
 pub fn accept_frame<M: Wire>(frame: &Frame, me: ProcessId, n: usize) -> Option<M> {
-    accept_frame_bytes(frame.from, frame.to, &frame.payload, me, n)
+    let msg = decode_shared::<M>(&frame.payload).ok()?;
+    admits(frame.from, frame.to, &msg, me, n).then_some(msg)
+}
+
+/// A received payload as an I/O source hands it to the shard.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Payload<'a> {
+    /// A [`Transport`] frame's buffer: a decoded message may keep ranges
+    /// of it.
+    Shared(&'a Arc<[u8]>),
+    /// Bytes lent for the call only (the reactor's receive buffer): a
+    /// decoded message copies what it keeps.
+    Borrowed(&'a [u8]),
+}
+
+impl Payload<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Payload::Shared(buf) => buf,
+            Payload::Borrowed(bytes) => bytes,
+        }
+    }
+
+    #[inline]
+    fn decode<M: Wire>(self) -> Result<M, WireError> {
+        match self {
+            Payload::Shared(buf) => decode_shared(buf),
+            Payload::Borrowed(bytes) => decode_payload(bytes),
+        }
+    }
 }
 
 /// Where a shard's frames come from and go to. `slot` is the local index of
@@ -199,7 +234,7 @@ pub(crate) trait ShardIo {
     fn poll(
         &mut self,
         timeout: StdDuration,
-        on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+        on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, Payload<'_>),
     ) -> Result<usize, NetError>;
 
     /// Sends one encoded message from the process in `slot` to every target.
@@ -228,12 +263,12 @@ impl<T: Transport> ShardIo for T {
     fn poll(
         &mut self,
         timeout: StdDuration,
-        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, Payload<'_>),
     ) -> Result<usize, NetError> {
         let mut next = self.recv(timeout)?;
         let mut handed = 0;
         while let Some(frame) = next {
-            on_frame(None, frame.from, frame.to, &frame.payload);
+            on_frame(None, frame.from, frame.to, Payload::Shared(&frame.payload));
             handed += 1;
             if handed == RECV_BURST {
                 break;
@@ -278,7 +313,7 @@ impl ShardIo for Sockets {
     fn poll(
         &mut self,
         timeout: StdDuration,
-        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, &[u8]),
+        mut on_frame: impl FnMut(Option<usize>, ProcessId, ProcessId, Payload<'_>),
     ) -> Result<usize, NetError> {
         let timeout = if self.0.pending_sends() > 0 {
             timeout.min(BACKPRESSURE_BUDGET)
@@ -286,7 +321,7 @@ impl ShardIo for Sockets {
             timeout
         };
         Ok(self.0.poll_once(timeout, |ep, from, to, payload| {
-            on_frame(Some(ep), from, to, payload)
+            on_frame(Some(ep), from, to, Payload::Borrowed(payload))
         })?)
     }
 
@@ -715,11 +750,11 @@ where
             if !hosted || arrived_on.is_some_and(|slot| slot != li) {
                 return;
             }
-            if scraping && is_obs_payload(payload) {
-                if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = decode_payload(payload) {
+            if scraping && is_obs_payload(payload.bytes()) {
+                if let Ok(ObsMsg::ScrapeRequest { format, cursor }) = payload.decode() {
                     scrapes.push((li, from, format, cursor));
                 }
-            } else if let Ok(msg) = decode_payload::<P::Msg>(payload) {
+            } else if let Ok(msg) = payload.decode::<P::Msg>() {
                 if accept(to, from, to, &msg) {
                     locals[li].staged.push((from, msg));
                 }

@@ -16,7 +16,9 @@
 //! Its module docs carry the hot-path notes.
 //!
 //! **Two I/O sources.** A shard runs over any [`irs_net::Transport`]
-//! endpoint (blocking `recv`, then a zero-timeout drain of the burst) or
+//! endpoint (blocking `recv`, then a zero-timeout drain of the burst; a
+//! frame's shared payload is decoded as shared, so the commands it carries
+//! stay ranges of it) or
 //! over an [`irs_net::Reactor`] (one readiness wait across all the shard's
 //! nonblocking UDP sockets, batched borrowed-bytes drains, queued
 //! encode-once fan-out). Link delay and loss live in the link
@@ -48,7 +50,7 @@
 //!   (and crashes, [`Stepper::crash`]) replays a run exactly.
 //!
 //! The protocols themselves are byte-for-byte the same state machines that
-//! run under the simulator: [`irs_omega::OmegaProcess`], the baselines and
+//! run under the simulator: `irs_omega::OmegaProcess`, the baselines and
 //! the consensus layer all work unchanged.
 //!
 //! # Example

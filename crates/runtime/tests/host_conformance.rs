@@ -23,8 +23,11 @@
 //! rule on every message, nothing for a crashed addressee, delivery in the
 //! shutdown drain with the reactions discarded. On a `Transport` source such
 //! a frame still goes through the source, so a `FaultyLink` keeps its say
-//! over it.
+//! over it. A `Transport` frame's payload is shared: the commands a burst
+//! delivers are ranges of the frame they came in, which the frame outlives
+//! only while a protocol keeps them.
 
+use irs_consensus::{Batch, Command};
 use irs_net::wire::{put_u32, WireReader};
 use irs_net::{
     FaultyLink, Frame, LinkModel, MemNetwork, MemTransport, NetError, Partition, Transport,
@@ -33,7 +36,7 @@ use irs_net::{
 use irs_obs::collector::ScrapeSource;
 use irs_obs::{Obs, ScrapeFormat};
 use irs_runtime::{
-    admits, run_node, Deployment, MuxAccept, NodeConfig, NodeHandle, RealtimeConfig,
+    admits, run_node, Deployment, MuxAccept, NodeConfig, NodeHandle, RealtimeConfig, Stepper,
 };
 use irs_types::{
     Actions, Duration, Introspect, LeaderOracle, ProcessId, Protocol, Snapshot, TimerId,
@@ -1498,6 +1501,106 @@ fn a_faulty_link_still_cuts_cohosted_links() {
             assert_eq!(rec.heard_from(from), sent, "link {from} -> p{to}");
         }
     }
+}
+
+/// Keeps every command it is handed.
+#[derive(Debug)]
+struct Keeper {
+    id: ProcessId,
+    kept: Vec<Command>,
+}
+
+impl Protocol for Keeper {
+    type Msg = Batch<Command>;
+
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_start(&mut self, _out: &mut Actions<Batch<Command>>) {}
+
+    fn on_message(
+        &mut self,
+        _from: ProcessId,
+        msg: &Batch<Command>,
+        _out: &mut Actions<Batch<Command>>,
+    ) {
+        self.kept.extend(msg.iter().cloned());
+    }
+
+    fn on_timer(&mut self, _timer: TimerId, _out: &mut Actions<Batch<Command>>) {}
+}
+
+impl LeaderOracle for Keeper {
+    fn leader(&self) -> ProcessId {
+        ProcessId::new(0)
+    }
+}
+
+impl Introspect for Keeper {
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::default()
+    }
+}
+
+/// A link that hands over the frames it was given, and drops what is sent.
+struct Scripted(std::collections::VecDeque<Frame>);
+
+impl Transport for Scripted {
+    fn send(&mut self, _from: ProcessId, _to: ProcessId, _payload: &[u8]) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    fn recv(&mut self, _timeout: StdDuration) -> Result<Option<Frame>, NetError> {
+        Ok(self.0.pop_front())
+    }
+}
+
+/// On a `Transport` source the host decodes a frame's shared payload as
+/// shared: the commands of one frame, sent to two processes, reach both as
+/// ranges of that one frame — no copy — and the frame is held by exactly
+/// the commands the protocols keep, so it goes when they do.
+#[test]
+fn a_transport_burst_delivers_commands_that_share_their_frame() {
+    let batch = Batch::new(vec![
+        Command::new(vec![1u8, 2, 3]),
+        Command::new(vec![7u8; 9]),
+    ]);
+    let mut encoded = Vec::new();
+    batch.encode(&mut encoded);
+    let payload: Arc<[u8]> = encoded.into();
+    let frames = [(1, 0), (0, 1)].map(|(from, to)| Frame {
+        from: ProcessId::new(from),
+        to: ProcessId::new(to),
+        payload: Arc::clone(&payload),
+    });
+    let keepers = (0..2)
+        .map(|i| Keeper {
+            id: ProcessId::new(i),
+            kept: Vec::new(),
+        })
+        .collect();
+    let accept: MuxAccept<Batch<Command>> =
+        Arc::new(|me, from, to, msg| admits(from, to, msg, me, 2));
+    let mut stepper = Stepper::new(keepers, Scripted(frames.into()), accept);
+    assert_eq!(stepper.turn(), 2);
+    let inside = payload.as_ptr_range();
+    for p in 0..2 {
+        let kept = &stepper.process(ProcessId::new(p)).kept;
+        assert_eq!(kept.as_slice(), batch.values(), "p{p}");
+        for cmd in kept {
+            let bytes = cmd.bytes().as_ptr_range();
+            assert!(
+                inside.start <= bytes.start && bytes.end <= inside.end,
+                "p{p} holds a copy of {cmd:?}, not a range of its frame"
+            );
+        }
+    }
+    // The test's handle plus the two commands each process keeps: the
+    // frames themselves and the staged messages are gone.
+    assert_eq!(Arc::strong_count(&payload), 1 + 2 * batch.len());
+    drop(stepper.finish());
+    assert_eq!(Arc::strong_count(&payload), 1);
 }
 
 /// Threads of this process whose name starts with `prefix`.

@@ -62,7 +62,7 @@ pub struct SimConfig {
     /// The run stops when simulated time would exceed this horizon.
     pub horizon: Time,
     /// How many recent rounds of winning-message-gate state are kept per
-    /// receiver (the ring size of [`GATE_WINDOW`]-style slots). The default
+    /// receiver (the ring size of `GATE_WINDOW`-style slots). The default
     /// is ample for every adversary in this workspace; larger values only
     /// matter if an adversary spreads a round's sends across more rounds of
     /// simultaneous gate activity than this.

@@ -70,8 +70,8 @@ impl KvWrite {
     ///
     /// # Panics
     ///
-    /// Panics if the key or value exceeds [`MAX_KEY_LEN`] /
-    /// [`MAX_VALUE_LEN`] — the client library checks at the API boundary.
+    /// Panics if the key or value exceeds `MAX_KEY_LEN` (128 bytes) /
+    /// `MAX_VALUE_LEN` — the client library checks at the API boundary.
     pub fn encode(&self) -> Command {
         let KvView { key, value, .. } = self.view();
         assert!(key.len() <= MAX_KEY_LEN, "key too long");

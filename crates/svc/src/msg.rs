@@ -171,12 +171,18 @@ irs_net::wire_table! {
 mod tests {
     use super::*;
     use crate::command::{KvOp, KvWrite};
-    use irs_net::wire::decode_payload;
+    use irs_net::wire::{decode_payload, decode_shared};
+    use std::sync::Arc;
 
+    /// Encodes and decodes `msg`, from borrowed bytes and from a shared
+    /// frame alike.
     fn roundtrip(msg: &SvcMsg) -> SvcMsg {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        decode_payload(&buf).expect("roundtrip decode")
+        let back: SvcMsg = decode_payload(&buf).expect("roundtrip decode");
+        let frame: Arc<[u8]> = buf.into();
+        assert_eq!(decode_shared::<SvcMsg>(&frame), Ok(back.clone()));
+        back
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::msg::SvcMsg;
 use crate::replica::SvcReplica;
-use irs_net::{wire::decode_payload, Frame, Transport, Wire};
+use irs_net::{wire::decode_shared, Frame, Transport, Wire};
 use irs_obs::Obs;
 use irs_runtime::{run_node_with, MuxAccept, NodeConfig, NodeHandle};
 use irs_types::ProcessId;
@@ -169,11 +169,12 @@ impl SvcConfig {
 }
 
 /// The service's frame-admission policy (see module docs) over an assembled
-/// [`Frame`]: the payload decoded, then judged by the rule of
+/// [`Frame`]: the payload decoded as shared (a command is a range of the
+/// frame, as on the host loop), then judged by the rule of
 /// [`SvcConfig::accept`]. Public so callers outside the host loop share the
 /// exact policy with [`run_svc_node`].
 pub fn accept_svc_frame(frame: &Frame, me: ProcessId, n: usize, peers: usize) -> Option<SvcMsg> {
-    let msg = decode_payload::<SvcMsg>(&frame.payload).ok()?;
+    let msg = decode_shared::<SvcMsg>(&frame.payload).ok()?;
     svc_admits(frame.from, frame.to, &msg, me, n, peers).then_some(msg)
 }
 

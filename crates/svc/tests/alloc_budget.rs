@@ -34,11 +34,15 @@ const WARMUP: u64 = 256;
 /// Two compactions' worth (one every 1 024 slots), so the snapshot export
 /// is part of the steady state it amortises into.
 const MEASURED: u64 = 2_048;
-/// Allocations a steady-state put may cost the replicas: under half of
-/// the 85.7 this harness counted before decided batches were shared,
-/// decided writes applied in place and the dedup index built on demand
-/// (22.1 after; debug and release builds count alike).
-const BUDGET: f64 = 42.0;
+/// Allocations a steady-state put may cost the replicas. This harness
+/// counted 85.7 before decided batches were shared, decided writes applied
+/// in place and the dedup index built on demand, 22.1 after, and 13.1 since
+/// a command received in a frame is a range of that frame instead of a
+/// copy (debug and release builds count alike). What is left of the decode
+/// is one `Batch` slice per decoded `Accept` and `Accepted` — eight of the
+/// 13.1 at n = 5. The budget sits below 22.1, so a copy of each received
+/// command cannot come back unseen.
+const BUDGET: f64 = 16.0;
 
 thread_local! {
     /// Allocations counted on this thread; `None` while not counting.
