@@ -85,6 +85,11 @@
 //!
 //! * `msg.rs` — **owns** [`LogMsg`], [`LogEvent`] and the wire-facing
 //!   bounds; **hides** nothing: it is the vocabulary.
+//! * `decided.rs` — **owns** the compaction floor, the dense prefix of
+//!   decided batches from the floor to the frontier, and the decisions held
+//!   above the first gap; **hides** where a decision is kept (a slot below
+//!   the frontier is an index, one above it a map entry) and how the
+//!   frontier follows from that.
 //! * `queue.rs` — **owns** `pending`, `inflight`, the on-demand
 //!   `decided_index`; **hides** submission and forward dedup, the
 //!   count-and-byte batch drain, every requeue / reclaim rule, the rotating
@@ -105,8 +110,8 @@
 //!   parked install; **hides** chunk geometry, digests, the pull window,
 //!   the resume. Its header describes compaction and the host-mediated
 //!   install.
-//! * this file — **owns** `instances`, `decisions`, `frontier`,
-//!   `compact_floor`, `last_progress` and the durability events; **hides**
+//! * this file — **owns** `instances`, `last_progress` and the durability
+//!   events; **hides**
 //!   the one way to open a ballot (`open_ballot`), the
 //!   `record_acceptance`-before-emit discipline, and the order in which the
 //!   parts are consulted.
@@ -122,30 +127,31 @@
 //! | L2 | forward | a non-leader's check period; a `Forward` arrives | Ω's leader, `pending`, where last period's window ended; `decided_index`, `inflight` | the next `batch_max` pending values, wrapping → `Forward` to the leader; `pending`, then L9 | `queue` |
 //! | L3 | reign prepare | a leader with the skip on holds no reign (`drive`, `check`), has caught up past the one it is preparing, or its prepare stalled ≤ `REIGN_RETRIES` checks | `max_epoch_seen`, `frontier` | `Reign::Preparing`, `reign_prepares` → `PrepareReign` to all | `reign` |
 //! | L4 | reign promise | `PrepareReign` at an acceptor that knows no decision in the range | accepted state of `instances` ≥ `from` | the range promise, every instance ≥ `from` pre-promised → `PromiseReign` | `reign` |
-//! | L5 | reign refuse | the acceptor promised a newer reign, or its report would exceed `REIGN_REPORT_MAX` / `_BYTES` (silence); it knows a decision in the range (→ L19) | as L4, `decisions` | — | `reign` |
+//! | L5 | reign refuse | the acceptor promised a newer reign, or its report would exceed `REIGN_REPORT_MAX` / `_BYTES` (silence); it knows a decision in the range (→ L19) | as L4, the decided slots | — | `reign`, `decided` |
 //! | L6 | reign establish | `n − t` promises for the prepared `(ballot, from)` | `promised`, `reported` | `Reign::Established`; each reported undecided slot → L9, then `drive` | `reign` |
 //! | L7 | reign abandon | Ω names another leader; a ballot of a newer epoch is seen; the frontier stood still under an open proposal > `REIGN_RETRIES` checks; the skip is switched off | Ω, ballots, `stalls` | `reign = None`; on leadership loss `inflight` → `pending` | `reign`, `queue` |
 //! | L8 | reign fall back | the prepare stalled > `REIGN_RETRIES` checks | `stalls` | `Reign::Fallback`: classic ballots | `reign` |
 //! | L9 | open | a leader's window has a free slot and a value pending (`drive`); L6; a proposal's progress counter stood still over a check period; L25 | `pending`, the gate of L3 / L6 / L8, `last_progress` | `inflight`, the instance's proposal and ballot, `last_progress`, `slots_driven`, `phase1_skips`; the own acceptance as L10 → `Accept` to others, or `Prepare` to all | `mod` (`open_ballot`), `queue` |
 //! | L10 | accept → vote to owner | an `Accept` passes the instance's promise check | the instance | its acceptance, `LogEvent::Accepted` *before* → `Accepted` to `b.proposer` | `mod` (`on_slot`, `record_acceptance`) |
 //! | L11 | quorum → decide and hold | the owner counts `n − t` votes | the votes, the established reign ballot | L12; at the reign ballot the `Decide` is held, else it leaves now | `mod`, `announce` |
-//! | L12 | learn | a decision arrives: own quorum, `Decide`, note, replay, recovery | `decisions`, `compact_floor` | `decisions`, `LogEvent::Decided` (once), `frontier`, `instances` pruned; its values retired, a conflicting assignment requeued; then `drive` | `mod` (`note_decision`), `queue` |
+//! | L12 | learn | a decision arrives: own quorum, `Decide`, note, replay, recovery | the decided slots, the floor | the decision (the prefix, or ahead of a gap), `LogEvent::Decided` (once), `instances` pruned below the frontier; its values retired, a conflicting assignment requeued; then `drive` | `decided`, `mod` (`note_decision`), `queue` |
 //! | L13 | note | an `Accept` leaves while decisions are held | `unannounced` | the lowest contiguous run at the `Accept`'s ballot → `AcceptNoting`; each left-over → `Decide`; `decides_noted`, `decides_flushed` | `announce` |
 //! | L14 | flush | any timer of the log fires; `on_quiesce` | `unannounced` | everything held → `Decide` to others | `announce` |
 //! | L15 | learn-noted / unmatched → ask | `AcceptNoting` from `b.proposer` | per noted slot, the acceptance at exactly `b` | L12 per match; else `notes_unmatched` and, first time in a check period, L18 to the sender | `mod` (`learn_noted`), `catchup` |
-//! | L16 | straggler reply | `Prepare` / `Accept` for a decided or compacted slot | `decisions`, `compact_floor` | → `Decide`, or `SnapshotOffer { floor }`, to the sender | `mod` (`on_slot`) |
+//! | L16 | straggler reply | `Prepare` / `Accept` for a decided or compacted slot | the decided slots, the floor | → `Decide`, or `SnapshotOffer { floor }`, to the sender | `decided`, `mod` (`on_slot`) |
 //! | L17 | frontier advertisement | a leader's check finds its frontier > 0 where it was a period ago; an offer arrives | `frontier` | → `SnapshotOffer { frontier }` to others; a receiver below it → L18, above it → its own offer back | `mod` |
 //! | L18 | catch-up ask | check: a seen slot ≥ `frontier + depth`, or ≥ `frontier` with the frontier still; L15; L17 | `max_seen_slot`, `last_check_frontier`, `catchups_sent`, Ω | `still_checks`, `catchups_sent` → `Catchup { frontier }` to the leader or a rotating peer | `catchup` |
-//! | L19 | catch-up answer | `Catchup { from }`; L5 | `decisions`, `compact_floor`, the snapshot | from below the floor the snapshot's first window (L20), then ≤ `CATCHUP_BATCH` slots and `CATCHUP_BYTES` of `Decide`s | `mod` (`answer_catchup`), `catchup`, `transfer` |
+//! | L19 | catch-up answer | `Catchup { from }`; L5 | the decided slots, the floor, the snapshot | from below the floor the snapshot's first window (L20), then ≤ `CATCHUP_BATCH` slots and `CATCHUP_BYTES` of `Decide`s | `decided`, `mod` (`answer_catchup`), `catchup`, `transfer` |
 //! | L20 | chunk serve | L19 from below the floor; `SnapshotChunkRequest` | the snapshot | `chunks_served` → `SnapshotChunk`, or `SnapshotOffer` when the snapshot was replaced | `transfer` |
 //! | L21 | chunk assemble | a `SnapshotChunk` within bounds whose digest matches | the assembly, `frontier` | the assembly → `SnapshotChunkRequest` for the next of the window; complete → the parked install | `transfer` |
 //! | L22 | chunk resume | check: the assembly made no progress over a period | the assembly | `chunk_rerequests` → re-requests ≤ a window of missing chunks; a superseded assembly is dropped | `transfer` |
-//! | L23 | truncate | the host calls `truncate_below(upto ≤ frontier, blob)` | `frontier` | `compact_floor`, the snapshot, `decisions` below dropped, `decided_index` dropped, rebuilt on demand | `mod`, `transfer`, `queue` |
-//! | L24 | install | the host takes the parked blob, applies it, calls `complete_install` | the parked install | `compact_floor`, `frontier`, per-slot state below dropped, moot assignments requeued, the snapshot adopted, `snapshot_installs` | `mod`, `transfer`, `queue` |
+//! | L23 | truncate | the host calls `truncate_below(upto ≤ frontier, blob)` | `frontier` | the floor, the prefix below it drained from the front, the snapshot, `decided_index` dropped, rebuilt on demand | `decided`, `transfer`, `queue` |
+//! | L24 | install | the host takes the parked blob, applies it, calls `complete_install` | the parked install | the floor; past the frontier, the run held ahead at the floor promoted; per-slot state below dropped, moot assignments requeued, the snapshot adopted, `snapshot_installs` | `decided`, `mod`, `transfer`, `queue` |
 //! | L25 | leaderless finish | a non-leader's check: `still_checks > REIGN_RETRIES`, its turn, an acceptance held for the frontier slot | `still_checks`, the instance | L9 with the accepted batch, classic | `catchup`, `mod` |
 
 mod announce;
 mod catchup;
+mod decided;
 mod msg;
 mod queue;
 mod reign;
@@ -199,16 +205,8 @@ pub struct ReplicatedLog<O: Protocol, V = Value> {
     oracle_out: Actions<O::Msg>,
     /// Open consensus instances by slot (each slot decides a batch).
     instances: BTreeMap<u64, PaxosInstance<Batch<V>>>,
-    /// Decided batches by slot, from the compaction floor upward.
-    decisions: BTreeMap<u64, Batch<V>>,
-    /// Cached lowest slot without a known decision (advanced by
-    /// `note_decision`; `decisions` only ever gains entries there, so the
-    /// cache cannot go stale). Keeps the hot request/apply paths O(1)
-    /// instead of rescanning the decision map.
-    frontier: u64,
-    /// Lowest retained decision slot; everything below was truncated away
-    /// behind a snapshot. 0 until the first truncation.
-    compact_floor: u64,
+    /// The decided batches from the compaction floor up; the frontier.
+    decided: decided::Decided<V>,
     /// Per-slot progress counters as of the previous check / open, used to
     /// restart only genuinely stalled ballots across the window.
     last_progress: BTreeMap<u64, u64>,
@@ -286,9 +284,7 @@ where
             oracle,
             oracle_out: Actions::new(),
             instances: BTreeMap::new(),
-            decisions: BTreeMap::new(),
-            frontier: 0,
-            compact_floor: 0,
+            decided: decided::Decided::new(),
             last_progress: BTreeMap::new(),
             durable: false,
             wal_events: Vec::new(),
@@ -326,8 +322,7 @@ where
     ) -> Self {
         let mut log = Self::new(id, cfg, oracle);
         if let Some((upto, state)) = snapshot {
-            log.compact_floor = upto;
-            log.frontier = upto;
+            log.decided.truncate_below(upto);
             if upto > 0 {
                 log.catchup.note_seen(upto - 1);
             }
@@ -337,7 +332,7 @@ where
             log.note_decision(slot, batch);
         }
         for (slot, ballot, value) in accepted {
-            if slot < log.compact_floor || log.decisions.contains_key(&slot) {
+            if slot < log.decided.floor() || log.decided.contains(slot) {
                 continue; // the decision (or the snapshot) supersedes it
             }
             log.catchup.note_seen(slot);
@@ -377,7 +372,7 @@ where
     /// The retained decided slots in ascending order — the decision half
     /// of a rotated WAL's seed.
     pub fn retained(&self) -> impl Iterator<Item = (u64, &Batch<V>)> + '_ {
-        self.decisions.iter().map(|(s, b)| (*s, b))
+        self.decided.iter()
     }
 
     /// The undecided instances' accepted `(slot, ballot, batch)` acceptor
@@ -385,7 +380,7 @@ where
     /// seed.
     pub fn accepted_states(&self) -> impl Iterator<Item = (u64, Ballot, &Batch<V>)> + '_ {
         let undecided = self.instances.iter();
-        let undecided = undecided.filter(|(s, _)| !self.decisions.contains_key(s));
+        let undecided = undecided.filter(|(s, _)| !self.decided.contains(**s));
         undecided.filter_map(|(s, i)| i.accepted().map(|(b, v)| (*s, *b, v)))
     }
 
@@ -432,13 +427,14 @@ where
     /// flattened in slot-then-batch order. Before any truncation this is
     /// the whole decided prefix of the log.
     pub fn log(&self) -> Vec<V> {
-        let contiguous = (self.compact_floor..).map_while(|slot| self.decisions.get(&slot));
+        let dense = self.decided.frontier() - self.decided.floor();
+        let contiguous = self.decided.values().take(dense as usize);
         contiguous.flat_map(|batch| batch.iter().cloned()).collect()
     }
 
     /// The decided batch of a specific slot, if known (and not truncated).
     pub fn decision(&self, slot: u64) -> Option<&Batch<V>> {
-        self.decisions.get(&slot)
+        self.decided.get(slot)
     }
 
     /// Number of values submitted (locally or by forwarding) and not yet
@@ -451,7 +447,7 @@ where
     /// The first question after a truncation builds the dedup index over
     /// the retained slots (see `queue.rs`).
     pub fn is_decided_value(&mut self, v: &V) -> bool {
-        self.queue.is_decided(v, &self.decisions)
+        self.queue.is_decided(v, &self.decided)
     }
 
     /// Returns `true` if `v` is queued (unassigned or assigned to an
@@ -463,19 +459,27 @@ where
     /// The lowest slot without a known decision (also the count of decided
     /// slots, truncated ones included).
     pub fn frontier_slot(&self) -> u64 {
-        self.frontier
+        self.decided.frontier()
     }
 
     /// The lowest retained decision slot (0 until the first truncation).
     pub fn compact_floor(&self) -> u64 {
-        self.compact_floor
+        self.decided.floor()
     }
 
-    /// Number of decided batches currently held in memory. Bounded by
-    /// O(snapshot interval + pipeline window) when the host truncates
-    /// periodically.
+    /// Number of decided batches currently held in memory: every slot from
+    /// the compaction floor to the frontier, plus the decisions held above
+    /// the first gap (one each, however far). Bounded by O(snapshot interval
+    /// + pipeline window) when the host truncates periodically.
     pub fn retained_decisions(&self) -> usize {
-        self.decisions.len()
+        self.decided.len()
+    }
+
+    /// Number of decisions held above the frontier, the first undecided
+    /// slot. Nonzero beside a frontier that does not move, this replica
+    /// knows later slots and waits for the gap.
+    pub fn decided_ahead(&self) -> usize {
+        self.decided.ahead()
     }
 
     /// Read access to the embedded oracle.
@@ -527,7 +531,7 @@ where
 
     /// L18: asks `target` to replay the decided slots from our frontier up.
     fn ask_catchup(&mut self, target: ProcessId, out: &mut Out<O, V>) {
-        let from = self.frontier;
+        let from = self.decided.frontier();
         out.send(target, LogMsg::Catchup { from });
         self.catchup.asked();
         self.trace(EventKind::CatchupSent, from, 0);
@@ -583,25 +587,23 @@ where
     /// the instance bookkeeping below the contiguous frontier.
     fn note_decision(&mut self, slot: u64, batch: Batch<V>) {
         self.catchup.note_seen(slot);
-        if slot < self.compact_floor {
+        let Some((batch, fresh)) = self.decided.insert(slot, batch) else {
             return; // a stale decide for a slot the snapshot already covers
-        }
-        if !self.decisions.contains_key(&slot) {
+        };
+        let batch = batch.clone();
+        if fresh {
             self.trace(EventKind::Decided, slot, batch.len() as u64);
             if self.durable {
                 let value = batch.clone();
                 self.wal_events.push(LogEvent::Decided { slot, value });
             }
         }
-        let batch = self.decisions.entry(slot).or_insert(batch).clone();
-        self.queue.retire(slot, &batch, &self.decisions);
-        while self.decisions.contains_key(&self.frontier) {
-            self.frontier += 1;
-        }
+        self.queue.retire(slot, &batch, &self.decided);
         // Keep the window instances and everything above; decided slots
         // below the frontier only need their decision.
-        drop_below(&mut self.instances, self.frontier);
-        drop_below(&mut self.last_progress, self.frontier);
+        let frontier = self.decided.frontier();
+        drop_below(&mut self.instances, frontier);
+        drop_below(&mut self.last_progress, frontier);
     }
 
     fn send_chunk(&self, to: ProcessId, c: Chunk, out: &mut Out<O, V>) {
@@ -625,14 +627,14 @@ where
     /// our compaction floor gets the snapshot first — the per-slot history
     /// it asks for no longer exists.
     fn answer_catchup(&mut self, from: ProcessId, first: u64, out: &mut Out<O, V>) {
-        if first < self.compact_floor {
+        if first < self.decided.floor() {
             for chunk in self.transfer.open() {
                 self.send_chunk(from, chunk, out);
             }
         }
-        let replay = self.decisions.range(first.max(self.compact_floor)..);
+        let replay = self.decided.range_from(first);
         let replayed = catchup::replay_len(replay.clone().map(|(_, v)| v.estimated_size()));
-        for (&slot, v) in replay.take(replayed) {
+        for (slot, v) in replay.take(replayed) {
             out.send(from, Self::decide_frame(slot, v.clone()));
         }
     }
@@ -650,14 +652,16 @@ where
     /// covered by a snapshot).
     pub fn truncate_below(&mut self, upto: u64, state: impl Into<Arc<[u8]>>) {
         let state = state.into();
-        assert!(upto <= self.frontier, "cannot truncate undecided slots");
-        if upto <= self.compact_floor {
+        assert!(
+            upto <= self.decided.frontier(),
+            "cannot truncate undecided slots"
+        );
+        if upto <= self.decided.floor() {
             return;
         }
         self.trace(EventKind::SnapshotTaken, upto, state.len() as u64);
-        self.compact_floor = upto;
+        self.decided.truncate_below(upto);
         self.transfer.adopt(upto, state);
-        self.decisions = self.decisions.split_off(&upto);
         self.queue.drop_decided_index();
     }
 
@@ -674,12 +678,11 @@ where
     /// this replica's own servable snapshot. Call only after the host state
     /// machine reflects every slot below `upto`.
     pub fn complete_install(&mut self, upto: u64, state: impl Into<Arc<[u8]>>) {
-        if upto <= self.compact_floor {
+        if upto <= self.decided.floor() {
             return;
         }
-        self.compact_floor = upto;
+        self.decided.truncate_below(upto);
         self.transfer.adopt(upto, state.into());
-        self.decisions = self.decisions.split_off(&upto);
         self.instances = self.instances.split_off(&upto);
         self.last_progress = self.last_progress.split_off(&upto);
         // The dedup index answers from the retained decisions only, so a
@@ -689,11 +692,7 @@ where
         // invisible here — the host's session filter absorbs the duplicates
         // this can produce).
         self.queue.drop_decided_index();
-        self.queue.reclaim_below(upto, &self.decisions);
-        self.frontier = self.frontier.max(upto);
-        while self.decisions.contains_key(&self.frontier) {
-            self.frontier += 1;
-        }
+        self.queue.reclaim_below(upto, &self.decided);
         self.transfer.installs += 1;
         self.trace(EventKind::SnapshotInstalled, upto, 0);
     }
@@ -702,7 +701,7 @@ where
     /// `drive`/`check` when this replica leads with `phase1_skip` on and no
     /// reign in progress.
     fn begin_reign(&mut self, out: &mut Out<O, V>) {
-        let (b, from) = self.reign.begin(self.id, self.frontier);
+        let (b, from) = self.reign.begin(self.id, self.decided.frontier());
         self.trace(EventKind::BallotOpened, u64::MAX, b.reign_epoch());
         out.broadcast_all(LogMsg::PrepareReign { b, from });
     }
@@ -712,7 +711,8 @@ where
     /// `Prepare` for a decided slot gets, and the leader prepares again once
     /// it has caught up).
     fn on_prepare_reign(&mut self, from: ProcessId, b: Ballot, first: u64, out: &mut Out<O, V>) {
-        let knows_more = first < self.frontier || self.decisions.range(first..).next().is_some();
+        let knows_more =
+            first < self.decided.frontier() || self.decided.range_from(first).next().is_some();
         let accepted = self
             .instances
             .range(first..)
@@ -806,7 +806,8 @@ where
             Gate::Wait => return,
             Gate::Open(reign) => reign,
         };
-        let window = self.frontier..self.frontier.saturating_add(self.depth());
+        let frontier = self.decided.frontier();
+        let window = frontier..frontier.saturating_add(self.depth());
         for slot in window {
             if !self.queue.has_unassigned() {
                 break;
@@ -815,7 +816,7 @@ where
             // orphaned proposal (assigned before a leadership bounce,
             // reclaimed since): peers may still finish it; we must not
             // re-drive it with values that now ride another slot.
-            if self.decisions.contains_key(&slot)
+            if self.decided.contains(slot)
                 || self.queue.is_assigned(slot)
                 || self.instance(slot).proposal().is_some()
             {
@@ -848,14 +849,14 @@ where
         // *our* ballot (the n − quorum votes that trail every decision are
         // the common case), and a `Decide` needs none.
         let from_proposer = matches!(msg, PaxosMsg::Prepare { .. } | PaxosMsg::Accept { .. });
-        if slot < self.compact_floor || self.decisions.contains_key(&slot) {
+        let known = self.decided.get(slot);
+        let floor = self.decided.floor();
+        if slot < floor || known.is_some() {
             if from_proposer {
                 // The decision — or, gone, the snapshot that replaced it.
-                let reply = match self.decisions.get(&slot) {
+                let reply = match known {
                     Some(v) => Self::decide_frame(slot, v.clone()),
-                    None => LogMsg::SnapshotOffer {
-                        upto: self.compact_floor,
-                    },
+                    None => LogMsg::SnapshotOffer { upto: floor },
                 };
                 out.send(from, reply);
             }
@@ -901,8 +902,8 @@ where
     fn learn_noted(&mut self, from: ProcessId, b: Ballot, run: (u64, u64), out: &mut Out<O, V>) {
         let end = run.0.saturating_add(run.1.min(NOTED_MAX));
         let mut unmatched = false;
-        for slot in run.0.max(self.compact_floor)..end {
-            if self.decisions.contains_key(&slot) {
+        for slot in run.0.max(self.decided.floor())..end {
+            if self.decided.contains(slot) {
                 continue;
             }
             match self.instances.get(&slot).and_then(|i| i.accepted()) {
@@ -920,7 +921,7 @@ where
 
     fn check(&mut self, out: &mut Out<O, V>) {
         out.set_timer(TIMER_LOG_CHECK, self.cfg.ballot_check_period);
-        let (frontier, n) = (self.frontier, self.cfg.system.n());
+        let (frontier, n) = (self.decided.frontier(), self.cfg.system.n());
         // L22.
         if let Some((source, upto, missing)) = self.transfer.resume(frontier) {
             for chunk in missing {
@@ -938,7 +939,7 @@ where
         if leader != self.id {
             // L7: discard any reign and reclaim its slot assignments.
             self.reign.abandon();
-            self.queue.reclaim_below(u64::MAX, &self.decisions);
+            self.queue.reclaim_below(u64::MAX, &self.decided);
             // L25. A leader acks from the handler that counts its quorum and
             // announces later; if it dies in between, the batch is chosen
             // and nobody alive knows. Decided at a per-slot ballot, the slot
@@ -1027,24 +1028,24 @@ where
             // otherwise): forwarded traffic should not wait for the next
             // check tick either.
             LogMsg::Forward { v } => {
-                if self.queue.accept_forward(v, &self.decisions) {
+                if self.queue.accept_forward(v, &self.decided) {
                     self.drive(out);
                 }
             }
             LogMsg::Catchup { from: first } => self.answer_catchup(from, *first, out),
             // L17.
             LogMsg::SnapshotOffer { upto } => {
-                if *upto > self.frontier {
+                let frontier = self.decided.frontier();
+                if *upto > frontier {
                     self.catchup.note_seen(upto - 1);
                     self.ask_catchup(from, out);
-                } else if *upto < self.frontier {
+                } else if *upto < frontier {
                     // The advertiser is the one behind (an idle leader that
                     // missed the tail of its predecessor's reign): say so,
                     // and it will ask. Frontiers only grow and each reply
                     // needs a strict gap, so the exchange ends in a
                     // `Catchup` after at most three offers.
-                    let upto = self.frontier;
-                    out.send(from, LogMsg::SnapshotOffer { upto });
+                    out.send(from, LogMsg::SnapshotOffer { upto: frontier });
                 }
             }
             // L20.
@@ -1070,7 +1071,8 @@ where
                     digest: *digest,
                     data: Arc::clone(data),
                 };
-                if let Received::Taken(next) = self.transfer.on_chunk(from, self.frontier, c) {
+                let frontier = self.decided.frontier();
+                if let Received::Taken(next) = self.transfer.on_chunk(from, frontier, c) {
                     self.catchup.note_seen(upto - 1);
                     if let Some((source, upto, chunk)) = next {
                         out.send(source, LogMsg::SnapshotChunkRequest { upto, chunk });
@@ -1091,7 +1093,7 @@ where
                     return;
                 };
                 for (slot, (_, v)) in reported {
-                    if slot >= self.frontier && !self.decisions.contains_key(&slot) {
+                    if slot >= self.decided.frontier() && !self.decided.contains(slot) {
                         self.open_ballot(slot, Open::Recover(v, ballot), out);
                     }
                 }
@@ -1154,12 +1156,12 @@ where
         use irs_obs::names;
         let mut snap = self.oracle.snapshot();
         snap.extra.extend([
-            (names::LOG_LEN, self.frontier),
+            (names::LOG_LEN, self.decided.frontier()),
             (names::PENDING, self.pending_len() as u64),
             (names::SLOTS_DRIVEN, self.slots_driven),
             (names::CATCHUPS_SENT, self.catchup.sent),
-            (names::RETAINED_DECISIONS, self.decisions.len() as u64),
-            (names::COMPACT_FLOOR, self.compact_floor),
+            (names::RETAINED_DECISIONS, self.decided.len() as u64),
+            (names::COMPACT_FLOOR, self.decided.floor()),
             (names::SNAPSHOT_INSTALLS, self.transfer.installs),
             (names::PHASE1_SKIPS, self.phase1_skips),
             (names::REIGN_PREPARES, self.reign.prepares),

@@ -12,12 +12,12 @@
 //! # The dedup index, on demand
 //!
 //! Whether a value is decided in a retained slot is a question about the
-//! log's `decisions`, which the queue does not own; it is asked only by a
-//! forward, a requeue, and the host's own dedup (`is_decided_value`). The
-//! index answering it is built from `decisions` at the first such question,
-//! kept up to date from then on as slots retire, and dropped when the
-//! retained slots change under a truncation or an install (index dropped,
-//! rebuilt on demand). A replica nobody asks — a follower on a stable
+//! log's decided slots (`decided.rs`), which the queue does not own and only
+//! iterates; it is asked only by a forward, a requeue, and the host's own
+//! dedup (`is_decided_value`). The index answering it is built from the
+//! retained decisions at the first such question, kept up to date from then
+//! on as slots retire, and dropped when the retained slots change under a
+//! truncation or an install (index dropped, rebuilt on demand). A replica nobody asks — a follower on a stable
 //! reign — never builds it, and pays nothing per decided value.
 //!
 //! # Batching and pipelining
@@ -32,8 +32,8 @@
 //! * **Pipelining** (`pipeline_depth`): up to `pipeline_depth` consecutive
 //!   frontier slots run their own ballots concurrently.
 //!   [`drive`](super::ReplicatedLog::drive) opens new slots the moment
-//!   values arrive, and `note_decision` advances the cached frontier across
-//!   the window as decisions land (in any order — application still follows
+//!   values arrive, and the frontier advances across the window as
+//!   decisions land (in any order — application still follows
 //!   slot order).
 //!
 //! With `batch_max = 1, pipeline_depth = 1` (the defaults) the protocol is
@@ -42,11 +42,9 @@
 //! ballot inherited another proposal) are reclaimed into the pending queue
 //! and re-proposed in a later slot, so nothing submitted is silently lost.
 
+use super::decided::Decided;
 use crate::{Batch, LogValue, MAX_BATCH_BYTES, MAX_BATCH_LEN};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// The retained decided slots, as the log holds them.
-pub(super) type Decisions<V> = BTreeMap<u64, Batch<V>>;
 
 #[derive(Debug)]
 pub(super) struct Queue<V> {
@@ -84,8 +82,8 @@ impl<V: LogValue> Queue<V> {
 
     /// L2: a forwarded submission joins the queue unless it is decided in a
     /// retained slot or queued already. Returns whether it was queued.
-    pub(super) fn accept_forward(&mut self, v: &V, decisions: &Decisions<V>) -> bool {
-        let fresh = !self.is_decided(v, decisions) && !self.contains(v);
+    pub(super) fn accept_forward(&mut self, v: &V, decided: &Decided<V>) -> bool {
+        let fresh = !self.is_decided(v, decided) && !self.contains(v);
         if fresh {
             self.pending.push_back(v.clone());
         }
@@ -102,10 +100,10 @@ impl<V: LogValue> Queue<V> {
     }
 
     /// Whether `v` is decided in a retained slot — building the index from
-    /// `decisions` if nobody asked since it was last dropped.
-    pub(super) fn is_decided(&mut self, v: &V, decisions: &Decisions<V>) -> bool {
+    /// `decided` if nobody asked since it was last dropped.
+    pub(super) fn is_decided(&mut self, v: &V, decided: &Decided<V>) -> bool {
         let index = self.decided_index.get_or_insert_with(|| {
-            let values = decisions.values().flat_map(|b| b.iter().cloned());
+            let values = decided.values().flat_map(|b| b.iter().cloned());
             values.collect()
         });
         index.contains(v)
@@ -142,13 +140,13 @@ impl<V: LogValue> Queue<V> {
         batch
     }
 
-    /// L12 (the queue's half): `slot` decided `batch`, which `decisions`
+    /// L12 (the queue's half): `slot` decided `batch`, which `decided`
     /// already holds (the index, if built, learns its values here).
     /// Its values leave the queue; if we had assigned the slot something
     /// else (a conflicting ballot inherited another leader's batch), our
     /// still-undecided values go back in front to ride the next slot. Our
     /// own batch deciding requeues nothing: every value of it is decided.
-    pub(super) fn retire(&mut self, slot: u64, batch: &Batch<V>, decisions: &Decisions<V>) {
+    pub(super) fn retire(&mut self, slot: u64, batch: &Batch<V>, decided: &Decided<V>) {
         for v in batch.iter() {
             if let Some(index) = &mut self.decided_index {
                 index.insert(v.clone());
@@ -158,7 +156,7 @@ impl<V: LogValue> Queue<V> {
             }
         }
         match self.inflight.remove(&slot) {
-            Some(mine) if mine != *batch => self.requeue(&mine, decisions),
+            Some(mine) if mine != *batch => self.requeue(&mine, decided),
             _ => {}
         }
     }
@@ -167,9 +165,9 @@ impl<V: LogValue> Queue<V> {
     /// front of the queue, preserving their order. The single requeue path
     /// for every reclaim, so the dedup rules (skip values decided in a
     /// retained slot, skip values already queued) cannot drift apart.
-    fn requeue(&mut self, batch: &Batch<V>, decisions: &Decisions<V>) {
+    fn requeue(&mut self, batch: &Batch<V>, decided: &Decided<V>) {
         for v in batch.iter().rev() {
-            if !self.is_decided(v, decisions) && !self.pending.contains(v) {
+            if !self.is_decided(v, decided) && !self.pending.contains(v) {
                 self.pending.push_front(v.clone());
             }
         }
@@ -182,10 +180,10 @@ impl<V: LogValue> Queue<V> {
     /// snapshot install just made moot otherwise. Values can end up decided
     /// twice this way (our old ballot may still complete, the snapshot may
     /// cover them); the host's session filter is the dedup of record.
-    pub(super) fn reclaim_below(&mut self, upto: u64, decisions: &Decisions<V>) {
+    pub(super) fn reclaim_below(&mut self, upto: u64, decided: &Decided<V>) {
         let keep = self.inflight.split_off(&upto);
         for (_, batch) in std::mem::replace(&mut self.inflight, keep).iter().rev() {
-            self.requeue(batch, decisions);
+            self.requeue(batch, decided);
         }
     }
 
@@ -246,16 +244,16 @@ mod tests {
         Batch::new(values.iter().map(|&v| Value(v)).collect())
     }
 
-    /// L12 as the log runs it: the decision lands in `decisions`, then the
+    /// L12 as the log runs it: the decision lands in `decided`, then the
     /// queue retires it.
-    fn decide(q: &mut Queue<Value>, d: &mut Decisions<Value>, slot: u64, values: &[u64]) {
+    fn decide(q: &mut Queue<Value>, d: &mut Decided<Value>, slot: u64, values: &[u64]) {
         d.insert(slot, batch(values));
         q.retire(slot, &batch(values), d);
     }
 
     #[test]
     fn a_forward_is_queued_once_and_never_after_its_decision() {
-        let (mut q, mut d): (Queue<Value>, _) = (Queue::new(), Decisions::new());
+        let (mut q, mut d): (Queue<Value>, _) = (Queue::new(), Decided::new());
         assert!(q.accept_forward(&Value(5), &d));
         assert!(
             !q.accept_forward(&Value(5), &d),
@@ -275,7 +273,7 @@ mod tests {
         );
         // Once the slot is compacted away the value is forgotten: the
         // re-submission is the host's session filter's to catch.
-        d.clear();
+        d.truncate_below(1);
         q.drop_decided_index();
         assert!(q.accept_forward(&Value(5), &d));
     }
@@ -285,7 +283,7 @@ mod tests {
     /// queued already are not requeued.
     #[test]
     fn a_conflicting_decision_requeues_what_it_did_not_decide_in_front() {
-        let (mut q, mut d) = (queue_of(1..=5), Decisions::new());
+        let (mut q, mut d) = (queue_of(1..=5), Decided::new());
         assert_eq!(q.assign(0, 2).values(), &[Value(1), Value(2)]);
         assert_eq!(q.assign(1, 2).values(), &[Value(3), Value(4)]);
         assert_eq!((q.len(), unassigned(&q)), (5, vec![5]));
@@ -306,7 +304,7 @@ mod tests {
     /// decided.
     #[test]
     fn reclaims_put_assignments_back_oldest_first() {
-        let (mut q, mut d) = (queue_of(1..=6), Decisions::new());
+        let (mut q, mut d) = (queue_of(1..=6), Decided::new());
         for slot in 0..3 {
             q.assign(slot, 2);
         }
@@ -359,7 +357,7 @@ mod tests {
         assert_eq!(first_rotation, vec![10, 11, 12]);
         assert_eq!(period(&mut q), vec![10], "wrapping");
         // The tail is decided; the stuck head stays, alone in its window.
-        decide(&mut q, &mut Decisions::new(), 0, &[11, 12]);
+        decide(&mut q, &mut Decided::new(), 0, &[11, 12]);
         assert_eq!(period(&mut q), vec![10]);
         // A queue no longer than the window is forwarded whole, from the
         // head, every period — rotation only shows under a backlog.
@@ -426,7 +424,7 @@ mod tests {
             }
         }
 
-        fn rebuild(&mut self, retained: &Decisions<Value>) {
+        fn rebuild(&mut self, retained: &Decided<Value>) {
             self.decided = retained.values().flat_map(|b| b.iter().copied()).collect();
         }
     }
@@ -442,7 +440,7 @@ mod tests {
             ops in proptest::collection::vec(0u64..10_000, 1..160),
         ) {
             let (mut q, mut eager) = (Queue::<Value>::new(), Eager::default());
-            let (mut decisions, mut floor, mut next_slot) = (Decisions::new(), 0u64, 0u64);
+            let (mut decisions, mut floor, mut next_slot) = (Decided::new(), 0u64, 0u64);
             for op in ops {
                 let (v, arg) = (Value(op / 10 % 12), op / 120);
                 match op % 10 {
@@ -464,12 +462,13 @@ mod tests {
                     // same batch again (a duplicate `Decide`).
                     3 | 4 => {
                         let slot = floor + arg % 6;
-                        let decided = match (decisions.get(&slot), q.assignment(slot)) {
+                        let decided = match (decisions.get(slot), q.assignment(slot)) {
                             (Some(b), _) => b.clone(),
                             (None, Some(mine)) if op % 10 == 3 => mine.clone(),
                             (None, _) => Batch::new(vec![v, Value(arg % 12)]),
                         };
-                        let batch = decisions.entry(slot).or_insert(decided).clone();
+                        let (batch, _) = decisions.insert(slot, decided).expect("above the floor");
+                        let batch = batch.clone();
                         q.retire(slot, &batch, &decisions);
                         eager.retire(slot, &batch);
                         next_slot = next_slot.max(slot + 1);
@@ -485,7 +484,7 @@ mod tests {
                     // L23, and L24 with its reclaim of the moot assignments.
                     7 | 8 => {
                         floor += arg % 4;
-                        decisions = decisions.split_off(&floor);
+                        decisions.truncate_below(floor);
                         q.drop_decided_index();
                         eager.rebuild(&decisions);
                         if op % 10 == 8 {

@@ -91,7 +91,7 @@ fn non_leader_does_not_drive_slots() {
 #[test]
 fn decided_slot_answers_stragglers_with_decide() {
     let mut log = ReplicatedLog::over_omega(ProcessId::new(0), system());
-    log.decisions.insert(0, Batch::one(Value(9)));
+    log.decided.insert(0, Batch::one(Value(9)));
     let mut out = Actions::new();
     log.on_message(
         ProcessId::new(2),
@@ -151,11 +151,38 @@ fn non_leader_forwards_pending_values_to_the_leader() {
 #[test]
 fn log_prefix_stops_at_first_gap() {
     let mut log = ReplicatedLog::over_omega(ProcessId::new(0), system());
-    log.decisions.insert(0, Batch::one(Value(1)));
-    log.decisions.insert(2, Batch::one(Value(3)));
+    log.decided.insert(0, Batch::one(Value(1)));
+    log.decided.insert(2, Batch::one(Value(3)));
     assert_eq!(log.log(), vec![Value(1)]);
-    log.decisions.insert(1, Batch::one(Value(2)));
+    log.decided.insert(1, Batch::one(Value(2)));
     assert_eq!(log.log(), vec![Value(1), Value(2), Value(3)]);
+}
+
+/// A `Decide` for a slot far above the frontier — 2^40 slots, or the last
+/// slot there is — is one retained decision: the frontier and the dense
+/// prefix stay where they were, so memory grows with the decisions held,
+/// not with the distance to them.
+#[test]
+fn a_decide_far_above_the_frontier_costs_one_entry() {
+    let mut log = ReplicatedLog::over_omega(ProcessId::new(3), system());
+    for slot in 0..3 {
+        log.note_decision(slot, Batch::one(Value(slot)));
+    }
+    assert_eq!((log.retained_decisions(), log.decided_ahead()), (3, 0));
+    for (far, held) in [(3 + (1 << 40), 4), (u64::MAX, 5)] {
+        let decide = LogMsg::Slot {
+            slot: far,
+            msg: PaxosMsg::Decide {
+                v: Batch::one(Value(far)),
+            },
+        };
+        log.on_message(ProcessId::new(0), &decide, &mut Actions::new());
+        assert_eq!(log.decision(far), Some(&Batch::one(Value(far))));
+        assert_eq!(log.retained_decisions(), held, "one entry for slot {far}");
+        assert_eq!((log.frontier_slot(), log.compact_floor()), (3, 0));
+        assert_eq!(log.decided_ahead(), held - 3, "the prefix holds 3");
+    }
+    assert_eq!(log.log(), vec![Value(0), Value(1), Value(2)]);
 }
 
 /// A replica that has seen traffic for a slot it has not decided asks
@@ -287,7 +314,7 @@ fn orphaned_frontier_proposal_is_restarted_after_re_leadership() {
     // Ω flickers away and back: the not-leader check path reclaims the
     // assignment (so the value could be forwarded), orphaning slot 0's
     // instance with its proposal still set.
-    log.queue.reclaim_below(u64::MAX, &log.decisions);
+    log.queue.reclaim_below(u64::MAX, &log.decided);
     assert!(!log.queue.is_assigned(0));
     assert_eq!(log.queue.unassigned().front(), Some(&Value(9)));
     // Leading again: drive() must not re-assign the value to the

@@ -35,7 +35,9 @@ pub const DECIDED: &str = "decided";
 pub const DECIDED_VALUE: &str = "decided_value";
 /// Ballots this coordinator has opened.
 pub const BALLOTS_STARTED: &str = "ballots_started";
-/// Decided log entries currently retained.
+/// The log's frontier: the lowest slot without a known decision, which is
+/// also the count of decided slots, compacted ones included (not the
+/// decisions retained: that is [`RETAINED_DECISIONS`]).
 pub const LOG_LEN: &str = "log_len";
 /// Commands waiting for a slot.
 pub const PENDING: &str = "pending";
@@ -118,6 +120,10 @@ pub const READS_STALE: &str = "reads_stale";
 pub const LEASE_REFRESHES: &str = "lease_refreshes";
 /// Leader lease expiries (validity window ran out unrefreshed).
 pub const LEASE_EXPIRIES: &str = "lease_expiries";
+/// Decisions the replica's log holds above its first undecided slot (the
+/// frontier). Nonzero beside a frontier that does not move: the log waits
+/// on the gap.
+pub const DECIDED_AHEAD: &str = "decided_ahead";
 /// Protocol turns taken on inbound traffic: one per `on_burst`, however
 /// many frames it carried (`on_message` is a burst of one).
 pub const BURSTS: &str = "bursts";
@@ -233,7 +239,10 @@ pub const ALL: &[(&str, &str)] = &[
     (DECIDED, "1 when the consensus instance has decided"),
     (DECIDED_VALUE, "the decided value, when any"),
     (BALLOTS_STARTED, "ballots opened by this coordinator"),
-    (LOG_LEN, "decided log entries retained"),
+    (
+        LOG_LEN,
+        "log frontier: lowest undecided slot, the count of decided slots",
+    ),
     (PENDING, "commands waiting for a slot"),
     (SLOTS_DRIVEN, "log slots this leader has driven"),
     (CATCHUPS_SENT, "catchup requests sent"),
@@ -309,6 +318,10 @@ pub const ALL: &[(&str, &str)] = &[
     (
         LEASE_EXPIRIES,
         "leader lease expiries (unrefreshed windows)",
+    ),
+    (
+        DECIDED_AHEAD,
+        "decisions held above the first undecided slot (the frontier)",
     ),
     (BURSTS, "protocol turns taken on inbound traffic"),
     (

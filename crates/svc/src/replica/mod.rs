@@ -666,6 +666,7 @@ impl Introspect for SvcReplica {
             (names::LEASE_EXPIRIES, self.lease.expiries),
             (names::WAL_APPENDED, d.map_or(0, Durability::appended)),
             (names::WAL_SYNCS, d.map_or(0, Durability::syncs)),
+            (names::DECIDED_AHEAD, self.log.decided_ahead() as u64),
         ]);
         snap
     }
@@ -1173,6 +1174,7 @@ mod tests {
             "wal_appended",
             "wal_syncs",
             "retained_decisions",
+            "decided_ahead",
             "compact_floor",
             "snapshot_installs",
             "decides_noted",
