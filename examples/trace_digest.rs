@@ -2,51 +2,39 @@
 //! `(seed, config)` runs. Used to verify that engine refactors preserve
 //! behaviour byte-for-byte: run before and after, diff the output.
 //!
-//! The last four lines are the replicated log's behaviour pin — the same
+//! The `engine` lines are the engine's behaviour pin — the digests
+//! `tests/engine_trace_digest.rs` asserts. The last four lines are the
+//! replicated log's behaviour pin — the same
 //! runs and digests `crates/consensus/tests/log_trace_digest.rs` asserts.
 
 #[path = "../crates/consensus/tests/digest/mod.rs"]
 mod digest;
+#[path = "../tests/engine_digest/mod.rs"]
+mod engine_digest;
 
 use intermittent_rotating_star::experiments::{Algorithm, Assumption, Background, Scenario};
-use intermittent_rotating_star::omega::OmegaProcess;
-use intermittent_rotating_star::sim::adversary::presets;
-use intermittent_rotating_star::sim::{CrashPlan, SimConfig, Simulation};
-use intermittent_rotating_star::types::{Duration, ProcessId, SystemConfig, Time};
 
 fn main() {
-    // Raw engine run: fig3, intermittent star, one crash, fixed seed.
-    let system = SystemConfig::new(5, 2).unwrap();
-    let center = ProcessId::new(4);
+    // Raw engine runs (see `engine_digest/mod.rs`): fig3, intermittent
+    // star, one crash, fixed seeds; then the n = 64 election.
     for seed in [1u64, 42, 99] {
-        let adversary = presets::intermittent_rotating_star(
-            system,
-            center,
-            Duration::from_ticks(8),
-            4,
-            intermittent_rotating_star::sim::adversary::DelayDist::uniform(
-                Duration::from_ticks(1),
-                Duration::from_ticks(60),
-            ),
-            seed,
-        );
-        let processes: Vec<OmegaProcess> = system
-            .processes()
-            .map(|id| OmegaProcess::fig3(id, system))
-            .collect();
-        let mut sim = Simulation::new(
-            SimConfig::new(seed, Time::from_ticks(150_000)),
-            processes,
-            adversary,
-            CrashPlan::new().crash(ProcessId::new(0), Time::from_ticks(20_000)),
-        );
-        let report = sim.run();
+        let report = engine_digest::raw_run(seed);
         println!("seed {seed}: {:?}", report.counters);
         println!(
             "seed {seed}: history {:?} stab {:?}",
             report.leader_history, report.stabilization
         );
+        println!(
+            "engine seed {seed}: {:#018x}",
+            engine_digest::digest(&report)
+        );
     }
+    let report = engine_digest::election_n64();
+    println!(
+        "engine n64: {:#018x} stab {:?}",
+        engine_digest::digest(&report),
+        report.stabilization
+    );
 
     // Through the scenario layer (every assumption dispatch path).
     for assumption in [
