@@ -15,7 +15,8 @@
 //!
 //! * the **clock** — an [`irs_net::FaultClock`]: wall ticks since the shard
 //!   started on a thread, a [`irs_net::ManualClock`] under the stepper;
-//! * the **timer wheel** — `irs-sim`'s hierarchical [`EventQueue`], keyed in
+//! * the **timer wheel** — `irs-sim`'s [`EventQueue`] (a ring of per-tick
+//!   buckets, with an ordered table for deadlines past its window), keyed in
 //!   the clock's ticks, with generation-stamped entries ([`TimerGens`]):
 //!   arming a timer bumps its generation and pushes a new entry, cancelling
 //!   only bumps, and a popped entry whose generation is stale is skipped.

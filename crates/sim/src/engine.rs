@@ -39,10 +39,12 @@
 //!   live-process total, instead of rescanning all `n` processes on every
 //!   change (the full scan survives only at start-up and on the ≤ `t`
 //!   crashes of a run).
-//! * **O(1) event queue.** The queue is a hierarchical timing wheel (see
-//!   [`EventQueue`]): pushes and pops are constant-time slot operations and
-//!   the `O(n²)` same-instant broadcast bursts share FIFO buckets, where a
-//!   binary heap would pay `O(log len)` element moves per message.
+//! * **O(1) event queue.** The queue is one ring of per-tick FIFO buckets
+//!   (see [`EventQueue`]): a push is a mask and a `push_back`, a pop drains
+//!   the cursor's bucket and finds the next occupied tick in a two-level
+//!   bitmap, and the `O(n²)` same-instant broadcast bursts share one bucket,
+//!   where a binary heap would pay `O(log len)` element moves per message.
+//!   The few dozen buckets in use at a time share a pool of warm buffers.
 
 use crate::adversary::{Adversary, Delivery};
 use crate::crash::CrashPlan;

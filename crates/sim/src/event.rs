@@ -93,56 +93,14 @@ impl TimerGens {
     }
 }
 
-/// Slots per wheel level (one 10-bit digit of the tick value per level).
-/// 1024-tick level-0 windows cover the typical message-delay spread, so most
-/// events are filed exactly once.
-const SLOT_BITS: u32 = 10;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = (SLOTS - 1) as u64;
-/// Seven levels of 1024 slots cover the full `u64` tick range (7 × 10 bits
-/// plus the sign-free top bits that no simulation horizon reaches).
-const LEVELS: usize = 7;
-
-/// One wheel level: `SLOTS` FIFO deques plus an occupancy bitmap so the
-/// next occupied slot is found with a handful of word operations.
-#[derive(Debug)]
-struct WheelLevel<M> {
-    slots: Vec<VecDeque<(u64, Event<M>)>>,
-    occupied: [u64; SLOTS / 64],
-}
-
-impl<M> WheelLevel<M> {
-    fn new() -> Self {
-        WheelLevel {
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; SLOTS / 64],
-        }
-    }
-
-    fn mark(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-    }
-
-    fn unmark(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-    }
-
-    /// The first occupied slot with index ≥ `from`, if any.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let mut word = from / 64;
-        let mut bits = self.occupied[word] & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
-            }
-            word += 1;
-            if word >= SLOTS / 64 {
-                return None;
-            }
-            bits = self.occupied[word];
-        }
-    }
-}
+/// Buckets in the ring: one tick each, so the ring spans a window of `RING`
+/// ticks from the cursor. 1 024 ticks cover the typical message-delay
+/// spread, so almost every event is filed straight into its bucket.
+const RING_BITS: u32 = 10;
+const RING: usize = 1 << RING_BITS;
+const RING_MASK: u64 = (RING - 1) as u64;
+/// Occupancy words: one bit per bucket.
+const WORDS: usize = RING / 64;
 
 /// A time-ordered queue of [`Event`]s.
 ///
@@ -154,18 +112,28 @@ impl<M> WheelLevel<M> {
 /// # Representation
 ///
 /// The engine pushes and pops one event per simulated step, and a binary
-/// heap pays `O(log len)` element moves on both ends. The queue is instead a
-/// classic *hierarchical timing wheel*: `LEVELS` levels of `SLOTS` FIFO
-/// slots, one `SLOT_BITS`-bit digit of the tick value per level. A push
-/// indexes the level of the highest digit in which the timestamp differs
-/// from the current cursor — O(1), no element moves. A pop drains the
-/// level-0 slot of the earliest occupied tick; when a level-0 window is
-/// exhausted, the next occupied coarse slot is promoted one level down,
-/// which re-bins each event once per level at most. Same-tick bursts (the
-/// lockstep broadcasts of the protocols) land in one slot and keep their
-/// FIFO order through every promotion.
+/// heap pays `O(log len)` element moves on both ends. The queue is instead
+/// one *ring* of `RING` FIFO buckets, one per tick of the window
+/// `[cursor, cursor + RING)`: the bucket of tick `t` is `t mod RING`, and
+/// the bucket is the timestamp, so an entry is the bare event. A push is one
+/// mask and one `push_back`. A pop drains the cursor's bucket, then moves
+/// the cursor to the next occupied tick through a two-level occupancy bitmap
+/// (one bit per bucket, one summary bit per word) — a constant number of
+/// word operations however sparse the ring is. Same-tick bursts (the
+/// lockstep broadcasts of the protocols) land in one bucket in push order.
 ///
-/// Events pushed at or before an already-popped timestamp (the engine never
+/// Buffers stay warm: a bucket that drains hands its buffer to a LIFO spare
+/// pool, and an empty bucket takes the most recently released one on its
+/// first push, so the few dozen buckets in use at a time share a few dozen
+/// buffers that stay in cache instead of each bucket keeping its own. The
+/// pool never holds more buffers than the most buckets ever occupied at once.
+///
+/// Events at or past the window wait in an ordered side table by tick. When
+/// the cursor's move brings their tick into the window they are copied into
+/// their (then empty) bucket, before any later push can reach it, so they
+/// keep their place ahead of the events pushed after them.
+///
+/// Events pushed strictly before the latest popped timestamp (the engine never
 /// does this, but the API allows it) go to a small ordered side table that is
 /// always drained first.
 ///
@@ -183,10 +151,21 @@ impl<M> WheelLevel<M> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    /// Lower bound on every timestamp stored in the wheel; only ever moves
-    /// forward. Equal to the timestamp of the most recent wheel pop.
+    /// Base of the ring's window: a lower bound on every timestamp in the
+    /// ring and the far table; only ever moves forward. Equal to the
+    /// timestamp of the most recent ring pop.
     cursor: u64,
-    levels: Vec<WheelLevel<M>>,
+    /// `buckets[t & RING_MASK]` holds the events at tick `t`, for every `t`
+    /// in the window. An empty bucket owns no buffer.
+    buckets: Box<[VecDeque<Event<M>>; RING]>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; WORDS],
+    /// One bit per non-zero word of `occupied`.
+    summary: u64,
+    /// Empty buffers released by drained buckets, most recent last.
+    spare: Vec<VecDeque<Event<M>>>,
+    /// Events at or past the window's end (`t ≥ cursor + RING`), by tick.
+    far: BTreeMap<u64, VecDeque<Event<M>>>,
     /// Events pushed strictly before `cursor`: globally earliest, popped
     /// first, ordered by `(time, insertion)`.
     overdue: BTreeMap<Time, VecDeque<Event<M>>>,
@@ -204,116 +183,145 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             cursor: 0,
-            levels: (0..LEVELS).map(|_| WheelLevel::new()).collect(),
+            buckets: (0..RING)
+                .map(|_| VecDeque::new())
+                .collect::<Box<[_]>>()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("RING buckets")),
+            occupied: [0; WORDS],
+            summary: 0,
+            spare: Vec::new(),
+            far: BTreeMap::new(),
             overdue: BTreeMap::new(),
             len: 0,
         }
     }
 
-    /// The wheel level an event at tick `at ≥ cursor` belongs to: the level
-    /// of the highest `SLOT_BITS`-bit digit in which `at` differs from the
-    /// cursor.
-    fn level_of(&self, at: u64) -> usize {
-        let diff = at ^ self.cursor;
-        if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros() as usize) / SLOT_BITS as usize
-        }
-    }
-
-    fn wheel_insert(&mut self, at: u64, event: Event<M>) {
-        let level = self.level_of(at);
-        let slot = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level].slots[slot].push_back((at, event));
-        self.levels[level].mark(slot);
-    }
-
     /// Schedules `event` at time `at`.
+    #[inline]
     pub fn push(&mut self, at: Time, event: Event<M>) {
         self.len += 1;
         let t = at.ticks();
         if t < self.cursor {
             self.overdue.entry(at).or_default().push_back(event);
+        } else if t - self.cursor < RING as u64 {
+            let i = (t & RING_MASK) as usize;
+            if self.buckets[i].is_empty() {
+                self.fill(i);
+            }
+            self.buckets[i].push_back(event);
         } else {
-            self.wheel_insert(t, event);
+            self.far.entry(t).or_default().push_back(event);
         }
     }
 
+    /// Marks the empty bucket `i` occupied and lends it the warmest spare
+    /// buffer, if any.
+    #[inline]
+    fn fill(&mut self, i: usize) {
+        if let Some(buffer) = self.spare.pop() {
+            self.buckets[i] = buffer;
+        }
+        self.occupied[i / 64] |= 1 << (i % 64);
+        self.summary |= 1 << (i / 64);
+    }
+
+    /// Unmarks the drained bucket `i` and returns its buffer to the pool.
+    #[inline]
+    fn release(&mut self, i: usize) {
+        self.spare.push(std::mem::take(&mut self.buckets[i]));
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        if self.occupied[i / 64] == 0 {
+            self.summary &= !(1 << (i / 64));
+        }
+    }
+
+    /// The first occupied bucket at or after `from` in ring order (wrapping
+    /// past the end), if any.
+    #[inline]
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.occupied[word] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        // A later word, else the wrap: the lowest occupied word, which may be
+        // `word` itself with only buckets before `from` set.
+        let later = self.summary & (!0u64 << (word + 1));
+        let word = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+        (word < WORDS).then(|| word * 64 + self.occupied[word].trailing_zeros() as usize)
+    }
+
     /// Removes and returns the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, Event<M>)> {
-        // Overdue events are strictly earlier than everything in the wheel
+        // Overdue events are strictly earlier than everything in the ring
         // (the emptiness check keeps the common path free of map traversal).
         if !self.overdue.is_empty() {
             return self.pop_overdue();
         }
-        self.pop_wheel()
+        self.pop_ring()
     }
 
     #[cold]
     fn pop_overdue(&mut self) -> Option<(Time, Event<M>)> {
-        if let Some(mut entry) = self.overdue.first_entry() {
-            let at = *entry.key();
-            let event = entry
-                .get_mut()
-                .pop_front()
-                .expect("overdue bucket never left empty");
-            if entry.get().is_empty() {
-                entry.remove();
-            }
-            self.len -= 1;
-            return Some((at, event));
+        let mut entry = self.overdue.first_entry()?;
+        let at = *entry.key();
+        let event = entry
+            .get_mut()
+            .pop_front()
+            .expect("overdue bucket never left empty");
+        if entry.get().is_empty() {
+            entry.remove();
         }
-        self.pop_wheel()
+        self.len -= 1;
+        Some((at, event))
     }
 
-    fn pop_wheel(&mut self) -> Option<(Time, Event<M>)> {
-        loop {
-            // Fast path: the earliest occupied level-0 slot of the current
-            // `SLOTS`-tick window holds the next event.
-            let from = (self.cursor & SLOT_MASK) as usize;
-            if let Some(slot) = self.levels[0].next_occupied(from) {
-                let deque = &mut self.levels[0].slots[slot];
-                let (t, event) = deque.pop_front().expect("occupied slot is non-empty");
-                if deque.is_empty() {
-                    self.levels[0].unmark(slot);
-                }
-                self.cursor = t;
-                self.len -= 1;
-                return Some((Time::from_ticks(t), event));
-            }
-            // The window is exhausted: promote the next occupied coarse slot.
-            let mut promoted = false;
-            for level in 1..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let from = ((self.cursor >> shift) & SLOT_MASK) as usize + 1;
-                if from >= SLOTS {
-                    continue; // this level's window is exhausted too
-                }
-                let Some(slot) = self.levels[level].next_occupied(from) else {
-                    continue;
-                };
-                // Advance the cursor to the base of the promoted window; every
-                // remaining event is at or after it. The top level's digit
-                // reaches past bit 63, so the mask of the bits above it is
-                // computed with a checked shift (empty mask at the top).
-                let high_mask = (!0u64).checked_shl(shift + SLOT_BITS).unwrap_or(0);
-                self.cursor = (self.cursor & high_mask) | ((slot as u64) << shift);
-                let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
-                self.levels[level].unmark(slot);
-                for (t, event) in drained.drain(..) {
-                    self.wheel_insert(t, event);
-                }
-                // Re-binning targets strictly lower levels, so the slot is
-                // still empty: hand its buffer back to avoid reallocating.
-                self.levels[level].slots[slot] = drained;
-                promoted = true;
+    #[inline]
+    fn pop_ring(&mut self) -> Option<(Time, Event<M>)> {
+        let mut i = (self.cursor & RING_MASK) as usize;
+        if self.buckets[i].is_empty() {
+            let next = self.first_tick()?;
+            self.advance(next);
+            i = (next & RING_MASK) as usize;
+        }
+        let event = self.buckets[i]
+            .pop_front()
+            .expect("the cursor's bucket is occupied");
+        if self.buckets[i].is_empty() {
+            self.release(i);
+        }
+        self.len -= 1;
+        Some((Time::from_ticks(self.cursor), event))
+    }
+
+    /// The earliest tick in the ring or, when the ring is empty, in the far
+    /// table.
+    #[inline]
+    fn first_tick(&self) -> Option<u64> {
+        let i = (self.cursor & RING_MASK) as usize;
+        match self.next_occupied(i) {
+            Some(j) => Some(self.cursor + (j.wrapping_sub(i) as u64 & RING_MASK)),
+            None => self.far.keys().next().copied(),
+        }
+    }
+
+    /// Moves the cursor forward to `to` and brings every far event the new
+    /// window covers into its bucket. Those buckets are empty: every tick
+    /// before `to` has drained, and no push reached a tick at or past the
+    /// old window's end. A far deque is copied into a pooled buffer rather
+    /// than adopted, so the pool stays bounded by the peak occupancy.
+    fn advance(&mut self, to: u64) {
+        self.cursor = to;
+        while let Some(entry) = self.far.first_entry() {
+            if *entry.key() - to >= RING as u64 {
                 break;
             }
-            if !promoted {
-                debug_assert_eq!(self.len, 0, "events lost by the wheel");
-                return None;
-            }
+            let (t, events) = entry.remove_entry();
+            let i = (t & RING_MASK) as usize;
+            self.fill(i);
+            self.buckets[i].extend(events);
         }
     }
 
@@ -322,31 +330,7 @@ impl<M> EventQueue<M> {
         if let Some((&at, _)) = self.overdue.first_key_value() {
             return Some(at);
         }
-        // Scan outward from the cursor; the first occupied slot of the
-        // finest occupied level bounds the answer, but coarse slots are not
-        // time-ordered internally, so take the minimum over their contents.
-        let from = (self.cursor & SLOT_MASK) as usize;
-        if let Some(slot) = self.levels[0].next_occupied(from) {
-            return self.levels[0].slots[slot]
-                .front()
-                .map(|&(t, _)| Time::from_ticks(t));
-        }
-        for level in 1..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let from = ((self.cursor >> shift) & SLOT_MASK) as usize + 1;
-            if from >= SLOTS {
-                continue;
-            }
-            let Some(slot) = self.levels[level].next_occupied(from) else {
-                continue;
-            };
-            return self.levels[level].slots[slot]
-                .iter()
-                .map(|&(t, _)| t)
-                .min()
-                .map(Time::from_ticks);
-        }
-        None
+        self.first_tick().map(Time::from_ticks)
     }
 
     /// Number of pending events.
@@ -448,31 +432,40 @@ mod tests {
             }
         }
 
-        /// Spreads the small drawn time over the wheel's levels so the
-        /// interleavings exercise promotion, multi-level peeks, and the
-        /// top-level (bit ≥ 60) digit, while keeping same-time ties frequent
+        /// Spreads the small drawn time over several scales so the
+        /// interleavings exercise the ring, the far table and its migration
+        /// (bit ≥ 60 ticks included), while keeping same-time ties frequent
         /// within each scale.
         const SCALES: [u64; 5] = [1, 1_000, 1_000_000, 1_000_000_000_000, 1 << 60];
+        /// Offsets from the cursor at the ring window's edge: the last tick
+        /// of the window, the first tick past it, and the one after.
+        const EDGES: [u64; 3] = [RING as u64 - 1, RING as u64, RING as u64 + 1];
 
         proptest! {
             /// Interleaving: each op is either a push (time drawn from a
-            /// deliberately small domain so ties are frequent, then scaled
-            /// across wheel levels) or a pop.
+            /// deliberately small domain so ties are frequent, then scaled,
+            /// or at the window's edge from the cursor) or a pop.
             #[test]
             fn prop_matches_binary_heap_model(
-                ops in proptest::collection::vec((0u8..4, 0u64..16, 0u32..5), 1..400),
+                ops in proptest::collection::vec((0u8..4, 0u64..16, 0u32..8), 1..400),
             ) {
                 let mut queue: EventQueue<u8> = EventQueue::new();
                 let mut model = HeapModel::default();
                 let mut id = 0u32;
+                // The queue's cursor: the latest time popped so far.
+                let mut cursor = 0u64;
                 for (op, small, scale) in ops {
-                    let at = small * SCALES[scale as usize];
+                    let at = match SCALES.get(scale as usize) {
+                        Some(&unit) => small * unit,
+                        None => cursor + EDGES[scale as usize - SCALES.len()],
+                    };
                     if op == 0 {
                         // 1-in-4 ops is a pop.
                         let got = queue.pop();
                         let want = model.pop();
                         prop_assert_eq!(got.as_ref().map(|(t, _)| t.ticks()), want.map(|(t, _)| t));
                         prop_assert_eq!(got.map(|(_, e)| id_of(e)), want.map(|(_, i)| i));
+                        cursor = cursor.max(want.map_or(0, |(t, _)| t));
                     } else {
                         queue.push(Time::from_ticks(at), crash(id));
                         model.push(at, id);
@@ -496,22 +489,144 @@ mod tests {
         }
     }
 
-    /// The top wheel level's digit reaches past bit 63; promotion there must
-    /// not overflow the high-bits mask computation.
+    fn pop_all(q: &mut EventQueue<u8>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| match e {
+                Event::Crash { pid } => (t.ticks(), pid.as_u32()),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    /// Timestamps up to `u64::MAX` round-trip through the far table and the
+    /// ring, where the window's end lies past the largest tick.
     #[test]
-    fn top_level_ticks_round_trip() {
+    fn ticks_up_to_u64_max_round_trip() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        let times = [1u64 << 60, (1 << 60) + 5, 3, 1 << 62, u64::MAX];
+        let times = [1u64 << 60, (1 << 60) + 5, 3, u64::MAX, 1 << 62, u64::MAX];
         for (i, &t) in times.iter().enumerate() {
             q.push(Time::from_ticks(t), crash(i as u32));
         }
-        let mut sorted = times;
-        sorted.sort();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(t, _)| t.ticks())
-            .collect();
-        assert_eq!(popped, sorted.to_vec());
+        assert_eq!(
+            pop_all(&mut q),
+            [
+                (3, 2),
+                (1 << 60, 0),
+                ((1 << 60) + 5, 1),
+                (1 << 62, 4),
+                (u64::MAX, 3),
+                (u64::MAX, 5)
+            ]
+        );
+        // With the cursor near the top, pushes fall in the ring up to the
+        // last tick and stay FIFO there.
+        q.push(Time::from_ticks(u64::MAX - 2), crash(6));
+        assert_eq!(q.pop().map(|(t, _)| t.ticks()), Some(u64::MAX - 2));
+        for (i, t) in [u64::MAX, u64::MAX - 1, u64::MAX].into_iter().enumerate() {
+            q.push(Time::from_ticks(t), crash(7 + i as u32));
+        }
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(u64::MAX - 1)));
+        assert_eq!(
+            pop_all(&mut q),
+            [(u64::MAX - 1, 8), (u64::MAX, 7), (u64::MAX, 9)]
+        );
         assert!(q.is_empty());
+    }
+
+    /// An event pushed past the window waits in the far table; when the
+    /// cursor's move brings its tick into the window it pops ahead of an
+    /// event pushed to the same tick afterwards.
+    #[test]
+    fn a_far_event_joins_its_bucket_ahead_of_a_later_push() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let far = RING as u64 + 5;
+        q.push(Time::from_ticks(far), crash(0));
+        q.push(Time::from_ticks(10), crash(1));
+        assert_eq!(q.far.len(), 1);
+        assert_eq!(q.pop().map(|(t, _)| t.ticks()), Some(10));
+        assert!(q.far.is_empty(), "the window [10, 10 + RING) covers it");
+        q.push(Time::from_ticks(far), crash(2));
+        q.push(Time::from_ticks(far - 1), crash(3));
+        assert_eq!(pop_all(&mut q), [(far - 1, 3), (far, 0), (far, 2)]);
+    }
+
+    /// A push at the cursor's own tick while that tick drains lands behind
+    /// the events still there, and re-occupies the tick once it has
+    /// drained.
+    #[test]
+    fn a_push_at_the_draining_tick_pops_after_the_events_already_there() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push(Time::from_ticks(5), crash(0));
+        q.push(Time::from_ticks(5), crash(1));
+        q.push(Time::from_ticks(6), crash(2));
+        assert_eq!(q.pop().map(|(t, _)| t.ticks()), Some(5));
+        q.push(Time::from_ticks(5), crash(3));
+        assert_eq!(pop_all(&mut q)[..2], [(5, 1), (5, 3)]);
+        // Tick 6 drained too; pushes at 6 (the cursor) start it afresh.
+        q.push(Time::from_ticks(6), crash(4));
+        q.push(Time::from_ticks(6), crash(5));
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(6)));
+        assert_eq!(pop_all(&mut q), [(6, 4), (6, 5)]);
+    }
+
+    /// Pushes before the latest pop go to the overdue table, pop first in
+    /// `(time, insertion)` order, and leave the cursor where it was.
+    #[test]
+    fn overdue_pushes_after_pops_pop_first() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push(Time::from_ticks(10), crash(0));
+        q.push(Time::from_ticks(20), crash(1));
+        assert_eq!(q.pop().map(|(t, _)| t.ticks()), Some(10));
+        q.push(Time::from_ticks(7), crash(2));
+        q.push(Time::from_ticks(3), crash(3));
+        q.push(Time::from_ticks(7), crash(4));
+        q.push(Time::from_ticks(12), crash(5));
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(3)));
+        assert_eq!(pop_all(&mut q), [(3, 3), (7, 2), (7, 4), (12, 5), (20, 1)]);
+    }
+
+    /// The occupancy search wraps: with the cursor in the middle of a word
+    /// and only buckets earlier in that same word occupied (ticks one lap
+    /// ahead), the next event is found there.
+    #[test]
+    fn the_occupancy_search_wraps_into_the_cursors_own_word() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        q.push(Time::from_ticks(40), crash(0));
+        assert_eq!(q.pop().map(|(t, _)| t.ticks()), Some(40));
+        let lap = RING as u64;
+        q.push(Time::from_ticks(lap + 30), crash(1));
+        q.push(Time::from_ticks(lap + 10), crash(2));
+        assert_eq!(q.summary, 1, "only the cursor's word is occupied");
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(lap + 10)));
+        assert_eq!(pop_all(&mut q), [(lap + 10, 2), (lap + 30, 1)]);
+        assert_eq!((q.summary, q.occupied), (0, [0; WORDS]));
+    }
+
+    /// A far deque is copied into a pooled buffer, never adopted: after
+    /// 10 000 far pushes at distinct ticks the pool holds no more buffers
+    /// than the most buckets ever occupied at once.
+    #[test]
+    fn the_spare_pool_stays_bounded_under_far_pushes() {
+        for spacing in [RING as u64 + 7, 3] {
+            let mut q: EventQueue<u8> = EventQueue::new();
+            let ticks: Vec<u64> = (1..=10_000u64).map(|k| k * spacing).collect();
+            for (i, &t) in ticks.iter().enumerate().rev() {
+                q.push(Time::from_ticks(t), crash(i as u32));
+            }
+            let mut peak = 0;
+            let mut popped = Vec::new();
+            while let Some((t, _)) = q.pop() {
+                popped.push(t.ticks());
+                let occupied: u32 = q.occupied.iter().map(|w| w.count_ones()).sum();
+                peak = peak.max(occupied as usize + 1);
+            }
+            assert_eq!(popped, ticks);
+            assert!(
+                q.spare.len() <= peak,
+                "spacing {spacing}: {} spare buffers, peak occupancy {peak}",
+                q.spare.len()
+            );
+        }
     }
 
     #[test]
