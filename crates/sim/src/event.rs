@@ -96,8 +96,7 @@ impl TimerGens {
 /// Buckets in the ring: one tick each, so the ring spans a window of `RING`
 /// ticks from the cursor. 1 024 ticks cover the typical message-delay
 /// spread, so almost every event is filed straight into its bucket.
-const RING_BITS: u32 = 10;
-const RING: usize = 1 << RING_BITS;
+const RING: usize = 1 << 10;
 const RING_MASK: u64 = (RING - 1) as u64;
 /// Occupancy words: one bit per bucket.
 const WORDS: usize = RING / 64;
@@ -183,11 +182,7 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             cursor: 0,
-            buckets: (0..RING)
-                .map(|_| VecDeque::new())
-                .collect::<Box<[_]>>()
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("RING buckets")),
+            buckets: Box::new(std::array::from_fn(|_| VecDeque::new())),
             occupied: [0; WORDS],
             summary: 0,
             spare: Vec::new(),
@@ -394,10 +389,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Reference model: a binary heap over `(time, insertion sequence)` —
-    /// the representation the queue replaced. The calendar queue must be
-    /// observationally identical under any push/pop interleaving, including
-    /// insertion-order ties at equal times.
+    /// Reference model: a binary heap over `(time, insertion sequence)`.
+    /// The queue must be observationally identical under any push/pop
+    /// interleaving, including insertion-order ties at equal times.
     mod model_equivalence {
         use super::*;
         use proptest::prelude::*;
